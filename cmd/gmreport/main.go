@@ -32,19 +32,12 @@ func main() {
 	// non-default machine settings, so 'all' excludes them to keep the
 	// default sweep identical to earlier releases.
 	exp := flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(graphmem.ExperimentIDs, ",")+",latency,prefetch) or 'all'")
-	profileName := flag.String("profile", "small", "scale profile: bench|small|full")
 	kernelsFlag := flag.String("kernels", "", "restrict to these kernels (comma separated)")
 	graphsFlag := flag.String("graphs", "", "restrict to these graphs (comma separated)")
 	mixes := flag.Int("mixes", 0, "override the number of fig14 mixes")
-	jobs := flag.Int("j", 0, "max concurrent simulations (0 = all host cores); output is identical at any -j")
-	weaveJobs := flag.Int("wj", 0, "run multi-core simulations (fig14 mixes, isolated IPCs) on the bound–weave engine with up to this many host workers per run; workers count against -j, output is identical at any -wj")
 	outDir := flag.String("out", "", "also write each table as <dir>/<id>.txt and .csv plus a sweep manifest.json")
 	quiet := flag.Bool("q", false, "suppress progress logging")
-	checkFlag := flag.String("check", "off", "differential checking: off|oracle|full (exit 1 on any violation)")
-	samplePlan := flag.String("sample", "", "run eligible single-core simulations under the statistical sampler \"period,len,offset[,warm]\"; tables show estimates")
-	ckptDir := flag.String("ckpt", "", "warm-up checkpoint store directory (reuses functional warm-ups across the sweep; needs -sample)")
-	storeDir := flag.String("store", "", "disk-backed result store directory (read-through/write-through cache of simulation results; tables are byte-identical with or without it)")
-	metricsAddr := flag.String("metrics", "", "serve live sweep metrics (Prometheus text + expvar) on this address, e.g. :6060")
+	opts := graphmem.RegisterRunFlags(flag.CommandLine, "small")
 	prof := graphmem.RegisterProfilingFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -59,66 +52,15 @@ func main() {
 		}
 	}()
 
-	profile, err := graphmem.ProfileByName(*profileName)
+	wb, err := opts.NewWorkbench("gmreport")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gmreport:", err)
 		os.Exit(1)
 	}
 	if *mixes > 0 {
-		profile.Mixes = *mixes
+		wb.Profile.Mixes = *mixes
 	}
-	wb := graphmem.NewWorkbench(profile)
-	wb.Parallelism = *jobs
-	wb.WeaveJobs = *weaveJobs
-	checkLevel, err := graphmem.ParseCheckLevel(*checkFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gmreport:", err)
-		os.Exit(1)
-	}
-	wb.CheckLevel = checkLevel
-	plan, err := graphmem.ParseSamplePlan(*samplePlan)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gmreport:", err)
-		os.Exit(1)
-	}
-	if plan.Enabled() {
-		if checkLevel != graphmem.CheckOff {
-			fmt.Fprintln(os.Stderr, "gmreport: -sample cannot run under -check (the checker needs detailed execution everywhere)")
-			os.Exit(1)
-		}
-		wb.Sampling = plan
-		if *ckptDir != "" {
-			st, err := graphmem.NewCheckpointStore(*ckptDir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "gmreport:", err)
-				os.Exit(1)
-			}
-			wb.Checkpoints = st
-		}
-	} else if *ckptDir != "" {
-		fmt.Fprintln(os.Stderr, "gmreport: -ckpt needs -sample (checkpoints store sampled warm-ups)")
-		os.Exit(1)
-	}
-	if *storeDir != "" {
-		st, err := graphmem.NewResultStore(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gmreport:", err)
-			os.Exit(1)
-		}
-		wb.Store = st
-	}
-	if *metricsAddr != "" {
-		wb.Metrics = graphmem.NewMetrics()
-		if wb.Store != nil {
-			wb.Metrics.AttachStore(wb.Store)
-		}
-		addr, err := wb.Metrics.Serve(*metricsAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gmreport:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "gmreport: serving metrics at http://%s/metrics\n", addr)
-	}
+	checkLevel := wb.CheckLevel
 	if !*quiet {
 		// All progress (run/cached lines with done/total and ETA,
 		// narration) flows through the workbench's obs.Progress reporter;

@@ -16,9 +16,9 @@
 //	curl -s  localhost:8090/metrics                     # Prometheus (incl. store hit rate)
 //
 // A point requested twice — by one client or many — simulates once: the
-// scheduler's single-flight latches dedupe in-flight runs, the
-// workbench memo serves repeats within the process, and the store
-// serves them across restarts. Results are byte-identical to a local
+// workbench's single-flight memo dedupes in-flight runs and serves
+// repeats within the process, and the store serves them across
+// restarts. Results are byte-identical to a local
 // gmreport/gmsim run of the same request.
 package main
 
@@ -34,12 +34,14 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
-	storeDir := flag.String("store", "", "disk-backed result store directory (strongly recommended: without it only the per-process memo dedupes)")
 	storeMax := flag.String("store-max", "", "LRU size cap for the store, e.g. 512M or 2G (enforced on every write)")
 	gcSize := flag.String("gc", "", "shrink the store to this size (LRU eviction) and exit instead of serving")
-	jobs := flag.Int("j", 0, "max concurrent simulations (0 = all host cores)")
-	weaveJobs := flag.Int("wj", 0, "bound–weave host workers per multi-core simulation")
 	quiet := flag.Bool("q", false, "suppress request/job logging")
+	// The shared run flags are the service's defaults: -store (strongly
+	// recommended: without it only the per-process memo dedupes), -j and
+	// -wj as everywhere; -profile/-warmup/-measure apply to requests that
+	// leave them out; -check/-sample/-pf/-bp to every run served.
+	opts := graphmem.RegisterRunFlags(flag.CommandLine, "")
 	flag.Parse()
 
 	logf := func(format string, args ...any) {
@@ -49,15 +51,12 @@ func main() {
 		logf = func(string, ...any) {}
 	}
 
-	var store *graphmem.ResultStore
-	if *storeDir != "" {
-		st, err := graphmem.NewResultStore(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gmserved:", err)
-			os.Exit(1)
-		}
-		store = st
+	tmpl, err := opts.NewWorkbench("gmserved")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gmserved:", err)
+		os.Exit(1)
 	}
+	store := tmpl.Store
 
 	if *gcSize != "" {
 		if store == nil {
@@ -93,11 +92,7 @@ func main() {
 		store.SetMaxBytes(maxBytes)
 	}
 
-	metrics := graphmem.NewMetrics()
-	if store != nil {
-		metrics.AttachStore(store)
-	}
-	srv := newServer(store, metrics, *jobs, *weaveJobs, logf)
+	srv := newServer(*opts, tmpl, logf)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

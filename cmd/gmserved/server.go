@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -14,22 +15,29 @@ import (
 )
 
 // server is the sweep service: a result store fronted by per-profile
-// workbenches, so every client shares one memo (in-flight dedup via the
-// scheduler's single-flight latches) and one disk cache (cross-restart
+// workbenches, so every client shares one single-flight memo
+// (in-flight and in-process dedup) and one disk cache (cross-restart
 // and cross-process dedup via the store). Jobs run asynchronously;
 // clients poll or stream per-job progress events.
 type server struct {
-	store   *graphmem.ResultStore
-	metrics *graphmem.MetricsServer
-
-	parallel int
-	weave    int
-	logf     func(format string, args ...any)
+	// opts are the service's flags, the defaults every request body is
+	// decoded over; tmpl is the workbench they describe, from which each
+	// bench inherits its knobs, store and metrics.
+	opts graphmem.RunOptions
+	tmpl *graphmem.Workbench
+	logf func(format string, args ...any)
 
 	mu      sync.Mutex
 	nextJob int
 	jobs    map[string]*job
-	benches map[string]*bench
+	benches map[benchKey]*bench
+}
+
+// benchKey names a shared workbench by what its profile resolved to, so
+// an override equal to the profile's own window shares its bench.
+type benchKey struct {
+	profile         string
+	warmup, measure int64
 }
 
 // bench is one shared workbench: every job targeting the same
@@ -58,47 +66,46 @@ type job struct {
 	finished time.Time
 }
 
-func newServer(store *graphmem.ResultStore, metrics *graphmem.MetricsServer, parallel, weave int, logf func(string, ...any)) *server {
+func newServer(opts graphmem.RunOptions, tmpl *graphmem.Workbench, logf func(string, ...any)) *server {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	if tmpl.Metrics == nil {
+		tmpl.Metrics = graphmem.NewMetrics()
+		if tmpl.Store != nil {
+			tmpl.Metrics.AttachStore(tmpl.Store)
+		}
+	}
 	return &server{
-		store:    store,
-		metrics:  metrics,
-		parallel: parallel,
-		weave:    weave,
-		logf:     logf,
-		jobs:     make(map[string]*job),
-		benches:  make(map[string]*bench),
+		opts:    opts,
+		tmpl:    tmpl,
+		logf:    logf,
+		jobs:    make(map[string]*job),
+		benches: make(map[benchKey]*bench),
 	}
 }
 
-// bench returns (creating on first use) the shared workbench for a
-// profile with optional window overrides. Overridden windows key a
-// distinct bench: they change every run key, so sharing a workbench
-// would only pollute its memo.
-func (s *server) bench(profileName string, warmup, measure int64) (*bench, error) {
-	key := fmt.Sprintf("%s|w%d|m%d", profileName, warmup, measure)
+// bench returns (creating on first use) the shared workbench for the
+// request's profile and windows. Overridden windows key a distinct
+// bench: they change every run key, so sharing a workbench would only
+// pollute its memo. A bench whose modes do not compose on its base
+// machine (every config a request can name derives from it) is refused
+// with Config.Validate's reason.
+func (s *server) bench(o graphmem.RunOptions) (*bench, error) {
+	profile, err := o.ScaleProfile()
+	if err != nil {
+		return nil, err
+	}
+	key := benchKey{profile.Name, profile.Warmup, profile.Measure}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if b, ok := s.benches[key]; ok {
 		return b, nil
 	}
-	profile, err := graphmem.ProfileByName(profileName)
-	if err != nil {
+	b := &bench{wb: s.tmpl.WithProfile(profile), active: make(map[*job]bool)}
+	if _, err := b.wb.Configure(profile.BaseConfig(1)); err != nil {
 		return nil, err
 	}
-	if warmup > 0 {
-		profile.Warmup = warmup
-	}
-	if measure > 0 {
-		profile.Measure = measure
-	}
-	b := &bench{wb: graphmem.NewWorkbench(profile), active: make(map[*job]bool)}
-	b.wb.Parallelism = s.parallel
-	b.wb.WeaveJobs = s.weave
-	b.wb.Metrics = s.metrics
-	b.wb.Store = s.store
 	// Progress lines fan out to every job currently running on this
 	// bench: concurrent sweeps sharing a bench see each other's run
 	// lines, which is exactly the shared-cache story the service tells.
@@ -224,26 +231,40 @@ func (j *job) status() status {
 	return st
 }
 
-// runRequest is one simulation point (POST /api/run).
+// runRequest is one simulation point (POST /api/run): the shared run
+// options' profile and windows plus the point.
 type runRequest struct {
-	Profile string `json:"profile"`
-	Kernel  string `json:"kernel"`
-	Graph   string `json:"graph"`
-	Config  string `json:"config"`
-	// Warmup/Measure, when positive, override the profile's windows
-	// (they enter the run key, so overridden runs cache separately).
-	Warmup  int64 `json:"warmup,omitempty"`
-	Measure int64 `json:"measure,omitempty"`
+	graphmem.RunOptions
+	Kernel string `json:"kernel"`
+	Graph  string `json:"graph"`
+	Config string `json:"config"`
 }
 
 // sweepRequest is a whole figure sweep (POST /api/sweep).
 type sweepRequest struct {
-	Profile     string   `json:"profile"`
+	graphmem.RunOptions
 	Experiments []string `json:"experiments"`
 	Kernels     string   `json:"kernels,omitempty"`
 	Graphs      string   `json:"graphs,omitempty"`
-	Warmup      int64    `json:"warmup,omitempty"`
-	Measure     int64    `json:"measure,omitempty"`
+}
+
+// maxBody bounds a request body; the largest legitimate one (a sweep
+// naming every experiment) is well under a kilobyte.
+const maxBody = 1 << 20
+
+// decodeBody reads one JSON object of the request's shape into req —
+// pre-filled with the service's defaults — refusing oversized bodies,
+// unknown fields and trailing data.
+func decodeBody(w http.ResponseWriter, r *http.Request, req any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return err
+	}
+	if dec.More() {
+		return errors.New("trailing data after the JSON object")
+	}
+	return nil
 }
 
 // runResult is the wire shape of a completed single point.
@@ -280,8 +301,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req runRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req := runRequest{RunOptions: s.opts}
+	if err := decodeBody(w, r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -295,7 +316,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := subset[0]
-	b, err := s.bench(req.Profile, req.Warmup, req.Measure)
+	b, err := s.bench(req.RunOptions)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -305,19 +326,19 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	spec := b.wb.Spec(cfg, id)
 	j := s.newJob("run")
 	j.append(fmt.Sprintf("job %s queued: run %s on %s (%s profile)", j.ID, id, cfg.Name, b.wb.Profile.Name))
 	s.start(j, b, func() (any, error) {
-		res := b.wb.RunSingle(cfg, id)
-		key := graphmem.NewRunKey(cfg.WithWindows(b.wb.Profile.Warmup, b.wb.Profile.Measure), id, b.wb.Profile.Name)
-		return &runResult{Key: key.String(), IPC: res.IPC(), Result: res}, nil
+		res := b.wb.Run(spec)
+		return &runResult{Key: spec.Key(), IPC: res.IPC(), Result: res}, nil
 	})
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req := sweepRequest{RunOptions: s.opts}
+	if err := decodeBody(w, r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -345,7 +366,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	b, err := s.bench(req.Profile, req.Warmup, req.Measure)
+	b, err := s.bench(req.RunOptions)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -477,23 +498,23 @@ type storeStats struct {
 }
 
 func (s *server) handleStore(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
+	if s.tmpl.Store == nil {
 		httpError(w, http.StatusNotFound, "no result store attached (start gmserved with -store DIR)")
 		return
 	}
-	entries, bytes, err := s.store.Size()
+	entries, bytes, err := s.tmpl.Store.Size()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, storeStats{
-		Dir: s.store.Dir(), Hits: s.store.Hits(), Misses: s.store.Misses(),
-		Evictions: s.store.Evictions(), Entries: entries, Bytes: bytes,
+		Dir: s.tmpl.Store.Dir(), Hits: s.tmpl.Store.Hits(), Misses: s.tmpl.Store.Misses(),
+		Evictions: s.tmpl.Store.Evictions(), Entries: entries, Bytes: bytes,
 	})
 }
 
 func (s *server) handleGC(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
+	if s.tmpl.Store == nil {
 		httpError(w, http.StatusNotFound, "no result store attached (start gmserved with -store DIR)")
 		return
 	}
@@ -502,7 +523,7 @@ func (s *server) handleGC(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	removed, freed, err := s.store.GC(maxBytes)
+	removed, freed, err := s.tmpl.Store.GC(maxBytes)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -526,7 +547,7 @@ func (s *server) handler() http.Handler {
 	})
 	// The shared metrics endpoint: Prometheus text + expvar, extended
 	// with the store hit/miss/eviction counters via AttachStore.
-	mh := s.metrics.Handler()
+	mh := s.tmpl.Metrics.Handler()
 	mux.Handle("GET /metrics", mh)
 	mux.Handle("GET /debug/vars", mh)
 	mux.HandleFunc("GET /", func(w http.ResponseWriter, r *http.Request) {

@@ -23,21 +23,29 @@ type testService struct {
 	ts *httptest.Server
 }
 
-func newTestService(t *testing.T, storeDir string) *testService {
+func newTestService(t testing.TB, storeDir string) *testService {
 	t.Helper()
-	var st *graphmem.ResultStore
-	if storeDir != "" {
-		s, err := graphmem.NewResultStore(storeDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st = s
+	return newTestServiceOpts(t, graphmem.RunOptions{Store: storeDir})
+}
+
+// newTestServiceOpts starts a service as gmserved's main would for the
+// given flags, minus the start-up validation of the base machine (so a
+// test can reach the per-request one).
+func newTestServiceOpts(t testing.TB, opts graphmem.RunOptions) *testService {
+	t.Helper()
+	probe := opts
+	probe.Check, probe.Sample = "", ""
+	tmpl, err := probe.NewWorkbench("gmserved")
+	if err != nil {
+		t.Fatal(err)
 	}
-	metrics := graphmem.NewMetrics()
-	if st != nil {
-		metrics.AttachStore(st)
+	if tmpl.CheckLevel, err = graphmem.ParseCheckLevel(opts.Check); err != nil {
+		t.Fatal(err)
 	}
-	srv := newServer(st, metrics, 0, 0, nil)
+	if tmpl.Sampling, err = graphmem.ParseSamplePlan(opts.Sample); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(opts, tmpl, nil)
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
 	return &testService{server: srv, ts: ts}
@@ -69,7 +77,7 @@ func (s *testService) post(t *testing.T, path string, body any) status {
 // follow consumes the job's event stream to its terminal close and
 // returns the events, blocking until the job finishes — the stream IS
 // the completion signal.
-func (s *testService) follow(t *testing.T, jobID string, sse bool) []string {
+func (s *testService) follow(t testing.TB, jobID string, sse bool) []string {
 	t.Helper()
 	req, err := http.NewRequest("GET", s.ts.URL+"/api/jobs/"+jobID+"/events", nil)
 	if err != nil {
@@ -128,11 +136,12 @@ func (s *testService) getJSON(t *testing.T, path string, out any) int {
 	return resp.StatusCode
 }
 
+func fastOptions() graphmem.RunOptions {
+	return graphmem.RunOptions{Profile: "bench", Warmup: fastWarmup, Measure: fastMeasure}
+}
+
 func triadRun() runRequest {
-	return runRequest{
-		Profile: "bench", Kernel: "triad", Graph: "reg", Config: "baseline",
-		Warmup: fastWarmup, Measure: fastMeasure,
-	}
+	return runRequest{RunOptions: fastOptions(), Kernel: "triad", Graph: "reg", Config: "baseline"}
 }
 
 // TestServiceRunRoundTrip submits one point, follows its progress
@@ -154,10 +163,16 @@ func TestServiceRunRoundTrip(t *testing.T) {
 	if code := s.getJSON(t, "/api/jobs/"+st.ID+"/result", &res); code != http.StatusOK {
 		t.Fatalf("result fetch: status %d", code)
 	}
-	wantKey := fmt.Sprintf("gmresult|v%d|bench|w%d|m%d|Baseline (bench-scale)|triad.reg",
-		graphmem.ResultStateVersion, fastWarmup, fastMeasure)
-	if res.Key != wantKey {
-		t.Errorf("result key = %q, want %q", res.Key, wantKey)
+	// The key is the run's structural identity, exactly what a local
+	// workbench derives for the same request.
+	profile, err := fastOptions().ScaleProfile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKey := graphmem.NewWorkbench(profile).Spec(profile.BaseConfig(1), graphmem.WorkloadID{Kernel: "triad", Graph: "reg"}).Key()
+	wantPrefix := fmt.Sprintf("gmresult|v%d|bench|triad.reg|Baseline (bench-scale)|", graphmem.ResultStateVersion)
+	if res.Key != wantKey || !strings.HasPrefix(res.Key, wantPrefix) {
+		t.Errorf("result key = %q, want %q (a readable %q...)", res.Key, wantKey, wantPrefix)
 	}
 	if res.IPC <= 0 || res.Result == nil || res.Result.Workload != "triad.reg" {
 		t.Errorf("implausible result: IPC=%v Result=%+v", res.IPC, res.Result)
@@ -185,14 +200,14 @@ func TestServiceSecondRequestCached(t *testing.T) {
 
 	first := s.post(t, "/api/run", triadRun())
 	s.follow(t, first.ID, false)
-	_, finished, cached, stored := s.metrics.Counts()
+	_, finished, cached, stored := s.tmpl.Metrics.Counts()
 	if finished != 1 {
 		t.Fatalf("first request ran %d simulations, want 1", finished)
 	}
 
 	second := s.post(t, "/api/run", triadRun())
 	s.follow(t, second.ID, false)
-	_, finished2, cached2, stored2 := s.metrics.Counts()
+	_, finished2, cached2, stored2 := s.tmpl.Metrics.Counts()
 	if finished2 != finished {
 		t.Errorf("second identical request ran a new simulation (finished %d → %d)", finished, finished2)
 	}
@@ -209,10 +224,10 @@ func TestServiceSecondRequestCached(t *testing.T) {
 
 	// Cross-restart dedup: a fresh server over the same store directory
 	// serves the point from disk, still without simulating.
-	s2 := newTestService(t, s.store.Dir())
+	s2 := newTestService(t, s.tmpl.Store.Dir())
 	third := s2.post(t, "/api/run", triadRun())
 	s2.follow(t, third.ID, false)
-	_, finished3, _, stored3 := s2.metrics.Counts()
+	_, finished3, _, stored3 := s2.tmpl.Metrics.Counts()
 	if finished3 != 0 || stored3 != 1 {
 		t.Errorf("restarted server: finished=%d stored=%d, want 0 live runs and 1 store hit", finished3, stored3)
 	}
@@ -229,9 +244,8 @@ func TestServiceSecondRequestCached(t *testing.T) {
 func TestServiceSweepMatchesLocalHarness(t *testing.T) {
 	s := newTestService(t, t.TempDir())
 	st := s.post(t, "/api/sweep", sweepRequest{
-		Profile: "bench", Experiments: []string{"fig10"},
+		RunOptions: fastOptions(), Experiments: []string{"fig10"},
 		Kernels: "triad", Graphs: "reg",
-		Warmup: fastWarmup, Measure: fastMeasure,
 	})
 	events := s.follow(t, st.ID, false)
 	if len(events) == 0 || !strings.Contains(events[len(events)-1], "done") {
@@ -325,6 +339,11 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 		{"/api/sweep", `{"profile":"bench","experiments":[]}`},
 		{"/api/sweep", `{"profile":"bench","experiments":["fig99"]}`},
 		{"/api/sweep", `not json`},
+		// Hardening: unknown fields (a run option that is a flag, not a
+		// body field), trailing data, and oversized bodies are refused.
+		{"/api/run", `{"profile":"bench","kernel":"triad","graph":"reg","check":"full"}`},
+		{"/api/run", `{"profile":"bench","kernel":"triad","graph":"reg"}{"x":1}`},
+		{"/api/sweep", `{"profile":"bench","experiments":["tab1"],"kernels":"` + strings.Repeat("x", maxBody) + `"}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(s.ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
@@ -361,4 +380,101 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 	if !sawConflict {
 		t.Log("job finished before the first poll; 409 path not observed (benign on fast machines)")
 	}
+}
+
+// postRaw posts body as is and returns the status and the decoded
+// "error" field (empty on success).
+func (s *testService) postRaw(t testing.TB, path, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(s.ts.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e map[string]string
+	json.NewDecoder(resp.Body).Decode(&e)
+	return resp.StatusCode, e["error"]
+}
+
+// TestServiceSurfacesValidateText is the service's cell of the mode
+// matrix: modes that do not compose are refused per request with 400
+// and exactly sim.Config.Validate's reason, the text gmsim exits with.
+func TestServiceSurfacesValidateText(t *testing.T) {
+	opts := graphmem.RunOptions{Sample: "50000,2000,10000", Check: "oracle"}
+	s := newTestServiceOpts(t, opts)
+	if _, err := opts.NewWorkbench("gmserved"); err == nil {
+		t.Fatal("gmserved would start with -sample and -check both set")
+	}
+	want := s.tmpl.Sampling
+	cfg := graphmem.TableI(1).WithCheck(graphmem.CheckOracle)
+	cfg.Sampling.Plan = want
+	reason := cfg.Validate()
+	if reason == nil {
+		t.Fatal("Validate accepts sampling under the checker")
+	}
+	for path, body := range map[string]string{
+		"/api/run":   `{"profile":"bench","kernel":"triad","graph":"reg"}`,
+		"/api/sweep": `{"profile":"bench","experiments":["tab1"]}`,
+	} {
+		if code, msg := s.postRaw(t, path, body); code != http.StatusBadRequest || msg != reason.Error() {
+			t.Errorf("POST %s: status %d error %q, want 400 %q", path, code, msg, reason)
+		}
+	}
+}
+
+// FuzzRunRequestBody throws arbitrary bodies at both POST endpoints
+// (seed corpus under testdata/fuzz): whatever arrives, the service
+// neither panics nor answers 5xx, and a body it accepts runs to a done
+// job. Bodies that would start an expensive job (a real graph, a figure
+// sweep, long windows) are skipped — the target is the input surface,
+// not the simulator — and requests go straight to the handler, so the
+// fuzz engine's minimizer is not throttled by a socket.
+func FuzzRunRequestBody(f *testing.F) {
+	s := newTestService(f, "")
+	h := s.handler()
+	cheap := map[string]bool{"tab4": true}
+	f.Fuzz(func(t *testing.T, body string) {
+		var probe struct {
+			Graph           string
+			Experiments     []string
+			Warmup, Measure int64
+		}
+		if json.Unmarshal([]byte(body), &probe) == nil {
+			for _, id := range probe.Experiments {
+				if !cheap[id] {
+					t.Skip("a figure sweep")
+				}
+			}
+			small := func(n int64) bool { return n > 0 && n <= 50_000 }
+			if probe.Graph != "" && (probe.Graph != "reg" || !small(probe.Warmup) || !small(probe.Measure)) {
+				t.Skip("an expensive run")
+			}
+		}
+		for _, path := range []string{"/api/run", "/api/sweep"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+			if rec.Code >= 500 {
+				t.Errorf("POST %s %q: status %d %s", path, body, rec.Code, rec.Body)
+			}
+			if rec.Code != http.StatusAccepted {
+				continue
+			}
+			var st status
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+				t.Fatalf("POST %s %q: 202 with body %s", path, body, rec.Body)
+			}
+			for j := s.job(st.ID); ; {
+				j.mu.Lock()
+				state, notify := j.state, j.notify
+				j.mu.Unlock()
+				if state == "done" {
+					break
+				}
+				if state == "error" {
+					t.Fatalf("POST %s %q: accepted job failed: %+v", path, body, j.status())
+				}
+				<-notify
+			}
+		}
+	})
 }

@@ -27,36 +27,30 @@ import (
 	"graphmem"
 )
 
+// fail reports err the way every gmsim misuse ends: on stderr, exit 1.
+func fail(err any) {
+	fmt.Fprintln(os.Stderr, "gmsim:", err)
+	os.Exit(1)
+}
+
 func main() {
 	kernel := flag.String("kernel", "pr", "kernel: bc|bfs|cc|pr|tc|sssp (or triad|matvec|stencil with -graph reg)")
 	graphName := flag.String("graph", "kron", "input graph: web|road|twitter|kron|urand|friendster|reg")
 	configName := flag.String("config", "baseline", "machine configuration")
-	pfPreset := flag.String("pf", "", "prefetcher preset: none|nextline|spp|stride|imp|pickle|spp+imp (empty = config default)")
-	branchPenalty := flag.Int64("bp", 0, "branch-miss penalty in cycles on ~1/32 of records (0 = off, the default machine)")
-	profileName := flag.String("profile", "bench", "scale profile: bench|small|full")
-	warmup := flag.Int64("warmup", 0, "override warm-up instructions")
-	measure := flag.Int64("measure", 0, "override measured instructions")
 	epoch := flag.Int64("epoch", 0, "sample telemetry every N retired instructions (0 = off)")
-	checkFlag := flag.String("check", "off", "differential checking: off|oracle|full (exit 1 on any violation)")
-	samplePlan := flag.String("sample", "", "statistical sampling plan \"period,len,offset[,warm]\" in instructions (single-core only; reports CI estimates)")
-	ckptDir := flag.String("ckpt", "", "warm-up checkpoint store directory (reuses functional warm-ups across runs; needs -sample)")
-	storeDir := flag.String("store", "", "disk-backed result store directory (serves repeated single-core runs from disk; output is byte-identical either way)")
 	frPath := flag.String("fr", "", "enable the memory-hierarchy flight recorder and write a Perfetto/Chrome trace to this path")
 	frInterval := flag.Int64("frint", 0, "flight-recorder occupancy sampling interval in retired instructions (0 = measure/256)")
-	metricsAddr := flag.String("metrics", "", "serve live metrics (Prometheus text + expvar) on this address, e.g. :6060")
-	jobs := flag.Int("j", 0, "max concurrent simulations (0 = all host cores); a single run uses one slot")
 	cores := flag.Int("cores", 1, "simulated core count; >1 replicates the workload on every core of one shared machine")
-	weaveJobs := flag.Int("wj", 0, "bound–weave host workers for -cores>1 (0 = legacy serial engine); results are identical at any value")
 	quantum := flag.Int64("quantum", 0, "bound–weave cycle quantum (0 = engine default); only meaningful with -wj")
 	jsonOut := flag.Bool("json", false, "emit a structured run manifest on stdout instead of text")
 	verbose := flag.Bool("v", false, "log run progress")
+	opts := graphmem.RegisterRunFlags(flag.CommandLine, "bench")
 	prof := graphmem.RegisterProfilingFlags(flag.CommandLine)
 	flag.Parse()
 
 	stopProf, err := prof.Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gmsim:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
@@ -64,139 +58,58 @@ func main() {
 		}
 	}()
 
-	profile, err := graphmem.ProfileByName(*profileName)
+	// The run's flags become one config; whether its modes compose is
+	// Config.Validate's call (via Configure), not a list kept here.
+	if *cores < 1 {
+		fail("-cores must be >= 1")
+	}
+	wb, err := opts.NewWorkbench("gmsim")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gmsim:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	if *warmup > 0 {
-		profile.Warmup = *warmup
-	}
-	if *measure > 0 {
-		profile.Measure = *measure
-	}
-	wb := graphmem.NewWorkbench(profile)
-	wb.Parallelism = *jobs
+	profile, checkLevel := wb.Profile, wb.CheckLevel
 	if *verbose {
 		wb.Progress = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
 	}
-	checkLevel, err := graphmem.ParseCheckLevel(*checkFlag)
+	cfg, err := graphmem.ConfigByName(profile.BaseConfig(*cores), *configName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gmsim:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	wb.CheckLevel = checkLevel
-	plan, err := graphmem.ParseSamplePlan(*samplePlan)
+	if *epoch > 0 {
+		cfg = cfg.WithEpochInterval(*epoch)
+	}
+	if *frPath != "" {
+		cfg = cfg.WithFlightRecorder(*frInterval)
+	}
+	if *cores == 1 && (opts.WeaveJobs > 0 || *quantum > 0) {
+		fail("-wj/-quantum apply to multi-core runs only (use -cores N)")
+	}
+	if opts.WeaveJobs > 0 {
+		cfg = cfg.WithBoundWeave(*quantum, opts.WeaveJobs)
+	}
+	effective, err := wb.Configure(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gmsim:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	if plan.Enabled() {
-		switch {
-		case *cores > 1:
-			fmt.Fprintln(os.Stderr, "gmsim: -sample runs single-core only")
-			os.Exit(1)
-		case checkLevel != graphmem.CheckOff:
-			fmt.Fprintln(os.Stderr, "gmsim: -sample cannot run under -check (the checker needs detailed execution everywhere)")
-			os.Exit(1)
-		case *epoch > 0:
-			fmt.Fprintln(os.Stderr, "gmsim: -sample cannot run with -epoch (epochs tile the detailed window)")
-			os.Exit(1)
-		case *frPath != "":
-			fmt.Fprintln(os.Stderr, "gmsim: -sample cannot run with -fr (the recorder taps detailed execution)")
-			os.Exit(1)
-		}
-		wb.Sampling = plan
-		if *ckptDir != "" {
-			st, err := graphmem.NewCheckpointStore(*ckptDir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "gmsim:", err)
-				os.Exit(1)
-			}
-			wb.Checkpoints = st
-		}
-	} else if *ckptDir != "" {
-		fmt.Fprintln(os.Stderr, "gmsim: -ckpt needs -sample (checkpoints store sampled warm-ups)")
-		os.Exit(1)
-	}
-	if *storeDir != "" {
-		if *cores > 1 {
-			fmt.Fprintln(os.Stderr, "gmsim: -store caches single-core runs only (multi-core mixes bypass the workbench memo)")
-			os.Exit(1)
-		}
-		st, err := graphmem.NewResultStore(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gmsim:", err)
-			os.Exit(1)
-		}
-		wb.Store = st
-	}
-	if *metricsAddr != "" {
-		wb.Metrics = graphmem.NewMetrics()
-		if wb.Store != nil {
-			wb.Metrics.AttachStore(wb.Store)
-		}
-		addr, err := wb.Metrics.Serve(*metricsAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gmsim:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "gmsim: serving metrics at http://%s/metrics\n", addr)
-	}
+	id := graphmem.WorkloadID{Kernel: *kernel, Graph: *graphName}
 
-	if !graphmem.ValidPrefetchers(*pfPreset) {
-		fmt.Fprintf(os.Stderr, "gmsim: unknown -pf preset %q (want none|nextline|spp|stride|imp|pickle|spp+imp)\n", *pfPreset)
-		os.Exit(1)
-	}
-	if *branchPenalty < 0 {
-		fmt.Fprintln(os.Stderr, "gmsim: -bp must be >= 0")
-		os.Exit(1)
-	}
-	if *cores < 1 {
-		fmt.Fprintln(os.Stderr, "gmsim: -cores must be >= 1")
-		os.Exit(1)
-	}
-	if *cores == 1 && (*weaveJobs > 0 || *quantum > 0) {
-		fmt.Fprintln(os.Stderr, "gmsim: -wj/-quantum apply to multi-core runs only (use -cores N)")
-		os.Exit(1)
-	}
 	if *cores > 1 {
-		if *jsonOut {
-			fmt.Fprintln(os.Stderr, "gmsim: -json is not supported with -cores > 1")
-			os.Exit(1)
+		// Multi-core runs drive the simulator directly: no memo, no
+		// manifest, no recorder export.
+		if *jsonOut || *frPath != "" {
+			fail("-json and -fr are not supported with -cores > 1")
 		}
-		if *frPath != "" {
-			fmt.Fprintln(os.Stderr, "gmsim: -fr is not supported with -cores > 1")
-			os.Exit(1)
+		if err := effective.Cacheable(); wb.Store != nil && err != nil {
+			fail(err)
 		}
-		cfg, err := graphmem.ConfigByName(profile.BaseConfig(*cores), *configName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gmsim:", err)
-			os.Exit(1)
-		}
-		cfg = cfg.WithWindows(profile.Warmup, profile.Measure)
-		if *pfPreset != "" {
-			cfg = cfg.WithPrefetchers(*pfPreset)
-		}
-		if *branchPenalty > 0 {
-			cfg = cfg.WithBranchMissPenalty(*branchPenalty)
-		}
-		cfg.CheckLevel = checkLevel
-		if *epoch > 0 {
-			cfg = cfg.WithEpochInterval(*epoch)
-		}
-		if *weaveJobs > 0 {
-			cfg = cfg.WithBoundWeave(*quantum, *weaveJobs)
-		}
-		id := graphmem.WorkloadID{Kernel: *kernel, Graph: *graphName}
 		ws := make([]graphmem.Workload, *cores)
 		for i := range ws {
 			ws[i] = wb.Workload(id, i)
 		}
 		start := time.Now()
-		res := graphmem.RunMultiCore(cfg, ws)
+		res := graphmem.RunMultiCore(effective, ws)
 		fmt.Fprintf(os.Stderr, "gmsim: %d-core run finished in %s\n", *cores, time.Since(start).Round(time.Millisecond))
-		printMulti(cfg, profile.Name, id, res)
+		printMulti(effective, profile.Name, id, res)
 		if checkLevel != graphmem.CheckOff && res.Check.Violations > 0 {
 			fmt.Fprintf(os.Stderr, "gmsim: differential checker found %d violation(s):\n", res.Check.Violations)
 			for _, v := range res.Check.Details {
@@ -207,34 +120,16 @@ func main() {
 		return
 	}
 
-	cfg, err := graphmem.ConfigByName(profile.BaseConfig(1), *configName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gmsim:", err)
-		os.Exit(1)
-	}
-	if *pfPreset != "" {
-		cfg = cfg.WithPrefetchers(*pfPreset)
-	}
-	if *branchPenalty > 0 {
-		cfg = cfg.WithBranchMissPenalty(*branchPenalty)
-	}
-	if *epoch > 0 {
-		cfg = cfg.WithEpochInterval(*epoch)
-	}
-	if *frPath != "" {
-		cfg = cfg.WithFlightRecorder(*frInterval)
-	}
-	id := graphmem.WorkloadID{Kernel: *kernel, Graph: *graphName}
+	spec := wb.Spec(cfg, id)
 	start := time.Now()
-	res := wb.RunSingle(cfg, id)
+	res := wb.Run(spec)
 	s := &res.Stats
 	if *frPath != "" {
 		err := graphmem.WritePerfettoTrace(*frPath, []graphmem.TraceRun{
 			{Name: cfg.Name + "/" + id.String(), Rec: res.Recorder},
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gmsim:", err)
-			os.Exit(1)
+			fail(err)
 		}
 	}
 	if wb.Store != nil {
@@ -252,7 +147,8 @@ func main() {
 		m := graphmem.NewManifest("gmsim")
 		m.Profile = profile.Name
 		m.Workload = id.String()
-		m.Config = cfg.WithWindows(profile.Warmup, profile.Measure).ManifestInfo()
+		m.RunKey = spec.Key()
+		m.Config = effective.ManifestInfo()
 		m.Reruns = res.Reruns
 		m.Final = res.Stats
 		m.Derived = graphmem.DeriveMetrics(&res.Stats)
@@ -263,8 +159,7 @@ func main() {
 			m.Check = &res.Check
 		}
 		if err := m.Finalize(start).WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "gmsim:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		if checkFailed {
 			os.Exit(1)

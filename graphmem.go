@@ -26,6 +26,8 @@ package graphmem
 
 import (
 	"flag"
+	"fmt"
+	"os"
 
 	"graphmem/internal/check"
 	corepkg "graphmem/internal/core"
@@ -110,10 +112,10 @@ type (
 	// ResultStore is the disk-backed content-addressed simulation result
 	// store (Workbench.Store / gmserved).
 	ResultStore = store.Store
-	// RunKey is the canonical identity of one simulation point (memo key
-	// + graph identity + sim state version) shared by the memo, the disk
-	// store and gmserved.
-	RunKey = harness.RunKey
+	// RunSpec is one fully specified run and its structural identity,
+	// shared by the memo, the disk store, gmserved and manifests
+	// (Workbench.Spec derives it).
+	RunSpec = harness.RunSpec
 	// StatInterval is a point estimate with a CLT confidence interval.
 	StatInterval = stats.Interval
 )
@@ -153,11 +155,6 @@ const ResultStateVersion = sim.StateVersion
 // rooted at dir; assign it to Workbench.Store (the -store flag).
 func NewResultStore(dir string) (*ResultStore, error) { return harness.OpenResultStore(dir) }
 
-// NewRunKey derives the canonical run key of a configured run.
-func NewRunKey(cfg Config, id WorkloadID, profile string) RunKey {
-	return harness.NewRunKey(cfg, id, profile)
-}
-
 // StoreSummary renders the one-line result-store outcome the CLI tools
 // print after a sweep.
 func StoreSummary(s *ResultStore) string { return harness.StoreSummary(s) }
@@ -181,10 +178,6 @@ func SubsetWorkloads(kernelsList, graphsList string) ([]WorkloadID, error) {
 func ConfigByName(base Config, name string) (Config, error) {
 	return harness.ConfigByName(base, name)
 }
-
-// ValidPrefetchers reports whether preset names a known prefetcher
-// preset for Config.WithPrefetchers ("" — the default wiring — counts).
-func ValidPrefetchers(preset string) bool { return sim.ValidPrefetchers(preset) }
 
 // RelErr returns |est-ref|/|ref| (0 for 0/0, +Inf for est/0).
 func RelErr(est, ref float64) float64 { return stats.RelErr(est, ref) }
@@ -265,6 +258,113 @@ func NewProgress(out func(string)) *SweepProgress { return obs.NewProgress(out) 
 // on a flag set; call Start() on the result after flag parsing.
 func RegisterProfilingFlags(fs *flag.FlagSet) *ProfilingFlags {
 	return obs.RegisterProfileFlags(fs)
+}
+
+// RunOptions are the run settings gmsim, gmreport and gmserved share:
+// RegisterRunFlags declares each flag once, and gmserved's request
+// bodies decode their profile and windows into the same struct.
+type RunOptions struct {
+	Profile string `json:"profile"`
+	// Warmup/Measure, when positive, override the profile's single-core
+	// windows (they are part of every run's identity, so overridden runs
+	// cache separately).
+	Warmup  int64 `json:"warmup,omitempty"`
+	Measure int64 `json:"measure,omitempty"`
+
+	Check         string `json:"-"`
+	Sample        string `json:"-"`
+	Ckpt          string `json:"-"`
+	Store         string `json:"-"`
+	Metrics       string `json:"-"`
+	Jobs          int    `json:"-"`
+	WeaveJobs     int    `json:"-"`
+	Prefetchers   string `json:"-"`
+	BranchPenalty int64  `json:"-"`
+}
+
+// RegisterRunFlags installs the shared run flags on a flag set; call
+// NewWorkbench on the result after flag parsing.
+func RegisterRunFlags(fs *flag.FlagSet, defaultProfile string) *RunOptions {
+	o := &RunOptions{}
+	fs.StringVar(&o.Profile, "profile", defaultProfile, "scale profile: bench|small|full")
+	fs.Int64Var(&o.Warmup, "warmup", 0, "override the single-core warm-up instructions")
+	fs.Int64Var(&o.Measure, "measure", 0, "override the single-core measured instructions")
+	fs.StringVar(&o.Check, "check", "off", "differential checking: off|oracle|full (exit 1 on any violation)")
+	fs.StringVar(&o.Sample, "sample", "", "run eligible single-core simulations under the statistical sampler \"period,len,offset[,warm]\" (instructions); results are CI estimates")
+	fs.StringVar(&o.Ckpt, "ckpt", "", "warm-up checkpoint store directory (reuses functional warm-ups across runs; needs -sample)")
+	fs.StringVar(&o.Store, "store", "", "disk-backed result store directory (serves repeated single-core runs from disk; output is byte-identical either way)")
+	fs.StringVar(&o.Metrics, "metrics", "", "serve live metrics (Prometheus text + expvar) on this address, e.g. :6060")
+	fs.IntVar(&o.Jobs, "j", 0, "max concurrent simulations (0 = all host cores); output is identical at any -j")
+	fs.IntVar(&o.WeaveJobs, "wj", 0, "bound–weave host workers per multi-core simulation (0 = legacy serial engine); workers count against -j, output is identical at any -wj")
+	fs.StringVar(&o.Prefetchers, "pf", "", "prefetcher preset for the base machine: none|nextline|spp|stride|imp|pickle|spp+imp (empty = Table I default)")
+	fs.Int64Var(&o.BranchPenalty, "bp", 0, "branch-miss penalty in cycles on ~1/32 of records (0 = off, the default machine)")
+	return o
+}
+
+// ScaleProfile resolves -profile with the -warmup/-measure overrides;
+// -pf/-bp, when set, apply to the machine its BaseConfig returns, from
+// which every config a tool or experiment runs is derived.
+func (o RunOptions) ScaleProfile() (Profile, error) {
+	p, err := ProfileByName(o.Profile)
+	if err != nil {
+		return p, err
+	}
+	if o.Warmup > 0 {
+		p.Warmup = o.Warmup
+	}
+	if o.Measure > 0 {
+		p.Measure = o.Measure
+	}
+	if pf, bp, base := o.Prefetchers, o.BranchPenalty, p.BaseConfig; pf != "" || bp != 0 {
+		p.BaseConfig = func(cores int) Config {
+			return base(cores).WithPrefetchers(pf).WithBranchMissPenalty(bp)
+		}
+	}
+	return p, nil
+}
+
+// NewWorkbench builds the workbench the options describe — opening the
+// stores and, with -metrics, serving the registry (tool prefixes the
+// notice) — and fails with Config.Validate's reason when the requested
+// modes do not compose on the base machine.
+func (o RunOptions) NewWorkbench(tool string) (*Workbench, error) {
+	profile, err := o.ScaleProfile()
+	if err != nil {
+		return nil, err
+	}
+	wb := NewWorkbench(profile)
+	wb.Parallelism, wb.WeaveJobs = o.Jobs, o.WeaveJobs
+	if wb.CheckLevel, err = ParseCheckLevel(o.Check); err != nil {
+		return nil, err
+	}
+	if wb.Sampling, err = ParseSamplePlan(o.Sample); err != nil {
+		return nil, err
+	}
+	if o.Ckpt != "" {
+		if wb.Checkpoints, err = NewCheckpointStore(o.Ckpt); err != nil {
+			return nil, err
+		}
+	}
+	if o.Store != "" {
+		if wb.Store, err = NewResultStore(o.Store); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := wb.Configure(profile.BaseConfig(1)); err != nil {
+		return nil, err
+	}
+	if o.Metrics != "" {
+		wb.Metrics = NewMetrics()
+		if wb.Store != nil {
+			wb.Metrics.AttachStore(wb.Store)
+		}
+		addr, err := wb.Metrics.Serve(o.Metrics)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "%s: serving metrics at http://%s/metrics\n", tool, addr)
+	}
+	return wb, nil
 }
 
 // Epoch telemetry exporters (CSV and JSONL time-series writers).

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Graph is a directed graph in Compressed Sparse Row form. For a graph
@@ -23,7 +24,8 @@ type Graph struct {
 	NA []int32 // column indices, len M
 	W  []int32 // optional edge weights, len M or nil
 
-	trans *Graph // memoized transpose (see TransposeCached)
+	transOnce sync.Once // guards trans (see TransposeCached)
+	trans     *Graph
 }
 
 // NumVertices returns the vertex count.
@@ -180,13 +182,16 @@ func (g *Graph) Transpose() *Graph {
 
 // TransposeCached returns the transpose, memoizing it on the graph so
 // repeated kernel preparations on the same input (multi-core mixes)
-// don't recompute it. Not safe for concurrent first use; the harness
-// prepares all kernel instances before starting simulation goroutines.
+// don't recompute it. Safe for concurrent first use: the scheduler
+// prepares pr/bfs instances on one graph from several goroutines.
 func (g *Graph) TransposeCached() *Graph {
-	if g.trans == nil {
-		g.trans = g.Transpose()
-		g.trans.trans = g
-	}
+	g.transOnce.Do(func() {
+		t := g.Transpose()
+		// Back-link, and mark t's own Once spent so it keeps the link.
+		t.trans = g
+		t.transOnce.Do(func() {})
+		g.trans = t
+	})
 	return g.trans
 }
 

@@ -45,48 +45,34 @@ func GenerateMixes(pool []WorkloadID, n int, seed uint64) [][]WorkloadID {
 	return mixes
 }
 
-// singleIPC returns the isolated IPC of a workload: it runs alone on
-// the Baseline multi-core machine ("IPC in isolation on the same
-// system", Section IV-D), memoized and single-flight — concurrent
-// requests for the same id share one live run.
+// isolatedSpec is the spec of id's isolated run: alone on the Baseline
+// multi-core machine ("IPC in isolation on the same system", Section
+// IV-D).
+func (wb *Workbench) isolatedSpec(id WorkloadID) RunSpec {
+	return newRunSpec(kindIsolated, wb.mixConfig(wb.Profile.BaseConfig(mixCores)), id, wb.Profile.Name)
+}
+
+// singleIPC returns the isolated IPC of a workload, memoized and
+// single-flight — concurrent requests for the same id share one live
+// run.
 func (wb *Workbench) singleIPC(id WorkloadID) float64 {
-	key := id.String()
+	s := wb.isolatedSpec(id)
 	label := fmt.Sprintf("isolated %-22s", id)
-	wb.mu.Lock()
-	if v, ok := wb.singles[key]; ok {
-		wb.mu.Unlock()
-		wb.Reporter.Cached(label, fmt.Sprintf("IPC=%.3f", v))
+	v, shared := wb.singles.do(s.key, func() float64 {
+		cfg, slots := wb.acquireSim(s.cfg)
+		defer wb.releaseN(slots)
+		ws := make([]sim.Workload, mixCores)
+		ws[0] = wb.Workload(id, 0)
+		finish := wb.Reporter.StartRun(label)
+		res := sim.RunMultiCore(cfg, ws)
+		v := res.PerCore[0].IPC()
+		finish(fmt.Sprintf("IPC=%.3f", v))
+		wb.recordCheck(res.Check)
 		return v
+	})
+	if shared {
+		wb.Reporter.Cached(label, fmt.Sprintf("IPC=%.3f", v))
 	}
-	if l, ok := wb.isolated[key]; ok {
-		wb.mu.Unlock()
-		<-l.done
-		wb.Reporter.Cached(label, fmt.Sprintf("IPC=%.3f", l.v))
-		return l.v
-	}
-	l := &ipcLatch{done: make(chan struct{})}
-	wb.isolated[key] = l
-	wb.mu.Unlock()
-
-	cfg := wb.Profile.BaseConfig(mixCores).
-		WithWindows(wb.Profile.MixWarmup, wb.Profile.MixMeasure)
-	cfg.CheckLevel = wb.CheckLevel
-	cfg, slots := wb.acquireSim(cfg)
-	ws := make([]sim.Workload, mixCores)
-	ws[0] = wb.Workload(id, 0)
-	finish := wb.Reporter.StartRun(label)
-	res := sim.RunMultiCore(cfg, ws)
-	v := res.PerCore[0].IPC()
-	finish(fmt.Sprintf("IPC=%.3f", v))
-	wb.releaseN(slots)
-	wb.recordCheck(res.Check)
-
-	wb.mu.Lock()
-	wb.singles[key] = v
-	delete(wb.isolated, key)
-	wb.mu.Unlock()
-	l.v = v
-	close(l.done)
 	return v
 }
 
@@ -94,9 +80,7 @@ func (wb *Workbench) singleIPC(id WorkloadID) float64 {
 // and returns per-thread shared IPCs. Mix runs are not memoized: each
 // (config, mix) point is simulated exactly once per Fig14 call.
 func (wb *Workbench) runMix(cfg sim.Config, mix []WorkloadID) []float64 {
-	cfg = cfg.WithWindows(wb.Profile.MixWarmup, wb.Profile.MixMeasure)
-	cfg.CheckLevel = wb.CheckLevel
-	cfg, slots := wb.acquireSim(cfg)
+	cfg, slots := wb.acquireSim(wb.mixConfig(cfg))
 	defer wb.releaseN(slots)
 	ws := make([]sim.Workload, mixCores)
 	names := ""
@@ -117,26 +101,16 @@ func (wb *Workbench) runMix(cfg sim.Config, mix []WorkloadID) []float64 {
 
 // liveIsolated counts the distinct mix threads whose isolated run will
 // actually execute (not yet memoized or in flight); repeats join the
-// single-flight latch and self-report as cached.
+// single-flight call and self-report as cached.
 func (wb *Workbench) liveIsolated(mixes [][]WorkloadID) int {
-	seen := make(map[string]bool)
+	seen := make(map[WorkloadID]bool)
 	live := 0
-	wb.mu.Lock()
-	defer wb.mu.Unlock()
 	for _, mix := range mixes {
 		for _, id := range mix {
-			key := id.String()
-			if seen[key] {
-				continue
+			if !seen[id] && !wb.singles.has(wb.isolatedSpec(id).key) {
+				live++
 			}
-			seen[key] = true
-			if _, ok := wb.singles[key]; ok {
-				continue
-			}
-			if _, ok := wb.isolated[key]; ok {
-				continue
-			}
-			live++
+			seen[id] = true
 		}
 	}
 	return live

@@ -22,12 +22,13 @@ type Fig3Result struct {
 // Fig3 reproduces the characterization on the given workload (the
 // paper uses cc.friendster). The profiling run is never memoized in
 // process (it carries a custom observer, not a sim.Result), but with a
-// result store attached the derived profile is cached on disk under a
-// "fig3|"-namespaced key, so warm sweeps skip the run entirely.
+// result store attached the derived profile is cached on disk under
+// the run's fig3-kind key, so warm sweeps skip the run entirely.
 func (wb *Workbench) Fig3(id WorkloadID) *Fig3Result {
 	cfg := wb.BaseConfig()
 	if wb.storeEligible(cfg) {
-		skey := wb.fig3StoreKey(id, cfg).StoreKey()
+		spec := newRunSpec(kindFig3, cfg, id, wb.Profile.Name)
+		skey := spec.StoreKey()
 		payload, commit := wb.Store.Acquire(skey)
 		if payload != nil {
 			if res := storedFig3(payload, id); res != nil {
@@ -56,7 +57,7 @@ func (wb *Workbench) Fig3(id WorkloadID) *Fig3Result {
 			_ = commit(nil)
 		}
 		if err != nil {
-			wb.log("result store write failed for fig3|%s: %v", id, err)
+			wb.log("result store write failed for %s: %v", spec.key, err)
 		}
 		return res
 	}

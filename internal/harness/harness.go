@@ -8,7 +8,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -198,8 +197,8 @@ type Workbench struct {
 	// exact window counters, at a fraction of the detailed-simulation
 	// cost. Runs the engine does not support — multi-core, checked,
 	// flight-recorded, epoch-sampled or bound–weave — keep full fidelity.
-	// Sampled runs memoize under a distinct key (see runKey), so the
-	// zero value leaves every key and result byte-identical. Set it
+	// The plan is part of a run's identity (see RunSpec), so sampled and
+	// detailed runs never share a memo entry. Set it
 	// before the first run; cmd/gmsim and cmd/gmreport expose it as
 	// -sample.
 	Sampling sample.Plan
@@ -207,31 +206,28 @@ type Workbench struct {
 	// checkpoint store: sampled runs sharing a (workload,
 	// warm-relevant-config) pair replay one functional warm-up and
 	// restore the rest from disk. Wall-clock only — restored runs are
-	// byte-identical to re-warmed ones — so the store is deliberately
-	// excluded from memo keys. Exposed as -ckpt.
+	// byte-identical to re-warmed ones — so the store is excluded from
+	// run identity (sim.WallClockOnly). Exposed as -ckpt.
 	Checkpoints *sample.Store
 	// Store, when set, is the disk-backed content-addressed result
 	// store: a read-through/write-through tier under the in-memory memo
-	// (lookup order: memory → disk → run), keyed by RunKey.StoreKey.
+	// (lookup order: memory → disk → run), keyed by RunSpec.StoreKey.
 	// Stored results are byte-identical to live runs, so the tier
-	// affects wall-clock only; checked runs (CheckLevel != Off) bypass
+	// affects wall-clock only; runs sim.Config.Cacheable rejects bypass
 	// it both ways. Open one with OpenResultStore; cmd/gmreport and
 	// cmd/gmsim expose it as -store, and gmserved fronts one as a
 	// service.
 	Store *store.Store
 
-	mu sync.Mutex
+	mu sync.Mutex // guards sem's creation and the check aggregate
 	// batchMu serializes multi-slot pool acquisitions (acquireN) so two
 	// weave-parallel runs can never deadlock each other by each holding
 	// half the pool while waiting for more.
-	batchMu  sync.Mutex
-	sem      chan struct{} // worker pool, sized on first acquire
-	graphs   map[string]*graph.Graph
-	building map[string]*graphLatch // in-flight graph builds
-	results  map[string]*sim.Result
-	running  map[string]*runLatch // in-flight single-core runs
-	singles  map[string]float64   // isolated IPC cache for Fig. 14
-	isolated map[string]*ipcLatch // in-flight isolated runs
+	batchMu sync.Mutex
+	sem     chan struct{} // worker pool, sized on first acquire
+	graphs  flight[*graph.Graph]
+	results flight[*sim.Result] // single-core points by RunSpec key
+	singles flight[float64]     // isolated IPCs for Fig. 14 by RunSpec key
 
 	checkRuns       int64             // live checked runs aggregated
 	checkViolations int64             // total violations across the sweep
@@ -240,21 +236,23 @@ type Workbench struct {
 
 // NewWorkbench creates an empty workbench for the profile.
 func NewWorkbench(p Profile) *Workbench {
-	wb := &Workbench{
-		Profile:  p,
-		graphs:   make(map[string]*graph.Graph),
-		building: make(map[string]*graphLatch),
-		results:  make(map[string]*sim.Result),
-		running:  make(map[string]*runLatch),
-		singles:  make(map[string]float64),
-		isolated: make(map[string]*ipcLatch),
-	}
+	wb := &Workbench{Profile: p}
 	wb.Reporter = obs.NewProgress(func(msg string) {
 		if wb.Progress != nil {
 			wb.Progress(msg)
 		}
 	})
 	return wb
+}
+
+// WithProfile returns an empty workbench for p that shares wb's knobs,
+// stores and metrics (not its memo or worker pool): how gmserved serves
+// several profiles from one set of flags.
+func (wb *Workbench) WithProfile(p Profile) *Workbench {
+	n := NewWorkbench(p)
+	n.Parallelism, n.WeaveJobs, n.Metrics = wb.Parallelism, wb.WeaveJobs, wb.Metrics
+	n.CheckLevel, n.Sampling, n.Checkpoints, n.Store = wb.CheckLevel, wb.Sampling, wb.Checkpoints, wb.Store
+	return n
 }
 
 func (wb *Workbench) log(format string, args ...any) {
@@ -265,59 +263,19 @@ func (wb *Workbench) log(format string, args ...any) {
 // Builds are single-flight: concurrent requests for the same graph
 // share one build, while different graphs build in parallel.
 func (wb *Workbench) Graph(name string) *graph.Graph {
-	wb.mu.Lock()
-	if g, ok := wb.graphs[name]; ok {
-		wb.mu.Unlock()
-		return g
-	}
-	if l, ok := wb.building[name]; ok {
-		wb.mu.Unlock()
-		<-l.done
-		if l.panicked != nil {
-			panic(l.panicked)
+	g, _ := wb.graphs.do(name, func() *graph.Graph {
+		spec, ok := wb.Profile.Graphs[name]
+		if !ok {
+			panic("harness: unknown graph " + name)
 		}
-		return l.g
-	}
-	spec, ok := wb.Profile.Graphs[name]
-	if !ok {
-		wb.mu.Unlock()
-		panic("harness: unknown graph " + name)
-	}
-	l := &graphLatch{done: make(chan struct{})}
-	wb.building[name] = l
-	wb.mu.Unlock()
-
-	defer func() {
-		if p := recover(); p != nil {
-			// Unregister the failed build and unblock joiners with the
-			// panic value; a later call may retry the key.
-			wb.mu.Lock()
-			delete(wb.building, name)
-			wb.mu.Unlock()
-			l.panicked = p
-			close(l.done)
-			panic(p)
-		}
-	}()
-
-	wb.log("building graph %s (%s profile)", name, wb.Profile.Name)
-	g := spec.Build()
-
-	wb.mu.Lock()
-	wb.graphs[name] = g
-	delete(wb.building, name)
-	wb.mu.Unlock()
-	l.g = g
-	close(l.done)
+		wb.log("building graph %s (%s profile)", name, wb.Profile.Name)
+		return spec.Build()
+	})
 	return g
 }
 
 // DropGraph evicts a cached graph (memory control for big profiles).
-func (wb *Workbench) DropGraph(name string) {
-	wb.mu.Lock()
-	defer wb.mu.Unlock()
-	delete(wb.graphs, name)
-}
+func (wb *Workbench) DropGraph(name string) { wb.graphs.forget(name) }
 
 // Workload prepares the kernel instance for id in core slot's address
 // window. Instances are cheap relative to simulation and are not
@@ -340,19 +298,30 @@ func (wb *Workbench) Workload(id WorkloadID, slot int) sim.Workload {
 	return sim.Workload{Name: id.String(), Inst: build(g, space), Space: space}
 }
 
-// configured applies the profile's windows, the workbench's check
-// level, and (where the engine supports it) the workbench's sampling
-// plan and checkpoint store to a config.
-func (wb *Workbench) configured(cfg sim.Config) sim.Config {
+// Configure folds the profile's windows and the workbench's check
+// level, sampling plan and checkpoint store into cfg, all as requested,
+// and returns sim.Config.Validate's verdict on the combination — what a
+// tool checks before running a config its user spelled out.
+func (wb *Workbench) Configure(cfg sim.Config) (sim.Config, error) {
 	cfg = cfg.WithWindows(wb.Profile.Warmup, wb.Profile.Measure)
 	cfg.CheckLevel = wb.CheckLevel
-	if wb.Sampling.Enabled() && cfg.Cores == 1 && cfg.Quantum == 0 &&
-		!cfg.FlightRecorder && cfg.EpochInterval == 0 &&
-		cfg.CheckLevel == check.Off {
+	if wb.Sampling.Enabled() {
 		cfg.Sampling.Plan = wb.Sampling
+	}
+	if wb.Checkpoints != nil {
 		cfg.Sampling.Store = wb.Checkpoints
 	}
-	return cfg
+	return cfg, cfg.Validate()
+}
+
+// configured is Configure for the configs experiments derive: a run the
+// sampler cannot take keeps full fidelity instead of failing.
+func (wb *Workbench) configured(cfg sim.Config) sim.Config {
+	full, err := wb.Configure(cfg)
+	if err != nil {
+		full.Sampling = cfg.Sampling
+	}
+	return full
 }
 
 // recordCheck folds one run's checker outcome into the sweep aggregate.
@@ -382,134 +351,83 @@ func (wb *Workbench) BaseConfig() sim.Config {
 }
 
 // RunSingle simulates workload id on cfg (with profile windows),
-// memoizing by (config name, workload). It is safe for concurrent use
-// and single-flight: a call for a key already in flight blocks until
-// the one live run finishes and shares its result, so experiments
-// overlapping on runs never race or compute a point twice. Live runs
-// execute inside the workbench's worker pool (see Parallelism).
+// memoizing by the run's structural identity (see RunSpec). It is safe
+// for concurrent use and single-flight: a call for a point already in
+// flight blocks until the one live run finishes and shares its result,
+// so experiments overlapping on runs never race or compute a point
+// twice. Live runs execute inside the workbench's worker pool (see
+// Parallelism).
 func (wb *Workbench) RunSingle(cfg sim.Config, id WorkloadID) *sim.Result {
-	// Fold the workbench-level knobs in before the key is computed, so
-	// the memo key reflects the run that will actually execute (a
-	// sampled run and a detailed run of the same config are distinct
-	// keys).
-	cfg = wb.configured(cfg)
-	key := runKey(cfg, id)
-	label := fmt.Sprintf("ran %-22s %-14s", id, cfg.Name)
-	mlabel := cfg.Name + "/" + id.String()
-	wb.mu.Lock()
-	if r, ok := wb.results[key]; ok {
-		wb.mu.Unlock()
-		wb.Reporter.Cached(label, fmt.Sprintf("IPC=%.3f", r.IPC()))
-		wb.Metrics.RunCached(mlabel)
-		return r
-	}
-	if l, ok := wb.running[key]; ok {
-		wb.mu.Unlock()
-		<-l.done
-		if l.panicked != nil {
-			panic(l.panicked)
-		}
-		wb.Reporter.Cached(label, fmt.Sprintf("IPC=%.3f", l.res.IPC()))
-		wb.Metrics.RunCached(mlabel)
-		return l.res
-	}
-	l := &runLatch{done: make(chan struct{})}
-	wb.running[key] = l
-	wb.mu.Unlock()
+	return wb.Run(wb.Spec(cfg, id))
+}
 
-	// Disk tier: with a store attached (and the run unchecked), try the
-	// content address before paying for a live run. The store's Acquire
-	// holds the key's claim from here to commit, so concurrent processes
-	// sharing the directory serialize on the point too. A hit must
-	// decode to exactly the run we asked for; anything else is dropped
-	// (Reject) and the run proceeds live — the cache can never poison a
-	// sweep.
-	var storeCommit func([]byte) error
-	if wb.storeEligible(cfg) {
-		skey := wb.runKeyFor(cfg, id).StoreKey()
-		payload, commit := wb.Store.Acquire(skey)
-		if payload != nil {
-			if res := decodeStored(payload, cfg, id); res != nil {
+// Run is RunSingle on a spec this workbench's Spec derived, for callers
+// that also want the run's key without deriving it twice.
+func (wb *Workbench) Run(s RunSpec) *sim.Result {
+	label := fmt.Sprintf("ran %-22s %-14s", s.id, s.cfg.Name)
+	mlabel := s.cfg.Name + "/" + s.id.String()
+	res, shared := wb.results.do(s.key, func() *sim.Result { return wb.execute(s, label, mlabel) })
+	if shared {
+		wb.Reporter.Cached(label, fmt.Sprintf("IPC=%.3f", res.IPC()))
+		wb.Metrics.RunCached(mlabel)
+	}
+	return res
+}
+
+// execute fills one memo entry: from the disk tier when it holds the
+// point, else by a live run inside a worker-pool slot.
+func (wb *Workbench) execute(s RunSpec, label, mlabel string) *sim.Result {
+	// Disk tier: the store's Acquire holds the key's claim from here to
+	// commit, so concurrent processes sharing the directory serialize on
+	// the point too. A hit must decode to exactly the run we asked for;
+	// anything else is dropped (Reject) and the run proceeds live with
+	// the claim still held, republishing under the key — the cache can
+	// never poison a sweep.
+	var commit func([]byte) error
+	if wb.storeEligible(s.cfg) {
+		var payload []byte
+		payload, commit = wb.Store.Acquire(s.StoreKey())
+		// Whatever happens below — a hit, a crash — the claim is released;
+		// only a completed live run publishes (and clears commit) first.
+		defer func() {
+			if commit != nil {
 				_ = commit(nil)
+			}
+		}()
+		if payload != nil {
+			if res := decodeStored(payload, s.cfg, s.id); res != nil {
 				wb.Reporter.Cached(label, fmt.Sprintf("IPC=%.3f (store)", res.IPC()))
 				wb.Metrics.RunStoreHit(mlabel)
-				wb.mu.Lock()
-				wb.results[key] = res
-				delete(wb.running, key)
-				wb.mu.Unlock()
-				l.res = res
-				close(l.done)
 				return res
 			}
-			// Keep the commit: the live rerun below republishes under
-			// the key, healing the rejected entry.
-			wb.Store.Reject(skey)
-			storeCommit = commit
-		} else {
-			storeCommit = commit
+			wb.Store.Reject(s.StoreKey())
 		}
 	}
 
 	wb.acquire()
 	defer wb.release()
-	defer func() {
-		if p := recover(); p != nil {
-			// A crashed run must not poison the pool: unregister the key
-			// so later callers retry, hand joiners the panic value,
-			// release the store claim without publishing, and let the
-			// deferred release free the worker slot.
-			if storeCommit != nil {
-				_ = storeCommit(nil)
-			}
-			wb.mu.Lock()
-			delete(wb.running, key)
-			wb.mu.Unlock()
-			l.panicked = p
-			close(l.done)
-			panic(p)
-		}
-	}()
-	w := wb.Workload(id, 0)
+	w := wb.Workload(s.id, 0)
 	finish := wb.Reporter.StartRun(label)
 	wb.Metrics.RunStarted(mlabel)
 	start := time.Now()
-	res := sim.RunSingleCore(cfg, w)
+	res := sim.RunSingleCore(s.cfg, w)
 	finish(fmt.Sprintf("IPC=%.3f", res.IPC()))
 	wb.Metrics.RunFinished(mlabel, time.Since(start).Seconds(), res.IPC(), res.Recorder)
 	wb.recordCheck(res.Check)
 
-	if storeCommit != nil {
+	if commit != nil {
 		// Write-through is best effort: a failed publish costs the next
 		// process a re-run, never correctness.
 		data, err := sim.EncodeResult(res)
 		if err == nil {
-			err = storeCommit(data)
-		} else {
-			_ = storeCommit(nil)
+			err, commit = commit(data), nil
 		}
 		if err != nil {
-			wb.log("result store write failed for %s: %v", key, err)
+			wb.log("result store write failed for %s: %v", s.key, err)
 		}
-		storeCommit = nil
 	}
-
-	wb.mu.Lock()
-	wb.results[key] = res
-	delete(wb.running, key)
-	wb.mu.Unlock()
-	l.res = res
-	close(l.done)
 	return res
 }
 
 // SortedResultKeys exposes the memoized run keys (for tests).
-func (wb *Workbench) SortedResultKeys() []string {
-	wb.mu.Lock()
-	defer wb.mu.Unlock()
-	keys := make([]string, 0, len(wb.results))
-	for k := range wb.results {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func (wb *Workbench) SortedResultKeys() []string { return wb.results.keys() }

@@ -9,8 +9,8 @@ import (
 
 // Latency breakdown ("latency"): the flight recorder's load-to-use
 // percentiles and served-by provenance for Baseline and SDC+LP on each
-// workload. Flight-recorded runs memoize under their own key (see
-// runKey), so this experiment never poisons — and is never served by —
+// workload. The recorder is part of a run's identity (see RunSpec), so
+// this experiment never poisons — and is never served by —
 // the unrecorded runs the paper's tables are built from.
 
 // LatencyRow is one (workload, config) recorder outcome.

@@ -112,9 +112,7 @@ func TestSingleFlightDedup(t *testing.T) {
 
 // TestBoundWeaveDeterminism extends the tentpole guarantee to the
 // bound–weave engine: multi-core runs through the harness produce
-// identical numbers at -wj 1 and -wj 8, and the bound–weave memo keys
-// exclude the worker count (so the caches stay shared) while encoding
-// the quantum (whose value the counters do depend on).
+// identical numbers at -wj 1 and -wj 8.
 func TestBoundWeaveDeterminism(t *testing.T) {
 	mix := []WorkloadID{
 		{Kernel: "pr", Graph: "kron"},
@@ -138,18 +136,6 @@ func TestBoundWeaveDeterminism(t *testing.T) {
 		t.Errorf("isolated IPC differs between -wj 1 and -wj 8: %v vs %v", iso1, iso8)
 	}
 
-	// Memo keys: the quantum is encoded, the worker count is not.
-	cfg := sim.TableI(4).WithSDCLP().WithBoundWeave(0, 1)
-	id := WorkloadID{Kernel: "pr", Graph: "kron"}
-	k1 := runKey(cfg, id)
-	cfg.WeaveWorkers = 8
-	if k8 := runKey(cfg, id); k1 != k8 {
-		t.Errorf("memo key depends on WeaveWorkers: %q vs %q", k1, k8)
-	}
-	if !strings.Contains(k1, "|bw1024") {
-		t.Errorf("bound–weave memo key missing quantum marker: %q", k1)
-	}
-	if legacy := runKey(sim.TableI(4).WithSDCLP(), id); strings.Contains(legacy, "|bw") {
-		t.Errorf("legacy memo key carries a bound–weave marker: %q", legacy)
-	}
+	// TestRunKeyCanary pins the key side of the contract: the quantum is
+	// identity, the worker count is not.
 }

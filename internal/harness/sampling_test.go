@@ -1,7 +1,8 @@
 package harness
 
 import (
-	"strings"
+	"graphmem/internal/graph"
+	"slices"
 	"testing"
 
 	"graphmem/internal/sample"
@@ -66,9 +67,9 @@ func TestSampledSweepSharesOneWarmup(t *testing.T) {
 	if len(keys) != 3 {
 		t.Fatalf("memoized %d keys, want 3: %v", len(keys), keys)
 	}
-	for _, k := range keys {
-		if !strings.Contains(k, "|sp50000/2000/10000/2000") {
-			t.Errorf("sampled run key %q missing sampling suffix", k)
+	for _, cfg := range cfgs {
+		if s := wb.Spec(cfg, id); !s.cfg.Sampling.Enabled() || !slices.Contains(keys, s.Key()) {
+			t.Errorf("no memo entry under %s's sampled key %s: %v", cfg.Name, s.Key(), keys)
 		}
 	}
 }
@@ -83,9 +84,10 @@ func TestSamplingOffKeysUnchanged(t *testing.T) {
 	if res.Sampling != nil {
 		t.Error("unsampled run carries a sampling estimate")
 	}
+	cfg := wb.Profile.BaseConfig(1).WithWindows(wb.Profile.Warmup, wb.Profile.Measure)
 	keys := wb.SortedResultKeys()
-	if len(keys) != 1 || keys[0] != "Baseline (bench-scale)|triad.reg" {
-		t.Errorf("memo keys %v; want the historical unsampled key", keys)
+	if len(keys) != 1 || keys[0] != NewRunSpec(cfg, id, "bench").Key() {
+		t.Errorf("memo keys %v; want the key of the plain windowed config", keys)
 	}
 }
 
@@ -99,8 +101,8 @@ func TestSampledRunTracksDetailed(t *testing.T) {
 
 	wb := NewWorkbench(Bench())
 	wb.Sampling = sample.Plan{Period: 65_000, SampleLen: 5_000, Offset: 13_000, DetailWarm: 5_000}
-	// Reuse the shared workbench's graph cache to keep the test cheap.
-	wb.graphs = wbShared.graphs
+	// Reuse the shared workbench's built graph to keep the test cheap.
+	wb.Profile.Graphs["kron"] = GraphSpec{Name: "kron", Build: func() *graph.Graph { return wbShared.Graph("kron") }}
 	sampled := wb.RunSingle(cfg, id)
 	if sampled.Sampling == nil {
 		t.Fatal("sampled workbench produced no estimate")

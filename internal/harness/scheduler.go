@@ -4,13 +4,12 @@ import (
 	"runtime"
 	"sync"
 
-	"graphmem/internal/graph"
 	"graphmem/internal/sim"
 )
 
 // This file is the parallel run scheduler: a bounded worker pool over
 // which experiments enqueue their full run set up front, with
-// single-flight deduplication on the memo key so two experiments
+// single-flight deduplication on the run key so two experiments
 // requesting the same (config, workload) point share one in-flight run
 // instead of racing or double-computing. Individual simulations stay
 // single-threaded and deterministic — only the scheduling is
@@ -31,32 +30,6 @@ func jobsFor(cfg sim.Config, ids []WorkloadID) []runReq {
 		jobs[i] = runReq{cfg: cfg, id: id}
 	}
 	return jobs
-}
-
-// runLatch is the single-flight handle of an in-flight RunSingle: the
-// owner stores the result and closes done; joiners wait and share it.
-// If the owning run panics, the owner records the panic value here and
-// still closes done, so joiners re-panic instead of deadlocking and
-// the key is retried (not poisoned) by later callers.
-type runLatch struct {
-	done     chan struct{}
-	res      *sim.Result
-	panicked any
-}
-
-// graphLatch is the single-flight handle of an in-flight graph build,
-// with the same panic propagation contract as runLatch.
-type graphLatch struct {
-	done     chan struct{}
-	g        *graph.Graph
-	panicked any
-}
-
-// ipcLatch is the single-flight handle of an in-flight isolated-IPC
-// run (Fig. 14's singles cache).
-type ipcLatch struct {
-	done chan struct{}
-	v    float64
 }
 
 // workers resolves the worker-pool width: Parallelism if set, else all
@@ -115,65 +88,71 @@ func (wb *Workbench) releaseN(n int) {
 	}
 }
 
-// acquireSim claims the pool slots for one multi-core simulation and
-// returns the (possibly bound–weave-enabled) config plus the slot count
-// to release. With WeaveJobs unset it is a plain single-slot acquire;
-// with WeaveJobs > 0 the run switches to the bound–weave engine and its
+// mixConfig folds the profile's mix windows, the check level and the
+// engine choice into a multi-core config: with WeaveJobs > 0 the run
+// uses the bound–weave engine.
+func (wb *Workbench) mixConfig(cfg sim.Config) sim.Config {
+	cfg = cfg.WithWindows(wb.Profile.MixWarmup, wb.Profile.MixMeasure)
+	cfg.CheckLevel = wb.CheckLevel
+	if wb.WeaveJobs > 0 {
+		cfg = cfg.WithBoundWeave(0, 0)
+	}
+	return cfg
+}
+
+// acquireSim claims the pool slots for one multi-core simulation of a
+// mixConfig config and returns it with the slot count to release: one
+// slot for the serial engine, up to WeaveJobs for bound–weave, whose
 // worker count is the granted claim.
 func (wb *Workbench) acquireSim(cfg sim.Config) (sim.Config, int) {
-	if wb.WeaveJobs <= 0 {
+	if cfg.Quantum == 0 {
 		wb.acquire()
 		return cfg, 1
 	}
-	slots := wb.acquireN(wb.WeaveJobs)
-	return cfg.WithBoundWeave(0, slots), slots
+	cfg.WeaveWorkers = wb.acquireN(wb.WeaveJobs)
+	return cfg, cfg.WeaveWorkers
 }
 
-// planJobs registers the jobs that will actually execute with the
+// planJobs registers the runs that will actually execute with the
 // progress reporter: memoized, already-in-flight, and disk-store-held
 // keys are excluded (they self-report as cached on completion), as are
-// duplicates within the job list, so done/total and the ETA stay
+// duplicates within the list, so done/total and the ETA stay
 // consistent however much of a sweep earlier experiments (or earlier
 // processes, via the store) already computed.
-func (wb *Workbench) planJobs(jobs []runReq) {
+func (wb *Workbench) planJobs(specs []RunSpec) {
 	live := 0
-	seen := make(map[string]bool, len(jobs))
-	wb.mu.Lock()
-	for _, j := range jobs {
-		cfg := wb.configured(j.cfg)
-		key := memoKey(cfg, j.id)
-		if seen[key] {
+	seen := make(map[string]bool, len(specs))
+	for _, s := range specs {
+		if seen[s.key] || wb.results.has(s.key) {
 			continue
 		}
-		seen[key] = true
-		if _, ok := wb.results[key]; ok {
-			continue
-		}
-		if _, ok := wb.running[key]; ok {
-			continue
-		}
-		if wb.storeEligible(cfg) && wb.Store.Contains(NewRunKey(cfg, j.id, wb.Profile.Name).StoreKey()) {
+		seen[s.key] = true
+		if wb.storeEligible(s.cfg) && wb.Store.Contains(s.StoreKey()) {
 			continue
 		}
 		live++
 	}
-	wb.mu.Unlock()
 	wb.Reporter.Plan(live)
 	wb.Metrics.Plan(live)
 }
 
 // runAll plans and executes the jobs across the worker pool and
 // returns their results in job order regardless of completion order,
-// so callers aggregate exactly as the sequential schedule did.
+// so callers aggregate exactly as the sequential schedule did. Each
+// job's spec (and with it its key) is derived once, here.
 func (wb *Workbench) runAll(jobs []runReq) []*sim.Result {
-	wb.planJobs(jobs)
+	specs := make([]RunSpec, len(jobs))
+	for i, j := range jobs {
+		specs[i] = wb.Spec(j.cfg, j.id)
+	}
+	wb.planJobs(specs)
 	out := make([]*sim.Result, len(jobs))
 	var wg sync.WaitGroup
-	for i, j := range jobs {
+	for i := range specs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[i] = wb.RunSingle(j.cfg, j.id)
+			out[i] = wb.Run(specs[i])
 		}()
 	}
 	wg.Wait()

@@ -46,12 +46,9 @@ func TestRunSinglePanicPropagation(t *testing.T) {
 		}
 	}
 
-	// The crashed key must not linger as an in-flight latch.
-	wb.mu.Lock()
-	_, stuck := wb.running[runKey(cfg, bad)]
-	wb.mu.Unlock()
-	if stuck {
-		t.Error("crashed run left its latch registered")
+	// The crashed key must not linger as an in-flight call.
+	if wb.results.has(wb.Spec(cfg, bad).Key()) {
+		t.Error("crashed run left its key registered")
 	}
 
 	// A retry of the same key re-executes (and re-panics) rather than
@@ -147,5 +144,83 @@ func TestParallelismExceedsJobCount(t *testing.T) {
 	done, total, _, _ := wbWide.Reporter.Snapshot()
 	if done != total || done != len(ids) {
 		t.Errorf("progress did not close: %d/%d done, want %d/%d", done, total, len(ids), len(ids))
+	}
+}
+
+// TestIsolatedRunPanicPropagation extends the crash contract to Fig.
+// 14's isolated-IPC runs, which used to have no failure path: joiners
+// of a panicking run observe the panic, the key is retried, and the
+// run's pool slots come back.
+func TestIsolatedRunPanicPropagation(t *testing.T) {
+	for _, weave := range []int{0, 2} {
+		wb := NewWorkbench(fastBench())
+		wb.Parallelism, wb.WeaveJobs = 2, weave
+		bad := WorkloadID{Kernel: "nope", Graph: "reg"}
+
+		panics := make([]any, 2)
+		var wg sync.WaitGroup
+		for i := range panics {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { panics[i] = recover() }()
+				wb.singleIPC(bad)
+			}()
+		}
+		wg.Wait()
+		for i, p := range panics {
+			if p != "harness: unknown regular kernel nope" {
+				t.Errorf("wj=%d goroutine %d recovered %v; want the Workload panic value", weave, i, p)
+			}
+		}
+		if wb.singles.has(wb.isolatedSpec(bad).Key()) {
+			t.Errorf("wj=%d: crashed isolated run left its key registered", weave)
+		}
+
+		// Every slot must be back: a run that needs the whole pool
+		// completes. On a watchdog, so a leak fails crisply.
+		done := make(chan int, 1)
+		go func() {
+			n := wb.acquireN(2)
+			wb.releaseN(n)
+			done <- n
+		}()
+		select {
+		case n := <-done:
+			if n != 2 {
+				t.Errorf("wj=%d: reclaimed %d slots, want 2", weave, n)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("wj=%d: crashed isolated run leaked its pool slots", weave)
+		}
+	}
+}
+
+// TestConcurrentPrepareSharesOneTranspose prepares two pr workloads on
+// one fresh graph at once, as runAll does at -j > 1: both kernels need
+// the transpose, and exactly one may be built (run under -race, this
+// also proves the first use is synchronized).
+func TestConcurrentPrepareSharesOneTranspose(t *testing.T) {
+	p := fastBench()
+	g := graph.Kron(10, 8, 7)
+	p.Graphs = map[string]GraphSpec{"tiny": {Name: "tiny", Build: func() *graph.Graph { return g }}}
+	wb := NewWorkbench(p)
+
+	trans := make([]*graph.Graph, 2)
+	var wg sync.WaitGroup
+	for i := range trans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wb.Workload(WorkloadID{Kernel: "pr", Graph: "tiny"}, i)
+			trans[i] = g.TransposeCached()
+		}()
+	}
+	wg.Wait()
+	if trans[0] == nil || trans[0] != trans[1] {
+		t.Errorf("concurrent preparations saw transposes %p and %p; want one", trans[0], trans[1])
+	}
+	if back := trans[0].TransposeCached(); back != g {
+		t.Errorf("transpose's transpose is %p, want the original graph %p", back, g)
 	}
 }

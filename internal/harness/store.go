@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"graphmem/internal/check"
 	"graphmem/internal/sim"
 	"graphmem/internal/store"
 )
@@ -12,7 +11,7 @@ import (
 // This file is the workbench's disk tier: the content-addressed result
 // store slots under the in-memory memo (lookup order: memory memo →
 // disk store → live run) with the store's own single-flight and claim
-// discipline layered below the workbench's run latches. Stored results
+// discipline layered below the workbench's single-flight memo. Stored results
 // are byte-identical to live ones — the determinism contract pinned by
 // TestStoreReportsByteIdentical — so the tier affects wall-clock only.
 
@@ -25,12 +24,9 @@ func OpenResultStore(dir string) (*store.Store, error) {
 }
 
 // storeEligible reports whether the configured run may be served from
-// (and written to) the disk store. Checked runs are excluded both ways:
-// the differential checker's value is the execution itself, so serving
-// a checked run from disk would silently skip the check, and its Result
-// carries a Check summary unchecked consumers must not inherit.
+// (and written to) the disk store; sim.Config.Cacheable holds the rule.
 func (wb *Workbench) storeEligible(cfg sim.Config) bool {
-	return wb.Store != nil && cfg.CheckLevel == check.Off
+	return wb.Store != nil && cfg.Cacheable() == nil
 }
 
 // decodeStored validates a store payload against the run it claims to
@@ -54,19 +50,6 @@ func StoreSummary(s *store.Store) string {
 	entries, bytes, _ := s.Size()
 	return fmt.Sprintf("store %s: hits=%d misses=%d evictions=%d entries=%d bytes=%d",
 		s.Dir(), s.Hits(), s.Misses(), s.Evictions(), entries, bytes)
-}
-
-// fig3StoreKey is the canonical key of a Fig. 3 stride/DRAM profiling
-// run: a "fig3|" memo namespace keeps it disjoint from every simulation
-// point while sharing the profile/window/StateVersion invalidation
-// axes.
-func (wb *Workbench) fig3StoreKey(id WorkloadID, cfg sim.Config) RunKey {
-	return RunKey{
-		Memo:    "fig3|" + id.String(),
-		Profile: wb.Profile.Name,
-		Warmup:  cfg.Warmup,
-		Measure: cfg.Measure,
-	}
 }
 
 // storedFig3 decodes and validates a cached Fig. 3 profile.

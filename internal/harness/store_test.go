@@ -162,7 +162,7 @@ func TestStoreDamageFallsBackToLive(t *testing.T) {
 			}
 			wb := NewWorkbench(fastBench())
 			wb.Store = st
-			skey := wb.runKeyFor(wb.configured(wb.Profile.BaseConfig(1)), id).StoreKey()
+			skey := wb.Spec(wb.Profile.BaseConfig(1), id).StoreKey()
 			if !st.Contains(skey) {
 				t.Fatalf("seeded store does not contain %s", skey)
 			}
@@ -235,5 +235,41 @@ func TestCheckedRunsBypassStore(t *testing.T) {
 	}
 	if entries != 0 {
 		t.Errorf("checked run published %d store entries, want 0", entries)
+	}
+}
+
+// TestStoreServesOnlyTheRunAskedFor is the disk-tier collision the
+// string-suffix keys had: a stored plain run must not answer the same
+// point asked again with epoch telemetry, nor a recorded run one with
+// another occupancy-sampling interval — each gets the series it asked
+// for, from its own entry.
+func TestStoreServesOnlyTheRunAskedFor(t *testing.T) {
+	st, err := OpenResultStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := WorkloadID{Kernel: "triad", Graph: "reg"}
+	run := func(cfg sim.Config) *sim.Result {
+		wb := NewWorkbench(fastBench()) // a fresh memo: only the store persists
+		wb.Store = st
+		return wb.RunSingle(cfg, id)
+	}
+	base := fastBench().BaseConfig(1)
+	if plain := run(base); len(plain.Epochs) != 0 || plain.Recorder != nil {
+		t.Fatalf("plain run carries telemetry: %+v", plain)
+	}
+	if ep := run(base.WithEpochInterval(100_000)); len(ep.Epochs) != 3 {
+		t.Errorf("run with EpochInterval got %d epochs, want 3 (served the plain entry?)", len(ep.Epochs))
+	}
+	coarse, fine := run(base.WithFlightRecorder(100_000)), run(base.WithFlightRecorder(10_000))
+	if coarse.Recorder == nil || fine.Recorder == nil ||
+		coarse.Recorder.SampleEvery != 100_000 || fine.Recorder.SampleEvery != 10_000 {
+		t.Errorf("recorded runs got intervals %+v / %+v, want 100000 / 10000", coarse.Recorder, fine.Recorder)
+	}
+	if h, m := st.Hits(), st.Misses(); h != 0 || m != 4 {
+		t.Errorf("store saw %d hits / %d misses, want four distinct points", h, m)
+	}
+	if again := run(base.WithEpochInterval(100_000)); st.Hits() != 1 || len(again.Epochs) != 3 {
+		t.Errorf("repeat of the epoch run: %d hits, %d epochs; want its own entry served", st.Hits(), len(again.Epochs))
 	}
 }

@@ -112,7 +112,10 @@ type Manifest struct {
 	WallClockSec  float64   `json:"wall_clock_sec"`
 	Profile       string    `json:"profile"`
 	Workload      string    `json:"workload"`
-	Config        RunConfig `json:"config"`
+	// RunKey is the run's structural identity (harness.RunSpec.Key),
+	// the key the memo, the result store and gmserved know it by.
+	RunKey string    `json:"run_key,omitempty"`
+	Config RunConfig `json:"config"`
 	// Reruns counts kernel restarts needed to fill the windows.
 	Reruns int `json:"reruns"`
 	// Final holds the measurement-window counter deltas verbatim.

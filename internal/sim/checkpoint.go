@@ -132,7 +132,7 @@ func warmKey(cfg Config, workload string) string {
 		cfg.LP.Entries, cfg.LP.Ways, cfg.LP.Tau, cfg.LPAdaptive,
 		cfg.SDCDirEntriesPerCore, cfg.SDCDirWays,
 		cfg.DRAM, cfg.DRAMChannels,
-		cfg.NoPrefetch, cfg.Warmup, cfg.Sampling.MisWarm,
+		cfg.Prefetchers == "none", cfg.Warmup, cfg.Sampling.MisWarm,
 	)
 	// The prefetcher preset shapes the warm state (which prefetchers
 	// filled what); it extends the key only when non-default so every

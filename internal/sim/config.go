@@ -5,6 +5,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"graphmem/internal/cache"
@@ -99,16 +100,13 @@ type Config struct {
 	// coherence checks (the directory is co-located with the LLC).
 	DirLatency int64
 
-	// NoPrefetch disables every hardware prefetcher (ablation).
-	NoPrefetch bool
-
 	// Prefetchers selects a named prefetcher preset for the competitive
 	// baseline suite: "" (the default, Table I's next-line + SPP),
 	// "none", "nextline", "spp" (the default wiring, spelled out),
 	// "stride" (PC-keyed stride detector at the L2), "imp"
 	// (indirect-memory prefetcher on the demand-load stream), "pickle"
-	// (cross-core LLC prefetcher) or "spp+imp". NoPrefetch wins when
-	// both are set. Unknown names panic in NewSystem.
+	// (cross-core LLC prefetcher) or "spp+imp". Validate rejects unknown
+	// names.
 	Prefetchers string
 
 	// BranchMissPenalty, when positive, injects pipeline-refill stalls
@@ -170,10 +168,9 @@ type Config struct {
 	// sampling engine (internal/sample): the warm-up and the inter-sample
 	// gaps run under functional warming (tags/recency/row state updated,
 	// no timing or statistics), with short detailed samples every Period
-	// instructions feeding per-metric confidence intervals. Requires the
-	// single-core runner with checking, epochs, the flight recorder and
-	// bound–weave all off; the zero value (the default) keeps every run
-	// byte-identical to an unsampled one.
+	// instructions feeding per-metric confidence intervals. Validate
+	// states what it composes with; the zero value (the default) keeps
+	// every run byte-identical to an unsampled one.
 	Sampling SamplingConfig
 
 	// Quantum, when positive, selects the bound–weave multi-core engine
@@ -186,8 +183,8 @@ type Config struct {
 	// under bound–weave are identical at any WeaveWorkers count.
 	Quantum int64
 	// WeaveWorkers bounds the host goroutines driving bound phases
-	// (0 = GOMAXPROCS). It affects wall-clock only, never results, and
-	// is deliberately excluded from harness memoization keys.
+	// (0 = GOMAXPROCS). It affects wall-clock only, never results (see
+	// WallClockOnly).
 	WeaveWorkers int
 }
 
@@ -212,6 +209,59 @@ type SamplingConfig struct {
 	// estimates drift far past the gate's tolerance. Never set outside
 	// tests and the CI gate's self-check.
 	MisWarm bool
+}
+
+// Validate reports why the configuration cannot run, or nil. It is the
+// one statement of how modes compose: NewSystem panics on its error,
+// the harness runs a config unsampled when the sampler cannot take it,
+// the CLI tools exit 1 with its text and gmserved answers 400.
+func (c Config) Validate() error {
+	switch {
+	case c.Cores < 1:
+		return fmt.Errorf("sim: core count %d must be >= 1", c.Cores)
+	case c.Warmup < 0 || c.Measure < 0:
+		return fmt.Errorf("sim: negative instruction window (warmup %d, measure %d)", c.Warmup, c.Measure)
+	case !ValidPrefetchers(c.Prefetchers):
+		return fmt.Errorf("sim: unknown prefetcher preset %q (want none|nextline|spp|stride|imp|pickle|spp+imp)", c.Prefetchers)
+	case c.BranchMissPenalty < 0:
+		return fmt.Errorf("sim: branch-miss penalty %d must be >= 0", c.BranchMissPenalty)
+	case !c.Sampling.Enabled():
+		if c.Sampling.Store != nil {
+			return errors.New("sim: a checkpoint store needs sampling (checkpoints hold sampled warm-ups)")
+		}
+		return nil
+	// The sampler owns the window state machine and the byte-identity
+	// contract of the other observation subsystems; it composes with
+	// none of them.
+	case !c.Sampling.Valid():
+		return fmt.Errorf("sim: invalid sampling plan %+v (need period > 0, warm+len <= period, 0 <= offset < period)", c.Sampling.Plan)
+	case c.Cores != 1:
+		return errors.New("sim: sampling requires a single-core machine")
+	case c.CheckLevel != check.Off:
+		return errors.New("sim: sampling cannot run under the checker (it needs detailed execution everywhere)")
+	case c.EpochInterval > 0:
+		return errors.New("sim: sampling cannot run with epoch telemetry (epochs tile the detailed window)")
+	case c.FlightRecorder:
+		return errors.New("sim: sampling cannot run with the flight recorder (it taps detailed execution)")
+	case c.Quantum > 0:
+		return errors.New("sim: sampling cannot run on the bound-weave engine")
+	}
+	return nil
+}
+
+// Cacheable reports why a run of c bypasses the harness memo's disk
+// tier (the result store), or nil: the store holds single-core points,
+// and a checked run's value is the execution itself — serving it from
+// disk would skip the check, and its Result carries a Check summary
+// unchecked consumers must not inherit.
+func (c Config) Cacheable() error {
+	switch {
+	case c.Cores != 1:
+		return errors.New("sim: the result store caches single-core runs only (multi-core runs bypass the workbench memo)")
+	case c.CheckLevel != check.Off:
+		return errors.New("sim: checked runs bypass the result store (the check is the execution)")
+	}
+	return nil
 }
 
 // WithSampling returns a copy running the statistical sampler with a
@@ -478,18 +528,18 @@ func (c Config) WithVictimCache(entries int) Config {
 	return c
 }
 
-// WithoutPrefetchers disables the next-line and SPP prefetchers — the
-// ablation isolating how much of each scheme's benefit depends on
-// prefetching.
+// WithoutPrefetchers disables every hardware prefetcher — the ablation
+// isolating how much of each scheme's benefit depends on prefetching.
+// Unlike WithPrefetchers("none") it renames the config, as the ablation
+// tables print it.
 func (c Config) WithoutPrefetchers() Config {
 	c.Name += " noPF"
-	c.NoPrefetch = true
+	c.Prefetchers = "none"
 	return c
 }
 
 // ValidPrefetchers reports whether preset names a known prefetcher
-// preset ("" — the default wiring — counts). NewSystem panics on
-// anything else; CLI flag parsing uses this to fail politely first.
+// preset ("" — the default wiring — counts).
 func ValidPrefetchers(preset string) bool {
 	switch preset {
 	case "", "none", "nextline", "spp", "stride", "imp", "pickle", "spp+imp":
@@ -500,7 +550,7 @@ func ValidPrefetchers(preset string) bool {
 
 // WithPrefetchers returns a copy running the named prefetcher preset
 // (see Config.Prefetchers). The Name is unchanged — presets are a swept
-// axis, keyed in memo/store keys by a |pf<preset> segment instead.
+// axis.
 func (c Config) WithPrefetchers(preset string) Config {
 	c.Prefetchers = preset
 	return c
@@ -508,7 +558,7 @@ func (c Config) WithPrefetchers(preset string) Config {
 
 // WithBranchMissPenalty returns a copy injecting branch-misprediction
 // stalls of the given refill depth. The Name is unchanged — the penalty
-// is a swept sensitivity axis, keyed by a |bp<n> memo segment.
+// is a swept sensitivity axis.
 func (c Config) WithBranchMissPenalty(cycles int64) Config {
 	c.BranchMissPenalty = cycles
 	return c

@@ -206,7 +206,7 @@ func stopAndDrain(slots []*mcSlot) {
 // after every producer has been stopped and drained. Before the
 // capture existed a kernel panic killed the whole process; now it
 // surfaces as a regular panic in the calling goroutine (which the
-// harness's single-flight latches already propagate).
+// harness's single-flight memo already propagates).
 func raiseKernelPanics(slots []*mcSlot) {
 	for _, sl := range slots {
 		if sl.panicked != nil {

@@ -227,20 +227,10 @@ func NewSystem(cfg Config, ws []Workload) *System {
 	if len(ws) != cfg.Cores {
 		panic("sim: workload count must equal core count")
 	}
-	if cfg.Sampling.Enabled() {
-		// The sampler owns the window state machine and the byte-identity
-		// contract of the other observation subsystems; it composes with
-		// none of them. Misconfigurations panic here, at machine build
-		// time, rather than producing silently wrong estimates.
-		if !cfg.Sampling.Valid() {
-			panic(fmt.Sprintf("sim: invalid sampling plan %+v", cfg.Sampling.Plan))
-		}
-		if cfg.Cores != 1 {
-			panic("sim: sampling requires a single-core machine")
-		}
-		if cfg.CheckLevel != check.Off || cfg.EpochInterval > 0 || cfg.FlightRecorder || cfg.Quantum > 0 {
-			panic("sim: sampling composes with none of check/epochs/flight-recorder/bound-weave")
-		}
+	if err := cfg.Validate(); err != nil {
+		// Misconfigurations stop here, at machine build time, rather than
+		// producing silently wrong numbers; tools call Validate first.
+		panic(err.Error())
 	}
 	s := &System{cfg: cfg, dram: dram.NewMemory(cfg.DRAM, cfg.DRAMChannels)}
 	if cfg.CheckLevel != check.Off {
@@ -315,8 +305,7 @@ func NewSystem(cfg Config, ws []Workload) *System {
 		}
 		// Prefetcher wiring: the default is Table I's (next-line at the
 		// L1D/SDC, SPP at the L2); cfg.Prefetchers swaps in one of the
-		// competitive baseline presets, and cfg.NoPrefetch (the
-		// historical knob) still forces everything off.
+		// competitive baseline presets (names checked by Validate).
 		c.l1pf = prefetch.NextLine{}
 		c.l2pf = prefetch.NewSPP()
 		switch cfg.Prefetchers {
@@ -340,15 +329,6 @@ func NewSystem(cfg Config, ws []Workload) *System {
 			}
 		case "spp+imp":
 			c.imppf = prefetch.NewIMP()
-		default:
-			panic(fmt.Sprintf("sim: unknown prefetcher preset %q", cfg.Prefetchers))
-		}
-		if cfg.NoPrefetch {
-			c.l1pf = prefetch.None{}
-			c.sdcpf = prefetch.None{}
-			c.noSPP = true
-			c.imppf = nil
-			s.llcpf = nil
 		}
 		ptBase := mem.Addr(uint64(i)<<mem.CoreSpaceBits) + ptOffset
 		cc := c
