@@ -6,7 +6,8 @@
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem -count=6 \
-//	    ./internal/cache ./internal/dram ./internal/sim | tee bench.out
+//	    ./internal/cache ./internal/dram ./internal/sim \
+//	    ./internal/prefetch ./internal/graph | tee bench.out
 //	gmbench -in bench.out -baseline ci/bench_baseline.txt -json BENCH_5.json
 //	gmbench -in bench.out -baseline ci/bench_baseline.txt -update
 //
@@ -164,10 +165,11 @@ func writeBaseline(path string, results map[string]*result, order []string) erro
 	var b strings.Builder
 	b.WriteString("# Continuous-benchmark baseline: median ns/op and max allocs/op of the\n")
 	b.WriteString("# pinned microbenchmark subset (internal/cache, internal/dram,\n")
-	b.WriteString("# internal/sim) at -count=6. Regenerate after intentional perf or\n")
-	b.WriteString("# hardware changes with:\n")
+	b.WriteString("# internal/sim, internal/prefetch, internal/graph) at -count=6.\n")
+	b.WriteString("# Regenerate after intentional perf or hardware changes with:\n")
 	b.WriteString("#   go test -run '^$' -bench . -benchmem -count=6 \\\n")
-	b.WriteString("#       ./internal/cache ./internal/dram ./internal/sim > bench.out\n")
+	b.WriteString("#       ./internal/cache ./internal/dram ./internal/sim \\\n")
+	b.WriteString("#       ./internal/prefetch ./internal/graph > bench.out\n")
 	b.WriteString("#   go run ./cmd/gmbench -in bench.out -baseline ci/bench_baseline.txt -update\n")
 	for _, name := range order {
 		r := results[name]

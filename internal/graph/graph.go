@@ -6,7 +6,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 )
@@ -24,6 +23,9 @@ type Graph struct {
 	NA []int32 // column indices, len M
 	W  []int32 // optional edge weights, len M or nil
 
+	// mirrored marks a graph built from undirected edges (buildCSR):
+	// it is its own transpose, so TransposeCached returns it as is.
+	mirrored  bool
 	transOnce sync.Once // guards trans (see TransposeCached)
 	trans     *Graph
 }
@@ -57,14 +59,21 @@ type Edge struct {
 // sorting adjacency lists and removing duplicate edges and self-loops.
 // If weighted is true the first occurrence's weight is kept.
 func Build(n int32, edges []Edge, weighted bool) *Graph {
+	if !weighted {
+		src, dst := make([]int32, len(edges)), make([]int32, len(edges))
+		for i, e := range edges {
+			src[i], dst[i] = e.Src, e.Dst
+		}
+		return buildCSR(n, src, dst, false)
+	}
 	if n <= 0 {
-		panic("graph: Build with non-positive vertex count")
+		panic(panicVertexCount)
 	}
 	// Counting sort by source for O(M) bucketing.
 	counts := make([]int64, n+1)
 	for _, e := range edges {
 		if e.Src < 0 || e.Src >= n || e.Dst < 0 || e.Dst >= n {
-			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", e.Src, e.Dst, n))
+			panic(fmt.Sprintf(panicEdgeRange, e.Src, e.Dst, n))
 		}
 		if e.Src != e.Dst {
 			counts[e.Src+1]++
@@ -74,10 +83,7 @@ func Build(n int32, edges []Edge, weighted bool) *Graph {
 		counts[i+1] += counts[i]
 	}
 	na := make([]int32, counts[n])
-	var w []int32
-	if weighted {
-		w = make([]int32, counts[n])
-	}
+	w := make([]int32, counts[n])
 	cursor := make([]int64, n)
 	copy(cursor, counts[:n])
 	for _, e := range edges {
@@ -85,51 +91,108 @@ func Build(n int32, edges []Edge, weighted bool) *Graph {
 			continue
 		}
 		p := cursor[e.Src]
-		na[p] = e.Dst
-		if weighted {
-			w[p] = e.W
-		}
+		na[p], w[p] = e.Dst, e.W
 		cursor[e.Src]++
 	}
-	// Sort each adjacency list and dedupe in place.
+	// Sort each adjacency list and dedupe in place. Duplicate edges
+	// carry distinct weights and dedupe keeps the first, so this sort's
+	// tie order is load-bearing: it must stay exactly sort.Sort.
 	oa := make([]int64, n+1)
 	var out int64
 	for u := int32(0); u < n; u++ {
 		oa[u] = out
 		lo, hi := counts[u], counts[u+1]
 		seg := na[lo:hi]
-		if weighted {
-			ws := w[lo:hi]
-			sort.Sort(&edgeSorter{seg, ws})
-		} else {
-			// Equal int32 keys are indistinguishable, so the unstable
-			// pdqsort here yields the same slice as the reflection-based
-			// sort.Slice it replaced — at a fraction of the cost (Build
-			// re-runs per memoized graph construction). The weighted
-			// branch above must keep its exact sort: duplicate edges
-			// carry distinct weights and dedupe keeps the first, so the
-			// algorithm's tie order is load-bearing there.
-			slices.Sort(seg)
-		}
+		sort.Sort(&edgeSorter{seg, w[lo:hi]})
 		var prev int32 = -1
 		for i, v := range seg {
 			if v == prev {
 				continue
 			}
-			na[out] = v
-			if weighted {
-				w[out] = w[lo+int64(i)]
-			}
+			na[out], w[out] = v, w[lo+int64(i)]
 			out++
 			prev = v
 		}
 	}
 	oa[n] = out
-	g := &Graph{N: n, OA: oa, NA: na[:out]}
-	if weighted {
-		g.W = w[:out]
+	return &Graph{N: n, OA: oa, NA: na[:out], W: w[:out]}
+}
+
+// Panic texts shared by the weighted and unweighted builds.
+const panicVertexCount = "graph: Build with non-positive vertex count"
+const panicEdgeRange = "graph: edge (%d,%d) out of range [0,%d)"
+
+// buildCSR is the unweighted build: the CSR of the edges
+// (src[i],dst[i]) — and of their reverses when mirrored — with sorted,
+// duplicate- and self-loop-free adjacency lists, by two counting-sort
+// passes and no comparison sort.
+func buildCSR(n int32, src, dst []int32, mirrored bool) *Graph {
+	if n <= 0 {
+		panic(panicVertexCount)
 	}
-	return g
+	in := make([]int64, n+1) // in[v]:in[v+1] is v's bucket of pass 1
+	out := in                // out[u]:out[u+1] is u's list of pass 2
+	if !mirrored {           // a mirrored graph's in- and out-degrees coincide
+		out = make([]int64, n+1)
+	}
+	for i, s := range src {
+		d := dst[i]
+		if s < 0 || s >= n || d < 0 || d >= n {
+			panic(fmt.Sprintf(panicEdgeRange, s, d, n))
+		}
+		if s != d {
+			in[d+1]++
+			out[s+1]++
+		}
+	}
+	for i := int32(0); i < n; i++ {
+		in[i+1] += in[i]
+		if !mirrored {
+			out[i+1] += out[i]
+		}
+	}
+	// Pass 1: bucket every edge by its destination, in arrival order.
+	by := make([]int32, in[n])
+	cursor := make([]int64, n)
+	copy(cursor, in)
+	for i, s := range src {
+		d := dst[i]
+		if s == d {
+			continue
+		}
+		by[cursor[d]] = s
+		cursor[d]++
+		if mirrored {
+			by[cursor[s]] = d
+			cursor[s]++
+		}
+	}
+	// Pass 2: walk the buckets in ascending destination order, appending
+	// each destination to its sources' lists, which come out sorted.
+	na := make([]int32, out[n])
+	copy(cursor, out)
+	for v := int32(0); v < n; v++ {
+		for _, u := range by[in[v]:in[v+1]] {
+			na[cursor[u]] = v
+			cursor[u]++
+		}
+	}
+	// Dedupe in place: duplicates are adjacent now.
+	oa := make([]int64, n+1)
+	var w int64
+	for u := int32(0); u < n; u++ {
+		oa[u] = w
+		var prev int32 = -1
+		for _, v := range na[out[u]:out[u+1]] {
+			if v != prev {
+				na[w] = v
+				w++
+				prev = v
+			}
+		}
+	}
+	oa[n] = w
+	return &Graph{N: n, OA: oa, NA: na[:w], mirrored: mirrored}
 }
 
 type edgeSorter struct {
@@ -185,6 +248,9 @@ func (g *Graph) Transpose() *Graph {
 // don't recompute it. Safe for concurrent first use: the scheduler
 // prepares pr/bfs instances on one graph from several goroutines.
 func (g *Graph) TransposeCached() *Graph {
+	if g.mirrored {
+		return g
+	}
 	g.transOnce.Do(func() {
 		t := g.Transpose()
 		// Back-link, and mark t's own Once spent so it keeps the link.
@@ -244,7 +310,7 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: weight array length %d != NA length %d", len(g.W), len(g.NA))
 	}
 	for u := int32(0); u < g.N; u++ {
-		if g.OA[u] > g.OA[u+1] {
+		if g.OA[u] > g.OA[u+1] || g.OA[u+1] > int64(len(g.NA)) {
 			return fmt.Errorf("graph: OA not monotone at %d", u)
 		}
 		var prev int32 = -1

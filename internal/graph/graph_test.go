@@ -1,7 +1,11 @@
 package graph
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -339,20 +343,182 @@ func TestDegreeHistogram(t *testing.T) {
 	}
 }
 
+// refAdjacency is the naive build the counting-sort routines are held
+// to: a set of neighbours per vertex, self-loops dropped, sorted.
+func refAdjacency(n int32, edges []Edge, mirrored bool) [][]int32 {
+	sets := make([]map[int32]bool, n)
+	add := func(u, v int32) {
+		if u == v {
+			return
+		}
+		if sets[u] == nil {
+			sets[u] = map[int32]bool{}
+		}
+		sets[u][v] = true
+	}
+	for _, e := range edges {
+		add(e.Src, e.Dst)
+		if mirrored {
+			add(e.Dst, e.Src)
+		}
+	}
+	adj := make([][]int32, n)
+	for u, set := range sets {
+		for v := range set {
+			adj[u] = append(adj[u], v)
+		}
+		slices.Sort(adj[u])
+	}
+	return adj
+}
+
+func sameAdjacency(g *Graph, want [][]int32) bool {
+	if int(g.N) != len(want) || g.Validate() != nil {
+		return false
+	}
+	for u, adj := range want {
+		if !slices.Equal(g.Neighbors(int32(u)), adj) {
+			return false
+		}
+	}
+	return true
+}
+
+func split(edges []Edge) (src, dst []int32) {
+	for _, e := range edges {
+		src, dst = append(src, e.Src), append(dst, e.Dst)
+	}
+	return src, dst
+}
+
 func TestBuildPropertyRandomEdgeLists(t *testing.T) {
-	// Property: Build(validate) on arbitrary random edge lists.
+	// Property: Build (directed) and the generators' mirrored build
+	// agree with the naive reference on arbitrary edge lists. n starts
+	// at 1 (every edge a self-loop); the ID range is sometimes narrower
+	// than n, which leaves isolated vertices and forces duplicates.
 	f := func(seed uint64, nRaw uint8, mRaw uint16) bool {
-		n := int32(nRaw%200) + 2
+		n := int32(nRaw%200) + 1
 		m := int(mRaw % 2000)
 		r := rand.New(rand.NewPCG(seed, 1))
+		ids := 1 + r.IntN(int(n))
 		edges := make([]Edge, m)
 		for i := range edges {
-			edges[i] = Edge{Src: int32(r.IntN(int(n))), Dst: int32(r.IntN(int(n)))}
+			edges[i] = Edge{Src: int32(r.IntN(ids)), Dst: int32(r.IntN(ids))}
 		}
-		g := Build(n, edges, false)
-		return g.Validate() == nil
+		src, dst := split(edges)
+		mirrored := buildCSR(n, src, dst, true)
+		return sameAdjacency(Build(n, edges, false), refAdjacency(n, edges, false)) &&
+			sameAdjacency(mirrored, refAdjacency(n, edges, true)) &&
+			graphsEqual(mirrored, mirrored.Transpose())
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBuildPanicsUnchanged pins the text of Build's argument panics on
+// both the weighted path and the unweighted one that replaced the
+// per-vertex sort.
+func TestBuildPanicsUnchanged(t *testing.T) {
+	panicText := func(f func()) (text string) {
+		defer func() { text = fmt.Sprint(recover()) }()
+		f()
+		return
+	}
+	for _, weighted := range []bool{false, true} {
+		for _, c := range []struct {
+			n    int32
+			e    Edge
+			want string
+		}{
+			{4, Edge{Src: 1, Dst: 4}, "graph: edge (1,4) out of range [0,4)"},
+			{4, Edge{Src: -1, Dst: 2}, "graph: edge (-1,2) out of range [0,4)"},
+			{4, Edge{Src: 7, Dst: 7}, "graph: edge (7,7) out of range [0,4)"},
+			{0, Edge{}, "graph: Build with non-positive vertex count"},
+		} {
+			got := panicText(func() { Build(c.n, []Edge{{Src: 0, Dst: 1}, c.e}, weighted) })
+			if got != c.want {
+				t.Errorf("Build(%d, %+v, weighted=%v) panicked with %q, want %q", c.n, c.e, weighted, got, c.want)
+			}
+		}
+	}
+}
+
+// TestRMATThresholdExact checks the integer form of the R-MAT quadrant
+// test: for each threshold T of the canonical initiator, k < T must
+// mean exactly what Float64() < p meant for the 53-bit draw k.
+func TestRMATThresholdExact(t *testing.T) {
+	a, b, c := 0.57, 0.19, 0.19 // variables: the sums must round as rmat's do
+	for _, p := range []float64{a, a + b, a + b + c, 0, 1, 0.25, 1.0 / 3} {
+		T := rmatThreshold(p)
+		ks := []uint64{0, 1<<53 - 1}
+		for d := uint64(0); d <= 4; d++ {
+			if k := T + d - 2; k < 1<<53 { // T-2..T+2; wraps past 2^53 when T < 2
+				ks = append(ks, k)
+			}
+		}
+		for _, k := range ks {
+			if float, integer := float64(k)/(1<<53) < p, k < T; float != integer {
+				t.Errorf("p=%v T=%d k=%d: Float64()<p is %v, k<T is %v", p, T, k, float, integer)
+			}
+		}
+	}
+}
+
+// TestMirroredGraphsShareTheirTranspose: a graph built from undirected
+// edges is its own transpose, element for element, so TransposeCached
+// hands back the graph itself; every other graph still gets a real one.
+func TestMirroredGraphsShareTheirTranspose(t *testing.T) {
+	for name, g := range map[string]*Graph{
+		"urand":      Urand(1000, 4000, 1),
+		"kron":       Kron(10, 8, 2),
+		"twitter":    PowerLaw(1000, 8, 0.2, false, 3),
+		"friendster": PowerLaw(1000, 8, 0.1, true, 4),
+	} {
+		if !graphsEqual(g, g.Transpose()) {
+			t.Errorf("%s: Transpose() differs from the graph", name)
+		}
+		if g.TransposeCached() != g {
+			t.Errorf("%s: TransposeCached() built a transpose of a mirrored graph", name)
+		}
+	}
+
+	kron := Kron(10, 8, 2)
+	var blob bytes.Buffer
+	if err := kron.WriteBinary(&blob); err != nil {
+		t.Fatal(err)
+	}
+	fromBinary, err := ReadBinary(&blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromText, err := ReadEdgeList(strings.NewReader("0 1\n1 2\n2 0\n"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edges []Edge
+	for u := int32(0); u < kron.N; u++ {
+		for _, v := range kron.Neighbors(u) {
+			edges = append(edges, Edge{Src: u, Dst: v})
+		}
+	}
+	for name, g := range map[string]*Graph{
+		"web":          WebLike(1024, 8, 5),
+		"road":         RoadGrid(32, 32, 255, 6),
+		"unitweights":  AddUnitWeights(kron, 64, 7),
+		"ReadBinary":   fromBinary,
+		"ReadEdgeList": fromText,
+		"Build":        Build(kron.N, edges, false),
+	} {
+		tr := g.TransposeCached()
+		if tr == g {
+			t.Errorf("%s: TransposeCached() returned the graph itself", name)
+		}
+		if !graphsEqual(tr, g.Transpose()) {
+			t.Errorf("%s: TransposeCached() differs from Transpose()", name)
+		}
+		if tr.TransposeCached() != g {
+			t.Errorf("%s: the transpose does not link back to its graph", name)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -21,91 +22,91 @@ var graphMagic = [8]byte{'G', 'M', 'G', 'R', 'P', 'H', '0', '1'}
 // WriteBinary serializes the CSR graph in a compact little-endian
 // format (magic, N, M, weighted flag, OA, NA, optional W).
 func (g *Graph) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(graphMagic[:]); err != nil {
+	var hdr [25]byte
+	copy(hdr[:], graphMagic[:])
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(g.N))
+	binary.LittleEndian.PutUint64(hdr[12:], uint64(len(g.NA)))
+	if g.Weighted() {
+		hdr[24] = 1
+	}
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	var hdr [17]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(g.N))
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(len(g.NA)))
-	if g.Weighted() {
-		hdr[16] = 1
-	}
-	if _, err := bw.Write(hdr[:]); err != nil {
+	if err := writeLE(w, g.OA); err != nil {
 		return err
 	}
-	var buf [8]byte
-	for _, v := range g.OA {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		if _, err := bw.Write(buf[:8]); err != nil {
-			return err
-		}
+	if err := writeLE(w, g.NA); err != nil {
+		return err
 	}
-	for _, v := range g.NA {
-		binary.LittleEndian.PutUint32(buf[:], uint32(v))
-		if _, err := bw.Write(buf[:4]); err != nil {
-			return err
-		}
-	}
-	if g.Weighted() {
-		for _, v := range g.W {
-			binary.LittleEndian.PutUint32(buf[:], uint32(v))
-			if _, err := bw.Write(buf[:4]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
+	return writeLE(w, g.W) // nil when unweighted
 }
 
 // ReadBinary deserializes a graph written by WriteBinary and validates
 // its structure.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	var hdr [25]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("graph: reading header: %w", err)
 	}
-	if magic != graphMagic {
+	if [8]byte(hdr[:8]) != graphMagic {
 		return nil, errors.New("graph: bad magic, not a gmgraph file")
 	}
-	var hdr [17]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading sizes: %w", err)
-	}
-	n := int32(binary.LittleEndian.Uint32(hdr[0:]))
-	m := int64(binary.LittleEndian.Uint64(hdr[4:]))
-	weighted := hdr[16] == 1
+	n := int32(binary.LittleEndian.Uint32(hdr[8:]))
+	m := int64(binary.LittleEndian.Uint64(hdr[12:]))
+	weighted := hdr[24] == 1
 	if n < 0 || m < 0 {
 		return nil, errors.New("graph: negative sizes")
 	}
-	g := &Graph{N: n, OA: make([]int64, n+1), NA: make([]int32, m)}
-	var buf [8]byte
-	for i := range g.OA {
-		if _, err := io.ReadFull(br, buf[:8]); err != nil {
-			return nil, fmt.Errorf("graph: reading OA: %w", err)
-		}
-		g.OA[i] = int64(binary.LittleEndian.Uint64(buf[:]))
+	g := &Graph{N: n}
+	var err error
+	if g.OA, err = readLE[int64](r, int64(n)+1); err != nil {
+		return nil, fmt.Errorf("graph: reading OA: %w", err)
 	}
-	for i := range g.NA {
-		if _, err := io.ReadFull(br, buf[:4]); err != nil {
-			return nil, fmt.Errorf("graph: reading NA: %w", err)
-		}
-		g.NA[i] = int32(binary.LittleEndian.Uint32(buf[:]))
+	if g.NA, err = readLE[int32](r, m); err != nil {
+		return nil, fmt.Errorf("graph: reading NA: %w", err)
 	}
 	if weighted {
-		g.W = make([]int32, m)
-		for i := range g.W {
-			if _, err := io.ReadFull(br, buf[:4]); err != nil {
-				return nil, fmt.Errorf("graph: reading W: %w", err)
-			}
-			g.W[i] = int32(binary.LittleEndian.Uint32(buf[:]))
+		if g.W, err = readLE[int32](r, m); err != nil {
+			return nil, fmt.Errorf("graph: reading W: %w", err)
 		}
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: corrupt file: %w", err)
 	}
 	return g, nil
+}
+
+// leChunk is how many values readLE and writeLE move per call: 32 or
+// 64 KiB of file, so neither side needs a bufio layer.
+const leChunk = 8 << 10
+
+func writeLE[T int32 | int64](w io.Writer, vals []T) error {
+	for len(vals) > 0 {
+		k := min(len(vals), leChunk)
+		if err := binary.Write(w, binary.LittleEndian, vals[:k]); err != nil {
+			return err
+		}
+		vals = vals[k:]
+	}
+	return nil
+}
+
+// readLE decodes count little-endian values. The header that announced
+// count is not trusted: the slice grows (doubling) only as data
+// arrives, so a short or hostile stream costs memory in proportion to
+// the bytes it really holds and ends in an error, not in a panic.
+func readLE[T int32 | int64](r io.Reader, count int64) ([]T, error) {
+	out := make([]T, 0, min(count, leChunk))
+	for have := int64(0); have < count; have = int64(len(out)) {
+		if have == int64(cap(out)) {
+			out = slices.Grow(out, int(min(count-have, have)))
+		}
+		out = out[:min(count, have+leChunk, int64(cap(out)))]
+		if err := binary.Read(r, binary.LittleEndian, out[have:]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // ReadEdgeList parses a whitespace-separated edge-list text stream

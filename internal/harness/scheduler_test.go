@@ -199,10 +199,12 @@ func TestIsolatedRunPanicPropagation(t *testing.T) {
 // TestConcurrentPrepareSharesOneTranspose prepares two pr workloads on
 // one fresh graph at once, as runAll does at -j > 1: both kernels need
 // the transpose, and exactly one may be built (run under -race, this
-// also proves the first use is synchronized).
+// also proves the first use is synchronized). The graph is a directed
+// one: the undirected generators' graphs are their own transpose and
+// never build one.
 func TestConcurrentPrepareSharesOneTranspose(t *testing.T) {
 	p := fastBench()
-	g := graph.Kron(10, 8, 7)
+	g := graph.WebLike(1024, 8, 7)
 	p.Graphs = map[string]GraphSpec{"tiny": {Name: "tiny", Build: func() *graph.Graph { return g }}}
 	wb := NewWorkbench(p)
 

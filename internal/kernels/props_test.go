@@ -2,6 +2,8 @@ package kernels
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -227,5 +229,94 @@ func TestSpMVGathersAreIrregular(t *testing.T) {
 	}
 	if inX == 0 || deps < inX*9/10 {
 		t.Errorf("x gathers %d, with deps %d: expected dependent irregular stream", inX, deps)
+	}
+}
+
+// hashSink folds the first Limit records, every field, into an FNV-1a
+// hash, then stops the kernel.
+type hashSink struct {
+	Limit, Records int64
+	Sum            uint64
+}
+
+func (h *hashSink) Access(r trace.Record) bool {
+	if h.Records == 0 {
+		h.Sum = 14695981039346656037
+	}
+	flags := uint64(r.Size) | uint64(r.NonMem)<<8 | uint64(uint32(r.DepDist))<<24
+	if r.Write {
+		flags |= 1 << 56
+	}
+	if r.HasValue {
+		flags |= 1 << 57
+	}
+	for _, x := range [...]uint64{r.PC, uint64(r.Addr), flags, r.Value} {
+		h.Sum = (h.Sum ^ x) * 1099511628211
+	}
+	h.Records++
+	return h.Records < h.Limit
+}
+
+// TestSharedTransposeLeavesTraceUnchanged: a generator-built Kron graph
+// is marked mirrored and hands pr and bfs *itself* as the CSC, where the
+// same graph rebuilt through Build([]Edge) gets a separately allocated
+// transpose. The kernels address CSR and CSC through their own
+// mem.Regions, so which Go slice backs the CSC must not show: the first
+// 1 M records and the results have to be identical. All four instances
+// are prepared, and then run, at once, so that -race sees the sharing.
+func TestSharedTransposeLeavesTraceUnchanged(t *testing.T) {
+	gen := graph.Kron(16, 8, 0x6501)
+	var edges []graph.Edge
+	for u := int32(0); u < gen.N; u++ {
+		for _, v := range gen.Neighbors(u) {
+			edges = append(edges, graph.Edge{Src: u, Dst: v})
+		}
+	}
+	rebuilt := graph.Build(gen.N, edges, false)
+
+	type run struct {
+		kernel string
+		g      *graph.Graph
+		inst   Instance
+		sink   hashSink
+	}
+	runs := []*run{{kernel: "pr", g: gen}, {kernel: "pr", g: rebuilt}, {kernel: "bfs", g: gen}, {kernel: "bfs", g: rebuilt}}
+	concurrently := func(f func(r *run)) {
+		var wg sync.WaitGroup
+		for _, r := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f(r)
+			}()
+		}
+		wg.Wait()
+	}
+	concurrently(func(r *run) {
+		if r.kernel == "pr" {
+			r.inst = NewPR(r.g, mem.NewSpace(0))
+		} else {
+			r.inst = NewBFS(r.g, mem.NewSpace(0))
+		}
+	})
+	if gen.TransposeCached() != gen || rebuilt.TransposeCached() == rebuilt {
+		t.Fatal("premise: only the generator-built graph shares its transpose")
+	}
+	concurrently(func(r *run) {
+		r.sink.Limit = 1 << 20
+		r.inst.Run(trace.New(&r.sink))
+	})
+
+	for i := 0; i < len(runs); i += 2 {
+		a, b := runs[i], runs[i+1]
+		if a.sink.Records != 1<<20 || a.sink != b.sink {
+			t.Errorf("%s: record streams differ: shared %+v, separate %+v", a.kernel, a.sink, b.sink)
+		}
+	}
+	if a, b := runs[0].inst.(*PR), runs[1].inst.(*PR); !slices.Equal(a.Scores(), b.Scores()) || a.Iterations != b.Iterations {
+		t.Error("pr: scores differ")
+	}
+	if a, b := runs[2].inst.(*BFS), runs[3].inst.(*BFS); !slices.Equal(a.Depth(), b.Depth()) || !slices.Equal(a.Parent(), b.Parent()) {
+		t.Error("bfs: depths or parents differ")
 	}
 }
