@@ -13,9 +13,11 @@
 // With -cores N > 1 the workload is replicated on every core of an
 // N-core machine (a homogeneous multi-programmed mix) and a per-core
 // report is printed. -wj switches that run to the bound–weave parallel
-// engine; the report is byte-identical at any -wj value and carries no
+// engine; the report is byte-identical at any -wj >= 1 and carries no
 // wall-clock, so outputs can be diffed across worker counts (timing
-// goes to stderr).
+// goes to stderr). -wj 0, the default, is the serial engine: a different
+// timing model whose results differ from bound–weave's (EXPERIMENTS.md,
+// "Serial vs bound–weave timing").
 package main
 
 import (

@@ -295,7 +295,7 @@ func RegisterRunFlags(fs *flag.FlagSet, defaultProfile string) *RunOptions {
 	fs.StringVar(&o.Store, "store", "", "disk-backed result store directory (serves repeated single-core runs from disk; output is byte-identical either way)")
 	fs.StringVar(&o.Metrics, "metrics", "", "serve live metrics (Prometheus text + expvar) on this address, e.g. :6060")
 	fs.IntVar(&o.Jobs, "j", 0, "max concurrent simulations (0 = all host cores); output is identical at any -j")
-	fs.IntVar(&o.WeaveJobs, "wj", 0, "bound–weave host workers per multi-core simulation (0 = legacy serial engine); workers count against -j, output is identical at any -wj")
+	fs.IntVar(&o.WeaveJobs, "wj", 0, "bound–weave host workers per multi-core simulation; workers count against -j, output is identical at any -wj >= 1 (0 = the serial engine, a different timing model with different results)")
 	fs.StringVar(&o.Prefetchers, "pf", "", "prefetcher preset for the base machine: none|nextline|spp|stride|imp|pickle|spp+imp (empty = Table I default)")
 	fs.Int64Var(&o.BranchPenalty, "bp", 0, "branch-miss penalty in cycles on ~1/32 of records (0 = off, the default machine)")
 	return o

@@ -266,66 +266,6 @@ func (d *SDCDir) ForEach(fn func(blk mem.BlockAddr, sharers uint64, state State)
 	}
 }
 
-// WarmLookup is Lookup without the Lookups/Hits counters: recency still
-// advances on a hit so directory LRU state warms with full fidelity.
-func (d *SDCDir) WarmLookup(blk mem.BlockAddr) (sharers uint64, state State, ok bool) {
-	if e := d.find(blk); e != nil {
-		d.clock++
-		e.lru = d.clock
-		return e.sharers, e.state, true
-	}
-	return 0, Invalid, false
-}
-
-// WarmAddSharer is AddSharer with a stat-free allocation: capacity
-// replacements still fire onEvict (the back-invalidation side effect is
-// real state the warm-up must reproduce) but do not count as
-// Evictions. RemoveSharer and InvalidateAll touch no statistics and are
-// shared between the detailed and warm paths as-is.
-func (d *SDCDir) WarmAddSharer(blk mem.BlockAddr, coreID int, exclusiveWrite bool) {
-	e := d.find(blk)
-	if e == nil {
-		e = d.warmAllocate(blk)
-	}
-	d.clock++
-	e.lru = d.clock
-	if exclusiveWrite {
-		e.sharers = 1 << coreID
-		e.state = Modified
-		return
-	}
-	e.sharers |= 1 << coreID
-	if e.state == Invalid {
-		e.state = Exclusive
-	} else if e.state == Exclusive && bits.OnesCount64(e.sharers) > 1 {
-		e.state = Shared
-	} else if e.state == Modified && bits.OnesCount64(e.sharers) > 1 {
-		e.state = Shared
-	}
-}
-
-func (d *SDCDir) warmAllocate(blk mem.BlockAddr) *dirEntry {
-	set := d.set(blk)
-	way, best := 0, int64(1<<63-1)
-	for w := range set {
-		if !set[w].valid {
-			way = w
-			best = -1
-			break
-		}
-		if set[w].lru < best {
-			best = set[w].lru
-			way = w
-		}
-	}
-	v := &set[way]
-	if v.valid && d.onEvict != nil && v.sharers != 0 {
-		d.onEvict(v.blk, v.sharers)
-	}
-	*v = dirEntry{blk: blk, state: Invalid, valid: true}
-	return v
-}
-
 // EncodeState appends the directory's clock and every entry to buf.
 func (d *SDCDir) EncodeState(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.entries)))

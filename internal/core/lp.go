@@ -182,50 +182,6 @@ func (lp *LP) SAcc(pc uint64) (uint64, bool) {
 	return 0, false
 }
 
-// WarmPredictAndUpdate performs the identical classify-then-update
-// table transition to PredictAndUpdate but bumps none of the outcome
-// counters — the functional-warming fast path (internal/sample), which
-// keeps predictor state hot while statistics stay zero.
-func (lp *LP) WarmPredictAndUpdate(pc uint64, blk mem.BlockAddr) bool {
-	si, tag := lp.split(pc)
-	set := lp.set(si)
-	lp.clock++
-	for w := range set {
-		e := &set[w]
-		if !e.valid || e.tag != tag {
-			continue
-		}
-		averse := e.sAcc >= lp.cfg.Tau
-		var s uint64
-		if blk >= e.addr {
-			s = uint64(blk - e.addr)
-		} else {
-			s = uint64(e.addr - blk)
-		}
-		acc := e.sAcc + s
-		if acc > sAccMax {
-			acc = sAccMax
-		}
-		e.sAcc = acc >> 1
-		e.addr = blk
-		e.lru = lp.clock
-		return averse
-	}
-	way, best := 0, int64(1<<63-1)
-	for w := range set {
-		if !set[w].valid {
-			way = w
-			break
-		}
-		if set[w].lru < best {
-			best = set[w].lru
-			way = w
-		}
-	}
-	set[way] = lpEntry{tag: tag, addr: blk, sAcc: 0, valid: true, lru: lp.clock}
-	return false
-}
-
 // EncodeState appends the predictor's clock and table to buf.
 func (lp *LP) EncodeState(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(lp.entries)))

@@ -7,7 +7,7 @@
 // The package is deliberately substrate-free: it knows about schedules
 // (Plan), per-sample statistics (Estimate), and checkpoint files
 // (Store) — never about caches or cores. internal/sim owns the warm
-// fast paths and the state encode/decode of each component; this
+// walk and the state encode/decode of each component; this
 // package supplies the arithmetic and the disk format around them.
 package sample
 

@@ -4,9 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 
 	"graphmem/internal/store"
 )
@@ -52,99 +49,15 @@ func Encode(payload []byte) []byte { return ckptFraming.Encode(payload) }
 // Decode validates a framed checkpoint and returns its payload.
 func Decode(data []byte) ([]byte, error) { return ckptFraming.Decode(data) }
 
-// Store is the disk-backed checkpoint store: one framed file per key
-// under a directory, with per-key single-flight so a sweep of N configs
-// sharing a warm-up performs exactly one (the first Acquire for a key
-// misses and warms; the others block on the key lock and then hit the
-// committed file). Hit/miss counters feed the CI job summary and the
-// scheduler tests.
-type Store struct {
-	dir string
-
-	mu     sync.Mutex
-	keys   map[string]*sync.Mutex
-	hits   int64
-	misses int64
-}
+// Store is the disk-backed checkpoint store: an internal/store instance
+// bound to the checkpoint framing. Its per-key single-flight is what
+// makes a sweep of N configs sharing a warm-up perform exactly one (the
+// first Acquire for a key misses and warms; the others block on the key
+// lock and then hit the committed file), its cross-process claim does
+// the same between concurrent tools sharing a directory, and its hit/
+// miss counters feed the CI job summary and the scheduler tests. A stale
+// (wrong-version) or corrupt file is a miss, overwritten by the commit.
+type Store = store.Store
 
 // NewStore opens (creating if needed) a checkpoint store rooted at dir.
-func NewStore(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("sample: checkpoint store: %w", err)
-	}
-	return &Store{dir: dir, keys: make(map[string]*sync.Mutex)}, nil
-}
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Path returns the file a key maps to.
-func (s *Store) Path(key string) string {
-	return filepath.Join(s.dir, key+".ckpt")
-}
-
-// Hits and Misses report the store's lookup outcome counts.
-func (s *Store) Hits() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits
-}
-
-// Misses reports how many Acquire calls found no usable checkpoint.
-func (s *Store) Misses() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.misses
-}
-
-func (s *Store) keyLock(key string) *sync.Mutex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.keys[key]
-	if !ok {
-		l = &sync.Mutex{}
-		s.keys[key] = l
-	}
-	return l
-}
-
-// Acquire looks the key up under its single-flight lock. On a hit it
-// returns the decoded payload and a release func to call immediately.
-// On a miss it returns a nil payload and a commit func: the caller runs
-// the warm-up, then calls commit with the encoded payload (nil to abort
-// without publishing). The key lock is held from Acquire to
-// release/commit, so concurrent runs sharing a warm-up serialize on it
-// and every one after the first hits. A stale (wrong-version) or
-// corrupt file counts as a miss and is overwritten by the commit.
-func (s *Store) Acquire(key string) (payload []byte, done func([]byte) error) {
-	l := s.keyLock(key)
-	l.Lock()
-	if data, err := os.ReadFile(s.Path(key)); err == nil {
-		if p, derr := Decode(data); derr == nil {
-			s.mu.Lock()
-			s.hits++
-			s.mu.Unlock()
-			return p, func([]byte) error { l.Unlock(); return nil }
-		}
-	}
-	s.mu.Lock()
-	s.misses++
-	s.mu.Unlock()
-	return nil, func(p []byte) error {
-		defer l.Unlock()
-		if p == nil {
-			return nil
-		}
-		return s.write(key, p)
-	}
-}
-
-// write commits a payload atomically (the shared tmp + rename helper)
-// so a crashed or interrupted run can never leave a half-written
-// checkpoint that a later run would trust.
-func (s *Store) write(key string, payload []byte) error {
-	if err := store.WriteFileAtomic(s.dir, s.Path(key), Encode(payload)); err != nil {
-		return fmt.Errorf("sample: checkpoint write: %w", err)
-	}
-	return nil
-}
+func NewStore(dir string) (*Store, error) { return store.Open(dir, ckptFraming) }

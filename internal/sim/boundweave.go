@@ -220,33 +220,6 @@ func blockOwner(blk mem.BlockAddr) int {
 	return int(uint64(blk) >> (mem.CoreSpaceBits - mem.BlockBits))
 }
 
-// shardDRAMWrite records a replay-time DRAM write-back in the owning
-// core's oracle shard (cross-core LLC victims land here).
-func (eng *bwEngine) shardDRAMWrite(blk mem.BlockAddr, ver uint64) {
-	if eng.sys.chk == nil {
-		return
-	}
-	if o := blockOwner(blk); o < len(eng.sys.cores) {
-		if k := eng.sys.cores[o].chk; k != nil {
-			k.DRAMWrite(blk, ver)
-		}
-	}
-}
-
-// shardDRAMRead reads the architectural DRAM version from the owning
-// core's oracle shard (pickle prefetch fills need it for SetVer).
-func (eng *bwEngine) shardDRAMRead(blk mem.BlockAddr) uint64 {
-	if eng.sys.chk == nil {
-		return 0
-	}
-	if o := blockOwner(blk); o < len(eng.sys.cores) {
-		if k := eng.sys.cores[o].chk; k != nil {
-			return k.DRAMRead(blk)
-		}
-	}
-	return 0
-}
-
 // deferEvict buffers an SDCDir capacity eviction raised during replay.
 func (eng *bwEngine) deferEvict(blk mem.BlockAddr, sharers uint64) {
 	eng.deferred = append(eng.deferred, bwDeferredEvict{blk: blk, sharers: sharers})
@@ -276,10 +249,7 @@ func (eng *bwEngine) applyDeferredEvicts() {
 				ver = c.sdc.VerOf(d.blk)
 			}
 			if present, dirty := c.sdc.Invalidate(d.blk); present && dirty {
-				s.dram.Access(d.blk, true, c.cpuCore.Cycle())
-				if c.chk != nil {
-					c.chk.DRAMWrite(d.blk, ver)
-				}
+				s.dramWriteback(d.blk, c.cpuCore.Cycle(), ver)
 			}
 		}
 	}
@@ -424,15 +394,7 @@ func (eng *bwEngine) replay(e *bwEvent) {
 	case bwEvLLCBypass:
 		actual = eng.replayLLCBypass(e)
 	case bwEvLLCWB:
-		v := s.llc.Fill(e.blk, e.blk.Addr(), mem.BlockSize, true, false, e.t)
-		s.llc.Stats.Writebacks++
-		if s.chk != nil {
-			s.llc.SetVer(e.blk, e.ver)
-		}
-		if v.Valid && v.Dirty {
-			s.dram.Access(v.Blk, true, e.t)
-			eng.shardDRAMWrite(v.Blk, v.Ver)
-		}
+		s.llcWriteback(e.blk, e.t, e.ver)
 		return
 	case bwEvLLCInval:
 		// Dirty data transferred into the logging core's SDC fill; the
@@ -498,8 +460,7 @@ func (eng *bwEngine) replayLLCRead(e *bwEvent) int64 {
 		s.llc.SetVer(e.blk, e.ver)
 	}
 	if v.Valid && v.Dirty {
-		s.dram.Access(v.Blk, true, ready)
-		eng.shardDRAMWrite(v.Blk, v.Ver)
+		s.dramWriteback(v.Blk, ready, v.Ver)
 	}
 	if m := s.llc.MSHR(); m != nil {
 		m.Complete(e.blk, ready)
@@ -512,47 +473,10 @@ func (eng *bwEngine) replayLLCRead(e *bwEvent) int64 {
 	if s.llcpf != nil && e.flag&(bwFPf|bwFXfer) == 0 {
 		s.llcPfBuf = s.llcpf.OnAccess(mem.AccessInfo{Blk: e.blk, Addr: e.addr, Core: int(e.core)}, s.llcPfBuf[:0])
 		for _, cand := range s.llcPfBuf {
-			eng.llcPrefetch(cand, t)
+			s.llcPrefetch(cand, t)
 		}
 	}
 	return ready
-}
-
-// llcPrefetch fetches a pickle candidate into the shared LLC during the
-// serial weave replay, mirroring the legacy engine's llcPrefetch with
-// the oracle traffic routed to the owning core's shard.
-func (eng *bwEngine) llcPrefetch(blk mem.BlockAddr, t int64) {
-	s := eng.sys
-	if s.cores[0].anyCacheHolds(blk) {
-		return
-	}
-	if s.sdcDir != nil {
-		if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers != 0 {
-			return
-		}
-	}
-	if m := s.llc.MSHR(); m != nil {
-		if _, inflight := m.Lookup(blk, t); inflight {
-			return
-		}
-		if m.Outstanding(t) >= m.Capacity() {
-			return
-		}
-		m.Allocate(blk, t)
-	}
-	ready := s.dram.Access(blk, false, t)
-	v := s.llc.Fill(blk, blk.Addr(), mem.BlockSize, false, true, ready)
-	s.llc.MarkPrefetchFill()
-	if s.chk != nil {
-		s.llc.SetVer(blk, eng.shardDRAMRead(blk))
-	}
-	if v.Valid && v.Dirty {
-		s.dram.Access(v.Blk, true, ready)
-		eng.shardDRAMWrite(v.Blk, v.Ver)
-	}
-	if m := s.llc.MSHR(); m != nil {
-		m.Complete(blk, ready)
-	}
 }
 
 // replayLLCBypass replays a bypass-path access: a real lookup against
@@ -569,13 +493,12 @@ func (eng *bwEngine) replayLLCBypass(e *bwEvent) int64 {
 		}
 		return res.ReadyAt
 	}
-	done := s.dram.Access(e.blk, write, e.t)
 	if write {
 		// The store's version now lands in DRAM instead of the LLC line.
-		eng.shardDRAMWrite(e.blk, e.ver)
-		done = e.t + 1
+		s.dramWriteback(e.blk, e.t, e.ver)
+		return e.t + 1
 	}
-	return done
+	return s.dram.Access(e.blk, false, e.t)
 }
 
 // sweepIfDue runs a structural invariant sweep when enough instructions

@@ -11,6 +11,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"graphmem/internal/sample"
@@ -95,6 +96,18 @@ func (s *System) decodeWarmState(data []byte) error {
 	return nil
 }
 
+// startDrain takes a checkpoint hit: the run skips its warm-up by
+// draining the record stream (counting only, touching nothing) to the
+// recorded position, then restores the captured state. The payload leads
+// with the CPU instruction counter, which is that position.
+func (c *coreCtx) startDrain(payload []byte) {
+	c.warmMode = warmDrain
+	c.drainTo = int64(binary.LittleEndian.Uint64(payload))
+	c.ckptPayload = payload
+	c.ckptHit = true
+	c.sys.warming = false
+}
+
 // resumeFromCheckpoint ends the drain: the record stream now sits
 // exactly where the captured warm-up ended, so restoring the payload
 // reproduces the uninterrupted run's state byte for byte. The window
@@ -107,8 +120,7 @@ func (c *coreCtx) resumeFromCheckpoint() {
 		panic(fmt.Sprintf("sim: checkpoint state mismatch: %v", err))
 	}
 	c.ckptPayload = nil
-	c.warmMode = warmFunctional
-	c.sys.warming = true
+	c.enterWarm()
 	c.beginMeasureSampled()
 	c.rearm()
 }

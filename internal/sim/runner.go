@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -300,8 +299,7 @@ func (c *coreCtx) finish() {
 			c.measuredFromSamples()
 		} else {
 			c.doneMeasure = true
-			c.warmMode = warmOff
-			c.sys.warming = false
+			c.leaveWarm()
 		}
 		c.rearm()
 		return
@@ -386,15 +384,7 @@ func (s *System) RunCore0(w Workload) *Result {
 		key := warmKey(s.cfg, w.Name)
 		payload, done := st.Acquire(key)
 		if payload != nil {
-			// Checkpoint hit: skip the warm-up by draining the record
-			// stream (counting only) to the recorded position, then
-			// restoring the captured state. The payload leads with the
-			// CPU instruction counter, which is that position.
-			c.warmMode = warmDrain
-			c.drainTo = int64(binary.LittleEndian.Uint64(payload))
-			c.ckptPayload = payload
-			c.ckptHit = true
-			s.warming = false // nothing is touched while draining
+			c.startDrain(payload)
 			_ = done(nil)
 		} else {
 			c.ckptCommit = done

@@ -61,8 +61,8 @@ type System struct {
 	llcPfBuf []mem.BlockAddr
 
 	// warming is true while the sampling engine is functionally warming
-	// (never set for unsampled runs): shared-state callbacks that issue
-	// timed DRAM traffic (onSDCDirEvict) switch to warm row touches.
+	// (never set for unsampled runs): dramWriteback then touches the row
+	// instead of reserving bank and bus time.
 	warming bool
 
 	// Observer, when set, sees demand loads in the measure window.
@@ -163,6 +163,7 @@ type coreCtx struct {
 	// nextEvent boundary minimum like every other window boundary.
 	warmMode        uint8
 	warmWalkFn      tlb.WarmWalkFunc
+	frozen          frozenCounters // component counters held across a warming period
 	nextSampleStart int64
 	nextSampleMeas  int64
 	nextSampleEnd   int64
@@ -183,7 +184,7 @@ type coreCtx struct {
 // warmMode values.
 const (
 	warmOff        = iota // detailed simulation (the only mode when sampling is off)
-	warmFunctional        // functional warming: tags/recency/row state, no timing or stats
+	warmFunctional        // functional warming: tags/recency/row state, no timing, counters frozen
 	warmDrain             // checkpoint resume: count instructions only, touch nothing
 )
 
@@ -262,12 +263,6 @@ func NewSystem(cfg Config, ws []Workload) *System {
 	for i := 0; i < cfg.Cores; i++ {
 		c := &coreCtx{id: i, sys: s, w: ws[i], nextEpoch: noEpoch, chk: s.chk, nextSweep: noEpoch, nextFR: noEpoch,
 			nextSampleStart: noEpoch, nextSampleMeas: noEpoch, nextSampleEnd: noEpoch}
-		if cfg.Sampling.Enabled() {
-			// The warm-up itself runs under functional warming; detailed
-			// simulation only happens inside samples.
-			c.warmMode = warmFunctional
-			s.warming = true
-		}
 		if cfg.CheckLevel == check.Full {
 			c.nextSweep = checkSweepEvery
 		}
@@ -337,8 +332,8 @@ func NewSystem(cfg Config, ws []Workload) *System {
 		})
 		if cfg.Sampling.Enabled() {
 			// Warm page walks touch the leaf PTE block through the warm L2
-			// path, mirroring walkRead; the closure is built once so the
-			// warm loop allocates nothing per record.
+			// path, as walkRead does through l2Access; the closure is built
+			// once so the warm loop allocates nothing per record.
 			c.warmWalkFn = func(addr mem.Addr) {
 				cc.warmL2(addr.Block(), addr, 8)
 			}
@@ -357,6 +352,11 @@ func NewSystem(cfg Config, ws []Workload) *System {
 				mux.oracles[i] = c.oracle
 			}
 		}
+		if cfg.Sampling.Enabled() {
+			// The warm-up itself runs under functional warming; detailed
+			// simulation only happens inside samples.
+			c.enterWarm()
+		}
 		s.cores = append(s.cores, c)
 	}
 	return s
@@ -367,20 +367,6 @@ func NewSystem(cfg Config, ws []Workload) *System {
 // DRAM if dirty. The write-back is charged to the DRAM state at the
 // current approximate time (the owning core's clock).
 func (s *System) onSDCDirEvict(blk mem.BlockAddr, sharers uint64) {
-	if s.warming {
-		// Functional warming: the back-invalidation is real state the
-		// warm-up must reproduce, but the write-back becomes a timeless
-		// row touch instead of a timed DRAM access.
-		for i := 0; i < s.cfg.Cores; i++ {
-			if sharers&(1<<i) == 0 || s.cores[i].sdc == nil {
-				continue
-			}
-			if present, dirty := s.cores[i].sdc.Invalidate(blk); present && dirty {
-				s.dram.WarmTouch(blk)
-			}
-		}
-		return
-	}
 	if s.bw != nil {
 		// Replay-time capacity eviction: the bound phase that logged
 		// this quantum saw the SDC copies as live, so the invalidations
@@ -401,11 +387,39 @@ func (s *System) onSDCDirEvict(blk mem.BlockAddr, sharers uint64) {
 			ver = c.sdc.VerOf(blk)
 		}
 		if present, dirty := c.sdc.Invalidate(blk); present && dirty {
-			s.dram.Access(blk, true, c.cpuCore.Cycle())
-			if s.chk != nil {
-				s.chk.DRAMWrite(blk, ver)
-			}
+			s.dramWriteback(blk, c.cpuCore.Cycle(), ver)
 		}
+	}
+}
+
+// checkerFor returns the oracle that tracks blk: the owning core's shard
+// under bound–weave (each core is the single writer of its window), the
+// one system-wide checker otherwise; nil when nothing tracks it.
+func (s *System) checkerFor(blk mem.BlockAddr) *check.Checker {
+	if s.bw == nil {
+		return s.chk
+	}
+	if o := blockOwner(blk); o < len(s.cores) {
+		return s.cores[o].chk
+	}
+	return nil
+}
+
+// dramWriteback posts a dirty block's write-back to DRAM at time t and
+// records version ver as the architectural DRAM content. Writes are off
+// the critical path, so only the bank/bus reservation matters — and while
+// functionally warming not even that: the row is touched, timelessly.
+// Every dirty-victim and back-invalidation write-back of the serial
+// engines, the warm walk and the weave replay comes through here (a
+// bound-phase core logs its own as bwEvDRAMWrite instead).
+func (s *System) dramWriteback(blk mem.BlockAddr, t int64, ver uint64) {
+	if s.warming {
+		s.dram.WarmTouch(blk)
+		return
+	}
+	s.dram.Access(blk, true, t)
+	if k := s.checkerFor(blk); k != nil {
+		k.DRAMWrite(blk, ver)
 	}
 }
 
@@ -674,10 +688,7 @@ func (c *coreCtx) serveFromSDCs(blk mem.BlockAddr, addr mem.Addr, size uint8, wr
 				ver = s.cores[i].sdc.VerOf(blk)
 			}
 			if present, dirty := s.cores[i].sdc.Invalidate(blk); present && dirty {
-				s.dram.Access(blk, true, t)
-				if c.chk != nil {
-					c.chk.DRAMWrite(blk, ver)
-				}
+				s.dramWriteback(blk, t, ver)
 			}
 		}
 		s.sdcDir.InvalidateAll(blk)
@@ -861,10 +872,7 @@ func (c *coreCtx) fillSDC(blk mem.BlockAddr, addr mem.Addr, size uint8, dirty bo
 	if v.Valid {
 		s.sdcDir.RemoveSharer(v.Blk, c.id)
 		if v.Dirty {
-			s.dram.Access(v.Blk, true, ready)
-			if c.chk != nil {
-				c.chk.DRAMWrite(v.Blk, v.Ver)
-			}
+			s.dramWriteback(v.Blk, ready, v.Ver)
 		}
 	}
 	s.sdcDir.AddSharer(blk, c.id, dirty)
@@ -899,7 +907,7 @@ func (c *coreCtx) sdcPrefetch(blk mem.BlockAddr, now int64) {
 		if _, _, held := s.sdcDir.Lookup(blk); held {
 			return
 		}
-		if c.anyCacheHolds(blk) {
+		if s.anyCacheHolds(blk) {
 			return
 		}
 	}
@@ -920,8 +928,9 @@ func (c *coreCtx) sdcPrefetch(blk mem.BlockAddr, now int64) {
 	}
 }
 
-func (c *coreCtx) anyCacheHolds(blk mem.BlockAddr) bool {
-	s := c.sys
+// anyCacheHolds reports whether the LLC or any core's private hierarchy
+// holds blk.
+func (s *System) anyCacheHolds(blk mem.BlockAddr) bool {
 	if s.llc.Probe(blk) {
 		return true
 	}
@@ -1105,17 +1114,21 @@ func (c *coreCtx) writebackToLLC(blk mem.BlockAddr, now int64, ver uint64) {
 		c.bwOverlaySet(blk, true, ver)
 		return
 	}
-	s := c.sys
+	c.sys.llcWriteback(blk, now, ver)
+}
+
+// llcWriteback installs a dirty L2 victim in the LLC (allocate-on-
+// write-back), sending the LLC's own dirty victim on to DRAM. The serial
+// engines call it as the write-back happens, the weave when it replays
+// the logged bwEvLLCWB.
+func (s *System) llcWriteback(blk mem.BlockAddr, now int64, ver uint64) {
 	v := s.llc.Fill(blk, blk.Addr(), mem.BlockSize, true, false, now)
 	s.llc.Stats.Writebacks++
-	if c.chk != nil {
+	if s.chk != nil {
 		s.llc.SetVer(blk, ver)
 	}
 	if v.Valid && v.Dirty {
-		s.dram.Access(v.Blk, true, now)
-		if c.chk != nil {
-			c.chk.DRAMWrite(v.Blk, v.Ver)
-		}
+		s.dramWriteback(v.Blk, now, v.Ver)
 	}
 }
 
@@ -1271,10 +1284,7 @@ func (c *coreCtx) llcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write,
 					ver = s.cores[i].sdc.VerOf(blk)
 				}
 				if present, dirty := s.cores[i].sdc.Invalidate(blk); present && dirty {
-					s.dram.Access(blk, true, t)
-					if c.chk != nil {
-						c.chk.DRAMWrite(blk, ver)
-					}
+					s.dramWriteback(blk, t, ver)
 				}
 			}
 			s.sdcDir.InvalidateAll(blk)
@@ -1320,10 +1330,7 @@ func (c *coreCtx) llcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write,
 		c.verScratch = ver
 	}
 	if v.Valid && v.Dirty {
-		s.dram.Access(v.Blk, true, ready)
-		if c.chk != nil {
-			c.chk.DRAMWrite(v.Blk, v.Ver)
-		}
+		s.dramWriteback(v.Blk, ready, v.Ver)
 	}
 	if m := s.llc.MSHR(); m != nil {
 		m.Complete(blk, ready)
@@ -1338,7 +1345,7 @@ func (c *coreCtx) llcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write,
 		s.llcPfBuf = s.llcpf.OnAccess(mem.AccessInfo{PC: c.curPC, Addr: addr, Blk: blk, Core: c.id}, s.llcPfBuf[:0])
 		dv := c.verScratch
 		for _, cand := range s.llcPfBuf {
-			c.llcPrefetch(cand, t)
+			s.llcPrefetch(cand, t)
 		}
 		c.verScratch = dv
 	}
@@ -1348,10 +1355,11 @@ func (c *coreCtx) llcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write,
 // llcPrefetch fetches a cross-core candidate into the shared LLC. The
 // block must be absent from the whole hierarchy (a shared-level fill
 // above a private dirty copy would shadow it in lookup order) and from
-// every SDC (the SDCDir owns those blocks).
-func (c *coreCtx) llcPrefetch(blk mem.BlockAddr, now int64) {
-	s := c.sys
-	if c.anyCacheHolds(blk) {
+// every SDC (the SDCDir owns those blocks). Both engines issue from
+// serial code: the legacy interleaver inside llcAccess, bound–weave
+// during the weave's replay of a demand LLC miss.
+func (s *System) llcPrefetch(blk mem.BlockAddr, now int64) {
+	if s.anyCacheHolds(blk) {
 		return
 	}
 	if s.sdcDir != nil {
@@ -1371,14 +1379,15 @@ func (c *coreCtx) llcPrefetch(blk mem.BlockAddr, now int64) {
 	ready := s.dram.Access(blk, false, now)
 	v := s.llc.Fill(blk, blk.Addr(), mem.BlockSize, false, true, ready)
 	s.llc.MarkPrefetchFill()
-	if c.chk != nil {
-		s.llc.SetVer(blk, c.chk.DRAMRead(blk))
+	if s.chk != nil {
+		var ver uint64
+		if k := s.checkerFor(blk); k != nil {
+			ver = k.DRAMRead(blk)
+		}
+		s.llc.SetVer(blk, ver)
 	}
 	if v.Valid && v.Dirty {
-		s.dram.Access(v.Blk, true, ready)
-		if c.chk != nil {
-			c.chk.DRAMWrite(v.Blk, v.Ver)
-		}
+		s.dramWriteback(v.Blk, ready, v.Ver)
 	}
 	if m := s.llc.MSHR(); m != nil {
 		m.Complete(blk, ready)
@@ -1410,7 +1419,7 @@ func (s *System) CheckInvariants() {
 	}
 	if s.sdcDir != nil {
 		k.CheckSDCDir(s.sdcDir, sdcs, func(blk mem.BlockAddr) bool {
-			return s.cores[0].anyCacheHolds(blk)
+			return s.anyCacheHolds(blk)
 		})
 	}
 }

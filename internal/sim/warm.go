@@ -1,17 +1,24 @@
 // Functional warming for the statistical sampling engine
 // (internal/sample): the warm-up window and the gaps between detailed
-// samples replay the record stream through stat-free, timing-free
-// mirrors of the routing paths in system.go. Tags, recency, dirty
-// bits, predictor and directory state and DRAM open rows evolve exactly
-// as a detailed run's would at the structural level; MSHRs,
-// prefetchers, latencies and every Stats counter stay untouched, which
-// is what keeps per-sample counter deltas clean and the warm-up
-// checkpoint payload small.
+// samples replay the record stream through the same component
+// transitions a detailed run makes — cache.Lookup/Fill, tlb.Lookup/Fill,
+// SDCDir.Lookup/AddSharer, LP.PredictAndUpdate, and system.go's own
+// fillL1/fillSDC/writebackToL2/writebackToLLC chain at time 0 — so tags,
+// recency, dirty bits, predictor and directory state evolve by one
+// definition. The counters those transitions bump are frozen across
+// each warming period (freezeCounters), which is what keeps per-sample
+// counter deltas clean and the warm-up checkpoint free of statistics.
 //
-// The mirrors assume the single-core machine the sampler is restricted
-// to (NewSystem panics otherwise): no remote SDCs or private caches
-// exist, so the remote-probe arms of the detailed paths are dead and
-// deliberately not mirrored.
+// What this file holds is only what is different about warming: which
+// levels a warm access probes (reads are served in place, nothing waits
+// on an MSHR, only the next-line prefetchers run), DRAM reads that touch
+// the row instead of reserving a bank and the bus, and the sampling
+// window state machine. Folding that into the detailed walk would put a
+// mode branch at some 25 sites of the per-record path (ROADMAP item 2).
+//
+// The walk assumes the single-core machine the sampler is restricted to
+// (Config.Validate): no remote SDCs or private caches exist, so the
+// remote-probe arms of the detailed paths have no warm counterpart.
 package sim
 
 import (
@@ -44,8 +51,8 @@ func (c *coreCtx) warmObserve(r trace.Record) bool {
 	return c.observeSlow()
 }
 
-// warmTouch mirrors coreCtx.access: translation, LP/expert routing, and
-// the chosen data path, all through the warm methods.
+// warmTouch is the warm counterpart of coreCtx.access: translation,
+// LP/expert routing, and the chosen data path.
 func (c *coreCtx) warmTouch(r trace.Record) {
 	blk := r.Addr.Block()
 	c.tlbs.WarmTranslate(r.Addr.Page(), c.warmWalkFn)
@@ -53,7 +60,7 @@ func (c *coreCtx) warmTouch(r trace.Record) {
 	averse := false
 	switch c.sys.cfg.Routing {
 	case RouteLP, RouteBypass:
-		averse = c.lp.WarmPredictAndUpdate(r.PC, blk)
+		averse = c.lp.PredictAndUpdate(r.PC, blk)
 	case RouteExpert:
 		averse = c.isIrregular(r.Addr)
 	}
@@ -67,44 +74,40 @@ func (c *coreCtx) warmTouch(r trace.Record) {
 	}
 }
 
-// warmBypass mirrors bypassAccess: serve from whatever level holds the
+// warmBypass is bypassAccess: serve from whatever level holds the
 // block, else touch the DRAM row; nothing allocates.
 func (c *coreCtx) warmBypass(blk mem.BlockAddr, addr mem.Addr, size uint8, write bool) {
-	if c.l1d.WarmLookup(blk, addr, size, write) {
-		return
-	}
-	if c.l2.WarmLookup(blk, addr, size, write) {
-		return
-	}
-	if c.sys.llc.WarmLookup(blk, addr, size, write) {
+	if c.l1d.Lookup(blk, addr, size, write, false, 0).Hit ||
+		c.l2.Lookup(blk, addr, size, write, false, 0).Hit ||
+		c.sys.llc.Lookup(blk, addr, size, write, false, 0).Hit {
 		return
 	}
 	c.sys.dram.WarmTouch(blk)
 }
 
-// warmSDC mirrors sdcAccess minus MSHRs and the next-line prefetch.
+// warmSDC is sdcAccess without MSHRs.
 func (c *coreCtx) warmSDC(blk mem.BlockAddr, addr mem.Addr, size uint8, write bool) {
 	s := c.sys
-	if c.sdc.WarmLookup(blk, addr, size, write) {
+	if c.sdc.Lookup(blk, addr, size, write, false, 0).Hit {
 		if write {
-			s.sdcDir.WarmAddSharer(blk, c.id, true)
+			s.sdcDir.AddSharer(blk, c.id, true)
 		}
 		return
 	}
 	// Miss. The directory may still track a copy (e.g. a WOC alias that
 	// could not serve this word mask).
-	if sharers, _, ok := s.sdcDir.WarmLookup(blk); ok && sharers != 0 {
+	if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers != 0 {
 		if write {
 			if present, dirty := c.sdc.Invalidate(blk); present && dirty {
 				s.dram.WarmTouch(blk)
 			}
 			s.sdcDir.InvalidateAll(blk)
 		}
-		c.warmFillSDC(blk, addr, size, write)
+		c.fillSDC(blk, addr, size, write, 0, 0)
 		return
 	}
 	// The hierarchy may hold it: reads are served in place (the detailed
-	// path's pure probes change no state, so there is nothing to mirror);
+	// path's pure probes change no state, so there is nothing to warm);
 	// writes purge every copy and take SDC ownership.
 	if held := c.l1d.Probe(blk) ||
 		(c.victim != nil && c.victim.Probe(blk)) ||
@@ -116,13 +119,13 @@ func (c *coreCtx) warmSDC(blk mem.BlockAddr, addr mem.Addr, size uint8, write bo
 				c.victim.Invalidate(blk)
 			}
 			c.l2.Invalidate(blk)
-			c.warmFillSDC(blk, addr, size, true)
+			c.fillSDC(blk, addr, size, true, 0, 0)
 		}
 		return
 	}
 	// DRAM, bypassing L2 and LLC.
 	s.dram.WarmTouch(blk)
-	c.warmFillSDC(blk, addr, size, write)
+	c.fillSDC(blk, addr, size, write, 0, 0)
 	// Next-line prefetch into the SDC, exactly when the detailed path
 	// issues one (a miss served from DRAM). Skipping prefetchers during
 	// warming would leave the SDC tags systematically short of the
@@ -133,61 +136,48 @@ func (c *coreCtx) warmSDC(blk mem.BlockAddr, addr mem.Addr, size uint8, write bo
 	}
 }
 
-// warmSDCPrefetch mirrors sdcPrefetch's fill conditions without MSHR
+// warmSDCPrefetch applies sdcPrefetch's fill conditions without MSHR
 // occupancy checks (MSHRs are idle while warming).
 func (c *coreCtx) warmSDCPrefetch(blk mem.BlockAddr) {
 	s := c.sys
 	if c.sdc.Probe(blk) {
 		return
 	}
-	if _, _, held := s.sdcDir.WarmLookup(blk); held {
+	if _, _, held := s.sdcDir.Lookup(blk); held {
 		return
 	}
-	if c.anyCacheHolds(blk) {
+	if s.anyCacheHolds(blk) {
 		return
 	}
 	s.dram.WarmTouch(blk)
-	c.warmFillSDC(blk, blk.Addr(), mem.BlockSize, false)
+	c.fillSDC(blk, blk.Addr(), mem.BlockSize, false, 0, 0)
 }
 
-// warmFillSDC mirrors fillSDC: insert, handle the victim's directory
-// exit and dirty row touch, record the sharer.
-func (c *coreCtx) warmFillSDC(blk mem.BlockAddr, addr mem.Addr, size uint8, dirty bool) {
-	s := c.sys
-	v := c.sdc.WarmFill(blk, addr, size, dirty)
-	if v.Valid {
-		s.sdcDir.RemoveSharer(v.Blk, c.id)
-		if v.Dirty {
-			s.dram.WarmTouch(v.Blk)
-		}
-	}
-	s.sdcDir.WarmAddSharer(blk, c.id, dirty)
-}
-
-// warmL1 mirrors l1Access minus MSHRs and prefetchers.
+// warmL1 is l1Access without MSHRs and with the next-line prefetcher
+// only.
 func (c *coreCtx) warmL1(blk mem.BlockAddr, addr mem.Addr, size uint8, write bool) {
 	s := c.sys
-	if c.l1d.WarmLookup(blk, addr, size, write) {
+	if c.l1d.Lookup(blk, addr, size, write, false, 0).Hit {
 		return
 	}
 	if c.victim != nil {
 		if present, dirty := c.victim.ProbeDirty(blk); present {
 			c.victim.Invalidate(blk)
-			c.warmFillL1(blk, addr, size, write || dirty)
+			c.fillL1(blk, addr, size, write || dirty, 0, 0)
 			return
 		}
 	}
 	// SDC transfer: the whole SDC domain gives the block up.
 	if s.sdcDir != nil {
-		if sharers, _, ok := s.sdcDir.WarmLookup(blk); ok && sharers&(1<<c.id) != 0 {
+		if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers&(1<<c.id) != 0 {
 			_, dirty := c.sdc.Invalidate(blk)
 			s.sdcDir.InvalidateAll(blk)
-			c.warmFillL1(blk, addr, size, write || dirty)
+			c.fillL1(blk, addr, size, write || dirty, 0, 0)
 			return
 		}
 	}
 	c.warmL2(blk, addr, size)
-	c.warmFillL1(blk, addr, size, write)
+	c.fillL1(blk, addr, size, write, 0, 0)
 	// Next-line prefetcher on the demand miss, as in l1Access.
 	c.pfBuf = c.l1pf.OnAccess(mem.AccessInfo{Blk: blk, Addr: addr, Core: c.id}, c.pfBuf[:0])
 	for _, cand := range c.pfBuf {
@@ -195,72 +185,39 @@ func (c *coreCtx) warmL1(blk mem.BlockAddr, addr mem.Addr, size uint8, write boo
 	}
 }
 
-// warmL1Prefetch mirrors l1Prefetch minus MSHR occupancy checks.
+// warmL1Prefetch is l1Prefetch without MSHR occupancy checks.
 func (c *coreCtx) warmL1Prefetch(blk mem.BlockAddr) {
 	if c.l1d.Probe(blk) || (c.victim != nil && c.victim.Probe(blk)) {
 		return
 	}
 	c.warmL2(blk, blk.Addr(), mem.BlockSize)
-	c.warmFillL1(blk, blk.Addr(), mem.BlockSize, false)
+	c.fillL1(blk, blk.Addr(), mem.BlockSize, false, 0, 0)
 }
 
-// warmFillL1 mirrors fillL1's victim cascade.
-func (c *coreCtx) warmFillL1(blk mem.BlockAddr, addr mem.Addr, size uint8, write bool) {
-	v := c.l1d.WarmFill(blk, addr, size, write)
-	if !v.Valid {
-		return
-	}
-	if c.victim != nil {
-		vv := c.victim.WarmFill(v.Blk, v.Blk.Addr(), mem.BlockSize, v.Dirty)
-		if vv.Valid && vv.Dirty {
-			c.warmWritebackL2(vv.Blk)
-		}
-		return
-	}
-	if v.Dirty {
-		c.warmWritebackL2(v.Blk)
-	}
-}
-
-// warmWritebackL2 mirrors writebackToL2 (allocate-on-write-back).
-func (c *coreCtx) warmWritebackL2(blk mem.BlockAddr) {
-	v := c.l2.WarmFill(blk, blk.Addr(), mem.BlockSize, true)
-	if v.Valid && v.Dirty {
-		c.warmWritebackLLC(v.Blk)
-	}
-}
-
-// warmWritebackLLC mirrors writebackToLLC.
-func (c *coreCtx) warmWritebackLLC(blk mem.BlockAddr) {
-	v := c.sys.llc.WarmFill(blk, blk.Addr(), mem.BlockSize, true)
-	if v.Valid && v.Dirty {
-		c.sys.dram.WarmTouch(v.Blk)
-	}
-}
-
-// warmL2 mirrors l2Access's demand path (L2 lookups never carry the
-// write bit — stores dirty the L1 and arrive here as write-backs).
+// warmL2 is l2Access's demand path without MSHRs or SPP (L2 lookups
+// never carry the write bit — stores dirty the L1 and arrive here as
+// write-backs).
 func (c *coreCtx) warmL2(blk mem.BlockAddr, addr mem.Addr, size uint8) {
-	if c.l2.WarmLookup(blk, addr, size, false) {
+	if c.l2.Lookup(blk, addr, size, false, false, 0).Hit {
 		return
 	}
 	c.warmLLC(blk, addr, size)
-	v := c.l2.WarmFill(blk, addr, size, false)
+	v := c.l2.Fill(blk, addr, size, false, false, 0)
 	if v.Valid && v.Dirty {
-		c.warmWritebackLLC(v.Blk)
+		c.writebackToLLC(v.Blk, 0, v.Ver)
 	}
 }
 
-// warmLLC mirrors llcAccess: an SDC sharer surrenders the block, then
-// the fill happens from wherever the data came.
+// warmLLC is llcAccess on a one-core machine: an SDC sharer surrenders
+// the block, then the fill happens from wherever the data came.
 func (c *coreCtx) warmLLC(blk mem.BlockAddr, addr mem.Addr, size uint8) {
 	s := c.sys
-	if s.llc.WarmLookup(blk, addr, size, false) {
+	if s.llc.Lookup(blk, addr, size, false, false, 0).Hit {
 		return
 	}
 	fromSDC := false
 	if s.sdcDir != nil {
-		if sharers, _, ok := s.sdcDir.WarmLookup(blk); ok && sharers != 0 {
+		if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers != 0 {
 			if c.sdc != nil {
 				if present, dirty := c.sdc.Invalidate(blk); present && dirty {
 					s.dram.WarmTouch(blk)
@@ -273,10 +230,75 @@ func (c *coreCtx) warmLLC(blk mem.BlockAddr, addr mem.Addr, size uint8) {
 	if !fromSDC {
 		s.dram.WarmTouch(blk)
 	}
-	v := s.llc.WarmFill(blk, addr, size, false)
+	v := s.llc.Fill(blk, addr, size, false, false, 0)
 	if v.Valid && v.Dirty {
 		s.dram.WarmTouch(v.Blk)
 	}
+}
+
+// frozenCounters is freezeCounters' storage. The shared LLC and SDCDir
+// counters ride with the core: the sampler runs one-core machines only.
+type frozenCounters struct {
+	l1d, l2, llc, dtlb, stlb, victim, sdc stats.CacheStats
+	lp, dir                               [3]int64
+}
+
+// freezeCounters saves (restore=false) or writes back (restore=true)
+// every component counter the transitions above bump. enterWarm saves
+// them and leaveWarm writes them back, so a warming period moves tags
+// and recency but no statistic, and a machine restored from a
+// checkpoint — whose counters never ran — equals one that warmed in
+// place. DRAM, MSHR and prefetch counters are not listed: the warm walk
+// never reaches them.
+func (c *coreCtx) freezeCounters(restore bool) {
+	f := &c.frozen
+	hold(restore, &c.l1d.Stats, &f.l1d)
+	hold(restore, &c.l2.Stats, &f.l2)
+	hold(restore, &c.sys.llc.Stats, &f.llc)
+	hold(restore, &c.tlbs.DTLB.Stats, &f.dtlb)
+	hold(restore, &c.tlbs.STLB.Stats, &f.stlb)
+	if c.victim != nil {
+		hold(restore, &c.victim.Stats, &f.victim)
+	}
+	if c.sdc != nil {
+		hold(restore, &c.sdc.Stats, &f.sdc)
+	}
+	if c.lp != nil {
+		hold(restore, &c.lp.PredAverse, &f.lp[0])
+		hold(restore, &c.lp.PredFriendly, &f.lp[1])
+		hold(restore, &c.lp.TableMisses, &f.lp[2])
+	}
+	if d := c.sys.sdcDir; d != nil {
+		hold(restore, &d.Lookups, &f.dir[0])
+		hold(restore, &d.Hits, &f.dir[1])
+		hold(restore, &d.Evictions, &f.dir[2])
+	}
+}
+
+// hold copies live into saved, or back when restore is set.
+func hold[T any](restore bool, live, saved *T) {
+	if restore {
+		*live = *saved
+	} else {
+		*saved = *live
+	}
+}
+
+// enterWarm switches the core to functional warming.
+func (c *coreCtx) enterWarm() {
+	c.warmMode = warmFunctional
+	c.sys.warming = true
+	c.freezeCounters(false)
+}
+
+// leaveWarm hands the record stream back to the detailed path (a no-op
+// for the counters unless a warming period is actually open).
+func (c *coreCtx) leaveWarm() {
+	if c.warmMode == warmFunctional {
+		c.freezeCounters(true)
+	}
+	c.warmMode = warmOff
+	c.sys.warming = false
 }
 
 // beginSample hands the record stream back to the detailed path. With a
@@ -284,8 +306,7 @@ func (c *coreCtx) warmLLC(blk mem.BlockAddr, addr mem.Addr, size uint8) {
 // so MSHR/prefetcher/pipeline transients drain into discarded counters
 // first; without one, measurement starts immediately.
 func (c *coreCtx) beginSample() {
-	c.warmMode = warmOff
-	c.sys.warming = false
+	c.leaveWarm()
 	c.nextSampleStart = noEpoch
 	plan := c.sys.cfg.Sampling.Plan
 	c.nextSampleEnd = c.cpuCore.Instructions + plan.DetailWarm + plan.SampleLen
@@ -309,8 +330,7 @@ func (c *coreCtx) beginSampleMeasure() {
 func (c *coreCtx) endSample() {
 	snap := c.snapshotCounters()
 	c.sampleDeltas = append(c.sampleDeltas, stats.Delta(snap, c.sampleBase))
-	c.warmMode = warmFunctional
-	c.sys.warming = true
+	c.enterWarm()
 	c.nextSampleEnd = noEpoch
 	c.sampleK++
 	c.nextSampleStart = c.baseCounters.Instructions + c.sys.cfg.Sampling.NextStart(c.sampleK)
@@ -347,8 +367,7 @@ func (c *coreCtx) measuredFromSamples() {
 	} else if c.nextSampleEnd != noEpoch {
 		c.endSample()
 	}
-	c.warmMode = warmOff
-	c.sys.warming = false
+	c.leaveWarm()
 	c.nextSampleStart = noEpoch
 	var m stats.CoreStats
 	for i := range c.sampleDeltas {
