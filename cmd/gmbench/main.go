@@ -164,11 +164,13 @@ func readBaseline(path string) (map[string]baselineEntry, []string, error) {
 func writeBaseline(path string, results map[string]*result, order []string) error {
 	var b strings.Builder
 	b.WriteString("# Continuous-benchmark baseline: median ns/op and max allocs/op of the\n")
-	b.WriteString("# pinned microbenchmark subset (internal/cache, internal/dram,\n")
-	b.WriteString("# internal/sim, internal/prefetch, internal/graph) at -count=6.\n")
+	b.WriteString("# pinned microbenchmark subset (internal/cpu, internal/cache,\n")
+	b.WriteString("# internal/tlb, internal/core, internal/dram, internal/sim,\n")
+	b.WriteString("# internal/prefetch, internal/graph) at -count=6.\n")
 	b.WriteString("# Regenerate after intentional perf or hardware changes with:\n")
 	b.WriteString("#   go test -run '^$' -bench . -benchmem -count=6 \\\n")
-	b.WriteString("#       ./internal/cache ./internal/dram ./internal/sim \\\n")
+	b.WriteString("#       ./internal/cpu ./internal/cache ./internal/tlb ./internal/core \\\n")
+	b.WriteString("#       ./internal/dram ./internal/sim \\\n")
 	b.WriteString("#       ./internal/prefetch ./internal/graph > bench.out\n")
 	b.WriteString("#   go run ./cmd/gmbench -in bench.out -baseline ci/bench_baseline.txt -update\n")
 	for _, name := range order {

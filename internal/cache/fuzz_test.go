@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"math"
 	"testing"
 
 	"graphmem/internal/mem"
@@ -157,85 +156,254 @@ func FuzzCacheVsReference(f *testing.F) {
 	})
 }
 
-// FuzzMSHR drives an MSHR file and a naive map-based mirror with the
-// same legal op stream (monotonic time, Complete only while pending)
-// and requires identical allocate-stall times, merge outcomes and
-// occupancy. Len must never exceed Capacity.
+// refMSHR is the register file as it was before the purge bound and the
+// newest-first search: purge, find and Allocate are kept verbatim — an
+// unconditional full scan, an oldest-first search, the earliest-ready
+// victim with oldest-first ties — as the independent model FuzzMSHR
+// compares MSHR against, entry for entry.
+type refMSHR struct {
+	cap     int
+	entries []mshrEntry
+}
+
+func (m *refMSHR) find(blk mem.BlockAddr) int {
+	for i := range m.entries {
+		if m.entries[i].blk == blk {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *refMSHR) remove(i int) {
+	m.entries = append(m.entries[:i], m.entries[i+1:]...)
+}
+
+func (m *refMSHR) purge(now int64) {
+	out := m.entries[:0]
+	for _, e := range m.entries {
+		if e.ready > now {
+			out = append(out, e)
+		}
+	}
+	m.entries = out
+}
+
+func (m *refMSHR) Outstanding(now int64) int {
+	m.purge(now)
+	return len(m.entries)
+}
+
+func (m *refMSHR) InFlight(now int64) int {
+	n := 0
+	for i := range m.entries {
+		if m.entries[i].ready > now {
+			n++
+		}
+	}
+	return n
+}
+
+func (m *refMSHR) Lookup(blk mem.BlockAddr, now int64) (ready int64, inflight bool) {
+	i := m.find(blk)
+	if i < 0 {
+		return 0, false
+	}
+	ready = m.entries[i].ready
+	if ready <= now {
+		m.remove(i)
+		return 0, false
+	}
+	return ready, true
+}
+
+func (m *refMSHR) Allocate(blk mem.BlockAddr, now int64) int64 {
+	m.purge(now)
+	start := now
+	for len(m.entries) >= m.cap {
+		victim, earliest := 0, m.entries[0].ready
+		for i := 1; i < len(m.entries); i++ {
+			if m.entries[i].ready < earliest {
+				earliest = m.entries[i].ready
+				victim = i
+			}
+		}
+		m.remove(victim)
+		if earliest > start {
+			start = earliest
+		}
+	}
+	m.entries = append(m.entries, mshrEntry{blk: blk, ready: 1<<63 - 1})
+	return start
+}
+
+func (m *refMSHR) Complete(blk mem.BlockAddr, ready int64) {
+	if i := m.find(blk); i >= 0 {
+		m.entries[i].ready = ready
+		return
+	}
+	m.entries = append(m.entries, mshrEntry{blk: blk, ready: ready})
+}
+
+func (m *refMSHR) Abandon(blk mem.BlockAddr) {
+	if i := m.find(blk); i >= 0 {
+		m.remove(i)
+	}
+}
+
+// FuzzMSHR drives an MSHR file and refMSHR with the same op stream and
+// requires identical return values and, after every op, an identical
+// entry list in identical order — which pins insertion order, the
+// oldest-first tie-break among equal fill times, and that the purge
+// skip never keeps an entry a full scan would drop. The stream stays
+// inside the simulator's envelope (monotonic time, Allocate only after
+// a Lookup that reported no outstanding miss, Complete on an absent
+// block only while a register is free), under which a block never
+// occupies two registers; that and the minReady bound are asserted too.
+// Each op is two bytes: op | time step<<3, block | fill delay<<3; the
+// coarse delays make fill-time ties common.
 func FuzzMSHR(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x01, 0x45, 0x02, 0x13, 0x24})
 	f.Add([]byte("\x01\x01\x01\x11\x01\x21\x01\x31\x02\x01\x03\x11"))
+	// Three fills due at the same cycle, then a fourth miss: the oldest
+	// of the tied entries is the victim.
+	f.Add([]byte{0x00, 0x28, 0x00, 0x29, 0x00, 0x2a, 0x00, 0x0b, 0x04, 0x00, 0x00, 0x0c})
+	// Fills reported for blocks not held, a round trip, a fill time
+	// rewritten below the purge bound, then time jumps past every fill.
+	f.Add([]byte{0x00, 0x10, 0x06, 0x19, 0x06, 0x1a, 0x07, 0x00, 0x06, 0x08, 0xfc, 0x00, 0xfd, 0x00, 0x00, 0x11})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const capacity = 2
+		const capacity, nblocks = 3, 8
 		m := NewMSHR(capacity)
-		ref := map[mem.BlockAddr]int64{}
-		now, lastReady := int64(0), int64(0)
+		ref := &refMSHR{cap: capacity}
+		now := int64(0)
 		for i := 0; i+1 < len(data); i += 2 {
-			op := data[i] % 4
-			blk := mem.BlockAddr(data[i+1] % 8)
-			now += int64(data[i]>>4) + 1
+			op := data[i] & 7
+			now += int64(data[i] >> 3)
+			blk := mem.BlockAddr(data[i+1] % nblocks)
+			delay := 1 + 4*int64(data[i+1]>>3)
 			switch op {
-			case 0: // allocate + immediate complete, the simulator's pattern
-				// Mirror Allocate: purge expired, then free the earliest
-				// slot(s) while full, stalling to their fill times.
-				for b, r := range ref {
-					if r <= now {
-						delete(ref, b)
-					}
-				}
-				start := now
-				for len(ref) >= capacity {
-					earliest, victim := int64(math.MaxInt64), mem.BlockAddr(0)
-					for b, r := range ref {
-						if r < earliest {
-							earliest, victim = r, b
-						}
-					}
-					delete(ref, victim)
-					if earliest > start {
-						start = earliest
-					}
-				}
-				got := m.Allocate(blk, now)
-				if got != start {
-					t.Fatalf("op %d: Allocate(%d, %d) = %d, reference says %d", i, blk, now, got, start)
-				}
-				// Strictly increasing fill times keep the earliest-victim
-				// choice unambiguous (a ready-time tie would let the model
-				// and the mirror free different blocks, both legally).
-				ready := start + 10 + int64(data[i+1])
-				if ready <= lastReady {
-					ready = lastReady + 1
-				}
-				lastReady = ready
-				m.Complete(blk, ready)
-				ref[blk] = ready
-			case 1: // merge lookup
+			case 0, 1: // lookup; op 0 goes on to allocate and complete on a miss, the simulator's pattern
 				ready, inflight := m.Lookup(blk, now)
-				wantReady, wantIn := ref[blk], false
-				if r, ok := ref[blk]; ok && r > now {
-					wantIn = true
-				} else if ok {
-					delete(ref, blk) // expired entries purge on lookup
-					wantReady = 0
+				wantReady, wantIn := ref.Lookup(blk, now)
+				if inflight != wantIn || ready != wantReady {
+					t.Fatalf("op %d: Lookup(%d, %d) = (%d,%v), reference says (%d,%v)", i, blk, now, ready, inflight, wantReady, wantIn)
 				}
-				if inflight != wantIn || (inflight && ready != wantReady) {
-					t.Fatalf("op %d: Lookup(%d, %d) = (%d,%v), reference says (%d,%v)",
-						i, blk, now, ready, inflight, wantReady, wantIn)
+				if op == 1 || inflight {
+					break
 				}
+				start, want := m.Allocate(blk, now), ref.Allocate(blk, now)
+				if start != want {
+					t.Fatalf("op %d: Allocate(%d, %d) = %d, reference says %d", i, blk, now, start, want)
+				}
+				m.Complete(blk, start+delay)
+				ref.Complete(blk, start+delay)
 			case 2:
 				m.Abandon(blk)
-				delete(ref, blk)
+				ref.Abandon(blk)
 			case 3:
-				if m.Pending(blk) != (func() bool { _, ok := ref[blk]; return ok }()) {
-					t.Fatalf("op %d: Pending(%d) disagrees with reference", i, blk)
+				if got, want := m.Pending(blk), ref.find(blk) >= 0; got != want {
+					t.Fatalf("op %d: Pending(%d) = %v, reference says %v", i, blk, got, want)
+				}
+			case 4:
+				if got, want := m.Outstanding(now), ref.Outstanding(now); got != want {
+					t.Fatalf("op %d: Outstanding(%d) = %d, reference says %d", i, now, got, want)
+				}
+			case 5:
+				if got, want := m.InFlight(now), ref.InFlight(now); got != want {
+					t.Fatalf("op %d: InFlight(%d) = %d, reference says %d", i, now, got, want)
+				}
+			case 6: // a fill time rewritten, or reported for a block no longer held
+				if ref.find(blk) < 0 && len(ref.entries) >= capacity {
+					break
+				}
+				m.Complete(blk, now+delay)
+				ref.Complete(blk, now+delay)
+			case 7: // checkpoint round trip; the run continues on the restored file
+				restored := NewMSHR(capacity)
+				rest, err := restored.decodeState(m.encodeState(nil), "F")
+				if err != nil || len(rest) != 0 {
+					t.Fatalf("op %d: round trip: %d bytes left, err %v", i, len(rest), err)
+				}
+				m = restored
+			}
+			if len(m.entries) > capacity {
+				t.Fatalf("op %d: MSHR holds %d entries, capacity %d", i, len(m.entries), capacity)
+			}
+			if len(m.entries) != len(ref.entries) {
+				t.Fatalf("op %d: entries %v, reference says %v", i, m.entries, ref.entries)
+			}
+			for j, e := range m.entries {
+				if e != ref.entries[j] {
+					t.Fatalf("op %d: entries %v, reference says %v", i, m.entries, ref.entries)
+				}
+				if e.ready < m.minReady {
+					t.Fatalf("op %d: entry %v below the purge bound %d", i, e, m.minReady)
+				}
+				for _, o := range m.entries[:j] {
+					if o.blk == e.blk {
+						t.Fatalf("op %d: block %d occupies two registers: %v", i, e.blk, m.entries)
+					}
 				}
 			}
-			if m.Len() > capacity {
-				t.Fatalf("op %d: MSHR holds %d entries, capacity %d", i, m.Len(), capacity)
+		}
+	})
+}
+
+// mshrPayload encodes entries the way encodeState does.
+func mshrPayload(entries ...mshrEntry) []byte {
+	return (&MSHR{entries: entries}).encodeState(nil)
+}
+
+// TestMSHRDecodeRejectsDuplicateBlock: a checkpoint comes from disk, and
+// one that names a block twice would break the uniqueness the
+// newest-first search relies on. It must be refused, leaving the file
+// empty rather than half restored.
+func TestMSHRDecodeRejectsDuplicateBlock(t *testing.T) {
+	m := NewMSHR(4)
+	if _, err := m.decodeState(mshrPayload(mshrEntry{7, 100}, mshrEntry{9, 120}, mshrEntry{7, 140}), "T"); err == nil {
+		t.Fatal("payload naming block 7 twice was accepted")
+	}
+	if m.Len() != 0 {
+		t.Fatalf("rejected payload left %d entries behind", m.Len())
+	}
+	// The same blocks once each restore, and the first purge after a
+	// restore scans rather than trusting a bound it has not computed.
+	if _, err := m.decodeState(mshrPayload(mshrEntry{7, 100}, mshrEntry{9, 120}), "T"); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Outstanding(110); got != 1 {
+		t.Fatalf("Outstanding(110) after restore = %d, want 1", got)
+	}
+}
+
+// FuzzMSHRDecodeState feeds decodeState arbitrary bytes: it must not
+// panic, and whatever it accepts must fit the file, name no block twice
+// and re-encode to exactly the bytes it consumed.
+func FuzzMSHRDecodeState(f *testing.F) {
+	f.Add(mshrPayload())
+	f.Add(mshrPayload(mshrEntry{1, 10}, mshrEntry{2, 1<<63 - 1}))
+	f.Add(mshrPayload(mshrEntry{7, 100}, mshrEntry{9, 120}, mshrEntry{7, 140}))                             // duplicate block
+	f.Add(mshrPayload(mshrEntry{1, 1}, mshrEntry{2, 2}, mshrEntry{3, 3}, mshrEntry{4, 4}, mshrEntry{5, 5})) // over capacity
+	f.Add(mshrPayload(mshrEntry{1, 10}, mshrEntry{2, 20})[:20])                                             // truncated
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := NewMSHR(4)
+		rest, err := m.decodeState(data, "F")
+		if err != nil {
+			return
+		}
+		if m.Len() > m.Capacity() {
+			t.Fatalf("accepted %d entries into %d registers", m.Len(), m.Capacity())
+		}
+		for j, e := range m.entries {
+			for _, o := range m.entries[:j] {
+				if o.blk == e.blk {
+					t.Fatalf("accepted block %d twice: %v", e.blk, m.entries)
+				}
 			}
-			if m.Len() != len(ref) {
-				t.Fatalf("op %d: MSHR Len %d, reference says %d", i, m.Len(), len(ref))
-			}
+		}
+		if consumed := data[:len(data)-len(rest)]; string(m.encodeState(nil)) != string(consumed) {
+			t.Fatalf("re-encoded %x, consumed %x", m.encodeState(nil), consumed)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package cache
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"graphmem/internal/mem"
 )
@@ -25,9 +26,26 @@ type mshrEntry struct {
 // nothing after construction. Ready-time ties on eviction are broken
 // by insertion order (oldest allocation first), which is deterministic
 // run-to-run.
+//
+// Two invariants keep the scans short:
+//
+//   - minReady is a lower bound on every entry's ready time, so purge
+//     returns without scanning while now < minReady — the common case:
+//     Allocate and Outstanding purge on every call, yet fills expire
+//     tens to hundreds of cycles apart. Complete lowers the bound, a
+//     scanning purge recomputes it exactly, and removals may leave it
+//     stale-low, which costs one scan and never a wrong answer.
+//   - a block occupies at most one register: callers Allocate only
+//     after a Lookup that reported no outstanding miss, Complete
+//     appends only when the block is absent, and decodeState rejects a
+//     payload that names a block twice. find may therefore search
+//     newest-first — the entry Complete and Lookup almost always want —
+//     and return the same index an oldest-first search would. ForEach
+//     lets the invariant checker (internal/check) hold callers to it.
 type MSHR struct {
-	cap     int
-	entries []mshrEntry
+	cap      int
+	entries  []mshrEntry
+	minReady int64
 	// tap, when non-nil, receives allocation/stall telemetry for the
 	// flight recorder; level identifies the owning cache. Both are set
 	// by Cache.SetTap for the measurement window only, so the disabled
@@ -41,7 +59,7 @@ func NewMSHR(capacity int) *MSHR {
 	if capacity <= 0 {
 		panic("cache: MSHR capacity must be positive")
 	}
-	return &MSHR{cap: capacity, entries: make([]mshrEntry, 0, capacity)}
+	return &MSHR{cap: capacity, entries: make([]mshrEntry, 0, capacity), minReady: math.MaxInt64}
 }
 
 // Capacity returns the number of registers.
@@ -73,9 +91,18 @@ func (m *MSHR) InFlight(now int64) int {
 // Allocate guarantees Len never exceeds Capacity.
 func (m *MSHR) Len() int { return len(m.entries) }
 
-// find returns the index of blk's entry, -1 when absent.
+// ForEach calls fn for every allocated entry, oldest first, without
+// mutating state.
+func (m *MSHR) ForEach(fn func(blk mem.BlockAddr, ready int64)) {
+	for _, e := range m.entries {
+		fn(e.blk, e.ready)
+	}
+}
+
+// find returns the index of blk's entry, -1 when absent. It searches
+// newest-first; see the uniqueness invariant on MSHR.
 func (m *MSHR) find(blk mem.BlockAddr) int {
-	for i := range m.entries {
+	for i := len(m.entries) - 1; i >= 0; i-- {
 		if m.entries[i].blk == blk {
 			return i
 		}
@@ -97,13 +124,21 @@ func (m *MSHR) Pending(blk mem.BlockAddr) bool {
 
 // purge drops entries whose fills completed at or before now.
 func (m *MSHR) purge(now int64) {
+	if now < m.minReady {
+		return // every fill is still outstanding
+	}
 	out := m.entries[:0]
+	minReady := int64(math.MaxInt64)
 	for _, e := range m.entries {
 		if e.ready > now {
 			out = append(out, e)
+			if e.ready < minReady {
+				minReady = e.ready
+			}
 		}
 	}
 	m.entries = out
+	m.minReady = minReady
 }
 
 // Outstanding returns the number of in-flight misses at time now.
@@ -156,12 +191,15 @@ func (m *MSHR) Allocate(blk mem.BlockAddr, now int64) int64 {
 	// The entry's ready time is set by Complete once the downstream
 	// latency is known; reserve with a placeholder in the far future so
 	// concurrent allocations see the slot as busy.
-	m.entries = append(m.entries, mshrEntry{blk: blk, ready: 1<<63 - 1})
+	m.entries = append(m.entries, mshrEntry{blk: blk, ready: math.MaxInt64})
 	return start
 }
 
 // Complete records the fill time of a previously allocated miss.
 func (m *MSHR) Complete(blk mem.BlockAddr, ready int64) {
+	if ready < m.minReady {
+		m.minReady = ready
+	}
 	if i := m.find(blk); i >= 0 {
 		m.entries[i].ready = ready
 		return
@@ -201,9 +239,15 @@ func (m *MSHR) decodeState(data []byte, owner string) ([]byte, error) {
 		return nil, fmt.Errorf("cache %s: MSHR checkpoint truncated or over capacity", owner)
 	}
 	m.entries = m.entries[:0]
+	m.minReady = math.MinInt64 // unknown: the next purge scans
 	for i := 0; i < n; i++ {
+		blk := mem.BlockAddr(binary.LittleEndian.Uint64(data))
+		if m.find(blk) >= 0 {
+			m.entries = m.entries[:0]
+			return nil, fmt.Errorf("cache %s: MSHR checkpoint names block %#x twice", owner, uint64(blk))
+		}
 		m.entries = append(m.entries, mshrEntry{
-			blk:   mem.BlockAddr(binary.LittleEndian.Uint64(data)),
+			blk:   blk,
 			ready: int64(binary.LittleEndian.Uint64(data[8:])),
 		})
 		data = data[16:]

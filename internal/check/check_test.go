@@ -117,6 +117,25 @@ func TestCacheInvariantsCleanAndClockRegression(t *testing.T) {
 	}
 }
 
+func TestMSHRDuplicateBlockFlagged(t *testing.T) {
+	k := New(Full)
+	c := cache.New(cache.Config{Name: "T", SizeBytes: 4 << 10, Ways: 4, Latency: 1, MSHRs: 4})
+	m := c.MSHR()
+	m.Complete(1, m.Allocate(1, 0)+50)
+	m.Complete(2, m.Allocate(2, 0)+50)
+	k.CheckCache("T", c)
+	if k.Violations() != 0 {
+		t.Fatalf("healthy MSHR flagged: %v", k.Details())
+	}
+	// Allocating without the Lookup the simulator always does first
+	// puts block 1 in two registers.
+	m.Allocate(1, 10)
+	k.CheckCache("T", c)
+	if k.Violations() == 0 {
+		t.Fatal("block in two MSHRs not flagged")
+	}
+}
+
 func TestSDCDirInvariants(t *testing.T) {
 	k := New(Full)
 	dir := coherence.New(coherence.Config{EntriesPerCore: 16, Ways: 4, Cores: 2, Latency: 1}, nil)

@@ -20,7 +20,8 @@ import (
 //     line distillation);
 //   - every line's recency stamp is bounded by the cache's clock, and
 //     the clock itself never moves backwards between sweeps;
-//   - the MSHR never holds more entries than it has registers.
+//   - the MSHR never holds more entries than it has registers, nor a
+//     block in two of them (its newest-first search relies on that).
 //
 // name must be unique per structure instance (it keys the clock
 // monotonicity state and labels violations).
@@ -55,9 +56,19 @@ func (k *Checker) CheckCache(name string, c *cache.Cache) {
 		k.seen[ln.Blk] = struct{}{}
 	})
 
-	if m := c.MSHR(); m != nil && m.Len() > m.Capacity() {
-		k.Violate(Violation{Kind: "invariant", Core: -1,
-			Msg: fmt.Sprintf("%s: MSHR holds %d entries, capacity %d", name, m.Len(), m.Capacity())})
+	if m := c.MSHR(); m != nil {
+		if m.Len() > m.Capacity() {
+			k.Violate(Violation{Kind: "invariant", Core: -1,
+				Msg: fmt.Sprintf("%s: MSHR holds %d entries, capacity %d", name, m.Len(), m.Capacity())})
+		}
+		clear(k.seen)
+		m.ForEach(func(blk mem.BlockAddr, _ int64) {
+			if _, dup := k.seen[blk]; dup {
+				k.Violate(Violation{Kind: "invariant", Core: -1, Blk: blk,
+					Msg: fmt.Sprintf("%s: block occupies two MSHRs", name)})
+			}
+			k.seen[blk] = struct{}{}
+		})
 	}
 }
 

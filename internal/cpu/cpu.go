@@ -10,6 +10,12 @@
 // blocks retirement and eventually dispatch), dependent loads
 // serializing on each other, and store latency hiding via the store
 // buffer — at simulation speeds high enough to run the full evaluation.
+//
+// The recurrences run once per simulated instruction, so they contain
+// no division: every ring is a power of two indexed with a mask, and
+// the position inside the dispatch group is a wrap-around counter
+// rather than a remainder by Width, so non-power-of-two widths stay
+// exact.
 package cpu
 
 import (
@@ -54,11 +60,13 @@ type Core struct {
 	cfg Config
 	mem MemFunc
 
+	width, rob int64 // cfg.Width, cfg.ROB
+
 	// Ring buffers of per-instruction timestamps, indexed by
-	// instruction sequence modulo their size.
+	// instruction sequence masked to their power-of-two size.
 	dispatch []int64 // dispatch cycle of instruction i
 	retire   []int64 // retirement cycle of instruction i
-	ringSize int64
+	ringMask int64
 
 	// complete times of recent *records* (memory instructions) for
 	// dependency resolution, indexed by record sequence. recPC/recVal/
@@ -69,9 +77,9 @@ type Core struct {
 	recPC       []uint64
 	recVal      []uint64
 	recHasVal   []bool
-	recRing     int64
 
 	seqInstr int64 // instructions dispatched
+	group    int64 // seqInstr mod width: 0 opens a new dispatch group
 	seqRec   int64 // memory records processed
 
 	// Retired counters and latency accumulation.
@@ -99,23 +107,35 @@ type Core struct {
 	stallUntil int64
 }
 
+// recRing is the size of the per-record rings: a dependency further
+// back than this many records is treated as long resolved.
+const recRing = 1 << 16
+
 // New builds a core bound to a memory system.
 func New(cfg Config, memFn MemFunc) *Core {
 	if cfg.Width <= 0 || cfg.ROB <= 0 {
 		panic("cpu: invalid core config")
 	}
-	ring := int64(cfg.ROB + cfg.Width + 1)
+	// Instruction i reads slots i-1, i-Width and i-ROB before writing
+	// its own, so any ring of more than max(ROB, Width) slots yields the
+	// same timestamps; rounding ROB+Width+1 up to a power of two lets
+	// the per-instruction index be a mask instead of a division.
+	ring := int64(1)
+	for ring < int64(cfg.ROB+cfg.Width+1) {
+		ring <<= 1
+	}
 	c := &Core{
 		cfg:         cfg,
 		mem:         memFn,
+		width:       int64(cfg.Width),
+		rob:         int64(cfg.ROB),
 		dispatch:    make([]int64, ring),
 		retire:      make([]int64, ring),
-		ringSize:    ring,
-		recComplete: make([]int64, 1<<16),
-		recPC:       make([]uint64, 1<<16),
-		recVal:      make([]uint64, 1<<16),
-		recHasVal:   make([]bool, 1<<16),
-		recRing:     1 << 16,
+		ringMask:    ring - 1,
+		recComplete: make([]int64, recRing),
+		recPC:       make([]uint64, recRing),
+		recVal:      make([]uint64, recRing),
+		recHasVal:   make([]bool, recRing),
 	}
 	return c
 }
@@ -134,7 +154,7 @@ func (c *Core) DispatchCycle() int64 {
 	if c.seqInstr == 0 {
 		return 0
 	}
-	return c.dispatch[(c.seqInstr-1)%c.ringSize]
+	return c.dispatch[(c.seqInstr-1)&c.ringMask]
 }
 
 // dispatchTime computes the dispatch cycle of the next instruction:
@@ -147,13 +167,13 @@ func (c *Core) dispatchTime() int64 {
 	i := c.seqInstr
 	d := int64(0)
 	if i > 0 {
-		d = c.dispatch[(i-1)%c.ringSize]
-		if i%int64(c.cfg.Width) == 0 {
+		d = c.dispatch[(i-1)&c.ringMask]
+		if c.group == 0 {
 			d++ // new dispatch group
 		}
 	}
-	if i >= int64(c.cfg.ROB) {
-		if r := c.retire[(i-int64(c.cfg.ROB))%c.ringSize]; r > d {
+	if i >= c.rob {
+		if r := c.retire[(i-c.rob)&c.ringMask]; r > d {
 			d = r
 		}
 	}
@@ -185,20 +205,23 @@ func (c *Core) commit(d, comp int64) {
 		r = d + 1
 	}
 	if i > 0 {
-		if prev := c.retire[(i-1)%c.ringSize]; prev > r {
+		if prev := c.retire[(i-1)&c.ringMask]; prev > r {
 			r = prev
 		}
 	}
-	if i >= int64(c.cfg.Width) {
-		if w := c.retire[(i-int64(c.cfg.Width))%c.ringSize] + 1; w > r {
+	if i >= c.width {
+		if w := c.retire[(i-c.width)&c.ringMask] + 1; w > r {
 			r = w
 		}
 	}
 
-	idx := i % c.ringSize
+	idx := i & c.ringMask
 	c.dispatch[idx] = d
 	c.retire[idx] = r
 	c.seqInstr++
+	if c.group++; c.group == c.width {
+		c.group = 0
+	}
 	c.Instructions++
 	c.lastRetire = r
 }
@@ -242,7 +265,7 @@ func (c *Core) Access(r trace.Record) {
 		issued := c.dispatchTime()
 		c.commit(issued, issued+1)
 		c.mem(r.PC, r.Addr, r.Size, true, issued, mem.ValueHint{})
-		idx := recSeq % c.recRing
+		idx := recSeq & (recRing - 1)
 		c.recComplete[idx] = issued + 1
 		c.recHasVal[idx] = false
 		return
@@ -257,8 +280,8 @@ func (c *Core) Access(r trace.Record) {
 	// its (PC, value) pair rides along as a prefetcher hint.
 	if r.DepDist > 0 {
 		depSeq := recSeq - int64(r.DepDist)
-		if depSeq >= 0 && recSeq-depSeq < c.recRing {
-			di := depSeq % c.recRing
+		if depSeq >= 0 && r.DepDist < recRing {
+			di := depSeq & (recRing - 1)
 			if t := c.recComplete[di]; t > issue {
 				issue = t
 			}
@@ -271,7 +294,7 @@ func (c *Core) Access(r trace.Record) {
 	}
 	resp := c.mem(r.PC, r.Addr, r.Size, false, issue, hint)
 	c.commit(d, resp.Ready)
-	idx := recSeq % c.recRing
+	idx := recSeq & (recRing - 1)
 	c.recComplete[idx] = resp.Ready
 	c.recPC[idx] = r.PC
 	c.recVal[idx] = r.Value

@@ -1,8 +1,11 @@
 package cpu
 
 import (
+	"math/rand"
 	"testing"
 
+	"graphmem/internal/graph"
+	"graphmem/internal/kernels"
 	"graphmem/internal/mem"
 	"graphmem/internal/trace"
 )
@@ -277,5 +280,294 @@ func TestValueHintReachesMemory(t *testing.T) {
 	// ring slot.
 	if h := hints[3]; h.DepHasValue {
 		t.Fatalf("store-dependent load's hint = %+v, want no producer value", h)
+	}
+}
+
+// refCore is the core's recurrence as it was written before the rings
+// became powers of two: a ring of exactly ROB+Width+1 slots indexed by
+// sequence number modulo its size, the dispatch group taken from
+// seqInstr % Width, and the record rings indexed modulo 1<<16. It is
+// kept verbatim as the independent model TestCoreMatchesModuloReference
+// compares Core against.
+type refCore struct {
+	cfg Config
+	mem MemFunc
+
+	dispatch []int64
+	retire   []int64
+	ringSize int64
+
+	recComplete []int64
+	recPC       []uint64
+	recVal      []uint64
+	recHasVal   []bool
+	recRing     int64
+
+	seqInstr int64
+	seqRec   int64
+
+	Instructions int64
+	MemOps       int64
+	Loads        int64
+	Stores       int64
+	LoadLatency  int64
+	BranchMisses int64
+
+	lastRetire int64
+	stallUntil int64
+}
+
+func newRefCore(cfg Config, memFn MemFunc) *refCore {
+	ring := int64(cfg.ROB + cfg.Width + 1)
+	return &refCore{
+		cfg:         cfg,
+		mem:         memFn,
+		dispatch:    make([]int64, ring),
+		retire:      make([]int64, ring),
+		ringSize:    ring,
+		recComplete: make([]int64, 1<<16),
+		recPC:       make([]uint64, 1<<16),
+		recVal:      make([]uint64, 1<<16),
+		recHasVal:   make([]bool, 1<<16),
+		recRing:     1 << 16,
+	}
+}
+
+func (c *refCore) Cycle() int64 { return c.lastRetire }
+
+func (c *refCore) DispatchCycle() int64 {
+	if c.seqInstr == 0 {
+		return 0
+	}
+	return c.dispatch[(c.seqInstr-1)%c.ringSize]
+}
+
+func (c *refCore) dispatchTime() int64 {
+	i := c.seqInstr
+	d := int64(0)
+	if i > 0 {
+		d = c.dispatch[(i-1)%c.ringSize]
+		if i%int64(c.cfg.Width) == 0 {
+			d++ // new dispatch group
+		}
+	}
+	if i >= int64(c.cfg.ROB) {
+		if r := c.retire[(i-int64(c.cfg.ROB))%c.ringSize]; r > d {
+			d = r
+		}
+	}
+	if d < c.stallUntil {
+		d = c.stallUntil
+	}
+	return d
+}
+
+func (c *refCore) Stall(cycle int64) {
+	if cycle > c.stallUntil {
+		c.stallUntil = cycle
+	}
+}
+
+func (c *refCore) commit(d, comp int64) {
+	i := c.seqInstr
+	r := comp
+	if r < d+1 {
+		r = d + 1
+	}
+	if i > 0 {
+		if prev := c.retire[(i-1)%c.ringSize]; prev > r {
+			r = prev
+		}
+	}
+	if i >= int64(c.cfg.Width) {
+		if w := c.retire[(i-int64(c.cfg.Width))%c.ringSize] + 1; w > r {
+			r = w
+		}
+	}
+
+	idx := i % c.ringSize
+	c.dispatch[idx] = d
+	c.retire[idx] = r
+	c.seqInstr++
+	c.Instructions++
+	c.lastRetire = r
+}
+
+func (c *refCore) Access(r trace.Record) {
+	if c.cfg.BranchMissPenalty > 0 {
+		h := (r.PC ^ uint64(c.seqRec)*0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9
+		if h>>59 == 0 {
+			c.BranchMisses++
+			c.Stall(c.dispatchTime() + c.cfg.BranchMissPenalty)
+		}
+	}
+
+	for k := uint16(0); k < r.NonMem; k++ {
+		d := c.dispatchTime()
+		c.commit(d, d+c.cfg.ExecLatency)
+	}
+
+	recSeq := c.seqRec
+	c.seqRec++
+	c.MemOps++
+
+	if r.Write {
+		c.Stores++
+		issued := c.dispatchTime()
+		c.commit(issued, issued+1)
+		c.mem(r.PC, r.Addr, r.Size, true, issued, mem.ValueHint{})
+		idx := recSeq % c.recRing
+		c.recComplete[idx] = issued + 1
+		c.recHasVal[idx] = false
+		return
+	}
+
+	c.Loads++
+	d := c.dispatchTime()
+	issue := d
+	hint := mem.ValueHint{Value: r.Value, HasValue: r.HasValue}
+	if r.DepDist > 0 {
+		depSeq := recSeq - int64(r.DepDist)
+		if depSeq >= 0 && recSeq-depSeq < c.recRing {
+			di := depSeq % c.recRing
+			if t := c.recComplete[di]; t > issue {
+				issue = t
+			}
+			if c.recHasVal[di] {
+				hint.DepPC = c.recPC[di]
+				hint.DepValue = c.recVal[di]
+				hint.DepHasValue = true
+			}
+		}
+	}
+	resp := c.mem(r.PC, r.Addr, r.Size, false, issue, hint)
+	c.commit(d, resp.Ready)
+	idx := recSeq % c.recRing
+	c.recComplete[idx] = resp.Ready
+	c.recPC[idx] = r.PC
+	c.recVal[idx] = r.Value
+	c.recHasVal[idx] = r.HasValue
+	c.LoadLatency += resp.Ready - issue
+}
+
+// memCall is one request as the memory system saw it.
+type memCall struct {
+	write bool
+	issue int64
+	hint  mem.ValueHint
+}
+
+// hashMem returns a MemFunc whose latency is a hash of (addr, issue) —
+// mostly a few cycles, sometimes hundreds, so the ROB fills and drains —
+// and which logs every call.
+func hashMem(log *[]memCall) MemFunc {
+	return func(pc uint64, addr mem.Addr, size uint8, write bool, issue int64, hint mem.ValueHint) mem.Response {
+		*log = append(*log, memCall{write, issue, hint})
+		h := (uint64(addr)*0x9E3779B97F4A7C15 ^ uint64(issue)) * 0xBF58476D1CE4E5B9
+		lat := int64(1 + h>>60)
+		if h>>56&0xF == 0 {
+			lat += int64(h >> 54 & 0x3FF)
+		}
+		return mem.Response{Ready: issue + lat, Source: mem.ServedL1D}
+	}
+}
+
+// TestCoreMatchesModuloReference replays seeded random record streams
+// into Core and into refCore and requires, after every record, equal
+// clocks, equal counters and an equal (issue, hint) sequence at the
+// memory system. The stream is longer than the 1<<16 record ring so
+// dependencies both inside and beyond it occur at every ring position.
+func TestCoreMatchesModuloReference(t *testing.T) {
+	records := 70_000
+	if testing.Short() {
+		records = 8_000
+	}
+	for _, width := range []int{1, 3, 4, 6} {
+		for _, rob := range []int{1, 7, 224, 256} {
+			for _, penalty := range []int64{0, 12} {
+				cfg := Config{Width: width, ROB: rob, ExecLatency: 1, BranchMissPenalty: penalty}
+				rng := rand.New(rand.NewSource(int64(width)<<20 | int64(rob)<<4 | penalty))
+				var gotLog, wantLog []memCall
+				got := New(cfg, hashMem(&gotLog))
+				want := newRefCore(cfg, hashMem(&wantLog))
+				for n := 0; n < records; n++ {
+					rec := trace.Record{
+						PC:   0x400000 + uint64(rng.Intn(16))*8,
+						Addr: mem.Addr(rng.Intn(1<<14) * 8),
+						Size: 8,
+					}
+					switch rng.Intn(4) {
+					case 0:
+						rec.NonMem = uint16(rng.Intn(41))
+					case 1, 2:
+						rec.NonMem = uint16(rng.Intn(4))
+					}
+					if rng.Intn(5) == 0 {
+						rec.Write = true
+					} else {
+						switch rng.Intn(4) {
+						case 0:
+							rec.DepDist = int32(1 + rng.Intn(4))
+						case 1:
+							rec.DepDist = int32(1 + rng.Intn(80_000))
+						}
+						if rng.Intn(3) == 0 {
+							rec.Value, rec.HasValue = rng.Uint64(), true
+						}
+					}
+					if rng.Intn(64) == 0 {
+						floor := want.DispatchCycle() + int64(rng.Intn(300)) - 50
+						got.Stall(floor)
+						want.Stall(floor)
+					}
+					got.Access(rec)
+					want.Access(rec)
+
+					if got.group != got.seqInstr%int64(width) {
+						t.Fatalf("%+v record %d: group counter %d, seqInstr %d", cfg, n, got.group, got.seqInstr)
+					}
+					if got.Cycle() != want.Cycle() || got.DispatchCycle() != want.DispatchCycle() {
+						t.Fatalf("%+v record %d: cycle/dispatch = %d/%d, reference %d/%d",
+							cfg, n, got.Cycle(), got.DispatchCycle(), want.Cycle(), want.DispatchCycle())
+					}
+					gotC := [6]int64{got.Instructions, got.MemOps, got.Loads, got.Stores, got.LoadLatency, got.BranchMisses}
+					wantC := [6]int64{want.Instructions, want.MemOps, want.Loads, want.Stores, want.LoadLatency, want.BranchMisses}
+					if gotC != wantC {
+						t.Fatalf("%+v record %d: counters %v, reference %v", cfg, n, gotC, wantC)
+					}
+					if len(gotLog) != 1 || len(wantLog) != 1 || gotLog[0] != wantLog[0] {
+						t.Fatalf("%+v record %d: memory saw %+v, reference %+v", cfg, n, gotLog, wantLog)
+					}
+					gotLog, wantLog = gotLog[:0], wantLog[:0]
+				}
+				if penalty > 0 && got.BranchMisses == 0 {
+					t.Fatalf("%+v: no branch miss injected in %d records", cfg, records)
+				}
+			}
+		}
+	}
+}
+
+// prKronRecords captures the head of the pr.kron record stream once.
+var prKronRecords []trace.Record
+
+// BenchmarkCoreAccess replays recorded pr.kron records into the core
+// over a constant-latency memory: the cost of the instruction
+// recurrences alone, the same probe the benchmark module reports as
+// cpu.access_ns_per_record.
+func BenchmarkCoreAccess(b *testing.B) {
+	if prKronRecords == nil {
+		sink := &trace.SliceSink{Limit: 1 << 18}
+		kernels.Registry()["pr"](graph.Kron(16, 8, 42), mem.NewSpace(0)).Run(trace.New(sink))
+		prKronRecords = sink.Recs
+	}
+	recs := prKronRecords
+	c := New(DefaultConfig(), func(pc uint64, addr mem.Addr, size uint8, write bool, issue int64, hint mem.ValueHint) mem.Response {
+		return mem.Response{Ready: issue + 4, Source: mem.ServedL1D}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Access(recs[i%len(recs)])
 	}
 }
