@@ -20,10 +20,9 @@
 // benchmarks absent from the baseline are reported but do not fail;
 // commit them with -update.
 //
-// -json writes a BENCH_5.json artifact with the same top-level schema
-// as the bench-parallel job's BENCH_2.json — here j1_ms is the summed
-// baseline medians, jn_ms the summed current medians, and speedup their
-// ratio — plus a per-benchmark breakdown.
+// -json writes a BENCH_5.json artifact: j1_ms is the summed baseline
+// medians, jn_ms the summed current medians, and speedup their ratio,
+// plus a per-benchmark breakdown.
 package main
 
 import (
@@ -180,8 +179,8 @@ func writeBaseline(path string, results map[string]*result, order []string) erro
 	return os.WriteFile(path, []byte(b.String()), 0o644)
 }
 
-// benchJSON mirrors the bench-parallel job's BENCH_2.json top-level
-// schema so the perf-trajectory artifacts stay uniformly consumable.
+// benchJSON is the BENCH_5.json schema (the field names date from the
+// retired -j 1 vs -j nproc artifact it once mirrored).
 type benchJSON struct {
 	Bench      string      `json:"bench"`
 	Profile    string      `json:"profile"`

@@ -27,11 +27,8 @@ import (
 )
 
 func main() {
-	// "latency" (the flight-recorder breakdown) and "prefetch" (the
-	// prefetcher head-to-head) are opt-in: they re-run workloads under
-	// non-default machine settings, so 'all' excludes them to keep the
-	// default sweep identical to earlier releases.
-	exp := flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(graphmem.ExperimentIDs, ",")+",latency,prefetch) or 'all'")
+	exp := flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(graphmem.ExperimentIDs, ",")+
+		"; by name only: "+strings.Join(graphmem.OptInExperimentIDs, ",")+") or 'all'")
 	kernelsFlag := flag.String("kernels", "", "restrict to these kernels (comma separated)")
 	graphsFlag := flag.String("graphs", "", "restrict to these graphs (comma separated)")
 	mixes := flag.Int("mixes", 0, "override the number of fig14 mixes")

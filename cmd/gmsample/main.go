@@ -192,7 +192,7 @@ func main() {
 		sampledCfg := base.WithSampling(c.Plan.Period, c.Plan.SampleLen, c.Plan.Offset).
 			WithSampleWarm(c.Plan.DetailWarm)
 		if store != nil {
-			sampledCfg = sampledCfg.WithCheckpointStore(store)
+			sampledCfg = sampledCfg.WithCheckpointStore(store, profile.Name)
 		}
 		t0 = time.Now()
 		sampled := graphmem.RunSingleCore(sampledCfg, wb.Workload(id, 0))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -350,13 +351,8 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = graphmem.ExperimentIDs
 	}
-	known := make(map[string]bool, len(graphmem.ExperimentIDs)+1)
-	for _, id := range graphmem.ExperimentIDs {
-		known[id] = true
-	}
-	known["latency"] = true
 	for _, id := range ids {
-		if !known[id] {
+		if !slices.Contains(graphmem.ExperimentIDs, id) && !slices.Contains(graphmem.OptInExperimentIDs, id) {
 			httpError(w, http.StatusBadRequest, "unknown experiment %q", id)
 			return
 		}

@@ -244,7 +244,8 @@ func TestServiceSecondRequestCached(t *testing.T) {
 func TestServiceSweepMatchesLocalHarness(t *testing.T) {
 	s := newTestService(t, t.TempDir())
 	st := s.post(t, "/api/sweep", sweepRequest{
-		RunOptions: fastOptions(), Experiments: []string{"fig10"},
+		// "prefetch" is opt-in: 'all' leaves it out, but a sweep may name it.
+		RunOptions: fastOptions(), Experiments: []string{"fig10", "prefetch"},
 		Kernels: "triad", Graphs: "reg",
 	})
 	events := s.follow(t, st.ID, false)
@@ -255,7 +256,7 @@ func TestServiceSweepMatchesLocalHarness(t *testing.T) {
 	if code := s.getJSON(t, "/api/jobs/"+st.ID+"/result", &res); code != http.StatusOK {
 		t.Fatalf("sweep result: status %d", code)
 	}
-	if len(res.Tables) != 1 || res.Tables[0].ID != "fig10" {
+	if len(res.Tables) != 2 || res.Tables[0].ID != "fig10" || res.Tables[1].ID != "prefetch" {
 		t.Fatalf("sweep returned %+v", res.Tables)
 	}
 
@@ -269,15 +270,17 @@ func TestServiceSweepMatchesLocalHarness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := wb.Experiment("fig10", subset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	table.Render(&buf)
-	if res.Tables[0].Text != buf.String() {
-		t.Errorf("service table differs from local harness:\n--- service ---\n%s\n--- local ---\n%s",
-			res.Tables[0].Text, buf.String())
+	for _, got := range res.Tables {
+		table, err := wb.Experiment(got.ID, subset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		table.Render(&buf)
+		if got.Text != buf.String() {
+			t.Errorf("service %s table differs from local harness:\n--- service ---\n%s\n--- local ---\n%s",
+				got.ID, got.Text, buf.String())
+		}
 	}
 }
 
@@ -338,6 +341,7 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 		{"/api/run", `{"profile":"bench","kernel":"triad","graph":"reg","config":"warp-drive"}`},
 		{"/api/sweep", `{"profile":"bench","experiments":[]}`},
 		{"/api/sweep", `{"profile":"bench","experiments":["fig99"]}`},
+		{"/api/sweep", `{"profile":"bench","experiments":["prefetch","fig99"]}`},
 		{"/api/sweep", `not json`},
 		// Hardening: unknown fields (a run option that is a flag, not a
 		// body field), trailing data, and oversized bodies are refused.

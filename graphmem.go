@@ -141,9 +141,9 @@ func ParseSamplePlan(s string) (SamplePlan, error) { return sample.ParsePlan(s) 
 // store rooted at dir.
 func NewCheckpointStore(dir string) (*CheckpointStore, error) { return sample.NewStore(dir) }
 
-// SampleStateVersion is the µarch checkpoint payload version; it keys
-// both the file header and the store lookup, so bumping it invalidates
-// every stored warm-up (use it in CI cache keys).
+// SampleStateVersion is the µarch checkpoint payload version, written
+// in every file's header: bumping it turns every stored warm-up into a
+// miss the re-warm overwrites (use it in CI cache keys).
 const SampleStateVersion = sample.StateVersion
 
 // ResultStateVersion is the simulator behaviour version keying the
@@ -166,6 +166,10 @@ func ParseStoreSize(s string) (int64, error) { return store.ParseSize(s) }
 // ExperimentIDs lists every experiment id 'all' expands to, in report
 // order.
 var ExperimentIDs = harness.ExperimentIDs
+
+// OptInExperimentIDs lists the experiments 'all' leaves out and a
+// caller must name ("latency", "prefetch").
+var OptInExperimentIDs = harness.OptInExperimentIDs
 
 // SubsetWorkloads builds a workload filter from comma-separated kernel
 // and graph lists; nil means all workloads.

@@ -141,8 +141,54 @@ func (c *Cache) Config() Config { return c.cfg }
 // Latency returns the lookup latency in cycles.
 func (c *Cache) Latency() int64 { return c.cfg.Latency }
 
-// MSHR exposes the miss-status holding registers (nil when unlimited).
+// MSHR exposes the miss-status holding registers (nil when unlimited)
+// to occupancy sampling, invariant checks and tests; the hierarchy walk
+// goes through MissBegin, MissEnd and PrefetchBegin.
 func (c *Cache) MSHR() *MSHR { return c.mshr }
+
+// MissBegin, MissEnd and PrefetchBegin are the one statement of the
+// MSHR protocol every level of the hierarchy walk follows; a cache
+// without MSHRs passes straight through all three.
+//
+// MissBegin opens a demand miss on blk at time t (the lookup latency
+// already charged). A miss already outstanding absorbs the access:
+// merged is true, the merge is counted, and at is when that fill lands
+// (after t: Lookup reports only fills still outstanding). Otherwise a register is reserved and at is when the
+// miss can go downstream — later than t when every register is busy —
+// and the caller owes a MissEnd once it knows the fill time.
+func (c *Cache) MissBegin(blk mem.BlockAddr, t int64) (at int64, merged bool) {
+	if c.mshr == nil {
+		return t, false
+	}
+	if ready, inflight := c.mshr.Lookup(blk, t); inflight {
+		c.Stats.MergedMSHR++
+		return ready, true
+	}
+	return c.mshr.Allocate(blk, t), false
+}
+
+// MissEnd records the fill time of the miss MissBegin or PrefetchBegin
+// reserved a register for.
+func (c *Cache) MissEnd(blk mem.BlockAddr, ready int64) {
+	if c.mshr != nil {
+		c.mshr.Complete(blk, ready)
+	}
+}
+
+// PrefetchBegin admits a prefetch of blk at time now: refused when the
+// block is already in flight or no register is free (a prefetch never
+// stalls), otherwise a register is reserved and the caller owes a
+// MissEnd.
+func (c *Cache) PrefetchBegin(blk mem.BlockAddr, now int64) bool {
+	if c.mshr == nil {
+		return true
+	}
+	if _, inflight := c.mshr.Lookup(blk, now); inflight || c.mshr.Outstanding(now) >= c.mshr.cap {
+		return false
+	}
+	c.mshr.Allocate(blk, now)
+	return true
+}
 
 func (c *Cache) setIndex(blk mem.BlockAddr) int {
 	return int(uint64(blk) & c.setMask)

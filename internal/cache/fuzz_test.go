@@ -251,17 +251,44 @@ func (m *refMSHR) Abandon(blk mem.BlockAddr) {
 	}
 }
 
-// FuzzMSHR drives an MSHR file and refMSHR with the same op stream and
-// requires identical return values and, after every op, an identical
-// entry list in identical order — which pins insertion order, the
-// oldest-first tie-break among equal fill times, and that the purge
-// skip never keeps an entry a full scan would drop. The stream stays
-// inside the simulator's envelope (monotonic time, Allocate only after
-// a Lookup that reported no outstanding miss, Complete on an absent
-// block only while a register is free), under which a block never
-// occupies two registers; that and the minReady bound are asserted too.
-// Each op is two bytes: op | time step<<3, block | fill delay<<3; the
-// coarse delays make fill-time ties common.
+// missBegin and prefetchBegin are the raw register-file sequences every
+// level of the hierarchy walk used to spell out, kept here as the
+// reference for Cache.MissBegin and Cache.PrefetchBegin.
+func (m *refMSHR) missBegin(blk mem.BlockAddr, t int64) (at int64, merged bool) {
+	if ready, inflight := m.Lookup(blk, t); inflight {
+		return ready, true
+	}
+	return m.Allocate(blk, t), false
+}
+
+func (m *refMSHR) prefetchBegin(blk mem.BlockAddr, now int64) bool {
+	if _, inflight := m.Lookup(blk, now); inflight {
+		return false
+	}
+	if m.Outstanding(now) >= m.cap {
+		return false
+	}
+	m.Allocate(blk, now)
+	return true
+}
+
+// FuzzMSHR drives a cache's MSHR file and refMSHR with the same op
+// stream — through the raw register-file methods and through the three
+// Cache methods the hierarchy walk calls (MissBegin, MissEnd,
+// PrefetchBegin) — and requires identical return values and, after
+// every op, an identical entry list in identical order — which pins
+// insertion order, the oldest-first tie-break among equal fill times,
+// and that the purge skip never keeps an entry a full scan would drop.
+// For the Cache methods that covers the merge (its count and its
+// after-t time), the stall when every register is busy and a
+// prefetch's refusal when the block is in flight or no register is
+// free; a cache without MSHRs must pass every call straight through.
+// The stream stays inside the simulator's envelope (monotonic time,
+// Allocate only after a Lookup that reported no outstanding miss,
+// Complete on an absent block only while a register is free), under
+// which a block never occupies two registers; that and the minReady
+// bound are asserted too. Each op is two bytes: op | time step<<3,
+// block | fill delay<<3; the coarse delays make fill-time ties common.
 func FuzzMSHR(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x01, 0x45, 0x02, 0x13, 0x24})
 	f.Add([]byte("\x01\x01\x01\x11\x01\x21\x01\x31\x02\x01\x03\x11"))
@@ -271,18 +298,42 @@ func FuzzMSHR(f *testing.F) {
 	// Fills reported for blocks not held, a round trip, a fill time
 	// rewritten below the purge bound, then time jumps past every fill.
 	f.Add([]byte{0x00, 0x10, 0x06, 0x19, 0x06, 0x1a, 0x07, 0x00, 0x06, 0x08, 0xfc, 0x00, 0xfd, 0x00, 0x00, 0x11})
+	// A miss, a second access to the block one cycle on (merge), then a
+	// raw miss and two more through MissBegin: the last one stalls.
+	f.Add([]byte{0x00, 0x48, 0x08, 0x48, 0x05, 0x49, 0x00, 0x4a, 0x00, 0x4b})
+	// Prefetch admission: admitted, refused in flight, admitted twice
+	// more, refused with every register busy, admitted once fills land.
+	f.Add([]byte{0x03, 0x20, 0x0b, 0x20, 0x03, 0x21, 0x03, 0x22, 0x03, 0x23, 0xfb, 0x23})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const capacity, nblocks = 3, 8
-		m := NewMSHR(capacity)
+		c := New(Config{Name: "F", SizeBytes: 2 * mem.BlockSize, Ways: 2, MSHRs: capacity})
+		bare := New(Config{Name: "B", SizeBytes: 2 * mem.BlockSize, Ways: 2})
+		m := c.MSHR()
 		ref := &refMSHR{cap: capacity}
-		now := int64(0)
+		now, merges := int64(0), int64(0)
 		for i := 0; i+1 < len(data); i += 2 {
 			op := data[i] & 7
 			now += int64(data[i] >> 3)
 			blk := mem.BlockAddr(data[i+1] % nblocks)
 			delay := 1 + 4*int64(data[i+1]>>3)
 			switch op {
-			case 0, 1: // lookup; op 0 goes on to allocate and complete on a miss, the simulator's pattern
+			case 0: // demand miss, as the walk issues it
+				at, merged := c.MissBegin(blk, now)
+				wantAt, wantMerged := ref.missBegin(blk, now)
+				if at != wantAt || merged != wantMerged || at < now {
+					t.Fatalf("op %d: MissBegin(%d, %d) = (%d,%v), raw sequence says (%d,%v)", i, blk, now, at, merged, wantAt, wantMerged)
+				}
+				if at, merged := bare.MissBegin(blk, now); at != now || merged {
+					t.Fatalf("op %d: MSHR-less MissBegin(%d, %d) = (%d,%v), want pass-through", i, blk, now, at, merged)
+				}
+				if merged {
+					merges++
+					break
+				}
+				c.MissEnd(blk, at+delay)
+				ref.Complete(blk, at+delay)
+				bare.MissEnd(blk, at+delay)
+			case 1, 5: // raw lookup; op 5 goes on to allocate and complete on a miss
 				ready, inflight := m.Lookup(blk, now)
 				wantReady, wantIn := ref.Lookup(blk, now)
 				if inflight != wantIn || ready != wantReady {
@@ -300,17 +351,21 @@ func FuzzMSHR(f *testing.F) {
 			case 2:
 				m.Abandon(blk)
 				ref.Abandon(blk)
-			case 3:
-				if got, want := m.Pending(blk), ref.find(blk) >= 0; got != want {
-					t.Fatalf("op %d: Pending(%d) = %v, reference says %v", i, blk, got, want)
+			case 3: // prefetch admission: never stalls, never doubles a block
+				got, want := c.PrefetchBegin(blk, now), ref.prefetchBegin(blk, now)
+				if got != want {
+					t.Fatalf("op %d: PrefetchBegin(%d, %d) = %v, raw sequence says %v (entries %v)", i, blk, now, got, want, ref.entries)
+				}
+				if !bare.PrefetchBegin(blk, now) {
+					t.Fatalf("op %d: MSHR-less PrefetchBegin refused", i)
+				}
+				if got {
+					c.MissEnd(blk, now+delay)
+					ref.Complete(blk, now+delay)
 				}
 			case 4:
 				if got, want := m.Outstanding(now), ref.Outstanding(now); got != want {
 					t.Fatalf("op %d: Outstanding(%d) = %d, reference says %d", i, now, got, want)
-				}
-			case 5:
-				if got, want := m.InFlight(now), ref.InFlight(now); got != want {
-					t.Fatalf("op %d: InFlight(%d) = %d, reference says %d", i, now, got, want)
 				}
 			case 6: // a fill time rewritten, or reported for a block no longer held
 				if ref.find(blk) < 0 && len(ref.entries) >= capacity {
@@ -324,7 +379,16 @@ func FuzzMSHR(f *testing.F) {
 				if err != nil || len(rest) != 0 {
 					t.Fatalf("op %d: round trip: %d bytes left, err %v", i, len(rest), err)
 				}
-				m = restored
+				c.mshr, m = restored, restored
+			}
+			if got, want := m.Pending(blk), ref.find(blk) >= 0; got != want {
+				t.Fatalf("op %d: Pending(%d) = %v, reference says %v", i, blk, got, want)
+			}
+			if got, want := m.InFlight(now), ref.InFlight(now); got != want {
+				t.Fatalf("op %d: InFlight(%d) = %d, reference says %d", i, now, got, want)
+			}
+			if c.Stats.MergedMSHR != merges || bare.Stats.MergedMSHR != 0 {
+				t.Fatalf("op %d: %d merges counted (%d without MSHRs), want %d (0)", i, c.Stats.MergedMSHR, bare.Stats.MergedMSHR, merges)
 			}
 			if len(m.entries) > capacity {
 				t.Fatalf("op %d: MSHR holds %d entries, capacity %d", i, len(m.entries), capacity)

@@ -13,18 +13,22 @@ import (
 // configs) the tools used to duplicate.
 
 // ExperimentIDs lists every experiment 'all' expands to, in report
-// order. "latency" (the flight-recorder breakdown) and "prefetch" (the
-// prefetcher head-to-head) are opt-in: they re-run workloads under
-// non-default machine settings, so 'all' excludes them to keep the
-// default sweep identical to earlier releases.
+// order.
 var ExperimentIDs = []string{
 	"tab1", "tab2", "tab3", "tab4",
 	"fig2", "fig3", "fig7", "fig8", "fig9",
 	"fig10", "fig11", "fig12", "tau", "fig13", "fig14", "energy",
 }
 
-// Experiment runs one experiment by id (a member of ExperimentIDs,
-// "latency", or "prefetch") on the workbench and returns its renderable
+// OptInExperimentIDs lists the experiments served by name only:
+// "latency" (the flight-recorder breakdown) and "prefetch" (the
+// prefetcher head-to-head) re-run workloads under non-default machine
+// settings, so 'all' excludes them to keep the default sweep identical
+// to earlier releases.
+var OptInExperimentIDs = []string{"latency", "prefetch"}
+
+// Experiment runs one experiment by id (a member of ExperimentIDs or
+// OptInExperimentIDs) on the workbench and returns its renderable
 // table. A nil subset means all 36 workloads (nil picks the prefetch
 // experiment's own default subset).
 func (wb *Workbench) Experiment(id string, subset []WorkloadID) (*Table, error) {

@@ -64,9 +64,14 @@ func (wb *Workbench) Fig3(id WorkloadID) *Fig3Result {
 	return wb.fig3Live(id, cfg)
 }
 
-// fig3Live executes the profiling run.
+// fig3Live executes the profiling run inside a worker-pool slot, like
+// every other simulation (-j bounds it too). It reports to the progress
+// reporter but not to Metrics' run counters, which count simulation
+// points.
 func (wb *Workbench) fig3Live(id WorkloadID, cfg sim.Config) *Fig3Result {
 	wb.Reporter.Plan(1)
+	wb.acquire()
+	defer wb.release()
 	w := wb.Workload(id, 0)
 	sys := sim.NewSystem(cfg, []sim.Workload{w})
 	prof := trace.NewStrideDRAMProfiler()

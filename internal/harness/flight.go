@@ -74,13 +74,6 @@ func (f *flight[V]) has(key string) bool {
 	return done || running
 }
 
-// forget drops key's memoized value.
-func (f *flight[V]) forget(key string) {
-	f.mu.Lock()
-	delete(f.vals, key)
-	f.mu.Unlock()
-}
-
 // keys lists the memoized keys in sorted order.
 func (f *flight[V]) keys() []string {
 	f.mu.Lock()

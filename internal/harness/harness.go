@@ -166,8 +166,8 @@ type Workbench struct {
 	// deterministic — only scheduling is concurrent — so experiment
 	// output is byte-identical at any setting. Set it before the first
 	// run; cmd/gmreport and cmd/gmsim expose it as -j. Peak memory
-	// grows with the number of concurrently live graphs: use -j 1 (or
-	// DropGraph between experiments) when memory-bound.
+	// grows with the number of concurrently live graphs: use -j 1 when
+	// memory-bound.
 	Parallelism int
 	// Metrics, when set, receives run lifecycle events (started,
 	// finished with IPC and recorder snapshot, cached) for the live
@@ -203,9 +203,10 @@ type Workbench struct {
 	// -sample.
 	Sampling sample.Plan
 	// Checkpoints, when set alongside Sampling, is the warm-up
-	// checkpoint store: sampled runs sharing a (workload,
-	// warm-relevant-config) pair replay one functional warm-up and
-	// restore the rest from disk. Wall-clock only — restored runs are
+	// checkpoint store: sampled runs of this profile sharing a workload
+	// and everything the warm-up depends on (sim.Config.WarmKey) replay
+	// one functional warm-up and restore the rest from disk. Wall-clock
+	// only — restored runs are
 	// byte-identical to re-warmed ones — so the store is excluded from
 	// run identity (sim.WallClockOnly). Exposed as -ckpt.
 	Checkpoints *sample.Store
@@ -274,9 +275,6 @@ func (wb *Workbench) Graph(name string) *graph.Graph {
 	return g
 }
 
-// DropGraph evicts a cached graph (memory control for big profiles).
-func (wb *Workbench) DropGraph(name string) { wb.graphs.forget(name) }
-
 // Workload prepares the kernel instance for id in core slot's address
 // window. Instances are cheap relative to simulation and are not
 // cached (kernels keep mutable state).
@@ -309,7 +307,7 @@ func (wb *Workbench) Configure(cfg sim.Config) (sim.Config, error) {
 		cfg.Sampling.Plan = wb.Sampling
 	}
 	if wb.Checkpoints != nil {
-		cfg.Sampling.Store = wb.Checkpoints
+		cfg = cfg.WithCheckpointStore(wb.Checkpoints, wb.Profile.Name)
 	}
 	return cfg, cfg.Validate()
 }

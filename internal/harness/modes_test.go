@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"graphmem/internal/check"
+	"graphmem/internal/mem"
 	"graphmem/internal/sim"
 )
 
@@ -39,6 +40,7 @@ func TestModeMatrix(t *testing.T) {
 		{4, false, "epochs", runs},
 		{4, false, "recorder", runs},
 		{4, false, "bound-weave", runs},
+		{4, false, "bound-weave+observer", "the load observer cannot run on the bound-weave engine"},
 		{4, false, "store", "the result store caches single-core runs only"},
 		{4, true, "check", "sampling requires a single-core machine"},
 		{4, true, "epochs", "sampling requires a single-core machine"},
@@ -64,7 +66,7 @@ func TestModeMatrix(t *testing.T) {
 				cfg = cfg.WithEpochInterval(20_000)
 			case "recorder":
 				cfg = cfg.WithFlightRecorder(0)
-			case "bound-weave":
+			case "bound-weave", "bound-weave+observer":
 				cfg = cfg.WithBoundWeave(0, 2)
 			}
 			cfg, err := wb.Configure(cfg)
@@ -72,6 +74,22 @@ func TestModeMatrix(t *testing.T) {
 				err = cfg.Cacheable()
 			}
 
+			if c.mode == "bound-weave+observer" {
+				// The observer is set on a built machine, not in the Config,
+				// so this cell is refused at run start instead of by Validate.
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys := sim.NewSystem(cfg, make([]sim.Workload, c.cores))
+				sys.Observer = func(int, uint64, mem.BlockAddr, mem.ServedBy) {}
+				defer func() {
+					if p, _ := recover().(string); !strings.Contains(p, c.reason) {
+						t.Errorf("RunMultiCoreOn panicked with %q, want %q", p, c.reason)
+					}
+				}()
+				sim.RunMultiCoreOn(sys, make([]sim.Workload, c.cores))
+				t.Fatal("an observed bound-weave run started (on which engine?)")
+			}
 			if c.reason != runs {
 				if err == nil || !strings.Contains(err.Error(), c.reason) {
 					t.Fatalf("want rejection %q, got %v", c.reason, err)

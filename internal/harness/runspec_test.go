@@ -89,13 +89,19 @@ func perturb(t *testing.T, path string, v reflect.Value) {
 // TestRunSpecCoversEveryConfigField walks sim.Config recursively,
 // perturbs each leaf, and fails unless the run identity moves or the
 // field is listed in sim.WallClockOnly — so a Config field added later
-// cannot be silently left out of memo and store keys.
+// cannot be silently left out of memo and store keys. The checkpoint
+// address (sim.Config.WarmKey) is held to sim.WarmIrrelevant the same
+// way: it is the same field walk with a second exclusion list.
 func TestRunSpecCoversEveryConfigField(t *testing.T) {
 	id := WorkloadID{Kernel: "pr", Graph: "kron"}
 	base := sim.TableI(1)
 	baseKey := NewRunSpec(base, id, "bench").Key()
+	baseWarm := base.WarmKey(id.String())
+	if baseWarm == base.WarmKey("cc.kron") || len(baseWarm) != 32 {
+		t.Errorf("warm key %q: want 32 hex digits that name the workload", baseWarm)
+	}
 
-	var leaves, excluded []string
+	var leaves, excluded, warmExcluded []string
 	var walk func(path string, index []int, typ reflect.Type)
 	walk = func(path string, index []int, typ reflect.Type) {
 		if typ.Kind() == reflect.Struct {
@@ -123,6 +129,15 @@ func TestRunSpecCoversEveryConfigField(t *testing.T) {
 		case !moved:
 			t.Errorf("%s does not move the run key: append it in sim.Config.AppendIdentity or list it in sim.WallClockOnly", path)
 		}
+		moved = cfg.WarmKey(id.String()) != baseWarm
+		switch late := slices.Contains(sim.WarmIrrelevant, path); {
+		case late && moved:
+			t.Errorf("%s is listed warm-irrelevant but moves the checkpoint key", path)
+		case late:
+			warmExcluded = append(warmExcluded, path)
+		case !moved:
+			t.Errorf("%s does not move the checkpoint key: encode it in sim.Config's field walk or list it in sim.WarmIrrelevant", path)
+		}
 	}
 	walk("", nil, reflect.TypeOf(base))
 
@@ -131,6 +146,9 @@ func TestRunSpecCoversEveryConfigField(t *testing.T) {
 	}
 	if !slices.Equal(excluded, sim.WallClockOnly) {
 		t.Errorf("excluded fields found %v, sim.WallClockOnly lists %v (a stale entry?)", excluded, sim.WallClockOnly)
+	}
+	if !slices.Equal(warmExcluded, sim.WarmIrrelevant) {
+		t.Errorf("warm-excluded fields found %v, sim.WarmIrrelevant lists %v (a stale entry, or out of struct order?)", warmExcluded, sim.WarmIrrelevant)
 	}
 	for _, want := range []string{"CPU.ROB", "L1D.Policy", "LP.Tau", "DRAM.BusFreqMHz", "Sampling.Period", "Sampling.MisWarm", "FRInterval", "CheckLevel"} {
 		if !slices.Contains(leaves, want) {

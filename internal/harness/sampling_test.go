@@ -1,10 +1,11 @@
 package harness
 
 import (
-	"graphmem/internal/graph"
+	"reflect"
 	"slices"
 	"testing"
 
+	"graphmem/internal/graph"
 	"graphmem/internal/sample"
 	"graphmem/internal/sim"
 )
@@ -119,4 +120,46 @@ func relErr(est, ref float64) float64 {
 		d = -d
 	}
 	return d / ref
+}
+
+// TestCheckpointKeyNamesTheInput pins the checkpoint address's scope: a
+// profile fixes its graphs, so two profiles with the same machine and
+// windows but different "urand" graphs must not share a warm-up through
+// one store. The second profile's run misses, captures its own state,
+// and equals a run that never saw a store.
+func TestCheckpointKeyNamesTheInput(t *testing.T) {
+	withUrand := func(name string, seed uint64) Profile {
+		p := fastBench()
+		p.Name = name
+		p.Graphs = map[string]GraphSpec{"urand": {Name: "urand", Build: func() *graph.Graph {
+			return graph.Urand(1<<14, 1<<17, seed)
+		}}}
+		return p
+	}
+	store, err := sample.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := WorkloadID{Kernel: "cc", Graph: "urand"}
+	run := func(p Profile, st *sample.Store) *sim.Result {
+		wb := NewWorkbench(p)
+		wb.Sampling, wb.Checkpoints = samplingPlan(), st
+		return wb.RunSingle(p.BaseConfig(1).WithSDCLP(), id)
+	}
+
+	run(withUrand("one", 1), store)
+	second := run(withUrand("two", 2), store)
+	if m, h := store.Misses(), store.Hits(); m != 2 || h != 0 {
+		t.Errorf("store saw %d misses / %d hits; want 2 / 0: the profiles hold different graphs", m, h)
+	}
+	if second.Sampling.CheckpointHit {
+		t.Error("profile two restored profile one's warm-up")
+	}
+	if plain := run(withUrand("two", 2), nil); !reflect.DeepEqual(second.Stats, plain.Stats) {
+		t.Errorf("profile two behind a shared store differs from a storeless run:\n got IPC %.4f\nwant IPC %.4f", second.IPC(), plain.IPC())
+	}
+	// Same profile, same store: that warm-up is shared.
+	if again := run(withUrand("two", 2), store); !again.Sampling.CheckpointHit || !reflect.DeepEqual(again.Stats, second.Stats) {
+		t.Error("the same profile's second run did not restore its own warm-up byte for byte")
+	}
 }

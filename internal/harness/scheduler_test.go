@@ -226,3 +226,31 @@ func TestConcurrentPrepareSharesOneTranspose(t *testing.T) {
 		t.Errorf("transpose's transpose is %p, want the original graph %p", back, g)
 	}
 }
+
+// TestFig3RunsInsideThePool pins that the Fig. 3 profiling run counts
+// against -j like every other simulation: with one slot, a concurrent
+// Fig3 and RunSingle (as two gmserved sweeps would issue them) are never
+// simulating at the same time.
+func TestFig3RunsInsideThePool(t *testing.T) {
+	wb := NewWorkbench(fastBench())
+	wb.Parallelism = 1
+	// No graph to build: both runs reach their simulation at once.
+	id := WorkloadID{Kernel: "triad", Graph: "reg"}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		wb.Fig3(id)
+	}()
+	go func() {
+		defer wg.Done()
+		wb.RunSingle(wb.Profile.BaseConfig(1), id)
+	}()
+	wg.Wait()
+	if done, _, _, _ := wb.Reporter.Snapshot(); done != 2 {
+		t.Errorf("%d runs finished, want the 2 live ones", done)
+	}
+	if peak := wb.Reporter.Peak(); peak != 1 {
+		t.Errorf("%d simulations were in flight at once on a -j 1 workbench", peak)
+	}
+}

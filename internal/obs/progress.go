@@ -110,6 +110,9 @@ func (p *Progress) Cached(label, detail string) {
 // InFlight returns the number of currently started but unfinished runs.
 func (p *Progress) InFlight() int { return int(p.inflight.Load()) }
 
+// Peak returns the most runs that were ever in flight at once.
+func (p *Progress) Peak() int { return int(p.peak.Load()) }
+
 // Snapshot returns completed/total counts and the current moving
 // average and ETA (both zero until a live run finished or when no runs
 // remain).

@@ -1,7 +1,6 @@
 package sample
 
 import (
-	"errors"
 	"os"
 	"sync"
 	"testing"
@@ -51,67 +50,12 @@ func TestPlanSchedule(t *testing.T) {
 	}
 }
 
-func TestKeyBindsAllComponents(t *testing.T) {
-	base := Key("pr.kron", "confA")
-	if base != Key("pr.kron", "confA") {
-		t.Error("Key is not deterministic")
-	}
-	if base == Key("cc.kron", "confA") {
-		t.Error("Key ignores the workload hash")
-	}
-	if base == Key("pr.kron", "confB") {
-		t.Error("Key ignores the config hash")
-	}
-	if len(base) != 32 {
-		t.Errorf("key %q not 32 hex chars", base)
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	payload := []byte("warm state bytes \x00\xff with binary")
-	back, err := Decode(Encode(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(back) != string(payload) {
-		t.Errorf("round trip changed payload: %q -> %q", payload, back)
-	}
-	if back, err := Decode(Encode(nil)); err != nil || len(back) != 0 {
-		t.Errorf("empty payload round trip: %q, %v", back, err)
-	}
-}
-
-func TestDecodeRejectsVersionMismatch(t *testing.T) {
-	framed := Encode([]byte("payload"))
-	framed[8] = 0xFF // state version field
-	if _, err := Decode(framed); !errors.Is(err, ErrVersionMismatch) {
-		t.Errorf("got %v, want ErrVersionMismatch", err)
-	}
-}
-
-func TestDecodeRejectsDamage(t *testing.T) {
-	framed := Encode([]byte("a payload long enough to truncate meaningfully"))
-	cases := map[string][]byte{
-		"empty":         {},
-		"short header":  framed[:20],
-		"truncated":     framed[:len(framed)-5],
-		"bad magic":     append([]byte("NOTCKPT\n"), framed[8:]...),
-		"flipped byte":  append(append([]byte{}, framed[:len(framed)-1]...), framed[len(framed)-1]^0x01),
-		"trailing junk": append(append([]byte{}, framed...), 0xAB),
-	}
-	for name, data := range cases {
-		if _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
-		}
-	}
-}
-
 func TestStoreMissCommitHit(t *testing.T) {
 	st, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key("w", "c")
+	const key = "0123abcd"
 
 	payload, done := st.Acquire(key)
 	if payload != nil {
@@ -137,7 +81,7 @@ func TestStoreAbortDoesNotPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key("w", "c")
+	const key = "0123abcd"
 	if payload, done := st.Acquire(key); payload != nil {
 		t.Fatal("fresh store returned a payload")
 	} else if err := done(nil); err != nil { // abort
@@ -161,7 +105,7 @@ func TestStoreSingleFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key("w", "c")
+	const key = "0123abcd"
 	const n = 8
 	var wg sync.WaitGroup
 	got := make([][]byte, n)
@@ -197,13 +141,16 @@ func TestStoreRecoversFromDamagedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key("w", "c")
+	const key = "0123abcd"
 	_, done := st.Acquire(key)
 	if err := done([]byte("good")); err != nil {
 		t.Fatal(err)
 	}
 
-	framed := Encode([]byte("good"))
+	framed, err := os.ReadFile(st.Path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
 	framed[8] = 0xFE // stale version
 	if err := os.WriteFile(st.Path(key), framed, 0o644); err != nil {
 		t.Fatal(err)

@@ -1,17 +1,11 @@
 package sample
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-
-	"graphmem/internal/store"
-)
+import "graphmem/internal/store"
 
 // StateVersion identifies the µarch-state checkpoint payload layout
-// produced by internal/sim. It participates in both the file header and
-// the checkpoint key, so a simulator whose state format changed never
-// deserializes (or even looks up) a stale file.
+// produced by internal/sim. It is the file header's version, so a
+// simulator whose state format changed never deserializes a stale file:
+// the store reads it as a miss and the re-warm overwrites it.
 const StateVersion = 1
 
 // ckptFraming is the checkpoint file identity: the framing (magic +
@@ -21,33 +15,6 @@ var ckptFraming = store.Framing{
 	Magic:   [8]byte{'G', 'M', 'W', 'C', 'K', 'P', 'T', '\n'},
 	Version: StateVersion,
 }
-
-// Errors surfaced by checkpoint decoding, aliased to the shared framing
-// errors so errors.Is works across both packages. Version mismatches
-// and corrupt/truncated files are ordinary cache misses to callers (the
-// warm-up is simply replayed), but they are distinguishable for tests
-// and diagnostics.
-var (
-	ErrVersionMismatch = store.ErrVersionMismatch
-	ErrCorrupt         = store.ErrCorrupt
-)
-
-// Key derives a checkpoint-store key from the three identity components
-// the ISSUE pins down: the workload hash, the warm-up-relevant config
-// hash, and the simulator state version. Callers hash whatever uniquely
-// identifies each component; Key just binds them.
-func Key(workloadHash, warmConfigHash string) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("v%d|%s|%s", StateVersion, workloadHash, warmConfigHash)))
-	return hex.EncodeToString(h[:16])
-}
-
-// Encode frames a checkpoint payload: magic, state version, payload
-// length, payload checksum, payload. The checksum makes truncation and
-// bit-rot detectable without trusting the payload's internal structure.
-func Encode(payload []byte) []byte { return ckptFraming.Encode(payload) }
-
-// Decode validates a framed checkpoint and returns its payload.
-func Decode(data []byte) ([]byte, error) { return ckptFraming.Decode(data) }
 
 // Store is the disk-backed checkpoint store: an internal/store instance
 // bound to the checkpoint framing. Its per-key single-flight is what

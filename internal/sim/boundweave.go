@@ -233,25 +233,8 @@ func (eng *bwEngine) deferEvict(blk mem.BlockAddr, sharers uint64) {
 func (eng *bwEngine) applyDeferredEvicts() {
 	s := eng.sys
 	for _, d := range eng.deferred {
-		for i := 0; i < s.cfg.Cores; i++ {
-			if d.sharers&(1<<i) == 0 {
-				continue
-			}
-			c := s.cores[i]
-			if c.sdc == nil {
-				continue
-			}
-			if cur, _, ok := s.sdcDir.Probe(d.blk); ok && cur&(1<<i) != 0 {
-				continue // re-added: still tracked
-			}
-			var ver uint64
-			if c.chk != nil {
-				ver = c.sdc.VerOf(d.blk)
-			}
-			if present, dirty := c.sdc.Invalidate(d.blk); present && dirty {
-				s.dramWriteback(d.blk, c.cpuCore.Cycle(), ver)
-			}
-		}
+		cur, _, _ := s.sdcDir.Probe(d.blk) // re-added sharers are still tracked
+		s.surrenderSDCs(d.blk, d.sharers&^cur, wbOwnerClock)
 	}
 	eng.deferred = eng.deferred[:0]
 }
@@ -441,13 +424,9 @@ func (eng *bwEngine) replayLLCRead(e *bwEvent) int64 {
 	if res.Hit {
 		return res.ReadyAt
 	}
-	t := res.ReadyAt
-	if m := s.llc.MSHR(); m != nil {
-		if ready, inflight := m.Lookup(e.blk, t); inflight {
-			s.llc.Stats.MergedMSHR++
-			return max64(ready, t)
-		}
-		t = m.Allocate(e.blk, t)
+	t, merged := s.llc.MissBegin(e.blk, res.ReadyAt)
+	if merged {
+		return t
 	}
 	var ready int64
 	if e.flag&bwFXfer != 0 {
@@ -455,26 +434,10 @@ func (eng *bwEngine) replayLLCRead(e *bwEvent) int64 {
 	} else {
 		ready = s.dram.Access(e.blk, false, t)
 	}
-	v := s.llc.Fill(e.blk, e.addr, e.size, false, false, ready)
-	if s.chk != nil {
-		s.llc.SetVer(e.blk, e.ver)
-	}
-	if v.Valid && v.Dirty {
-		s.dramWriteback(v.Blk, ready, v.Ver)
-	}
-	if m := s.llc.MSHR(); m != nil {
-		m.Complete(e.blk, ready)
-	}
-
-	// Cross-core LLC prefetcher (the "pickle" preset): under
-	// bound–weave it observes demand misses here, during the serial
-	// (t,core,seq)-ordered replay, so training and issue order — and
-	// with them the LLC contents — are independent of -wj.
+	s.llcInstall(e.blk, e.addr, e.size, false, false, ready, e.ver)
+	s.llc.MissEnd(e.blk, ready)
 	if s.llcpf != nil && e.flag&(bwFPf|bwFXfer) == 0 {
-		s.llcPfBuf = s.llcpf.OnAccess(mem.AccessInfo{Blk: e.blk, Addr: e.addr, Core: int(e.core)}, s.llcPfBuf[:0])
-		for _, cand := range s.llcPfBuf {
-			s.llcPrefetch(cand, t)
-		}
+		s.llcTrain(mem.AccessInfo{Blk: e.blk, Addr: e.addr, Core: int(e.core)}, t)
 	}
 	return ready
 }
@@ -691,19 +654,6 @@ func (c *coreCtx) bwLLCInvalidate(blk mem.BlockAddr, t int64) {
 	c.bwOverlaySet(blk, false, 0)
 }
 
-// bwAnyCacheHolds is the bound-phase anyCacheHolds: the LLC through the
-// view, plus this core's private caches. Remote privates need no probe
-// — they can never hold this core's blocks.
-func (c *coreCtx) bwAnyCacheHolds(blk mem.BlockAddr) bool {
-	if c.llcHolds(blk) {
-		return true
-	}
-	if c.l1d.Probe(blk) || c.l2.Probe(blk) {
-		return true
-	}
-	return c.victim != nil && c.victim.Probe(blk)
-}
-
 // bwLLCAccess is the bound-phase llcAccess: it serves against the view
 // with deterministic estimated latencies and logs the real work for the
 // weave.
@@ -730,11 +680,10 @@ func (c *coreCtx) bwLLCAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, pf b
 	// a private probe; the directory's own transitions replay in order.
 	if s.sdcDir != nil && c.sdc != nil && c.sdc.Probe(blk) {
 		c.bwDirLookup(blk, t)
-		var ver uint64
-		if c.chk != nil {
-			ver = c.sdc.VerOf(blk)
-		}
-		if present, dirty := c.sdc.Invalidate(blk); present && dirty {
+		// The SDC surrenders with the data "moving" — into the log: the
+		// write-back to DRAM replays in the weave.
+		ver, dirty := s.surrenderSDCs(blk, 1<<c.id, wbMoves)
+		if dirty {
 			c.bwDRAMWrite(blk, t, ver)
 		}
 		c.bwDirInvalidateAll(blk, t)

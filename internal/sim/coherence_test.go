@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"graphmem/internal/cache"
+	"graphmem/internal/check"
 	"graphmem/internal/mem"
 )
 
@@ -186,3 +187,77 @@ func TestSDCDirPrecisionInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestSDCSurrender pins the one definition of "the SDC domain gives the
+// block up" (System.surrenderSDCs) through every routing path that
+// calls it, one row per form: dirty data written back at the request's
+// time, written back at the owner's clock (the directory's own
+// eviction hook), or moving with the block. Under the oracle the
+// version DRAM ends up holding tells the forms apart: a write-back
+// carries the surrendered copy's version down, a move leaves DRAM at
+// its initial version 1.
+func TestSDCSurrender(t *testing.T) {
+	const blk = mem.BlockAddr(100)
+	l1Read := func(s *System, coreID int) {
+		s.cores[coreID].l1Access(blk, blk.Addr(), 4, false, 1000)
+	}
+	cases := []struct {
+		name    string
+		setup   func(s *System) // leaves the copies to be surrendered
+		act     func(s *System)
+		gone    []int  // cores whose SDC copy must be invalidated
+		writes  int64  // DRAM write-backs the surrender posts
+		dramVer uint64 // version DRAM holds afterwards
+		sharers uint64 // directory entry afterwards; noDir: the caller keeps it
+	}{
+		{"remote write: write-back at t, then re-owned",
+			func(s *System) { sdcWrite(s, 0, blk, 0) },
+			func(s *System) { sdcWrite(s, 1, blk, 1000) },
+			[]int{0}, 1, 2, 0b10},
+		{"LLC demand: write-back at t, entry dropped",
+			func(s *System) { sdcWrite(s, 1, blk, 0) },
+			func(s *System) { l1Read(s, 0) },
+			[]int{1}, 1, 2, 0},
+		{"own L1 pull: data moves, entry dropped",
+			func(s *System) { sdcWrite(s, 0, blk, 0) },
+			func(s *System) { l1Read(s, 0) },
+			[]int{0}, 0, 1, 0},
+		{"write upgrade: the other sharer's clean copy dies, entry re-owned",
+			func(s *System) { sdcRead(s, 0, blk, 0); sdcRead(s, 1, blk, 500) },
+			func(s *System) { sdcWrite(s, 1, blk, 1000) },
+			[]int{0}, 0, 1, 0b10},
+		{"directory eviction: write-back at the owner's clock",
+			func(s *System) { sdcWrite(s, 0, blk, 0); sdcRead(s, 1, blk, 500) },
+			func(s *System) { s.onSDCDirEvict(blk, 0b11) },
+			[]int{0, 1}, 1, 2, noDir},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSystem(TableI(2).BenchScale().WithSDCLP().WithCheck(check.OracleOnly), make([]Workload, 2))
+			tc.setup(s)
+			before := s.dram.TotalStats().Writes
+			tc.act(s)
+			for _, i := range tc.gone {
+				if s.cores[i].sdc.Probe(blk) {
+					t.Errorf("core %d's SDC copy survived", i)
+				}
+			}
+			if got := s.dram.TotalStats().Writes - before; got != tc.writes {
+				t.Errorf("%d DRAM write-backs, want %d", got, tc.writes)
+			}
+			if got := s.chk.DRAMRead(blk); got != tc.dramVer {
+				t.Errorf("DRAM holds version %d, want %d", got, tc.dramVer)
+			}
+			if sharers, _, _ := s.sdcDir.Probe(blk); tc.sharers != noDir && sharers != tc.sharers {
+				t.Errorf("directory tracks sharers %b, want %b", sharers, tc.sharers)
+			}
+			if v := s.chk.Summary().Violations; v != 0 {
+				t.Errorf("%d oracle violations: %v", v, s.chk.Details())
+			}
+		})
+	}
+}
+
+// noDir marks a TestSDCSurrender row whose directory entry is not the
+// surrender's business.
+const noDir = ^uint64(0)

@@ -196,12 +196,17 @@ type SamplingConfig struct {
 	sample.Plan
 
 	// Store, when non-nil, is the warm-up checkpoint store: the runner
-	// keys it by (workload, warm-relevant config, state version) and
-	// either restores the warm-up state from it or captures one at the
+	// addresses it by Config.WarmKey and either restores the warm-up state from it or captures one at the
 	// warm-up end, so a sweep of configs sharing a workload performs one
 	// warm-up instead of N. Wall-clock only; counters are unaffected
 	// (resume is byte-identical to an uninterrupted warm-up).
 	Store *sample.Store
+	// Scope names the simulated input beyond the workload's own name —
+	// the harness sets the profile, which fixes the graph generators'
+	// sizes and seeds — and enters the checkpoint address (WarmKey), so
+	// one store never serves "pr.kron" warmed on one profile's graph to
+	// a run on another's. Like Store it cannot change a result.
+	Scope string
 
 	// MisWarm is a fault-injection hook for testing the sampled-vs-full
 	// error gate: functional warming still counts instructions but skips
@@ -287,9 +292,11 @@ func (c Config) WithSampleWarm(n int64) Config {
 }
 
 // WithCheckpointStore returns a copy using st for warm-up checkpoints
-// (only meaningful together with WithSampling).
-func (c Config) WithCheckpointStore(st *sample.Store) Config {
-	c.Sampling.Store = st
+// (only meaningful together with WithSampling), addressed within scope:
+// whatever beyond the workload's name identifies its input (see
+// SamplingConfig.Scope).
+func (c Config) WithCheckpointStore(st *sample.Store, scope string) Config {
+	c.Sampling.Store, c.Sampling.Scope = st, scope
 	return c
 }
 

@@ -335,16 +335,21 @@ func RunMultiCore(cfg Config, ws []Workload) *MultiResult {
 // been constructed with the same workloads), so callers can inspect
 // machine state afterwards. Config.Quantum selects the engine: the
 // legacy serial interleaver (0) or the bound–weave parallel engine
-// (boundweave.go). The Fig. 3 Observer hook sees loads synchronously
-// and is only supported by the serial engine.
+// (boundweave.go). The Fig. 3 Observer hook sees loads synchronously,
+// which only the serial engine can offer; like every other combination
+// that does not compose (Config.Validate), asking for both stops the run
+// here rather than silently answering from the other timing model.
 func RunMultiCoreOn(sys *System, ws []Workload) *MultiResult {
+	if sys.cfg.Quantum > 0 && sys.Observer != nil {
+		panic("sim: the load observer cannot run on the bound-weave engine (it sees loads synchronously; use the serial engine, Quantum 0)")
+	}
 	slots := startSlots(sys, ws)
 	// A consumer-side panic must not leave producers blocked on their
 	// channels; the explicit stopAndDrain on the normal path makes this
 	// deferred one a no-op.
 	defer stopAndDrain(slots)
 
-	if sys.cfg.Quantum > 0 && sys.Observer == nil {
+	if sys.cfg.Quantum > 0 {
 		return runBoundWeave(sys, ws, slots)
 	}
 

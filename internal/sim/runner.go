@@ -185,17 +185,21 @@ func (c *coreCtx) attachFR() {
 	}
 	r := c.recorder
 	c.fr = r
-	c.cpuCore.Tap = r
-	c.l1d.SetTap(r, mem.ServedL1D)
-	c.l2.SetTap(r, mem.ServedL2)
-	if c.sdc != nil {
-		c.sdc.SetTap(r, mem.ServedSDC)
+	c.setTaps(r)
+	c.sampleFR() // baseline timeline point at the window start
+}
+
+// setTaps attaches tap to the core and the MSHR file of every cache
+// level whose events are attributable to it, or detaches them all (nil).
+func (c *coreCtx) setTaps(tap mem.Tap) {
+	c.cpuCore.Tap = tap
+	for _, l := range c.levels {
+		l.cache.SetTap(tap, l.src)
 	}
 	if c.sys.cfg.Cores == 1 && c.sys.bw == nil {
-		c.sys.llc.SetTap(r, mem.ServedLLC)
-		c.sys.dram.SetTap(r)
+		c.sys.llc.SetTap(tap, mem.ServedLLC)
+		c.sys.dram.SetTap(tap)
 	}
-	c.sampleFR() // baseline timeline point at the window start
 }
 
 // sampleFR appends one occupancy-timeline point and re-arms the next
@@ -205,15 +209,9 @@ func (c *coreCtx) attachFR() {
 func (c *coreCtx) sampleFR() {
 	now := c.cpuCore.DispatchCycle()
 	var mshr [obs.NumLevels]int32
-	if m := c.l1d.MSHR(); m != nil {
-		mshr[mem.ServedL1D] = int32(m.InFlight(now))
-	}
-	if m := c.l2.MSHR(); m != nil {
-		mshr[mem.ServedL2] = int32(m.InFlight(now))
-	}
-	if c.sdc != nil {
-		if m := c.sdc.MSHR(); m != nil {
-			mshr[mem.ServedSDC] = int32(m.InFlight(now))
+	for _, l := range c.levels {
+		if m := l.cache.MSHR(); m != nil {
+			mshr[l.src] = int32(m.InFlight(now))
 		}
 	}
 	if m := c.sys.llc.MSHR(); m != nil {
@@ -233,16 +231,7 @@ func (c *coreCtx) closeFR() {
 	}
 	c.sampleFR()
 	c.fr = nil
-	c.cpuCore.Tap = nil
-	c.l1d.SetTap(nil, mem.ServedNone)
-	c.l2.SetTap(nil, mem.ServedNone)
-	if c.sdc != nil {
-		c.sdc.SetTap(nil, mem.ServedNone)
-	}
-	if c.sys.cfg.Cores == 1 && c.sys.bw == nil {
-		c.sys.llc.SetTap(nil, mem.ServedNone)
-		c.sys.dram.SetTap(nil)
-	}
+	c.setTaps(nil)
 	c.nextFR = noEpoch
 }
 
@@ -381,8 +370,7 @@ func RunSingleCore(cfg Config, w Workload) *Result {
 func (s *System) RunCore0(w Workload) *Result {
 	c := s.cores[0]
 	if st := s.cfg.Sampling.Store; st != nil && s.cfg.Sampling.Enabled() {
-		key := warmKey(s.cfg, w.Name)
-		payload, done := st.Acquire(key)
+		payload, done := st.Acquire(s.cfg.WarmKey(w.Name))
 		if payload != nil {
 			c.startDrain(payload)
 			_ = done(nil)

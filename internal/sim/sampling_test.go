@@ -54,7 +54,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored := cfg.WithCheckpointStore(st)
+	stored := cfg.WithCheckpointStore(st, "")
 	miss := RunSingleCore(stored, kronWorkload(t, "pr", 19))
 	hit := RunSingleCore(stored, kronWorkload(t, "pr", 19))
 	if m, h := st.Misses(), st.Hits(); m != 1 || h != 1 {
@@ -91,7 +91,7 @@ func TestCheckpointRejectsDamagedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored := cfg.WithCheckpointStore(st)
+	stored := cfg.WithCheckpointStore(st, "")
 	first := RunSingleCore(stored, kronWorkload(t, "pr", 19))
 
 	// Find the committed file and damage it two ways.

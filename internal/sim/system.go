@@ -83,16 +83,21 @@ type coreCtx struct {
 	victim  *cache.Cache
 	l2      *cache.Cache
 	sdc     *cache.Cache
-	lp      *corepkg.LP
-	alp     *corepkg.AdaptiveLP
-	tlbs    *tlb.Hierarchy
-	l1pf    prefetch.Prefetcher
-	sdcpf   prefetch.Prefetcher
-	l2pf    prefetch.Prefetcher
-	imppf   prefetch.Prefetcher // indirect-memory prefetcher, nil unless preset enables it
-	oracle  cache.NextUseOracle
-	irreg   []*mem.Region
-	noSPP   bool
+	// levels lists the private caches above in walk order — L1D, victim
+	// cache, L2, SDC, absent ones left out. The checkpoint payload, the
+	// flight-recorder taps, the counter freeze and the invariant sweep
+	// iterate it, so its order is part of the warm-state format.
+	levels []level
+	lp     *corepkg.LP
+	alp    *corepkg.AdaptiveLP
+	tlbs   *tlb.Hierarchy
+	l1pf   prefetch.Prefetcher
+	sdcpf  prefetch.Prefetcher
+	l2pf   prefetch.Prefetcher
+	imppf  prefetch.Prefetcher // indirect-memory prefetcher, nil unless preset enables it
+	oracle cache.NextUseOracle
+	irreg  []*mem.Region
+	noSPP  bool
 
 	pfBuf []mem.BlockAddr
 	// sppBuf holds l2Access's SPP candidates across the recursive
@@ -179,6 +184,14 @@ type coreCtx struct {
 	ckptPayload []byte
 	ckptCommit  func([]byte) error
 	ckptHit     bool
+}
+
+// level is one private cache with the name the invariant sweep reports
+// it under and the serving level its MSHR telemetry is tagged with.
+type level struct {
+	cache *cache.Cache
+	name  string
+	src   mem.ServedBy
 }
 
 // warmMode values.
@@ -290,6 +303,15 @@ func NewSystem(cfg Config, ws []Workload) *System {
 			c.sdc = cache.New(cfg.SDC)
 			c.sdcpf = prefetch.NextLine{}
 		}
+		c.levels = []level{{c.l1d, "L1D", mem.ServedL1D}}
+		if c.victim != nil {
+			// No MSHRs, so never tapped or occupancy-sampled.
+			c.levels = append(c.levels, level{c.victim, "VC", mem.ServedNone})
+		}
+		c.levels = append(c.levels, level{c.l2, "L2", mem.ServedL2})
+		if c.sdc != nil {
+			c.levels = append(c.levels, level{c.sdc, "SDC", mem.ServedSDC})
+		}
 		if cfg.Routing == RouteLP || cfg.Routing == RouteBypass {
 			if cfg.LPAdaptive {
 				c.alp = corepkg.NewAdaptiveLP(cfg.LP)
@@ -363,9 +385,8 @@ func NewSystem(cfg Config, ws []Workload) *System {
 }
 
 // onSDCDirEvict implements the SDCDir replacement semantics of Section
-// III-C: every SDC holding the block invalidates it, writing back to
-// DRAM if dirty. The write-back is charged to the DRAM state at the
-// current approximate time (the owning core's clock).
+// III-C: every SDC holding the block gives it up, the write-back charged
+// to the DRAM state at the current approximate time (the owner's clock).
 func (s *System) onSDCDirEvict(blk mem.BlockAddr, sharers uint64) {
 	if s.bw != nil {
 		// Replay-time capacity eviction: the bound phase that logged
@@ -374,21 +395,116 @@ func (s *System) onSDCDirEvict(blk mem.BlockAddr, sharers uint64) {
 		s.bw.deferEvict(blk, sharers)
 		return
 	}
-	for i := 0; i < s.cfg.Cores; i++ {
-		if sharers&(1<<i) == 0 {
+	s.surrenderSDCs(blk, sharers, wbOwnerClock)
+}
+
+// --- walk protocols: the one definition of each sequence the routing
+// paths below (and warm.go, boundweave.go) would otherwise spell out per
+// site. The MSHR protocol is cache.MissBegin/MissEnd/PrefetchBegin; the
+// warm-state component list is warmComponents (checkpoint.go). See
+// DESIGN.md, "Hierarchy walk". ---
+
+// Write-back times surrenderSDCs takes besides a concrete cycle.
+const (
+	wbMoves      int64 = -1 // dirty data moves with the block: no DRAM write
+	wbOwnerClock int64 = -2 // each surrendering core's own clock (the directory initiated it)
+)
+
+// surrenderSDCs is the one statement of "the SDC domain gives blk up"
+// (Section III-C): every SDC named in sharers invalidates its copy and a
+// dirty one is written back to DRAM at wb, unless the data moves. It
+// returns the first known version among the copies and whether any was
+// dirty; what becomes of the directory entry (dropped, re-owned, already
+// evicted) is the caller's line. The bound phase may call it for its own
+// SDC with wbMoves only — anything else mutates shared state.
+func (s *System) surrenderSDCs(blk mem.BlockAddr, sharers uint64, wb int64) (ver uint64, anyDirty bool) {
+	for i, c := range s.cores {
+		if sharers&(1<<i) == 0 || c.sdc == nil {
 			continue
 		}
-		c := s.cores[i]
-		if c.sdc == nil {
-			continue
-		}
-		var ver uint64
-		if s.chk != nil {
+		if s.chk != nil && ver == 0 {
 			ver = c.sdc.VerOf(blk)
 		}
-		if present, dirty := c.sdc.Invalidate(blk); present && dirty {
-			s.dramWriteback(blk, c.cpuCore.Cycle(), ver)
+		if _, dirty := c.sdc.Invalidate(blk); dirty {
+			anyDirty = true
+			switch wb {
+			case wbMoves:
+			case wbOwnerClock:
+				s.dramWriteback(blk, c.cpuCore.Cycle(), ver)
+			default:
+				s.dramWriteback(blk, wb, ver)
+			}
 		}
+	}
+	return ver, anyDirty
+}
+
+// sdcSharers asks the SDCDir which SDCs hold blk — a stats- and
+// recency-bearing lookup; 0 when none does or the machine has no SDCs.
+func (s *System) sdcSharers(blk mem.BlockAddr) uint64 {
+	if s.sdcDir == nil {
+		return 0
+	}
+	sharers, _, _ := s.sdcDir.Lookup(blk)
+	return sharers
+}
+
+// holdsPrivate reports whether the core's private stack (L1D, victim
+// cache, L2) holds blk. A pure probe, like privateVer.
+func (c *coreCtx) holdsPrivate(blk mem.BlockAddr) bool {
+	return c.l1d.Probe(blk) || (c.victim != nil && c.victim.Probe(blk)) || c.l2.Probe(blk)
+}
+
+// privateVer is the version of the stack's topmost known copy of blk.
+func (c *coreCtx) privateVer(blk mem.BlockAddr) uint64 {
+	if v := c.l1d.VerOf(blk); v != 0 {
+		return v
+	}
+	if c.victim != nil {
+		if v := c.victim.VerOf(blk); v != 0 {
+			return v
+		}
+	}
+	return c.l2.VerOf(blk)
+}
+
+// purgePrivate drops every private-stack copy of blk (an SDC write took
+// ownership; the data moves, so nothing is written back).
+func (c *coreCtx) purgePrivate(blk mem.BlockAddr) {
+	c.l1d.Invalidate(blk)
+	if c.victim != nil {
+		c.victim.Invalidate(blk)
+	}
+	c.l2.Invalidate(blk)
+}
+
+// privateHolder is the idealized full-map directory's answer to "whose
+// private stack holds blk": the first core other than except (nil: any
+// core) that does, or nil.
+func (s *System) privateHolder(blk mem.BlockAddr, except *coreCtx) *coreCtx {
+	for _, c := range s.cores {
+		if c != except && c.holdsPrivate(blk) {
+			return c
+		}
+	}
+	return nil
+}
+
+// anyCacheHolds reports whether the LLC or any core's private hierarchy
+// holds blk.
+func (s *System) anyCacheHolds(blk mem.BlockAddr) bool {
+	return s.llc.Probe(blk) || s.privateHolder(blk, nil) != nil
+}
+
+// stamp is the checked half of every install: the copy of blk just
+// filled into ch carries version ver. Install is Fill, stamp, and the
+// dirty victim handed one level down (fillL1, fillL2, fillSDC,
+// writebackToL2, llcInstall); Fill stays at the site because one
+// function holding both calls cannot inline, and that extra call per
+// fill per level measured 3-4 % on BenchmarkPRKronStep.
+func (s *System) stamp(ch *cache.Cache, blk mem.BlockAddr, ver uint64) {
+	if s.chk != nil {
+		ch.SetVer(blk, ver)
 	}
 }
 
@@ -570,16 +686,9 @@ func (c *coreCtx) sdcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write 
 				c.bwDirLookup(blk, res.ReadyAt)
 				c.bwDirAddSharer(blk, res.ReadyAt, true)
 			} else {
-				// A write upgrade: any other SDC sharing the line must
-				// invalidate its copy before we own it Modified.
-				if sharers, _, ok := s.sdcDir.Lookup(blk); ok {
-					for i := range s.cores {
-						if i == c.id || sharers&(1<<i) == 0 || s.cores[i].sdc == nil {
-							continue
-						}
-						s.cores[i].sdc.Invalidate(blk)
-					}
-				}
+				// A write upgrade: any other SDC sharing the line gives
+				// its copy up before we own it Modified.
+				s.surrenderSDCs(blk, s.sdcSharers(blk)&^(1<<c.id), wbMoves)
 				s.sdcDir.AddSharer(blk, c.id, true)
 			}
 		}
@@ -587,18 +696,13 @@ func (c *coreCtx) sdcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write 
 		return mem.Response{Ready: res.ReadyAt, Source: mem.ServedSDC}
 	}
 
-	// Miss: merge into an outstanding fill if one exists.
-	t := res.ReadyAt // lookup latency charged
-	if m := c.sdc.MSHR(); m != nil {
-		if ready, inflight := m.Lookup(blk, t); inflight {
-			c.sdc.Stats.MergedMSHR++
-			if c.chk != nil && !write {
-				// Merged into an in-flight fill: served version unknown.
-				c.chk.CheckLoad(c.id, c.curPC, blk, mem.ServedSDC, 0)
-			}
-			return mem.Response{Ready: max64(ready, t), Source: mem.ServedSDC}
+	t, merged := c.sdc.MissBegin(blk, res.ReadyAt)
+	if merged {
+		if c.chk != nil && !write {
+			// Merged into an in-flight fill: served version unknown.
+			c.chk.CheckLoad(c.id, c.curPC, blk, mem.ServedSDC, 0)
 		}
-		t = m.Allocate(blk, t)
+		return mem.Response{Ready: t, Source: mem.ServedSDC}
 	}
 
 	// Coherence: the SDCDir and the cache directory are checked while
@@ -615,11 +719,9 @@ func (c *coreCtx) sdcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write 
 	// stats/LRU are logged; the branch itself is dead.
 	if c.bw != nil {
 		c.bwDirLookup(blk, t)
-	} else if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers != 0 {
+	} else if sharers := s.sdcSharers(blk); sharers != 0 {
 		ready := c.serveFromSDCs(blk, addr, size, write, sharers, dirDone)
-		if m := c.sdc.MSHR(); m != nil {
-			m.Complete(blk, ready)
-		}
+		c.sdc.MissEnd(blk, ready)
 		src := mem.ServedRemote
 		if sharers == 1<<c.id {
 			src = mem.ServedSDC
@@ -629,9 +731,7 @@ func (c *coreCtx) sdcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write 
 
 	// (b) A private cache or the LLC holds it.
 	if ready, found, src := c.serveFromHierarchy(blk, addr, size, write, dirDone); found {
-		if m := c.sdc.MSHR(); m != nil {
-			m.Complete(blk, ready)
-		}
+		c.sdc.MissEnd(blk, ready)
 		return mem.Response{Ready: ready, Source: src}
 	}
 
@@ -643,7 +743,7 @@ func (c *coreCtx) sdcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write 
 	} else {
 		dramDone = s.dram.Access(blk, false, t)
 	}
-	ready := max64(dramDone, dirDone)
+	ready := max(dramDone, dirDone)
 	var ver uint64
 	if c.chk != nil {
 		ver = c.chk.DRAMRead(blk)
@@ -654,9 +754,7 @@ func (c *coreCtx) sdcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write 
 		}
 	}
 	c.fillSDC(blk, addr, size, write, ready, ver)
-	if m := c.sdc.MSHR(); m != nil {
-		m.Complete(blk, ready)
-	}
+	c.sdc.MissEnd(blk, ready)
 
 	// Next-line prefetch into the SDC (Table I), only for blocks nobody
 	// else holds, to keep coherence simple. Prefetches launch at the
@@ -677,20 +775,9 @@ func (c *coreCtx) serveFromSDCs(blk mem.BlockAddr, addr mem.Addr, size uint8, wr
 	s := c.sys
 	ready := t
 	if write {
-		// Invalidate every copy; dirty data goes back to DRAM, then we
-		// own the line Modified.
-		for i := range s.cores {
-			if sharers&(1<<i) == 0 || s.cores[i].sdc == nil {
-				continue
-			}
-			var ver uint64
-			if c.chk != nil {
-				ver = s.cores[i].sdc.VerOf(blk)
-			}
-			if present, dirty := s.cores[i].sdc.Invalidate(blk); present && dirty {
-				s.dramWriteback(blk, t, ver)
-			}
-		}
+		// Every copy dies and dirty data goes back to DRAM; then we own
+		// the line Modified.
+		s.surrenderSDCs(blk, sharers, t)
 		s.sdcDir.InvalidateAll(blk)
 		var fillVer uint64
 		if c.chk != nil {
@@ -741,28 +828,18 @@ func (c *coreCtx) serveFromHierarchy(blk mem.BlockAddr, addr mem.Addr, size uint
 	// latency (negative lat relative to the directory round).
 	var lat int64
 	src = mem.ServedNone
-	if p, _ := c.l1d.ProbeDirty(blk); p {
+	if c.l1d.Probe(blk) {
 		lat, src = c.l1d.Latency()-s.cfg.DirLatency, mem.ServedL1D
 	} else if c.victim != nil && c.victim.Probe(blk) {
 		lat, src = c.victim.Latency()+c.l1d.Latency()-s.cfg.DirLatency, mem.ServedL1D
-	} else if p, _ := c.l2.ProbeDirty(blk); p {
+	} else if c.l2.Probe(blk) {
 		lat, src = c.l2.Latency()-s.cfg.DirLatency, mem.ServedL2
 	} else if c.llcHolds(blk) {
 		lat, src = 0, mem.ServedLLC
-	} else if c.bw == nil {
-		// Remote privates can never hold this core's blocks under the
-		// bound–weave engine (disjoint windows), so the probe loop only
-		// runs under the legacy engines.
-		for i := range s.cores {
-			if i == c.id {
-				continue
-			}
-			rc := s.cores[i]
-			if rc.l1d.Probe(blk) || (rc.victim != nil && rc.victim.Probe(blk)) || rc.l2.Probe(blk) {
-				lat, src = s.cfg.DirLatency/2, mem.ServedRemote
-				break
-			}
-		}
+	} else if c.bw == nil && s.privateHolder(blk, c) != nil {
+		// (Remote privates can never hold this core's blocks under the
+		// bound–weave engine: disjoint windows.)
+		lat, src = s.cfg.DirLatency/2, mem.ServedRemote
 	}
 	if src == mem.ServedNone {
 		return 0, false, mem.ServedNone
@@ -784,24 +861,15 @@ func (c *coreCtx) serveFromHierarchy(blk mem.BlockAddr, addr mem.Addr, size uint
 
 	// Write: purge every copy. Dirty data is not written back — it
 	// transfers into the (dirty) SDC fill, which supersedes it.
-	purge := func(ch *cache.Cache) {
-		if ch != nil {
-			ch.Invalidate(blk)
-		}
-	}
 	if c.bw != nil {
 		// The LLC purge replays in the weave; only our own private
 		// copies exist otherwise.
 		c.bwLLCInvalidate(blk, ready)
-		purge(c.l1d)
-		purge(c.victim)
-		purge(c.l2)
+		c.purgePrivate(blk)
 	} else {
-		purge(s.llc)
+		s.llc.Invalidate(blk)
 		for _, rc := range s.cores {
-			purge(rc.l1d)
-			purge(rc.victim)
-			purge(rc.l2)
+			rc.purgePrivate(blk)
 		}
 	}
 
@@ -813,36 +881,18 @@ func (c *coreCtx) serveFromHierarchy(blk mem.BlockAddr, addr mem.Addr, size uint
 }
 
 // hierarchyVer returns the version of the topmost hierarchy copy of
-// blk (own stack top-down, then the LLC, then remote stacks), 0 if
-// unknown everywhere.
+// blk (own stack top-down, then the LLC, then the remote stack holding
+// it), 0 if unknown everywhere.
 func (c *coreCtx) hierarchyVer(blk mem.BlockAddr) uint64 {
-	s := c.sys
-	for _, ch := range []*cache.Cache{c.l1d, c.victim, c.l2} {
-		if ch == nil {
-			continue
-		}
-		if v := ch.VerOf(blk); v != 0 {
-			return v
-		}
+	if v := c.privateVer(blk); v != 0 {
+		return v
 	}
 	if v := c.llcVer(blk); v != 0 {
 		return v
 	}
-	if c.bw != nil {
-		return 0 // remote privates never hold this core's blocks
-	}
-	for i := range s.cores {
-		if i == c.id {
-			continue
-		}
-		rc := s.cores[i]
-		for _, ch := range []*cache.Cache{rc.l1d, rc.victim, rc.l2} {
-			if ch == nil {
-				continue
-			}
-			if v := ch.VerOf(blk); v != 0 {
-				return v
-			}
+	if c.bw == nil { // remote privates never hold a bound-phase core's blocks
+		if rc := c.sys.privateHolder(blk, c); rc != nil {
+			return rc.privateVer(blk)
 		}
 	}
 	return 0
@@ -856,9 +906,7 @@ func (c *coreCtx) hierarchyVer(blk mem.BlockAddr) uint64 {
 func (c *coreCtx) fillSDC(blk mem.BlockAddr, addr mem.Addr, size uint8, dirty bool, ready int64, ver uint64) {
 	s := c.sys
 	v := c.sdc.Fill(blk, addr, size, dirty, false, ready)
-	if c.chk != nil {
-		c.sdc.SetVer(blk, ver)
-	}
+	s.stamp(c.sdc, blk, ver)
 	if c.bw != nil {
 		if v.Valid {
 			c.bwDirRemoveSharer(v.Blk, ready)
@@ -881,35 +929,25 @@ func (c *coreCtx) fillSDC(blk mem.BlockAddr, addr mem.Addr, size uint8, dirty bo
 // sdcPrefetch fetches a next-line candidate into the SDC from DRAM.
 func (c *coreCtx) sdcPrefetch(blk mem.BlockAddr, now int64) {
 	s := c.sys
-	if c.sdc.Probe(blk) {
+	if c.sdc.Probe(blk) || !c.sdc.PrefetchBegin(blk, now) {
 		return
 	}
-	if m := c.sdc.MSHR(); m != nil {
-		if _, inflight := m.Lookup(blk, now); inflight {
-			return
-		}
-		if m.Outstanding(now) >= m.Capacity() {
-			return // never stall for a prefetch
-		}
-		m.Allocate(blk, now)
-		defer m.Complete(blk, now)
-	}
+	// Releases the register on the early returns — and, today's bytes,
+	// also runs after the MissEnd at the fill below, overwriting the DRAM
+	// fill time with the issue time (ROADMAP item 1: the fix goes here).
+	defer c.sdc.MissEnd(blk, now)
 	// Skip candidates other agents hold; a real design would take the
 	// coherent path, but dropping the prefetch is always safe.
 	if c.bw != nil {
 		// Our SDC (the only possible sharer of our blocks) missed the
-		// probe above, so the directory round is stats/LRU only.
+		// probe above, so the directory round is stats/LRU only; remote
+		// privates can never hold our blocks.
 		c.bwDirLookup(blk, now)
-		if c.bwAnyCacheHolds(blk) {
+		if c.llcHolds(blk) || c.holdsPrivate(blk) {
 			return
 		}
-	} else {
-		if _, _, held := s.sdcDir.Lookup(blk); held {
-			return
-		}
-		if s.anyCacheHolds(blk) {
-			return
-		}
+	} else if s.sdcSharers(blk) != 0 || s.anyCacheHolds(blk) {
+		return
 	}
 	var done int64
 	if c.bw != nil {
@@ -923,26 +961,7 @@ func (c *coreCtx) sdcPrefetch(blk mem.BlockAddr, now int64) {
 	}
 	c.fillSDC(blk, blk.Addr(), mem.BlockSize, false, done, ver)
 	c.sdc.MarkPrefetchFill()
-	if m := c.sdc.MSHR(); m != nil {
-		m.Complete(blk, done)
-	}
-}
-
-// anyCacheHolds reports whether the LLC or any core's private hierarchy
-// holds blk.
-func (s *System) anyCacheHolds(blk mem.BlockAddr) bool {
-	if s.llc.Probe(blk) {
-		return true
-	}
-	for _, rc := range s.cores {
-		if rc.l1d.Probe(blk) || rc.l2.Probe(blk) {
-			return true
-		}
-		if rc.victim != nil && rc.victim.Probe(blk) {
-			return true
-		}
-	}
-	return false
+	c.sdc.MissEnd(blk, done)
 }
 
 // --- conventional hierarchy path ---
@@ -990,8 +1009,8 @@ func (c *coreCtx) l1Access(blk mem.BlockAddr, addr mem.Addr, size uint8, write b
 			if c.sdc != nil && c.sdc.Probe(blk) {
 				sharers = 1 << c.id
 			}
-		} else if sh, _, ok := s.sdcDir.Lookup(blk); ok {
-			sharers = sh
+		} else {
+			sharers = s.sdcSharers(blk)
 		}
 		if sharers&(1<<c.id) != 0 {
 			ready := t + s.sdcDir.Latency() + c.sdc.Latency()
@@ -999,22 +1018,14 @@ func (c *coreCtx) l1Access(blk mem.BlockAddr, addr mem.Addr, size uint8, write b
 			if c.chk != nil {
 				ver = c.sdc.VerOf(blk)
 			}
-			anyDirty := false
-			for i := range s.cores {
-				if sharers&(1<<i) == 0 || s.cores[i].sdc == nil {
-					continue
-				}
-				if i == c.id && s.cfg.BreakSDCDirInval {
-					// Fault injection (tests only): "forget" to
-					// invalidate our own SDC copy while the directory
-					// entry is still dropped below — the classic
-					// untracked-stale-copy bug the oracle must catch.
-					continue
-				}
-				if _, dirty := s.cores[i].sdc.Invalidate(blk); dirty {
-					anyDirty = true
-				}
+			if s.cfg.BreakSDCDirInval {
+				// Fault injection (tests only): "forget" to invalidate
+				// our own SDC copy while the directory entry is still
+				// dropped below — the classic untracked-stale-copy bug
+				// the oracle must catch.
+				sharers &^= 1 << c.id
 			}
+			_, anyDirty := s.surrenderSDCs(blk, sharers, wbMoves)
 			if c.bw != nil {
 				c.bwDirInvalidateAll(blk, t)
 			} else {
@@ -1032,16 +1043,13 @@ func (c *coreCtx) l1Access(blk mem.BlockAddr, addr mem.Addr, size uint8, write b
 		}
 	}
 
-	if m := c.l1d.MSHR(); m != nil {
-		if ready, inflight := m.Lookup(blk, t); inflight {
-			c.l1d.Stats.MergedMSHR++
-			if c.chk != nil && !write {
-				// Merged into an in-flight fill: served version unknown.
-				c.chk.CheckLoad(c.id, c.curPC, blk, mem.ServedL2, 0)
-			}
-			return mem.Response{Ready: max64(ready, t), Source: mem.ServedL2}
+	t, merged := c.l1d.MissBegin(blk, t)
+	if merged {
+		if c.chk != nil && !write {
+			// Merged into an in-flight fill: served version unknown.
+			c.chk.CheckLoad(c.id, c.curPC, blk, mem.ServedL2, 0)
 		}
-		t = m.Allocate(blk, t)
+		return mem.Response{Ready: t, Source: mem.ServedL2}
 	}
 
 	resp := c.l2Access(blk, addr, size, write, false, t)
@@ -1055,9 +1063,7 @@ func (c *coreCtx) l1Access(blk mem.BlockAddr, addr mem.Addr, size uint8, write b
 		}
 	}
 	c.fillL1(blk, addr, size, write, resp.Ready, ver)
-	if m := c.l1d.MSHR(); m != nil {
-		m.Complete(blk, resp.Ready)
-	}
+	c.l1d.MissEnd(blk, resp.Ready)
 
 	// Next-line prefetcher (Table I: attached to the L1D), degree 1,
 	// triggered on demand misses; the prefetch walks the hierarchy
@@ -1069,28 +1075,18 @@ func (c *coreCtx) l1Access(blk mem.BlockAddr, addr mem.Addr, size uint8, write b
 	return resp
 }
 
-// fillL1 inserts into the L1D, cascading victims into the victim cache
-// (when configured) and dirty data down the hierarchy. ver is the
+// fillL1 inserts into the L1D, cascading the victim into the victim
+// cache (when configured) and dirty data down the hierarchy. ver is the
 // version stamp of the filled copy (0 when checking is off).
 func (c *coreCtx) fillL1(blk mem.BlockAddr, addr mem.Addr, size uint8, write bool, ready int64, ver uint64) {
 	v := c.l1d.Fill(blk, addr, size, write, false, ready)
-	if c.chk != nil {
-		c.l1d.SetVer(blk, ver)
+	c.sys.stamp(c.l1d, blk, ver)
+	if v.Valid && c.victim != nil {
+		vblk, vver := v.Blk, v.Ver
+		v = c.victim.Fill(vblk, vblk.Addr(), mem.BlockSize, v.Dirty, false, ready)
+		c.sys.stamp(c.victim, vblk, vver)
 	}
-	if !v.Valid {
-		return
-	}
-	if c.victim != nil {
-		vv := c.victim.Fill(v.Blk, v.Blk.Addr(), mem.BlockSize, v.Dirty, false, ready)
-		if c.chk != nil {
-			c.victim.SetVer(v.Blk, v.Ver)
-		}
-		if vv.Valid && vv.Dirty {
-			c.writebackToL2(vv.Blk, ready, vv.Ver)
-		}
-		return
-	}
-	if v.Dirty {
+	if v.Valid && v.Dirty {
 		c.writebackToL2(v.Blk, ready, v.Ver)
 	}
 }
@@ -1098,11 +1094,9 @@ func (c *coreCtx) fillL1(blk mem.BlockAddr, addr mem.Addr, size uint8, write boo
 // writebackToL2 installs a dirty L1 victim in the L2 (allocate-on-
 // write-back), cascading further victims. ver travels with the data.
 func (c *coreCtx) writebackToL2(blk mem.BlockAddr, now int64, ver uint64) {
-	v := c.l2.Fill(blk, blk.Addr(), mem.BlockSize, true, false, now)
 	c.l2.Stats.Writebacks++
-	if c.chk != nil {
-		c.l2.SetVer(blk, ver)
-	}
+	v := c.l2.Fill(blk, blk.Addr(), mem.BlockSize, true, false, now)
+	c.sys.stamp(c.l2, blk, ver)
 	if v.Valid && v.Dirty {
 		c.writebackToLLC(v.Blk, now, v.Ver)
 	}
@@ -1118,17 +1112,30 @@ func (c *coreCtx) writebackToLLC(blk mem.BlockAddr, now int64, ver uint64) {
 }
 
 // llcWriteback installs a dirty L2 victim in the LLC (allocate-on-
-// write-back), sending the LLC's own dirty victim on to DRAM. The serial
-// engines call it as the write-back happens, the weave when it replays
-// the logged bwEvLLCWB.
+// write-back). The serial engines call it as the write-back happens, the
+// weave when it replays the logged bwEvLLCWB.
 func (s *System) llcWriteback(blk mem.BlockAddr, now int64, ver uint64) {
-	v := s.llc.Fill(blk, blk.Addr(), mem.BlockSize, true, false, now)
 	s.llc.Stats.Writebacks++
-	if s.chk != nil {
-		s.llc.SetVer(blk, ver)
-	}
+	s.llcInstall(blk, blk.Addr(), mem.BlockSize, true, false, now, ver)
+}
+
+// llcInstall fills the LLC, sending its own dirty victim on to DRAM.
+func (s *System) llcInstall(blk mem.BlockAddr, addr mem.Addr, size uint8, dirty, pf bool, ready int64, ver uint64) {
+	v := s.llc.Fill(blk, addr, size, dirty, pf, ready)
+	s.stamp(s.llc, blk, ver)
 	if v.Valid && v.Dirty {
-		s.dramWriteback(v.Blk, now, v.Ver)
+		s.dramWriteback(v.Blk, ready, v.Ver)
+	}
+}
+
+// fillL2 installs a block arriving from the LLC side in the L2 at the
+// version llcAccess delivered (verScratch), sending the L2's dirty
+// victim on to the LLC.
+func (c *coreCtx) fillL2(blk mem.BlockAddr, addr mem.Addr, size uint8, pf bool, ready int64) {
+	v := c.l2.Fill(blk, addr, size, false, pf, ready)
+	c.sys.stamp(c.l2, blk, c.verScratch)
+	if v.Valid && v.Dirty {
+		c.writebackToLLC(v.Blk, ready, v.Ver)
 	}
 }
 
@@ -1151,28 +1158,14 @@ func (c *coreCtx) l2Access(blk mem.BlockAddr, addr mem.Addr, size uint8, write, 
 		}
 		resp = mem.Response{Ready: res.ReadyAt, Source: mem.ServedL2}
 	} else {
-		t := res.ReadyAt
-		if m := c.l2.MSHR(); m != nil {
-			if ready, inflight := m.Lookup(blk, t); inflight {
-				c.l2.Stats.MergedMSHR++
-				c.verScratch = 0 // merged: delivered version unknown
-				resp = mem.Response{Ready: max64(ready, t), Source: mem.ServedLLC}
-				return resp
-			}
-			t = m.Allocate(blk, t)
+		t, merged := c.l2.MissBegin(blk, res.ReadyAt)
+		if merged {
+			c.verScratch = 0 // delivered version unknown
+			return mem.Response{Ready: t, Source: mem.ServedLLC}
 		}
 		resp = c.llcAccess(blk, addr, size, write, pf, t)
-		v := c.l2.Fill(blk, addr, size, false, false, resp.Ready)
-		if c.chk != nil {
-			// llcAccess left the delivered version in verScratch.
-			c.l2.SetVer(blk, c.verScratch)
-		}
-		if v.Valid && v.Dirty {
-			c.writebackToLLC(v.Blk, resp.Ready, v.Ver)
-		}
-		if m := c.l2.MSHR(); m != nil {
-			m.Complete(blk, resp.Ready)
-		}
+		c.fillL2(blk, addr, size, false, resp.Ready)
+		c.l2.MissEnd(blk, resp.Ready)
 	}
 
 	// Prefetches launch at the demand's L2-lookup point, never at its
@@ -1189,30 +1182,13 @@ func (c *coreCtx) l2Access(blk mem.BlockAddr, addr mem.Addr, size uint8, write, 
 
 // l2Prefetch fetches an SPP candidate into the L2 via the LLC path.
 func (c *coreCtx) l2Prefetch(blk mem.BlockAddr, now int64) {
-	if c.l2.Probe(blk) {
+	if c.l2.Probe(blk) || !c.l2.PrefetchBegin(blk, now) {
 		return
 	}
-	if m := c.l2.MSHR(); m != nil {
-		if _, inflight := m.Lookup(blk, now); inflight {
-			return
-		}
-		if m.Outstanding(now) >= m.Capacity() {
-			return
-		}
-		m.Allocate(blk, now)
-	}
 	resp := c.llcAccess(blk, blk.Addr(), mem.BlockSize, false, true, now)
-	v := c.l2.Fill(blk, blk.Addr(), mem.BlockSize, false, true, resp.Ready)
+	c.fillL2(blk, blk.Addr(), mem.BlockSize, true, resp.Ready)
 	c.l2.MarkPrefetchFill()
-	if c.chk != nil {
-		c.l2.SetVer(blk, c.verScratch)
-	}
-	if v.Valid && v.Dirty {
-		c.writebackToLLC(v.Blk, resp.Ready, v.Ver)
-	}
-	if m := c.l2.MSHR(); m != nil {
-		m.Complete(blk, resp.Ready)
-	}
+	c.l2.MissEnd(blk, resp.Ready)
 }
 
 // l1Prefetch fetches a next-line candidate into the L1D via L2.
@@ -1220,30 +1196,18 @@ func (c *coreCtx) l1Prefetch(blk mem.BlockAddr, now int64) {
 	// Skip when the L1D or the victim cache already holds the block: a
 	// prefetch fill above a newer (possibly dirty) victim-cache copy
 	// would resurrect a stale version ahead of it in lookup order.
-	if c.l1d.Probe(blk) || (c.victim != nil && c.victim.Probe(blk)) {
+	if c.l1d.Probe(blk) || (c.victim != nil && c.victim.Probe(blk)) || !c.l1d.PrefetchBegin(blk, now) {
 		return
 	}
-	if m := c.l1d.MSHR(); m != nil {
-		if _, inflight := m.Lookup(blk, now); inflight {
-			return
-		}
-		if m.Outstanding(now) >= m.Capacity() {
-			return
-		}
-		m.Allocate(blk, now)
-	}
 	resp := c.l2Access(blk, blk.Addr(), mem.BlockSize, false, true, now)
+	// A prefetch's victim skips the victim cache: dirty data goes down.
 	v := c.l1d.Fill(blk, blk.Addr(), mem.BlockSize, false, true, resp.Ready)
-	c.l1d.MarkPrefetchFill()
-	if c.chk != nil {
-		c.l1d.SetVer(blk, c.verScratch)
-	}
+	c.sys.stamp(c.l1d, blk, c.verScratch)
 	if v.Valid && v.Dirty {
 		c.writebackToL2(v.Blk, resp.Ready, v.Ver)
 	}
-	if m := c.l1d.MSHR(); m != nil {
-		m.Complete(blk, resp.Ready)
-	}
+	c.l1d.MarkPrefetchFill()
+	c.l1d.MissEnd(blk, resp.Ready)
 }
 
 func (c *coreCtx) llcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write, pf bool, issue int64) mem.Response {
@@ -1258,140 +1222,74 @@ func (c *coreCtx) llcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write,
 		}
 		return mem.Response{Ready: res.ReadyAt, Source: mem.ServedLLC}
 	}
-	t := res.ReadyAt
-	if m := s.llc.MSHR(); m != nil {
-		if ready, inflight := m.Lookup(blk, t); inflight {
-			s.llc.Stats.MergedMSHR++
-			c.verScratch = 0 // merged: delivered version unknown
-			return mem.Response{Ready: max64(ready, t), Source: mem.ServedDRAM}
-		}
-		t = m.Allocate(blk, t)
+	t, merged := s.llc.MissBegin(blk, res.ReadyAt)
+	if merged {
+		c.verScratch = 0 // delivered version unknown
+		return mem.Response{Ready: t, Source: mem.ServedDRAM}
 	}
 
-	// Directory: a remote private cache or any SDC may hold the block.
-	ready := int64(0)
-	src := mem.ServedDRAM
+	// Directory: an SDC, else a remote private stack, may hold the
+	// block; DRAM otherwise.
+	var ready int64
 	var ver uint64
-	if s.sdcDir != nil {
-		if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers != 0 {
-			// Transfer from an SDC; invalidate the copies so the
-			// hierarchy becomes the owner.
-			for i := range s.cores {
-				if sharers&(1<<i) == 0 || s.cores[i].sdc == nil {
-					continue
-				}
-				if c.chk != nil && ver == 0 {
-					ver = s.cores[i].sdc.VerOf(blk)
-				}
-				if present, dirty := s.cores[i].sdc.Invalidate(blk); present && dirty {
-					s.dramWriteback(blk, t, ver)
-				}
-			}
-			s.sdcDir.InvalidateAll(blk)
-			ready = t + s.sdcDir.Latency() + s.cfg.DirLatency/8
-			src = mem.ServedSDC
+	src := mem.ServedDRAM
+	if sharers := s.sdcSharers(blk); sharers != 0 {
+		// Transfer from an SDC: the SDC domain gives the block up so the
+		// hierarchy becomes the owner.
+		ver, _ = s.surrenderSDCs(blk, sharers, t)
+		s.sdcDir.InvalidateAll(blk)
+		ready, src = t+s.sdcDir.Latency()+s.cfg.DirLatency/8, mem.ServedSDC
+	} else if rc := s.privateHolder(blk, c); rc != nil {
+		if c.chk != nil {
+			ver = rc.privateVer(blk)
 		}
-	}
-	if src == mem.ServedDRAM {
-		for i := range s.cores {
-			rc := s.cores[i]
-			if rc.id == c.id {
-				continue
-			}
-			if rc.l1d.Probe(blk) || (rc.victim != nil && rc.victim.Probe(blk)) || rc.l2.Probe(blk) {
-				if c.chk != nil {
-					// Topmost remote copy carries the newest version.
-					for _, ch := range []*cache.Cache{rc.l1d, rc.victim, rc.l2} {
-						if ch == nil {
-							continue
-						}
-						if v := ch.VerOf(blk); v != 0 {
-							ver = v
-							break
-						}
-					}
-				}
-				ready = t + s.cfg.DirLatency/2
-				src = mem.ServedRemote
-				break
-			}
-		}
-	}
-	if src == mem.ServedDRAM {
+		ready, src = t+s.cfg.DirLatency/2, mem.ServedRemote
+	} else {
 		ready = s.dram.Access(blk, false, t)
 		if c.chk != nil {
 			ver = c.chk.DRAMRead(blk)
 		}
 	}
-
-	v := s.llc.Fill(blk, addr, size, false, false, ready)
+	s.llcInstall(blk, addr, size, false, false, ready, ver)
+	s.llc.MissEnd(blk, ready)
 	if c.chk != nil {
-		s.llc.SetVer(blk, ver)
 		c.verScratch = ver
 	}
-	if v.Valid && v.Dirty {
-		s.dramWriteback(v.Blk, ready, v.Ver)
-	}
-	if m := s.llc.MSHR(); m != nil {
-		m.Complete(blk, ready)
-	}
-
-	// Cross-core LLC prefetcher (the "pickle" preset): it observes the
-	// demand-miss stream of every core right here and issues precise
-	// prefetches into the shared level. Its fills recurse into
-	// chk.DRAMRead and clobber verScratch, so the demand's delivered
-	// version is restored for the caller.
 	if s.llcpf != nil && !pf {
-		s.llcPfBuf = s.llcpf.OnAccess(mem.AccessInfo{PC: c.curPC, Addr: addr, Blk: blk, Core: c.id}, s.llcPfBuf[:0])
-		dv := c.verScratch
-		for _, cand := range s.llcPfBuf {
-			s.llcPrefetch(cand, t)
-		}
-		c.verScratch = dv
+		s.llcTrain(mem.AccessInfo{PC: c.curPC, Addr: addr, Blk: blk, Core: c.id}, t)
 	}
 	return mem.Response{Ready: ready, Source: src}
+}
+
+// llcTrain shows a demand LLC miss issued at t to the cross-core LLC
+// prefetcher (the "pickle" preset), which observes every core's miss
+// stream here and issues precise prefetches into the shared level. Both
+// engines call it from serial code: the legacy interleaver inside
+// llcAccess, bound–weave during the (t, core, seq)-ordered replay, so
+// training and issue order are independent of -wj.
+func (s *System) llcTrain(info mem.AccessInfo, t int64) {
+	s.llcPfBuf = s.llcpf.OnAccess(info, s.llcPfBuf[:0])
+	for _, cand := range s.llcPfBuf {
+		s.llcPrefetch(cand, t)
+	}
 }
 
 // llcPrefetch fetches a cross-core candidate into the shared LLC. The
 // block must be absent from the whole hierarchy (a shared-level fill
 // above a private dirty copy would shadow it in lookup order) and from
-// every SDC (the SDCDir owns those blocks). Both engines issue from
-// serial code: the legacy interleaver inside llcAccess, bound–weave
-// during the weave's replay of a demand LLC miss.
+// every SDC (the SDCDir owns those blocks).
 func (s *System) llcPrefetch(blk mem.BlockAddr, now int64) {
-	if s.anyCacheHolds(blk) {
+	if s.anyCacheHolds(blk) || s.sdcSharers(blk) != 0 || !s.llc.PrefetchBegin(blk, now) {
 		return
 	}
-	if s.sdcDir != nil {
-		if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers != 0 {
-			return
-		}
-	}
-	if m := s.llc.MSHR(); m != nil {
-		if _, inflight := m.Lookup(blk, now); inflight {
-			return
-		}
-		if m.Outstanding(now) >= m.Capacity() {
-			return
-		}
-		m.Allocate(blk, now)
-	}
 	ready := s.dram.Access(blk, false, now)
-	v := s.llc.Fill(blk, blk.Addr(), mem.BlockSize, false, true, ready)
+	var ver uint64
+	if k := s.checkerFor(blk); k != nil {
+		ver = k.DRAMRead(blk)
+	}
+	s.llcInstall(blk, blk.Addr(), mem.BlockSize, false, true, ready, ver)
 	s.llc.MarkPrefetchFill()
-	if s.chk != nil {
-		var ver uint64
-		if k := s.checkerFor(blk); k != nil {
-			ver = k.DRAMRead(blk)
-		}
-		s.llc.SetVer(blk, ver)
-	}
-	if v.Valid && v.Dirty {
-		s.dramWriteback(v.Blk, ready, v.Ver)
-	}
-	if m := s.llc.MSHR(); m != nil {
-		m.Complete(blk, ready)
-	}
+	s.llc.MissEnd(blk, ready)
 }
 
 // CheckInvariants runs one structural invariant sweep over every cache
@@ -1407,26 +1305,12 @@ func (s *System) CheckInvariants() {
 	k.CheckCache("LLC", s.llc)
 	sdcs := make([]*cache.Cache, len(s.cores))
 	for _, c := range s.cores {
-		k.CheckCache(fmt.Sprintf("core%d/L1D", c.id), c.l1d)
-		if c.victim != nil {
-			k.CheckCache(fmt.Sprintf("core%d/VC", c.id), c.victim)
-		}
-		k.CheckCache(fmt.Sprintf("core%d/L2", c.id), c.l2)
-		if c.sdc != nil {
-			k.CheckCache(fmt.Sprintf("core%d/SDC", c.id), c.sdc)
+		for _, l := range c.levels {
+			k.CheckCache(fmt.Sprintf("core%d/%s", c.id, l.name), l.cache)
 		}
 		sdcs[c.id] = c.sdc
 	}
 	if s.sdcDir != nil {
-		k.CheckSDCDir(s.sdcDir, sdcs, func(blk mem.BlockAddr) bool {
-			return s.anyCacheHolds(blk)
-		})
+		k.CheckSDCDir(s.sdcDir, sdcs, s.anyCacheHolds)
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

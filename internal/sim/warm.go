@@ -96,11 +96,9 @@ func (c *coreCtx) warmSDC(blk mem.BlockAddr, addr mem.Addr, size uint8, write bo
 	}
 	// Miss. The directory may still track a copy (e.g. a WOC alias that
 	// could not serve this word mask).
-	if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers != 0 {
+	if sharers := s.sdcSharers(blk); sharers != 0 {
 		if write {
-			if present, dirty := c.sdc.Invalidate(blk); present && dirty {
-				s.dram.WarmTouch(blk)
-			}
+			s.surrenderSDCs(blk, sharers, 0)
 			s.sdcDir.InvalidateAll(blk)
 		}
 		c.fillSDC(blk, addr, size, write, 0, 0)
@@ -109,16 +107,10 @@ func (c *coreCtx) warmSDC(blk mem.BlockAddr, addr mem.Addr, size uint8, write bo
 	// The hierarchy may hold it: reads are served in place (the detailed
 	// path's pure probes change no state, so there is nothing to warm);
 	// writes purge every copy and take SDC ownership.
-	if held := c.l1d.Probe(blk) ||
-		(c.victim != nil && c.victim.Probe(blk)) ||
-		c.l2.Probe(blk) || s.llc.Probe(blk); held {
+	if s.anyCacheHolds(blk) {
 		if write {
 			s.llc.Invalidate(blk)
-			c.l1d.Invalidate(blk)
-			if c.victim != nil {
-				c.victim.Invalidate(blk)
-			}
-			c.l2.Invalidate(blk)
+			c.purgePrivate(blk)
 			c.fillSDC(blk, addr, size, true, 0, 0)
 		}
 		return
@@ -140,13 +132,7 @@ func (c *coreCtx) warmSDC(blk mem.BlockAddr, addr mem.Addr, size uint8, write bo
 // occupancy checks (MSHRs are idle while warming).
 func (c *coreCtx) warmSDCPrefetch(blk mem.BlockAddr) {
 	s := c.sys
-	if c.sdc.Probe(blk) {
-		return
-	}
-	if _, _, held := s.sdcDir.Lookup(blk); held {
-		return
-	}
-	if s.anyCacheHolds(blk) {
+	if c.sdc.Probe(blk) || s.sdcSharers(blk) != 0 || s.anyCacheHolds(blk) {
 		return
 	}
 	s.dram.WarmTouch(blk)
@@ -168,13 +154,11 @@ func (c *coreCtx) warmL1(blk mem.BlockAddr, addr mem.Addr, size uint8, write boo
 		}
 	}
 	// SDC transfer: the whole SDC domain gives the block up.
-	if s.sdcDir != nil {
-		if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers&(1<<c.id) != 0 {
-			_, dirty := c.sdc.Invalidate(blk)
-			s.sdcDir.InvalidateAll(blk)
-			c.fillL1(blk, addr, size, write || dirty, 0, 0)
-			return
-		}
+	if sharers := s.sdcSharers(blk); sharers&(1<<c.id) != 0 {
+		_, dirty := s.surrenderSDCs(blk, sharers, wbMoves)
+		s.sdcDir.InvalidateAll(blk)
+		c.fillL1(blk, addr, size, write || dirty, 0, 0)
+		return
 	}
 	c.warmL2(blk, addr, size)
 	c.fillL1(blk, addr, size, write, 0, 0)
@@ -202,10 +186,7 @@ func (c *coreCtx) warmL2(blk mem.BlockAddr, addr mem.Addr, size uint8) {
 		return
 	}
 	c.warmLLC(blk, addr, size)
-	v := c.l2.Fill(blk, addr, size, false, false, 0)
-	if v.Valid && v.Dirty {
-		c.writebackToLLC(v.Blk, 0, v.Ver)
-	}
+	c.fillL2(blk, addr, size, false, 0)
 }
 
 // warmLLC is llcAccess on a one-core machine: an SDC sharer surrenders
@@ -215,32 +196,21 @@ func (c *coreCtx) warmLLC(blk mem.BlockAddr, addr mem.Addr, size uint8) {
 	if s.llc.Lookup(blk, addr, size, false, false, 0).Hit {
 		return
 	}
-	fromSDC := false
-	if s.sdcDir != nil {
-		if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers != 0 {
-			if c.sdc != nil {
-				if present, dirty := c.sdc.Invalidate(blk); present && dirty {
-					s.dram.WarmTouch(blk)
-				}
-			}
-			s.sdcDir.InvalidateAll(blk)
-			fromSDC = true
-		}
-	}
-	if !fromSDC {
+	if sharers := s.sdcSharers(blk); sharers != 0 {
+		s.surrenderSDCs(blk, sharers, 0)
+		s.sdcDir.InvalidateAll(blk)
+	} else {
 		s.dram.WarmTouch(blk)
 	}
-	v := s.llc.Fill(blk, addr, size, false, false, 0)
-	if v.Valid && v.Dirty {
-		s.dram.WarmTouch(v.Blk)
-	}
+	s.llcInstall(blk, addr, size, false, false, 0, 0)
 }
 
 // frozenCounters is freezeCounters' storage. The shared LLC and SDCDir
 // counters ride with the core: the sampler runs one-core machines only.
 type frozenCounters struct {
-	l1d, l2, llc, dtlb, stlb, victim, sdc stats.CacheStats
-	lp, dir                               [3]int64
+	private         [4]stats.CacheStats // indexed like coreCtx.levels
+	llc, dtlb, stlb stats.CacheStats
+	lp, dir         [3]int64
 }
 
 // freezeCounters saves (restore=false) or writes back (restore=true)
@@ -252,17 +222,12 @@ type frozenCounters struct {
 // never reaches them.
 func (c *coreCtx) freezeCounters(restore bool) {
 	f := &c.frozen
-	hold(restore, &c.l1d.Stats, &f.l1d)
-	hold(restore, &c.l2.Stats, &f.l2)
+	for i, l := range c.levels {
+		hold(restore, &l.cache.Stats, &f.private[i])
+	}
 	hold(restore, &c.sys.llc.Stats, &f.llc)
 	hold(restore, &c.tlbs.DTLB.Stats, &f.dtlb)
 	hold(restore, &c.tlbs.STLB.Stats, &f.stlb)
-	if c.victim != nil {
-		hold(restore, &c.victim.Stats, &f.victim)
-	}
-	if c.sdc != nil {
-		hold(restore, &c.sdc.Stats, &f.sdc)
-	}
 	if c.lp != nil {
 		hold(restore, &c.lp.PredAverse, &f.lp[0])
 		hold(restore, &c.lp.PredFriendly, &f.lp[1])

@@ -40,6 +40,7 @@ func TestFramingRejectsDamage(t *testing.T) {
 		{"wrong magic", append([]byte{'X'}, framed[1:]...), ErrCorrupt},
 		{"flipped payload bit", flipBit(framed, headerLen+2), ErrCorrupt},
 		{"flipped checksum bit", flipBit(framed, 20), ErrCorrupt},
+		{"trailing junk", append(append([]byte(nil), framed...), 0xAB), ErrCorrupt},
 	}
 	for _, tc := range cases {
 		if _, err := testFraming.Decode(tc.data); !errors.Is(err, tc.want) {
