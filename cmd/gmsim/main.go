@@ -14,8 +14,8 @@
 // N-core machine (a homogeneous multi-programmed mix) and a per-core
 // report is printed. -wj switches that run to the bound–weave parallel
 // engine; the report is byte-identical at any -wj >= 1 and carries no
-// wall-clock, so outputs can be diffed across worker counts (timing
-// goes to stderr). -wj 0, the default, is the serial engine: a different
+// wall-clock, so outputs can be diffed across worker counts (-v shows
+// the timing on stderr). -wj 0, the default, is the serial engine: a different
 // timing model whose results differ from bound–weave's (EXPERIMENTS.md,
 // "Serial vs bound–weave timing").
 package main
@@ -94,35 +94,43 @@ func main() {
 		fail(err)
 	}
 	id := graphmem.WorkloadID{Kernel: *kernel, Graph: *graphName}
+	// One workload per core: the point itself, or the homogeneous mix.
+	ids := make([]graphmem.WorkloadID, *cores)
+	for i := range ids {
+		ids[i] = id
+	}
+	spec := wb.Spec(cfg, ids...)
+	// reported prints what every run ends with on stderr — the store's
+	// outcome and the checker's violations — and says whether to exit 1.
+	reported := func(c graphmem.CheckSummary) (failed bool) {
+		if wb.Store != nil {
+			fmt.Fprintf(os.Stderr, "gmsim: %s\n", graphmem.StoreSummary(wb.Store))
+		}
+		if checkLevel == graphmem.CheckOff || c.Violations == 0 {
+			return false
+		}
+		fmt.Fprintf(os.Stderr, "gmsim: differential checker found %d violation(s):\n", c.Violations)
+		for _, v := range c.Details {
+			fmt.Fprintf(os.Stderr, "  %s\n", v)
+		}
+		return true
+	}
 
 	if *cores > 1 {
-		// Multi-core runs drive the simulator directly: no memo, no
-		// manifest, no recorder export.
+		// -json and -fr are output formats the per-core report has no
+		// counterpart for; the run itself goes through the workbench like
+		// a single-core one (memo, store, -j pool, -v progress).
 		if *jsonOut || *frPath != "" {
 			fail("-json and -fr are not supported with -cores > 1")
 		}
-		if err := effective.Cacheable(); wb.Store != nil && err != nil {
-			fail(err)
-		}
-		ws := make([]graphmem.Workload, *cores)
-		for i := range ws {
-			ws[i] = wb.Workload(id, i)
-		}
-		start := time.Now()
-		res := graphmem.RunMultiCore(effective, ws)
-		fmt.Fprintf(os.Stderr, "gmsim: %d-core run finished in %s\n", *cores, time.Since(start).Round(time.Millisecond))
+		res := wb.RunMix(spec)
 		printMulti(effective, profile.Name, id, res)
-		if checkLevel != graphmem.CheckOff && res.Check.Violations > 0 {
-			fmt.Fprintf(os.Stderr, "gmsim: differential checker found %d violation(s):\n", res.Check.Violations)
-			for _, v := range res.Check.Details {
-				fmt.Fprintf(os.Stderr, "  %s\n", v)
-			}
+		if reported(res.Check) {
 			os.Exit(1)
 		}
 		return
 	}
 
-	spec := wb.Spec(cfg, id)
 	start := time.Now()
 	res := wb.Run(spec)
 	s := &res.Stats
@@ -134,16 +142,7 @@ func main() {
 			fail(err)
 		}
 	}
-	if wb.Store != nil {
-		fmt.Fprintf(os.Stderr, "gmsim: %s\n", graphmem.StoreSummary(wb.Store))
-	}
-	checkFailed := checkLevel != graphmem.CheckOff && res.Check.Violations > 0
-	if checkFailed {
-		fmt.Fprintf(os.Stderr, "gmsim: differential checker found %d violation(s):\n", res.Check.Violations)
-		for _, v := range res.Check.Details {
-			fmt.Fprintf(os.Stderr, "  %s\n", v)
-		}
-	}
+	checkFailed := reported(res.Check)
 
 	if *jsonOut {
 		m := graphmem.NewManifest("gmsim")
@@ -213,11 +212,7 @@ func main() {
 		fmt.Printf("flight rec  %d timeline samples -> %s (open in ui.perfetto.dev)\n",
 			len(rec.Samples), *frPath)
 	}
-	if checkLevel != graphmem.CheckOff {
-		fmt.Printf("check       level %s  loads %d  stores %d  sweeps %d  unknown %d  violations %d\n",
-			res.Check.Level, res.Check.LoadsChecked, res.Check.StoresTracked,
-			res.Check.Sweeps, res.Check.UnknownVersions, res.Check.Violations)
-	}
+	printCheck(effective, res.Check)
 	if checkFailed {
 		os.Exit(1)
 	}
@@ -256,9 +251,13 @@ func printMulti(cfg graphmem.Config, profileName string, id graphmem.WorkloadID,
 	}
 	fmt.Printf("aggregate   instructions %d  cycles(max) %d  IPC(sum) %.3f\n", instr, cycles, ipcSum)
 	fmt.Printf("memory      loads %d  stores %d  DRAM reads %d  writes %d\n", loads, stores, dramR, dramW)
+	printCheck(cfg, res.Check)
+}
+
+// printCheck renders the checker's line of a checked run's report.
+func printCheck(cfg graphmem.Config, c graphmem.CheckSummary) {
 	if cfg.CheckLevel != graphmem.CheckOff {
 		fmt.Printf("check       level %s  loads %d  stores %d  sweeps %d  unknown %d  violations %d\n",
-			res.Check.Level, res.Check.LoadsChecked, res.Check.StoresTracked,
-			res.Check.Sweeps, res.Check.UnknownVersions, res.Check.Violations)
+			c.Level, c.LoadsChecked, c.StoresTracked, c.Sweeps, c.UnknownVersions, c.Violations)
 	}
 }

@@ -14,7 +14,10 @@ import (
 // rejected cells of the mode matrix (internal/harness TestModeMatrix)
 // through its flags: each exits 1 printing exactly the reason
 // sim.Config.Validate (or Cacheable) states — the tool keeps no rule
-// list of its own — and an accepted cell still runs.
+// list of its own — and an accepted cell still runs. Store x 4 cores is
+// one: the run goes through the workbench like a single-core one, so a
+// second invocation prints the same report from the store without
+// simulating.
 func TestModeRejectionsSurfaceValidateText(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "gmsim")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -48,7 +51,6 @@ func TestModeRejectionsSurfaceValidateText(t *testing.T) {
 		{"sample x 4 cores", append(sample, "-cores", "4"), reason(sampled(4).Validate())},
 		{"ckpt without sample", []string{"-ckpt", t.TempDir()}, reason(graphmem.TableI(1).WithCheckpointStore(new(graphmem.CheckpointStore), "").Validate())},
 		{"unknown preset", []string{"-pf", "warp"}, reason(graphmem.TableI(1).WithPrefetchers("warp").Validate())},
-		{"store x 4 cores", []string{"-cores", "4", "-store", t.TempDir()}, reason(graphmem.TableI(4).Cacheable())},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
@@ -66,5 +68,21 @@ func TestModeRejectionsSurfaceValidateText(t *testing.T) {
 	out, err := exec.Command(bin, append(point, sample...)...).Output()
 	if err != nil || !strings.Contains(string(out), "sampling    ") {
 		t.Errorf("accepted sampled run: err %v, output\n%s", err, out)
+	}
+
+	stored := append(point, "-cores", "4", "-store", t.TempDir())
+	var reports, summaries [2]bytes.Buffer
+	for i := range reports {
+		cmd := exec.Command(bin, stored...)
+		cmd.Stdout, cmd.Stderr = &reports[i], &summaries[i]
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("store x 4 cores, run %d: %v\n%s", i, err, summaries[i].String())
+		}
+	}
+	if !strings.Contains(reports[0].String(), "core   3    instructions ") || reports[0].String() != reports[1].String() {
+		t.Errorf("store x 4 cores: reports differ or lack core 3:\n%s\n%s", reports[0].String(), reports[1].String())
+	}
+	if cold, warm := summaries[0].String(), summaries[1].String(); !strings.Contains(cold, "hits=0 misses=1 ") || !strings.Contains(warm, "hits=1 misses=0 ") {
+		t.Errorf("store x 4 cores: want a miss then a hit that simulates nothing, got\n%s%s", cold, warm)
 	}
 }

@@ -296,7 +296,7 @@ func RegisterRunFlags(fs *flag.FlagSet, defaultProfile string) *RunOptions {
 	fs.StringVar(&o.Check, "check", "off", "differential checking: off|oracle|full (exit 1 on any violation)")
 	fs.StringVar(&o.Sample, "sample", "", "run eligible single-core simulations under the statistical sampler \"period,len,offset[,warm]\" (instructions); results are CI estimates")
 	fs.StringVar(&o.Ckpt, "ckpt", "", "warm-up checkpoint store directory (reuses functional warm-ups across runs; needs -sample)")
-	fs.StringVar(&o.Store, "store", "", "disk-backed result store directory (serves repeated single-core runs from disk; output is byte-identical either way)")
+	fs.StringVar(&o.Store, "store", "", "disk-backed result store directory (serves repeated runs, single- and multi-core, from disk; output is byte-identical either way)")
 	fs.StringVar(&o.Metrics, "metrics", "", "serve live metrics (Prometheus text + expvar) on this address, e.g. :6060")
 	fs.IntVar(&o.Jobs, "j", 0, "max concurrent simulations (0 = all host cores); output is identical at any -j")
 	fs.IntVar(&o.WeaveJobs, "wj", 0, "bound–weave host workers per multi-core simulation; workers count against -j, output is identical at any -wj >= 1 (0 = the serial engine, a different timing model with different results)")

@@ -32,7 +32,7 @@ func (wb *Workbench) Energy(subset []WorkloadID) *EnergyResult {
 	res := &EnergyResult{Workloads: subset}
 	base := wb.BaseConfig()
 	sdclp := wb.Profile.BaseConfig(1).WithSDCLP()
-	rs := wb.runAll(append(jobsFor(base, subset), jobsFor(sdclp, subset)...))
+	rs := wb.runAll(append(wb.specsFor(base, subset), wb.specsFor(sdclp, subset)...))
 	for i := range subset {
 		b, s := rs[i], rs[len(subset)+i]
 		eb := energy.Integrate(model, &b.Stats, false)

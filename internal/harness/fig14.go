@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
-	"sync"
 
 	"graphmem/internal/sim"
 	"graphmem/internal/stats"
@@ -45,137 +44,53 @@ func GenerateMixes(pool []WorkloadID, n int, seed uint64) [][]WorkloadID {
 	return mixes
 }
 
-// isolatedSpec is the spec of id's isolated run: alone on the Baseline
-// multi-core machine ("IPC in isolation on the same system", Section
-// IV-D).
-func (wb *Workbench) isolatedSpec(id WorkloadID) RunSpec {
-	return newRunSpec(kindIsolated, wb.mixConfig(wb.Profile.BaseConfig(mixCores)), id, wb.Profile.Name)
-}
-
-// singleIPC returns the isolated IPC of a workload, memoized and
-// single-flight — concurrent requests for the same id share one live
-// run.
-func (wb *Workbench) singleIPC(id WorkloadID) float64 {
-	s := wb.isolatedSpec(id)
-	label := fmt.Sprintf("isolated %-22s", id)
-	v, shared := wb.singles.do(s.key, func() float64 {
-		cfg, slots := wb.acquireSim(s.cfg)
-		defer wb.releaseN(slots)
-		ws := make([]sim.Workload, mixCores)
-		ws[0] = wb.Workload(id, 0)
-		finish := wb.Reporter.StartRun(label)
-		res := sim.RunMultiCore(cfg, ws)
-		v := res.PerCore[0].IPC()
-		finish(fmt.Sprintf("IPC=%.3f", v))
-		wb.recordCheck(res.Check)
-		return v
-	})
-	if shared {
-		wb.Reporter.Cached(label, fmt.Sprintf("IPC=%.3f", v))
-	}
-	return v
-}
-
-// runMix simulates one mix on one config (inside a worker-pool slot)
-// and returns per-thread shared IPCs. Mix runs are not memoized: each
-// (config, mix) point is simulated exactly once per Fig14 call.
-func (wb *Workbench) runMix(cfg sim.Config, mix []WorkloadID) []float64 {
-	cfg, slots := wb.acquireSim(wb.mixConfig(cfg))
-	defer wb.releaseN(slots)
-	ws := make([]sim.Workload, mixCores)
-	names := ""
-	for i, id := range mix {
-		ws[i] = wb.Workload(id, i)
-		if i > 0 {
-			names += "+"
-		}
-		names += id.String()
-	}
-	finish := wb.Reporter.StartRun(fmt.Sprintf("mix %-14s %s", cfg.Name, names))
-	res := sim.RunMultiCore(cfg, ws)
-	ipcs := res.IPCs()
-	finish(fmt.Sprintf("IPCs=%.3v", ipcs))
-	wb.recordCheck(res.Check)
-	return ipcs
-}
-
-// liveIsolated counts the distinct mix threads whose isolated run will
-// actually execute (not yet memoized or in flight); repeats join the
-// single-flight call and self-report as cached.
-func (wb *Workbench) liveIsolated(mixes [][]WorkloadID) int {
-	seen := make(map[WorkloadID]bool)
-	live := 0
-	for _, mix := range mixes {
-		for _, id := range mix {
-			if !seen[id] && !wb.singles.has(wb.isolatedSpec(id).key) {
-				live++
-			}
-			seen[id] = true
-		}
-	}
-	return live
-}
-
 // Fig14 runs the multi-core comparison over the profile's mix count
-// (or len(mixes) if provided). Isolated runs, baseline mixes and every
-// scheme mix are mutually independent, so the full run set is enqueued
-// on the worker pool up front; the weighted-speed-up aggregation then
-// walks schemes and mixes in the sequential order, so the result is
-// identical at any parallelism.
+// (or len(mixes) if provided). Per mix, the four threads' isolated runs
+// (alone on the Baseline machine: "IPC in isolation on the same
+// system", Section IV-D), the Baseline mix and every scheme mix are
+// mutually independent, so the full run set is enqueued on the worker
+// pool up front like any other figure's points — isolated runs of a
+// workload several mixes share dedupe on their key; the weighted-speed-up
+// aggregation then walks schemes and mixes in the sequential order, so
+// the result is identical at any parallelism.
 func (wb *Workbench) Fig14(mixes [][]WorkloadID) *Fig14Result {
 	if mixes == nil {
 		mixes = GenerateMixes(nil, wb.Profile.Mixes, 14)
 	}
 	base4 := wb.Profile.BaseConfig(mixCores)
 	configs := []sim.Config{
+		base4,
 		base4.WithBigL1D(),
 		base4.WithDistill(),
 		base4.WithTOPT(),
 		base4.With2xLLC(),
 		base4.WithSDCLP(),
 	}
+	// Per mix: mixCores isolated runs, then one mix run per config.
+	perMix := mixCores + len(configs)
+	specs := make([]RunSpec, 0, len(mixes)*perMix)
+	for _, mix := range mixes {
+		for _, id := range mix {
+			specs = append(specs, wb.mixSpec(base4, id))
+		}
+		for _, cfg := range configs {
+			specs = append(specs, wb.mixSpec(cfg, mix...))
+		}
+	}
+	rs := runSpecs(wb, specs, wb.RunMix)
+
 	res := &Fig14Result{Mixes: mixes}
-	// Plan the live work only: every mix run executes, while isolated
-	// runs dedupe through the singles cache.
-	wb.Reporter.Plan(len(mixes)*(1+len(configs)) + wb.liveIsolated(mixes))
-
-	singles := make([][]float64, len(mixes))
-	baseShared := make([][]float64, len(mixes))
-	shared := make([][][]float64, len(configs)) // [scheme][mix][thread]
-	for k := range configs {
-		shared[k] = make([][]float64, len(mixes))
-	}
-	var wg sync.WaitGroup
-	for m, mix := range mixes {
-		singles[m] = make([]float64, mixCores)
-		for i, id := range mix {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				singles[m][i] = wb.singleIPC(id)
-			}()
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			baseShared[m] = wb.runMix(base4, mix)
-		}()
-		for k, cfg := range configs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				shared[k][m] = wb.runMix(cfg, mix)
-			}()
-		}
-	}
-	wg.Wait()
-
-	for k, cfg := range configs {
+	for k, cfg := range configs[1:] {
 		res.Schemes = append(res.Schemes, cfg.Name)
 		ws := make([]float64, len(mixes))
 		maxPct := 0.0
 		for m := range mixes {
-			ws[m] = stats.WeightedSpeedup(shared[k][m], singles[m], baseShared[m])
+			runs := rs[m*perMix : (m+1)*perMix]
+			singles := make([]float64, mixCores)
+			for i := range singles {
+				singles[i] = runs[i].PerCore[0].IPC()
+			}
+			ws[m] = stats.WeightedSpeedup(runs[mixCores+1+k].IPCs(), singles, runs[mixCores].IPCs())
 			if p := (ws[m] - 1) * 100; p > maxPct {
 				maxPct = p
 			}
@@ -209,14 +124,7 @@ func (r *Fig14Result) Table() *Table {
 	}
 	sort.Slice(order, func(a, b int) bool { return r.WS[last][order[a]] < r.WS[last][order[b]] })
 	for _, m := range order {
-		mixName := ""
-		for j, id := range r.Mixes[m] {
-			if j > 0 {
-				mixName += "+"
-			}
-			mixName += id.String()
-		}
-		row := []any{mixName}
+		row := []any{string(appendMixName(nil, r.Mixes[m]))}
 		for s := range r.Schemes {
 			row = append(row, pct(r.WS[s][m]))
 		}

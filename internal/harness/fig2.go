@@ -23,7 +23,7 @@ func (wb *Workbench) Fig2(subset []WorkloadID) *Fig2Result {
 		subset = AllWorkloads()
 	}
 	res := &Fig2Result{Workloads: subset}
-	rs := wb.runAll(jobsFor(wb.BaseConfig(), subset))
+	rs := wb.runAll(wb.specsFor(wb.BaseConfig(), subset))
 	var dramServed, missServed int64
 	for _, r := range rs {
 		s := &r.Stats

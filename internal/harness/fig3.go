@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"graphmem/internal/check"
 	"graphmem/internal/mem"
+	"graphmem/internal/obs"
 	"graphmem/internal/sim"
 	"graphmem/internal/trace"
 )
@@ -20,75 +22,40 @@ type Fig3Result struct {
 }
 
 // Fig3 reproduces the characterization on the given workload (the
-// paper uses cc.friendster). The profiling run is never memoized in
-// process (it carries a custom observer, not a sim.Result), but with a
-// result store attached the derived profile is cached on disk under
-// the run's fig3-kind key, so warm sweeps skip the run entirely.
+// paper uses cc.friendster). The profiling run — a single-core run with
+// a load observer attached — goes through the same door as every
+// simulation point under its own fig3-kind key: memoized in process,
+// and with a result store attached the derived profile is cached on
+// disk, so warm sweeps skip the run entirely.
 func (wb *Workbench) Fig3(id WorkloadID) *Fig3Result {
-	cfg := wb.BaseConfig()
-	if wb.storeEligible(cfg) {
-		spec := newRunSpec(kindFig3, cfg, id, wb.Profile.Name)
-		skey := spec.StoreKey()
-		payload, commit := wb.Store.Acquire(skey)
-		if payload != nil {
-			if res := storedFig3(payload, id); res != nil {
-				_ = commit(nil)
-				wb.Reporter.Cached(fmt.Sprintf("profiled %-22s %-14s", id, cfg.Name), "(store)")
-				wb.Metrics.RunStoreHit("fig3/" + id.String())
-				return res
-			}
-			// Fall through to the live path with the commit still held:
-			// the rerun republishes under the key, healing the entry.
-			wb.Store.Reject(skey)
+	s := newRunSpec(kindFig3, wb.BaseConfig(), []WorkloadID{id}, wb.Profile.Name)
+	wb.planJobs([]RunSpec{s})
+	return through(wb, s, fig3Shape, func(cfg sim.Config, ws []sim.Workload) (*Fig3Result, check.Summary) {
+		sys := sim.NewSystem(cfg, ws)
+		prof := trace.NewStrideDRAMProfiler()
+		sys.Observer = func(coreID int, pc uint64, blk mem.BlockAddr, served mem.ServedBy) {
+			prof.Observe(pc, blk, served)
 		}
-		// Release the claim without publishing if the live run panics.
-		committed := false
-		defer func() {
-			if !committed {
-				_ = commit(nil)
-			}
-		}()
-		res := wb.fig3Live(id, cfg)
-		committed = true
-		data, err := json.Marshal(res)
-		if err == nil {
-			err = commit(data)
-		} else {
-			_ = commit(nil)
+		r := sys.RunCore0(ws[0])
+		res := &Fig3Result{Workload: id}
+		for b := 0; b < trace.StrideBuckets; b++ {
+			res.Labels = append(res.Labels, trace.BucketLabel(b))
+			res.Prob = append(res.Prob, prof.DRAMProbability(b))
+			res.Samples = append(res.Samples, prof.Samples(b))
 		}
-		if err != nil {
-			wb.log("result store write failed for %s: %v", spec.key, err)
-		}
-		return res
-	}
-	return wb.fig3Live(id, cfg)
+		return res, r.Check
+	})
 }
 
-// fig3Live executes the profiling run inside a worker-pool slot, like
-// every other simulation (-j bounds it too). It reports to the progress
-// reporter but not to Metrics' run counters, which count simulation
-// points.
-func (wb *Workbench) fig3Live(id WorkloadID, cfg sim.Config) *Fig3Result {
-	wb.Reporter.Plan(1)
-	wb.acquire()
-	defer wb.release()
-	w := wb.Workload(id, 0)
-	sys := sim.NewSystem(cfg, []sim.Workload{w})
-	prof := trace.NewStrideDRAMProfiler()
-	sys.Observer = func(coreID int, pc uint64, blk mem.BlockAddr, served mem.ServedBy) {
-		prof.Observe(pc, blk, served)
-	}
-	finish := wb.Reporter.StartRun(fmt.Sprintf("profiled %-22s %-14s", id, cfg.Name))
-	r := sys.RunCore0(w)
-	finish(fmt.Sprintf("IPC=%.3f", r.IPC()))
-	wb.recordCheck(r.Check)
-	res := &Fig3Result{Workload: id}
-	for b := 0; b < trace.StrideBuckets; b++ {
-		res.Labels = append(res.Labels, trace.BucketLabel(b))
-		res.Prob = append(res.Prob, prof.DRAMProbability(b))
-		res.Samples = append(res.Samples, prof.Samples(b))
-	}
-	return res
+// fig3Shape carries a profile through the store as JSON.
+var fig3Shape = shape[*Fig3Result]{
+	encode: func(r *Fig3Result) ([]byte, error) { return json.Marshal(r) },
+	decode: func(payload []byte, s RunSpec) (*Fig3Result, bool) {
+		res := new(Fig3Result)
+		err := json.Unmarshal(payload, res)
+		return res, err == nil && res.Workload == s.ids[0] && len(res.Labels) > 0
+	},
+	describe: func(*Fig3Result) (string, float64, *obs.RecSummary) { return "profiled", 0, nil },
 }
 
 // Table renders the result.

@@ -22,54 +22,57 @@ type SpeedupResult struct {
 }
 
 // runSpeedups measures the given configs against the Baseline over the
-// workloads. The whole scheme grid is enqueued on the worker pool at
-// once and aggregated in scheme-major order, matching the sequential
-// schedule byte for byte.
-func (wb *Workbench) runSpeedups(id, title string, configs []sim.Config, subset []WorkloadID) *SpeedupResult {
+// workloads (nil = all 36): the one speed-up loop behind Figs. 7 and
+// 10-13 and the τ sweep. The whole scheme grid is enqueued on the worker
+// pool at once and aggregated in scheme-major order, matching the
+// sequential schedule byte for byte. It also hands back the grid's raw
+// results, rs[scheme][workload], for callers that report more than IPC.
+func (wb *Workbench) runSpeedups(configs []sim.Config, subset []WorkloadID) (*SpeedupResult, [][]*sim.Result) {
 	if subset == nil {
 		subset = AllWorkloads()
 	}
-	res := &SpeedupResult{ID: id, Title: title, Workloads: subset}
+	res := &SpeedupResult{Workloads: subset}
 	baseIPC := wb.baselineIPCs(subset)
-	var jobs []runReq
+	var specs []RunSpec
 	for _, cfg := range configs {
-		jobs = append(jobs, jobsFor(cfg, subset)...)
+		specs = append(specs, wb.specsFor(cfg, subset)...)
 	}
-	rs := wb.runAll(jobs)
+	all := wb.runAll(specs)
+	rs := make([][]*sim.Result, len(configs))
 	for k, cfg := range configs {
+		rs[k] = all[k*len(subset) : (k+1)*len(subset)]
 		res.Schemes = append(res.Schemes, cfg.Name)
 		row := make([]float64, len(subset))
-		for i := range subset {
-			row[i] = rs[k*len(subset)+i].IPC() / baseIPC[i]
+		for i, r := range rs[k] {
+			row[i] = r.IPC() / baseIPC[i]
 		}
 		res.Speedup = append(res.Speedup, row)
 		res.GeomeanPct = append(res.GeomeanPct, stats.GeoMeanSpeedup(row))
 	}
-	return res
+	return res, rs
 }
 
 // Fig7 compares the four prior schemes and SDC+LP against the Baseline
 // over the workloads (nil = all 36), reproducing Fig. 7.
 func (wb *Workbench) Fig7(subset []WorkloadID) *SpeedupResult {
 	base := wb.Profile.BaseConfig(1)
-	return wb.runSpeedups("fig7", "Single-core speed-up over Baseline (Fig. 7)",
-		[]sim.Config{
-			base.WithBigL1D(),
-			base.WithDistill(),
-			base.WithTOPT(),
-			base.With2xLLC(),
-			base.WithSDCLP(),
-		}, subset)
+	res, _ := wb.runSpeedups([]sim.Config{
+		base.WithBigL1D(),
+		base.WithDistill(),
+		base.WithTOPT(),
+		base.With2xLLC(),
+		base.WithSDCLP(),
+	}, subset)
+	res.ID, res.Title = "fig7", "Single-core speed-up over Baseline (Fig. 7)"
+	return res
 }
 
 // Fig13 compares the Expert Programmer routing against SDC+LP (Fig. 13).
 func (wb *Workbench) Fig13(subset []WorkloadID) *SpeedupResult {
 	base := wb.Profile.BaseConfig(1)
-	return wb.runSpeedups("fig13", "SDC+LP vs Expert Programmer (Fig. 13)",
-		[]sim.Config{
-			base.WithExpert(),
-			base.WithSDCLP(),
-		}, subset)
+	res, _ := wb.runSpeedups([]sim.Config{base.WithExpert(), base.WithSDCLP()}, subset)
+	res.ID, res.Title = "fig13", "SDC+LP vs Expert Programmer (Fig. 13)"
+	return res
 }
 
 // SchemeIndex returns the row index of the named scheme, or -1.

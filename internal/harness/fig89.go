@@ -31,7 +31,7 @@ func (wb *Workbench) Fig89(subset []WorkloadID) *Fig89Result {
 	res := &Fig89Result{Workloads: subset}
 	base := wb.BaseConfig()
 	sdclp := wb.Profile.BaseConfig(1).WithSDCLP()
-	rs := wb.runAll(append(jobsFor(base, subset), jobsFor(sdclp, subset)...))
+	rs := wb.runAll(append(wb.specsFor(base, subset), wb.specsFor(sdclp, subset)...))
 	for i := range subset {
 		b, s := rs[i], rs[len(subset)+i]
 		bi, si := b.Stats.Instructions, s.Stats.Instructions

@@ -8,6 +8,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -32,6 +33,10 @@ type WorkloadID struct {
 
 // String implements fmt.Stringer.
 func (w WorkloadID) String() string { return w.Kernel + "." + w.Graph }
+
+// idle reports the zero WorkloadID: a core slot of a RunSpec that runs
+// nothing (an isolated run's other cores).
+func (w WorkloadID) idle() bool { return w == WorkloadID{} }
 
 // AllWorkloads returns the 36 combinations in kernel-major Table II/III
 // order.
@@ -171,8 +176,9 @@ type Workbench struct {
 	Parallelism int
 	// Metrics, when set, receives run lifecycle events (started,
 	// finished with IPC and recorder snapshot, cached) for the live
-	// -metrics HTTP endpoint. A nil Metrics is a no-op — every call
-	// site threads the pointer unconditionally.
+	// -metrics HTTP endpoint, each run under its RunSpec digest. A nil
+	// Metrics is a no-op — every call site threads the pointer
+	// unconditionally.
 	Metrics *obs.Metrics
 	// CheckLevel runs every simulation under the differential checker
 	// (internal/check) at the given level. Checked runs produce
@@ -185,7 +191,7 @@ type Workbench struct {
 	// and isolated runs) on the bound–weave parallel engine
 	// (sim.Config.Quantum = sim.DefaultQuantum) with up to WeaveJobs
 	// host goroutines per simulation. Weave workers are real host work
-	// and therefore count against the Parallelism budget: a mix run
+	// and therefore count against the Parallelism budget: such a run
 	// claims min(WeaveJobs, workers) pool slots for its duration.
 	// Results are identical at any WeaveJobs >= 1 (the engine's
 	// determinism contract); only wall-clock changes. Set it before the
@@ -212,12 +218,13 @@ type Workbench struct {
 	Checkpoints *sample.Store
 	// Store, when set, is the disk-backed content-addressed result
 	// store: a read-through/write-through tier under the in-memory memo
-	// (lookup order: memory → disk → run), keyed by RunSpec.StoreKey.
-	// Stored results are byte-identical to live runs, so the tier
-	// affects wall-clock only; runs sim.Config.Cacheable rejects bypass
-	// it both ways. Open one with OpenResultStore; cmd/gmreport and
-	// cmd/gmsim expose it as -store, and gmserved fronts one as a
-	// service.
+	// (lookup order: memory → disk → run), keyed by RunSpec.StoreKey,
+	// for every run the workbench launches — points, the Fig. 3 profile,
+	// isolated runs and mixes. Stored results are byte-identical to live
+	// runs, so the tier affects wall-clock only; runs
+	// sim.Config.Cacheable rejects (checked ones) bypass it both ways.
+	// Open one with OpenResultStore; cmd/gmreport and cmd/gmsim expose
+	// it as -store, and gmserved fronts one as a service.
 	Store *store.Store
 
 	mu sync.Mutex // guards sem's creation and the check aggregate
@@ -227,8 +234,9 @@ type Workbench struct {
 	batchMu sync.Mutex
 	sem     chan struct{} // worker pool, sized on first acquire
 	graphs  flight[*graph.Graph]
-	results flight[*sim.Result] // single-core points by RunSpec key
-	singles flight[float64]     // isolated IPCs for Fig. 14 by RunSpec key
+	// runs memoizes every run by RunSpec key, whatever its shape: a
+	// *sim.Result, *sim.MultiResult or *Fig3Result, as the key's kind says.
+	runs flight[any]
 
 	checkRuns       int64             // live checked runs aggregated
 	checkViolations int64             // total violations across the sweep
@@ -362,70 +370,158 @@ func (wb *Workbench) RunSingle(cfg sim.Config, id WorkloadID) *sim.Result {
 // Run is RunSingle on a spec this workbench's Spec derived, for callers
 // that also want the run's key without deriving it twice.
 func (wb *Workbench) Run(s RunSpec) *sim.Result {
-	label := fmt.Sprintf("ran %-22s %-14s", s.id, s.cfg.Name)
-	mlabel := s.cfg.Name + "/" + s.id.String()
-	res, shared := wb.results.do(s.key, func() *sim.Result { return wb.execute(s, label, mlabel) })
-	if shared {
-		wb.Reporter.Cached(label, fmt.Sprintf("IPC=%.3f", res.IPC()))
-		wb.Metrics.RunCached(mlabel)
-	}
-	return res
+	return through(wb, s, pointShape, func(cfg sim.Config, ws []sim.Workload) (*sim.Result, check.Summary) {
+		res := sim.RunSingleCore(cfg, ws[0])
+		return res, res.Check
+	})
 }
 
-// execute fills one memo entry: from the disk tier when it holds the
-// point, else by a live run inside a worker-pool slot.
-func (wb *Workbench) execute(s RunSpec, label, mlabel string) *sim.Result {
-	// Disk tier: the store's Acquire holds the key's claim from here to
-	// commit, so concurrent processes sharing the directory serialize on
-	// the point too. A hit must decode to exactly the run we asked for;
-	// anything else is dropped (Reject) and the run proceeds live with
-	// the claim still held, republishing under the key — the cache can
-	// never poison a sweep.
-	var commit func([]byte) error
-	if wb.storeEligible(s.cfg) {
-		var payload []byte
-		payload, commit = wb.Store.Acquire(s.StoreKey())
-		// Whatever happens below — a hit, a crash — the claim is released;
-		// only a completed live run publishes (and clears commit) first.
-		defer func() {
-			if commit != nil {
-				_ = commit(nil)
+// RunMix is Run for a multi-core spec: a mix, or an isolated run (a mix
+// whose other slots are idle).
+func (wb *Workbench) RunMix(s RunSpec) *sim.MultiResult {
+	return through(wb, s, mixShape, func(cfg sim.Config, ws []sim.Workload) (*sim.MultiResult, check.Summary) {
+		res := sim.RunMultiCore(cfg, ws)
+		return res, res.Check
+	})
+}
+
+// shape is what the door needs to know about one kind of run's value:
+// its codec for the disk tier — decode also validates the payload
+// against the run it claims to cache, false meaning unusable
+// (undecodable or a key collision) — and how it reads on a progress
+// line and on /metrics.
+type shape[V any] struct {
+	encode   func(V) ([]byte, error)
+	decode   func(payload []byte, s RunSpec) (V, bool)
+	describe func(V) (detail string, ipc float64, rec *obs.RecSummary)
+}
+
+var pointShape = shape[*sim.Result]{
+	encode: sim.EncodeResult,
+	decode: func(payload []byte, s RunSpec) (*sim.Result, bool) {
+		res, err := sim.DecodeResult(payload)
+		return res, err == nil && res.Config == s.cfg.Name && res.Workload == s.ids[0].String()
+	},
+	describe: func(r *sim.Result) (string, float64, *obs.RecSummary) {
+		return fmt.Sprintf("IPC=%.3f", r.IPC()), r.IPC(), r.Recorder
+	},
+}
+
+var mixShape = shape[*sim.MultiResult]{
+	encode: sim.EncodeMultiResult,
+	decode: func(payload []byte, s RunSpec) (*sim.MultiResult, bool) {
+		res, err := sim.DecodeMultiResult(payload)
+		return res, err == nil && res.Config == s.cfg.Name && len(res.PerCore) == len(s.ids) &&
+			slices.EqualFunc(res.Names, s.ids, func(name string, id WorkloadID) bool {
+				return name == id.String() || name == "" && id.idle()
+			})
+	},
+	describe: func(r *sim.MultiResult) (string, float64, *obs.RecSummary) {
+		ipcs, sum := r.IPCs(), 0.0
+		for _, v := range ipcs {
+			sum += v
+		}
+		return fmt.Sprintf("IPCs=%.3v", ipcs), sum, nil
+	},
+}
+
+// through is the one door every simulation the harness launches goes
+// through, whatever its shape, in three steps: the in-memory
+// single-flight memo, the disk tier, and a live run inside the pool
+// bracket (live). A value served by the memo or by another caller's
+// fill reports as cached.
+func through[V any](wb *Workbench, s RunSpec, sh shape[V], simulate func(sim.Config, []sim.Workload) (V, check.Summary)) V {
+	var scratch [64]byte
+	names := string(appendMixName(scratch[:0], s.ids))
+	label := fmt.Sprintf("%-6s %-22s %-14s", s.kind, names, s.cfg.Name)
+	mlabel := s.cfg.Name + "/" + names
+	v, shared := wb.runs.do(s.key, func() any {
+		// Disk tier: the store's Acquire holds the key's claim from here to
+		// commit, so concurrent processes sharing the directory serialize on
+		// the run too. A hit must decode to exactly the run we asked for;
+		// anything else is dropped (Reject) and the run proceeds live with
+		// the claim still held, republishing under the key — the cache can
+		// never poison a sweep.
+		var commit func([]byte) error
+		if wb.storeEligible(s.cfg) {
+			var payload []byte
+			payload, commit = wb.Store.Acquire(s.StoreKey())
+			// Whatever happens below — a hit, a crash — the claim is released;
+			// only a completed live run publishes (and clears commit) first.
+			defer func() {
+				if commit != nil {
+					_ = commit(nil)
+				}
+			}()
+			if payload != nil {
+				if v, ok := sh.decode(payload, s); ok {
+					detail, _, _ := sh.describe(v)
+					wb.Reporter.Cached(label, detail+" (store)")
+					wb.Metrics.RunStoreHit(mlabel)
+					return v
+				}
+				wb.Store.Reject(s.StoreKey())
 			}
-		}()
-		if payload != nil {
-			if res := decodeStored(payload, s.cfg, s.id); res != nil {
-				wb.Reporter.Cached(label, fmt.Sprintf("IPC=%.3f (store)", res.IPC()))
-				wb.Metrics.RunStoreHit(mlabel)
-				return res
+		}
+
+		v := live(wb, s, label, mlabel, sh, simulate)
+		if commit != nil {
+			// Write-through is best effort: a failed publish costs the next
+			// process a re-run, never correctness.
+			data, err := sh.encode(v)
+			if err == nil {
+				err, commit = commit(data), nil
 			}
-			wb.Store.Reject(s.StoreKey())
+			if err != nil {
+				wb.log("result store write failed for %s: %v", s.key, err)
+			}
+		}
+		return v
+	})
+	if shared {
+		detail, _, _ := sh.describe(v.(V))
+		wb.Reporter.Cached(label, detail)
+		wb.Metrics.RunCached(mlabel)
+	}
+	return v.(V)
+}
+
+// live is the one bracket around every live simulation: it claims the
+// run's pool slots, prepares the slots' workloads, reports start and
+// finish to the Reporter and to Metrics, and folds the checker outcome
+// into the sweep aggregate. Every claim comes back through a defer, so
+// a panicking run leaks nothing.
+func live[V any](wb *Workbench, s RunSpec, label, mlabel string, sh shape[V], simulate func(sim.Config, []sim.Workload) (V, check.Summary)) V {
+	cfg, slots := wb.acquireSim(s.cfg)
+	defer wb.releaseN(slots)
+	ws := make([]sim.Workload, len(s.ids))
+	for i, id := range s.ids {
+		if !id.idle() {
+			ws[i] = wb.Workload(id, i)
 		}
 	}
-
-	wb.acquire()
-	defer wb.release()
-	w := wb.Workload(s.id, 0)
+	m := wb.pointMetrics(s)
 	finish := wb.Reporter.StartRun(label)
-	wb.Metrics.RunStarted(mlabel)
+	m.RunStarted(s.StoreKey(), mlabel)
 	start := time.Now()
-	res := sim.RunSingleCore(s.cfg, w)
-	finish(fmt.Sprintf("IPC=%.3f", res.IPC()))
-	wb.Metrics.RunFinished(mlabel, time.Since(start).Seconds(), res.IPC(), res.Recorder)
-	wb.recordCheck(res.Check)
+	v, checked := simulate(cfg, ws)
+	detail, ipc, rec := sh.describe(v)
+	finish(detail)
+	m.RunFinished(s.StoreKey(), mlabel, time.Since(start).Seconds(), ipc, rec)
+	wb.recordCheck(checked)
+	return v
+}
 
-	if commit != nil {
-		// Write-through is best effort: a failed publish costs the next
-		// process a re-run, never correctness.
-		data, err := sim.EncodeResult(res)
-		if err == nil {
-			err, commit = commit(data), nil
-		}
-		if err != nil {
-			wb.log("result store write failed for %s: %v", s.key, err)
-		}
+// pointMetrics is the registry s's live run is planned on and reports
+// to. The Fig. 3 profile is not a simulation point — it yields a
+// stride histogram, no IPC — so /metrics' live-run counters (which
+// count points) leave it out; its store and memo hits still count.
+func (wb *Workbench) pointMetrics(s RunSpec) *obs.Metrics {
+	if s.kind == kindFig3 {
+		return nil
 	}
-	return res
+	return wb.Metrics
 }
 
 // SortedResultKeys exposes the memoized run keys (for tests).
-func (wb *Workbench) SortedResultKeys() []string { return wb.results.keys() }
+func (wb *Workbench) SortedResultKeys() []string { return wb.runs.keys() }

@@ -39,11 +39,11 @@ func (wb *Workbench) LatencyBreakdown(subset []WorkloadID) *LatencyResult {
 		base.WithFlightRecorder(0),
 		base.WithSDCLP().WithFlightRecorder(0),
 	}
-	var jobs []runReq
+	var specs []RunSpec
 	for _, cfg := range configs {
-		jobs = append(jobs, jobsFor(cfg, subset)...)
+		specs = append(specs, wb.specsFor(cfg, subset)...)
 	}
-	rs := wb.runAll(jobs)
+	rs := wb.runAll(specs)
 
 	res := &LatencyResult{
 		ID:    "latency",

@@ -8,6 +8,7 @@ import (
 
 	"graphmem/internal/check"
 	"graphmem/internal/mem"
+	"graphmem/internal/obs"
 	"graphmem/internal/sim"
 )
 
@@ -41,7 +42,7 @@ func TestModeMatrix(t *testing.T) {
 		{4, false, "recorder", runs},
 		{4, false, "bound-weave", runs},
 		{4, false, "bound-weave+observer", "the load observer cannot run on the bound-weave engine"},
-		{4, false, "store", "the result store caches single-core runs only"},
+		{4, false, "store", runs},
 		{4, true, "check", "sampling requires a single-core machine"},
 		{4, true, "epochs", "sampling requires a single-core machine"},
 		{4, true, "recorder", "sampling requires a single-core machine"},
@@ -114,15 +115,25 @@ func TestModeMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wb.Store = st
-				first := wb.RunSingle(profile.BaseConfig(1), id)
-				again := wb.WithProfile(profile) // a fresh memo over the same store
-				second := again.RunSingle(profile.BaseConfig(1), id)
-				if st.Hits() != 1 || !reflect.DeepEqual(first, second) {
-					t.Errorf("second run: %d store hits, results equal %v", st.Hits(), reflect.DeepEqual(first, second))
+				wb.Store, wb.Metrics = st, obs.NewMetrics()
+				// The point, or the homogeneous mix, through the door.
+				run := func(wb *Workbench) (res any, sampled bool) {
+					s := wb.Spec(profile.BaseConfig(c.cores), []WorkloadID{id, id, id, id}[:c.cores]...)
+					if c.cores > 1 {
+						return wb.RunMix(s), false
+					}
+					r := wb.Run(s)
+					return r, r.Sampling != nil
 				}
-				if (first.Sampling != nil) != c.sampled {
-					t.Errorf("stored run sampled = %v, want %v", first.Sampling != nil, c.sampled)
+				first, sampled := run(wb)
+				second, _ := run(wb.WithProfile(profile)) // a fresh memo over the same store
+				_, simulated, _, _ := wb.Metrics.Counts()
+				if st.Hits() != 1 || simulated != 1 || !reflect.DeepEqual(first, second) {
+					t.Errorf("second run: %d store hits, %d simulations in all, results equal %v",
+						st.Hits(), simulated, reflect.DeepEqual(first, second))
+				}
+				if sampled != c.sampled {
+					t.Errorf("stored run sampled = %v, want %v", sampled, c.sampled)
 				}
 				return
 			}

@@ -124,8 +124,9 @@ func TestBoundWeaveDeterminism(t *testing.T) {
 		wb := NewWorkbench(fastBench())
 		wb.Parallelism = 8
 		wb.WeaveJobs = wj
-		base4 := wb.Profile.BaseConfig(mixCores).WithSDCLP()
-		return wb.runMix(base4, mix), wb.singleIPC(mix[0])
+		base4 := wb.Profile.BaseConfig(mixCores)
+		return wb.RunMix(wb.mixSpec(base4.WithSDCLP(), mix...)).IPCs(),
+			wb.RunMix(wb.mixSpec(base4, mix[0])).PerCore[0].IPC()
 	}
 	ipc1, iso1 := run(1)
 	ipc8, iso8 := run(8)

@@ -68,11 +68,11 @@ func (wb *Workbench) PrefetchHeadToHead(subset []WorkloadID) *PrefetchResult {
 		{"SDC+LP spp+imp", base.WithSDCLP().WithPrefetchers("spp+imp")},
 		{fmt.Sprintf("Baseline bp%d", PrefetchBranchPenalty), base.WithBranchMissPenalty(PrefetchBranchPenalty)},
 	}
-	var jobs []runReq
+	var specs []RunSpec
 	for _, e := range configs {
-		jobs = append(jobs, jobsFor(e.cfg, subset)...)
+		specs = append(specs, wb.specsFor(e.cfg, subset)...)
 	}
-	rs := wb.runAll(jobs)
+	rs := wb.runAll(specs)
 
 	res := &PrefetchResult{
 		ID:    "prefetch",

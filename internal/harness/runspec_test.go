@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"graphmem/internal/cache"
+	"graphmem/internal/obs"
 	"graphmem/internal/sample"
 	"graphmem/internal/sim"
 )
@@ -38,8 +39,8 @@ func TestRunKeyCanary(t *testing.T) {
 		NewRunSpec(cfg, WorkloadID{Kernel: "pr", Graph: "urand"}, "bench"),
 		NewRunSpec(cfg, WorkloadID{Kernel: "cc", Graph: "kron"}, "bench"),
 		NewRunSpec(cfg.WithWindows(8_000_000, 4_000_000), id, "bench"),
-		newRunSpec(kindFig3, cfg, id, "bench"),
-		newRunSpec(kindIsolated, cfg, id, "bench"),
+		newRunSpec(kindFig3, cfg, []WorkloadID{id}, "bench"),
+		newRunSpec(kindMix, cfg, []WorkloadID{id}, "bench"),
 	}
 	for i, o := range others {
 		if o.StoreKey() == s.StoreKey() {
@@ -159,9 +160,11 @@ func TestRunSpecCoversEveryConfigField(t *testing.T) {
 
 // TestSameNameDifferentMachine is the collision the string-suffix keys
 // had: two configs sharing a Name but differing in a field must get
-// distinct memo entries and their own results.
+// distinct memo entries, their own results, and their own /metrics
+// series (the registry tells runs apart by key, not by label).
 func TestSameNameDifferentMachine(t *testing.T) {
 	wb := NewWorkbench(fastBench())
+	wb.Metrics = obs.NewMetrics()
 	id := WorkloadID{Kernel: "triad", Graph: "reg"}
 	a := wb.Profile.BaseConfig(1)
 	b := a
@@ -173,6 +176,11 @@ func TestSameNameDifferentMachine(t *testing.T) {
 	}
 	if n := len(wb.SortedResultKeys()); n != 2 {
 		t.Errorf("memo holds %d entries, want 2: %v", n, wb.SortedResultKeys())
+	}
+	var prom strings.Builder
+	wb.Metrics.WritePrometheus(&prom)
+	if n := strings.Count(prom.String(), "\ngraphmem_run_seconds{"); n != 2 {
+		t.Errorf("/metrics exports %d finished runs, want both same-name machines:\n%s", n, prom.String())
 	}
 	if want := sim.RunSingleCore(wb.configured(b), wb.Workload(id, 0)); !reflect.DeepEqual(rb.Stats, want.Stats) {
 		t.Errorf("the 22-way machine's memoized counters are not its own:\n got %+v\nwant %+v", rb.Stats, want.Stats)

@@ -38,9 +38,9 @@ func TestSampledSweepSharesOneWarmup(t *testing.T) {
 		base.WithDirLatency(56),
 		base.WithDirLatency(112),
 	}
-	jobs := make([]runReq, len(cfgs))
+	jobs := make([]RunSpec, len(cfgs))
 	for i, cfg := range cfgs {
-		jobs[i] = runReq{cfg: cfg, id: id}
+		jobs[i] = wb.Spec(cfg, id)
 	}
 	results := wb.runAll(jobs)
 

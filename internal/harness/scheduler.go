@@ -16,20 +16,14 @@ import (
 // concurrent — and every aggregation below consumes results in job
 // order, so experiment output is byte-identical at any parallelism.
 
-// runReq names one single-core simulation job: a machine configuration
-// and a workload, the workbench's memoization unit.
-type runReq struct {
-	cfg sim.Config
-	id  WorkloadID
-}
-
-// jobsFor builds one job per workload on a shared config.
-func jobsFor(cfg sim.Config, ids []WorkloadID) []runReq {
-	jobs := make([]runReq, len(ids))
+// specsFor derives one single-core spec per workload on a shared
+// config (each spec, and with it its key, is derived once, here).
+func (wb *Workbench) specsFor(cfg sim.Config, ids []WorkloadID) []RunSpec {
+	specs := make([]RunSpec, len(ids))
 	for i, id := range ids {
-		jobs[i] = runReq{cfg: cfg, id: id}
+		specs[i] = wb.Spec(cfg, id)
 	}
-	return jobs
+	return specs
 }
 
 // workers resolves the worker-pool width: Parallelism if set, else all
@@ -88,22 +82,22 @@ func (wb *Workbench) releaseN(n int) {
 	}
 }
 
-// mixConfig folds the profile's mix windows, the check level and the
-// engine choice into a multi-core config: with WeaveJobs > 0 the run
-// uses the bound–weave engine.
-func (wb *Workbench) mixConfig(cfg sim.Config) sim.Config {
+// mixSpec derives the spec of a Fig. 14 run: cfg under the profile's
+// mix windows, the check level and the engine choice — with WeaveJobs
+// > 0 the run uses the bound–weave engine — on ids, one per core slot.
+func (wb *Workbench) mixSpec(cfg sim.Config, ids ...WorkloadID) RunSpec {
 	cfg = cfg.WithWindows(wb.Profile.MixWarmup, wb.Profile.MixMeasure)
 	cfg.CheckLevel = wb.CheckLevel
 	if wb.WeaveJobs > 0 {
 		cfg = cfg.WithBoundWeave(0, 0)
 	}
-	return cfg
+	return newRunSpec(kindMix, cfg, ids, wb.Profile.Name)
 }
 
-// acquireSim claims the pool slots for one multi-core simulation of a
-// mixConfig config and returns it with the slot count to release: one
-// slot for the serial engine, up to WeaveJobs for bound–weave, whose
-// worker count is the granted claim.
+// acquireSim claims the pool slots for one simulation of cfg and
+// returns it with the slot count to release: one slot for the serial
+// engine, up to WeaveJobs for bound–weave, whose worker count is the
+// granted claim.
 func (wb *Workbench) acquireSim(cfg sim.Config) (sim.Config, int) {
 	if cfg.Quantum == 0 {
 		wb.acquire()
@@ -120,51 +114,48 @@ func (wb *Workbench) acquireSim(cfg sim.Config) (sim.Config, int) {
 // consistent however much of a sweep earlier experiments (or earlier
 // processes, via the store) already computed.
 func (wb *Workbench) planJobs(specs []RunSpec) {
-	live := 0
 	seen := make(map[string]bool, len(specs))
 	for _, s := range specs {
-		if seen[s.key] || wb.results.has(s.key) {
+		if seen[s.key] || wb.runs.has(s.key) {
 			continue
 		}
 		seen[s.key] = true
 		if wb.storeEligible(s.cfg) && wb.Store.Contains(s.StoreKey()) {
 			continue
 		}
-		live++
+		wb.Reporter.Plan(1)
+		wb.pointMetrics(s).Plan(1)
 	}
-	wb.Reporter.Plan(live)
-	wb.Metrics.Plan(live)
 }
 
-// runAll plans and executes the jobs across the worker pool and
-// returns their results in job order regardless of completion order,
-// so callers aggregate exactly as the sequential schedule did. Each
-// job's spec (and with it its key) is derived once, here.
-func (wb *Workbench) runAll(jobs []runReq) []*sim.Result {
-	specs := make([]RunSpec, len(jobs))
-	for i, j := range jobs {
-		specs[i] = wb.Spec(j.cfg, j.id)
-	}
+// runSpecs plans the specs, of any one shape, and sends each through
+// its door (Run, RunMix) across the worker pool, returning the values
+// in spec order regardless of completion order, so callers aggregate
+// exactly as the sequential schedule did.
+func runSpecs[V any](wb *Workbench, specs []RunSpec, run func(RunSpec) V) []V {
 	wb.planJobs(specs)
-	out := make([]*sim.Result, len(jobs))
+	out := make([]V, len(specs))
 	var wg sync.WaitGroup
 	for i := range specs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[i] = wb.Run(specs[i])
+			out[i] = run(specs[i])
 		}()
 	}
 	wg.Wait()
 	return out
 }
 
+// runAll is runSpecs for single-core points.
+func (wb *Workbench) runAll(specs []RunSpec) []*sim.Result { return runSpecs(wb, specs, wb.Run) }
+
 // baselineIPCs returns the Baseline IPC of every workload in subset,
 // scheduling anything not yet memoized on the worker pool. It is the
 // shared first phase of every speed-up experiment (Figs. 7, 10-13 and
 // the τ sweep).
 func (wb *Workbench) baselineIPCs(subset []WorkloadID) []float64 {
-	rs := wb.runAll(jobsFor(wb.BaseConfig(), subset))
+	rs := wb.runAll(wb.specsFor(wb.BaseConfig(), subset))
 	out := make([]float64, len(rs))
 	for i, r := range rs {
 		out[i] = r.IPC()

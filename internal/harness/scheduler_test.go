@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -47,7 +48,7 @@ func TestRunSinglePanicPropagation(t *testing.T) {
 	}
 
 	// The crashed key must not linger as an in-flight call.
-	if wb.results.has(wb.Spec(cfg, bad).Key()) {
+	if wb.runs.has(wb.Spec(cfg, bad).Key()) {
 		t.Error("crashed run left its key registered")
 	}
 
@@ -125,7 +126,7 @@ func TestParallelismExceedsJobCount(t *testing.T) {
 	run := func(parallelism int) (*Workbench, []*sim.Result) {
 		wb := NewWorkbench(fastBench())
 		wb.Parallelism = parallelism
-		return wb, wb.runAll(jobsFor(wb.BaseConfig(), ids))
+		return wb, wb.runAll(wb.specsFor(wb.BaseConfig(), ids))
 	}
 	wbWide, wide := run(64)
 	_, narrow := run(1)
@@ -147,34 +148,49 @@ func TestParallelismExceedsJobCount(t *testing.T) {
 	}
 }
 
-// TestIsolatedRunPanicPropagation extends the crash contract to Fig.
-// 14's isolated-IPC runs, which used to have no failure path: joiners
+// TestIsolatedRunPanicPropagation extends the crash contract to the
+// door's multi-core side, on an isolated run (a mix whose other slots
+// are idle) with a result store attached, under both engines: joiners
 // of a panicking run observe the panic, the key is retried, and the
-// run's pool slots come back.
+// run's pool slots and its store claim come back.
 func TestIsolatedRunPanicPropagation(t *testing.T) {
 	for _, weave := range []int{0, 2} {
+		st, err := OpenResultStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
 		wb := NewWorkbench(fastBench())
-		wb.Parallelism, wb.WeaveJobs = 2, weave
-		bad := WorkloadID{Kernel: "nope", Graph: "reg"}
+		wb.Parallelism, wb.WeaveJobs, wb.Store = 2, weave, st
+		bad := wb.mixSpec(wb.Profile.BaseConfig(mixCores), WorkloadID{Kernel: "nope", Graph: "reg"})
 
-		panics := make([]any, 2)
+		// The third call runs after the first two: it re-executes (and
+		// re-panics) instead of joining a dead latch — or blocking on a
+		// store claim the crashed run never gave back.
+		panics := make([]any, 3)
+		crash := func(i int) {
+			defer func() { panics[i] = recover() }()
+			wb.RunMix(bad)
+		}
 		var wg sync.WaitGroup
-		for i := range panics {
+		for i := range panics[:2] {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				defer func() { panics[i] = recover() }()
-				wb.singleIPC(bad)
+				crash(i)
 			}()
 		}
 		wg.Wait()
+		crash(2)
 		for i, p := range panics {
 			if p != "harness: unknown regular kernel nope" {
-				t.Errorf("wj=%d goroutine %d recovered %v; want the Workload panic value", weave, i, p)
+				t.Errorf("wj=%d call %d recovered %v; want the Workload panic value", weave, i, p)
 			}
 		}
-		if wb.singles.has(wb.isolatedSpec(bad).Key()) {
+		if wb.runs.has(bad.Key()) {
 			t.Errorf("wj=%d: crashed isolated run left its key registered", weave)
+		}
+		if claims, _ := filepath.Glob(filepath.Join(st.Dir(), "*.claim")); len(claims) != 0 || st.Contains(bad.StoreKey()) {
+			t.Errorf("wj=%d: crashed run left claims %v or a published entry", weave, claims)
 		}
 
 		// Every slot must be back: a run that needs the whole pool

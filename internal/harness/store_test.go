@@ -13,12 +13,15 @@ import (
 )
 
 // renderStoredSweep renders Fig. 3 + Fig. 10 (the parallel-determinism
-// suite's sweep) on a fresh workbench backed by st (nil = no disk tier)
-// and returns the rendered bytes, the metrics registry, and the final
-// progress counts.
+// suite's sweep) and a two-mix Fig. 14 on tiny mix windows — every run
+// shape the door carries — on a fresh workbench backed by st (nil = no
+// disk tier) and returns the rendered bytes, the metrics registry, and
+// the final progress counts.
 func renderStoredSweep(t *testing.T, st *store.Store) (string, *obs.Metrics, int, int) {
 	t.Helper()
-	wb := NewWorkbench(fastBench())
+	p := fastBench()
+	p.MixWarmup, p.MixMeasure = 100_000, 50_000
+	wb := NewWorkbench(p)
 	wb.Store = st
 	wb.Metrics = obs.NewMetrics()
 	if st != nil {
@@ -27,6 +30,7 @@ func renderStoredSweep(t *testing.T, st *store.Store) (string, *obs.Metrics, int
 	var buf bytes.Buffer
 	wb.Fig3(WorkloadID{Kernel: "cc", Graph: "kron"}).Table().Render(&buf)
 	wb.Fig10(subsetKron()).Table().Render(&buf)
+	wb.Fig14(GenerateMixes(subsetKron(), 2, 14)).Table().Render(&buf)
 	done, total, _, _ := wb.Reporter.Snapshot()
 	return buf.String(), wb.Metrics, done, total
 }
@@ -34,7 +38,8 @@ func renderStoredSweep(t *testing.T, st *store.Store) (string, *obs.Metrics, int
 // TestStoreReportsByteIdentical is the tier's acceptance gate: a sweep
 // rendered live, through a cold store, and through a warm store is
 // byte-identical, and the warm pass executes zero simulations (every
-// point — including the Fig. 3 profiling run — is a store hit).
+// run — the points, the Fig. 3 profiling run, Fig. 14's isolated runs
+// and mixes — is a store hit).
 func TestStoreReportsByteIdentical(t *testing.T) {
 	live, _, _, _ := renderStoredSweep(t, nil)
 
@@ -89,10 +94,12 @@ func TestStoreReportsByteIdentical(t *testing.T) {
 	}
 }
 
-// storeRunOnce runs triad.reg on the baseline through a workbench
-// backed by a fresh handle over dir, returning the result and the
-// number of live simulations it took.
-func storeRunOnce(t *testing.T, dir string) (*sim.Result, int64) {
+// storeRunOnce sends triad.reg on the baseline — the point, or with
+// cores > 1 the homogeneous mix — through a workbench backed by a fresh
+// handle over dir, returning the value (*sim.Result or
+// *sim.MultiResult), the entry's path in the store and the number of
+// live simulations it took.
+func storeRunOnce(t *testing.T, dir string, cores int) (res any, path string, finished int64) {
 	t.Helper()
 	st, err := OpenResultStore(dir)
 	if err != nil {
@@ -101,19 +108,25 @@ func storeRunOnce(t *testing.T, dir string) (*sim.Result, int64) {
 	wb := NewWorkbench(fastBench())
 	wb.Store = st
 	wb.Metrics = obs.NewMetrics()
-	res := wb.RunSingle(wb.Profile.BaseConfig(1), WorkloadID{Kernel: "triad", Graph: "reg"})
-	_, finished, _, _ := wb.Metrics.Counts()
-	return res, finished
+	id := WorkloadID{Kernel: "triad", Graph: "reg"}
+	s := wb.Spec(wb.Profile.BaseConfig(cores), []WorkloadID{id, id, id, id}[:cores]...)
+	if cores > 1 {
+		res = wb.RunMix(s)
+	} else {
+		res = wb.Run(s)
+	}
+	_, finished, _, _ = wb.Metrics.Counts()
+	return res, st.Path(s.StoreKey()), finished
 }
 
 // TestStoreDamageFallsBackToLive mirrors the checkpoint store's damage
-// test at the harness level: corrupted, truncated, and wrong-point
-// entries silently fall back to a live run whose result matches the
-// original, and the rerun heals the store entry.
+// test at the harness level, for a point and for a mix: corrupted,
+// truncated, and wrong-run entries silently fall back to a live run
+// whose result matches the original, and the rerun heals the store
+// entry.
 func TestStoreDamageFallsBackToLive(t *testing.T) {
-	id := WorkloadID{Kernel: "triad", Graph: "reg"}
-	damage := map[string]func(t *testing.T, path string, good *sim.Result){
-		"corrupt": func(t *testing.T, path string, _ *sim.Result) {
+	damage := map[string]func(t *testing.T, path string, good any){
+		"corrupt": func(t *testing.T, path string, _ any) {
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -123,7 +136,7 @@ func TestStoreDamageFallsBackToLive(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		"truncated": func(t *testing.T, path string, _ *sim.Result) {
+		"truncated": func(t *testing.T, path string, _ any) {
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -132,13 +145,22 @@ func TestStoreDamageFallsBackToLive(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		// A well-framed payload for the wrong point (hash collision or
-		// an operator copying files between stores): decodeStored must
-		// reject it by identity, not checksum.
-		"wrong point": func(t *testing.T, path string, good *sim.Result) {
-			other := *good
-			other.Workload = "pr.kron"
-			payload, err := sim.EncodeResult(&other)
+		// A well-framed payload for the wrong point or the wrong mix (hash
+		// collision or an operator copying files between stores): the
+		// shape's decode must reject it by identity, not checksum.
+		"wrong point": func(t *testing.T, path string, good any) {
+			var payload []byte
+			var err error
+			switch good := good.(type) {
+			case *sim.Result:
+				other := *good
+				other.Workload = "pr.kron"
+				payload, err = sim.EncodeResult(&other)
+			case *sim.MultiResult:
+				other := *good
+				other.Names = append([]string{"pr.kron"}, good.Names[1:]...)
+				payload, err = sim.EncodeMultiResult(&other)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,42 +170,38 @@ func TestStoreDamageFallsBackToLive(t *testing.T) {
 		},
 	}
 	for name, mutate := range damage {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			good, finished := storeRunOnce(t, dir)
-			if finished != 1 {
-				t.Fatalf("seeding pass ran %d simulations, want 1", finished)
-			}
+		for _, shape := range []struct {
+			suffix string
+			cores  int
+		}{{"", 1}, {" mix", mixCores}} {
+			t.Run(name+shape.suffix, func(t *testing.T) {
+				dir := t.TempDir()
+				good, path, finished := storeRunOnce(t, dir, shape.cores)
+				if finished != 1 {
+					t.Fatalf("seeding pass ran %d simulations, want 1", finished)
+				}
+				if _, err := os.Stat(path); err != nil {
+					t.Fatalf("seeded store does not hold the run: %v", err)
+				}
+				mutate(t, path, good)
 
-			// Locate and damage the entry on disk.
-			st, err := OpenResultStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wb := NewWorkbench(fastBench())
-			wb.Store = st
-			skey := wb.Spec(wb.Profile.BaseConfig(1), id).StoreKey()
-			if !st.Contains(skey) {
-				t.Fatalf("seeded store does not contain %s", skey)
-			}
-			mutate(t, st.Path(skey), good)
-
-			rerun, finished := storeRunOnce(t, dir)
-			if finished != 1 {
-				t.Errorf("damaged entry did not fall back to a live run (finished=%d)", finished)
-			}
-			if !reflect.DeepEqual(good, rerun) {
-				t.Errorf("recovered result differs from the original:\n good: %+v\nrerun: %+v", good, rerun)
-			}
-			// The rerun must have healed the entry: a third pass hits.
-			healed, finished := storeRunOnce(t, dir)
-			if finished != 0 {
-				t.Errorf("healed entry missed (finished=%d)", finished)
-			}
-			if !reflect.DeepEqual(good, healed) {
-				t.Error("healed result differs from the original")
-			}
-		})
+				rerun, _, finished := storeRunOnce(t, dir, shape.cores)
+				if finished != 1 {
+					t.Errorf("damaged entry did not fall back to a live run (finished=%d)", finished)
+				}
+				if !reflect.DeepEqual(good, rerun) {
+					t.Errorf("recovered result differs from the original:\n good: %+v\nrerun: %+v", good, rerun)
+				}
+				// The rerun must have healed the entry: a third pass hits.
+				healed, _, finished := storeRunOnce(t, dir, shape.cores)
+				if finished != 0 {
+					t.Errorf("healed entry missed (finished=%d)", finished)
+				}
+				if !reflect.DeepEqual(good, healed) {
+					t.Error("healed result differs from the original")
+				}
+			})
+		}
 	}
 }
 
@@ -194,13 +212,13 @@ func TestStoreDamageFallsBackToLive(t *testing.T) {
 func TestStoreConcurrentWorkbenches(t *testing.T) {
 	dir := t.TempDir()
 	type outcome struct {
-		res      *sim.Result
+		res      any
 		finished int64
 	}
 	ch := make(chan outcome, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			res, finished := storeRunOnce(t, dir)
+			res, _, finished := storeRunOnce(t, dir, 1)
 			ch <- outcome{res, finished}
 		}()
 	}
@@ -214,8 +232,8 @@ func TestStoreConcurrentWorkbenches(t *testing.T) {
 	}
 }
 
-// TestCheckedRunsBypassStore pins the eligibility rule: a checked run
-// neither reads nor writes the store (the checker's value is the
+// TestCheckedRunsBypassStore pins the eligibility rule: a checked run,
+// single- or multi-core, neither reads nor writes the store (the checker's value is the
 // execution itself), and its checked result never leaks to disk.
 func TestCheckedRunsBypassStore(t *testing.T) {
 	st, err := OpenResultStore(t.TempDir())
@@ -225,7 +243,9 @@ func TestCheckedRunsBypassStore(t *testing.T) {
 	wb := NewWorkbench(fastBench())
 	wb.Store = st
 	wb.CheckLevel = check.Full
-	wb.RunSingle(wb.Profile.BaseConfig(1), WorkloadID{Kernel: "triad", Graph: "reg"})
+	id := WorkloadID{Kernel: "triad", Graph: "reg"}
+	wb.RunSingle(wb.Profile.BaseConfig(1), id)
+	wb.RunMix(wb.Spec(wb.Profile.BaseConfig(mixCores), id, id)) // two threads, two idle slots
 	if h, m := st.Hits(), st.Misses(); h != 0 || m != 0 {
 		t.Errorf("checked run touched the store: hits=%d misses=%d", h, m)
 	}

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"graphmem/internal/sim"
 	"graphmem/internal/stats"
 )
 
@@ -15,30 +16,22 @@ type Fig10Result struct {
 }
 
 // Fig10 sweeps the SDC size over 8/16/32 KiB with the associativity and
-// latency pairings of Section V-B1. Baselines come from the shared
-// baselineIPCs job API (usually already memoized by an earlier
-// experiment); the size grid is enqueued on the worker pool at once.
+// latency pairings of Section V-B1; the SDC MPKI panel comes from the
+// speed-up grid's raw results.
 func (wb *Workbench) Fig10(subset []WorkloadID) *Fig10Result {
-	if subset == nil {
-		subset = AllWorkloads()
-	}
 	res := &Fig10Result{SizesKB: []int{8, 16, 32}}
-	baseIPC := wb.baselineIPCs(subset)
-	var jobs []runReq
+	var configs []sim.Config
 	for _, kb := range res.SizesKB {
-		jobs = append(jobs, jobsFor(wb.Profile.BaseConfig(1).WithSDCLP().WithSDCSize(kb), subset)...)
+		configs = append(configs, wb.Profile.BaseConfig(1).WithSDCLP().WithSDCSize(kb))
 	}
-	rs := wb.runAll(jobs)
-	for k := range res.SizesKB {
+	sp, rs := wb.runSpeedups(configs, subset)
+	res.GeomeanPct = sp.GeomeanPct
+	for _, row := range rs {
 		var mpki float64
-		ratios := make([]float64, len(subset))
-		for i := range subset {
-			r := rs[k*len(subset)+i]
+		for _, r := range row {
 			mpki += r.Stats.SDC.MPKI(r.Stats.Instructions)
-			ratios[i] = r.IPC() / baseIPC[i]
 		}
-		res.AvgSDCMPKI = append(res.AvgSDCMPKI, mpki/float64(len(subset)))
-		res.GeomeanPct = append(res.GeomeanPct, stats.GeoMeanSpeedup(ratios))
+		res.AvgSDCMPKI = append(res.AvgSDCMPKI, mpki/float64(len(row)))
 	}
 	return res
 }
@@ -82,52 +75,30 @@ func (r *SweepResult) Table() *Table {
 // Fig11 sweeps the LP entry count with a fully-associative table
 // (8/16/32/64 entries).
 func (wb *Workbench) Fig11(subset []WorkloadID) *SweepResult {
-	if subset == nil {
-		subset = AllWorkloads()
-	}
 	res := &SweepResult{ID: "fig11", Title: "LP fully-associative entry sweep (Fig. 11)", Param: "entries",
 		Note: "paper: 13.7% / 17.9% / 20.7% / 20.7%"}
-	entrySweep := []int{8, 16, 32, 64}
-	baseIPC := wb.baselineIPCs(subset)
-	var jobs []runReq
-	for _, entries := range entrySweep {
-		jobs = append(jobs, jobsFor(wb.Profile.BaseConfig(1).WithSDCLP().WithLP(entries, entries, 8), subset)...)
-	}
-	rs := wb.runAll(jobs)
-	for k, entries := range entrySweep {
-		ratios := make([]float64, len(subset))
-		for i := range subset {
-			ratios[i] = rs[k*len(subset)+i].IPC() / baseIPC[i]
-		}
+	var configs []sim.Config
+	for _, entries := range []int{8, 16, 32, 64} {
+		configs = append(configs, wb.Profile.BaseConfig(1).WithSDCLP().WithLP(entries, entries, 8))
 		res.Values = append(res.Values, fmt.Sprint(entries))
-		res.GeomeanPct = append(res.GeomeanPct, stats.GeoMeanSpeedup(ratios))
 	}
+	sp, _ := wb.runSpeedups(configs, subset)
+	res.GeomeanPct = sp.GeomeanPct
 	return res
 }
 
 // Fig12 sweeps the LP associativity with 32 entries (direct-mapped, 2-,
 // 8-way, fully associative).
 func (wb *Workbench) Fig12(subset []WorkloadID) *SweepResult {
-	if subset == nil {
-		subset = AllWorkloads()
-	}
 	res := &SweepResult{ID: "fig12", Title: "LP associativity sweep, 32 entries (Fig. 12)", Param: "ways",
 		Note: "paper: 17.0% / 20.3% / 20.7% / 20.7%; 8-way is near-optimal"}
-	waySweep := []int{1, 2, 8, 32}
-	baseIPC := wb.baselineIPCs(subset)
-	var jobs []runReq
-	for _, ways := range waySweep {
-		jobs = append(jobs, jobsFor(wb.Profile.BaseConfig(1).WithSDCLP().WithLP(32, ways, 8), subset)...)
-	}
-	rs := wb.runAll(jobs)
-	for k, ways := range waySweep {
-		ratios := make([]float64, len(subset))
-		for i := range subset {
-			ratios[i] = rs[k*len(subset)+i].IPC() / baseIPC[i]
-		}
+	var configs []sim.Config
+	for _, ways := range []int{1, 2, 8, 32} {
+		configs = append(configs, wb.Profile.BaseConfig(1).WithSDCLP().WithLP(32, ways, 8))
 		res.Values = append(res.Values, fmt.Sprint(ways))
-		res.GeomeanPct = append(res.GeomeanPct, stats.GeoMeanSpeedup(ratios))
 	}
+	sp, _ := wb.runSpeedups(configs, subset)
+	res.GeomeanPct = sp.GeomeanPct
 	return res
 }
 
@@ -158,32 +129,19 @@ func (wb *Workbench) Tau(subset []WorkloadID, taus []uint64) *TauResult {
 	if taus == nil {
 		taus = []uint64{0, 2, 4, 8, 16, 32, 64, 256}
 	}
-	reg := RegularWorkloads()
 	res := &TauResult{Taus: taus}
 	// One id list covers both suites so baselines and every τ point
-	// flow through the same job API; slices below split the results.
-	ids := make([]WorkloadID, 0, len(subset)+len(reg))
-	ids = append(append(ids, subset...), reg...)
-	baseIPC := wb.baselineIPCs(ids)
-	graphBase, regBase := baseIPC[:len(subset)], baseIPC[len(subset):]
+	// flow through one speed-up grid; the rows split at len(subset).
+	ids := append(append([]WorkloadID(nil), subset...), RegularWorkloads()...)
 	lp := wb.Profile.BaseConfig(1).LP
-	var jobs []runReq
+	var configs []sim.Config
 	for _, tau := range taus {
-		jobs = append(jobs, jobsFor(wb.Profile.BaseConfig(1).WithSDCLP().WithLP(lp.Entries, lp.Ways, tau), ids)...)
+		configs = append(configs, wb.Profile.BaseConfig(1).WithSDCLP().WithLP(lp.Entries, lp.Ways, tau))
 	}
-	rs := wb.runAll(jobs)
-	for k := range taus {
-		block := rs[k*len(ids) : (k+1)*len(ids)]
-		g := make([]float64, len(subset))
-		for i := range subset {
-			g[i] = block[i].IPC() / graphBase[i]
-		}
-		rg := make([]float64, len(reg))
-		for i := range reg {
-			rg[i] = block[len(subset)+i].IPC() / regBase[i]
-		}
-		res.GraphPct = append(res.GraphPct, stats.GeoMeanSpeedup(g))
-		res.RegularPct = append(res.RegularPct, stats.GeoMeanSpeedup(rg))
+	sp, _ := wb.runSpeedups(configs, ids)
+	for _, row := range sp.Speedup {
+		res.GraphPct = append(res.GraphPct, stats.GeoMeanSpeedup(row[:len(subset)]))
+		res.RegularPct = append(res.RegularPct, stats.GeoMeanSpeedup(row[len(subset):]))
 	}
 	return res
 }

@@ -20,16 +20,19 @@ import (
 // are safe for concurrent use; a nil *Metrics is a valid no-op
 // receiver, so call sites thread one pointer and never branch.
 type Metrics struct {
-	mu       sync.Mutex
-	started  time.Time
-	total    int64 // planned live runs
-	done     int64 // finished live runs
-	cached   int64 // memo-served runs
-	stored   int64 // disk-store-served runs
-	store    StoreCounters
-	inflight map[string]time.Time
-	// runs holds the latest finished-run summaries, keyed by run label.
-	runs map[string]runMetrics
+	mu      sync.Mutex
+	started time.Time
+	total   int64 // planned live runs
+	done    int64 // finished live runs
+	cached  int64 // memo-served runs
+	stored  int64 // disk-store-served runs
+	store   StoreCounters
+	// inflight (run label by key) and runs (finished-run summaries by
+	// key) are keyed by the run's identity digest, not its label: configs
+	// that differ in a field but share a Name — the prefetcher presets,
+	// two profiles behind one gmserved registry — are distinct runs.
+	inflight map[string]string
+	runs     map[string]runMetrics
 }
 
 // StoreCounters is the face of a disk result store the metrics endpoint
@@ -43,6 +46,7 @@ type StoreCounters interface {
 
 // runMetrics is one finished run's exported state.
 type runMetrics struct {
+	label   string
 	seconds float64
 	ipc     float64
 	rec     *RecSummary
@@ -52,7 +56,7 @@ type runMetrics struct {
 func NewMetrics() *Metrics {
 	return &Metrics{
 		started:  time.Now(),
-		inflight: make(map[string]time.Time),
+		inflight: make(map[string]string),
 		runs:     make(map[string]runMetrics),
 	}
 }
@@ -67,26 +71,27 @@ func (m *Metrics) Plan(n int) {
 	m.mu.Unlock()
 }
 
-// RunStarted marks the labelled run in flight.
-func (m *Metrics) RunStarted(label string) {
+// RunStarted marks the run with identity digest key in flight under
+// its readable label.
+func (m *Metrics) RunStarted(key, label string) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	m.inflight[label] = time.Now()
+	m.inflight[key] = label
 	m.mu.Unlock()
 }
 
 // RunFinished records a live run's outcome; rec may be nil when the
 // flight recorder was off.
-func (m *Metrics) RunFinished(label string, seconds, ipc float64, rec *RecSummary) {
+func (m *Metrics) RunFinished(key, label string, seconds, ipc float64, rec *RecSummary) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	delete(m.inflight, label)
+	delete(m.inflight, key)
 	m.done++
-	m.runs[label] = runMetrics{seconds: seconds, ipc: ipc, rec: rec}
+	m.runs[key] = runMetrics{label: label, seconds: seconds, ipc: ipc, rec: rec}
 	m.mu.Unlock()
 }
 
@@ -168,36 +173,43 @@ func (m *Metrics) WritePrometheus(b *strings.Builder) {
 	fmt.Fprintf(b, "# HELP graphmem_runs_in_flight Simulation runs currently executing.\n# TYPE graphmem_runs_in_flight gauge\ngraphmem_runs_in_flight %d\n", len(m.inflight))
 	fmt.Fprintf(b, "# HELP graphmem_uptime_seconds Seconds since the metrics registry started.\n# TYPE graphmem_uptime_seconds gauge\ngraphmem_uptime_seconds %g\n", time.Since(m.started).Seconds())
 
-	labels := make([]string, 0, len(m.runs))
-	for l := range m.runs {
-		labels = append(labels, l)
+	// One line per finished run, ordered by label then digest; every
+	// per-run series carries both as run="…",key="…".
+	keys := make([]string, 0, len(m.runs))
+	for k := range m.runs {
+		keys = append(keys, k)
 	}
-	sort.Strings(labels)
+	sort.Slice(keys, func(a, b int) bool {
+		la, lb := m.runs[keys[a]].label, m.runs[keys[b]].label
+		return la < lb || la == lb && keys[a] < keys[b]
+	})
+	id := func(k string) string {
+		return fmt.Sprintf("run=%q,key=%q", promEscape(m.runs[k].label), promEscape(k))
+	}
 
 	fmt.Fprintf(b, "# HELP graphmem_run_seconds Wall-clock seconds of the finished run.\n# TYPE graphmem_run_seconds gauge\n")
-	for _, l := range labels {
-		fmt.Fprintf(b, "graphmem_run_seconds{run=%q} %g\n", promEscape(l), m.runs[l].seconds)
+	for _, k := range keys {
+		fmt.Fprintf(b, "graphmem_run_seconds{%s} %g\n", id(k), m.runs[k].seconds)
 	}
 	fmt.Fprintf(b, "# HELP graphmem_run_ipc Measured IPC of the finished run.\n# TYPE graphmem_run_ipc gauge\n")
-	for _, l := range labels {
-		fmt.Fprintf(b, "graphmem_run_ipc{run=%q} %g\n", promEscape(l), m.runs[l].ipc)
+	for _, k := range keys {
+		fmt.Fprintf(b, "graphmem_run_ipc{%s} %g\n", id(k), m.runs[k].ipc)
 	}
 
 	// Flight-recorder snapshots, when runs carried one.
 	fmt.Fprintf(b, "# HELP graphmem_run_served_total Demand loads served, by level.\n# TYPE graphmem_run_served_total counter\n")
-	for _, l := range labels {
-		rec := m.runs[l].rec
+	for _, k := range keys {
+		rec := m.runs[k].rec
 		if rec == nil {
 			continue
 		}
 		for _, lv := range rec.Levels {
-			fmt.Fprintf(b, "graphmem_run_served_total{run=%q,level=%q} %d\n",
-				promEscape(l), promEscape(lv.Level), lv.Served)
+			fmt.Fprintf(b, "graphmem_run_served_total{%s,level=%q} %d\n", id(k), promEscape(lv.Level), lv.Served)
 		}
 	}
 	fmt.Fprintf(b, "# HELP graphmem_run_load_latency_cycles Load-to-use latency percentiles in cycles.\n# TYPE graphmem_run_load_latency_cycles gauge\n")
-	for _, l := range labels {
-		rec := m.runs[l].rec
+	for _, k := range keys {
+		rec := m.runs[k].rec
 		if rec == nil {
 			continue
 		}
@@ -206,8 +218,7 @@ func (m *Metrics) WritePrometheus(b *strings.Builder) {
 			tag string
 			v   int64
 		}{{"0.5", h.P50}, {"0.9", h.P90}, {"0.99", h.P99}} {
-			fmt.Fprintf(b, "graphmem_run_load_latency_cycles{run=%q,quantile=%q} %d\n",
-				promEscape(l), q.tag, q.v)
+			fmt.Fprintf(b, "graphmem_run_load_latency_cycles{%s,quantile=%q} %d\n", id(k), q.tag, q.v)
 		}
 	}
 }
@@ -217,7 +228,7 @@ func (m *Metrics) snapshot() map[string]any {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	inflight := make([]string, 0, len(m.inflight))
-	for l := range m.inflight {
+	for _, l := range m.inflight {
 		inflight = append(inflight, l)
 	}
 	sort.Strings(inflight)

@@ -12,8 +12,8 @@ import (
 func TestMetricsNilReceiverIsNoOp(t *testing.T) {
 	var m *Metrics
 	m.Plan(3)
-	m.RunStarted("x")
-	m.RunFinished("x", 1, 1, nil)
+	m.RunStarted("k", "x")
+	m.RunFinished("k", "x", 1, 1, nil)
 	m.RunCached("x")
 }
 
@@ -50,13 +50,13 @@ func checkPrometheusText(t *testing.T, text string) {
 func TestMetricsPrometheusText(t *testing.T) {
 	m := NewMetrics()
 	m.Plan(2)
-	m.RunStarted("Baseline/pr.kron")
-	m.RunStarted("SDC+LP/pr.kron")
+	m.RunStarted("aa01", "Baseline/pr.kron")
+	m.RunStarted("bb02", "SDC+LP/pr.kron")
 	rec := &RecSummary{
 		LoadToUse: HistSummary{Count: 10, P50: 8, P90: 64, P99: 100},
 		Levels:    []LevelSummary{{Level: "DRAM", Served: 5}},
 	}
-	m.RunFinished("Baseline/pr.kron", 1.5, 0.42, rec)
+	m.RunFinished("aa01", "Baseline/pr.kron", 1.5, 0.42, rec)
 	m.RunCached("Baseline/cc.urand")
 
 	var b strings.Builder
@@ -69,13 +69,47 @@ func TestMetricsPrometheusText(t *testing.T) {
 		"graphmem_runs_finished_total 1",
 		"graphmem_runs_cached_total 1",
 		"graphmem_runs_in_flight 1",
-		`graphmem_run_seconds{run="Baseline/pr.kron"} 1.5`,
-		`graphmem_run_ipc{run="Baseline/pr.kron"} 0.42`,
-		`graphmem_run_served_total{run="Baseline/pr.kron",level="DRAM"} 5`,
-		`graphmem_run_load_latency_cycles{run="Baseline/pr.kron",quantile="0.99"} 100`,
+		`graphmem_run_seconds{run="Baseline/pr.kron",key="aa01"} 1.5`,
+		`graphmem_run_ipc{run="Baseline/pr.kron",key="aa01"} 0.42`,
+		`graphmem_run_served_total{run="Baseline/pr.kron",key="aa01",level="DRAM"} 5`,
+		`graphmem_run_load_latency_cycles{run="Baseline/pr.kron",key="aa01",quantile="0.99"} 100`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestMetricsKeepsSameNameRunsApart: prefetcher presets (and two
+// profiles behind one gmserved registry) give distinct runs one config
+// name, so runs are told apart by their key — both are in flight, one's
+// finish leaves the other there, and both are exported.
+func TestMetricsKeepsSameNameRunsApart(t *testing.T) {
+	m := NewMetrics()
+	m.RunStarted("aa01", "Baseline/pr.kron")
+	m.RunStarted("bb02", "Baseline/pr.kron")
+	inFlight := func() int { return len(m.snapshot()["in_flight"].([]string)) }
+	if n := inFlight(); n != 2 {
+		t.Fatalf("%d runs in flight, want both same-name runs", n)
+	}
+	m.RunFinished("aa01", "Baseline/pr.kron", 1.5, 0.4, nil)
+	if n := inFlight(); n != 1 {
+		t.Errorf("%d runs in flight after one of two finished, want 1", n)
+	}
+	m.RunFinished("bb02", "Baseline/pr.kron", 2.5, 0.5, nil)
+
+	var b strings.Builder
+	m.WritePrometheus(&b)
+	checkPrometheusText(t, b.String())
+	for _, want := range []string{
+		`graphmem_run_seconds{run="Baseline/pr.kron",key="aa01"} 1.5`,
+		`graphmem_run_seconds{run="Baseline/pr.kron",key="bb02"} 2.5`,
+		`graphmem_run_ipc{run="Baseline/pr.kron",key="bb02"} 0.5`,
+		"graphmem_runs_finished_total 2",
+		"graphmem_runs_in_flight 0",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, b.String())
 		}
 	}
 }
@@ -89,8 +123,8 @@ func TestPromEscape(t *testing.T) {
 func TestMetricsServeEndpoint(t *testing.T) {
 	m := NewMetrics()
 	m.Plan(1)
-	m.RunStarted("Baseline/pr.kron")
-	m.RunFinished("Baseline/pr.kron", 0.1, 1.0, nil)
+	m.RunStarted("aa01", "Baseline/pr.kron")
+	m.RunFinished("aa01", "Baseline/pr.kron", 0.1, 1.0, nil)
 
 	addr, err := m.Serve("127.0.0.1:0")
 	if err != nil {

@@ -255,15 +255,12 @@ func (c Config) Validate() error {
 }
 
 // Cacheable reports why a run of c bypasses the harness memo's disk
-// tier (the result store), or nil: the store holds single-core points,
-// and a checked run's value is the execution itself — serving it from
-// disk would skip the check, and its Result carries a Check summary
-// unchecked consumers must not inherit.
+// tier (the result store), or nil: a checked run's value is the
+// execution itself — serving it from disk would skip the check, and
+// its result carries a Check summary unchecked consumers must not
+// inherit.
 func (c Config) Cacheable() error {
-	switch {
-	case c.Cores != 1:
-		return errors.New("sim: the result store caches single-core runs only (multi-core runs bypass the workbench memo)")
-	case c.CheckLevel != check.Off:
+	if c.CheckLevel != check.Off {
 		return errors.New("sim: checked runs bypass the result store (the check is the execution)")
 	}
 	return nil

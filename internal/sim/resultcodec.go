@@ -1,10 +1,11 @@
-// Result serialization for the disk-backed result store: a Result
-// travels as canonical JSON inside internal/store's framed files. JSON
-// round-trips every Result field exactly — all fields are exported
-// int64/float64/bool/string compositions, and encoding/json preserves
-// float64 bit patterns through its shortest-representation formatting —
-// so a decoded Result renders byte-identically to the live run it
-// caches (the determinism contract the harness tests pin).
+// Result serialization for the disk-backed result store: a Result or
+// MultiResult travels as canonical JSON inside internal/store's framed
+// files. JSON round-trips every field of either exactly — all fields
+// are exported int64/float64/bool/string compositions, and
+// encoding/json preserves float64 bit patterns through its
+// shortest-representation formatting — so a decoded result renders
+// byte-identically to the live run it caches (the determinism contract
+// the harness tests pin).
 package sim
 
 import (
@@ -35,7 +36,20 @@ func ResultFraming() store.Framing {
 }
 
 // EncodeResult serializes a Result for the store.
-func EncodeResult(r *Result) ([]byte, error) {
+func EncodeResult(r *Result) ([]byte, error) { return encodeStored(r) }
+
+// DecodeResult deserializes a stored Result payload.
+func DecodeResult(data []byte) (*Result, error) { return decodeStored[Result](data) }
+
+// EncodeMultiResult serializes a multi-core run's MultiResult for the
+// store: the same canonical JSON under the same framing and
+// StateVersion as a Result.
+func EncodeMultiResult(r *MultiResult) ([]byte, error) { return encodeStored(r) }
+
+// DecodeMultiResult deserializes a stored MultiResult payload.
+func DecodeMultiResult(data []byte) (*MultiResult, error) { return decodeStored[MultiResult](data) }
+
+func encodeStored(r any) ([]byte, error) {
 	data, err := json.Marshal(r)
 	if err != nil {
 		return nil, fmt.Errorf("sim: encode result: %w", err)
@@ -43,9 +57,8 @@ func EncodeResult(r *Result) ([]byte, error) {
 	return data, nil
 }
 
-// DecodeResult deserializes a stored Result payload.
-func DecodeResult(data []byte) (*Result, error) {
-	r := new(Result)
+func decodeStored[R any](data []byte) (*R, error) {
+	r := new(R)
 	if err := json.Unmarshal(data, r); err != nil {
 		return nil, fmt.Errorf("sim: decode result: %w", err)
 	}
