@@ -8,7 +8,6 @@
 //	gmsample -write-reference            # regenerate ci/sample_reference.json
 //	gmsample                             # run the gate against the committed reference
 //	gmsample -ckpt /path/to/store        # ... reusing warm-up checkpoints across runs
-//	gmsample -out SAMPLE_8.json          # ... recording the trajectory artifact
 //
 // The gate runs every cell twice — once detailed (full-fidelity
 // windows) and once sampled — and enforces, per cell:
@@ -22,7 +21,7 @@
 //
 // Across the matrix it further enforces that sampling reduced the
 // detailed-instruction volume by at least -minvol (default 5x). The
-// wall-clock speedup is recorded in the artifact; its floor (-minspeed,
+// wall-clock speedup is printed on the matrix line; its floor (-minspeed,
 // default 1.25x) is deliberately loose because record generation is an
 // irreducible serial cost shared by both modes (see EXPERIMENTS.md).
 package main
@@ -32,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"graphmem"
@@ -65,26 +63,6 @@ type reference struct {
 	Measure       int64     `json:"measure"`
 	Tolerance     float64   `json:"tolerance"`
 	Cells         []refCell `json:"cells"`
-}
-
-// gateCell is one cell's outcome in the SAMPLE_8.json artifact.
-type gateCell struct {
-	Config        string  `json:"config"`
-	Workload      string  `json:"workload"`
-	IPCRef        float64 `json:"ipc_ref"`
-	IPCEst        float64 `json:"ipc_est"`
-	IPCHalfWidth  float64 `json:"ipc_half_width"`
-	IPCErr        float64 `json:"ipc_err"`
-	MPKIRef       float64 `json:"mpki_ref"`
-	MPKIEst       float64 `json:"mpki_est"`
-	MPKIHalfWidth float64 `json:"mpki_half_width"`
-	MPKIErr       float64 `json:"mpki_err"`
-	Samples       int     `json:"samples"`
-	DetailedInstr int64   `json:"detailed_instructions"`
-	FullInstr     int64   `json:"full_instructions"`
-	FullMs        int64   `json:"full_ms"`
-	SampledMs     int64   `json:"sampled_ms"`
-	CheckpointHit bool    `json:"checkpoint_hit"`
 }
 
 const (
@@ -120,7 +98,6 @@ func cellConfig(base graphmem.Config, name string) graphmem.Config {
 func main() {
 	writeRef := flag.Bool("write-reference", false, "regenerate the committed reference from full detailed runs")
 	refPath := flag.String("ref", "ci/sample_reference.json", "reference file path")
-	outPath := flag.String("out", "", "write the gate outcome as a SAMPLE_8.json-style artifact")
 	ckptDir := flag.String("ckpt", "", "warm-up checkpoint store directory for the sampled runs")
 	tol := flag.Float64("tol", 0.03, "max relative error of sampled estimates vs the detailed reference")
 	minVol := flag.Float64("minvol", 5.0, "min detailed-instruction volume reduction across the matrix")
@@ -174,7 +151,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gmsample: FAIL: "+format+"\n", args...)
 	}
 
-	var cells []gateCell
 	var fullMs, sampledMs, fullInstr, detailedInstr int64
 	for _, c := range matrix() {
 		rc, ok := refByKey[c.Config+"|"+c.Workload]
@@ -203,18 +179,9 @@ func main() {
 			fail("%s/%s: sampled run produced no estimate", c.Config, c.Workload)
 			continue
 		}
-		g := gateCell{
-			Config: c.Config, Workload: c.Workload,
-			IPCRef: full.Stats.IPC(), IPCEst: e.IPC.Mean, IPCHalfWidth: e.IPC.HalfWidth,
-			IPCErr:  graphmem.RelErr(e.IPC.Mean, full.Stats.IPC()),
-			MPKIRef: full.Stats.L1DemandMPKI(), MPKIEst: e.L1DemandMPKI.Mean,
-			MPKIHalfWidth: e.L1DemandMPKI.HalfWidth,
-			MPKIErr:       graphmem.RelErr(e.L1DemandMPKI.Mean, full.Stats.L1DemandMPKI()),
-			Samples:       e.Samples,
-			DetailedInstr: e.DetailedInstructions, FullInstr: full.Stats.Instructions,
-			FullMs: tFull, SampledMs: tSampled, CheckpointHit: e.CheckpointHit,
-		}
-		cells = append(cells, g)
+		ipcRef, mpkiRef := full.Stats.IPC(), full.Stats.L1DemandMPKI()
+		ipcErr := graphmem.RelErr(e.IPC.Mean, ipcRef)
+		mpkiErr := graphmem.RelErr(e.L1DemandMPKI.Mean, mpkiRef)
 		fullMs += tFull
 		sampledMs += tSampled
 		fullInstr += full.Stats.Instructions
@@ -222,30 +189,30 @@ func main() {
 
 		// Staleness: the detailed run must reproduce the committed
 		// reference bit for bit (the simulator is deterministic).
-		if g.IPCRef != rc.IPC || g.MPKIRef != rc.L1DemandMPKI || full.Stats.Instructions != rc.Instructions {
+		if ipcRef != rc.IPC || mpkiRef != rc.L1DemandMPKI || full.Stats.Instructions != rc.Instructions {
 			fail("%s/%s: detailed run (IPC %.6f, MPKI %.6f) != committed reference (IPC %.6f, MPKI %.6f); reference is stale, regenerate with -write-reference",
-				c.Config, c.Workload, g.IPCRef, g.MPKIRef, rc.IPC, rc.L1DemandMPKI)
+				c.Config, c.Workload, ipcRef, mpkiRef, rc.IPC, rc.L1DemandMPKI)
 		}
 		// Accuracy: relative error and CI containment on both metrics.
-		if g.IPCErr > *tol {
+		if ipcErr > *tol {
 			fail("%s/%s: IPC estimate %.4f vs %.4f — rel error %.2f%% > %.1f%%",
-				c.Config, c.Workload, g.IPCEst, g.IPCRef, 100*g.IPCErr, 100**tol)
+				c.Config, c.Workload, e.IPC.Mean, ipcRef, 100*ipcErr, 100**tol)
 		}
-		if g.MPKIErr > *tol {
+		if mpkiErr > *tol {
 			fail("%s/%s: L1 MPKI estimate %.3f vs %.3f — rel error %.2f%% > %.1f%%",
-				c.Config, c.Workload, g.MPKIEst, g.MPKIRef, 100*g.MPKIErr, 100**tol)
+				c.Config, c.Workload, e.L1DemandMPKI.Mean, mpkiRef, 100*mpkiErr, 100**tol)
 		}
-		if !e.IPC.Contains(g.IPCRef) {
+		if !e.IPC.Contains(ipcRef) {
 			fail("%s/%s: 99%% CI %.4f±%.4f excludes the detailed IPC %.4f",
-				c.Config, c.Workload, g.IPCEst, g.IPCHalfWidth, g.IPCRef)
+				c.Config, c.Workload, e.IPC.Mean, e.IPC.HalfWidth, ipcRef)
 		}
-		if !e.L1DemandMPKI.Contains(g.MPKIRef) {
+		if !e.L1DemandMPKI.Contains(mpkiRef) {
 			fail("%s/%s: 99%% CI %.3f±%.3f excludes the detailed L1 MPKI %.3f",
-				c.Config, c.Workload, g.MPKIEst, g.MPKIHalfWidth, g.MPKIRef)
+				c.Config, c.Workload, e.L1DemandMPKI.Mean, e.L1DemandMPKI.HalfWidth, mpkiRef)
 		}
 		fmt.Printf("%-8s %-8s IPC %.4f est %.4f (%.2f%%)  MPKI %.2f est %.2f (%.2f%%)  %d samples  full %dms sampled %dms\n",
-			c.Config, c.Workload, g.IPCRef, g.IPCEst, 100*g.IPCErr,
-			g.MPKIRef, g.MPKIEst, 100*g.MPKIErr, g.Samples, tFull, tSampled)
+			c.Config, c.Workload, ipcRef, e.IPC.Mean, 100*ipcErr,
+			mpkiRef, e.L1DemandMPKI.Mean, 100*mpkiErr, e.Samples, tFull, tSampled)
 	}
 
 	volRed := float64(fullInstr) / float64(max64(detailedInstr, 1))
@@ -260,38 +227,6 @@ func main() {
 	}
 	if speedup < *minSpeed {
 		fail("wall-clock speedup %.2fx below the %.2fx floor", speedup, *minSpeed)
-	}
-
-	if *outPath != "" {
-		artifact := map[string]any{
-			"bench":   "sampled-sim",
-			"profile": "bench",
-			"warmup":  gateWarmup,
-			"measure": gateMeasure,
-			"tol":     *tol,
-			"cells":   cells,
-			"full_ms": fullMs, "sampled_ms": sampledMs,
-			"speedup":          speedup,
-			"volume_reduction": volRed,
-			"state_version":    graphmem.SampleStateVersion,
-			"failures":         failures,
-			"host": map[string]any{
-				"go_version": runtime.Version(),
-				"goos":       runtime.GOOS,
-				"goarch":     runtime.GOARCH,
-				"num_cpu":    runtime.NumCPU(),
-			},
-		}
-		if store != nil {
-			artifact["ckpt"] = map[string]int64{"hits": store.Hits(), "misses": store.Misses()}
-		}
-		blob, err := json.Marshal(artifact)
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*outPath, append(blob, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
 	}
 
 	if failures > 0 {

@@ -141,11 +141,6 @@ func ParseSamplePlan(s string) (SamplePlan, error) { return sample.ParsePlan(s) 
 // store rooted at dir.
 func NewCheckpointStore(dir string) (*CheckpointStore, error) { return sample.NewStore(dir) }
 
-// SampleStateVersion is the µarch checkpoint payload version, written
-// in every file's header: bumping it turns every stored warm-up into a
-// miss the re-warm overwrites (use it in CI cache keys).
-const SampleStateVersion = sample.StateVersion
-
 // ResultStateVersion is the simulator behaviour version keying the
 // result store: bumping it (on any change that alters simulated
 // counters) orphans every stored result (use it in CI cache keys).

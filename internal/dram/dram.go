@@ -73,12 +73,11 @@ type bank struct {
 
 // Channel is one DRAM channel with private banks and a data bus.
 type Channel struct {
-	cfg      Config
-	ratio    float64 // CPU cycles per DRAM cycle
-	banks    []bank
-	busFree  int64 // CPU cycle at which the data bus is next free
-	rowShift uint  // log2(RowBytes)
-	Stats    Stats
+	cfg     Config
+	ratio   float64 // CPU cycles per DRAM cycle
+	banks   []bank
+	busFree int64 // CPU cycle at which the data bus is next free
+	Stats   Stats
 	// agg, when non-nil, receives every counter increment so the owning
 	// Memory's TotalStats is O(1) instead of a per-call sum over the
 	// full channel geometry (the epoch sampler reads it per sample).
@@ -95,18 +94,13 @@ func NewChannel(cfg Config) *Channel {
 	if cfg.Banks <= 0 || cfg.RowBytes == 0 {
 		panic("dram: invalid config")
 	}
-	shift := uint(0)
-	for (uint64(1) << shift) < cfg.RowBytes {
-		shift++
-	}
-	if uint64(1)<<shift != cfg.RowBytes {
+	if cfg.RowBytes&(cfg.RowBytes-1) != 0 {
 		panic("dram: RowBytes must be a power of two")
 	}
 	ch := &Channel{
-		cfg:      cfg,
-		ratio:    cfg.CPUFreqMHz / cfg.BusFreqMHz,
-		banks:    make([]bank, cfg.Banks),
-		rowShift: shift,
+		cfg:   cfg,
+		ratio: cfg.CPUFreqMHz / cfg.BusFreqMHz,
+		banks: make([]bank, cfg.Banks),
 	}
 	for i := range ch.banks {
 		ch.banks[i].openRow = -1

@@ -18,6 +18,27 @@ func TestCPUCycleConversion(t *testing.T) {
 	}
 }
 
+func TestNewChannelRejectsRowBytes(t *testing.T) {
+	for _, tc := range []struct {
+		rowBytes uint64
+		panic    string
+	}{
+		{0, "dram: invalid config"},
+		{3, "dram: RowBytes must be a power of two"},
+	} {
+		cfg := DefaultConfig()
+		cfg.RowBytes = tc.rowBytes
+		func() {
+			defer func() {
+				if r := recover(); r != tc.panic {
+					t.Errorf("NewChannel(RowBytes %d) panicked with %v, want %q", tc.rowBytes, r, tc.panic)
+				}
+			}()
+			NewChannel(cfg)
+		}()
+	}
+}
+
 func TestMinLatency(t *testing.T) {
 	c := NewChannel(DefaultConfig())
 	// tCAS (36 CPU cy) + burst (ceil(4*1.477)=6).

@@ -501,12 +501,10 @@ func served[V any](wb *Workbench, s *RunSpec, sh shape[V], v V, fromStore bool) 
 		}
 	}
 	wb.Reporter.Cached(label, detail)
-	switch {
-	case wb.Metrics == nil:
-	case fromStore:
-		wb.Metrics.RunStoreHit(metricsLabel(s))
-	default:
-		wb.Metrics.RunCached(metricsLabel(s))
+	if fromStore {
+		wb.Metrics.RunStoreHit()
+	} else {
+		wb.Metrics.RunCached()
 	}
 }
 

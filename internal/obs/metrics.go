@@ -96,7 +96,7 @@ func (m *Metrics) RunFinished(key, label string, seconds, ipc float64, rec *RecS
 }
 
 // RunCached records a memo-served run.
-func (m *Metrics) RunCached(label string) {
+func (m *Metrics) RunCached() {
 	if m == nil {
 		return
 	}
@@ -106,7 +106,7 @@ func (m *Metrics) RunCached(label string) {
 }
 
 // RunStoreHit records a run served from the disk result store.
-func (m *Metrics) RunStoreHit(label string) {
+func (m *Metrics) RunStoreHit() {
 	if m == nil {
 		return
 	}

@@ -14,7 +14,7 @@ func TestMetricsNilReceiverIsNoOp(t *testing.T) {
 	m.Plan(3)
 	m.RunStarted("k", "x")
 	m.RunFinished("k", "x", 1, 1, nil)
-	m.RunCached("x")
+	m.RunCached()
 }
 
 // checkPrometheusText validates the exposition format line by line:
@@ -57,7 +57,7 @@ func TestMetricsPrometheusText(t *testing.T) {
 		Levels:    []LevelSummary{{Level: "DRAM", Served: 5}},
 	}
 	m.RunFinished("aa01", "Baseline/pr.kron", 1.5, 0.42, rec)
-	m.RunCached("Baseline/cc.urand")
+	m.RunCached()
 
 	var b strings.Builder
 	m.WritePrometheus(&b)
