@@ -111,10 +111,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if wb.Checkpoints != nil {
-		fmt.Fprintf(os.Stderr, "gmreport: checkpoint store %s: %d hits, %d misses\n",
-			wb.Checkpoints.Dir(), wb.Checkpoints.Hits(), wb.Checkpoints.Misses())
-	}
 	if wb.Store != nil {
 		fmt.Fprintf(os.Stderr, "gmreport: %s\n", graphmem.StoreSummary(wb.Store))
 	}

@@ -7,7 +7,7 @@
 //
 //	gmsample -write-reference            # regenerate ci/sample_reference.json
 //	gmsample                             # run the gate against the committed reference
-//	gmsample -ckpt /path/to/store        # ... reusing warm-up checkpoints across runs
+//	gmsample -store /path/to/store       # ... reusing warm-up checkpoints across runs
 //
 // The gate runs every cell twice — once detailed (full-fidelity
 // windows) and once sampled — and enforces, per cell:
@@ -98,7 +98,7 @@ func cellConfig(base graphmem.Config, name string) graphmem.Config {
 func main() {
 	writeRef := flag.Bool("write-reference", false, "regenerate the committed reference from full detailed runs")
 	refPath := flag.String("ref", "ci/sample_reference.json", "reference file path")
-	ckptDir := flag.String("ckpt", "", "warm-up checkpoint store directory for the sampled runs")
+	storeDir := flag.String("store", "", "result store directory keeping the sampled runs' warm-up checkpoints")
 	tol := flag.Float64("tol", 0.03, "max relative error of sampled estimates vs the detailed reference")
 	minVol := flag.Float64("minvol", 5.0, "min detailed-instruction volume reduction across the matrix")
 	minSpeed := flag.Float64("minspeed", 1.25, "min wall-clock speedup across the matrix (loose: see command doc)")
@@ -133,9 +133,9 @@ func main() {
 			ref.Warmup, ref.Measure, gateWarmup, gateMeasure))
 	}
 
-	var store *graphmem.CheckpointStore
-	if *ckptDir != "" {
-		if store, err = graphmem.NewCheckpointStore(*ckptDir); err != nil {
+	var store *graphmem.ResultStore
+	if *storeDir != "" {
+		if store, err = graphmem.NewResultStore(*storeDir); err != nil {
 			fatal(err)
 		}
 	}
@@ -168,7 +168,7 @@ func main() {
 		sampledCfg := base.WithSampling(c.Plan.Period, c.Plan.SampleLen, c.Plan.Offset).
 			WithSampleWarm(c.Plan.DetailWarm)
 		if store != nil {
-			sampledCfg = sampledCfg.WithCheckpointStore(store, profile.Name)
+			sampledCfg = sampledCfg.WithWarmStore(store, profile.Name)
 		}
 		t0 = time.Now()
 		sampled := graphmem.RunSingleCore(sampledCfg, wb.Workload(id, 0))

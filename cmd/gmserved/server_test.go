@@ -296,8 +296,9 @@ func TestServiceSweepMatchesLocalHarness(t *testing.T) {
 }
 
 // TestServiceStoreAndGCEndpoints exercises the operational surface:
-// store stats reflect published entries, /api/gc evicts them, and the
-// metrics endpoint exposes the store counters.
+// store stats reflect published entries, /api/gc refuses an overflowing
+// size and evicts them on a valid one, and the metrics endpoint exposes
+// the store counters.
 func TestServiceStoreAndGCEndpoints(t *testing.T) {
 	s := newTestService(t, t.TempDir())
 	st := s.post(t, "/api/run", triadRun())
@@ -309,6 +310,22 @@ func TestServiceStoreAndGCEndpoints(t *testing.T) {
 	}
 	if stats.Entries != 1 || stats.Misses != 1 || stats.Bytes == 0 {
 		t.Errorf("after one run: %+v, want 1 entry from 1 miss", stats)
+	}
+
+	// A cap past MaxInt64 is refused, not wrapped to a negative cap that
+	// would empty the store.
+	for _, size := range []string{"9000000000G", "8589934592G"} {
+		resp, err := http.Post(s.ts.URL+"/api/gc?max="+size, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("gc max=%s: status %d, want 400", size, resp.StatusCode)
+		}
+	}
+	if code := s.getJSON(t, "/api/store", &stats); code != http.StatusOK || stats.Entries != 1 || stats.Evictions != 0 {
+		t.Errorf("after refused gc: status %d, %+v; want the entry kept", code, stats)
 	}
 
 	resp, err := http.Post(s.ts.URL+"/api/gc?max=0", "", nil)

@@ -8,7 +8,7 @@
 //	gmsim -kernel cc -graph friendster -config baseline -measure 5000000
 //	gmsim -kernel pr -graph kron -config sdclp -json -epoch 100000 > run.json
 //	gmsim -kernel pr -graph kron -cores 16 -wj 8
-//	gmsim -kernel pr -graph kron -sample 65000,5000,13000 -ckpt /tmp/gmckpt
+//	gmsim -kernel pr -graph kron -sample 65000,5000,13000 -store /tmp/gmstore
 //
 // With -cores N > 1 the workload is replicated on every core of an
 // N-core machine (a homogeneous multi-programmed mix) and a per-core

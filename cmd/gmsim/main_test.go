@@ -49,7 +49,6 @@ func TestModeRejectionsSurfaceValidateText(t *testing.T) {
 		{"sample x epochs", append(sample, "-epoch", "20000"), reason(sampled(1).WithEpochInterval(20000).Validate())},
 		{"sample x recorder", append(sample, "-fr", filepath.Join(t.TempDir(), "fr.json")), reason(sampled(1).WithFlightRecorder(0).Validate())},
 		{"sample x 4 cores", append(sample, "-cores", "4"), reason(sampled(4).Validate())},
-		{"ckpt without sample", []string{"-ckpt", t.TempDir()}, reason(graphmem.TableI(1).WithCheckpointStore(new(graphmem.CheckpointStore), "").Validate())},
 		{"unknown preset", []string{"-pf", "warp"}, reason(graphmem.TableI(1).WithPrefetchers("warp").Validate())},
 	}
 	for _, tc := range cases {

@@ -106,11 +106,9 @@ type (
 	// SampleEstimate is a sampled run's per-metric confidence-interval
 	// result (Result.Sampling / Manifest.Sampling).
 	SampleEstimate = sample.Estimate
-	// CheckpointStore is the disk-backed warm-up checkpoint store
-	// (Workbench.Checkpoints / Config.WithCheckpointStore).
-	CheckpointStore = sample.Store
 	// ResultStore is the disk-backed content-addressed simulation result
-	// store (Workbench.Store / gmserved).
+	// store (Workbench.Store / gmserved); with sampling on it also keeps
+	// the warm-up checkpoints (Config.WithWarmStore).
 	ResultStore = store.Store
 	// RunSpec is one fully specified run and its structural identity,
 	// shared by the memo, the disk store, gmserved and manifests
@@ -137,13 +135,10 @@ func ParseCheckLevel(s string) (CheckLevel, error) { return check.ParseLevel(s) 
 // ("" = disabled).
 func ParseSamplePlan(s string) (SamplePlan, error) { return sample.ParsePlan(s) }
 
-// NewCheckpointStore opens (creating if needed) a warm-up checkpoint
-// store rooted at dir.
-func NewCheckpointStore(dir string) (*CheckpointStore, error) { return sample.NewStore(dir) }
-
 // ResultStateVersion is the simulator behaviour version keying the
 // result store: bumping it (on any change that alters simulated
-// counters) orphans every stored result (use it in CI cache keys).
+// counters or warm state) orphans every stored result and warm-up (use
+// it in CI cache keys).
 const ResultStateVersion = sim.StateVersion
 
 // NewResultStore opens (creating if needed) a disk-backed result store
@@ -272,7 +267,6 @@ type RunOptions struct {
 
 	Check         string `json:"-"`
 	Sample        string `json:"-"`
-	Ckpt          string `json:"-"`
 	Store         string `json:"-"`
 	Metrics       string `json:"-"`
 	Jobs          int    `json:"-"`
@@ -290,8 +284,7 @@ func RegisterRunFlags(fs *flag.FlagSet, defaultProfile string) *RunOptions {
 	fs.Int64Var(&o.Measure, "measure", 0, "override the single-core measured instructions")
 	fs.StringVar(&o.Check, "check", "off", "differential checking: off|oracle|full (exit 1 on any violation)")
 	fs.StringVar(&o.Sample, "sample", "", "run eligible single-core simulations under the statistical sampler \"period,len,offset[,warm]\" (instructions); results are CI estimates")
-	fs.StringVar(&o.Ckpt, "ckpt", "", "warm-up checkpoint store directory (reuses functional warm-ups across runs; needs -sample)")
-	fs.StringVar(&o.Store, "store", "", "disk-backed result store directory (serves repeated runs, single- and multi-core, from disk; output is byte-identical either way)")
+	fs.StringVar(&o.Store, "store", "", "disk-backed result store directory (serves repeated runs, single- and multi-core, from disk, and with -sample keeps their functional warm-ups; output is byte-identical either way)")
 	fs.StringVar(&o.Metrics, "metrics", "", "serve live metrics (Prometheus text + expvar) on this address, e.g. :6060")
 	fs.IntVar(&o.Jobs, "j", 0, "max concurrent simulations (0 = all host cores); output is identical at any -j")
 	fs.IntVar(&o.WeaveJobs, "wj", 0, "bound–weave host workers per multi-core simulation; workers count against -j, output is identical at any -wj >= 1 (0 = the serial engine, a different timing model with different results)")
@@ -323,7 +316,7 @@ func (o RunOptions) ScaleProfile() (Profile, error) {
 }
 
 // NewWorkbench builds the workbench the options describe — opening the
-// stores and, with -metrics, serving the registry (tool prefixes the
+// store and, with -metrics, serving the registry (tool prefixes the
 // notice) — and fails with Config.Validate's reason when the requested
 // modes do not compose on the base machine.
 func (o RunOptions) NewWorkbench(tool string) (*Workbench, error) {
@@ -338,11 +331,6 @@ func (o RunOptions) NewWorkbench(tool string) (*Workbench, error) {
 	}
 	if wb.Sampling, err = ParseSamplePlan(o.Sample); err != nil {
 		return nil, err
-	}
-	if o.Ckpt != "" {
-		if wb.Checkpoints, err = NewCheckpointStore(o.Ckpt); err != nil {
-			return nil, err
-		}
 	}
 	if o.Store != "" {
 		if wb.Store, err = NewResultStore(o.Store); err != nil {

@@ -211,14 +211,6 @@ type Workbench struct {
 	// before the first run; cmd/gmsim and cmd/gmreport expose it as
 	// -sample.
 	Sampling sample.Plan
-	// Checkpoints, when set alongside Sampling, is the warm-up
-	// checkpoint store: sampled runs of this profile sharing a workload
-	// and everything the warm-up depends on (sim.Config.WarmKey) replay
-	// one functional warm-up and restore the rest from disk. Wall-clock
-	// only — restored runs are
-	// byte-identical to re-warmed ones — so the store is excluded from
-	// run identity (sim.WallClockOnly). Exposed as -ckpt.
-	Checkpoints *sample.Store
 	// Store, when set, is the disk-backed content-addressed result
 	// store: a read-through/write-through tier under the in-memory memo
 	// (lookup order: memory → disk → run), keyed by RunSpec.StoreKey,
@@ -226,6 +218,10 @@ type Workbench struct {
 	// isolated runs and mixes. Stored results are byte-identical to live
 	// runs, so the tier affects wall-clock only; runs
 	// sim.Config.Cacheable rejects (checked ones) bypass it both ways.
+	// With Sampling enabled it also keeps the functional warm-ups
+	// (sim.Config.WarmKey): sampled runs of this profile sharing a
+	// workload and everything the warm-up depends on replay one warm-up
+	// and restore the rest from disk, byte-identical to re-warming.
 	// Open one with OpenResultStore; cmd/gmreport and cmd/gmsim expose
 	// it as -store, and gmserved fronts one as a service.
 	Store *store.Store
@@ -268,7 +264,7 @@ func NewWorkbench(p Profile) *Workbench {
 func (wb *Workbench) WithProfile(p Profile) *Workbench {
 	n := NewWorkbench(p)
 	n.Parallelism, n.WeaveJobs, n.Metrics = wb.Parallelism, wb.WeaveJobs, wb.Metrics
-	n.CheckLevel, n.Sampling, n.Checkpoints, n.Store = wb.CheckLevel, wb.Sampling, wb.Checkpoints, wb.Store
+	n.CheckLevel, n.Sampling, n.Store = wb.CheckLevel, wb.Sampling, wb.Store
 	return n
 }
 
@@ -312,18 +308,17 @@ func (wb *Workbench) Workload(id WorkloadID, slot int) sim.Workload {
 	return sim.Workload{Name: id.String(), Inst: build(g, space), Space: space}
 }
 
-// Configure folds the profile's windows and the workbench's check
-// level, sampling plan and checkpoint store into cfg, all as requested,
-// and returns sim.Config.Validate's verdict on the combination — what a
-// tool checks before running a config its user spelled out.
+// Configure folds the profile's windows and the workbench's check level
+// and sampling plan into cfg, all as requested (a sampled config keeps
+// its warm-up in Store), and returns sim.Config.Validate's verdict on
+// the combination — what a tool checks before running a config its
+// user spelled out.
 func (wb *Workbench) Configure(cfg sim.Config) (sim.Config, error) {
 	cfg = cfg.WithWindows(wb.Profile.Warmup, wb.Profile.Measure)
 	cfg.CheckLevel = wb.CheckLevel
 	if wb.Sampling.Enabled() {
 		cfg.Sampling.Plan = wb.Sampling
-	}
-	if wb.Checkpoints != nil {
-		cfg = cfg.WithCheckpointStore(wb.Checkpoints, wb.Profile.Name)
+		cfg = cfg.WithWarmStore(wb.Store, wb.Profile.Name)
 	}
 	return cfg, cfg.Validate()
 }

@@ -119,8 +119,8 @@ func storeRunOnce(t *testing.T, dir string, cores int) (res any, path string, fi
 	return res, st.Path(s.StoreKey()), finished
 }
 
-// TestStoreDamageFallsBackToLive mirrors the checkpoint store's damage
-// test at the harness level, for a point and for a mix: corrupted,
+// TestStoreDamageFallsBackToLive mirrors internal/store's damage test
+// at the harness level, for a point and for a mix: corrupted,
 // truncated, and wrong-run entries silently fall back to a live run
 // whose result matches the original, and the rerun heals the store
 // entry.

@@ -1,14 +1,13 @@
 // Package sample implements the statistical sampling engine of ROADMAP
 // item 2: SMARTS-style interleaving of short detailed-simulation
-// samples with fast functional warming, plus serializable µarch-state
-// checkpoints so a sweep of configs sharing a workload replays one
-// warm-up instead of N.
+// samples with fast functional warming.
 //
 // The package is deliberately substrate-free: it knows about schedules
-// (Plan), per-sample statistics (Estimate), and checkpoint files
-// (Store) — never about caches or cores. internal/sim owns the warm
-// walk and the state encode/decode of each component; this
-// package supplies the arithmetic and the disk format around them.
+// (Plan) and per-sample statistics (Estimate) — never about caches,
+// cores or disks. internal/sim owns the warm walk, the state
+// encode/decode of each component and the warm-up checkpoints, which
+// live in the result store (sim.Config.WarmKey); this package supplies
+// the arithmetic around them.
 package sample
 
 import (
@@ -107,7 +106,7 @@ type Estimate struct {
 	// detail inside the measurement window.
 	DetailedInstructions int64 `json:"detailed_instructions"`
 	// CheckpointHit marks a run that restored its warm-up state from
-	// the checkpoint store instead of re-warming.
+	// the store instead of re-warming.
 	CheckpointHit bool `json:"checkpoint_hit,omitempty"`
 
 	IPC          stats.Interval `json:"ipc"`

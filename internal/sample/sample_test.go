@@ -1,8 +1,6 @@
 package sample
 
 import (
-	"os"
-	"sync"
 	"testing"
 
 	"graphmem/internal/stats"
@@ -48,125 +46,6 @@ func TestPlanSchedule(t *testing.T) {
 	if f := (Plan{}).DetailFraction(); f != 1 {
 		t.Errorf("disabled plan DetailFraction = %v, want 1", f)
 	}
-}
-
-func TestStoreMissCommitHit(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const key = "0123abcd"
-
-	payload, done := st.Acquire(key)
-	if payload != nil {
-		t.Fatal("fresh store returned a payload")
-	}
-	if err := done([]byte("state")); err != nil {
-		t.Fatal(err)
-	}
-	payload, done = st.Acquire(key)
-	if string(payload) != "state" {
-		t.Fatalf("hit returned %q", payload)
-	}
-	if err := done(nil); err != nil {
-		t.Fatal(err)
-	}
-	if m, h := st.Misses(), st.Hits(); m != 1 || h != 1 {
-		t.Errorf("misses %d hits %d, want 1/1", m, h)
-	}
-}
-
-func TestStoreAbortDoesNotPublish(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const key = "0123abcd"
-	if payload, done := st.Acquire(key); payload != nil {
-		t.Fatal("fresh store returned a payload")
-	} else if err := done(nil); err != nil { // abort
-		t.Fatal(err)
-	}
-	if payload, done := st.Acquire(key); payload != nil {
-		t.Error("aborted commit still published a checkpoint")
-	} else {
-		done(nil)
-	}
-	if m := st.Misses(); m != 2 {
-		t.Errorf("misses %d, want 2", m)
-	}
-}
-
-// TestStoreSingleFlight pins the one-warm-up guarantee under
-// concurrency: N goroutines racing on one key produce exactly one miss,
-// and every loser observes the winner's payload.
-func TestStoreSingleFlight(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const key = "0123abcd"
-	const n = 8
-	var wg sync.WaitGroup
-	got := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			payload, done := st.Acquire(key)
-			if payload == nil {
-				done([]byte("winner"))
-				return
-			}
-			got[i] = payload
-			done(nil)
-		}()
-	}
-	wg.Wait()
-	if m, h := st.Misses(), st.Hits(); m != 1 || h != n-1 {
-		t.Errorf("misses %d hits %d, want 1/%d", m, h, n-1)
-	}
-	for i, p := range got {
-		if p != nil && string(p) != "winner" {
-			t.Errorf("goroutine %d read %q", i, p)
-		}
-	}
-}
-
-// TestStoreRecoversFromDamagedFile pins the store-level failure policy:
-// wrong-version and corrupt files are misses, and the following commit
-// replaces them.
-func TestStoreRecoversFromDamagedFile(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const key = "0123abcd"
-	_, done := st.Acquire(key)
-	if err := done([]byte("good")); err != nil {
-		t.Fatal(err)
-	}
-
-	framed, err := os.ReadFile(st.Path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	framed[8] = 0xFE // stale version
-	if err := os.WriteFile(st.Path(key), framed, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	payload, done := st.Acquire(key)
-	if payload != nil {
-		t.Fatal("stale-version file served as a hit")
-	}
-	if err := done([]byte("rewarmed")); err != nil {
-		t.Fatal(err)
-	}
-	payload, done = st.Acquire(key)
-	if string(payload) != "rewarmed" {
-		t.Errorf("recovery read %q", payload)
-	}
-	done(nil)
 }
 
 // TestEstimateIsRatioEstimator pins the Jensen-bias fix: with two

@@ -2,12 +2,13 @@
 // machine state functional warming builds — cache/TLB/LP/SDCDir tags
 // and recency, MSHR occupancy (always empty after a warm-up), DRAM open
 // rows, and the four architectural CPU counters — serializes into one
-// payload that internal/sample's store wraps in a versioned, checksummed
-// file. A sweep of N configs sharing a workload and warm-relevant
-// configuration then replays one warm-up instead of N: the other N-1
-// runs drain the record stream (counting instructions only) to the
-// recorded position and decode the captured state, which is
-// byte-identical to having warmed in place.
+// payload, kept as one more entry of the result store under
+// Config.WarmKey and framed like a result (ResultFraming, so
+// StateVersion versions it). A sweep of N configs sharing a workload
+// and warm-relevant configuration then replays one warm-up instead of
+// N: the other N-1 runs drain the record stream (counting instructions
+// only) to the recorded position and decode the captured state, which
+// is byte-identical to having warmed in place.
 package sim
 
 import (

@@ -16,6 +16,7 @@ import (
 	"graphmem/internal/dram"
 	"graphmem/internal/obs"
 	"graphmem/internal/sample"
+	"graphmem/internal/store"
 )
 
 // RoutingMode selects how memory accesses are routed to the SDC.
@@ -190,17 +191,19 @@ type Config struct {
 
 // SamplingConfig drives the statistical sampling engine. The embedded
 // sample.Plan carries the schedule (Period, SampleLen, seedless
-// Offset); the extra fields bind the run to a checkpoint store and the
+// Offset); the extra fields bind the run's warm-up to a store and the
 // fault-injection hook.
 type SamplingConfig struct {
 	sample.Plan
 
-	// Store, when non-nil, is the warm-up checkpoint store: the runner
-	// addresses it by Config.WarmKey and either restores the warm-up state from it or captures one at the
-	// warm-up end, so a sweep of configs sharing a workload performs one
-	// warm-up instead of N. Wall-clock only; counters are unaffected
+	// Store, when non-nil, holds warm-up checkpoints: the runner
+	// addresses it by Config.WarmKey and either restores the warm-up
+	// state from it or captures one at the warm-up end, so a sweep of
+	// configs sharing a workload performs one warm-up instead of N. It
+	// is the result store (framed by ResultFraming), whose run keys can
+	// never equal a warm key. Wall-clock only; counters are unaffected
 	// (resume is byte-identical to an uninterrupted warm-up).
-	Store *sample.Store
+	Store *store.Store
 	// Scope names the simulated input beyond the workload's own name —
 	// the harness sets the profile, which fixes the graph generators'
 	// sizes and seeds — and enters the checkpoint address (WarmKey), so
@@ -231,9 +234,6 @@ func (c Config) Validate() error {
 	case c.BranchMissPenalty < 0:
 		return fmt.Errorf("sim: branch-miss penalty %d must be >= 0", c.BranchMissPenalty)
 	case !c.Sampling.Enabled():
-		if c.Sampling.Store != nil {
-			return errors.New("sim: a checkpoint store needs sampling (checkpoints hold sampled warm-ups)")
-		}
 		return nil
 	// The sampler owns the window state machine and the byte-identity
 	// contract of the other observation subsystems; it composes with
@@ -288,11 +288,11 @@ func (c Config) WithSampleWarm(n int64) Config {
 	return c
 }
 
-// WithCheckpointStore returns a copy using st for warm-up checkpoints
-// (only meaningful together with WithSampling), addressed within scope:
+// WithWarmStore returns a copy keeping warm-up checkpoints in st (only
+// meaningful together with WithSampling), addressed within scope:
 // whatever beyond the workload's name identifies its input (see
 // SamplingConfig.Scope).
-func (c Config) WithCheckpointStore(st *sample.Store, scope string) Config {
+func (c Config) WithWarmStore(st *store.Store, scope string) Config {
 	c.Sampling.Store, c.Sampling.Scope = st, scope
 	return c
 }

@@ -16,21 +16,21 @@ import (
 )
 
 // StateVersion identifies the simulator behaviour the result store
-// caches. Bump it whenever any change alters simulated counters or the
-// Result layout — timing model fixes, replacement-policy changes, graph
-// generator tweaks, new Result fields — and every previously stored
-// entry becomes unreadable (ErrVersionMismatch) instead of silently
-// stale. It is deliberately distinct from sample.StateVersion, which
-// versions the warm-up checkpoint payload only.
+// caches: run results and warm-up checkpoints alike. Bump it whenever
+// any change alters simulated counters, the Result layout or the warm
+// state payload — timing model fixes, replacement-policy changes, graph
+// generator tweaks, new Result fields, a component's state encoding —
+// and every previously stored entry becomes unreadable
+// (ErrVersionMismatch) instead of silently stale. It also enters every
+// run key and warm key, so a bump re-addresses them as well.
 const StateVersion = 1
 
-// resultMagic opens every stored result file; distinct from the
-// checkpoint magic so the two stores can never deserialize each other's
-// files even if keys collide.
+// resultMagic opens every file of the result store.
 var resultMagic = [8]byte{'G', 'M', 'R', 'E', 'S', 'L', 'T', '\n'}
 
 // ResultFraming returns the framing (magic + StateVersion) binding
-// stored result files to this simulator version.
+// every stored file — results and warm-up checkpoints — to this
+// simulator version.
 func ResultFraming() store.Framing {
 	return store.Framing{Magic: resultMagic, Version: StateVersion}
 }

@@ -369,6 +369,10 @@ func RunSingleCore(cfg Config, w Workload) *Result {
 // RunCore0 drives workload w on core 0 until its windows fill.
 func (s *System) RunCore0(w Workload) *Result {
 	c := s.cores[0]
+	// The warm key is taken while the harness holds this run's result
+	// key in the same store, never the reverse: keys are always acquired
+	// result first, so one store shared by results and warm-ups cannot
+	// deadlock, in one process or across processes.
 	if st := s.cfg.Sampling.Store; st != nil && s.cfg.Sampling.Enabled() {
 		payload, done := st.Acquire(s.cfg.WarmKey(w.Name))
 		if payload != nil {

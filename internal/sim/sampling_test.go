@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"graphmem/internal/sample"
+	"graphmem/internal/store"
 )
 
 // sampledCfg is the schedule the sampling tests run under: the checked
@@ -50,11 +50,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	cfg := sampledCfg()
 	plain := RunSingleCore(cfg, kronWorkload(t, "pr", 19))
 
-	st, err := sample.NewStore(t.TempDir())
+	st, err := store.Open(t.TempDir(), ResultFraming())
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored := cfg.WithCheckpointStore(st, "")
+	stored := cfg.WithWarmStore(st, "")
 	miss := RunSingleCore(stored, kronWorkload(t, "pr", 19))
 	hit := RunSingleCore(stored, kronWorkload(t, "pr", 19))
 	if m, h := st.Misses(), st.Hits(); m != 1 || h != 1 {
@@ -87,11 +87,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // file, and still produces bit-identical counters.
 func TestCheckpointRejectsDamagedFiles(t *testing.T) {
 	cfg := sampledCfg()
-	st, err := sample.NewStore(t.TempDir())
+	st, err := store.Open(t.TempDir(), ResultFraming())
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored := cfg.WithCheckpointStore(st, "")
+	stored := cfg.WithWarmStore(st, "")
 	first := RunSingleCore(stored, kronWorkload(t, "pr", 19))
 
 	// Find the committed file and damage it two ways.

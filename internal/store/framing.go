@@ -1,14 +1,13 @@
-// Package store provides the on-disk persistence primitives shared by
-// every durable cache in the repository: a versioned, checksummed file
-// framing (magic + version + length + sha256 + payload) and a
-// content-addressed blob store with per-key single-flight, best-effort
-// cross-process claim files, atomic publication, and LRU size capping.
+// Package store provides the repository's on-disk persistence
+// primitives: a versioned, checksummed file framing (magic + version +
+// length + sha256 + payload) and a content-addressed blob store with
+// per-key single-flight, best-effort cross-process claim files, atomic
+// publication, and LRU size capping.
 //
-// The framing was born as internal/sample's checkpoint file format and
-// is hoisted here so the warm-up checkpoint store and the simulation
-// result store share one implementation; each client binds its own
-// magic and version through a Framing value, so the two stores can
-// never deserialize each other's files.
+// The repository uses one store: the simulation result store, framed
+// with sim.ResultFraming. It holds both run results and the sampler's
+// warm-up checkpoints, told apart by their keys, so sim.StateVersion
+// versions every file on disk.
 package store
 
 import (

@@ -2,10 +2,12 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -15,8 +17,7 @@ import (
 // (hashes over everything that identifies the payload), so the store
 // itself never interprets payloads beyond the framing checksum.
 //
-// Concurrency discipline, mirroring the warm-up checkpoint store it
-// generalizes:
+// Concurrency discipline:
 //
 //   - Per-key single-flight across goroutines: Acquire holds a per-key
 //     mutex from lookup to commit, so two goroutines computing the same
@@ -274,7 +275,10 @@ func (s *Store) put(key string, payload []byte) error {
 // GC shrinks the store to at most maxBytes by removing
 // least-recently-used entries (file mtime order — Acquire hits refresh
 // their entry), returning how many entries were removed and how many
-// bytes were freed. Claim files and foreign files are left alone.
+// bytes were freed. It also deletes the temp files of writers killed
+// before their rename once they are older than ClaimTTL (their bytes
+// count as freed, not as entries). Claim files and foreign files are
+// left alone.
 func (s *Store) GC(maxBytes int64) (removed int, freed int64, err error) {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -288,14 +292,22 @@ func (s *Store) GC(maxBytes int64) (removed int, freed int64, err error) {
 	var files []entry
 	var total int64
 	for _, e := range ents {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".res" {
+		orphan := strings.Contains(e.Name(), ".res.tmp")
+		if e.IsDir() || !orphan && filepath.Ext(e.Name()) != ".res" {
 			continue
 		}
 		fi, err := e.Info()
 		if err != nil {
 			continue
 		}
-		files = append(files, entry{path: filepath.Join(s.dir, e.Name()), size: fi.Size(), mtime: fi.ModTime()})
+		path := filepath.Join(s.dir, e.Name())
+		if orphan {
+			if s.ClaimTTL > 0 && time.Since(fi.ModTime()) > s.ClaimTTL && os.Remove(path) == nil {
+				freed += fi.Size()
+			}
+			continue
+		}
+		files = append(files, entry{path: path, size: fi.Size(), mtime: fi.ModTime()})
 		total += fi.Size()
 	}
 	sort.Slice(files, func(i, j int) bool {
@@ -359,7 +371,7 @@ func ParseSize(s string) (int64, error) {
 		mult, s = 1<<30, s[:len(s)-1]
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("store: bad size %q (want bytes with optional K/M/G suffix)", s)
 	}
 	return n * mult, nil

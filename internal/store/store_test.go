@@ -56,10 +56,18 @@ func TestStoreAbortedCommitPublishesNothing(t *testing.T) {
 	if _, err := os.Stat(s.claimPath("k")); !os.IsNotExist(err) {
 		t.Fatalf("claim file survived the aborted commit: %v", err)
 	}
+	if payload, commit := s.Acquire("k"); payload != nil {
+		t.Error("aborted commit still served a payload")
+	} else {
+		commit(nil)
+	}
+	if m := s.Misses(); m != 2 {
+		t.Errorf("misses %d, want 2", m)
+	}
 }
 
-// TestStoreRejectsDamagedFiles mirrors the checkpoint store's damage
-// test: corrupted, truncated, and stale-version entries all read as
+// TestStoreRejectsDamagedFiles: corrupted, truncated, and stale-version
+// entries (re-framed, or the version byte rewritten in place) all read as
 // misses (never an error, never a poisoned payload) and are overwritten
 // by the next commit.
 func TestStoreRejectsDamagedFiles(t *testing.T) {
@@ -73,6 +81,7 @@ func TestStoreRejectsDamagedFiles(t *testing.T) {
 			stale := Framing{Magic: testFraming.Magic, Version: testFraming.Version + 1}
 			return stale.Encode([]byte("payload"))
 		}},
+		{"version byte rewritten", func(d []byte) []byte { d[8] = 0xFE; return d }},
 		{"empty file", func(d []byte) []byte { return nil }},
 	}
 	for _, tc := range damage {
@@ -282,6 +291,45 @@ func TestStoreGCAndSizeCap(t *testing.T) {
 	}
 }
 
+// TestStoreGCRemovesOrphanedTempFiles plants what a writer killed
+// between CreateTemp and Rename leaves behind: GC deletes the temp file
+// older than ClaimTTL, keeps the fresh one (a live writer's) and every
+// published entry.
+func TestStoreGCRemovesOrphanedTempFiles(t *testing.T) {
+	s := openTest(t, t.TempDir())
+	_, commit := s.Acquire("k")
+	if err := commit([]byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	old, fresh := s.Path("k")+".tmp111", s.Path("k")+".tmp222"
+	for _, p := range []string{old, fresh} {
+		if err := os.WriteFile(p, bytes.Repeat([]byte{1}, 100), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := time.Now().Add(-2 * s.ClaimTTL)
+	if err := os.Chtimes(old, stale, stale); err != nil {
+		t.Fatal(err)
+	}
+
+	removed, freed, err := s.GC(1 << 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed != 0 || freed != 100 {
+		t.Errorf("GC removed %d entries, freed %d bytes; want 0 entries and the orphan's 100 bytes", removed, freed)
+	}
+	if _, err := os.Stat(old); !os.IsNotExist(err) {
+		t.Errorf("orphaned temp file survived GC: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("a live writer's temp file was removed: %v", err)
+	}
+	if !s.Contains("k") || s.Evictions() != 0 {
+		t.Errorf("GC touched the published entry (contains %v, evictions %d)", s.Contains("k"), s.Evictions())
+	}
+}
+
 func TestParseSize(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -298,6 +346,12 @@ func TestParseSize(t *testing.T) {
 		{"-1", 0, false},
 		{"12Q", 0, false},
 		{"M", 0, false},
+		{"8589934591G", 8589934591 << 30, true},
+		// Products past MaxInt64 are refused, not wrapped: a wrapped cap
+		// is negative (GC deletes everything) or MinInt64.
+		{"8589934592G", 0, false},
+		{"9000000000G", 0, false},
+		{"9007199254740992K", 0, false},
 	}
 	for _, tc := range cases {
 		got, err := ParseSize(tc.in)
