@@ -88,9 +88,6 @@ func main() {
 	var done []string
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
-		if id == "fig14" && opts.WeaveJobs > 0 {
-			fmt.Fprintln(os.Stderr, "gmreport: fig14 with -wj > 0 runs on the bound–weave engine, whose timing differs from the serial reference: these are not the Fig. 14 numbers (EXPERIMENTS.md, \"Serial vs bound–weave timing\")")
-		}
 		t, err := wb.Experiment(id, subset)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gmreport:", err)

@@ -40,8 +40,8 @@ func main() {
 	gcSize := flag.String("gc", "", "shrink the store to this size (LRU eviction) and exit instead of serving")
 	quiet := flag.Bool("q", false, "suppress request/job logging")
 	// The shared run flags are the service's defaults: -store (strongly
-	// recommended: without it only the per-process memo dedupes), -j and
-	// -wj as everywhere; -profile/-warmup/-measure apply to requests that
+	// recommended: without it only the per-process memo dedupes) and -j
+	// as everywhere; -profile/-warmup/-measure apply to requests that
 	// leave them out; -check/-sample/-pf/-bp to every run served.
 	opts := graphmem.RegisterRunFlags(flag.CommandLine, "")
 	flag.Parse()

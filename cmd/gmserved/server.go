@@ -624,7 +624,14 @@ func (s *server) handleGC(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no result store attached (start gmserved with -store DIR)")
 		return
 	}
-	maxBytes, err := graphmem.ParseStoreSize(r.URL.Query().Get("max"))
+	// No max is refused rather than read as 0: max=0 empties the store,
+	// which a bare POST must not do by accident.
+	size := r.URL.Query().Get("max")
+	if size == "" {
+		httpError(w, http.StatusBadRequest, "max is required")
+		return
+	}
+	maxBytes, err := graphmem.ParseStoreSize(size)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -313,8 +313,8 @@ func TestServiceStoreAndGCEndpoints(t *testing.T) {
 	}
 
 	// A cap past MaxInt64 is refused, not wrapped to a negative cap that
-	// would empty the store.
-	for _, size := range []string{"9000000000G", "8589934592G"} {
+	// would empty the store; so is a missing one, which is not max=0.
+	for _, size := range []string{"9000000000G", "8589934592G", ""} {
 		resp, err := http.Post(s.ts.URL+"/api/gc?max="+size, "", nil)
 		if err != nil {
 			t.Fatal(err)

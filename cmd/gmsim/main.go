@@ -7,17 +7,12 @@
 //	gmsim -kernel pr -graph kron -config sdclp -profile bench
 //	gmsim -kernel cc -graph friendster -config baseline -measure 5000000
 //	gmsim -kernel pr -graph kron -config sdclp -json -epoch 100000 > run.json
-//	gmsim -kernel pr -graph kron -cores 16 -wj 8
+//	gmsim -kernel pr -graph kron -cores 4
 //	gmsim -kernel pr -graph kron -sample 65000,5000,13000 -store /tmp/gmstore
 //
 // With -cores N > 1 the workload is replicated on every core of an
-// N-core machine (a homogeneous multi-programmed mix) and a per-core
-// report is printed. -wj switches that run to the bound–weave parallel
-// engine; the report is byte-identical at any -wj >= 1 and carries no
-// wall-clock, so outputs can be diffed across worker counts (-v shows
-// the timing on stderr). -wj 0, the default, is the serial engine: a different
-// timing model whose results differ from bound–weave's (EXPERIMENTS.md,
-// "Serial vs bound–weave timing").
+// N-core machine (a homogeneous multi-programmed mix), run on the
+// serial multi-core engine, and a per-core report is printed.
 package main
 
 import (
@@ -43,7 +38,6 @@ func main() {
 	frPath := flag.String("fr", "", "enable the memory-hierarchy flight recorder and write a Perfetto/Chrome trace to this path")
 	frInterval := flag.Int64("frint", 0, "flight-recorder occupancy sampling interval in retired instructions (0 = measure/256)")
 	cores := flag.Int("cores", 1, "simulated core count; >1 replicates the workload on every core of one shared machine")
-	quantum := flag.Int64("quantum", 0, "bound–weave cycle quantum (0 = engine default); only meaningful with -wj")
 	jsonOut := flag.Bool("json", false, "emit a structured run manifest on stdout instead of text")
 	verbose := flag.Bool("v", false, "log run progress")
 	opts := graphmem.RegisterRunFlags(flag.CommandLine, "bench")
@@ -77,17 +71,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *epoch > 0 {
+	if *epoch != 0 {
 		cfg = cfg.WithEpochInterval(*epoch)
 	}
 	if *frPath != "" {
 		cfg = cfg.WithFlightRecorder(*frInterval)
-	}
-	if *cores == 1 && (opts.WeaveJobs > 0 || *quantum > 0) {
-		fail("-wj/-quantum apply to multi-core runs only (use -cores N)")
-	}
-	if opts.WeaveJobs > 0 {
-		cfg = cfg.WithBoundWeave(*quantum, opts.WeaveJobs)
 	}
 	effective, err := wb.Configure(cfg)
 	if err != nil {
@@ -219,17 +207,12 @@ func main() {
 }
 
 // printMulti renders the multi-core report. It is fully deterministic —
-// no wall clock, no host-side worker count — so runs at different -wj
-// values (or on different machines) can be byte-compared, which is how
-// CI verifies the bound–weave determinism contract.
+// no wall clock — so runs at any -j, or on different machines, can be
+// byte-compared.
 func printMulti(cfg graphmem.Config, profileName string, id graphmem.WorkloadID, res *graphmem.MultiResult) {
 	n := len(res.PerCore)
 	fmt.Printf("workload    %s x %d\n", id, n)
-	engine := "serial"
-	if cfg.Quantum > 0 {
-		engine = fmt.Sprintf("bound-weave quantum=%d", cfg.Quantum)
-	}
-	fmt.Printf("config      %s (%s profile)  cores %d  engine %s\n", cfg.Name, profileName, n, engine)
+	fmt.Printf("config      %s (%s profile)  cores %d  engine serial\n", cfg.Name, profileName, n)
 	var instr, cycles, loads, stores, dramR, dramW int64
 	ipcSum := 0.0
 	for i := range res.PerCore {

@@ -50,6 +50,8 @@ func TestModeRejectionsSurfaceValidateText(t *testing.T) {
 		{"sample x recorder", append(sample, "-fr", filepath.Join(t.TempDir(), "fr.json")), reason(sampled(1).WithFlightRecorder(0).Validate())},
 		{"sample x 4 cores", append(sample, "-cores", "4"), reason(sampled(4).Validate())},
 		{"unknown preset", []string{"-pf", "warp"}, reason(graphmem.TableI(1).WithPrefetchers("warp").Validate())},
+		{"negative epoch", []string{"-epoch", "-1"}, reason(graphmem.TableI(1).WithEpochInterval(-1).Validate())},
+		{"negative frint", []string{"-fr", filepath.Join(t.TempDir(), "fr.json"), "-frint", "-1"}, reason(graphmem.TableI(1).WithFlightRecorder(-1).Validate())},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer

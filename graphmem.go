@@ -176,10 +176,6 @@ func ConfigByName(base Config, name string) (Config, error) {
 // RelErr returns |est-ref|/|ref| (0 for 0/0, +Inf for est/0).
 func RelErr(est, ref float64) float64 { return stats.RelErr(est, ref) }
 
-// DefaultQuantum is the bound–weave engine's default cycle quantum
-// (Config.WithBoundWeave with quantum <= 0 selects it).
-const DefaultQuantum = sim.DefaultQuantum
-
 // TableI returns the paper's baseline machine configuration for the
 // given core count.
 func TableI(cores int) Config { return sim.TableI(cores) }
@@ -270,7 +266,6 @@ type RunOptions struct {
 	Store         string `json:"-"`
 	Metrics       string `json:"-"`
 	Jobs          int    `json:"-"`
-	WeaveJobs     int    `json:"-"`
 	Prefetchers   string `json:"-"`
 	BranchPenalty int64  `json:"-"`
 }
@@ -287,7 +282,6 @@ func RegisterRunFlags(fs *flag.FlagSet, defaultProfile string) *RunOptions {
 	fs.StringVar(&o.Store, "store", "", "disk-backed result store directory (serves repeated runs, single- and multi-core, from disk, and with -sample keeps their functional warm-ups; output is byte-identical either way)")
 	fs.StringVar(&o.Metrics, "metrics", "", "serve live metrics (Prometheus text + expvar) on this address, e.g. :6060")
 	fs.IntVar(&o.Jobs, "j", 0, "max concurrent simulations (0 = all host cores); output is identical at any -j")
-	fs.IntVar(&o.WeaveJobs, "wj", 0, "bound–weave host workers per multi-core simulation; workers count against -j, output is identical at any -wj >= 1 (0 = the serial engine, a different timing model with different results)")
 	fs.StringVar(&o.Prefetchers, "pf", "", "prefetcher preset for the base machine: none|nextline|spp|stride|imp|pickle|spp+imp (empty = Table I default)")
 	fs.Int64Var(&o.BranchPenalty, "bp", 0, "branch-miss penalty in cycles on ~1/32 of records (0 = off, the default machine)")
 	return o
@@ -325,7 +319,7 @@ func (o RunOptions) NewWorkbench(tool string) (*Workbench, error) {
 		return nil, err
 	}
 	wb := NewWorkbench(profile)
-	wb.Parallelism, wb.WeaveJobs = o.Jobs, o.WeaveJobs
+	wb.Parallelism = o.Jobs
 	if wb.CheckLevel, err = ParseCheckLevel(o.Check); err != nil {
 		return nil, err
 	}

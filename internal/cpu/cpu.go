@@ -234,7 +234,7 @@ func (c *Core) Access(r trace.Record) {
 		// A deterministic hash of (site PC, record sequence) selects
 		// ~1/32 of records as mispredicted branches; the refill stall
 		// floors the next dispatch. The stream is a property of the
-		// trace, not the timing, so it is identical across -j/-wj.
+		// trace, not the timing, so it is identical at any host parallelism.
 		h := (r.PC ^ uint64(c.seqRec)*0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9
 		if h>>59 == 0 {
 			c.BranchMisses++

@@ -190,16 +190,6 @@ type Workbench struct {
 	// are reported by CheckOutcome. Set it before the first run;
 	// cmd/gmsim and cmd/gmreport expose it as -check.
 	CheckLevel check.Level
-	// WeaveJobs, when positive, runs every multi-core simulation (mix
-	// and isolated runs) on the bound–weave parallel engine
-	// (sim.Config.Quantum = sim.DefaultQuantum) with up to WeaveJobs
-	// host goroutines per simulation. Weave workers are real host work
-	// and therefore count against the Parallelism budget: such a run
-	// claims min(WeaveJobs, workers) pool slots for its duration.
-	// Results are identical at any WeaveJobs >= 1 (the engine's
-	// determinism contract); only wall-clock changes. Set it before the
-	// first run; cmd/gmsim and cmd/gmreport expose it as -wj.
-	WeaveJobs int
 	// Sampling, when enabled, runs every eligible single-core simulation
 	// under the statistical sampling engine (internal/sample) with this
 	// schedule: results carry confidence-interval estimates instead of
@@ -230,13 +220,9 @@ type Workbench struct {
 	// through Progress (see progressRead).
 	reporter *obs.Progress
 
-	mu sync.Mutex // guards sem's creation and the check aggregate
-	// batchMu serializes multi-slot pool acquisitions (acquireN) so two
-	// weave-parallel runs can never deadlock each other by each holding
-	// half the pool while waiting for more.
-	batchMu sync.Mutex
-	sem     chan struct{} // worker pool, sized on first acquire
-	graphs  flight[*graph.Graph]
+	mu     sync.Mutex    // guards sem's creation and the check aggregate
+	sem    chan struct{} // worker pool, sized on first acquire
+	graphs flight[*graph.Graph]
 	// runs memoizes every run by RunSpec key, whatever its shape: a
 	// *sim.Result, *sim.MultiResult or *Fig3Result, as the key's kind says.
 	runs flight[any]
@@ -263,7 +249,7 @@ func NewWorkbench(p Profile) *Workbench {
 // several profiles from one set of flags.
 func (wb *Workbench) WithProfile(p Profile) *Workbench {
 	n := NewWorkbench(p)
-	n.Parallelism, n.WeaveJobs, n.Metrics = wb.Parallelism, wb.WeaveJobs, wb.Metrics
+	n.Parallelism, n.Metrics = wb.Parallelism, wb.Metrics
 	n.CheckLevel, n.Sampling, n.Store = wb.CheckLevel, wb.Sampling, wb.Store
 	return n
 }
@@ -522,14 +508,14 @@ func metricsLabel(s *RunSpec) string {
 	return s.cfg.Name + "/" + string(appendMixName(scratch[:0], s.ids))
 }
 
-// live is the one bracket around every live simulation: it claims the
-// run's pool slots, prepares the slots' workloads, reports start and
+// live is the one bracket around every live simulation: it claims one
+// pool slot, prepares the core slots' workloads, reports start and
 // finish to the Reporter and to Metrics, and folds the checker outcome
-// into the sweep aggregate. Every claim comes back through a defer, so
-// a panicking run leaks nothing.
+// into the sweep aggregate. The pool slot comes back through a defer,
+// so a panicking run leaks nothing.
 func live[V any](wb *Workbench, s RunSpec, sh shape[V], simulate func(sim.Config, []sim.Workload) (V, check.Summary)) V {
-	cfg, slots := wb.acquireSim(s.cfg)
-	defer wb.releaseN(slots)
+	wb.acquire()
+	defer wb.release()
 	ws := make([]sim.Workload, len(s.ids))
 	for i, id := range s.ids {
 		if !id.idle() {
@@ -540,7 +526,7 @@ func live[V any](wb *Workbench, s RunSpec, sh shape[V], simulate func(sim.Config
 	finish := wb.Reporter.StartRun(progressLabel(&s))
 	m.RunStarted(s.StoreKey(), mlabel)
 	start := time.Now()
-	v, checked := simulate(cfg, ws)
+	v, checked := simulate(s.cfg, ws)
 	detail, ipc, rec := sh.describe(v)
 	finish(detail)
 	m.RunFinished(s.StoreKey(), mlabel, time.Since(start).Seconds(), ipc, rec)

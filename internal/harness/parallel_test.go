@@ -109,34 +109,3 @@ func TestSingleFlightDedup(t *testing.T) {
 			live, cached, strings.Join(lines, "\n"))
 	}
 }
-
-// TestBoundWeaveDeterminism extends the tentpole guarantee to the
-// bound–weave engine: multi-core runs through the harness produce
-// identical numbers at -wj 1 and -wj 8.
-func TestBoundWeaveDeterminism(t *testing.T) {
-	mix := []WorkloadID{
-		{Kernel: "pr", Graph: "kron"},
-		{Kernel: "cc", Graph: "kron"},
-		{Kernel: "bfs", Graph: "kron"},
-		{Kernel: "pr", Graph: "urand"},
-	}
-	run := func(wj int) ([]float64, float64) {
-		wb := NewWorkbench(fastBench())
-		wb.Parallelism = 8
-		wb.WeaveJobs = wj
-		base4 := wb.Profile.BaseConfig(mixCores)
-		return wb.RunMix(wb.mixSpec(base4.WithSDCLP(), mix...)).IPCs(),
-			wb.RunMix(wb.mixSpec(base4, mix[0])).PerCore[0].IPC()
-	}
-	ipc1, iso1 := run(1)
-	ipc8, iso8 := run(8)
-	if !reflect.DeepEqual(ipc1, ipc8) {
-		t.Errorf("mix IPCs differ between -wj 1 and -wj 8:\n wj1: %v\n wj8: %v", ipc1, ipc8)
-	}
-	if iso1 != iso8 {
-		t.Errorf("isolated IPC differs between -wj 1 and -wj 8: %v vs %v", iso1, iso8)
-	}
-
-	// TestRunKeyCanary pins the key side of the contract: the quantum is
-	// identity, the worker count is not.
-}

@@ -57,7 +57,7 @@ func TestRunKeyCanary(t *testing.T) {
 	k1 := NewRunSpec(bw, id, "bench").Key()
 	bw.WeaveWorkers = 8
 	if k8 := NewRunSpec(bw, id, "bench").Key(); k1 != k8 {
-		t.Errorf("-wj 1 and -wj 8 must share a key: %q vs %q", k1, k8)
+		t.Errorf("WeaveWorkers 1 and 8 must share a key: %q vs %q", k1, k8)
 	}
 	if k1 == NewRunSpec(sim.TableI(4).WithSDCLP(), id, "bench").Key() {
 		t.Error("bound–weave and serial-engine runs share a key; the quantum changes counters")

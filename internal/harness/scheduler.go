@@ -52,59 +52,12 @@ func (wb *Workbench) acquire() {
 // release returns a slot claimed by acquire.
 func (wb *Workbench) release() { <-wb.sem }
 
-// acquireN claims up to want worker-pool slots (at least one, at most
-// the pool width) and returns the number granted. Weave-parallel
-// simulations run their bound phases on that many host goroutines, so
-// the claim keeps total host work bounded by -j. Batch acquisitions are
-// serialized (batchMu) so two batch claimants can never deadlock by
-// each holding a partial claim; single acquires interleave freely. The
-// granted count affects wall-clock only — bound–weave results are
-// identical at any worker count — so clamping is always safe.
-func (wb *Workbench) acquireN(want int) int {
-	if want < 1 {
-		want = 1
-	}
-	if w := wb.workers(); want > w {
-		want = w
-	}
-	wb.batchMu.Lock()
-	defer wb.batchMu.Unlock()
-	for i := 0; i < want; i++ {
-		wb.acquire()
-	}
-	return want
-}
-
-// releaseN returns n slots claimed by acquireN.
-func (wb *Workbench) releaseN(n int) {
-	for i := 0; i < n; i++ {
-		wb.release()
-	}
-}
-
 // mixSpec derives the spec of a Fig. 14 run: cfg under the profile's
-// mix windows, the check level and the engine choice — with WeaveJobs
-// > 0 the run uses the bound–weave engine — on ids, one per core slot.
+// mix windows and the check level, on ids, one per core slot.
 func (wb *Workbench) mixSpec(cfg sim.Config, ids ...WorkloadID) RunSpec {
 	cfg = cfg.WithWindows(wb.Profile.MixWarmup, wb.Profile.MixMeasure)
 	cfg.CheckLevel = wb.CheckLevel
-	if wb.WeaveJobs > 0 {
-		cfg = cfg.WithBoundWeave(0, 0)
-	}
 	return newRunSpec(kindMix, cfg, ids, wb.Profile.Name)
-}
-
-// acquireSim claims the pool slots for one simulation of cfg and
-// returns it with the slot count to release: one slot for the serial
-// engine, up to WeaveJobs for bound–weave, whose worker count is the
-// granted claim.
-func (wb *Workbench) acquireSim(cfg sim.Config) (sim.Config, int) {
-	if cfg.Quantum == 0 {
-		wb.acquire()
-		return cfg, 1
-	}
-	cfg.WeaveWorkers = wb.acquireN(wb.WeaveJobs)
-	return cfg, cfg.WeaveWorkers
 }
 
 // planJobs registers the runs that will actually execute with the

@@ -150,65 +150,62 @@ func TestParallelismExceedsJobCount(t *testing.T) {
 
 // TestIsolatedRunPanicPropagation extends the crash contract to the
 // door's multi-core side, on an isolated run (a mix whose other slots
-// are idle) with a result store attached, under both engines: joiners
-// of a panicking run observe the panic, the key is retried, and the
-// run's pool slots and its store claim come back.
+// are idle) with a result store attached: joiners of a panicking run
+// observe the panic, the key is retried, and the run's pool slot and
+// its store claim come back.
 func TestIsolatedRunPanicPropagation(t *testing.T) {
-	for _, weave := range []int{0, 2} {
-		st, err := OpenResultStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		wb := NewWorkbench(fastBench())
-		wb.Parallelism, wb.WeaveJobs, wb.Store = 2, weave, st
-		bad := wb.mixSpec(wb.Profile.BaseConfig(mixCores), WorkloadID{Kernel: "nope", Graph: "reg"})
+	st, err := OpenResultStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb := NewWorkbench(fastBench())
+	wb.Parallelism, wb.Store = 2, st
+	bad := wb.mixSpec(wb.Profile.BaseConfig(mixCores), WorkloadID{Kernel: "nope", Graph: "reg"})
 
-		// The third call runs after the first two: it re-executes (and
-		// re-panics) instead of joining a dead latch — or blocking on a
-		// store claim the crashed run never gave back.
-		panics := make([]any, 3)
-		crash := func(i int) {
-			defer func() { panics[i] = recover() }()
-			wb.RunMix(bad)
-		}
-		var wg sync.WaitGroup
-		for i := range panics[:2] {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				crash(i)
-			}()
-		}
-		wg.Wait()
-		crash(2)
-		for i, p := range panics {
-			if p != "harness: unknown regular kernel nope" {
-				t.Errorf("wj=%d call %d recovered %v; want the Workload panic value", weave, i, p)
-			}
-		}
-		if wb.runs.has(bad.Key()) {
-			t.Errorf("wj=%d: crashed isolated run left its key registered", weave)
-		}
-		if claims, _ := filepath.Glob(filepath.Join(st.Dir(), "*.claim")); len(claims) != 0 || st.Contains(bad.StoreKey()) {
-			t.Errorf("wj=%d: crashed run left claims %v or a published entry", weave, claims)
-		}
-
-		// Every slot must be back: a run that needs the whole pool
-		// completes. On a watchdog, so a leak fails crisply.
-		done := make(chan int, 1)
+	// The third call runs after the first two: it re-executes (and
+	// re-panics) instead of joining a dead latch — or blocking on a
+	// store claim the crashed run never gave back.
+	panics := make([]any, 3)
+	crash := func(i int) {
+		defer func() { panics[i] = recover() }()
+		wb.RunMix(bad)
+	}
+	var wg sync.WaitGroup
+	for i := range panics[:2] {
+		wg.Add(1)
 		go func() {
-			n := wb.acquireN(2)
-			wb.releaseN(n)
-			done <- n
+			defer wg.Done()
+			crash(i)
 		}()
-		select {
-		case n := <-done:
-			if n != 2 {
-				t.Errorf("wj=%d: reclaimed %d slots, want 2", weave, n)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("wj=%d: crashed isolated run leaked its pool slots", weave)
+	}
+	wg.Wait()
+	crash(2)
+	for i, p := range panics {
+		if p != "harness: unknown regular kernel nope" {
+			t.Errorf("call %d recovered %v; want the Workload panic value", i, p)
 		}
+	}
+	if wb.runs.has(bad.Key()) {
+		t.Error("crashed isolated run left its key registered")
+	}
+	if claims, _ := filepath.Glob(filepath.Join(st.Dir(), "*.claim")); len(claims) != 0 || st.Contains(bad.StoreKey()) {
+		t.Errorf("crashed run left claims %v or a published entry", claims)
+	}
+
+	// Every slot must be back: claiming the whole pool completes. On a
+	// watchdog, so a leak fails crisply.
+	done := make(chan struct{})
+	go func() {
+		wb.acquire()
+		wb.acquire()
+		wb.release()
+		wb.release()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("crashed isolated run leaked its pool slot")
 	}
 }
 

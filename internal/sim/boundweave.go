@@ -13,7 +13,9 @@ import (
 )
 
 // Bound–weave parallel engine (ZSim / Graphite style, selected by
-// Config.Quantum > 0).
+// Config.Quantum > 0). Config.WithBoundWeave is its one entry point; the
+// harness and the CLI tools run every multi-core simulation on the
+// serial engine.
 //
 // Simulation proceeds in global cycle quanta. In the *bound phase* each
 // simulated core runs on its own host goroutine until its dispatch
@@ -41,7 +43,7 @@ import (
 // the weave order is a pure function of the logs, and the worker count
 // only changes which host thread runs which independent bound task.
 // Reports are therefore byte-identical at any WeaveWorkers setting,
-// including the -wj 1 serial reference.
+// including the one-worker serial reference.
 //
 // Differential checking: the shadow oracle (internal/check) is sharded
 // per core — exact, because each core is the single writer of its

@@ -31,24 +31,39 @@ func bwWorkloads(t testing.TB, cores, scale int, names []string) []Workload {
 
 // TestBoundWeaveDeterministicAcrossWorkers is the engine's hard
 // contract: byte-identical results at any host worker count, including
-// the -wj 1 serial reference. Run under -race this also shakes out
-// bound-phase sharing bugs.
+// the one-worker serial reference, on Baseline and SDC+LP, unchecked and
+// under the full differential checker (which must also see traffic and
+// find nothing). Run under -race this also shakes out bound-phase
+// sharing bugs.
 func TestBoundWeaveDeterministicAcrossWorkers(t *testing.T) {
-	cfg := TableI(4).BenchScale().WithWindows(20_000, 120_000).WithSDCLP().WithBoundWeave(0, 1)
+	base := TableI(4).BenchScale().WithWindows(20_000, 120_000)
 	names := []string{"pr", "cc", "bfs", "tc"}
-	ref := RunMultiCore(cfg, bwWorkloads(t, 4, 16, names))
-	for _, wj := range []int{2, 8} {
-		cfg2 := cfg
-		cfg2.WeaveWorkers = wj
-		got := RunMultiCore(cfg2, bwWorkloads(t, 4, 16, names))
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("WeaveWorkers=%d result differs from the serial reference:\nref: %+v\ngot: %+v",
-				wj, ref.PerCore, got.PerCore)
-		}
-	}
-	for i, s := range ref.PerCore {
-		if s.Instructions < cfg.Measure {
-			t.Fatalf("core %d measured only %d instructions", i, s.Instructions)
+	machines := []struct {
+		name string
+		cfg  Config
+	}{{"baseline", base}, {"sdclp", base.WithSDCLP()}}
+	for _, m := range machines {
+		for _, level := range []check.Level{check.Off, check.Full} {
+			t.Run(m.name+"/"+level.String(), func(t *testing.T) {
+				cfg := m.cfg.WithCheck(level).WithBoundWeave(0, 1)
+				ref := RunMultiCore(cfg, bwWorkloads(t, 4, 16, names))
+				for _, workers := range []int{2, 8} {
+					got := RunMultiCore(cfg.WithBoundWeave(0, workers), bwWorkloads(t, 4, 16, names))
+					if !reflect.DeepEqual(ref, got) {
+						t.Fatalf("WeaveWorkers=%d result differs from the serial reference:\nref: %+v\ngot: %+v",
+							workers, ref.PerCore, got.PerCore)
+					}
+				}
+				for i, s := range ref.PerCore {
+					if s.Instructions < cfg.Measure {
+						t.Fatalf("core %d measured only %d instructions", i, s.Instructions)
+					}
+				}
+				if level == check.Full && (ref.Check.Violations != 0 || ref.Check.LoadsChecked == 0) {
+					t.Fatalf("full check: %d violations (%v), %d loads checked; want none and > 0",
+						ref.Check.Violations, ref.Check.Details, ref.Check.LoadsChecked)
+				}
+			})
 		}
 	}
 }

@@ -181,7 +181,8 @@ type Config struct {
 	// then replays in deterministic (timestamp, core, seq) order. Zero
 	// (the default) keeps the legacy serial interleaving engine, whose
 	// report bytes are pinned by the golden-report CI gates. Results
-	// under bound–weave are identical at any WeaveWorkers count.
+	// under bound–weave are identical at any WeaveWorkers count. Set it
+	// with WithBoundWeave; no tool or harness path does.
 	Quantum int64
 	// WeaveWorkers bounds the host goroutines driving bound phases
 	// (0 = GOMAXPROCS). It affects wall-clock only, never results (see
@@ -233,6 +234,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: unknown prefetcher preset %q (want none|nextline|spp|stride|imp|pickle|spp+imp)", c.Prefetchers)
 	case c.BranchMissPenalty < 0:
 		return fmt.Errorf("sim: branch-miss penalty %d must be >= 0", c.BranchMissPenalty)
+	case c.EpochInterval < 0:
+		return fmt.Errorf("sim: epoch interval %d must be >= 0", c.EpochInterval)
+	case c.FRInterval < 0:
+		return fmt.Errorf("sim: flight-recorder interval %d must be >= 0", c.FRInterval)
 	case !c.Sampling.Enabled():
 		return nil
 	// The sampler owns the window state machine and the byte-identity

@@ -1266,7 +1266,7 @@ func (c *coreCtx) llcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write,
 // stream here and issues precise prefetches into the shared level. Both
 // engines call it from serial code: the legacy interleaver inside
 // llcAccess, bound–weave during the (t, core, seq)-ordered replay, so
-// training and issue order are independent of -wj.
+// training and issue order are independent of WeaveWorkers.
 func (s *System) llcTrain(info mem.AccessInfo, t int64) {
 	s.llcPfBuf = s.llcpf.OnAccess(info, s.llcPfBuf[:0])
 	for _, cand := range s.llcPfBuf {

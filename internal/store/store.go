@@ -361,16 +361,16 @@ func ParseSize(s string) (int64, error) {
 	if s == "" {
 		return 0, nil
 	}
-	mult := int64(1)
+	mult, digits := int64(1), s
 	switch s[len(s)-1] {
 	case 'k', 'K':
-		mult, s = 1<<10, s[:len(s)-1]
+		mult, digits = 1<<10, s[:len(s)-1]
 	case 'm', 'M':
-		mult, s = 1<<20, s[:len(s)-1]
+		mult, digits = 1<<20, s[:len(s)-1]
 	case 'g', 'G':
-		mult, s = 1<<30, s[:len(s)-1]
+		mult, digits = 1<<30, s[:len(s)-1]
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
+	n, err := strconv.ParseInt(digits, 10, 64)
 	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("store: bad size %q (want bytes with optional K/M/G suffix)", s)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -358,5 +359,9 @@ func TestParseSize(t *testing.T) {
 		if tc.ok != (err == nil) || got != tc.want {
 			t.Errorf("ParseSize(%q) = %d, %v; want %d, ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
+	}
+	// The error quotes the value as typed, suffix included.
+	if _, err := ParseSize("4.5G"); err == nil || !strings.Contains(err.Error(), `"4.5G"`) {
+		t.Errorf("ParseSize(\"4.5G\") error %v does not quote the input as typed", err)
 	}
 }
