@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -18,7 +19,11 @@ import (
 	"graphmem/internal/graph"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the tool. It returns the exit status instead of calling
+// os.Exit, so the deferred profile stop runs on every path.
+func run() int {
 	gen := flag.String("gen", "", "generate: web|road|twitter|kron|urand|friendster")
 	scale := flag.Int("scale", 18, "generate: log2 of the vertex count (kron/urand) or vertex-count scale")
 	ef := flag.Int64("ef", 8, "generate: edge factor / average degree")
@@ -31,7 +36,9 @@ func main() {
 	flag.Parse()
 
 	stopProf, err := prof.Start()
-	fail(err)
+	if err != nil {
+		return fail(err)
+	}
 	defer func() {
 		if err := stopProf(); err != nil {
 			fmt.Fprintln(os.Stderr, "gmgraph:", err)
@@ -40,29 +47,21 @@ func main() {
 
 	switch {
 	case *gen != "":
-		g, err := generate(*gen, *scale, *ef, *seed)
-		if err == nil {
+		var g *graphmem.Graph
+		if g, err = generate(*gen, *scale, *ef, *seed); err == nil {
 			err = save(g, *out)
 		}
-		fail(err)
 	case *convert != "":
-		f, err := os.Open(*convert)
-		fail(err)
-		defer f.Close()
-		g, err := graphmem.ReadEdgeList(f, *undirected)
-		fail(err)
-		fail(save(g, *out))
+		err = convertEdgeList(*convert, *undirected, *out)
 	case *stats != "":
-		f, err := os.Open(*stats)
-		fail(err)
-		defer f.Close()
-		g, err := graphmem.ReadBinaryGraph(f)
-		fail(err)
-		printStats(g)
+		err = printStats(*stats)
 	default:
-		fmt.Fprintln(os.Stderr, "gmgraph: use -gen, -convert or -stats")
-		os.Exit(1)
+		err = errors.New("use -gen, -convert or -stats")
 	}
+	if err != nil {
+		return fail(err)
+	}
+	return 0
 }
 
 func generate(kind string, scale int, ef int64, seed uint64) (*graphmem.Graph, error) {
@@ -104,7 +103,31 @@ func save(g *graphmem.Graph, path string) error {
 	return nil
 }
 
-func printStats(g *graph.Graph) {
+// convertEdgeList reads an edge-list text file and saves it as .gmg.
+func convertEdgeList(path string, undirected bool, out string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	g, err := graphmem.ReadEdgeList(f, undirected)
+	if err != nil {
+		return err
+	}
+	return save(g, out)
+}
+
+// printStats summarizes a .gmg file.
+func printStats(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	g, err := graphmem.ReadBinaryGraph(f)
+	if err != nil {
+		return err
+	}
 	s := g.ComputeStats()
 	fmt.Printf("vertices    %d\n", s.Vertices)
 	fmt.Printf("edges       %d\n", s.Edges)
@@ -118,11 +141,11 @@ func printStats(g *graph.Graph) {
 			fmt.Printf("  2^%-2d %d\n", i, c)
 		}
 	}
+	return nil
 }
 
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gmgraph:", err)
-		os.Exit(1)
-	}
+// fail reports err the way every gmgraph error ends: on stderr, exit 1.
+func fail(err error) int {
+	fmt.Fprintln(os.Stderr, "gmgraph:", err)
+	return 1
 }

@@ -26,7 +26,17 @@ import (
 	"graphmem/internal/harness"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// fail reports err the way every gmreport error ends: on stderr, exit 1.
+func fail(err error) int {
+	fmt.Fprintln(os.Stderr, "gmreport:", err)
+	return 1
+}
+
+// run is the tool. It returns the exit status instead of calling
+// os.Exit, so the deferred profile stop runs on every path.
+func run() int {
 	exp := flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(graphmem.ExperimentIDs, ",")+
 		"; by name only: "+strings.Join(graphmem.OptInExperimentIDs, ",")+") or 'all'")
 	kernelsFlag := flag.String("kernels", "", "restrict to these kernels (comma separated)")
@@ -40,8 +50,7 @@ func main() {
 
 	stopProf, err := prof.Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gmreport:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
@@ -51,8 +60,7 @@ func main() {
 
 	wb, err := opts.NewWorkbench("gmreport")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gmreport:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if *mixes > 0 {
 		wb.Profile.Mixes = *mixes
@@ -60,15 +68,14 @@ func main() {
 	checkLevel := wb.CheckLevel
 	if !*quiet {
 		// All progress (run/cached lines with done/total and ETA,
-		// narration) flows through the workbench's obs.Progress reporter;
-		// -q leaves the sink unset so the reporter counts silently.
+		// narration) flows through the workbench's ledger; -q leaves the
+		// sink unset so the ledger counts silently.
 		wb.Progress = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
 	}
 
 	subset, err := graphmem.SubsetWorkloads(*kernelsFlag, *graphsFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gmreport:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	var ids []string
@@ -79,8 +86,7 @@ func main() {
 	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "gmreport:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
 
@@ -90,22 +96,19 @@ func main() {
 		id = strings.TrimSpace(id)
 		t, err := wb.Experiment(id, subset)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gmreport:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		t.Render(os.Stdout)
 		if *outDir != "" {
 			if err := writeTableFiles(*outDir, t); err != nil {
-				fmt.Fprintln(os.Stderr, "gmreport:", err)
-				os.Exit(1)
+				return fail(err)
 			}
 		}
 		done = append(done, id)
 	}
 	if *outDir != "" {
 		if err := writeSweepManifest(*outDir, wb, done, start); err != nil {
-			fmt.Fprintln(os.Stderr, "gmreport:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
 	if wb.Store != nil {
@@ -119,11 +122,12 @@ func main() {
 			for _, v := range details {
 				fmt.Fprintf(os.Stderr, "  %s\n", v)
 			}
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "gmreport: differential checker clean across %d checked runs (level %s)\n",
 			runs, checkLevel)
 	}
+	return 0
 }
 
 // writeTableFiles persists one table as <dir>/<id>.txt and .csv.

@@ -23,7 +23,7 @@ import (
 type server struct {
 	// opts are the service's flags, the defaults every request body is
 	// decoded over; tmpl is the workbench they describe, from which each
-	// bench inherits its knobs, store and metrics.
+	// bench inherits its knobs, store and ledger: one ledger per service.
 	opts graphmem.RunOptions
 	tmpl *graphmem.Workbench
 	logf func(format string, args ...any)
@@ -101,12 +101,6 @@ func newServer(opts graphmem.RunOptions, tmpl *graphmem.Workbench, logf func(str
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	if tmpl.Metrics == nil {
-		tmpl.Metrics = graphmem.NewMetrics()
-		if tmpl.Store != nil {
-			tmpl.Metrics.AttachStore(tmpl.Store)
-		}
-	}
 	return &server{
 		opts:    opts,
 		tmpl:    tmpl,
@@ -143,6 +137,8 @@ func (s *server) bench(o graphmem.RunOptions) (*bench, error) {
 	// Progress lines fan out to every job currently running on this
 	// bench: concurrent sweeps sharing a bench see each other's run
 	// lines, which is exactly the shared-cache story the service tells.
+	// Their [done/total] counts the whole service's runs, as /metrics
+	// does: every bench reports to the one ledger.
 	b.wb.Progress = func(msg string) {
 		b.mu.Lock()
 		jobs := make([]*job, 0, len(b.active))
@@ -658,8 +654,8 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	// The shared metrics endpoint: Prometheus text + expvar, extended
-	// with the store hit/miss/eviction counters via AttachStore.
+	// The service ledger's endpoint: Prometheus text + expvar, with the
+	// store hit/miss/eviction counters when a store is attached.
 	mh := s.tmpl.Metrics.Handler()
 	mux.Handle("GET /metrics", mh)
 	mux.Handle("GET /debug/vars", mh)

@@ -25,12 +25,16 @@ import (
 )
 
 // fail reports err the way every gmsim misuse ends: on stderr, exit 1.
-func fail(err any) {
+func fail(err any) int {
 	fmt.Fprintln(os.Stderr, "gmsim:", err)
-	os.Exit(1)
+	return 1
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the tool. It returns the exit status instead of calling
+// os.Exit, so the deferred profile stop runs on every path.
+func run() int {
 	kernel := flag.String("kernel", "pr", "kernel: bc|bfs|cc|pr|tc|sssp (or triad|matvec|stencil with -graph reg)")
 	graphName := flag.String("graph", "kron", "input graph: web|road|twitter|kron|urand|friendster|reg")
 	configName := flag.String("config", "baseline", "machine configuration")
@@ -46,7 +50,7 @@ func main() {
 
 	stopProf, err := prof.Start()
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
@@ -55,13 +59,24 @@ func main() {
 	}()
 
 	// The run's flags become one config; whether its modes compose is
-	// Config.Validate's call (via Configure), not a list kept here.
-	if *cores < 1 {
-		fail("-cores must be >= 1")
+	// Config.Validate's call (via Configure), not a list kept here. These
+	// are gmsim's own rules: flags its report would silently drop.
+	switch {
+	case *cores < 1:
+		return fail("-cores must be >= 1")
+	case *cores > 1 && (*jsonOut || *frPath != ""):
+		// Output formats the per-core report has no counterpart for.
+		return fail("-json and -fr are not supported with -cores > 1")
+	case *cores > 1 && *epoch != 0:
+		// The per-core report prints no epoch series, yet the interval
+		// would still give the run a key of its own.
+		return fail("-epoch is not supported with -cores > 1")
+	case *frInterval != 0 && *frPath == "":
+		return fail("-frint needs -fr")
 	}
 	wb, err := opts.NewWorkbench("gmsim")
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	profile, checkLevel := wb.Profile, wb.CheckLevel
 	if *verbose {
@@ -69,7 +84,7 @@ func main() {
 	}
 	cfg, err := graphmem.ConfigByName(profile.BaseConfig(*cores), *configName)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	if *epoch != 0 {
 		cfg = cfg.WithEpochInterval(*epoch)
@@ -79,7 +94,7 @@ func main() {
 	}
 	effective, err := wb.Configure(cfg)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	id := graphmem.WorkloadID{Kernel: *kernel, Graph: *graphName}
 	// One workload per core: the point itself, or the homogeneous mix.
@@ -89,34 +104,27 @@ func main() {
 	}
 	spec := wb.Spec(cfg, ids...)
 	// reported prints what every run ends with on stderr — the store's
-	// outcome and the checker's violations — and says whether to exit 1.
-	reported := func(c graphmem.CheckSummary) (failed bool) {
+	// outcome and the checker's violations — and returns the exit status.
+	reported := func(c graphmem.CheckSummary) int {
 		if wb.Store != nil {
 			fmt.Fprintf(os.Stderr, "gmsim: %s\n", graphmem.StoreSummary(wb.Store))
 		}
 		if checkLevel == graphmem.CheckOff || c.Violations == 0 {
-			return false
+			return 0
 		}
 		fmt.Fprintf(os.Stderr, "gmsim: differential checker found %d violation(s):\n", c.Violations)
 		for _, v := range c.Details {
 			fmt.Fprintf(os.Stderr, "  %s\n", v)
 		}
-		return true
+		return 1
 	}
 
 	if *cores > 1 {
-		// -json and -fr are output formats the per-core report has no
-		// counterpart for; the run itself goes through the workbench like
-		// a single-core one (memo, store, -j pool, -v progress).
-		if *jsonOut || *frPath != "" {
-			fail("-json and -fr are not supported with -cores > 1")
-		}
+		// The run goes through the workbench like a single-core one
+		// (memo, store, -j pool, -v progress).
 		res := wb.RunMix(spec)
 		printMulti(effective, profile.Name, id, res)
-		if reported(res.Check) {
-			os.Exit(1)
-		}
-		return
+		return reported(res.Check)
 	}
 
 	start := time.Now()
@@ -127,10 +135,10 @@ func main() {
 			{Name: cfg.Name + "/" + id.String(), Rec: res.Recorder},
 		})
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 	}
-	checkFailed := reported(res.Check)
+	status := reported(res.Check)
 
 	if *jsonOut {
 		m := graphmem.NewManifest("gmsim")
@@ -148,12 +156,9 @@ func main() {
 			m.Check = &res.Check
 		}
 		if err := m.Finalize(start).WriteJSON(os.Stdout); err != nil {
-			fail(err)
+			return fail(err)
 		}
-		if checkFailed {
-			os.Exit(1)
-		}
-		return
+		return status
 	}
 
 	fmt.Printf("workload    %s\n", id)
@@ -201,9 +206,7 @@ func main() {
 			len(rec.Samples), *frPath)
 	}
 	printCheck(effective, res.Check)
-	if checkFailed {
-		os.Exit(1)
-	}
+	return status
 }
 
 // printMulti renders the multi-core report. It is fully deterministic —

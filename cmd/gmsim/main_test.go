@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,32 @@ import (
 	"graphmem"
 )
 
+// buildGmsim builds the tool into a temporary directory.
+func buildGmsim(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "gmsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// wantExit1 runs bin with args and checks that it exits 1 with exactly
+// want on stderr and nothing on stdout.
+func wantExit1(t *testing.T, name, bin string, args []string, want string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Errorf("%s: exit %v, want status 1", name, err)
+	}
+	if stderr.String() != want || stdout.Len() != 0 {
+		t.Errorf("%s:\nstderr %q\n  want %q\nstdout %q", name, stderr.String(), want, stdout.String())
+	}
+}
+
 // TestModeRejectionsSurfaceValidateText builds gmsim and drives the
 // rejected cells of the mode matrix (internal/harness TestModeMatrix)
 // through its flags: each exits 1 printing exactly the reason
@@ -17,12 +44,9 @@ import (
 // list of its own — and an accepted cell still runs. Store x 4 cores is
 // one: the run goes through the workbench like a single-core one, so a
 // second invocation prints the same report from the store without
-// simulating.
+// simulating. A run that exits 1 still writes its profiles.
 func TestModeRejectionsSurfaceValidateText(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "gmsim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildGmsim(t)
 	plan, err := graphmem.ParseSamplePlan("50000,2000,10000")
 	if err != nil {
 		t.Fatal(err)
@@ -54,15 +78,16 @@ func TestModeRejectionsSurfaceValidateText(t *testing.T) {
 		{"negative frint", []string{"-fr", filepath.Join(t.TempDir(), "fr.json"), "-frint", "-1"}, reason(graphmem.TableI(1).WithFlightRecorder(-1).Validate())},
 	}
 	for _, tc := range cases {
-		var stdout, stderr bytes.Buffer
-		cmd := exec.Command(bin, append(point, tc.args...)...)
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
-			t.Errorf("%s: exit %v, want status 1", tc.name, err)
-		}
-		if stderr.String() != tc.want || stdout.Len() != 0 {
-			t.Errorf("%s:\nstderr %q\n  want %q\nstdout %q", tc.name, stderr.String(), tc.want, stdout.String())
+		wantExit1(t, tc.name, bin, append(point, tc.args...), tc.want)
+	}
+
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	wantExit1(t, "profiled unknown preset", bin, append(point, "-pf", "warp", "-cpuprofile", cpu, "-memprofile", mem),
+		reason(graphmem.TableI(1).WithPrefetchers("warp").Validate()))
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("a run that exits 1 left %s unwritten or empty: %v", filepath.Base(path), err)
 		}
 	}
 
@@ -85,5 +110,24 @@ func TestModeRejectionsSurfaceValidateText(t *testing.T) {
 	}
 	if cold, warm := summaries[0].String(), summaries[1].String(); !strings.Contains(cold, "hits=0 misses=1 ") || !strings.Contains(warm, "hits=1 misses=0 ") {
 		t.Errorf("store x 4 cores: want a miss then a hit that simulates nothing, got\n%s%s", cold, warm)
+	}
+}
+
+// TestToolRulesRefuseDroppedFlags: flags gmsim's report would silently
+// drop are refused with exit 1. These are the tool's own rules, not
+// Validate's.
+func TestToolRulesRefuseDroppedFlags(t *testing.T) {
+	bin := buildGmsim(t)
+	point := []string{"-kernel", "triad", "-graph", "reg", "-warmup", "50000", "-measure", "100000"}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"-frint without -fr", []string{"-frint", "1000"}, "gmsim: -frint needs -fr\n"},
+		{"-epoch with -cores 2", []string{"-epoch", "20000", "-cores", "2"}, "gmsim: -epoch is not supported with -cores > 1\n"},
+		{"-json with -cores 2", []string{"-json", "-cores", "2"}, "gmsim: -json and -fr are not supported with -cores > 1\n"},
+	} {
+		wantExit1(t, tc.name, bin, append(point, tc.args...), tc.want)
 	}
 }

@@ -22,7 +22,17 @@ import (
 	"graphmem/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// fail reports err the way every gmtrace error ends: on stderr, exit 1.
+func fail(err error) int {
+	fmt.Fprintln(os.Stderr, "gmtrace:", err)
+	return 1
+}
+
+// run is the tool. It returns the exit status instead of calling
+// os.Exit, so the deferred profile stop runs on every path.
+func run() int {
 	kernel := flag.String("kernel", "pr", "kernel to trace")
 	graphName := flag.String("graph", "kron", "input graph")
 	profileName := flag.String("profile", "bench", "scale profile")
@@ -36,8 +46,7 @@ func main() {
 
 	stopProf, err := prof.Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gmtrace:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
@@ -47,19 +56,16 @@ func main() {
 
 	switch {
 	case *out != "":
-		if err := capture(*kernel, *graphName, *profileName, *limit, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "gmtrace:", err)
-			os.Exit(1)
-		}
+		err = capture(*kernel, *graphName, *profileName, *limit, *out)
 	case *in != "":
-		if err := inspect(*in, *dump, *summary); err != nil {
-			fmt.Fprintln(os.Stderr, "gmtrace:", err)
-			os.Exit(1)
-		}
+		err = inspect(*in, *dump, *summary)
 	default:
-		fmt.Fprintln(os.Stderr, "gmtrace: use -out to capture or -in to inspect")
-		os.Exit(1)
+		err = errors.New("use -out to capture or -in to inspect")
 	}
+	if err != nil {
+		return fail(err)
+	}
+	return 0
 }
 
 func capture(kernel, graphName, profileName string, limit int64, outPath string) error {

@@ -85,11 +85,10 @@ type (
 	OccupancySample = obs.OccSample
 	// TraceRun names one run's recorder summary for Perfetto export.
 	TraceRun = obs.TraceRun
-	// MetricsServer is the live Prometheus/expvar metrics registry
-	// behind gmsim/gmreport -metrics.
+	// MetricsServer is the run ledger (Workbench.Metrics): progress
+	// lines with ETA, and the Prometheus/expvar endpoint behind
+	// gmsim/gmreport -metrics and gmserved.
 	MetricsServer = obs.Metrics
-	// SweepProgress tracks runs done/planned with ETA reporting.
-	SweepProgress = obs.Progress
 	// ProfilingFlags holds the shared -cpuprofile/-memprofile/-trace
 	// command-line profiling options.
 	ProfilingFlags = obs.ProfileFlags
@@ -240,10 +239,6 @@ func NewManifest(tool string) *Manifest { return obs.NewManifest(tool) }
 // window counters.
 func DeriveMetrics(s *CoreStats) obs.Derived { return obs.DeriveMetrics(s) }
 
-// NewProgress creates a sweep progress reporter emitting lines to out
-// (nil = silent counting).
-func NewProgress(out func(string)) *SweepProgress { return obs.NewProgress(out) }
-
 // RegisterProfilingFlags installs -cpuprofile, -memprofile and -trace
 // on a flag set; call Start() on the result after flag parsing.
 func RegisterProfilingFlags(fs *flag.FlagSet) *ProfilingFlags {
@@ -310,7 +305,7 @@ func (o RunOptions) ScaleProfile() (Profile, error) {
 }
 
 // NewWorkbench builds the workbench the options describe — opening the
-// store and, with -metrics, serving the registry (tool prefixes the
+// store and, with -metrics, serving its ledger (tool prefixes the
 // notice) — and fails with Config.Validate's reason when the requested
 // modes do not compose on the base machine.
 func (o RunOptions) NewWorkbench(tool string) (*Workbench, error) {
@@ -330,15 +325,12 @@ func (o RunOptions) NewWorkbench(tool string) (*Workbench, error) {
 		if wb.Store, err = NewResultStore(o.Store); err != nil {
 			return nil, err
 		}
+		wb.Metrics.AttachStore(wb.Store)
 	}
 	if _, err := wb.Configure(profile.BaseConfig(1)); err != nil {
 		return nil, err
 	}
 	if o.Metrics != "" {
-		wb.Metrics = NewMetrics()
-		if wb.Store != nil {
-			wb.Metrics.AttachStore(wb.Store)
-		}
 		addr, err := wb.Metrics.Serve(o.Metrics)
 		if err != nil {
 			return nil, err
@@ -358,9 +350,6 @@ var (
 	// Perfetto-loadable Chrome trace-event JSON file.
 	WritePerfettoTrace = obs.WritePerfettoFile
 )
-
-// NewMetrics creates the live metrics registry served by -metrics.
-func NewMetrics() *MetricsServer { return obs.NewMetrics() }
 
 // Budget computes the Table IV per-core hardware budget.
 func Budget(sdcBytes, lpEntries, sdcDirEntries, cores int) []BudgetEntry {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"graphmem/internal/check"
 	"graphmem/internal/graph"
@@ -158,14 +157,13 @@ func ProfileByName(name string) (Profile, error) {
 // experiments that share runs (Fig. 7/8/9/13) don't recompute them.
 type Workbench struct {
 	Profile Profile
-	// Progress, when set, receives the reporter's output lines (one per
-	// completed run plus narration). Set it before running experiments.
+	// Progress, when set, receives the progress lines (one per finished
+	// or served run, with runs done/planned, moving-average run time,
+	// ETA and runs in flight, plus narration). A nil Progress keeps the
+	// workbench silent while Metrics still counts. It is called under
+	// the ledger's lock, so lines arrive in count order; it must not
+	// call back into Metrics.
 	Progress func(msg string)
-	// Reporter tracks sweep progress (runs done/planned, moving-average
-	// run time, ETA, in-flight runs). It emits through Progress, so a
-	// nil Progress keeps the workbench silent while counts stay
-	// accurate. Replace it to capture structured progress directly.
-	Reporter *obs.Progress
 	// Parallelism bounds how many simulations (and the graph builds
 	// they trigger) run concurrently; 0 means all host cores
 	// (GOMAXPROCS). Each simulation stays single-threaded and
@@ -177,11 +175,12 @@ type Workbench struct {
 	// (internal/graph splits its passes over up to GOMAXPROCS workers,
 	// with the same bytes at any count); it still holds one slot.
 	Parallelism int
-	// Metrics, when set, receives run lifecycle events (started,
-	// finished with IPC and recorder snapshot, cached) for the live
-	// -metrics HTTP endpoint, each run under its RunSpec digest. A nil
-	// Metrics is a no-op — every call site threads the pointer
-	// unconditionally.
+	// Metrics is the run ledger: NewWorkbench attaches one and
+	// WithProfile shares it, and every run is reported to it once, under
+	// its RunSpec digest — planned, started, finished (with IPC, recorder
+	// snapshot and checker outcome) or served by the memo or the store.
+	// The progress lines, the -metrics endpoint, Counts and CheckOutcome
+	// all read it. Replace it, if at all, before the first run.
 	Metrics *obs.Metrics
 	// CheckLevel runs every simulation under the differential checker
 	// (internal/check) at the given level. Checked runs produce
@@ -216,46 +215,29 @@ type Workbench struct {
 	// it as -store, and gmserved fronts one as a service.
 	Store *store.Store
 
-	// reporter is the Reporter NewWorkbench made, which emits only
-	// through Progress (see progressRead).
-	reporter *obs.Progress
-
-	mu     sync.Mutex    // guards sem's creation and the check aggregate
+	mu     sync.Mutex    // guards sem's creation
 	sem    chan struct{} // worker pool, sized on first acquire
 	graphs flight[*graph.Graph]
 	// runs memoizes every run by RunSpec key, whatever its shape: a
 	// *sim.Result, *sim.MultiResult or *Fig3Result, as the key's kind says.
 	runs flight[any]
-
-	checkRuns       int64             // live checked runs aggregated
-	checkViolations int64             // total violations across the sweep
-	checkDetails    []check.Violation // capped per-run details, concatenated
 }
 
 // NewWorkbench creates an empty workbench for the profile.
 func NewWorkbench(p Profile) *Workbench {
-	wb := &Workbench{Profile: p}
-	wb.Reporter = obs.NewProgress(func(msg string) {
-		if wb.Progress != nil {
-			wb.Progress(msg)
-		}
-	})
-	wb.reporter = wb.Reporter
-	return wb
+	return &Workbench{Profile: p, Metrics: obs.NewMetrics()}
 }
 
 // WithProfile returns an empty workbench for p that shares wb's knobs,
-// stores and metrics (not its memo or worker pool): how gmserved serves
-// several profiles from one set of flags.
+// store and ledger (not its memo or worker pool): how gmserved serves
+// several profiles from one set of flags with one ledger.
 func (wb *Workbench) WithProfile(p Profile) *Workbench {
-	n := NewWorkbench(p)
-	n.Parallelism, n.Metrics = wb.Parallelism, wb.Metrics
-	n.CheckLevel, n.Sampling, n.Store = wb.CheckLevel, wb.Sampling, wb.Store
-	return n
+	return &Workbench{Profile: p, Parallelism: wb.Parallelism, Metrics: wb.Metrics,
+		CheckLevel: wb.CheckLevel, Sampling: wb.Sampling, Store: wb.Store}
 }
 
 func (wb *Workbench) log(format string, args ...any) {
-	wb.Reporter.Log(fmt.Sprintf(format, args...))
+	wb.Metrics.Log(wb.Progress, fmt.Sprintf(format, args...))
 }
 
 // Graph returns (building and caching on first use) the named input.
@@ -319,25 +301,11 @@ func (wb *Workbench) configured(cfg sim.Config) sim.Config {
 	return full
 }
 
-// recordCheck folds one run's checker outcome into the sweep aggregate.
-func (wb *Workbench) recordCheck(s check.Summary) {
-	if wb.CheckLevel == check.Off {
-		return
-	}
-	wb.mu.Lock()
-	wb.checkRuns++
-	wb.checkViolations += s.Violations
-	wb.checkDetails = append(wb.checkDetails, s.Details...)
-	wb.mu.Unlock()
-}
-
-// CheckOutcome reports the aggregated differential-checker outcome:
-// how many live runs were checked, the total violation count, and the
+// CheckOutcome reports the ledger's differential-checker tally: how
+// many live runs were checked, the total violation count, and the
 // retained per-violation details (capped per run by internal/check).
 func (wb *Workbench) CheckOutcome() (runs, violations int64, details []check.Violation) {
-	wb.mu.Lock()
-	defer wb.mu.Unlock()
-	return wb.checkRuns, wb.checkViolations, append([]check.Violation(nil), wb.checkDetails...)
+	return wb.Metrics.CheckOutcome()
 }
 
 // BaseConfig returns the profile's single-core baseline machine.
@@ -468,51 +436,44 @@ func through[V any](wb *Workbench, s RunSpec, sh shape[V], simulate func(sim.Con
 }
 
 // served reports a run answered without simulating — from the store, or
-// from the memo or another caller's fill — to the Reporter and Metrics.
-// Its label and detail are formatted only for a reader: on a workbench
-// whose progress nobody reads, a memo hit just counts. s is a pointer:
-// a RunSpec copy carries a whole sim.Config onto the hit path's stack.
+// from the memo or another caller's fill — to the ledger. Its label and
+// detail are formatted only for a reader: on a workbench whose progress
+// nobody reads, a memo hit just counts. s is a pointer: a RunSpec copy
+// carries a whole sim.Config onto the hit path's stack.
 func served[V any](wb *Workbench, s *RunSpec, sh shape[V], v V, fromStore bool) {
 	var label, detail string
-	if wb.progressRead() {
+	if wb.Progress != nil {
 		label = progressLabel(s)
 		detail, _, _ = sh.describe(v)
-		if fromStore {
-			detail += " (store)"
-		}
 	}
-	wb.Reporter.Cached(label, detail)
-	if fromStore {
-		wb.Metrics.RunStoreHit()
-	} else {
-		wb.Metrics.RunCached()
-	}
+	wb.Metrics.Served(wb.Progress, s.StoreKey(), label, detail, fromStore)
 }
 
-// progressRead reports whether the Reporter's lines reach anyone: a
-// Progress sink is set, or the Reporter was replaced by one the
-// workbench cannot see into.
-func (wb *Workbench) progressRead() bool {
-	return wb.Progress != nil || wb.Reporter != wb.reporter
-}
+// point reports whether s counts in the ledger's point series. The
+// Fig. 3 profile does not: it yields a stride histogram, no IPC, so
+// /metrics' live-run counters leave it out; its progress lines and its
+// store and memo hits still count.
+func (s *RunSpec) point() bool { return s.kind != kindFig3 }
 
 // progressLabel is s's name on a progress line; metricsLabel its name on
-// /metrics.
+// /metrics, "" when s is not a point.
 func progressLabel(s *RunSpec) string {
 	var scratch [64]byte
 	return fmt.Sprintf("%-6s %-22s %-14s", s.kind, appendMixName(scratch[:0], s.ids), s.cfg.Name)
 }
 
 func metricsLabel(s *RunSpec) string {
+	if !s.point() {
+		return ""
+	}
 	var scratch [64]byte
 	return s.cfg.Name + "/" + string(appendMixName(scratch[:0], s.ids))
 }
 
 // live is the one bracket around every live simulation: it claims one
-// pool slot, prepares the core slots' workloads, reports start and
-// finish to the Reporter and to Metrics, and folds the checker outcome
-// into the sweep aggregate. The pool slot comes back through a defer,
-// so a panicking run leaks nothing.
+// pool slot, prepares the core slots' workloads, and reports start and
+// finish — with the checker outcome — to the ledger. The pool slot
+// comes back through a defer, so a panicking run leaks nothing.
 func live[V any](wb *Workbench, s RunSpec, sh shape[V], simulate func(sim.Config, []sim.Workload) (V, check.Summary)) V {
 	wb.acquire()
 	defer wb.release()
@@ -522,27 +483,11 @@ func live[V any](wb *Workbench, s RunSpec, sh shape[V], simulate func(sim.Config
 			ws[i] = wb.Workload(id, i)
 		}
 	}
-	m, mlabel := wb.pointMetrics(s), metricsLabel(&s)
-	finish := wb.Reporter.StartRun(progressLabel(&s))
-	m.RunStarted(s.StoreKey(), mlabel)
-	start := time.Now()
+	finish := wb.Metrics.Start(wb.Progress, s.StoreKey(), progressLabel(&s), metricsLabel(&s))
 	v, checked := simulate(s.cfg, ws)
 	detail, ipc, rec := sh.describe(v)
-	finish(detail)
-	m.RunFinished(s.StoreKey(), mlabel, time.Since(start).Seconds(), ipc, rec)
-	wb.recordCheck(checked)
+	finish(detail, ipc, rec, checked)
 	return v
-}
-
-// pointMetrics is the registry s's live run is planned on and reports
-// to. The Fig. 3 profile is not a simulation point — it yields a
-// stride histogram, no IPC — so /metrics' live-run counters (which
-// count points) leave it out; its store and memo hits still count.
-func (wb *Workbench) pointMetrics(s RunSpec) *obs.Metrics {
-	if s.kind == kindFig3 {
-		return nil
-	}
-	return wb.Metrics
 }
 
 // SortedResultKeys exposes the memoized run keys (for tests).

@@ -8,7 +8,6 @@ import (
 
 	"graphmem/internal/check"
 	"graphmem/internal/mem"
-	"graphmem/internal/obs"
 	"graphmem/internal/sim"
 )
 
@@ -115,7 +114,7 @@ func TestModeMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wb.Store, wb.Metrics = st, obs.NewMetrics()
+				wb.Store = st
 				// The point, or the homogeneous mix, through the door.
 				run := func(wb *Workbench) (res any, sampled bool) {
 					s := wb.Spec(profile.BaseConfig(c.cores), []WorkloadID{id, id, id, id}[:c.cores]...)

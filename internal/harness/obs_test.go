@@ -10,7 +10,7 @@ import (
 )
 
 // TestTab1GoldenBytes pins the text rendering byte-for-byte: wiring the
-// progress reporter through the workbench must not perturb table output
+// run ledger through the workbench must not perturb table output
 // (the tables go to stdout, progress to stderr).
 func TestTab1GoldenBytes(t *testing.T) {
 	want, err := os.ReadFile("testdata/tab1_bench.golden")
@@ -41,9 +41,10 @@ func TestTableRenderCSV(t *testing.T) {
 	}
 }
 
-// TestWorkbenchProgressReporting exercises the reporter end-to-end on a
-// cheap experiment: planned totals match completed runs, cached rerun
-// lines are marked, and the legacy Progress func receives everything.
+// TestWorkbenchProgressReporting exercises the ledger's progress lines
+// end to end on a cheap experiment: planned totals match completed
+// runs, cached rerun lines are marked, and the Progress sink receives
+// everything.
 func TestWorkbenchProgressReporting(t *testing.T) {
 	var mu sync.Mutex
 	var lines []string
@@ -57,9 +58,9 @@ func TestWorkbenchProgressReporting(t *testing.T) {
 	// Other tests run unplanned RunSingle calls on the shared workbench,
 	// so assert deltas: one Fig2 over two workloads plans and completes
 	// exactly two runs.
-	done0, total0, _, _ := wbShared.Reporter.Snapshot()
+	done0, total0, _, _ := wbShared.Metrics.Snapshot()
 	wbShared.Fig2(subsetKron())
-	done, total, _, eta := wbShared.Reporter.Snapshot()
+	done, total, eta, _ := wbShared.Metrics.Snapshot()
 	if done != done0+2 || total != total0+2 {
 		t.Errorf("fig2 progress deltas wrong: done %d->%d total %d->%d", done0, done, total0, total)
 	}
@@ -73,7 +74,7 @@ func TestWorkbenchProgressReporting(t *testing.T) {
 	lines = nil
 	mu.Unlock()
 	wbShared.Fig2(subsetKron())
-	done2, total2, _, _ := wbShared.Reporter.Snapshot()
+	done2, total2, _, _ := wbShared.Metrics.Snapshot()
 	if done2 != done+2 || total2 != total+2 {
 		t.Errorf("memoized rerun counted wrong: done %d->%d total %d->%d", done, done2, total, total2)
 	}
@@ -90,10 +91,9 @@ func TestWorkbenchProgressReporting(t *testing.T) {
 }
 
 // TestSinklessMemoHitFormatsNothing: a memo hit on a workbench whose
-// progress nobody reads builds no label, detail or metrics name. The
-// one allocation left is the line the default Reporter still formats
-// for its Progress relay; before the labels went lazy a hit made 13.
-// Counts stay exact, and a sink attached later gets the full line.
+// progress nobody reads builds no label, detail or line; before the
+// labels went lazy a hit made 13 allocations. Counts stay exact, and a
+// sink attached later gets the full line.
 func TestSinklessMemoHitFormatsNothing(t *testing.T) {
 	p := fastBench()
 	p.Warmup, p.Measure = 50_000, 50_000
@@ -104,7 +104,7 @@ func TestSinklessMemoHitFormatsNothing(t *testing.T) {
 		t.Errorf("a sink-less memo hit allocates %v times, want at most 1", n)
 	}
 	// The live run was never planned; the 101 hits self-plan.
-	if done, total, _, _ := wb.Reporter.Snapshot(); done != 102 || total != 101 {
+	if done, total, _, _ := wb.Metrics.Snapshot(); done != 102 || total != 101 {
 		t.Errorf("done/total = %d/%d, want 102/101 (one unplanned live run, 101 hits)", done, total)
 	}
 	var lines []string

@@ -30,7 +30,7 @@ func runFig3Fig10(t *testing.T, parallelism int) (string, []string, int, int) {
 	var buf bytes.Buffer
 	wb.Fig3(WorkloadID{Kernel: "cc", Graph: "kron"}).Table().Render(&buf)
 	wb.Fig10(subsetKron()).Table().Render(&buf)
-	done, total, _, _ := wb.Reporter.Snapshot()
+	done, total, _, _ := wb.Metrics.Snapshot()
 	return buf.String(), wb.SortedResultKeys(), done, total
 }
 
@@ -59,9 +59,9 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestSingleFlightDedup asserts the single-flight guarantee: two
 // goroutines requesting the same (config, workload) point produce
-// exactly one live simulation (one StartRun) and one stored result;
-// the loser joins the winner's run and reports as cached. The counting
-// reporter stub distinguishes live lines from cached ones.
+// exactly one live simulation and one stored result; the loser joins
+// the winner's run and reports as cached. The counting sink tells live
+// lines from cached ones.
 func TestSingleFlightDedup(t *testing.T) {
 	wb := NewWorkbench(fastBench())
 	wb.Parallelism = 4

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"graphmem/internal/cache"
-	"graphmem/internal/obs"
 	"graphmem/internal/sample"
 	"graphmem/internal/sim"
 )
@@ -164,7 +163,6 @@ func TestRunSpecCoversEveryConfigField(t *testing.T) {
 // series (the registry tells runs apart by key, not by label).
 func TestSameNameDifferentMachine(t *testing.T) {
 	wb := NewWorkbench(fastBench())
-	wb.Metrics = obs.NewMetrics()
 	id := WorkloadID{Kernel: "triad", Graph: "reg"}
 	a := wb.Profile.BaseConfig(1)
 	b := a

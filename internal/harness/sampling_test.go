@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"graphmem/internal/graph"
-	"graphmem/internal/obs"
 	"graphmem/internal/sample"
 	"graphmem/internal/sim"
 	"graphmem/internal/store"
@@ -42,7 +41,6 @@ func TestSampledSweepSharesOneWarmup(t *testing.T) {
 	sweep := func(st *store.Store) (*Workbench, []RunSpec, []*sim.Result) {
 		wb := NewWorkbench(fastBench())
 		wb.Sampling, wb.Store, wb.Parallelism = samplingPlan(), st, len(cfgs)
-		wb.Metrics = obs.NewMetrics()
 		jobs := make([]RunSpec, len(cfgs))
 		for i, cfg := range cfgs {
 			jobs[i] = wb.Spec(cfg, id)

@@ -61,23 +61,18 @@ func (wb *Workbench) mixSpec(cfg sim.Config, ids ...WorkloadID) RunSpec {
 }
 
 // planJobs registers the runs that will actually execute with the
-// progress reporter: memoized, already-in-flight, and disk-store-held
-// keys are excluded (they self-report as cached on completion), as are
-// duplicates within the list, so done/total and the ETA stay
-// consistent however much of a sweep earlier experiments (or earlier
-// processes, via the store) already computed.
+// ledger: memoized, already-in-flight, and disk-store-held keys are
+// excluded (they self-report as cached on completion), and the ledger
+// plans by key, so a key planned twice — within the list, or by two
+// sweeps sharing a workbench — counts once. done/total and the ETA
+// stay consistent however much of a sweep earlier experiments (or
+// earlier processes, via the store) already computed.
 func (wb *Workbench) planJobs(specs []RunSpec) {
-	seen := make(map[string]bool, len(specs))
 	for _, s := range specs {
-		if seen[s.key] || wb.runs.has(s.key) {
+		if wb.runs.has(s.key) || wb.storeEligible(s.cfg) && wb.Store.Contains(s.StoreKey()) {
 			continue
 		}
-		seen[s.key] = true
-		if wb.storeEligible(s.cfg) && wb.Store.Contains(s.StoreKey()) {
-			continue
-		}
-		wb.Reporter.Plan(1)
-		wb.pointMetrics(s).Plan(1)
+		wb.Metrics.Plan(s.StoreKey(), s.point())
 	}
 }
 

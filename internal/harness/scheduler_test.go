@@ -142,9 +142,27 @@ func TestParallelismExceedsJobCount(t *testing.T) {
 			t.Errorf("%s: IPC %v at -j 64 vs %v at -j 1", ids[i], wide[i].IPC(), narrow[i].IPC())
 		}
 	}
-	done, total, _, _ := wbWide.Reporter.Snapshot()
+	done, total, _, _ := wbWide.Metrics.Snapshot()
 	if done != total || done != len(ids) {
 		t.Errorf("progress did not close: %d/%d done, want %d/%d", done, total, len(ids), len(ids))
+	}
+}
+
+// TestPlanTwiceClosesProgress: two sweeps sharing a workbench (two
+// gmserved jobs on one bench) can each plan the same keys before either
+// starts them. Each key must count once in the total, so done/total
+// closes and the ETA reaches zero.
+func TestPlanTwiceClosesProgress(t *testing.T) {
+	wb := NewWorkbench(fastBench())
+	specs := wb.specsFor(wb.BaseConfig(), []WorkloadID{
+		{Kernel: "triad", Graph: "reg"},
+		{Kernel: "matvec", Graph: "reg"},
+	})
+	wb.planJobs(specs)
+	wb.planJobs(specs)
+	wb.runAll(specs)
+	if done, total, eta, _ := wb.Metrics.Snapshot(); done != total || done != len(specs) || eta != 0 {
+		t.Errorf("done/total = %d/%d, eta %v; want %d/%d and 0", done, total, eta, len(specs), len(specs))
 	}
 }
 
@@ -260,10 +278,11 @@ func TestFig3RunsInsideThePool(t *testing.T) {
 		wb.RunSingle(wb.Profile.BaseConfig(1), id)
 	}()
 	wg.Wait()
-	if done, _, _, _ := wb.Reporter.Snapshot(); done != 2 {
+	done, _, _, peak := wb.Metrics.Snapshot()
+	if done != 2 {
 		t.Errorf("%d runs finished, want the 2 live ones", done)
 	}
-	if peak := wb.Reporter.Peak(); peak != 1 {
+	if peak != 1 {
 		t.Errorf("%d simulations were in flight at once on a -j 1 workbench", peak)
 	}
 }

@@ -15,23 +15,19 @@ import (
 // renderStoredSweep renders Fig. 3 + Fig. 10 (the parallel-determinism
 // suite's sweep) and a two-mix Fig. 14 on tiny mix windows — every run
 // shape the door carries — on a fresh workbench backed by st (nil = no
-// disk tier) and returns the rendered bytes, the metrics registry, and
-// the final progress counts.
+// disk tier) and returns the rendered bytes, its ledger, and the final
+// progress counts.
 func renderStoredSweep(t *testing.T, st *store.Store) (string, *obs.Metrics, int, int) {
 	t.Helper()
 	p := fastBench()
 	p.MixWarmup, p.MixMeasure = 100_000, 50_000
 	wb := NewWorkbench(p)
 	wb.Store = st
-	wb.Metrics = obs.NewMetrics()
-	if st != nil {
-		wb.Metrics.AttachStore(st)
-	}
 	var buf bytes.Buffer
 	wb.Fig3(WorkloadID{Kernel: "cc", Graph: "kron"}).Table().Render(&buf)
 	wb.Fig10(subsetKron()).Table().Render(&buf)
 	wb.Fig14(GenerateMixes(subsetKron(), 2, 14)).Table().Render(&buf)
-	done, total, _, _ := wb.Reporter.Snapshot()
+	done, total, _, _ := wb.Metrics.Snapshot()
 	return buf.String(), wb.Metrics, done, total
 }
 
@@ -107,7 +103,6 @@ func storeRunOnce(t *testing.T, dir string, cores int) (res any, path string, fi
 	}
 	wb := NewWorkbench(fastBench())
 	wb.Store = st
-	wb.Metrics = obs.NewMetrics()
 	id := WorkloadID{Kernel: "triad", Graph: "reg"}
 	s := wb.Spec(wb.Profile.BaseConfig(cores), []WorkloadID{id, id, id, id}[:cores]...)
 	if cores > 1 {

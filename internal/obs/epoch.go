@@ -1,10 +1,10 @@
 // Package obs is the observability layer of the simulator: the
 // phase-resolved epoch sampler types, structured run manifests, the
 // JSONL/CSV exporters that turn sweeps into greppable artifacts, the
-// sweep progress/ETA reporter, and the pprof/trace wiring shared by the
-// cmd/ tools.
+// run ledger behind progress/ETA lines and the live metrics endpoint,
+// and the pprof/trace wiring shared by the cmd/ tools.
 //
-// The package deliberately depends only on internal/stats so that
+// The package deliberately never imports internal/sim, so that
 // internal/sim can embed its types in results without an import cycle.
 package obs
 

@@ -6,33 +6,70 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"graphmem/internal/check"
 )
 
-// Metrics is the live observability endpoint behind gmsim/gmreport
-// -metrics: it tracks sweep progress (planned/done/cached run counts),
-// the set of in-flight runs, and the most recent per-run flight-recorder
-// snapshots, and serves them over HTTP two ways — Prometheus text
-// exposition at /metrics and expvar JSON at /debug/vars. All methods
-// are safe for concurrent use; a nil *Metrics is a valid no-op
-// receiver, so call sites thread one pointer and never branch.
+// progressWindow is the number of recent live runs the moving-average
+// run time is computed over.
+const progressWindow = 16
+
+// Metrics is the run ledger: every run a workbench plans, starts,
+// finishes or serves without simulating is reported here once, and
+// everything that reads runs reads this — the progress line (runs
+// done/total, moving-average run time, ETA, runs in flight), the live
+// endpoint (Prometheus text at /metrics, expvar JSON at /debug/vars),
+// Counts and CheckOutcome. All methods are safe for concurrent use.
+//
+// The progress line counts every run. The point series — Counts'
+// planned and finished, /metrics' in-flight gauge and per-run series —
+// count simulation points only: a run started without a name (the
+// Fig. 3 profile, which yields no IPC) is on the line but not in them.
+//
+// Accounting protocol: Plan covers only runs that will actually
+// execute, and a key counts once while it is pending, however many
+// sweeps plan it. A served run that was not pending self-plans, counting
+// toward both done and total, so done/total closes however much of a
+// sweep the memo or the store already held, and the ETA covers live
+// work only. The ETA divides by the peak run concurrency, so it is
+// wall-clock-correct under a worker pool and degrades to the sequential
+// estimate at parallelism 1.
+//
+// Lines go to the out func each call passes (nil counts silently),
+// under the ledger's lock, so concurrent lines never interleave and
+// their counts never run backwards; out must not call back into the
+// ledger.
 type Metrics struct {
 	mu      sync.Mutex
+	now     func() time.Time
 	started time.Time
-	total   int64 // planned live runs
-	done    int64 // finished live runs
-	cached  int64 // memo-served runs
-	stored  int64 // disk-store-served runs
 	store   StoreCounters
-	// inflight (run label by key) and runs (finished-run summaries by
-	// key) are keyed by the run's identity digest, not its label: configs
-	// that differ in a field but share a Name — the prefetcher presets,
-	// two profiles behind one gmserved registry — are distinct runs.
+
+	// The progress line: every run, served ones included.
+	total, done int
+	pending     map[string]bool // planned keys not yet finished or served
+	// inflight maps each running run's identity digest to its /metrics
+	// name ("" for a run that is not a point); peak is its high water.
 	inflight map[string]string
-	runs     map[string]runMetrics
+	peak     int
+	window   [progressWindow]time.Duration
+	wn, wi   int
+
+	// The point series, plus every served run by tier.
+	planned, finished, cached, stored int64
+	// runs holds finished-run summaries by identity digest, not label:
+	// configs that differ in a field but share a Name — the prefetcher
+	// presets, two profiles behind one gmserved ledger — are distinct.
+	runs map[string]runMetrics
+
+	// The differential checker's tally over checked live runs.
+	checkRuns, violations int64
+	details               []check.Violation // capped per run, concatenated
 }
 
 // StoreCounters is the face of a disk result store the metrics endpoint
@@ -52,90 +89,227 @@ type runMetrics struct {
 	rec     *RecSummary
 }
 
-// NewMetrics creates an idle metrics registry.
+// NewMetrics creates an empty ledger.
 func NewMetrics() *Metrics {
 	return &Metrics{
+		now:      time.Now,
 		started:  time.Now(),
+		pending:  make(map[string]bool),
 		inflight: make(map[string]string),
 		runs:     make(map[string]runMetrics),
 	}
 }
 
-// Plan registers n additional upcoming live runs.
-func (m *Metrics) Plan(n int) {
-	if m == nil {
+// Plan registers the upcoming live run with identity digest key; point
+// says whether it is a simulation point. Experiments plan before their
+// loops, with runs already memoized or stored excluded, so ETAs cover
+// the whole remaining sweep.
+func (m *Metrics) Plan(key string, point bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.pending[key] {
 		return
 	}
-	m.mu.Lock()
-	m.total += int64(n)
-	m.mu.Unlock()
+	m.pending[key] = true
+	m.total++
+	if point {
+		m.planned++
+	}
 }
 
-// RunStarted marks the run with identity digest key in flight under
-// its readable label.
-func (m *Metrics) RunStarted(key, label string) {
-	if m == nil {
-		return
-	}
+// Start marks the run with identity digest key in flight and returns
+// its finish func. label names the run on the progress line, name on
+// /metrics ("" keeps it out of the point series). finish takes the
+// run's detail for the line ("IPC=0.453"), its IPC and flight-recorder
+// summary (nil when the recorder was off) for /metrics and its checker
+// outcome, and emits the run's line to out.
+func (m *Metrics) Start(out func(string), key, label, name string) (finish func(detail string, ipc float64, rec *RecSummary, chk check.Summary)) {
 	m.mu.Lock()
-	m.inflight[key] = label
+	start := m.now()
+	m.inflight[key] = name
+	m.peak = max(m.peak, len(m.inflight))
 	m.mu.Unlock()
+	return func(detail string, ipc float64, rec *RecSummary, chk check.Summary) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		d := m.now().Sub(start)
+		delete(m.inflight, key)
+		delete(m.pending, key)
+		m.done++
+		m.window[m.wi] = d
+		m.wi = (m.wi + 1) % progressWindow
+		m.wn = min(m.wn+1, progressWindow)
+		if name != "" {
+			m.finished++
+			m.runs[key] = runMetrics{label: name, seconds: d.Seconds(), ipc: ipc, rec: rec}
+		}
+		if chk.Level != "" {
+			m.checkRuns++
+			m.violations += chk.Violations
+			m.details = append(m.details, chk.Details...)
+		}
+		if out != nil {
+			out(m.lineLocked(label, detail, "", d))
+		}
+	}
 }
 
-// RunFinished records a live run's outcome; rec may be nil when the
-// flight recorder was off.
-func (m *Metrics) RunFinished(key, label string, seconds, ipc float64, rec *RecSummary) {
-	if m == nil {
-		return
-	}
+// Served records the run with identity digest key as answered without
+// simulating — by the memo or another caller's fill, or fromStore by
+// the disk store — and emits its "(cached)" line to out. It leaves the
+// run-time average alone.
+func (m *Metrics) Served(out func(string), key, label, detail string, fromStore bool) {
 	m.mu.Lock()
-	delete(m.inflight, key)
+	defer m.mu.Unlock()
+	if !m.pending[key] {
+		m.total++
+	}
+	delete(m.pending, key)
 	m.done++
-	m.runs[key] = runMetrics{label: label, seconds: seconds, ipc: ipc, rec: rec}
-	m.mu.Unlock()
+	tag := " (cached)"
+	if fromStore {
+		m.stored++
+		tag = " (store) (cached)"
+	} else {
+		m.cached++
+	}
+	if out != nil {
+		out(m.lineLocked(label, detail, tag, 0))
+	}
 }
 
-// RunCached records a memo-served run.
-func (m *Metrics) RunCached() {
-	if m == nil {
+// Log emits a narration line (a graph build, a failed store write) to
+// out, under the ledger's lock like every run line.
+func (m *Metrics) Log(out func(string), msg string) {
+	if out == nil {
 		return
 	}
 	m.mu.Lock()
-	m.cached++
-	m.mu.Unlock()
-}
-
-// RunStoreHit records a run served from the disk result store.
-func (m *Metrics) RunStoreHit() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.stored++
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	out(msg)
 }
 
 // AttachStore registers the disk result store whose hit/miss/eviction
-// counters /metrics exports. A nil receiver or store is a no-op.
+// counters the endpoint exports.
 func (m *Metrics) AttachStore(s StoreCounters) {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	m.store = s
 	m.mu.Unlock()
 }
 
 // Counts returns the run-outcome counters (planned and finished live
-// runs, memo-served runs, disk-store-served runs) — the handle tests
+// points, memo-served runs, disk-store-served runs) — the handle tests
 // use to assert a warm sweep executed zero simulations.
 func (m *Metrics) Counts() (planned, finished, cached, stored int64) {
-	if m == nil {
-		return 0, 0, 0, 0
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.total, m.done, m.cached, m.stored
+	return m.planned, m.finished, m.cached, m.stored
+}
+
+// Snapshot reads the progress line: runs done and to do, the ETA (zero
+// until a live run finished or when no runs remain), and the most runs
+// ever in flight at once.
+func (m *Metrics) Snapshot() (done, total int, eta time.Duration, peak int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.done, m.total, m.etaLocked(), m.peak
+}
+
+// CheckOutcome reports the differential checker's tally: how many live
+// runs were checked, the total violation count, and the retained
+// per-violation details (capped per run by internal/check).
+func (m *Metrics) CheckOutcome() (runs, violations int64, details []check.Violation) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.checkRuns, m.violations, append([]check.Violation(nil), m.details...)
+}
+
+func (m *Metrics) avgLocked() time.Duration {
+	if m.wn == 0 {
+		return 0
+	}
+	var sum time.Duration
+	for _, d := range m.window[:m.wn] {
+		sum += d
+	}
+	return sum / time.Duration(m.wn)
+}
+
+// etaLocked estimates the remaining wall clock: remaining runs times
+// the per-run moving average, divided by the peak run concurrency (the
+// worker-pool width once the pool has filled).
+func (m *Metrics) etaLocked() time.Duration {
+	avg, remaining := m.avgLocked(), m.total-m.done
+	if avg <= 0 || remaining <= 0 {
+		// An over-counted sweep must never surface a negative ETA.
+		return 0
+	}
+	return avg * time.Duration(remaining) / time.Duration(max(m.peak, 1))
+}
+
+// lineLocked formats one run's line: a served run's ends in tag, a live
+// run's in its timings. Callers build it only for a sink: a sink-less
+// ledger just counts.
+func (m *Metrics) lineLocked(label, detail, tag string, d time.Duration) string {
+	line := make([]byte, 0, 128)
+	line = append(line, '[')
+	var num [20]byte
+	done := strconv.AppendInt(num[:0], int64(m.done), 10)
+	for range 3 - len(done) {
+		line = append(line, ' ')
+	}
+	line = append(append(line, done...), '/')
+	if m.total > 0 {
+		line = strconv.AppendInt(line, int64(m.total), 10)
+	} else {
+		line = append(line, '?')
+	}
+	line = append(append(line, "] "...), label...)
+	if detail != "" {
+		line = append(append(line, ' '), detail...)
+	}
+	if tag != "" {
+		return string(append(line, tag...))
+	}
+	line = append(append(line, " | "...), fmtDuration(d)...)
+	if avg := m.avgLocked(); avg > 0 {
+		line = append(append(line, " | avg "...), fmtDuration(avg)...)
+		// The ETA is hidden until two live runs have finished: a
+		// single-sample moving average is noise, and flashing a wild
+		// first estimate costs more trust than showing nothing.
+		if eta := m.etaLocked(); eta > 0 && m.wn >= 2 {
+			line = append(append(line, " | eta "...), fmtDuration(eta)...)
+		}
+	}
+	if running := len(m.inflight); running > 0 {
+		line = append(strconv.AppendInt(append(line, " | "...), int64(running), 10), " in flight"...)
+	}
+	return string(line)
+}
+
+// fmtDuration renders a duration at human sweep granularity.
+func fmtDuration(d time.Duration) string {
+	switch {
+	case d >= time.Minute:
+		return d.Truncate(time.Second).String()
+	case d >= time.Second:
+		return d.Truncate(100 * time.Millisecond).String()
+	default:
+		return d.Truncate(time.Millisecond).String()
+	}
+}
+
+// pointsInFlightLocked returns the /metrics names of the running points,
+// sorted.
+func (m *Metrics) pointsInFlightLocked() []string {
+	names := make([]string, 0, len(m.inflight))
+	for _, name := range m.inflight {
+		if name != "" {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 // promEscape escapes a Prometheus label value.
@@ -153,8 +327,8 @@ func (m *Metrics) WritePrometheus(b *strings.Builder) {
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
-	counter("graphmem_runs_planned_total", "Live simulation runs planned for the sweep.", m.total)
-	counter("graphmem_runs_finished_total", "Live simulation runs finished.", m.done)
+	counter("graphmem_runs_planned_total", "Live simulation runs planned for the sweep.", m.planned)
+	counter("graphmem_runs_finished_total", "Live simulation runs finished.", m.finished)
 	counter("graphmem_runs_cached_total", "Runs served from the sweep memo cache.", m.cached)
 	counter("graphmem_runs_store_total", "Runs served from the disk result store.", m.stored)
 
@@ -170,7 +344,7 @@ func (m *Metrics) WritePrometheus(b *strings.Builder) {
 		fmt.Fprintf(b, "# HELP graphmem_store_hit_ratio Disk result store hit ratio since start.\n# TYPE graphmem_store_hit_ratio gauge\ngraphmem_store_hit_ratio %g\n", ratio)
 	}
 
-	fmt.Fprintf(b, "# HELP graphmem_runs_in_flight Simulation runs currently executing.\n# TYPE graphmem_runs_in_flight gauge\ngraphmem_runs_in_flight %d\n", len(m.inflight))
+	fmt.Fprintf(b, "# HELP graphmem_runs_in_flight Simulation runs currently executing.\n# TYPE graphmem_runs_in_flight gauge\ngraphmem_runs_in_flight %d\n", len(m.pointsInFlightLocked()))
 	fmt.Fprintf(b, "# HELP graphmem_uptime_seconds Seconds since the metrics registry started.\n# TYPE graphmem_uptime_seconds gauge\ngraphmem_uptime_seconds %g\n", time.Since(m.started).Seconds())
 
 	// One line per finished run, ordered by label then digest; every
@@ -227,17 +401,12 @@ func (m *Metrics) WritePrometheus(b *strings.Builder) {
 func (m *Metrics) snapshot() map[string]any {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	inflight := make([]string, 0, len(m.inflight))
-	for _, l := range m.inflight {
-		inflight = append(inflight, l)
-	}
-	sort.Strings(inflight)
 	out := map[string]any{
-		"runs_planned":  m.total,
-		"runs_finished": m.done,
+		"runs_planned":  m.planned,
+		"runs_finished": m.finished,
 		"runs_cached":   m.cached,
 		"runs_store":    m.stored,
-		"in_flight":     inflight,
+		"in_flight":     m.pointsInFlightLocked(),
 	}
 	if m.store != nil {
 		out["store_hits"] = m.store.Hits()

@@ -7,15 +7,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-)
+	"time"
 
-func TestMetricsNilReceiverIsNoOp(t *testing.T) {
-	var m *Metrics
-	m.Plan(3)
-	m.RunStarted("k", "x")
-	m.RunFinished("k", "x", 1, 1, nil)
-	m.RunCached()
-}
+	"graphmem/internal/check"
+)
 
 // checkPrometheusText validates the exposition format line by line:
 // every non-comment line must be "name[{labels}] value" with a
@@ -49,15 +44,19 @@ func checkPrometheusText(t *testing.T, text string) {
 
 func TestMetricsPrometheusText(t *testing.T) {
 	m := NewMetrics()
-	m.Plan(2)
-	m.RunStarted("aa01", "Baseline/pr.kron")
-	m.RunStarted("bb02", "SDC+LP/pr.kron")
+	advance := fakeClock(m)
+	plan(m, "aa01", "bb02")
+	m.Plan("cc03", false)
+	finish := m.Start(nil, "aa01", "", "Baseline/pr.kron")
+	m.Start(nil, "bb02", "", "SDC+LP/pr.kron")
+	m.Start(nil, "cc03", "", "") // not a point: on no series below
 	rec := &RecSummary{
 		LoadToUse: HistSummary{Count: 10, P50: 8, P90: 64, P99: 100},
 		Levels:    []LevelSummary{{Level: "DRAM", Served: 5}},
 	}
-	m.RunFinished("aa01", "Baseline/pr.kron", 1.5, 0.42, rec)
-	m.RunCached()
+	advance(1500 * time.Millisecond)
+	finish("", 0.42, rec, check.Summary{})
+	m.Served(nil, "dd04", "", "", false)
 
 	var b strings.Builder
 	m.WritePrometheus(&b)
@@ -86,17 +85,20 @@ func TestMetricsPrometheusText(t *testing.T) {
 // finish leaves the other there, and both are exported.
 func TestMetricsKeepsSameNameRunsApart(t *testing.T) {
 	m := NewMetrics()
-	m.RunStarted("aa01", "Baseline/pr.kron")
-	m.RunStarted("bb02", "Baseline/pr.kron")
+	advance := fakeClock(m)
+	first := m.Start(nil, "aa01", "", "Baseline/pr.kron")
+	second := m.Start(nil, "bb02", "", "Baseline/pr.kron")
 	inFlight := func() int { return len(m.snapshot()["in_flight"].([]string)) }
 	if n := inFlight(); n != 2 {
 		t.Fatalf("%d runs in flight, want both same-name runs", n)
 	}
-	m.RunFinished("aa01", "Baseline/pr.kron", 1.5, 0.4, nil)
+	advance(1500 * time.Millisecond)
+	first("", 0.4, nil, check.Summary{})
 	if n := inFlight(); n != 1 {
 		t.Errorf("%d runs in flight after one of two finished, want 1", n)
 	}
-	m.RunFinished("bb02", "Baseline/pr.kron", 2.5, 0.5, nil)
+	advance(time.Second)
+	second("", 0.5, nil, check.Summary{})
 
 	var b strings.Builder
 	m.WritePrometheus(&b)
@@ -122,9 +124,8 @@ func TestPromEscape(t *testing.T) {
 
 func TestMetricsServeEndpoint(t *testing.T) {
 	m := NewMetrics()
-	m.Plan(1)
-	m.RunStarted("aa01", "Baseline/pr.kron")
-	m.RunFinished("aa01", "Baseline/pr.kron", 0.1, 1.0, nil)
+	m.Plan("aa01", true)
+	m.Start(nil, "aa01", "", "Baseline/pr.kron")("", 1.0, nil, check.Summary{})
 
 	addr, err := m.Serve("127.0.0.1:0")
 	if err != nil {

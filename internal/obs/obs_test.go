@@ -156,24 +156,24 @@ func TestManifestRoundTrip(t *testing.T) {
 
 func TestProgressCountsAndETA(t *testing.T) {
 	var lines []string
-	p := NewProgress(func(s string) { lines = append(lines, s) })
-	clock := time.Unix(0, 0)
-	p.now = func() time.Time { return clock }
+	out := func(s string) { lines = append(lines, s) }
+	m := NewMetrics()
+	advance := fakeClock(m)
 
 	// Plans cover live runs only; the cache hit self-plans (+1/+1).
-	p.Plan(3)
-	for i := 0; i < 2; i++ {
-		finish := p.StartRun("run")
-		clock = clock.Add(2 * time.Second)
+	plan(m, "a", "b", "c")
+	for _, k := range []string{"a", "b"} {
+		finish := startRun(m, out, k)
+		advance(2 * time.Second)
 		finish("IPC=1.0")
 	}
-	p.Cached("run", "IPC=1.0")
+	m.Served(out, "d", "d", "IPC=1.0", false)
 
-	done, total, avg, eta := p.Snapshot()
+	done, total, eta, _ := m.Snapshot()
 	if done != 3 || total != 4 {
 		t.Fatalf("done/total = %d/%d, want 3/4", done, total)
 	}
-	if avg != 2*time.Second {
+	if avg := m.avgLocked(); avg != 2*time.Second {
 		t.Errorf("avg = %v, want 2s", avg)
 	}
 	if eta != 2*time.Second {
@@ -195,22 +195,22 @@ func TestProgressCountsAndETA(t *testing.T) {
 
 func TestProgressParallelETAAndInFlight(t *testing.T) {
 	var lines []string
-	p := NewProgress(func(s string) { lines = append(lines, s) })
-	clock := time.Unix(0, 0)
-	p.now = func() time.Time { return clock }
+	out := func(s string) { lines = append(lines, s) }
+	m := NewMetrics()
+	advance := fakeClock(m)
 
-	p.Plan(4)
-	f1 := p.StartRun("a")
-	f2 := p.StartRun("b")
-	if got := p.InFlight(); got != 2 {
-		t.Fatalf("InFlight = %d, want 2", got)
+	plan(m, "a", "b", "c", "d")
+	f1 := startRun(m, out, "a")
+	f2 := startRun(m, out, "b")
+	if got := len(m.inflight); got != 2 {
+		t.Fatalf("%d runs in flight, want 2", got)
 	}
-	clock = clock.Add(2 * time.Second)
+	advance(2 * time.Second)
 	f1("IPC=1.0")
 
 	// One of two workers finished: 3 runs remain at 2s average across a
 	// peak concurrency of 2 -> 3s of wall clock, and 1 run in flight.
-	if _, _, _, eta := p.Snapshot(); eta != 3*time.Second {
+	if _, _, eta, _ := m.Snapshot(); eta != 3*time.Second {
 		t.Errorf("eta = %v, want 3s (3 remaining x 2s / 2 workers)", eta)
 	}
 	if len(lines) != 1 || !strings.Contains(lines[0], "1 in flight") {
@@ -218,57 +218,30 @@ func TestProgressParallelETAAndInFlight(t *testing.T) {
 	}
 
 	f2("IPC=1.0")
-	if got := p.InFlight(); got != 0 {
-		t.Errorf("InFlight = %d after all finishes, want 0", got)
+	if got := len(m.inflight); got != 0 {
+		t.Errorf("%d runs in flight after all finishes, want 0", got)
 	}
 	if strings.Contains(lines[1], "in flight") {
-		t.Errorf("idle reporter should omit the in-flight gauge: %q", lines[1])
+		t.Errorf("an idle ledger should omit the in-flight gauge: %q", lines[1])
 	}
-	if _, _, _, eta := p.Snapshot(); eta != 2*time.Second {
-		t.Errorf("eta = %v, want 2s (2 remaining x 2s / 2 workers)", eta)
-	}
-}
-
-// TestProgressETAWithUnpublishedPeak pins the ramp-up race fix: a
-// finish can observe peak before the concurrent StartRun CAS publishes
-// it (in the worst interleaving peak still reads 0), and the ETA must
-// then fall back to the live inflight count instead of dividing by 1
-// (or 0) and overestimating.
-func TestProgressETAWithUnpublishedPeak(t *testing.T) {
-	p := NewProgress(nil)
-	clock := time.Unix(0, 0)
-	p.now = func() time.Time { return clock }
-
-	p.Plan(4)
-	finish := p.StartRun("a")
-	p.StartRun("b")
-	p.StartRun("c")
-	p.StartRun("d")
-	clock = clock.Add(2 * time.Second)
-	finish("IPC=1.0")
-
-	// Emulate the unpublished CAS: 3 runs still in flight, peak not yet
-	// visible. 3 remaining x 2s across 3 live workers -> 2s, not 6s.
-	p.peak.Store(0)
-	if _, _, _, eta := p.Snapshot(); eta != 2*time.Second {
-		t.Errorf("eta = %v, want 2s (divide by inflight when peak lags)", eta)
+	if _, _, eta, peak := m.Snapshot(); eta != 2*time.Second || peak != 2 {
+		t.Errorf("eta = %v, peak %d, want 2s (2 remaining x 2s / 2 workers) and 2", eta, peak)
 	}
 }
 
 func TestProgressNilSinkIsSilent(t *testing.T) {
-	p := NewProgress(nil)
-	p.Plan(1)
-	p.StartRun("x")("")
-	p.Log("ignored")
-	if done, total, _, _ := p.Snapshot(); done != 1 || total != 1 {
-		t.Errorf("nil-sink reporter must still count: %d/%d", done, total)
+	m := NewMetrics()
+	plan(m, "x")
+	startRun(m, nil, "x")("")
+	m.Log(nil, "ignored")
+	if done, total, _, _ := m.Snapshot(); done != 1 || total != 1 {
+		t.Errorf("a sink-less ledger must still count: %d/%d", done, total)
 	}
 }
 
 func TestProgressUnplannedTotal(t *testing.T) {
 	var lines []string
-	p := NewProgress(func(s string) { lines = append(lines, s) })
-	p.StartRun("x")("")
+	startRun(NewMetrics(), func(s string) { lines = append(lines, s) }, "x")("")
 	if len(lines) != 1 || !strings.Contains(lines[0], "/?]") {
 		t.Errorf("unplanned total should render '?': %v", lines)
 	}
