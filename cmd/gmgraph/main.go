@@ -65,6 +65,13 @@ func run() int {
 }
 
 func generate(kind string, scale int, ef int64, seed uint64) (*graphmem.Graph, error) {
+	// 2^31 vertices overflow the int32 vertex IDs.
+	if scale < 1 || scale > 30 {
+		return nil, fmt.Errorf("-scale %d out of range [1, 30]", scale)
+	}
+	if ef < 1 {
+		return nil, fmt.Errorf("-ef %d must be at least 1", ef)
+	}
 	n := int32(1) << uint(scale)
 	switch kind {
 	case "kron":
@@ -93,8 +100,11 @@ func save(g *graphmem.Graph, path string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	if err := g.WriteBinary(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	s := g.ComputeStats()

@@ -340,16 +340,9 @@ func (o RunOptions) NewWorkbench(tool string) (*Workbench, error) {
 	return wb, nil
 }
 
-// Epoch telemetry exporters (CSV and JSONL time-series writers).
-var (
-	// WriteEpochsCSV writes per-core epoch curves as CSV.
-	WriteEpochsCSV = obs.WriteEpochsCSV
-	// WriteEpochsJSONL writes one JSON object per (core, epoch).
-	WriteEpochsJSONL = obs.WriteEpochsJSONL
-	// WritePerfettoTrace writes flight-recorder timelines as a
-	// Perfetto-loadable Chrome trace-event JSON file.
-	WritePerfettoTrace = obs.WritePerfettoFile
-)
+// WritePerfettoTrace writes flight-recorder timelines as a
+// Perfetto-loadable Chrome trace-event JSON file.
+var WritePerfettoTrace = obs.WritePerfettoFile
 
 // Budget computes the Table IV per-core hardware budget.
 func Budget(sdcBytes, lpEntries, sdcDirEntries, cores int) []BudgetEntry {

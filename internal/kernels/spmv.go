@@ -12,7 +12,7 @@ import (
 // the dense vector x are indexed by the column indices of A — the
 // canonical irregular gather. It is not one of the six GAP kernels of
 // the evaluation, but it is provided as a seventh workload for
-// gmsim/gmtrace and the examples.
+// gmsim and the examples.
 type SpMV struct {
 	g *graph.Graph // CSR matrix: weights are the non-zero values
 	x []float64

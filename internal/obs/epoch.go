@@ -1,8 +1,8 @@
 // Package obs is the observability layer of the simulator: the
 // phase-resolved epoch sampler types, structured run manifests, the
-// JSONL/CSV exporters that turn sweeps into greppable artifacts, the
-// run ledger behind progress/ETA lines and the live metrics endpoint,
-// and the pprof/trace wiring shared by the cmd/ tools.
+// flight recorder and its Perfetto exporter, the run ledger behind
+// progress/ETA lines and the live metrics endpoint, and the pprof/trace
+// wiring shared by the cmd/ tools.
 //
 // The package deliberately never imports internal/sim, so that
 // internal/sim can embed its types in results without an import cycle.
@@ -32,47 +32,6 @@ type EpochSample struct {
 
 // Instructions returns the instructions retired in this epoch.
 func (e *EpochSample) Instructions() int64 { return e.EndInstr - e.StartInstr }
-
-// EpochMetrics is the derived per-epoch view the exporters emit: the
-// phase-resolved curves (IPC, MPKI ladders, LP routing mix, DRAM row
-// behaviour) the paper's characterization figures are built from.
-type EpochMetrics struct {
-	Epoch        int     `json:"epoch"`
-	StartInstr   int64   `json:"start_instr"`
-	Instructions int64   `json:"instructions"`
-	Cycles       int64   `json:"cycles"`
-	IPC          float64 `json:"ipc"`
-	L1DMPKI      float64 `json:"l1d_mpki"`
-	SDCMPKI      float64 `json:"sdc_mpki"`
-	L2MPKI       float64 `json:"l2_mpki"`
-	LLCMPKI      float64 `json:"llc_mpki"`
-	LPAverse     float64 `json:"lp_averse_frac"`
-	DRAMRowHit   float64 `json:"dram_row_hit_rate"`
-	DRAMFrac     float64 `json:"dram_frac"`
-	ServedDRAM   int64   `json:"served_dram"`
-	ServedSDC    int64   `json:"served_sdc"`
-}
-
-// Metrics derives the exported per-epoch curve point.
-func (e *EpochSample) Metrics() EpochMetrics {
-	s := &e.Stats
-	return EpochMetrics{
-		Epoch:        e.Index,
-		StartInstr:   e.StartInstr,
-		Instructions: e.Instructions(),
-		Cycles:       s.Cycles,
-		IPC:          s.IPC(),
-		L1DMPKI:      s.L1D.MPKI(s.Instructions),
-		SDCMPKI:      s.SDC.MPKI(s.Instructions),
-		L2MPKI:       s.L2.MPKI(s.Instructions),
-		LLCMPKI:      s.LLC.MPKI(s.Instructions),
-		LPAverse:     s.LPAverseFraction(),
-		DRAMRowHit:   s.DRAMRowHitRate(),
-		DRAMFrac:     s.DRAMFraction(),
-		ServedDRAM:   s.ServedDRAM,
-		ServedSDC:    s.ServedSDC,
-	}
-}
 
 // SumInstructions returns the total instructions covered by the series;
 // it equals the measured window when sampling was active for the whole

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"os"
@@ -15,105 +13,22 @@ import (
 	"graphmem/internal/stats"
 )
 
-func sampleSeries() [][]EpochSample {
+func sampleSeries() []EpochSample {
 	mk := func(idx int, start, n int64) EpochSample {
 		var s stats.CoreStats
 		s.Instructions = n
 		s.Cycles = 2 * n
-		s.L1D.Misses = 10
-		s.SDC.Misses = 4
-		s.LPPredAverse, s.LPPredFriendly = 3, 1
-		s.DRAMRowHits, s.DRAMRowMisses = 6, 2
-		s.ServedDRAM, s.ServedL2 = 5, 5
 		return EpochSample{Index: idx, StartInstr: start, EndInstr: start + n, Stats: s}
 	}
-	return [][]EpochSample{
-		{mk(0, 1000, 500), mk(1, 1500, 500), mk(2, 2000, 250)},
-		{mk(0, 0, 800)},
-	}
-}
-
-func TestEpochMetricsDerivation(t *testing.T) {
-	e := sampleSeries()[0][0]
-	m := e.Metrics()
-	if m.Instructions != 500 || m.Epoch != 0 || m.StartInstr != 1000 {
-		t.Fatalf("metrics identity fields wrong: %+v", m)
-	}
-	if m.IPC != 0.5 {
-		t.Errorf("IPC = %g, want 0.5", m.IPC)
-	}
-	if m.L1DMPKI != 20 {
-		t.Errorf("L1D MPKI = %g, want 20", m.L1DMPKI)
-	}
-	if m.LPAverse != 0.75 || m.DRAMRowHit != 0.75 || m.DRAMFrac != 0.5 {
-		t.Errorf("derived fractions wrong: %+v", m)
-	}
+	return []EpochSample{mk(0, 1000, 500), mk(1, 1500, 500), mk(2, 2000, 250)}
 }
 
 func TestSumInstructions(t *testing.T) {
-	if got := SumInstructions(sampleSeries()[0]); got != 1250 {
+	if got := SumInstructions(sampleSeries()); got != 1250 {
 		t.Errorf("SumInstructions = %d, want 1250", got)
 	}
 	if got := SumInstructions(nil); got != 0 {
 		t.Errorf("SumInstructions(nil) = %d", got)
-	}
-}
-
-func TestWriteEpochsCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteEpochsCSV(&buf, sampleSeries()); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 { // header + 3 + 1
-		t.Fatalf("got %d CSV rows, want 5", len(rows))
-	}
-	if rows[0][0] != "core" || rows[0][5] != "ipc" {
-		t.Errorf("unexpected header %v", rows[0])
-	}
-	if rows[4][0] != "1" || rows[4][1] != "0" {
-		t.Errorf("core-1 row wrong: %v", rows[4])
-	}
-	for _, row := range rows[1:] {
-		if len(row) != len(epochCSVHeader) {
-			t.Errorf("row width %d != header width %d", len(row), len(epochCSVHeader))
-		}
-	}
-}
-
-func TestWriteEpochsJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteEpochsJSONL(&buf, sampleSeries(), true); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	lines := 0
-	for sc.Scan() {
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("line %d not JSON: %v", lines, err)
-		}
-		if _, ok := m["ipc"]; !ok {
-			t.Errorf("line %d missing ipc: %v", lines, m)
-		}
-		if _, ok := m["stats"]; !ok {
-			t.Errorf("line %d missing raw stats", lines)
-		}
-		lines++
-	}
-	if lines != 4 {
-		t.Errorf("got %d JSONL lines, want 4", lines)
-	}
-
-	buf.Reset()
-	if err := WriteEpochsJSONL(&buf, sampleSeries(), false); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), `"stats"`) {
-		t.Error("raw=false must omit the stats block")
 	}
 }
 
@@ -125,7 +40,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	m.Final.Instructions = 200
 	m.Final.Cycles = 400
 	m.Derived = DeriveMetrics(&m.Final)
-	m.Epochs = sampleSeries()[0]
+	m.Epochs = sampleSeries()
 	m.Finalize(time.Now().Add(-2 * time.Second))
 
 	if m.SchemaVersion != SchemaVersion {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -128,20 +127,6 @@ func TestWritePerfettoEmptyAndFile(t *testing.T) {
 	}
 	if len(tf.TraceEvents) == 0 {
 		t.Error("trace file has no events")
-	}
-}
-
-func TestWriteEpochsCSVEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteEpochsCSV(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("empty series must render the header only, got %d rows", len(rows))
 	}
 }
 

@@ -234,30 +234,3 @@ func (s *SliceSink) Access(r Record) bool {
 	s.Recs = append(s.Recs, r)
 	return s.Limit == 0 || int64(len(s.Recs)) < s.Limit
 }
-
-// MultiSink fans records out to several sinks; it stops when any sink
-// asks to stop.
-type MultiSink struct {
-	Sinks []Sink
-}
-
-// Access implements Sink.
-func (m *MultiSink) Access(r Record) bool {
-	ok := true
-	for _, s := range m.Sinks {
-		if !s.Access(r) {
-			ok = false
-		}
-	}
-	return ok
-}
-
-// SetProgress implements ProgressSink, forwarding to any sub-sink that
-// accepts progress.
-func (m *MultiSink) SetProgress(edges uint64) {
-	for _, s := range m.Sinks {
-		if p, ok := s.(ProgressSink); ok {
-			p.SetProgress(edges)
-		}
-	}
-}

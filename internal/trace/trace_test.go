@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -123,22 +122,6 @@ func TestCountingSink(t *testing.T) {
 	}
 }
 
-func TestMultiSinkStopsWhenAnyStops(t *testing.T) {
-	a := &CountingSink{}
-	b := &CountingSink{Limit: 2}
-	m := &MultiSink{Sinks: []Sink{a, b}}
-	if !m.Access(Record{}) {
-		t.Error("first access should continue")
-	}
-	// b hits its limit at 2 records: second access must stop.
-	if m.Access(Record{}) {
-		t.Error("second access should stop")
-	}
-	if a.Records != 2 {
-		t.Error("multi sink should still deliver to all sinks")
-	}
-}
-
 type progRecorder struct {
 	CountingSink
 	got []uint64
@@ -153,13 +136,6 @@ func TestProgressForwarding(t *testing.T) {
 	tr.Progress(20)
 	if len(p.got) != 2 || p.got[0] != 10 || p.got[1] != 20 {
 		t.Errorf("progress = %v", p.got)
-	}
-	// MultiSink forwards too.
-	p2 := &progRecorder{}
-	tr2 := New(&MultiSink{Sinks: []Sink{&CountingSink{}, p2}})
-	tr2.Progress(7)
-	if len(p2.got) != 1 || p2.got[0] != 7 {
-		t.Errorf("multisink progress = %v", p2.got)
 	}
 }
 
@@ -226,118 +202,5 @@ func TestStrideDRAMProfiler(t *testing.T) {
 	p.Observe(2, 5000, mem.ServedDRAM)
 	if p.Samples(8) != 0 {
 		t.Error("first access of new PC was bucketed")
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	recs := []Record{
-		{PC: 0x400000, Addr: 0x1234, Size: 4, Write: false, NonMem: 7, DepDist: 0},
-		{PC: 0x400008, Addr: 0xffffffffff, Size: 8, Write: true, NonMem: 0, DepDist: 3},
-		{PC: 0x400010, Addr: 0, Size: 1, Write: false, NonMem: 65535, DepDist: 1 << 30},
-	}
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if !w.Access(r) {
-			t.Fatal("writer stopped early")
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != 3 {
-		t.Errorf("Count = %d", w.Count())
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("read %d records", len(got))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Errorf("record %d: got %+v want %+v", i, got[i], recs[i])
-		}
-	}
-}
-
-func TestWriterLimit(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !w.Access(Record{}) {
-		t.Error("record 1 should continue")
-	}
-	if w.Access(Record{}) {
-		t.Error("record 2 should hit the limit")
-	}
-}
-
-func TestReaderRejectsGarbage(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("not a trace file..."))); err == nil {
-		t.Error("expected error for bad magic")
-	}
-	if _, err := NewReader(bytes.NewReader(nil)); err == nil {
-		t.Error("expected error for empty input")
-	}
-}
-
-func TestReaderDetectsTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 0)
-	w.Access(Record{PC: 1})
-	w.Flush()
-	trunc := buf.Bytes()[:buf.Len()-3]
-	r, err := NewReader(bytes.NewReader(trunc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Next(); err == nil {
-		t.Error("expected truncation error")
-	}
-}
-
-func TestReplay(t *testing.T) {
-	recs := []Record{{PC: 1}, {PC: 2}, {PC: 3}}
-	c := &CountingSink{Limit: 2}
-	if n := Replay(recs, c); n != 2 {
-		t.Errorf("Replay delivered %d, want 2", n)
-	}
-}
-
-func TestFileRoundTripProperty(t *testing.T) {
-	f := func(pc, addr uint64, size uint8, write bool, nonmem uint16, dep uint32) bool {
-		rec := Record{
-			PC: pc, Addr: mem.Addr(addr % (1 << 48)), Size: size,
-			Write: write, NonMem: nonmem, DepDist: int32(dep >> 1),
-		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, 0)
-		if err != nil {
-			return false
-		}
-		w.Access(rec)
-		if w.Flush() != nil {
-			return false
-		}
-		r, err := NewReader(&buf)
-		if err != nil {
-			return false
-		}
-		got, err := r.Next()
-		return err == nil && got == rec
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -72,17 +72,4 @@ func TestRunManifestAcceptance(t *testing.T) {
 	if sum != back.Final.Instructions {
 		t.Errorf("epoch samples sum to %d instructions, window measured %d", sum, back.Final.Instructions)
 	}
-
-	// The epoch series must also round-trip through the exporters.
-	var csvBuf, jsonlBuf bytes.Buffer
-	if err := graphmem.WriteEpochsCSV(&csvBuf, [][]graphmem.EpochSample{back.Epochs}); err != nil {
-		t.Fatal(err)
-	}
-	if err := graphmem.WriteEpochsJSONL(&jsonlBuf, [][]graphmem.EpochSample{back.Epochs}, true); err != nil {
-		t.Fatal(err)
-	}
-	if csvBuf.Len() == 0 || bytes.Count(jsonlBuf.Bytes(), []byte("\n")) != len(back.Epochs) {
-		t.Errorf("exporters produced %d CSV bytes, %d JSONL lines (want %d lines)",
-			csvBuf.Len(), bytes.Count(jsonlBuf.Bytes(), []byte("\n")), len(back.Epochs))
-	}
 }
