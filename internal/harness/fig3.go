@@ -1,13 +1,13 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"graphmem/internal/check"
 	"graphmem/internal/mem"
 	"graphmem/internal/obs"
 	"graphmem/internal/sim"
+	"graphmem/internal/store"
 	"graphmem/internal/trace"
 )
 
@@ -47,12 +47,13 @@ func (wb *Workbench) Fig3(id WorkloadID) *Fig3Result {
 	})
 }
 
-// fig3Shape carries a profile through the store as JSON.
+// fig3Shape carries a profile through the store in the store's payload
+// codec, the one run results use.
 var fig3Shape = shape[*Fig3Result]{
-	encode: func(r *Fig3Result) ([]byte, error) { return json.Marshal(r) },
+	encode: func(r *Fig3Result) ([]byte, error) { return store.Marshal(r) },
 	decode: func(payload []byte, s RunSpec) (*Fig3Result, bool) {
 		res := new(Fig3Result)
-		err := json.Unmarshal(payload, res)
+		err := store.Unmarshal(payload, res)
 		return res, err == nil && res.Workload == s.ids[0] && len(res.Labels) > 0
 	},
 	describe: func(*Fig3Result) (string, float64, *obs.RecSummary) { return "profiled", 0, nil },

@@ -2,7 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -87,6 +89,126 @@ func TestStoreReportsByteIdentical(t *testing.T) {
 	if coldDone != coldTotal || warmDone != warmTotal {
 		t.Errorf("progress counts did not close: cold %d/%d, warm %d/%d",
 			coldDone, coldTotal, warmDone, warmTotal)
+	}
+}
+
+// TestStoreHealsJSONEntries: a store whose entries hold the JSON
+// payloads of the codec before the binary one — the same keys, framing
+// and StateVersion — is an ordinary miss per entry, healed by the live
+// rerun, which republishes the entry in the binary codec. The next
+// workbench hits every entry, and both passes render the no-store
+// reports byte for byte.
+func TestStoreHealsJSONEntries(t *testing.T) {
+	live, _, _, _ := renderStoredSweep(t, nil)
+	dir := t.TempDir()
+	cold, err := OpenResultStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	renderStoredSweep(t, cold)
+
+	// Rewrite every entry's payload as JSON of the value it holds.
+	paths, err := filepath.Glob(filepath.Join(dir, "*.res"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("cold pass left no entries (%v)", err)
+	}
+	framing := sim.ResultFraming()
+	decode := func(path string) any {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := framing.Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if r, err := sim.DecodeResult(payload); err == nil {
+			return r
+		}
+		if m, err := sim.DecodeMultiResult(payload); err == nil {
+			return m
+		}
+		if f := new(Fig3Result); store.Unmarshal(payload, f) == nil {
+			return f
+		}
+		return nil
+	}
+	for _, path := range paths {
+		v := decode(path)
+		if v == nil {
+			t.Fatalf("%s: no stored shape decodes it", path)
+		}
+		payload, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, framing.Encode(payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	healing, err := OpenResultStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, m, _, _ := renderStoredSweep(t, healing)
+	if out != live {
+		t.Errorf("sweep over JSON entries differs from live:\n--- live ---\n%s\n--- got ---\n%s", live, out)
+	}
+	if h, miss := healing.Hits(), healing.Misses(); h != 0 || miss != int64(len(paths)) {
+		t.Errorf("JSON entries: hits=%d misses=%d, want 0 and %d", h, miss, len(paths))
+	}
+	if _, finished, _, _ := m.Counts(); finished == 0 {
+		t.Error("JSON entries served without live runs")
+	}
+	for _, path := range paths {
+		if decode(path) == nil {
+			t.Errorf("%s: not republished in the binary codec", path)
+		}
+	}
+
+	healed, err := OpenResultStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, m, _, _ = renderStoredSweep(t, healed)
+	if out != live {
+		t.Errorf("sweep over healed entries differs from live:\n--- live ---\n%s\n--- got ---\n%s", live, out)
+	}
+	if h, miss := healed.Hits(), healed.Misses(); h != int64(len(paths)) || miss != 0 {
+		t.Errorf("healed entries: hits=%d misses=%d, want %d and 0", h, miss, len(paths))
+	}
+	if _, finished, _, _ := m.Counts(); finished != 0 {
+		t.Errorf("healed store still ran %d simulations", finished)
+	}
+}
+
+// TestFig3ResultCodec: a Fig. 3 profile round-trips through the store's
+// codec, and its payload is no run result — benchmark code that walks a
+// store's entries tells them apart by DecodeResult failing.
+func TestFig3ResultCodec(t *testing.T) {
+	live := &Fig3Result{Workload: WorkloadID{Kernel: "cc", Graph: "kron"},
+		Labels: []string{"0", "(1e0,1e1]", "(1e5,1e6]"}, Prob: []float64{-1, 0.116, 0.976}, Samples: []int64{0, 12, 1 << 40}}
+	data, err := store.Marshal(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := new(Fig3Result)
+	if err := store.Unmarshal(data, got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, live) {
+		t.Fatalf("round trip: got %+v, want %+v", got, live)
+	}
+	liveJSON, _ := json.Marshal(live)
+	if gotJSON, _ := json.Marshal(got); !bytes.Equal(gotJSON, liveJSON) {
+		t.Errorf("JSON of the decoded profile differs: %s vs %s", gotJSON, liveJSON)
+	}
+	if _, err := sim.DecodeResult(data); err == nil {
+		t.Error("a Fig. 3 payload decoded as a sim.Result")
+	}
+	if _, err := sim.DecodeMultiResult(data); err == nil {
+		t.Error("a Fig. 3 payload decoded as a sim.MultiResult")
 	}
 }
 

@@ -43,8 +43,10 @@ type Store struct {
 	// abandoned (crashed owner) and is removed by the next Acquire.
 	ClaimTTL time.Duration
 
-	mu        sync.Mutex
-	keys      map[string]*sync.Mutex
+	mu sync.Mutex
+	// keys holds the lock of every key some Acquire holds or waits for;
+	// the last of them to release a key drops its entry.
+	keys      map[string]*keyLock
 	maxBytes  int64
 	hits      int64
 	misses    int64
@@ -62,7 +64,7 @@ func Open(dir string, f Framing) (*Store, error) {
 		framing:   f,
 		ClaimWait: 2 * time.Minute,
 		ClaimTTL:  10 * time.Minute,
-		keys:      make(map[string]*sync.Mutex),
+		keys:      make(map[string]*keyLock),
 	}, nil
 }
 
@@ -115,15 +117,37 @@ func (s *Store) Contains(key string) bool {
 	return err == nil
 }
 
-func (s *Store) keyLock(key string) *sync.Mutex {
+// keyLock is one key's single-flight lock; refs counts its holder and
+// waiters, guarded by Store.mu.
+type keyLock struct {
+	sync.Mutex
+	refs int
+}
+
+// lockKey takes the key's single-flight lock, creating it if no one
+// holds or waits for it.
+func (s *Store) lockKey(key string) *keyLock {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	l, ok := s.keys[key]
 	if !ok {
-		l = &sync.Mutex{}
+		l = &keyLock{}
 		s.keys[key] = l
 	}
+	l.refs++
+	s.mu.Unlock()
+	l.Lock()
 	return l
+}
+
+// unlockKey releases the key's lock, dropping it from the table when no
+// one else holds or waits for it.
+func (s *Store) unlockKey(key string, l *keyLock) {
+	l.Unlock()
+	s.mu.Lock()
+	if l.refs--; l.refs == 0 {
+		delete(s.keys, key)
+	}
+	s.mu.Unlock()
 }
 
 // read attempts to load and validate the key's file.
@@ -156,14 +180,13 @@ func (s *Store) read(key string) ([]byte, bool) {
 // removed. All of this is best effort: the worst outcome of any claim
 // race is duplicated computation, never a wrong or missing result.
 func (s *Store) Acquire(key string) (payload []byte, commit func([]byte) error) {
-	l := s.keyLock(key)
-	l.Lock()
+	l := s.lockKey(key)
 	if p, ok := s.read(key); ok {
 		s.mu.Lock()
 		s.hits++
 		s.mu.Unlock()
 		return p, func(p2 []byte) error {
-			defer l.Unlock()
+			defer s.unlockKey(key, l)
 			if p2 == nil {
 				return nil
 			}
@@ -178,7 +201,7 @@ func (s *Store) Acquire(key string) (payload []byte, commit func([]byte) error) 
 			s.hits++
 			s.mu.Unlock()
 			return p, func(p2 []byte) error {
-				defer l.Unlock()
+				defer s.unlockKey(key, l)
 				if p2 == nil {
 					return nil
 				}
@@ -191,7 +214,7 @@ func (s *Store) Acquire(key string) (payload []byte, commit func([]byte) error) 
 	s.misses++
 	s.mu.Unlock()
 	return nil, func(p []byte) error {
-		defer l.Unlock()
+		defer s.unlockKey(key, l)
 		if claimed {
 			defer os.Remove(s.claimPath(key))
 		}

@@ -153,6 +153,47 @@ func TestStoreConcurrentSameKeyWriters(t *testing.T) {
 	}
 }
 
+// TestStoreKeyLocksDropped pins the per-key lock table's size: a
+// long-lived store (gmserved) acquiring ever-new keys must not keep a
+// lock for each, so the last holder or waiter of a key drops it.
+func TestStoreKeyLocksDropped(t *testing.T) {
+	s := openTest(t, t.TempDir())
+	for i := 0; i < 1000; i++ {
+		key := fmt.Sprintf("k%04d", i)
+		payload, commit := s.Acquire(key)
+		if payload != nil {
+			t.Fatalf("%s: fresh key hit", key)
+		}
+		if err := commit([]byte(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Holders and waiters of one key, hits and a miss among them.
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			payload, commit := s.Acquire("shared")
+			if payload == nil {
+				payload = []byte("shared")
+			} else {
+				payload = nil
+			}
+			if err := commit(payload); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	s.mu.Lock()
+	n := len(s.keys)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("lock table holds %d keys after every key was released, want 0", n)
+	}
+}
+
 // TestStoreCrossProcessClaim simulates two processes (two Store handles
 // on one directory): the loser of the claim race waits for the winner's
 // publication and returns it as a hit.
