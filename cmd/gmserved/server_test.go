@@ -367,6 +367,7 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 		{"/api/run", `{"profile":"bench"}`},
 		{"/api/run", `{"profile":"marvel","kernel":"triad","graph":"reg"}`},
 		{"/api/run", `{"profile":"bench","kernel":"triad","graph":"reg","config":"warp-drive"}`},
+		{"/api/run", `{"profile":"bench","kernel":"triad","graph":"reg","warmup":100000,"measure":9223372036854775807}`},
 		{"/api/sweep", `{"profile":"bench","experiments":[]}`},
 		{"/api/sweep", `{"profile":"bench","experiments":["fig99"]}`},
 		{"/api/sweep", `{"profile":"bench","experiments":["prefetch","fig99"]}`},

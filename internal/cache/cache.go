@@ -78,12 +78,9 @@ type Line struct {
 	// itself never reads it — internal/sim stamps it via SetVer in
 	// checked runs only, so unchecked runs pay nothing.
 	Ver uint64
-	// lru is the recency stamp maintained by the cache.
-	lru int64
+	// LRU is the recency stamp maintained by the cache.
+	LRU int64
 }
-
-// Recency returns the line's LRU stamp (for invariant checks).
-func (ln *Line) Recency() int64 { return ln.lru }
 
 // Cache is one set-associative cache structure.
 //
@@ -244,7 +241,7 @@ func (c *Cache) Lookup(blk mem.BlockAddr, addr mem.Addr, size uint8, write, pref
 			}
 		}
 		c.lruClock++
-		ln.lru = c.lruClock
+		ln.LRU = c.lruClock
 		ln.Used |= wm
 		if write {
 			ln.Dirty = true
@@ -360,7 +357,7 @@ func (c *Cache) Fill(blk mem.BlockAddr, addr mem.Addr, size uint8, write, prefet
 		Prefetched: prefetch,
 		ReadyAt:    readyAt,
 		Used:       wordMask(addr, size),
-		lru:        c.lruClock,
+		LRU:        c.lruClock,
 	}
 	c.policy.OnFill(c, blk, set[:lastLOC], way)
 	return v
@@ -381,8 +378,8 @@ func (c *Cache) distillInsert(si int, v Victim) {
 			way = w
 			break
 		}
-		if set[w].lru < best {
-			best = set[w].lru
+		if set[w].LRU < best {
+			best = set[w].LRU
 			way = w
 		}
 	}
@@ -394,7 +391,7 @@ func (c *Cache) distillInsert(si int, v Victim) {
 		WOC:   true,
 		Used:  v.Used,
 		Ver:   v.Ver,
-		lru:   c.lruClock,
+		LRU:   c.lruClock,
 	}
 }
 
@@ -440,7 +437,7 @@ func (c *Cache) SetVer(blk mem.BlockAddr, ver uint64) {
 }
 
 // Clock returns the cache's recency clock (for invariant checks: every
-// line's Recency must be <= Clock, and Clock must never decrease).
+// line's LRU stamp must be <= Clock, and Clock must never decrease).
 func (c *Cache) Clock() int64 { return c.lruClock }
 
 // Occupancy returns the number of valid lines (full and WOC).
@@ -463,6 +460,3 @@ func (c *Cache) ForEachValid(fn func(ln *Line)) {
 		}
 	}
 }
-
-// lruOf returns the recency stamp used by the LRU policy.
-func lruOf(ln *Line) int64 { return ln.lru }

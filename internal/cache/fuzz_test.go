@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"graphmem/internal/mem"
+	"graphmem/internal/store"
 )
 
 // Differential fuzzing for the set-associative cache and the MSHR file,
@@ -163,12 +164,12 @@ func FuzzCacheVsReference(f *testing.F) {
 // compares MSHR against, entry for entry.
 type refMSHR struct {
 	cap     int
-	entries []mshrEntry
+	entries []MSHREntry
 }
 
 func (m *refMSHR) find(blk mem.BlockAddr) int {
 	for i := range m.entries {
-		if m.entries[i].blk == blk {
+		if m.entries[i].Blk == blk {
 			return i
 		}
 	}
@@ -182,7 +183,7 @@ func (m *refMSHR) remove(i int) {
 func (m *refMSHR) purge(now int64) {
 	out := m.entries[:0]
 	for _, e := range m.entries {
-		if e.ready > now {
+		if e.Ready > now {
 			out = append(out, e)
 		}
 	}
@@ -197,7 +198,7 @@ func (m *refMSHR) Outstanding(now int64) int {
 func (m *refMSHR) InFlight(now int64) int {
 	n := 0
 	for i := range m.entries {
-		if m.entries[i].ready > now {
+		if m.entries[i].Ready > now {
 			n++
 		}
 	}
@@ -209,7 +210,7 @@ func (m *refMSHR) Lookup(blk mem.BlockAddr, now int64) (ready int64, inflight bo
 	if i < 0 {
 		return 0, false
 	}
-	ready = m.entries[i].ready
+	ready = m.entries[i].Ready
 	if ready <= now {
 		m.remove(i)
 		return 0, false
@@ -221,10 +222,10 @@ func (m *refMSHR) Allocate(blk mem.BlockAddr, now int64) int64 {
 	m.purge(now)
 	start := now
 	for len(m.entries) >= m.cap {
-		victim, earliest := 0, m.entries[0].ready
+		victim, earliest := 0, m.entries[0].Ready
 		for i := 1; i < len(m.entries); i++ {
-			if m.entries[i].ready < earliest {
-				earliest = m.entries[i].ready
+			if m.entries[i].Ready < earliest {
+				earliest = m.entries[i].Ready
 				victim = i
 			}
 		}
@@ -233,16 +234,16 @@ func (m *refMSHR) Allocate(blk mem.BlockAddr, now int64) int64 {
 			start = earliest
 		}
 	}
-	m.entries = append(m.entries, mshrEntry{blk: blk, ready: 1<<63 - 1})
+	m.entries = append(m.entries, MSHREntry{Blk: blk, Ready: 1<<63 - 1})
 	return start
 }
 
 func (m *refMSHR) Complete(blk mem.BlockAddr, ready int64) {
 	if i := m.find(blk); i >= 0 {
-		m.entries[i].ready = ready
+		m.entries[i].Ready = ready
 		return
 	}
-	m.entries = append(m.entries, mshrEntry{blk: blk, ready: ready})
+	m.entries = append(m.entries, MSHREntry{Blk: blk, Ready: ready})
 }
 
 func (m *refMSHR) Abandon(blk mem.BlockAddr) {
@@ -373,11 +374,10 @@ func FuzzMSHR(f *testing.F) {
 				}
 				m.Complete(blk, now+delay)
 				ref.Complete(blk, now+delay)
-			case 7: // checkpoint round trip; the run continues on the restored file
+			case 7: // checkpoint round trip through the store codec; the run continues on the restored file
 				restored := NewMSHR(capacity)
-				rest, err := restored.decodeState(m.encodeState(nil), "F")
-				if err != nil || len(rest) != 0 {
-					t.Fatalf("op %d: round trip: %d bytes left, err %v", i, len(rest), err)
+				if err := restorePayload(restored, mshrPayload(m.State()...)); err != nil {
+					t.Fatalf("op %d: round trip: %v", i, err)
 				}
 				c.mshr, m = restored, restored
 			}
@@ -400,12 +400,12 @@ func FuzzMSHR(f *testing.F) {
 				if e != ref.entries[j] {
 					t.Fatalf("op %d: entries %v, reference says %v", i, m.entries, ref.entries)
 				}
-				if e.ready < m.minReady {
+				if e.Ready < m.minReady {
 					t.Fatalf("op %d: entry %v below the purge bound %d", i, e, m.minReady)
 				}
 				for _, o := range m.entries[:j] {
-					if o.blk == e.blk {
-						t.Fatalf("op %d: block %d occupies two registers: %v", i, e.blk, m.entries)
+					if o.Blk == e.Blk {
+						t.Fatalf("op %d: block %d occupies two registers: %v", i, e.Blk, m.entries)
 					}
 				}
 			}
@@ -413,26 +413,40 @@ func FuzzMSHR(f *testing.F) {
 	})
 }
 
-// mshrPayload encodes entries the way encodeState does.
-func mshrPayload(entries ...mshrEntry) []byte {
-	return (&MSHR{entries: entries}).encodeState(nil)
+// mshrPayload marshals entries as a warm-up checkpoint carries an MSHR
+// file.
+func mshrPayload(entries ...MSHREntry) []byte {
+	p, err := store.Marshal(&entries)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
-// TestMSHRDecodeRejectsDuplicateBlock: a checkpoint comes from disk, and
-// one that names a block twice would break the uniqueness the
+// restorePayload decodes an mshrPayload and restores it into m.
+func restorePayload(m *MSHR, data []byte) error {
+	var entries []MSHREntry
+	if err := store.Unmarshal(data, &entries); err != nil {
+		return err
+	}
+	return m.Restore(entries)
+}
+
+// TestMSHRRestoreRejectsDuplicateBlock: a checkpoint comes from disk,
+// and one that names a block twice would break the uniqueness the
 // newest-first search relies on. It must be refused, leaving the file
 // empty rather than half restored.
-func TestMSHRDecodeRejectsDuplicateBlock(t *testing.T) {
+func TestMSHRRestoreRejectsDuplicateBlock(t *testing.T) {
 	m := NewMSHR(4)
-	if _, err := m.decodeState(mshrPayload(mshrEntry{7, 100}, mshrEntry{9, 120}, mshrEntry{7, 140}), "T"); err == nil {
-		t.Fatal("payload naming block 7 twice was accepted")
+	if err := m.Restore([]MSHREntry{{7, 100}, {9, 120}, {7, 140}}); err == nil {
+		t.Fatal("state naming block 7 twice was accepted")
 	}
 	if m.Len() != 0 {
-		t.Fatalf("rejected payload left %d entries behind", m.Len())
+		t.Fatalf("rejected state left %d entries behind", m.Len())
 	}
 	// The same blocks once each restore, and the first purge after a
 	// restore scans rather than trusting a bound it has not computed.
-	if _, err := m.decodeState(mshrPayload(mshrEntry{7, 100}, mshrEntry{9, 120}), "T"); err != nil {
+	if err := m.Restore([]MSHREntry{{7, 100}, {9, 120}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Outstanding(110); got != 1 {
@@ -440,20 +454,20 @@ func TestMSHRDecodeRejectsDuplicateBlock(t *testing.T) {
 	}
 }
 
-// FuzzMSHRDecodeState feeds decodeState arbitrary bytes: it must not
-// panic, and whatever it accepts must fit the file, name no block twice
-// and re-encode to exactly the bytes it consumed.
-func FuzzMSHRDecodeState(f *testing.F) {
+// FuzzMSHRRestore feeds arbitrary bytes through the store codec into
+// Restore: it must not panic, and whatever it accepts must fit the
+// file, name no block twice and re-marshal to exactly its input.
+func FuzzMSHRRestore(f *testing.F) {
 	f.Add(mshrPayload())
-	f.Add(mshrPayload(mshrEntry{1, 10}, mshrEntry{2, 1<<63 - 1}))
-	f.Add(mshrPayload(mshrEntry{7, 100}, mshrEntry{9, 120}, mshrEntry{7, 140}))                             // duplicate block
-	f.Add(mshrPayload(mshrEntry{1, 1}, mshrEntry{2, 2}, mshrEntry{3, 3}, mshrEntry{4, 4}, mshrEntry{5, 5})) // over capacity
-	f.Add(mshrPayload(mshrEntry{1, 10}, mshrEntry{2, 20})[:20])                                             // truncated
+	f.Add(mshrPayload([]MSHREntry{}...))
+	f.Add(mshrPayload(MSHREntry{1, 10}, MSHREntry{2, 1<<63 - 1}))
+	f.Add(mshrPayload(MSHREntry{7, 100}, MSHREntry{9, 120}, MSHREntry{7, 140}))                             // duplicate block
+	f.Add(mshrPayload(MSHREntry{1, 1}, MSHREntry{2, 2}, MSHREntry{3, 3}, MSHREntry{4, 4}, MSHREntry{5, 5})) // over capacity
+	f.Add(mshrPayload(MSHREntry{1, 10}, MSHREntry{2, 20})[:12])                                             // truncated
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := NewMSHR(4)
-		rest, err := m.decodeState(data, "F")
-		if err != nil {
+		if restorePayload(m, data) != nil {
 			return
 		}
 		if m.Len() > m.Capacity() {
@@ -461,13 +475,13 @@ func FuzzMSHRDecodeState(f *testing.F) {
 		}
 		for j, e := range m.entries {
 			for _, o := range m.entries[:j] {
-				if o.blk == e.blk {
-					t.Fatalf("accepted block %d twice: %v", e.blk, m.entries)
+				if o.Blk == e.Blk {
+					t.Fatalf("accepted block %d twice: %v", e.Blk, m.entries)
 				}
 			}
 		}
-		if consumed := data[:len(data)-len(rest)]; string(m.encodeState(nil)) != string(consumed) {
-			t.Fatalf("re-encoded %x, consumed %x", m.encodeState(nil), consumed)
+		if got := mshrPayload(m.State()...); string(got) != string(data) {
+			t.Fatalf("re-marshalled %x, input %x", got, data)
 		}
 	})
 }

@@ -1,17 +1,17 @@
 package cache
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
 	"graphmem/internal/mem"
 )
 
-// mshrEntry is one outstanding miss: the block and its fill-ready time.
-type mshrEntry struct {
-	blk   mem.BlockAddr
-	ready int64
+// MSHREntry is one outstanding miss: the block and its fill-ready time.
+type MSHREntry struct {
+	Blk   mem.BlockAddr
+	Ready int64
 }
 
 // MSHR models a cache's Miss Status Holding Registers with the two
@@ -37,14 +37,14 @@ type mshrEntry struct {
 //     stale-low, which costs one scan and never a wrong answer.
 //   - a block occupies at most one register: callers Allocate only
 //     after a Lookup that reported no outstanding miss, Complete
-//     appends only when the block is absent, and decodeState rejects a
-//     payload that names a block twice. find may therefore search
+//     appends only when the block is absent, and Restore refuses a
+//     state that names a block twice. find may therefore search
 //     newest-first — the entry Complete and Lookup almost always want —
-//     and return the same index an oldest-first search would. ForEach
+//     and return the same index an oldest-first search would. State
 //     lets the invariant checker (internal/check) hold callers to it.
 type MSHR struct {
 	cap      int
-	entries  []mshrEntry
+	entries  []MSHREntry
 	minReady int64
 	// tap, when non-nil, receives allocation/stall telemetry for the
 	// flight recorder; level identifies the owning cache. Both are set
@@ -59,7 +59,7 @@ func NewMSHR(capacity int) *MSHR {
 	if capacity <= 0 {
 		panic("cache: MSHR capacity must be positive")
 	}
-	return &MSHR{cap: capacity, entries: make([]mshrEntry, 0, capacity), minReady: math.MaxInt64}
+	return &MSHR{cap: capacity, entries: make([]MSHREntry, 0, capacity), minReady: math.MaxInt64}
 }
 
 // Capacity returns the number of registers.
@@ -78,7 +78,7 @@ func (m *MSHR) SetTap(t mem.Tap, level mem.ServedBy) {
 func (m *MSHR) InFlight(now int64) int {
 	n := 0
 	for i := range m.entries {
-		if m.entries[i].ready > now {
+		if m.entries[i].Ready > now {
 			n++
 		}
 	}
@@ -91,19 +91,11 @@ func (m *MSHR) InFlight(now int64) int {
 // Allocate guarantees Len never exceeds Capacity.
 func (m *MSHR) Len() int { return len(m.entries) }
 
-// ForEach calls fn for every allocated entry, oldest first, without
-// mutating state.
-func (m *MSHR) ForEach(fn func(blk mem.BlockAddr, ready int64)) {
-	for _, e := range m.entries {
-		fn(e.blk, e.ready)
-	}
-}
-
 // find returns the index of blk's entry, -1 when absent. It searches
 // newest-first; see the uniqueness invariant on MSHR.
 func (m *MSHR) find(blk mem.BlockAddr) int {
 	for i := len(m.entries) - 1; i >= 0; i-- {
-		if m.entries[i].blk == blk {
+		if m.entries[i].Blk == blk {
 			return i
 		}
 	}
@@ -130,10 +122,10 @@ func (m *MSHR) purge(now int64) {
 	out := m.entries[:0]
 	minReady := int64(math.MaxInt64)
 	for _, e := range m.entries {
-		if e.ready > now {
+		if e.Ready > now {
 			out = append(out, e)
-			if e.ready < minReady {
-				minReady = e.ready
+			if e.Ready < minReady {
+				minReady = e.Ready
 			}
 		}
 	}
@@ -154,7 +146,7 @@ func (m *MSHR) Lookup(blk mem.BlockAddr, now int64) (ready int64, inflight bool)
 	if i < 0 {
 		return 0, false
 	}
-	ready = m.entries[i].ready
+	ready = m.entries[i].Ready
 	if ready <= now {
 		m.remove(i)
 		return 0, false
@@ -170,10 +162,10 @@ func (m *MSHR) Allocate(blk mem.BlockAddr, now int64) int64 {
 	m.purge(now)
 	start := now
 	for len(m.entries) >= m.cap {
-		victim, earliest := 0, m.entries[0].ready
+		victim, earliest := 0, m.entries[0].Ready
 		for i := 1; i < len(m.entries); i++ {
-			if m.entries[i].ready < earliest {
-				earliest = m.entries[i].ready
+			if m.entries[i].Ready < earliest {
+				earliest = m.entries[i].Ready
 				victim = i
 			}
 		}
@@ -191,7 +183,7 @@ func (m *MSHR) Allocate(blk mem.BlockAddr, now int64) int64 {
 	// The entry's ready time is set by Complete once the downstream
 	// latency is known; reserve with a placeholder in the far future so
 	// concurrent allocations see the slot as busy.
-	m.entries = append(m.entries, mshrEntry{blk: blk, ready: math.MaxInt64})
+	m.entries = append(m.entries, MSHREntry{Blk: blk, Ready: math.MaxInt64})
 	return start
 }
 
@@ -201,10 +193,10 @@ func (m *MSHR) Complete(blk mem.BlockAddr, ready int64) {
 		m.minReady = ready
 	}
 	if i := m.find(blk); i >= 0 {
-		m.entries[i].ready = ready
+		m.entries[i].Ready = ready
 		return
 	}
-	m.entries = append(m.entries, mshrEntry{blk: blk, ready: ready})
+	m.entries = append(m.entries, MSHREntry{Blk: blk, Ready: ready})
 }
 
 // Abandon releases a reservation without a fill (e.g. the request was
@@ -215,42 +207,33 @@ func (m *MSHR) Abandon(blk mem.BlockAddr) {
 	}
 }
 
-// encodeState appends the register file's contents (entry count, then
-// each block and ready time). After a pure functional warm-up the file
-// is empty — warming never allocates registers — but the checkpoint
-// serializes it anyway so resume identity holds by construction.
-func (m *MSHR) encodeState(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.entries)))
-	for i := range m.entries {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(m.entries[i].blk))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(m.entries[i].ready))
-	}
-	return buf
-}
+// State returns the register file's contents, oldest allocation first.
+// The slice is the file's own storage: read it (or marshal it) before
+// the MSHR moves again, never write it. After a pure functional warm-up
+// the file is empty — warming never allocates registers — but a warm-up
+// checkpoint carries it anyway so resume identity holds by
+// construction.
+func (m *MSHR) State() []MSHREntry { return m.entries }
 
-// decodeState restores state written by encodeState.
-func (m *MSHR) decodeState(data []byte, owner string) ([]byte, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("cache %s: MSHR checkpoint truncated", owner)
-	}
-	n := int(binary.LittleEndian.Uint32(data))
-	data = data[4:]
-	if n > m.cap || len(data) < 16*n {
-		return nil, fmt.Errorf("cache %s: MSHR checkpoint truncated or over capacity", owner)
-	}
+// Restore replaces the register file's contents with entries. It
+// refuses a nil state (a cache without MSHRs), more entries than
+// registers and a block named twice, leaving the file empty rather than
+// half restored.
+func (m *MSHR) Restore(entries []MSHREntry) error {
 	m.entries = m.entries[:0]
 	m.minReady = math.MinInt64 // unknown: the next purge scans
-	for i := 0; i < n; i++ {
-		blk := mem.BlockAddr(binary.LittleEndian.Uint64(data))
-		if m.find(blk) >= 0 {
-			m.entries = m.entries[:0]
-			return nil, fmt.Errorf("cache %s: MSHR checkpoint names block %#x twice", owner, uint64(blk))
-		}
-		m.entries = append(m.entries, mshrEntry{
-			blk:   blk,
-			ready: int64(binary.LittleEndian.Uint64(data[8:])),
-		})
-		data = data[16:]
+	if entries == nil {
+		return errors.New("no MSHR state")
 	}
-	return data, nil
+	if len(entries) > m.cap {
+		return fmt.Errorf("MSHR state holds %d entries, %d registers", len(entries), m.cap)
+	}
+	for _, e := range entries {
+		if m.find(e.Blk) >= 0 {
+			m.entries = m.entries[:0]
+			return fmt.Errorf("MSHR state names block %#x twice", uint64(e.Blk))
+		}
+		m.entries = append(m.entries, e)
+	}
+	return nil
 }

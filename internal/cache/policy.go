@@ -25,7 +25,7 @@ type LRU struct{}
 func (LRU) Victim(c *Cache, blk mem.BlockAddr, set []Line) int {
 	way, best := 0, int64(1<<63-1)
 	for w := range set {
-		if s := lruOf(&set[w]); s < best {
+		if s := set[w].LRU; s < best {
 			best = s
 			way = w
 		}
@@ -74,7 +74,7 @@ func (t *TOPT) Victim(c *Cache, blk mem.BlockAddr, set []Line) int {
 	bestLRU := int64(1<<63 - 1)
 	for w := range set {
 		r := int(t.Oracle.Rank(set[w].Blk))
-		s := lruOf(&set[w])
+		s := set[w].LRU
 		if r > bestRank || (r == bestRank && s < bestLRU) {
 			bestRank = r
 			bestLRU = s

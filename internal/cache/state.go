@@ -1,90 +1,48 @@
-// The µarch-state codec behind the sampling engine's warm-up
-// checkpoints (internal/sim/checkpoint.go): a cache's complete
-// replaceable state in, the same state out.
+// The replaceable state behind the sampling engine's warm-up
+// checkpoints (internal/sim/checkpoint.go): what a cache holds, read out
+// and put back. The store's codec (store.Marshal) carries it.
 
 package cache
 
-import (
-	"encoding/binary"
-	"fmt"
+import "fmt"
 
-	"graphmem/internal/mem"
-)
-
-// lineBytes is the serialized size of one Line: block address, packed
-// flags, fill time, used-word mask, RRPV, checker version, LRU stamp.
-const lineBytes = 8 + 1 + 8 + 2 + 1 + 8 + 8
-
-// EncodeState appends the cache's complete replaceable state — the LRU
-// clock and every line's fields, including ones that are provably zero
-// after a pure functional warm-up (ReadyAt, Prefetched) — to buf.
-// Serializing everything rather than the warm-reachable subset is what
-// makes the checkpoint round-trip byte-identical by construction
-// instead of by argument.
-func (c *Cache) EncodeState(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.lines)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.lruClock))
-	for i := range c.lines {
-		ln := &c.lines[i]
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(ln.Blk))
-		var flags byte
-		if ln.Valid {
-			flags |= 1
-		}
-		if ln.Dirty {
-			flags |= 2
-		}
-		if ln.Prefetched {
-			flags |= 4
-		}
-		if ln.WOC {
-			flags |= 8
-		}
-		buf = append(buf, flags)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(ln.ReadyAt))
-		buf = binary.LittleEndian.AppendUint16(buf, ln.Used)
-		buf = append(buf, ln.RRPV)
-		buf = binary.LittleEndian.AppendUint64(buf, ln.Ver)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(ln.lru))
-	}
-	if c.mshr != nil {
-		buf = c.mshr.encodeState(buf)
-	}
-	return buf
+// State is a cache's complete replaceable state: the LRU clock, every
+// line — including fields that are provably zero after a pure
+// functional warm-up (ReadyAt, Prefetched) — and the MSHR file (nil for
+// a cache without one). Carrying everything rather than the
+// warm-reachable subset is what makes a restore identical to the
+// captured cache by construction instead of by argument.
+type State struct {
+	Clock int64
+	Lines []Line
+	MSHR  []MSHREntry
 }
 
-// DecodeState restores state written by EncodeState, rejecting a
-// geometry mismatch, and returns the remaining bytes.
-func (c *Cache) DecodeState(data []byte) ([]byte, error) {
-	if len(data) < 4+8 {
-		return nil, fmt.Errorf("cache %s: checkpoint truncated", c.cfg.Name)
+// State returns the cache's state. Its slices are the cache's own
+// slabs: read it (or marshal it) before the cache moves again, never
+// write it.
+func (c *Cache) State() State {
+	s := State{Clock: c.lruClock, Lines: c.lines}
+	if c.mshr != nil {
+		s.MSHR = c.mshr.State()
 	}
-	n := int(binary.LittleEndian.Uint32(data))
-	if n != len(c.lines) {
-		return nil, fmt.Errorf("cache %s: checkpoint geometry mismatch: %d lines, have %d", c.cfg.Name, n, len(c.lines))
-	}
-	c.lruClock = int64(binary.LittleEndian.Uint64(data[4:]))
-	data = data[12:]
-	if len(data) < n*lineBytes {
-		return nil, fmt.Errorf("cache %s: checkpoint truncated", c.cfg.Name)
-	}
-	for i := range c.lines {
-		ln := &c.lines[i]
-		ln.Blk = mem.BlockAddr(binary.LittleEndian.Uint64(data))
-		flags := data[8]
-		ln.Valid = flags&1 != 0
-		ln.Dirty = flags&2 != 0
-		ln.Prefetched = flags&4 != 0
-		ln.WOC = flags&8 != 0
-		ln.ReadyAt = int64(binary.LittleEndian.Uint64(data[9:]))
-		ln.Used = binary.LittleEndian.Uint16(data[17:])
-		ln.RRPV = data[19]
-		ln.Ver = binary.LittleEndian.Uint64(data[20:])
-		ln.lru = int64(binary.LittleEndian.Uint64(data[28:]))
-		data = data[lineBytes:]
+	return s
+}
+
+// Restore replaces the cache's state with s, refusing a state captured
+// from another geometry.
+func (c *Cache) Restore(s State) error {
+	if len(s.Lines) != len(c.lines) {
+		return fmt.Errorf("cache %s: state of %d lines for %d", c.cfg.Name, len(s.Lines), len(c.lines))
 	}
 	if c.mshr != nil {
-		return c.mshr.decodeState(data, c.cfg.Name)
+		if err := c.mshr.Restore(s.MSHR); err != nil {
+			return fmt.Errorf("cache %s: %w", c.cfg.Name, err)
+		}
+	} else if s.MSHR != nil {
+		return fmt.Errorf("cache %s: MSHR state for a cache without MSHRs", c.cfg.Name)
 	}
-	return data, nil
+	c.lruClock = s.Clock
+	copy(c.lines, s.Lines)
+	return nil
 }

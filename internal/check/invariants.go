@@ -42,9 +42,9 @@ func (k *Checker) CheckCache(name string, c *cache.Cache) {
 		clear(k.seen)
 	}
 	c.ForEachValid(func(ln *cache.Line) {
-		if ln.Recency() > clock {
+		if ln.LRU > clock {
 			k.Violate(Violation{Kind: "invariant", Core: -1, Blk: ln.Blk,
-				Msg: fmt.Sprintf("%s: line recency %d ahead of clock %d", name, ln.Recency(), clock)})
+				Msg: fmt.Sprintf("%s: line recency %d ahead of clock %d", name, ln.LRU, clock)})
 		}
 		if ln.WOC {
 			return
@@ -62,13 +62,13 @@ func (k *Checker) CheckCache(name string, c *cache.Cache) {
 				Msg: fmt.Sprintf("%s: MSHR holds %d entries, capacity %d", name, m.Len(), m.Capacity())})
 		}
 		clear(k.seen)
-		m.ForEach(func(blk mem.BlockAddr, _ int64) {
-			if _, dup := k.seen[blk]; dup {
-				k.Violate(Violation{Kind: "invariant", Core: -1, Blk: blk,
+		for _, e := range m.State() {
+			if _, dup := k.seen[e.Blk]; dup {
+				k.Violate(Violation{Kind: "invariant", Core: -1, Blk: e.Blk,
 					Msg: fmt.Sprintf("%s: block occupies two MSHRs", name)})
 			}
-			k.seen[blk] = struct{}{}
-		})
+			k.seen[e.Blk] = struct{}{}
+		}
 	}
 }
 

@@ -18,7 +18,6 @@
 package coherence
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -70,12 +69,14 @@ func DefaultConfig(n int) Config {
 	return Config{EntriesPerCore: 128, Ways: 8, Cores: n, Latency: 1}
 }
 
-type dirEntry struct {
-	blk     mem.BlockAddr
-	state   State
-	sharers uint64
-	valid   bool
-	lru     int64
+// DirEntry is one directory slot: the block, its MESI state, the
+// sharer bit vector and the LRU stamp.
+type DirEntry struct {
+	Blk     mem.BlockAddr
+	State   State
+	Sharers uint64
+	Valid   bool
+	LRU     int64
 }
 
 // EvictFunc is called when a directory replacement pushes out an entry:
@@ -87,7 +88,7 @@ type EvictFunc func(blk mem.BlockAddr, sharers uint64)
 // scan stays on adjacent host cache lines.
 type SDCDir struct {
 	cfg     Config
-	entries []dirEntry // nsets x ways slab, set-major
+	entries []DirEntry // nsets x ways slab, set-major
 	ways    int
 	setMask uint64
 	clock   int64
@@ -113,7 +114,7 @@ func New(cfg Config, onEvict EvictFunc) *SDCDir {
 	}
 	return &SDCDir{
 		cfg:     cfg,
-		entries: make([]dirEntry, nsets*cfg.Ways),
+		entries: make([]DirEntry, nsets*cfg.Ways),
 		ways:    cfg.Ways,
 		setMask: uint64(nsets - 1),
 		onEvict: onEvict,
@@ -121,7 +122,7 @@ func New(cfg Config, onEvict EvictFunc) *SDCDir {
 }
 
 // set returns the ways holding blk's set.
-func (d *SDCDir) set(blk mem.BlockAddr) []dirEntry {
+func (d *SDCDir) set(blk mem.BlockAddr) []DirEntry {
 	si := int(uint64(blk) & d.setMask)
 	return d.entries[si*d.ways : (si+1)*d.ways]
 }
@@ -132,10 +133,10 @@ func (d *SDCDir) Config() Config { return d.cfg }
 // Latency returns the lookup latency in cycles.
 func (d *SDCDir) Latency() int64 { return d.cfg.Latency }
 
-func (d *SDCDir) find(blk mem.BlockAddr) *dirEntry {
+func (d *SDCDir) find(blk mem.BlockAddr) *DirEntry {
 	set := d.set(blk)
 	for w := range set {
-		if set[w].valid && set[w].blk == blk {
+		if set[w].Valid && set[w].Blk == blk {
 			return &set[w]
 		}
 	}
@@ -148,9 +149,9 @@ func (d *SDCDir) Lookup(blk mem.BlockAddr) (sharers uint64, state State, ok bool
 	d.Lookups++
 	if e := d.find(blk); e != nil {
 		d.clock++
-		e.lru = d.clock
+		e.LRU = d.clock
 		d.Hits++
-		return e.sharers, e.state, true
+		return e.Sharers, e.State, true
 	}
 	return 0, Invalid, false
 }
@@ -161,7 +162,7 @@ func (d *SDCDir) Lookup(blk mem.BlockAddr) (sharers uint64, state State, ok bool
 // the checked-vs-unchecked counter identity).
 func (d *SDCDir) Probe(blk mem.BlockAddr) (sharers uint64, state State, ok bool) {
 	if e := d.find(blk); e != nil {
-		return e.sharers, e.state, true
+		return e.Sharers, e.State, true
 	}
 	return 0, Invalid, false
 }
@@ -177,46 +178,46 @@ func (d *SDCDir) AddSharer(blk mem.BlockAddr, coreID int, exclusiveWrite bool) {
 		e = d.allocate(blk)
 	}
 	d.clock++
-	e.lru = d.clock
+	e.LRU = d.clock
 	if exclusiveWrite {
-		e.sharers = 1 << coreID
-		e.state = Modified
+		e.Sharers = 1 << coreID
+		e.State = Modified
 		return
 	}
-	e.sharers |= 1 << coreID
-	if e.state == Invalid {
-		e.state = Exclusive
-	} else if e.state == Exclusive && bits.OnesCount64(e.sharers) > 1 {
-		e.state = Shared
-	} else if e.state == Modified && bits.OnesCount64(e.sharers) > 1 {
+	e.Sharers |= 1 << coreID
+	if e.State == Invalid {
+		e.State = Exclusive
+	} else if e.State == Exclusive && bits.OnesCount64(e.Sharers) > 1 {
+		e.State = Shared
+	} else if e.State == Modified && bits.OnesCount64(e.Sharers) > 1 {
 		// A read joined a modified line: it was downgraded by the
 		// caller's writeback; track as Shared.
-		e.state = Shared
+		e.State = Shared
 	}
 }
 
-func (d *SDCDir) allocate(blk mem.BlockAddr) *dirEntry {
+func (d *SDCDir) allocate(blk mem.BlockAddr) *DirEntry {
 	set := d.set(blk)
 	way, best := 0, int64(1<<63-1)
 	for w := range set {
-		if !set[w].valid {
+		if !set[w].Valid {
 			way = w
 			best = -1
 			break
 		}
-		if set[w].lru < best {
-			best = set[w].lru
+		if set[w].LRU < best {
+			best = set[w].LRU
 			way = w
 		}
 	}
 	v := &set[way]
-	if v.valid {
+	if v.Valid {
 		d.Evictions++
-		if d.onEvict != nil && v.sharers != 0 {
-			d.onEvict(v.blk, v.sharers)
+		if d.onEvict != nil && v.Sharers != 0 {
+			d.onEvict(v.Blk, v.Sharers)
 		}
 	}
-	*v = dirEntry{blk: blk, state: Invalid, valid: true}
+	*v = DirEntry{Blk: blk, State: Invalid, Valid: true}
 	return v
 }
 
@@ -227,9 +228,9 @@ func (d *SDCDir) RemoveSharer(blk mem.BlockAddr, coreID int) {
 	if e == nil {
 		return
 	}
-	e.sharers &^= 1 << coreID
-	if e.sharers == 0 {
-		e.valid = false
+	e.Sharers &^= 1 << coreID
+	if e.Sharers == 0 {
+		e.Valid = false
 	}
 }
 
@@ -241,8 +242,8 @@ func (d *SDCDir) InvalidateAll(blk mem.BlockAddr) (sharers uint64, state State) 
 	if e == nil {
 		return 0, Invalid
 	}
-	sharers, state = e.sharers, e.state
-	e.valid = false
+	sharers, state = e.Sharers, e.State
+	e.Valid = false
 	return sharers, state
 }
 
@@ -250,7 +251,7 @@ func (d *SDCDir) InvalidateAll(blk mem.BlockAddr) (sharers uint64, state State) 
 func (d *SDCDir) Occupancy() int {
 	n := 0
 	for i := range d.entries {
-		if d.entries[i].valid {
+		if d.entries[i].Valid {
 			n++
 		}
 	}
@@ -260,55 +261,31 @@ func (d *SDCDir) Occupancy() int {
 // ForEach iterates valid entries; used by invariant tests.
 func (d *SDCDir) ForEach(fn func(blk mem.BlockAddr, sharers uint64, state State)) {
 	for i := range d.entries {
-		if e := &d.entries[i]; e.valid {
-			fn(e.blk, e.sharers, e.state)
+		if e := &d.entries[i]; e.Valid {
+			fn(e.Blk, e.Sharers, e.State)
 		}
 	}
 }
 
-// EncodeState appends the directory's clock and every entry to buf.
-func (d *SDCDir) EncodeState(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.entries)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.clock))
-	for i := range d.entries {
-		e := &d.entries[i]
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.blk))
-		buf = append(buf, byte(e.state))
-		buf = binary.LittleEndian.AppendUint64(buf, e.sharers)
-		if e.valid {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.lru))
-	}
-	return buf
+// DirState is the directory's replaceable state: the LRU clock and
+// every slot.
+type DirState struct {
+	Clock   int64
+	Entries []DirEntry
 }
 
-// DecodeState restores state written by EncodeState, rejecting a
-// geometry mismatch, and returns the remaining bytes.
-func (d *SDCDir) DecodeState(data []byte) ([]byte, error) {
-	if len(data) < 4+8 {
-		return nil, fmt.Errorf("coherence: SDCDir checkpoint truncated")
+// State returns the directory's state. Entries is the directory's own
+// slab: read it (or marshal it) before the directory moves again, never
+// write it.
+func (d *SDCDir) State() DirState { return DirState{Clock: d.clock, Entries: d.entries} }
+
+// Restore replaces the directory's state with s, refusing a state
+// captured from another geometry.
+func (d *SDCDir) Restore(s DirState) error {
+	if len(s.Entries) != len(d.entries) {
+		return fmt.Errorf("coherence: SDCDir state of %d entries for %d", len(s.Entries), len(d.entries))
 	}
-	n := int(binary.LittleEndian.Uint32(data))
-	if n != len(d.entries) {
-		return nil, fmt.Errorf("coherence: SDCDir checkpoint geometry mismatch: %d entries, have %d", n, len(d.entries))
-	}
-	d.clock = int64(binary.LittleEndian.Uint64(data[4:]))
-	data = data[12:]
-	const entryBytes = 8 + 1 + 8 + 1 + 8
-	if len(data) < n*entryBytes {
-		return nil, fmt.Errorf("coherence: SDCDir checkpoint truncated")
-	}
-	for i := range d.entries {
-		e := &d.entries[i]
-		e.blk = mem.BlockAddr(binary.LittleEndian.Uint64(data))
-		e.state = State(data[8])
-		e.sharers = binary.LittleEndian.Uint64(data[9:])
-		e.valid = data[17] != 0
-		e.lru = int64(binary.LittleEndian.Uint64(data[18:]))
-		data = data[entryBytes:]
-	}
-	return data, nil
+	d.clock = s.Clock
+	copy(d.entries, s.Entries)
+	return nil
 }

@@ -7,7 +7,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -39,12 +38,14 @@ func DefaultLPConfig() LPConfig {
 	return LPConfig{Entries: 32, Ways: 8, Tau: 8}
 }
 
-type lpEntry struct {
-	tag   uint64
-	addr  mem.BlockAddr
-	sAcc  uint64
-	valid bool
-	lru   int64
+// LPEntry is one prediction-table slot: the PC tag, the last block its
+// PC touched, the accumulated stride and the LRU stamp.
+type LPEntry struct {
+	Tag   uint64
+	Addr  mem.BlockAddr
+	SAcc  uint64
+	Valid bool
+	LRU   int64
 }
 
 // LP is the Large Predictor: a small PC-indexed set-associative table.
@@ -54,7 +55,7 @@ type lpEntry struct {
 // An access predicts cache-averse when its entry's s_acc >= τ_glob.
 type LP struct {
 	cfg     LPConfig
-	entries []lpEntry // nsets x ways slab, set-major
+	entries []LPEntry // nsets x ways slab, set-major
 	ways    int
 	nsets   int
 	setBits uint
@@ -75,7 +76,7 @@ func NewLP(cfg LPConfig) *LP {
 	}
 	return &LP{
 		cfg:     cfg,
-		entries: make([]lpEntry, cfg.Entries),
+		entries: make([]LPEntry, cfg.Entries),
 		ways:    cfg.Ways,
 		nsets:   nsets,
 		setBits: uint(bits.TrailingZeros(uint(nsets))),
@@ -83,7 +84,7 @@ func NewLP(cfg LPConfig) *LP {
 }
 
 // set returns the ways of set si as a slice into the slab.
-func (lp *LP) set(si int) []lpEntry {
+func (lp *LP) set(si int) []LPEntry {
 	return lp.entries[si*lp.ways : (si+1)*lp.ways]
 }
 
@@ -107,8 +108,8 @@ func (lp *LP) Predict(pc uint64) bool {
 	si, tag := lp.split(pc)
 	set := lp.set(si)
 	for w := range set {
-		if set[w].valid && set[w].tag == tag {
-			return set[w].sAcc >= lp.cfg.Tau
+		if set[w].Valid && set[w].Tag == tag {
+			return set[w].SAcc >= lp.cfg.Tau
 		}
 	}
 	return false
@@ -125,29 +126,29 @@ func (lp *LP) PredictAndUpdate(pc uint64, blk mem.BlockAddr) bool {
 	lp.clock++
 	for w := range set {
 		e := &set[w]
-		if !e.valid || e.tag != tag {
+		if !e.Valid || e.Tag != tag {
 			continue
 		}
-		averse := e.sAcc >= lp.cfg.Tau
+		averse := e.SAcc >= lp.cfg.Tau
 		if averse {
 			lp.PredAverse++
 		} else {
 			lp.PredFriendly++
 		}
-		// Update: s = |v@ - entry.addr|; s_acc = (s_acc + s) >> 1.
+		// Update: s = |v@ - entry.Addr|; s_acc = (s_acc + s) >> 1.
 		var s uint64
-		if blk >= e.addr {
-			s = uint64(blk - e.addr)
+		if blk >= e.Addr {
+			s = uint64(blk - e.Addr)
 		} else {
-			s = uint64(e.addr - blk)
+			s = uint64(e.Addr - blk)
 		}
-		acc := e.sAcc + s
+		acc := e.SAcc + s
 		if acc > sAccMax {
 			acc = sAccMax
 		}
-		e.sAcc = acc >> 1
-		e.addr = blk
-		e.lru = lp.clock
+		e.SAcc = acc >> 1
+		e.Addr = blk
+		e.LRU = lp.clock
 		return averse
 	}
 	// Table miss: friendly prediction + allocation (tag, addr=v@,
@@ -156,16 +157,16 @@ func (lp *LP) PredictAndUpdate(pc uint64, blk mem.BlockAddr) bool {
 	lp.PredFriendly++
 	way, best := 0, int64(1<<63-1)
 	for w := range set {
-		if !set[w].valid {
+		if !set[w].Valid {
 			way = w
 			break
 		}
-		if set[w].lru < best {
-			best = set[w].lru
+		if set[w].LRU < best {
+			best = set[w].LRU
 			way = w
 		}
 	}
-	set[way] = lpEntry{tag: tag, addr: blk, sAcc: 0, valid: true, lru: lp.clock}
+	set[way] = LPEntry{Tag: tag, Addr: blk, SAcc: 0, Valid: true, LRU: lp.clock}
 	return false
 }
 
@@ -175,56 +176,32 @@ func (lp *LP) SAcc(pc uint64) (uint64, bool) {
 	si, tag := lp.split(pc)
 	set := lp.set(si)
 	for w := range set {
-		if e := &set[w]; e.valid && e.tag == tag {
-			return e.sAcc, true
+		if e := &set[w]; e.Valid && e.Tag == tag {
+			return e.SAcc, true
 		}
 	}
 	return 0, false
 }
 
-// EncodeState appends the predictor's clock and table to buf.
-func (lp *LP) EncodeState(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(lp.entries)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(lp.clock))
-	for i := range lp.entries {
-		e := &lp.entries[i]
-		buf = binary.LittleEndian.AppendUint64(buf, e.tag)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.addr))
-		buf = binary.LittleEndian.AppendUint64(buf, e.sAcc)
-		if e.valid {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.lru))
-	}
-	return buf
+// LPState is the predictor's replaceable state: the LRU clock and the
+// table.
+type LPState struct {
+	Clock   int64
+	Entries []LPEntry
 }
 
-// DecodeState restores state written by EncodeState, rejecting a
-// geometry mismatch, and returns the remaining bytes.
-func (lp *LP) DecodeState(data []byte) ([]byte, error) {
-	if len(data) < 4+8 {
-		return nil, fmt.Errorf("core: LP checkpoint truncated")
+// State returns the predictor's state. Entries is the predictor's own
+// slab: read it (or marshal it) before the predictor moves again, never
+// write it.
+func (lp *LP) State() LPState { return LPState{Clock: lp.clock, Entries: lp.entries} }
+
+// Restore replaces the predictor's state with s, refusing a state
+// captured from another geometry.
+func (lp *LP) Restore(s LPState) error {
+	if len(s.Entries) != len(lp.entries) {
+		return fmt.Errorf("core: LP state of %d entries for %d", len(s.Entries), len(lp.entries))
 	}
-	n := int(binary.LittleEndian.Uint32(data))
-	if n != len(lp.entries) {
-		return nil, fmt.Errorf("core: LP checkpoint geometry mismatch: %d entries, have %d", n, len(lp.entries))
-	}
-	lp.clock = int64(binary.LittleEndian.Uint64(data[4:]))
-	data = data[12:]
-	const entryBytes = 8 + 8 + 8 + 1 + 8
-	if len(data) < n*entryBytes {
-		return nil, fmt.Errorf("core: LP checkpoint truncated")
-	}
-	for i := range lp.entries {
-		e := &lp.entries[i]
-		e.tag = binary.LittleEndian.Uint64(data)
-		e.addr = mem.BlockAddr(binary.LittleEndian.Uint64(data[8:]))
-		e.sAcc = binary.LittleEndian.Uint64(data[16:])
-		e.valid = data[24] != 0
-		e.lru = int64(binary.LittleEndian.Uint64(data[25:]))
-		data = data[entryBytes:]
-	}
-	return data, nil
+	lp.clock = s.Clock
+	copy(lp.entries, s.Entries)
+	return nil
 }

@@ -19,9 +19,6 @@
 package cpu
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"graphmem/internal/mem"
 	"graphmem/internal/trace"
 )
@@ -325,27 +322,20 @@ func (c *Core) WarmRetire(r trace.Record) {
 	}
 }
 
-// EncodeState appends the retired-instruction counters to buf. They are
-// the only core state a functional warm-up moves: WarmRetire touches no
-// rings or clocks, so everything else is still at its reset value when
-// a checkpoint is captured.
-func (c *Core) EncodeState(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Instructions))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.MemOps))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Loads))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Stores))
-	return buf
+// Retired is the core's warm state: the retired-instruction counters.
+// They are the only core state a functional warm-up moves: WarmRetire
+// touches no rings or clocks, so everything else is still at its reset
+// value when a warm-up checkpoint is captured.
+type Retired struct {
+	Instructions, MemOps, Loads, Stores int64
 }
 
-// DecodeState restores state written by EncodeState and returns the
-// remaining bytes.
-func (c *Core) DecodeState(data []byte) ([]byte, error) {
-	if len(data) < 32 {
-		return nil, fmt.Errorf("cpu: checkpoint truncated")
-	}
-	c.Instructions = int64(binary.LittleEndian.Uint64(data))
-	c.MemOps = int64(binary.LittleEndian.Uint64(data[8:]))
-	c.Loads = int64(binary.LittleEndian.Uint64(data[16:]))
-	c.Stores = int64(binary.LittleEndian.Uint64(data[24:]))
-	return data[32:], nil
+// State returns the retired-instruction counters.
+func (c *Core) State() Retired {
+	return Retired{Instructions: c.Instructions, MemOps: c.MemOps, Loads: c.Loads, Stores: c.Stores}
+}
+
+// Restore sets the retired-instruction counters.
+func (c *Core) Restore(r Retired) {
+	c.Instructions, c.MemOps, c.Loads, c.Stores = r.Instructions, r.MemOps, r.Loads, r.Stores
 }

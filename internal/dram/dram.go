@@ -19,7 +19,6 @@
 package dram
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"graphmem/internal/mem"
@@ -339,50 +338,35 @@ func (c *Channel) WarmTouch(blk mem.BlockAddr) {
 	c.banks[bankIdx].openRow = row
 }
 
-// EncodeState appends the channel's warm-relevant state — the per-bank
-// open rows — to buf. Timing reservations (readyAt, busFree) are
-// deliberately excluded: functional warming never advances them, so
-// after a warm-up they are exactly zero and need no serialization.
-func (c *Channel) EncodeState(buf []byte) []byte {
-	for i := range c.banks {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(c.banks[i].openRow))
-	}
-	return buf
-}
-
-// DecodeState restores state written by EncodeState and returns the
-// remaining bytes.
-func (c *Channel) DecodeState(data []byte) ([]byte, error) {
-	need := 8 * len(c.banks)
-	if len(data) < need {
-		return nil, fmt.Errorf("dram: checkpoint truncated: need %d bytes, have %d", need, len(data))
-	}
-	for i := range c.banks {
-		c.banks[i].openRow = int64(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	return data[need:], nil
-}
-
 // WarmTouch routes blk to its channel and updates row state only.
 func (m *Memory) WarmTouch(blk mem.BlockAddr) {
 	m.channels[uint64(blk)%uint64(len(m.channels))].WarmTouch(blk)
 }
 
-// EncodeState appends all channels' warm state to buf.
-func (m *Memory) EncodeState(buf []byte) []byte {
+// OpenRows returns every bank's open row (-1 when precharged), channel
+// by channel: the memory's warm-relevant state. Timing reservations
+// (readyAt, busFree) are deliberately left out: functional warming
+// never advances them, so after a warm-up they are exactly zero.
+func (m *Memory) OpenRows() []int64 {
+	var rows []int64
 	for _, c := range m.channels {
-		buf = c.EncodeState(buf)
-	}
-	return buf
-}
-
-// DecodeState restores all channels' warm state.
-func (m *Memory) DecodeState(data []byte) ([]byte, error) {
-	var err error
-	for _, c := range m.channels {
-		if data, err = c.DecodeState(data); err != nil {
-			return nil, err
+		for i := range c.banks {
+			rows = append(rows, c.banks[i].openRow)
 		}
 	}
-	return data, nil
+	return rows
+}
+
+// RestoreOpenRows sets every bank's open row from rows, as OpenRows
+// returned them, refusing rows from another geometry.
+func (m *Memory) RestoreOpenRows(rows []int64) error {
+	if n := len(m.channels) * len(m.channels[0].banks); len(rows) != n {
+		return fmt.Errorf("dram: %d open rows for %d banks", len(rows), n)
+	}
+	for _, c := range m.channels {
+		for i := range c.banks {
+			c.banks[i].openRow, rows = rows[0], rows[1:]
+		}
+	}
+	return nil
 }

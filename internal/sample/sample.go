@@ -4,10 +4,11 @@
 //
 // The package is deliberately substrate-free: it knows about schedules
 // (Plan) and per-sample statistics (Estimate) — never about caches,
-// cores or disks. internal/sim owns the warm walk, the state
-// encode/decode of each component and the warm-up checkpoints, which
-// live in the result store (sim.Config.WarmKey); this package supplies
-// the arithmetic around them.
+// cores or disks. internal/sim owns the warm walk and the warm-up
+// checkpoints: each component states its warm state (State/Restore),
+// sim collects them into one value that the store's codec carries, and
+// the entry lives in the result store (sim.Config.WarmKey). This
+// package supplies the arithmetic around them.
 package sample
 
 import (
@@ -41,10 +42,11 @@ func (p Plan) Enabled() bool { return p.Period > 0 }
 
 // Valid reports whether the plan is self-consistent: a positive period,
 // a detailed interval no longer than the period, and an offset inside
-// the period.
+// the period. DetailWarm+SampleLen <= Period is tested as a difference,
+// which cannot overflow once Period > 0 and DetailWarm >= 0.
 func (p Plan) Valid() bool {
 	return p.Period > 0 && p.SampleLen > 0 && p.DetailWarm >= 0 &&
-		p.DetailWarm+p.SampleLen <= p.Period &&
+		p.SampleLen <= p.Period-p.DetailWarm &&
 		p.Offset >= 0 && p.Offset < p.Period
 }
 

@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"math"
 	"testing"
 
 	"graphmem/internal/stats"
@@ -21,6 +22,7 @@ func TestPlanValid(t *testing.T) {
 		{"negative warm", Plan{Period: 10_000, SampleLen: 1_000, DetailWarm: -1}, false},
 		{"offset outside period", Plan{Period: 10_000, SampleLen: 1_000, Offset: 10_000}, false},
 		{"negative offset", Plan{Period: 10_000, SampleLen: 1_000, Offset: -1}, false},
+		{"warm+len overflows", Plan{Period: 100, SampleLen: math.MaxInt64, DetailWarm: 1}, false},
 	}
 	for _, c := range cases {
 		if got := c.p.Valid(); got != c.want {

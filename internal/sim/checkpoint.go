@@ -1,99 +1,134 @@
 // Warm-up checkpointing for the statistical sampling engine: the
 // machine state functional warming builds — cache/TLB/LP/SDCDir tags
 // and recency, MSHR occupancy (always empty after a warm-up), DRAM open
-// rows, and the four architectural CPU counters — serializes into one
-// payload, kept as one more entry of the result store under
-// Config.WarmKey and framed like a result (ResultFraming, so
-// StateVersion versions it). A sweep of N configs sharing a workload
-// and warm-relevant configuration then replays one warm-up instead of
-// N: the other N-1 runs drain the record stream (counting instructions
-// only) to the recorded position and decode the captured state, which
-// is byte-identical to having warmed in place.
+// rows, and the four architectural CPU counters — is collected into one
+// warmState, marshalled by the store's codec (store.Marshal) and kept as
+// one more entry of the result store under Config.WarmKey, framed like a
+// result (ResultFraming, so StateVersion versions it). A sweep of N
+// configs sharing a workload and warm-relevant configuration then
+// replays one warm-up instead of N: the other N-1 runs decode the entry,
+// drain the record stream (counting instructions only) to the recorded
+// position and restore the captured state, which is identical to having
+// warmed in place. An entry that does not decode is a miss (RunCore0).
 package sim
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
+
+	"graphmem/internal/cache"
+	"graphmem/internal/coherence"
+	corepkg "graphmem/internal/core"
+	"graphmem/internal/cpu"
+	"graphmem/internal/store"
+	"graphmem/internal/tlb"
 )
 
-// stateful is a component whose warm state the checkpoint carries.
-type stateful interface {
-	EncodeState([]byte) []byte
-	DecodeState([]byte) ([]byte, error)
+// warmState is a warm-up checkpoint: core 0's warm state plus the
+// shared LLC, SDC directory and DRAM row state, each as its component
+// states it. Its layout is the payload format: the codec's fingerprint
+// covers it and TestWarmStateFingerprint pins its bytes. Every field,
+// recursively, must be exported — the codec skips unexported ones
+// (TestWarmStateFieldsExported).
+type warmState struct {
+	// CPU leads: its instruction count is the position a checkpoint
+	// hit's drain runs to.
+	CPU cpu.Retired
+	// Levels are core 0's private caches in coreCtx.levels order.
+	Levels     []cache.State
+	DTLB, STLB tlb.State
+	LP         *corepkg.LPState // nil without a Large Predictor
+	LLC        cache.State
+	SDCDir     *coherence.DirState // nil without SDCs
+	OpenRows   []int64
 }
 
-// warmComponents lists, in payload order, core 0's warm state plus the
-// shared LLC, SDC directory and DRAM row state. The CPU counters come
-// first: the payload's leading uint64 is the instruction position the
-// drain on a checkpoint hit runs to, read back without decoding the
-// rest. The order is the payload format (TestWarmStateFingerprint).
-func (s *System) warmComponents() []stateful {
-	c := s.cores[0]
-	list := []stateful{c.cpuCore}
-	for _, l := range c.levels {
-		list = append(list, l.cache)
-	}
-	list = append(list, c.tlbs)
-	if c.lp != nil {
-		list = append(list, c.lp)
-	}
-	list = append(list, s.llc)
-	if s.sdcDir != nil {
-		list = append(list, s.sdcDir)
-	}
-	return append(list, s.dram)
-}
-
-// encodeWarmState serializes every warm component into one payload.
+// encodeWarmState is the payload a warm-up publishes: the machine's
+// warm state, marshalled before the run moves on (the component states
+// share their slabs).
 func (s *System) encodeWarmState() []byte {
-	buf := make([]byte, 0, 1<<16)
-	for _, comp := range s.warmComponents() {
-		buf = comp.EncodeState(buf)
+	c := s.cores[0]
+	st := warmState{
+		CPU:      c.cpuCore.State(),
+		DTLB:     c.tlbs.DTLB.State(),
+		STLB:     c.tlbs.STLB.State(),
+		LLC:      s.llc.State(),
+		OpenRows: s.dram.OpenRows(),
 	}
-	return buf
+	for _, l := range c.levels {
+		st.Levels = append(st.Levels, l.cache.State())
+	}
+	if c.lp != nil {
+		lp := c.lp.State()
+		st.LP = &lp
+	}
+	if s.sdcDir != nil {
+		dir := s.sdcDir.State()
+		st.SDCDir = &dir
+	}
+	payload, err := store.Marshal(&st)
+	if err != nil {
+		panic(err) // the codec refuses only types warmState does not use
+	}
+	return payload
 }
 
-// decodeWarmState restores the state encodeWarmState captured. The
-// structure set and geometries must match the encoder's — the store key
-// covers every field that shapes the payload, so a mismatch here means
-// a key collision or a corrupted store entry.
-func (s *System) decodeWarmState(data []byte) error {
-	var err error
-	for _, comp := range s.warmComponents() {
-		if data, err = comp.DecodeState(data); err != nil {
-			return err
-		}
+// restoreWarmState puts a decoded warm state back. The store key covers
+// every field that shapes the machine, so an error here — a structure
+// missing or of another geometry — means a key collision.
+func (s *System) restoreWarmState(st *warmState) error {
+	c := s.cores[0]
+	if len(st.Levels) != len(c.levels) || (st.LP == nil) != (c.lp == nil) || (st.SDCDir == nil) != (s.sdcDir == nil) {
+		return errors.New("sim: warm state of another machine shape")
 	}
-	if len(data) != 0 {
-		return fmt.Errorf("sim: checkpoint payload has %d trailing bytes", len(data))
+	c.cpuCore.Restore(st.CPU)
+	errs := []error{
+		c.tlbs.DTLB.Restore(st.DTLB),
+		c.tlbs.STLB.Restore(st.STLB),
+		s.llc.Restore(st.LLC),
+		s.dram.RestoreOpenRows(st.OpenRows),
 	}
+	for i, l := range c.levels {
+		errs = append(errs, l.cache.Restore(st.Levels[i]))
+	}
+	if c.lp != nil {
+		errs = append(errs, c.lp.Restore(*st.LP))
+	}
+	if s.sdcDir != nil {
+		errs = append(errs, s.sdcDir.Restore(*st.SDCDir))
+	}
+	return errors.Join(errs...)
+}
+
+// startDrain takes a checkpoint hit: it decodes the payload and, when
+// that succeeds, the run skips its warm-up by draining the record
+// stream (counting only, touching nothing) to the recorded position,
+// then restores the captured state. A payload that does not decode
+// (store.ErrLayout, store.ErrCorrupt) leaves the run warming in place.
+func (c *coreCtx) startDrain(payload []byte) error {
+	st := new(warmState)
+	if err := store.Unmarshal(payload, st); err != nil {
+		return err
+	}
+	c.warmMode = warmDrain
+	c.drainTo = st.CPU.Instructions
+	c.ckptState = st
+	c.ckptHit = true
+	c.sys.warming = false
 	return nil
 }
 
-// startDrain takes a checkpoint hit: the run skips its warm-up by
-// draining the record stream (counting only, touching nothing) to the
-// recorded position, then restores the captured state. The payload leads
-// with the CPU instruction counter, which is that position.
-func (c *coreCtx) startDrain(payload []byte) {
-	c.warmMode = warmDrain
-	c.drainTo = int64(binary.LittleEndian.Uint64(payload))
-	c.ckptPayload = payload
-	c.ckptHit = true
-	c.sys.warming = false
-}
-
 // resumeFromCheckpoint ends the drain: the record stream now sits
-// exactly where the captured warm-up ended, so restoring the payload
-// reproduces the uninterrupted run's state byte for byte. The window
-// then opens the same way a fresh warm-up's would.
+// exactly where the captured warm-up ended, so restoring the state
+// reproduces the uninterrupted run's state exactly. The window then
+// opens the same way a fresh warm-up's would.
 func (c *coreCtx) resumeFromCheckpoint() {
-	if err := c.sys.decodeWarmState(c.ckptPayload); err != nil {
-		// The store verified the file checksum, so reaching here means a
-		// key collision: a payload captured under a different machine
-		// shape. Config.WarmKey is wrong, not the data.
+	if err := c.sys.restoreWarmState(c.ckptState); err != nil {
+		// The payload decoded, so it is a warm state — of a different
+		// machine shape. Config.WarmKey is wrong, not the data.
 		panic(fmt.Sprintf("sim: checkpoint state mismatch: %v", err))
 	}
-	c.ckptPayload = nil
+	c.ckptState = nil
 	c.enterWarm()
 	c.beginMeasureSampled()
 	c.rearm()

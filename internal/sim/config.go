@@ -7,6 +7,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"graphmem/internal/cache"
 	"graphmem/internal/check"
@@ -220,6 +221,11 @@ type SamplingConfig struct {
 	MisWarm bool
 }
 
+// recordInstructions bounds one trace record's instructions (its
+// uint16 NonMem prelude plus itself): a window ends up to that far past
+// its nominal end, and Validate keeps that end inside int64.
+const recordInstructions = math.MaxUint16 + 1
+
 // Validate reports why the configuration cannot run, or nil. It is the
 // one statement of how modes compose: NewSystem panics on its error,
 // the harness runs a config unsampled when the sampler cannot take it,
@@ -230,6 +236,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: core count %d must be >= 1", c.Cores)
 	case c.Warmup < 0 || c.Measure < 0:
 		return fmt.Errorf("sim: negative instruction window (warmup %d, measure %d)", c.Warmup, c.Measure)
+	case c.Measure > math.MaxInt64-recordInstructions-c.Warmup:
+		return fmt.Errorf("sim: instruction window end overflows int64 (warmup %d, measure %d)", c.Warmup, c.Measure)
 	case !ValidPrefetchers(c.Prefetchers):
 		return fmt.Errorf("sim: unknown prefetcher preset %q (want none|nextline|spp|stride|imp|pickle|spp+imp)", c.Prefetchers)
 	case c.BranchMissPenalty < 0:

@@ -17,15 +17,16 @@ import (
 
 // StateVersion identifies the simulator behaviour the result store
 // caches: run results and warm-up checkpoints alike. Bump it whenever
-// any change alters simulated counters, the Result layout or the warm
-// state payload — timing model fixes, replacement-policy changes, graph
-// generator tweaks, new Result fields, a component's state encoding —
-// and every previously stored entry becomes unreadable
-// (ErrVersionMismatch) instead of silently stale. A change to the
-// layout of a stored result is also caught by the payload codec's
-// fingerprint; a change of behaviour is not, and still needs the bump.
-// It also enters every run key and warm key, so a bump re-addresses
-// them as well.
+// any change alters simulated counters or what a stored entry means —
+// timing model fixes, replacement-policy changes, graph generator
+// tweaks, a component whose warm state now means something else — and
+// every previously stored entry becomes unreadable (ErrVersionMismatch)
+// instead of silently stale. A change to the layout of a stored result
+// or of a component's warm state (warmState, checkpoint.go) is also
+// caught by the payload codec's fingerprint, which makes the old entry
+// a miss; a change of behaviour is not, and still needs the bump. It
+// also enters every run key and warm key, so a bump re-addresses them
+// as well.
 const StateVersion = 1
 
 // resultMagic opens every file of the result store.

@@ -374,11 +374,18 @@ func (s *System) RunCore0(w Workload) *Result {
 	// result first, so one store shared by results and warm-ups cannot
 	// deadlock, in one process or across processes.
 	if st := s.cfg.Sampling.Store; st != nil && s.cfg.Sampling.Enabled() {
-		payload, done := st.Acquire(s.cfg.WarmKey(w.Name))
-		if payload != nil {
-			c.startDrain(payload)
+		key := s.cfg.WarmKey(w.Name)
+		payload, done := st.Acquire(key)
+		switch {
+		case payload == nil:
+			c.ckptCommit = done
+		case c.startDrain(payload) == nil:
 			_ = done(nil)
-		} else {
+		default:
+			// A payload that does not decode (another type, an older
+			// layout) is a miss, as harness.through treats a result:
+			// drop it, warm in place and republish under the held key.
+			st.Reject(key)
 			c.ckptCommit = done
 		}
 	}

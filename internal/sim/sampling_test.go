@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"reflect"
@@ -128,6 +129,45 @@ func TestCheckpointRejectsDamagedFiles(t *testing.T) {
 	res := RunSingleCore(stored, kronWorkload(t, "pr", 19))
 	if !res.Sampling.CheckpointHit {
 		t.Error("store did not recover a usable checkpoint after damage")
+	}
+}
+
+// TestForeignWarmPayloadIsAMiss: an intact entry under a real WarmKey
+// that is not a warm state — a run result, or 12 bytes whose first 8
+// read as an instruction count just past the warm-up — is an ordinary
+// checkpoint miss. The run warms in place, counts what a store-free run
+// counts and republishes the key, so the run after it hits.
+func TestForeignWarmPayloadIsAMiss(t *testing.T) {
+	cfg := sampledCfg()
+	free := RunSingleCore(cfg, kronWorkload(t, "pr", 19))
+	result, err := EncodeResult(free)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := append(binary.LittleEndian.AppendUint64(nil, uint64(cfg.Warmup+3)), 0xde, 0xad, 0xbe, 0xef)
+	for name, payload := range map[string][]byte{"result": result, "count": count} {
+		st, err := store.Open(t.TempDir(), ResultFraming())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored := cfg.WithWarmStore(st, "")
+		_, commit := st.Acquire(stored.WarmKey(kronWorkload(t, "pr", 19).Name))
+		if err := commit(payload); err != nil {
+			t.Fatal(err)
+		}
+		hits, misses := st.Hits(), st.Misses()
+		res := RunSingleCore(stored, kronWorkload(t, "pr", 19))
+		if res.Sampling.CheckpointHit || st.Hits() != hits || st.Misses() != misses+1 {
+			t.Errorf("%s payload: hit %v, store hits %d→%d misses %d→%d; want a miss",
+				name, res.Sampling.CheckpointHit, hits, st.Hits(), misses, st.Misses())
+		}
+		if !reflect.DeepEqual(free.Stats, res.Stats) {
+			t.Errorf("%s payload: counters differ from the store-free run's", name)
+		}
+		res = RunSingleCore(stored, kronWorkload(t, "pr", 19))
+		if !res.Sampling.CheckpointHit || !reflect.DeepEqual(free.Stats, res.Stats) {
+			t.Errorf("%s payload: the republished checkpoint did not serve (hit %v)", name, res.Sampling.CheckpointHit)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"graphmem/internal/graph"
@@ -34,6 +35,28 @@ func testGraphCache(scale int) *graph.Graph {
 	g := graph.Kron(scale, 8, 42)
 	graphCache[scale] = g
 	return g
+}
+
+// TestValidateWindowEnd: the window end (warm-up end plus Measure, each
+// overshot by up to one record) must fit int64. A wrapped end closes
+// the window on the first record and "measures" one instruction.
+func TestValidateWindowEnd(t *testing.T) {
+	for _, c := range []struct {
+		warmup, measure int64
+		ok              bool
+	}{
+		{100_000, math.MaxInt64, false},
+		{math.MaxInt64, 0, false},
+		{1 << 62, 1 << 62, false},
+		{0, math.MaxInt64 - recordInstructions, true},
+		{0, math.MaxInt64 - recordInstructions + 1, false},
+		{1 << 60, 1 << 60, true},
+	} {
+		err := TableI(1).WithWindows(c.warmup, c.measure).Validate()
+		if (err == nil) != c.ok {
+			t.Errorf("WithWindows(%d, %d).Validate() = %v, want ok %v", c.warmup, c.measure, err, c.ok)
+		}
+	}
 }
 
 func TestBaselineRunSanity(t *testing.T) {

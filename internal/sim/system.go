@@ -84,9 +84,10 @@ type coreCtx struct {
 	l2      *cache.Cache
 	sdc     *cache.Cache
 	// levels lists the private caches above in walk order — L1D, victim
-	// cache, L2, SDC, absent ones left out. The checkpoint payload, the
-	// flight-recorder taps, the counter freeze and the invariant sweep
-	// iterate it, so its order is part of the warm-state format.
+	// cache, L2, SDC, absent ones left out. The warm-up checkpoint
+	// (warmState.Levels), the flight-recorder taps, the counter freeze
+	// and the invariant sweep iterate it, so its order is part of the
+	// warm-state format.
 	levels []level
 	lp     *corepkg.LP
 	alp    *corepkg.AdaptiveLP
@@ -177,13 +178,13 @@ type coreCtx struct {
 	sampleDeltas    []stats.CoreStats
 	// Checkpoint bookkeeping: drainTo is the instruction position the
 	// restored warm-up ended at (drainCount tracks progress toward it);
-	// ckptPayload holds the decoded state until the drain arrives;
+	// ckptState holds the decoded state until the drain arrives;
 	// ckptCommit publishes a freshly captured warm-up on a store miss.
-	drainTo     int64
-	drainCount  int64
-	ckptPayload []byte
-	ckptCommit  func([]byte) error
-	ckptHit     bool
+	drainTo    int64
+	drainCount int64
+	ckptState  *warmState
+	ckptCommit func([]byte) error
+	ckptHit    bool
 }
 
 // level is one private cache with the name the invariant sweep reports
@@ -401,7 +402,7 @@ func (s *System) onSDCDirEvict(blk mem.BlockAddr, sharers uint64) {
 // --- walk protocols: the one definition of each sequence the routing
 // paths below (and warm.go, boundweave.go) would otherwise spell out per
 // site. The MSHR protocol is cache.MissBegin/MissEnd/PrefetchBegin; the
-// warm-state component list is warmComponents (checkpoint.go). See
+// warm-state component list is warmState (checkpoint.go). See
 // DESIGN.md, "Hierarchy walk". ---
 
 // Write-back times surrenderSDCs takes besides a concrete cycle.

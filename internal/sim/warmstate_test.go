@@ -61,34 +61,37 @@ func warmFingerprint(t *testing.T, cfg Config, kernel string) (state, result str
 
 // TestWarmStateFingerprint pins what functional warming builds, byte
 // for byte, on every warm arm: the checkpoint payload at the warm-up end
-// and everything the samples then measure. The hashes were captured on
-// commit 7360992 — the parent of the change that pointed the warm walk
-// at the detailed component transitions — before any edit to the walk,
-// so a passing run proves that change (and any later one) left warm
-// state and sampled results untouched. A deliberate change to either
-// needs a StateVersion bump and new hashes.
+// and everything the samples then measure. The result hashes were
+// captured on commit 7360992 — the parent of the change that pointed the
+// warm walk at the detailed component transitions — before any edit to
+// the walk, so a passing run proves that change (and any later one) left
+// warm state and sampled results untouched. The state hashes date from
+// the move of the payload to store.Marshal: they were captured on commit
+// 6a6dc5c with nothing added but read-only component accessors and the
+// warmState encoder. A deliberate change to either needs a StateVersion
+// bump and new hashes.
 func TestWarmStateFingerprint(t *testing.T) {
 	want := map[string][2]string{
-		"pr/Baseline (bench-scale)": {"64f41e4b8d5b0ae2ec3fcb5bc2ca20a70c4b07435cf4c3ee8bbcacd46ad3963b", "758354bb5e971644543cd0451eaf7bf5bbedaecec32ab92b0b38fdd06d3613bd"},
-		"pr/SDC+LP":                 {"862e62fb6522a90992774d9c9cfd88ef4b72ffd26e541e5ecd6371e5358cd85e", "f42537efa3d814ae0699c88affbcc192d7b5802607428d988483ebf5d65632ce"},
-		"pr/LP bypass (no SDC)":     {"d2eb96536276440c453aa3de71af6f89262a2d2d65aa6567254aedd02cf36b2d", "12d251fccddb8fc311f38cb218a55f5d1e27a2d353c90c2e77c8047b076488a0"},
-		"pr/Expert":                 {"525dae8e05b64e112a7f357b379d549979b2bd741b846f854fac9fe4c0152ea5", "46e21b5e55b3d3a82c22cc3707eb9dff7ddaab8bb48a3e425ee1c41d6521b9b0"},
-		"pr/SDC+LP adaptive-tau":    {"862e62fb6522a90992774d9c9cfd88ef4b72ffd26e541e5ecd6371e5358cd85e", "f42537efa3d814ae0699c88affbcc192d7b5802607428d988483ebf5d65632ce"},
-		"pr/VictimCache-16":         {"26adfda080fef03f49a5291f1db7e058777abc057dd605d7371de62a97665428", "f4edad044977c08a78815414baa91360e813fe842483aa63487373e270641cd4"},
-		"pr/Distill":                {"7a7f7ea42fa58692f6e9d8b4e57ee6f46fde2e2e19ff278ffc399a505fde692f", "be707df6bfb747c979f21a6c0b428e91825133b17a5d0ac75d1ba9ad29bfe3dc"},
-		"pr/SRRIP":                  {"b844f3fc7e759fee1c82c1fd8a5e7dcc886bcebb4ff2dbe4acccfc2e3a208624", "8bc3d6244389f1b4a122a5ec6252b531fa41e27eb59462f60340915eb1d51b27"},
-		"pr/T-OPT":                  {"5d7c2a27aed34e5e201ab71904b84e82f075e1406f4d9913e82fcb9c24a6b89d", "0348a4103acb1f4e7a51d32b527c9b6875c2c62492cd5e8fa738abcb4b611c56"},
-		"pr/SDC+LP/pf=stride":       {"862e62fb6522a90992774d9c9cfd88ef4b72ffd26e541e5ecd6371e5358cd85e", "43b2b055cb7ea0678f5f98bf436fc1f8846b1c8c11e950da20af3acf425ec992"},
-		"cc/Baseline (bench-scale)": {"0687dcf798d2883eabd8b441b415357cb47025a03bf21b4e5c46f6c7877bd846", "8e87795d706c42f675ed6cde0a06f0d33406f0d758ead328e9711b3835dce888"},
-		"cc/SDC+LP":                 {"2986ed219affabe5119e9db938669cc0ea7172cf794309ecd6b213a285a27dfe", "ea620f38db4f50528db4413701f7284e4808eaf144fb14f5aea3661b8d3f54fc"},
-		"cc/LP bypass (no SDC)":     {"1fa11d90fe0cf5df911412eafe393eb174865d8320cf333af0b3c433a296cd78", "3e3516b8bb969382225ea97cb359c66d62bc0873294d65fe83ec7aff6ed42e02"},
-		"cc/Expert":                 {"40bd23c535b81cf11c8ee352d871a045167d73b85ec44c3de1cc9a7f726a14a0", "3740062ed748d0607455b921c7e52398ea94ece041ae0f15ab0bc316712da9c6"},
-		"cc/SDC+LP adaptive-tau":    {"2986ed219affabe5119e9db938669cc0ea7172cf794309ecd6b213a285a27dfe", "6972922298834af2a9b8d2e01c96ea2706d32d83c9abce59d0e3dfb8a423a51e"},
-		"cc/VictimCache-16":         {"ebcebe16bd59dfcf6dc5005cc1087336934525c20851cdc467ff5a9a64180a73", "d4a6d90b5f40a9c27aa398c4ea376d11d3d902866b42818f414f3622ead17570"},
-		"cc/Distill":                {"5226605a0cc1a9931d21f1f1a5a1f2926951b7251b58eb8834b5a7537b949a23", "19ea2947f037fb0587527ac477b4c4698a31ee1bfed8ccb26d7c866ac4fa7190"},
-		"cc/SRRIP":                  {"0a753ad9bc9c499a7bb12c9ba906fd835cc8c4e22aa945c4811218a58b7168d4", "a3a292a9f44da0589e9b4a65575633f833bd534c76f1cec84f1b2885ba92bb69"},
-		"cc/T-OPT":                  {"b62ea6e00f0d5430bce3bd58410f3c499f054db014ab0332d12dae13252e4656", "7e245e4e60174123edf21941e8e9101c05da6baa3325800d2a926df93350694b"},
-		"cc/SDC+LP/pf=stride":       {"2986ed219affabe5119e9db938669cc0ea7172cf794309ecd6b213a285a27dfe", "dc13411360e399bd8f51663dde302adbaac5b8c2e5f9562e6a7e6cd7b1ca1950"},
+		"pr/Baseline (bench-scale)": {"83c0b53960a38f0870509df83459ffc417389f0b947dffd2a3005f5a5c47d465", "758354bb5e971644543cd0451eaf7bf5bbedaecec32ab92b0b38fdd06d3613bd"},
+		"pr/SDC+LP":                 {"6e20a1ffc165eac6d7dc2ac02eaaf21b925296005632f9c9232b59239c55f520", "f42537efa3d814ae0699c88affbcc192d7b5802607428d988483ebf5d65632ce"},
+		"pr/LP bypass (no SDC)":     {"ee9cd39bf56b0007f3be77d02121cee609b20bfe645edb3ee0c37cd87c1dcbad", "12d251fccddb8fc311f38cb218a55f5d1e27a2d353c90c2e77c8047b076488a0"},
+		"pr/Expert":                 {"0c2b52ce3bf6926455f845318fab2d9495487d0b807b2210f50d31ca6ef607db", "46e21b5e55b3d3a82c22cc3707eb9dff7ddaab8bb48a3e425ee1c41d6521b9b0"},
+		"pr/SDC+LP adaptive-tau":    {"6e20a1ffc165eac6d7dc2ac02eaaf21b925296005632f9c9232b59239c55f520", "f42537efa3d814ae0699c88affbcc192d7b5802607428d988483ebf5d65632ce"},
+		"pr/VictimCache-16":         {"f6ba01c0e33f6290d1c99031117a8e00e9b3608d4083fe9f6648367ef6e1d62c", "f4edad044977c08a78815414baa91360e813fe842483aa63487373e270641cd4"},
+		"pr/Distill":                {"02cd707ba4d8cc00c86e17bd27a588fbb1640390ab99258e781e5c351043606c", "be707df6bfb747c979f21a6c0b428e91825133b17a5d0ac75d1ba9ad29bfe3dc"},
+		"pr/SRRIP":                  {"08bae00de7cc6c68757178bca4c907900aa55cbb3780f738c2dbb074520cca58", "8bc3d6244389f1b4a122a5ec6252b531fa41e27eb59462f60340915eb1d51b27"},
+		"pr/T-OPT":                  {"c463d2eb5aba150904d13191b46f785487ccf10f5150aebefdee3568c33284f7", "0348a4103acb1f4e7a51d32b527c9b6875c2c62492cd5e8fa738abcb4b611c56"},
+		"pr/SDC+LP/pf=stride":       {"6e20a1ffc165eac6d7dc2ac02eaaf21b925296005632f9c9232b59239c55f520", "43b2b055cb7ea0678f5f98bf436fc1f8846b1c8c11e950da20af3acf425ec992"},
+		"cc/Baseline (bench-scale)": {"7098ea94037c7ea3e4b2c5f5f630c810b3ca9052ea5971268dc466827de17e56", "8e87795d706c42f675ed6cde0a06f0d33406f0d758ead328e9711b3835dce888"},
+		"cc/SDC+LP":                 {"5f8ac3bb3375655864993d4a4f970efc2a9e158c8d1a8fa8309f1b80b0c0e895", "ea620f38db4f50528db4413701f7284e4808eaf144fb14f5aea3661b8d3f54fc"},
+		"cc/LP bypass (no SDC)":     {"4fa10d1a0e27e526033725756e9b111edc194e66da1037717c60a97a76edc5ae", "3e3516b8bb969382225ea97cb359c66d62bc0873294d65fe83ec7aff6ed42e02"},
+		"cc/Expert":                 {"04f4560e5c70394e397fe339b1e7a6aefa678a6b767e89b1398327a84ca435e7", "3740062ed748d0607455b921c7e52398ea94ece041ae0f15ab0bc316712da9c6"},
+		"cc/SDC+LP adaptive-tau":    {"5f8ac3bb3375655864993d4a4f970efc2a9e158c8d1a8fa8309f1b80b0c0e895", "6972922298834af2a9b8d2e01c96ea2706d32d83c9abce59d0e3dfb8a423a51e"},
+		"cc/VictimCache-16":         {"dc1ddc7be42242c9152395f878094b4f93eeef8e7c251e367f336796be1f6109", "d4a6d90b5f40a9c27aa398c4ea376d11d3d902866b42818f414f3622ead17570"},
+		"cc/Distill":                {"016f5c12c899bee2fb27f2b1dc48a2bd365f119b42f53dd17cb00e5d2f771177", "19ea2947f037fb0587527ac477b4c4698a31ee1bfed8ccb26d7c866ac4fa7190"},
+		"cc/SRRIP":                  {"ddd93dff14cc5941821ad86e45de8260bb4876d021377bc5b990717cfae234b1", "a3a292a9f44da0589e9b4a65575633f833bd534c76f1cec84f1b2885ba92bb69"},
+		"cc/T-OPT":                  {"91ba344cf717fbc81900473f26856d366c02e1d2bf68bfb67c56c4b0513104ba", "7e245e4e60174123edf21941e8e9101c05da6baa3325800d2a926df93350694b"},
+		"cc/SDC+LP/pf=stride":       {"5f8ac3bb3375655864993d4a4f970efc2a9e158c8d1a8fa8309f1b80b0c0e895", "dc13411360e399bd8f51663dde302adbaac5b8c2e5f9562e6a7e6cd7b1ca1950"},
 	}
 	for _, kernel := range []string{"pr", "cc"} {
 		for _, cfg := range warmArms() {
@@ -107,6 +110,36 @@ func TestWarmStateFingerprint(t *testing.T) {
 				t.Errorf("%s: warm state / sampled result changed:\n got  %v\n want %v", name, got, w)
 			}
 		}
+	}
+}
+
+// TestWarmStateFieldsExported walks warmState's type tree. The codec
+// skips unexported fields without a word, so a component state with one
+// would silently drop it from every checkpoint.
+func TestWarmStateFieldsExported(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Struct:
+			if seen[typ] {
+				return
+			}
+			seen[typ] = true
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				if !f.IsExported() {
+					t.Errorf("%s.%s (%s) is unexported: the codec would drop it", path, f.Name, typ)
+				}
+				walk(f.Type, path+"."+f.Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(warmState{}), "warmState")
+	if len(seen) < 6 {
+		t.Fatalf("walked %d struct types; warmState's tree has more", len(seen))
 	}
 }
 

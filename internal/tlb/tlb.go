@@ -11,7 +11,6 @@
 package tlb
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"graphmem/internal/mem"
@@ -26,10 +25,11 @@ type Config struct {
 	Latency int64
 }
 
-type entry struct {
-	page  mem.PageAddr
-	valid bool
-	lru   int64
+// Entry is one translation slot.
+type Entry struct {
+	Page  mem.PageAddr
+	Valid bool
+	LRU   int64
 }
 
 // TLB is a set-associative translation buffer with LRU replacement.
@@ -37,7 +37,7 @@ type entry struct {
 // so the per-access way scan stays on adjacent host cache lines.
 type TLB struct {
 	cfg     Config
-	entries []entry // nsets x ways slab, set-major
+	entries []Entry // nsets x ways slab, set-major
 	ways    int
 	setMask uint64
 	clock   int64
@@ -52,14 +52,14 @@ func New(cfg Config) *TLB {
 	}
 	return &TLB{
 		cfg:     cfg,
-		entries: make([]entry, nsets*cfg.Ways),
+		entries: make([]Entry, nsets*cfg.Ways),
 		ways:    cfg.Ways,
 		setMask: uint64(nsets - 1),
 	}
 }
 
 // set returns the ways holding page's set.
-func (t *TLB) set(page mem.PageAddr) []entry {
+func (t *TLB) set(page mem.PageAddr) []Entry {
 	si := int(uint64(page) & t.setMask)
 	return t.entries[si*t.ways : (si+1)*t.ways]
 }
@@ -71,9 +71,9 @@ func (t *TLB) Latency() int64 { return t.cfg.Latency }
 func (t *TLB) Lookup(page mem.PageAddr) bool {
 	set := t.set(page)
 	for w := range set {
-		if set[w].valid && set[w].page == page {
+		if set[w].Valid && set[w].Page == page {
 			t.clock++
-			set[w].lru = t.clock
+			set[w].LRU = t.clock
 			t.Stats.Hits++
 			return true
 		}
@@ -87,20 +87,20 @@ func (t *TLB) Fill(page mem.PageAddr) {
 	set := t.set(page)
 	way, best := 0, int64(1<<63-1)
 	for w := range set {
-		if !set[w].valid {
+		if !set[w].Valid {
 			way = w
 			break
 		}
-		if set[w].lru < best {
-			best = set[w].lru
+		if set[w].LRU < best {
+			best = set[w].LRU
 			way = w
 		}
 	}
 	t.clock++
-	if set[way].valid {
+	if set[way].Valid {
 		t.Stats.Evictions++
 	}
-	set[way] = entry{page: page, valid: true, lru: t.clock}
+	set[way] = Entry{Page: page, Valid: true, LRU: t.clock}
 }
 
 // WalkFunc issues the leaf-PTE read at addr into the memory hierarchy at
@@ -158,47 +158,25 @@ func (h *Hierarchy) Translate(page mem.PageAddr, now int64) int64 {
 	return t
 }
 
-// EncodeState appends the TLB's LRU clock and every entry to buf.
-func (t *TLB) EncodeState(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.entries)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.clock))
-	for i := range t.entries {
-		e := &t.entries[i]
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.page))
-		if e.valid {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.lru))
-	}
-	return buf
+// State is a TLB's replaceable state: the LRU clock and every slot.
+type State struct {
+	Clock   int64
+	Entries []Entry
 }
 
-// DecodeState restores state written by EncodeState, rejecting a
-// geometry mismatch, and returns the remaining bytes.
-func (t *TLB) DecodeState(data []byte) ([]byte, error) {
-	if len(data) < 4+8 {
-		return nil, fmt.Errorf("tlb %s: checkpoint truncated", t.cfg.Name)
+// State returns the TLB's state. Entries is the TLB's own slab: read it
+// (or marshal it) before the TLB moves again, never write it.
+func (t *TLB) State() State { return State{Clock: t.clock, Entries: t.entries} }
+
+// Restore replaces the TLB's state with s, refusing a state captured
+// from another geometry.
+func (t *TLB) Restore(s State) error {
+	if len(s.Entries) != len(t.entries) {
+		return fmt.Errorf("tlb %s: state of %d entries for %d", t.cfg.Name, len(s.Entries), len(t.entries))
 	}
-	n := int(binary.LittleEndian.Uint32(data))
-	if n != len(t.entries) {
-		return nil, fmt.Errorf("tlb %s: checkpoint geometry mismatch: %d entries, have %d", t.cfg.Name, n, len(t.entries))
-	}
-	t.clock = int64(binary.LittleEndian.Uint64(data[4:]))
-	data = data[12:]
-	const entryBytes = 8 + 1 + 8
-	if len(data) < n*entryBytes {
-		return nil, fmt.Errorf("tlb %s: checkpoint truncated", t.cfg.Name)
-	}
-	for i := range t.entries {
-		e := &t.entries[i]
-		e.page = mem.PageAddr(binary.LittleEndian.Uint64(data))
-		e.valid = data[8] != 0
-		e.lru = int64(binary.LittleEndian.Uint64(data[9:]))
-		data = data[entryBytes:]
-	}
-	return data, nil
+	t.clock = s.Clock
+	copy(t.entries, s.Entries)
+	return nil
 }
 
 // WarmWalkFunc warm-touches the leaf PTE's block in the hierarchy
@@ -224,21 +202,4 @@ func (h *Hierarchy) WarmTranslate(page mem.PageAddr, warmWalk WarmWalkFunc) {
 	}
 	h.STLB.Fill(page)
 	h.DTLB.Fill(page)
-}
-
-// EncodeState appends both TLB levels' state to buf. The walk counter
-// is excluded: it is a statistic, and functional warming keeps all
-// statistics at zero.
-func (h *Hierarchy) EncodeState(buf []byte) []byte {
-	buf = h.DTLB.EncodeState(buf)
-	return h.STLB.EncodeState(buf)
-}
-
-// DecodeState restores both TLB levels' state.
-func (h *Hierarchy) DecodeState(data []byte) ([]byte, error) {
-	data, err := h.DTLB.DecodeState(data)
-	if err != nil {
-		return nil, err
-	}
-	return h.STLB.DecodeState(data)
 }
