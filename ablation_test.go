@@ -9,16 +9,17 @@ package graphmem_test
 import (
 	"testing"
 
-	"graphmem"
+	"graphmem/internal/harness"
+	"graphmem/internal/sim"
 )
 
 // ablationWorkload is the single workload used by the ablations (the
 // full sweeps run across the suite; ablations need one clean signal).
-var ablationWorkload = graphmem.WorkloadID{Kernel: "pr", Graph: "kron"}
+var ablationWorkload = harness.WorkloadID{Kernel: "pr", Graph: "kron"}
 
 // speedupOver runs cfg and the profile baseline on the ablation
 // workload and returns the percentage speed-up.
-func speedupOver(b *testing.B, cfg graphmem.Config) float64 {
+func speedupOver(b *testing.B, cfg sim.Config) float64 {
 	b.Helper()
 	wb := bench()
 	base := wb.RunSingle(wb.Profile.BaseConfig(1), ablationWorkload)

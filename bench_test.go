@@ -13,7 +13,7 @@ import (
 	"sync"
 	"testing"
 
-	"graphmem"
+	"graphmem/internal/core"
 	"graphmem/internal/harness"
 )
 
@@ -41,8 +41,8 @@ func metric(name string) string {
 // sweepSubset is the smaller set used by the parameter sweeps (three
 // diverse workloads), keeping the full benchmark run tractable on one
 // CPU.
-func sweepSubset() []graphmem.WorkloadID {
-	return []graphmem.WorkloadID{
+func sweepSubset() []harness.WorkloadID {
+	return []harness.WorkloadID{
 		{Kernel: "pr", Graph: "kron"},
 		{Kernel: "cc", Graph: "urand"},
 		{Kernel: "tc", Graph: "twitter"},
@@ -56,11 +56,11 @@ func sweepSubset() []graphmem.WorkloadID {
 // irregular working set (frontier bitmap + hub parents) fits the L2,
 // so bypassing regresses it — a documented scale artefact (see
 // EXPERIMENTS.md); the full 36-workload gmreport runs include it.
-func benchSubset() []graphmem.WorkloadID {
-	var out []graphmem.WorkloadID
+func benchSubset() []harness.WorkloadID {
+	var out []harness.WorkloadID
 	for _, k := range []string{"pr", "cc", "tc"} {
 		for _, g := range []string{"kron", "urand", "twitter"} {
-			out = append(out, graphmem.WorkloadID{Kernel: k, Graph: g})
+			out = append(out, harness.WorkloadID{Kernel: k, Graph: g})
 		}
 	}
 	return out
@@ -100,8 +100,8 @@ func BenchmarkTable4Budget(b *testing.B) {
 			b.Log("\n" + t.String())
 		}
 	}
-	rows := graphmem.Budget(8<<10, 32, 128, 1)
-	b.ReportMetric(graphmem.BudgetTotalKB(rows), "paperKB")
+	rows := core.Budget(8<<10, 32, 128, 1)
+	b.ReportMetric(core.TotalKB(rows), "paperKB")
 }
 
 func BenchmarkFig2BaselineMPKI(b *testing.B) {
@@ -119,7 +119,7 @@ func BenchmarkFig2BaselineMPKI(b *testing.B) {
 func BenchmarkFig3StrideDRAM(b *testing.B) {
 	var res *harness.Fig3Result
 	for i := 0; i < b.N; i++ {
-		res = bench().Fig3(graphmem.WorkloadID{Kernel: "cc", Graph: "kron"})
+		res = bench().Fig3(harness.WorkloadID{Kernel: "cc", Graph: "kron"})
 	}
 	b.Log("\n" + res.Table().String())
 }
@@ -204,7 +204,7 @@ func BenchmarkFig13Expert(b *testing.B) {
 }
 
 func BenchmarkFig14MultiCore(b *testing.B) {
-	mixes := graphmem.GenerateMixes(benchSubset(), 2, 14)
+	mixes := harness.GenerateMixes(benchSubset(), 2, 14)
 	var res *harness.Fig14Result
 	for i := 0; i < b.N; i++ {
 		res = bench().Fig14(mixes)

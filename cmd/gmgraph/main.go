@@ -5,8 +5,8 @@
 //	gmgraph -stats kron.gmg
 //
 // Binary .gmg files load an order of magnitude faster than re-running
-// the generators or parsing edge lists, and work with every profile via
-// the public API (graphmem.ReadBinaryGraph).
+// the generators or parsing edge lists; graph.ReadBinary loads them
+// (examples/real-graph -gmg).
 package main
 
 import (
@@ -15,8 +15,8 @@ import (
 	"fmt"
 	"os"
 
-	"graphmem"
 	"graphmem/internal/graph"
+	"graphmem/internal/obs"
 )
 
 func main() { os.Exit(run()) }
@@ -32,7 +32,7 @@ func run() int {
 	undirected := flag.Bool("undirected", false, "convert: symmetrize edges")
 	out := flag.String("out", "", "output .gmg file for -gen/-convert")
 	stats := flag.String("stats", "", "inspect: .gmg file to summarize")
-	prof := graphmem.RegisterProfilingFlags(flag.CommandLine)
+	prof := obs.RegisterProfileFlags(flag.CommandLine)
 	flag.Parse()
 
 	stopProf, err := prof.Start()
@@ -47,7 +47,7 @@ func run() int {
 
 	switch {
 	case *gen != "":
-		var g *graphmem.Graph
+		var g *graph.Graph
 		if g, err = generate(*gen, *scale, *ef, *seed); err == nil {
 			err = save(g, *out)
 		}
@@ -64,7 +64,7 @@ func run() int {
 	return 0
 }
 
-func generate(kind string, scale int, ef int64, seed uint64) (*graphmem.Graph, error) {
+func generate(kind string, scale int, ef int64, seed uint64) (*graph.Graph, error) {
 	// 2^31 vertices overflow the int32 vertex IDs.
 	if scale < 1 || scale > 30 {
 		return nil, fmt.Errorf("-scale %d out of range [1, 30]", scale)
@@ -75,24 +75,24 @@ func generate(kind string, scale int, ef int64, seed uint64) (*graphmem.Graph, e
 	n := int32(1) << uint(scale)
 	switch kind {
 	case "kron":
-		return graphmem.Kron(scale, ef, seed), nil
+		return graph.Kron(scale, ef, seed), nil
 	case "urand":
-		return graphmem.Urand(n, ef*int64(n)/2, seed), nil
+		return graph.Urand(n, ef*int64(n)/2, seed), nil
 	case "twitter":
-		return graphmem.PowerLaw(n, int(ef), 0.15, false, seed), nil
+		return graph.PowerLaw(n, int(ef), 0.15, false, seed), nil
 	case "friendster":
-		return graphmem.PowerLaw(n, int(ef), 0.05, true, seed), nil
+		return graph.PowerLaw(n, int(ef), 0.05, true, seed), nil
 	case "web":
-		return graphmem.WebLike(n, int(ef), seed), nil
+		return graph.WebLike(n, int(ef), seed), nil
 	case "road":
 		side := int32(1) << uint(scale/2)
-		return graphmem.RoadGrid(side, side, 255, seed), nil
+		return graph.RoadGrid(side, side, 255, seed), nil
 	default:
 		return nil, fmt.Errorf("unknown generator %q", kind)
 	}
 }
 
-func save(g *graphmem.Graph, path string) error {
+func save(g *graph.Graph, path string) error {
 	if path == "" {
 		return fmt.Errorf("missing -out")
 	}
@@ -120,7 +120,7 @@ func convertEdgeList(path string, undirected bool, out string) error {
 		return err
 	}
 	defer f.Close()
-	g, err := graphmem.ReadEdgeList(f, undirected)
+	g, err := graph.ReadEdgeList(f, undirected)
 	if err != nil {
 		return err
 	}
@@ -134,7 +134,7 @@ func printStats(path string) error {
 		return err
 	}
 	defer f.Close()
-	g, err := graphmem.ReadBinaryGraph(f)
+	g, err := graph.ReadBinary(f)
 	if err != nil {
 		return err
 	}

@@ -22,8 +22,9 @@ import (
 	"strings"
 	"time"
 
-	"graphmem"
+	"graphmem/internal/check"
 	"graphmem/internal/harness"
+	"graphmem/internal/obs"
 )
 
 func main() { os.Exit(run()) }
@@ -37,15 +38,15 @@ func fail(err error) int {
 // run is the tool. It returns the exit status instead of calling
 // os.Exit, so the deferred profile stop runs on every path.
 func run() int {
-	exp := flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(graphmem.ExperimentIDs, ",")+
-		"; by name only: "+strings.Join(graphmem.OptInExperimentIDs, ",")+") or 'all'")
+	exp := flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(harness.ExperimentIDs, ",")+
+		"; by name only: "+strings.Join(harness.OptInExperimentIDs, ",")+") or 'all'")
 	kernelsFlag := flag.String("kernels", "", "restrict to these kernels (comma separated)")
 	graphsFlag := flag.String("graphs", "", "restrict to these graphs (comma separated)")
 	mixes := flag.Int("mixes", 0, "override the number of fig14 mixes")
 	outDir := flag.String("out", "", "also write each table as <dir>/<id>.txt and .csv plus a sweep manifest.json")
 	quiet := flag.Bool("q", false, "suppress progress logging")
-	opts := graphmem.RegisterRunFlags(flag.CommandLine, "small")
-	prof := graphmem.RegisterProfilingFlags(flag.CommandLine)
+	opts := harness.RegisterRunFlags(flag.CommandLine, "small")
+	prof := obs.RegisterProfileFlags(flag.CommandLine)
 	flag.Parse()
 
 	stopProf, err := prof.Start()
@@ -58,6 +59,15 @@ func run() int {
 		}
 	}()
 
+	// Every id is checked before the first experiment runs, so a typo
+	// late in the list costs no simulation.
+	ids, err := harness.ResolveExperiments(strings.Split(*exp, ","))
+	if err != nil {
+		return fail(err)
+	}
+	if *mixes < 0 {
+		return fail(fmt.Errorf("negative -mixes %d", *mixes))
+	}
 	wb, err := opts.NewWorkbench("gmreport")
 	if err != nil {
 		return fail(err)
@@ -73,17 +83,11 @@ func run() int {
 		wb.Progress = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
 	}
 
-	subset, err := graphmem.SubsetWorkloads(*kernelsFlag, *graphsFlag)
+	subset, err := harness.SubsetWorkloads(*kernelsFlag, *graphsFlag)
 	if err != nil {
 		return fail(err)
 	}
 
-	var ids []string
-	if *exp == "all" {
-		ids = graphmem.ExperimentIDs
-	} else {
-		ids = strings.Split(*exp, ",")
-	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			return fail(err)
@@ -93,7 +97,6 @@ func run() int {
 	start := time.Now()
 	var done []string
 	for _, id := range ids {
-		id = strings.TrimSpace(id)
 		t, err := wb.Experiment(id, subset)
 		if err != nil {
 			return fail(err)
@@ -112,9 +115,9 @@ func run() int {
 		}
 	}
 	if wb.Store != nil {
-		fmt.Fprintf(os.Stderr, "gmreport: %s\n", graphmem.StoreSummary(wb.Store))
+		fmt.Fprintf(os.Stderr, "gmreport: %s\n", harness.StoreSummary(wb.Store))
 	}
-	if checkLevel != graphmem.CheckOff {
+	if checkLevel != check.Off {
 		runs, violations, details := wb.CheckOutcome()
 		if violations > 0 {
 			fmt.Fprintf(os.Stderr, "gmreport: differential checker found %d violation(s) across %d checked runs:\n",
@@ -131,7 +134,7 @@ func run() int {
 }
 
 // writeTableFiles persists one table as <dir>/<id>.txt and .csv.
-func writeTableFiles(dir string, t *graphmem.Table) error {
+func writeTableFiles(dir string, t *harness.Table) error {
 	txt, err := os.Create(filepath.Join(dir, t.ID+".txt"))
 	if err != nil {
 		return err
@@ -153,7 +156,7 @@ func writeTableFiles(dir string, t *graphmem.Table) error {
 
 // writeSweepManifest records the sweep's provenance next to the tables.
 func writeSweepManifest(dir string, wb *harness.Workbench, experiments []string, start time.Time) error {
-	m := graphmem.NewManifest("gmreport")
+	m := obs.NewManifest("gmreport")
 	m.Profile = wb.Profile.Name
 	m.Config = wb.BaseConfig().ManifestInfo()
 	m.Experiments = experiments

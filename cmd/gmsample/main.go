@@ -33,7 +33,11 @@ import (
 	"os"
 	"time"
 
-	"graphmem"
+	"graphmem/internal/harness"
+	"graphmem/internal/sample"
+	"graphmem/internal/sim"
+	"graphmem/internal/stats"
+	"graphmem/internal/store"
 )
 
 // cell is one gate matrix point: a config variant, a workload, and the
@@ -41,9 +45,9 @@ import (
 // where pr and cc use 65k — pr's loop structure aliases against 50k
 // (a ~4% MPKI bias), while bfs's phase lengths alias against 65k.
 type cell struct {
-	Config   string              `json:"config"`
-	Workload string              `json:"workload"`
-	Plan     graphmem.SamplePlan `json:"plan"`
+	Config   string      `json:"config"`
+	Workload string      `json:"workload"`
+	Plan     sample.Plan `json:"plan"`
 }
 
 // refCell is one committed reference measurement: the detailed run's
@@ -74,7 +78,7 @@ const (
 // on the bench-scale machine over kron, with the per-workload plans the
 // sampled-vs-full validation settled on (see EXPERIMENTS.md).
 func matrix() []cell {
-	planFor := map[string]graphmem.SamplePlan{
+	planFor := map[string]sample.Plan{
 		"pr":  {Period: 65_000, SampleLen: 5_000, Offset: 13_000, DetailWarm: 5_000},
 		"cc":  {Period: 65_000, SampleLen: 5_000, Offset: 13_000, DetailWarm: 5_000},
 		"bfs": {Period: 50_000, SampleLen: 5_000, Offset: 10_000, DetailWarm: 5_000},
@@ -88,7 +92,7 @@ func matrix() []cell {
 	return out
 }
 
-func cellConfig(base graphmem.Config, name string) graphmem.Config {
+func cellConfig(base sim.Config, name string) sim.Config {
 	if name == "sdclp" {
 		return base.WithSDCLP()
 	}
@@ -104,12 +108,12 @@ func main() {
 	minSpeed := flag.Float64("minspeed", 1.25, "min wall-clock speedup across the matrix (loose: see command doc)")
 	flag.Parse()
 
-	profile, err := graphmem.ProfileByName("bench")
+	profile, err := harness.ProfileByName("bench")
 	if err != nil {
 		fatal(err)
 	}
 	profile.Warmup, profile.Measure = gateWarmup, gateMeasure
-	wb := graphmem.NewWorkbench(profile)
+	wb := harness.NewWorkbench(profile)
 	wb.Progress = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
 
 	if *writeRef {
@@ -133,9 +137,9 @@ func main() {
 			ref.Warmup, ref.Measure, gateWarmup, gateMeasure))
 	}
 
-	var store *graphmem.ResultStore
+	var rs *store.Store
 	if *storeDir != "" {
-		if store, err = graphmem.NewResultStore(*storeDir); err != nil {
+		if rs, err = harness.OpenResultStore(*storeDir); err != nil {
 			fatal(err)
 		}
 	}
@@ -162,16 +166,16 @@ func main() {
 		id := workloadID(c.Workload)
 
 		t0 := time.Now()
-		full := graphmem.RunSingleCore(base, wb.Workload(id, 0))
+		full := sim.RunSingleCore(base, wb.Workload(id, 0))
 		tFull := time.Since(t0).Milliseconds()
 
 		sampledCfg := base.WithSampling(c.Plan.Period, c.Plan.SampleLen, c.Plan.Offset).
 			WithSampleWarm(c.Plan.DetailWarm)
-		if store != nil {
-			sampledCfg = sampledCfg.WithWarmStore(store, profile.Name)
+		if rs != nil {
+			sampledCfg = sampledCfg.WithWarmStore(rs, profile.Name)
 		}
 		t0 = time.Now()
-		sampled := graphmem.RunSingleCore(sampledCfg, wb.Workload(id, 0))
+		sampled := sim.RunSingleCore(sampledCfg, wb.Workload(id, 0))
 		tSampled := time.Since(t0).Milliseconds()
 
 		e := sampled.Sampling
@@ -180,8 +184,8 @@ func main() {
 			continue
 		}
 		ipcRef, mpkiRef := full.Stats.IPC(), full.Stats.L1DemandMPKI()
-		ipcErr := graphmem.RelErr(e.IPC.Mean, ipcRef)
-		mpkiErr := graphmem.RelErr(e.L1DemandMPKI.Mean, mpkiRef)
+		ipcErr := stats.RelErr(e.IPC.Mean, ipcRef)
+		mpkiErr := stats.RelErr(e.L1DemandMPKI.Mean, mpkiRef)
 		fullMs += tFull
 		sampledMs += tSampled
 		fullInstr += full.Stats.Instructions
@@ -219,8 +223,8 @@ func main() {
 	speedup := float64(fullMs) / float64(max64(sampledMs, 1))
 	fmt.Printf("matrix: detailed-volume reduction %.1fx  wall-clock %dms -> %dms (%.2fx)\n",
 		volRed, fullMs, sampledMs, speedup)
-	if store != nil {
-		fmt.Printf("checkpoint store: %d hits, %d misses\n", store.Hits(), store.Misses())
+	if rs != nil {
+		fmt.Printf("checkpoint store: %d hits, %d misses\n", rs.Hits(), rs.Misses())
 	}
 	if volRed < *minVol {
 		fail("detailed-instruction volume reduction %.2fx below the %.1fx floor", volRed, *minVol)
@@ -238,7 +242,7 @@ func main() {
 
 // writeReference runs the matrix's detailed cells and commits their
 // exact metrics plus the per-cell plans as the gate reference.
-func writeReference(wb *graphmem.Workbench, path string, tol float64) error {
+func writeReference(wb *harness.Workbench, path string, tol float64) error {
 	profile := wb.Profile
 	ref := reference{
 		SchemaVersion: 1,
@@ -249,7 +253,7 @@ func writeReference(wb *graphmem.Workbench, path string, tol float64) error {
 	}
 	for _, c := range matrix() {
 		base := cellConfig(profile.BaseConfig(1), c.Config).WithWindows(gateWarmup, gateMeasure)
-		full := graphmem.RunSingleCore(base, wb.Workload(workloadID(c.Workload), 0))
+		full := sim.RunSingleCore(base, wb.Workload(workloadID(c.Workload), 0))
 		ref.Cells = append(ref.Cells, refCell{
 			cell:         c,
 			IPC:          full.Stats.IPC(),
@@ -264,14 +268,14 @@ func writeReference(wb *graphmem.Workbench, path string, tol float64) error {
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }
 
-func workloadID(s string) graphmem.WorkloadID {
+func workloadID(s string) harness.WorkloadID {
 	for i := 0; i < len(s); i++ {
 		if s[i] == '.' {
-			return graphmem.WorkloadID{Kernel: s[:i], Graph: s[i+1:]}
+			return harness.WorkloadID{Kernel: s[:i], Graph: s[i+1:]}
 		}
 	}
 	fatal(fmt.Errorf("bad workload %q", s))
-	return graphmem.WorkloadID{}
+	return harness.WorkloadID{}
 }
 
 func max64(a, b int64) int64 {

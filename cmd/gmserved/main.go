@@ -31,7 +31,8 @@ import (
 	"net/http"
 	"os"
 
-	"graphmem"
+	"graphmem/internal/harness"
+	"graphmem/internal/store"
 )
 
 func main() {
@@ -43,7 +44,7 @@ func main() {
 	// recommended: without it only the per-process memo dedupes) and -j
 	// as everywhere; -profile/-warmup/-measure apply to requests that
 	// leave them out; -check/-sample/-pf/-bp to every run served.
-	opts := graphmem.RegisterRunFlags(flag.CommandLine, "")
+	opts := harness.RegisterRunFlags(flag.CommandLine, "")
 	flag.Parse()
 
 	logf := func(format string, args ...any) {
@@ -58,40 +59,40 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gmserved:", err)
 		os.Exit(1)
 	}
-	store := tmpl.Store
+	rs := tmpl.Store
 
 	if *gcSize != "" {
-		if store == nil {
+		if rs == nil {
 			fmt.Fprintln(os.Stderr, "gmserved: -gc needs -store DIR")
 			os.Exit(1)
 		}
-		maxBytes, err := graphmem.ParseStoreSize(*gcSize)
+		maxBytes, err := store.ParseSize(*gcSize)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gmserved:", err)
 			os.Exit(1)
 		}
-		removed, freed, err := store.GC(maxBytes)
+		removed, freed, err := rs.GC(maxBytes)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gmserved:", err)
 			os.Exit(1)
 		}
-		entries, bytes, _ := store.Size()
+		entries, bytes, _ := rs.Size()
 		fmt.Fprintf(os.Stderr, "gmserved: gc removed %d entries (%d bytes); store now %d entries, %d bytes\n",
 			removed, freed, entries, bytes)
 		return
 	}
 
 	if *storeMax != "" {
-		if store == nil {
+		if rs == nil {
 			fmt.Fprintln(os.Stderr, "gmserved: -store-max needs -store DIR")
 			os.Exit(1)
 		}
-		maxBytes, err := graphmem.ParseStoreSize(*storeMax)
+		maxBytes, err := store.ParseSize(*storeMax)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gmserved:", err)
 			os.Exit(1)
 		}
-		store.SetMaxBytes(maxBytes)
+		rs.SetMaxBytes(maxBytes)
 	}
 
 	srv := newServer(*opts, tmpl, logf)
@@ -101,14 +102,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gmserved:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "gmserved: serving on http://%s/ (store: %s)\n", ln.Addr(), storeDesc(store))
+	fmt.Fprintf(os.Stderr, "gmserved: serving on http://%s/ (store: %s)\n", ln.Addr(), storeDesc(rs))
 	if err := (&http.Server{Handler: srv.handler()}).Serve(ln); err != nil {
 		fmt.Fprintln(os.Stderr, "gmserved:", err)
 		os.Exit(1)
 	}
 }
 
-func storeDesc(s *graphmem.ResultStore) string {
+func storeDesc(s *store.Store) string {
 	if s == nil {
 		return "none, in-memory memo only"
 	}

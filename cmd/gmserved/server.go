@@ -12,7 +12,9 @@ import (
 	"sync"
 	"time"
 
-	"graphmem"
+	"graphmem/internal/harness"
+	"graphmem/internal/sim"
+	"graphmem/internal/store"
 )
 
 // server is the sweep service: a result store fronted by per-profile
@@ -24,8 +26,8 @@ type server struct {
 	// opts are the service's flags, the defaults every request body is
 	// decoded over; tmpl is the workbench they describe, from which each
 	// bench inherits its knobs, store and ledger: one ledger per service.
-	opts graphmem.RunOptions
-	tmpl *graphmem.Workbench
+	opts harness.RunOptions
+	tmpl *harness.Workbench
 	logf func(format string, args ...any)
 	// jobTTL is how long a finished job stays listed and fetchable, on
 	// the clock now (fields so tests can move them).
@@ -53,7 +55,7 @@ type finishedJob struct {
 // rest of its "job <id> queued" event.
 type resolvedRun struct {
 	b      *bench
-	spec   graphmem.RunSpec
+	spec   harness.RunSpec
 	queued string
 
 	mu   sync.Mutex
@@ -71,7 +73,7 @@ type benchKey struct {
 // (profile, window override) triple runs on it, so their overlapping
 // points dedupe against both the memo and each other's in-flight runs.
 type bench struct {
-	wb *graphmem.Workbench
+	wb *harness.Workbench
 
 	mu     sync.Mutex
 	active map[*job]bool
@@ -97,7 +99,7 @@ type job struct {
 // jobTTL is how long a finished job stays fetchable.
 const jobTTL = 15 * time.Minute
 
-func newServer(opts graphmem.RunOptions, tmpl *graphmem.Workbench, logf func(string, ...any)) *server {
+func newServer(opts harness.RunOptions, tmpl *harness.Workbench, logf func(string, ...any)) *server {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -119,7 +121,7 @@ func newServer(opts graphmem.RunOptions, tmpl *graphmem.Workbench, logf func(str
 // pollute its memo. A bench whose modes do not compose on its base
 // machine (every config a request can name derives from it) is refused
 // with Config.Validate's reason.
-func (s *server) bench(o graphmem.RunOptions) (*bench, error) {
+func (s *server) bench(o harness.RunOptions) (*bench, error) {
 	profile, err := o.ScaleProfile()
 	if err != nil {
 		return nil, err
@@ -272,7 +274,7 @@ func (j *job) status() status {
 // runRequest is one simulation point (POST /api/run): the shared run
 // options' profile and windows plus the point.
 type runRequest struct {
-	graphmem.RunOptions
+	harness.RunOptions
 	Kernel string `json:"kernel"`
 	Graph  string `json:"graph"`
 	Config string `json:"config"`
@@ -280,7 +282,7 @@ type runRequest struct {
 
 // sweepRequest is a whole figure sweep (POST /api/sweep).
 type sweepRequest struct {
-	graphmem.RunOptions
+	harness.RunOptions
 	Experiments []string `json:"experiments"`
 	Kernels     string   `json:"kernels,omitempty"`
 	Graphs      string   `json:"graphs,omitempty"`
@@ -307,9 +309,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, req any) error {
 
 // runResult is the wire shape of a completed single point.
 type runResult struct {
-	Key    string           `json:"key"`
-	IPC    float64          `json:"ipc"`
-	Result *graphmem.Result `json:"result"`
+	Key    string      `json:"key"`
+	IPC    float64     `json:"ipc"`
+	Result *sim.Result `json:"result"`
 }
 
 // sweepResult is the wire shape of a completed sweep: each experiment's
@@ -400,7 +402,7 @@ func (s *server) resolveRun(req runRequest) (*resolvedRun, error) {
 	if req.Kernel == "" || req.Graph == "" {
 		return nil, errors.New("kernel and graph are required")
 	}
-	subset, err := graphmem.SubsetWorkloads(req.Kernel, req.Graph)
+	subset, err := harness.SubsetWorkloads(req.Kernel, req.Graph)
 	if err != nil || len(subset) != 1 {
 		return nil, fmt.Errorf("unknown workload %s.%s", req.Kernel, req.Graph)
 	}
@@ -409,7 +411,7 @@ func (s *server) resolveRun(req runRequest) (*resolvedRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := graphmem.ConfigByName(b.wb.Profile.BaseConfig(1), req.Config)
+	cfg, err := harness.ConfigByName(b.wb.Profile.BaseConfig(1), req.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -434,17 +436,12 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "experiments is required (e.g. [\"tab1\",\"fig10\"] or [\"all\"])")
 		return
 	}
-	ids := req.Experiments
-	if len(ids) == 1 && ids[0] == "all" {
-		ids = graphmem.ExperimentIDs
+	ids, err := harness.ResolveExperiments(req.Experiments)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	for _, id := range ids {
-		if !slices.Contains(graphmem.ExperimentIDs, id) && !slices.Contains(graphmem.OptInExperimentIDs, id) {
-			httpError(w, http.StatusBadRequest, "unknown experiment %q", id)
-			return
-		}
-	}
-	subset, err := graphmem.SubsetWorkloads(req.Kernels, req.Graphs)
+	subset, err := harness.SubsetWorkloads(req.Kernels, req.Graphs)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -627,7 +624,7 @@ func (s *server) handleGC(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "max is required")
 		return
 	}
-	maxBytes, err := graphmem.ParseStoreSize(size)
+	maxBytes, err := store.ParseSize(size)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -15,7 +15,10 @@ import (
 	"testing"
 	"time"
 
-	"graphmem"
+	"graphmem/internal/check"
+	"graphmem/internal/harness"
+	"graphmem/internal/sample"
+	"graphmem/internal/sim"
 )
 
 // fastWindows keeps service tests quick: the triad.reg point needs no
@@ -29,13 +32,13 @@ type testService struct {
 
 func newTestService(t testing.TB, storeDir string) *testService {
 	t.Helper()
-	return newTestServiceOpts(t, graphmem.RunOptions{Store: storeDir})
+	return newTestServiceOpts(t, harness.RunOptions{Store: storeDir})
 }
 
 // newTestServiceOpts starts a service as gmserved's main would for the
 // given flags, minus the start-up validation of the base machine (so a
 // test can reach the per-request one).
-func newTestServiceOpts(t testing.TB, opts graphmem.RunOptions) *testService {
+func newTestServiceOpts(t testing.TB, opts harness.RunOptions) *testService {
 	t.Helper()
 	srv := newTestServer(t, opts)
 	ts := httptest.NewServer(srv.handler())
@@ -45,7 +48,7 @@ func newTestServiceOpts(t testing.TB, opts graphmem.RunOptions) *testService {
 
 // newTestServer is newTestServiceOpts without the socket, for tests
 // that drive the handler directly.
-func newTestServer(t testing.TB, opts graphmem.RunOptions) *server {
+func newTestServer(t testing.TB, opts harness.RunOptions) *server {
 	t.Helper()
 	probe := opts
 	probe.Check, probe.Sample = "", ""
@@ -53,10 +56,10 @@ func newTestServer(t testing.TB, opts graphmem.RunOptions) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tmpl.CheckLevel, err = graphmem.ParseCheckLevel(opts.Check); err != nil {
+	if tmpl.CheckLevel, err = check.ParseLevel(opts.Check); err != nil {
 		t.Fatal(err)
 	}
-	if tmpl.Sampling, err = graphmem.ParseSamplePlan(opts.Sample); err != nil {
+	if tmpl.Sampling, err = sample.ParsePlan(opts.Sample); err != nil {
 		t.Fatal(err)
 	}
 	return newServer(opts, tmpl, nil)
@@ -147,8 +150,8 @@ func (s *testService) getJSON(t *testing.T, path string, out any) int {
 	return resp.StatusCode
 }
 
-func fastOptions() graphmem.RunOptions {
-	return graphmem.RunOptions{Profile: "bench", Warmup: fastWarmup, Measure: fastMeasure}
+func fastOptions() harness.RunOptions {
+	return harness.RunOptions{Profile: "bench", Warmup: fastWarmup, Measure: fastMeasure}
 }
 
 func triadRun() runRequest {
@@ -180,8 +183,8 @@ func TestServiceRunRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantKey := graphmem.NewWorkbench(profile).Spec(profile.BaseConfig(1), graphmem.WorkloadID{Kernel: "triad", Graph: "reg"}).Key()
-	wantPrefix := fmt.Sprintf("gmresult|v%d|bench|triad.reg|Baseline (bench-scale)|", graphmem.ResultStateVersion)
+	wantKey := harness.NewWorkbench(profile).Spec(profile.BaseConfig(1), harness.WorkloadID{Kernel: "triad", Graph: "reg"}).Key()
+	wantPrefix := fmt.Sprintf("gmresult|v%d|bench|triad.reg|Baseline (bench-scale)|", sim.StateVersion)
 	if res.Key != wantKey || !strings.HasPrefix(res.Key, wantPrefix) {
 		t.Errorf("result key = %q, want %q (a readable %q...)", res.Key, wantKey, wantPrefix)
 	}
@@ -271,13 +274,13 @@ func TestServiceSweepMatchesLocalHarness(t *testing.T) {
 		t.Fatalf("sweep returned %+v", res.Tables)
 	}
 
-	profile, err := graphmem.ProfileByName("bench")
+	profile, err := harness.ProfileByName("bench")
 	if err != nil {
 		t.Fatal(err)
 	}
 	profile.Warmup, profile.Measure = fastWarmup, fastMeasure
-	wb := graphmem.NewWorkbench(profile)
-	subset, err := graphmem.SubsetWorkloads("triad", "reg")
+	wb := harness.NewWorkbench(profile)
+	subset, err := harness.SubsetWorkloads("triad", "reg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,6 +371,10 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 		{"/api/run", `{"profile":"marvel","kernel":"triad","graph":"reg"}`},
 		{"/api/run", `{"profile":"bench","kernel":"triad","graph":"reg","config":"warp-drive"}`},
 		{"/api/run", `{"profile":"bench","kernel":"triad","graph":"reg","warmup":100000,"measure":9223372036854775807}`},
+		{"/api/run", `{"profile":"bench","kernel":"triad","graph":"reg","warmup":-5,"measure":20000}`},
+		{"/api/run", `{"profile":"bench","kernel":"triad","graph":"reg","measure":-5}`},
+		{"/api/sweep", `{"profile":"bench","experiments":["tab4"],"warmup":-5}`},
+		{"/api/sweep", `{"profile":"bench","experiments":["tab4"],"measure":-5}`},
 		{"/api/sweep", `{"profile":"bench","experiments":[]}`},
 		{"/api/sweep", `{"profile":"bench","experiments":["fig99"]}`},
 		{"/api/sweep", `{"profile":"bench","experiments":["prefetch","fig99"]}`},
@@ -433,13 +440,13 @@ func (s *testService) postRaw(t testing.TB, path, body string) (int, string) {
 // matrix: modes that do not compose are refused per request with 400
 // and exactly sim.Config.Validate's reason, the text gmsim exits with.
 func TestServiceSurfacesValidateText(t *testing.T) {
-	opts := graphmem.RunOptions{Sample: "50000,2000,10000", Check: "oracle"}
+	opts := harness.RunOptions{Sample: "50000,2000,10000", Check: "oracle"}
 	s := newTestServiceOpts(t, opts)
 	if _, err := opts.NewWorkbench("gmserved"); err == nil {
 		t.Fatal("gmserved would start with -sample and -check both set")
 	}
 	want := s.tmpl.Sampling
-	cfg := graphmem.TableI(1).WithCheck(graphmem.CheckOracle)
+	cfg := sim.TableI(1).WithCheck(check.OracleOnly)
 	cfg.Sampling.Plan = want
 	reason := cfg.Validate()
 	if reason == nil {
@@ -653,9 +660,9 @@ func TestServiceResultBodyBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb := graphmem.NewWorkbench(profile)
+	wb := harness.NewWorkbench(profile)
 	wb.Store = s.tmpl.Store
-	spec := wb.Spec(profile.BaseConfig(1), graphmem.WorkloadID{Kernel: "triad", Graph: "reg"})
+	spec := wb.Spec(profile.BaseConfig(1), harness.WorkloadID{Kernel: "triad", Graph: "reg"})
 	res := wb.Run(spec)
 	var want bytes.Buffer
 	enc := json.NewEncoder(&want)
@@ -676,7 +683,7 @@ func TestServiceResultBodyBytes(t *testing.T) {
 // event — for messages JSON must escape; the replay goes out with the
 // response's end, never through an explicit flush.
 func TestServiceEventStreamBytes(t *testing.T) {
-	s := newTestServer(t, graphmem.RunOptions{})
+	s := newTestServer(t, harness.RunOptions{})
 	h := s.handler()
 	msgs := []string{`say "hi"`, `C:\path`, "<b> & </b>", "héllo → 世界", "tab\tand\u2028", "bad \xff byte"}
 	j := s.newJob("run")
@@ -728,7 +735,7 @@ func (f flushRecorder) Flush() {
 // runs flushes what it has before it waits, and delivers "running"
 // before "done".
 func TestServiceEventStreamFollowsRunningJob(t *testing.T) {
-	s := newTestServer(t, graphmem.RunOptions{})
+	s := newTestServer(t, harness.RunOptions{})
 	b, err := s.bench(fastOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -760,7 +767,7 @@ func TestServiceEventStreamFollowsRunningJob(t *testing.T) {
 func TestServiceResolvedShapeKeepsRefusals(t *testing.T) {
 	s := newTestService(t, "")
 	good := `{"profile":"bench","kernel":"triad","graph":"reg","warmup":300000,"measure":150000`
-	_, configErr := graphmem.ConfigByName(graphmem.TableI(1), "warp-drive")
+	_, configErr := harness.ConfigByName(sim.TableI(1), "warp-drive")
 	bad := map[string]string{
 		good + `}{"x":1}`:                "bad request body: trailing data after the JSON object",
 		good + `,"check":"full"}`:        `bad request body: json: unknown field "check"`,
@@ -770,21 +777,21 @@ func TestServiceResolvedShapeKeepsRefusals(t *testing.T) {
 		good + `,"profile":"marvel"}`:    `harness: unknown profile "marvel"`,
 		strings.Replace(good, "reg", "reg,reg,reg", 1) + `,"graph":"kron,urand"}`: "unknown workload triad.kron,urand",
 	}
-	check := func(when string) {
+	refused := func(when string) {
 		for body, want := range bad {
 			if code, msg := s.postRaw(t, "/api/run", body); code != http.StatusBadRequest || msg != want {
 				t.Errorf("%s: POST %s: %d %q, want 400 %q", when, body, code, msg, want)
 			}
 		}
 	}
-	check("before the shape resolved")
+	refused("before the shape resolved")
 	for range 2 {
 		code, msg := s.postRaw(t, "/api/run", good+`}`)
 		if code != http.StatusAccepted {
 			t.Fatalf("POST %s}: %d %s", good, code, msg)
 		}
 	}
-	check("after the shape resolved")
+	refused("after the shape resolved")
 }
 
 // BenchmarkServeOp is one memo-warm serve_warm operation at handler
@@ -792,7 +799,7 @@ func TestServiceResolvedShapeKeepsRefusals(t *testing.T) {
 // the result — over ResponseRecorders, with no socket: the service's own
 // per-operation work. ci/bench_baseline.txt pins its allocs/op.
 func BenchmarkServeOp(b *testing.B) {
-	s := newTestServer(b, graphmem.RunOptions{})
+	s := newTestServer(b, harness.RunOptions{})
 	// Each job expires when the next is submitted, so the live heap, and
 	// with it the cost of an operation, does not grow with b.N.
 	s.jobTTL = time.Nanosecond

@@ -21,7 +21,10 @@ import (
 	"os"
 	"time"
 
-	"graphmem"
+	"graphmem/internal/check"
+	"graphmem/internal/harness"
+	"graphmem/internal/obs"
+	"graphmem/internal/sim"
 )
 
 // fail reports err the way every gmsim misuse ends: on stderr, exit 1.
@@ -44,8 +47,8 @@ func run() int {
 	cores := flag.Int("cores", 1, "simulated core count; >1 replicates the workload on every core of one shared machine")
 	jsonOut := flag.Bool("json", false, "emit a structured run manifest on stdout instead of text")
 	verbose := flag.Bool("v", false, "log run progress")
-	opts := graphmem.RegisterRunFlags(flag.CommandLine, "bench")
-	prof := graphmem.RegisterProfilingFlags(flag.CommandLine)
+	opts := harness.RegisterRunFlags(flag.CommandLine, "bench")
+	prof := obs.RegisterProfileFlags(flag.CommandLine)
 	flag.Parse()
 
 	stopProf, err := prof.Start()
@@ -82,7 +85,7 @@ func run() int {
 	if *verbose {
 		wb.Progress = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
 	}
-	cfg, err := graphmem.ConfigByName(profile.BaseConfig(*cores), *configName)
+	cfg, err := harness.ConfigByName(profile.BaseConfig(*cores), *configName)
 	if err != nil {
 		return fail(err)
 	}
@@ -96,20 +99,20 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	id := graphmem.WorkloadID{Kernel: *kernel, Graph: *graphName}
+	id := harness.WorkloadID{Kernel: *kernel, Graph: *graphName}
 	// One workload per core: the point itself, or the homogeneous mix.
-	ids := make([]graphmem.WorkloadID, *cores)
+	ids := make([]harness.WorkloadID, *cores)
 	for i := range ids {
 		ids[i] = id
 	}
 	spec := wb.Spec(cfg, ids...)
 	// reported prints what every run ends with on stderr — the store's
 	// outcome and the checker's violations — and returns the exit status.
-	reported := func(c graphmem.CheckSummary) int {
+	reported := func(c check.Summary) int {
 		if wb.Store != nil {
-			fmt.Fprintf(os.Stderr, "gmsim: %s\n", graphmem.StoreSummary(wb.Store))
+			fmt.Fprintf(os.Stderr, "gmsim: %s\n", harness.StoreSummary(wb.Store))
 		}
-		if checkLevel == graphmem.CheckOff || c.Violations == 0 {
+		if checkLevel == check.Off || c.Violations == 0 {
 			return 0
 		}
 		fmt.Fprintf(os.Stderr, "gmsim: differential checker found %d violation(s):\n", c.Violations)
@@ -131,7 +134,7 @@ func run() int {
 	res := wb.Run(spec)
 	s := &res.Stats
 	if *frPath != "" {
-		err := graphmem.WritePerfettoTrace(*frPath, []graphmem.TraceRun{
+		err := obs.WritePerfettoFile(*frPath, []obs.TraceRun{
 			{Name: cfg.Name + "/" + id.String(), Rec: res.Recorder},
 		})
 		if err != nil {
@@ -141,18 +144,18 @@ func run() int {
 	status := reported(res.Check)
 
 	if *jsonOut {
-		m := graphmem.NewManifest("gmsim")
+		m := obs.NewManifest("gmsim")
 		m.Profile = profile.Name
 		m.Workload = id.String()
 		m.RunKey = spec.Key()
 		m.Config = effective.ManifestInfo()
 		m.Reruns = res.Reruns
 		m.Final = res.Stats
-		m.Derived = graphmem.DeriveMetrics(&res.Stats)
+		m.Derived = obs.DeriveMetrics(&res.Stats)
 		m.Epochs = res.Epochs
 		m.FlightRecorder = res.Recorder
 		m.Sampling = res.Sampling
-		if checkLevel != graphmem.CheckOff {
+		if checkLevel != check.Off {
 			m.Check = &res.Check
 		}
 		if err := m.Finalize(start).WriteJSON(os.Stdout); err != nil {
@@ -212,7 +215,7 @@ func run() int {
 // printMulti renders the multi-core report. It is fully deterministic —
 // no wall clock — so runs at any -j, or on different machines, can be
 // byte-compared.
-func printMulti(cfg graphmem.Config, profileName string, id graphmem.WorkloadID, res *graphmem.MultiResult) {
+func printMulti(cfg sim.Config, profileName string, id harness.WorkloadID, res *sim.MultiResult) {
 	n := len(res.PerCore)
 	fmt.Printf("workload    %s x %d\n", id, n)
 	fmt.Printf("config      %s (%s profile)  cores %d  engine serial\n", cfg.Name, profileName, n)
@@ -241,8 +244,8 @@ func printMulti(cfg graphmem.Config, profileName string, id graphmem.WorkloadID,
 }
 
 // printCheck renders the checker's line of a checked run's report.
-func printCheck(cfg graphmem.Config, c graphmem.CheckSummary) {
-	if cfg.CheckLevel != graphmem.CheckOff {
+func printCheck(cfg sim.Config, c check.Summary) {
+	if cfg.CheckLevel != check.Off {
 		fmt.Printf("check       level %s  loads %d  stores %d  sweeps %d  unknown %d  violations %d\n",
 			c.Level, c.LoadsChecked, c.StoresTracked, c.Sweeps, c.UnknownVersions, c.Violations)
 	}

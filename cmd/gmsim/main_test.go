@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
-	"graphmem"
+	"graphmem/internal/check"
+	"graphmem/internal/harness"
+	"graphmem/internal/sample"
+	"graphmem/internal/sim"
 )
 
 // buildGmsim builds the tool into a temporary directory.
@@ -47,12 +50,12 @@ func wantExit1(t *testing.T, name, bin string, args []string, want string) {
 // simulating. A run that exits 1 still writes its profiles.
 func TestModeRejectionsSurfaceValidateText(t *testing.T) {
 	bin := buildGmsim(t)
-	plan, err := graphmem.ParseSamplePlan("50000,2000,10000")
+	plan, err := sample.ParsePlan("50000,2000,10000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled := func(cores int) graphmem.Config {
-		c := graphmem.TableI(cores)
+	sampled := func(cores int) sim.Config {
+		c := sim.TableI(cores)
 		c.Sampling.Plan = plan
 		return c
 	}
@@ -62,20 +65,28 @@ func TestModeRejectionsSurfaceValidateText(t *testing.T) {
 		}
 		return "gmsim: " + err.Error() + "\n"
 	}
+	scaled := func(o harness.RunOptions) error {
+		_, err := o.ScaleProfile()
+		return err
+	}
 	point := []string{"-kernel", "triad", "-graph", "reg", "-warmup", "50000", "-measure", "100000"}
-	sample := []string{"-sample", "50000,2000,10000"}
+	sampleFlag := []string{"-sample", "50000,2000,10000"}
 	cases := []struct {
 		name string
 		args []string
 		want string
 	}{
-		{"sample x check", append(sample, "-check", "oracle"), reason(sampled(1).WithCheck(graphmem.CheckOracle).Validate())},
-		{"sample x epochs", append(sample, "-epoch", "20000"), reason(sampled(1).WithEpochInterval(20000).Validate())},
-		{"sample x recorder", append(sample, "-fr", filepath.Join(t.TempDir(), "fr.json")), reason(sampled(1).WithFlightRecorder(0).Validate())},
-		{"sample x 4 cores", append(sample, "-cores", "4"), reason(sampled(4).Validate())},
-		{"unknown preset", []string{"-pf", "warp"}, reason(graphmem.TableI(1).WithPrefetchers("warp").Validate())},
-		{"negative epoch", []string{"-epoch", "-1"}, reason(graphmem.TableI(1).WithEpochInterval(-1).Validate())},
-		{"negative frint", []string{"-fr", filepath.Join(t.TempDir(), "fr.json"), "-frint", "-1"}, reason(graphmem.TableI(1).WithFlightRecorder(-1).Validate())},
+		{"sample x check", append(sampleFlag, "-check", "oracle"), reason(sampled(1).WithCheck(check.OracleOnly).Validate())},
+		{"sample x epochs", append(sampleFlag, "-epoch", "20000"), reason(sampled(1).WithEpochInterval(20000).Validate())},
+		{"sample x recorder", append(sampleFlag, "-fr", filepath.Join(t.TempDir(), "fr.json")), reason(sampled(1).WithFlightRecorder(0).Validate())},
+		{"sample x 4 cores", append(sampleFlag, "-cores", "4"), reason(sampled(4).Validate())},
+		{"unknown preset", []string{"-pf", "warp"}, reason(sim.TableI(1).WithPrefetchers("warp").Validate())},
+		{"negative epoch", []string{"-epoch", "-1"}, reason(sim.TableI(1).WithEpochInterval(-1).Validate())},
+		{"negative frint", []string{"-fr", filepath.Join(t.TempDir(), "fr.json"), "-frint", "-1"}, reason(sim.TableI(1).WithFlightRecorder(-1).Validate())},
+		// Negative windows and -j are refused, not read as "unset".
+		{"negative warmup", []string{"-warmup", "-5"}, reason(scaled(harness.RunOptions{Warmup: -5}))},
+		{"negative measure", []string{"-measure", "-5"}, reason(scaled(harness.RunOptions{Measure: -5}))},
+		{"negative -j", []string{"-j", "-1"}, reason(scaled(harness.RunOptions{Jobs: -1}))},
 	}
 	for _, tc := range cases {
 		wantExit1(t, tc.name, bin, append(point, tc.args...), tc.want)
@@ -84,14 +95,14 @@ func TestModeRejectionsSurfaceValidateText(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
 	wantExit1(t, "profiled unknown preset", bin, append(point, "-pf", "warp", "-cpuprofile", cpu, "-memprofile", mem),
-		reason(graphmem.TableI(1).WithPrefetchers("warp").Validate()))
+		reason(sim.TableI(1).WithPrefetchers("warp").Validate()))
 	for _, path := range []string{cpu, mem} {
 		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 			t.Errorf("a run that exits 1 left %s unwritten or empty: %v", filepath.Base(path), err)
 		}
 	}
 
-	out, err := exec.Command(bin, append(point, sample...)...).Output()
+	out, err := exec.Command(bin, append(point, sampleFlag...)...).Output()
 	if err != nil || !strings.Contains(string(out), "sampling    ") {
 		t.Errorf("accepted sampled run: err %v, output\n%s", err, out)
 	}

@@ -8,15 +8,16 @@ package main
 import (
 	"fmt"
 
-	"graphmem"
+	"graphmem/internal/harness"
+	"graphmem/internal/sim"
 )
 
 func main() {
-	profile := graphmem.BenchProfile()
-	wb := graphmem.NewWorkbench(profile)
+	profile := harness.Bench()
+	wb := harness.NewWorkbench(profile)
 	wb.Progress = func(msg string) { fmt.Println("  ", msg) }
 
-	mix := []graphmem.WorkloadID{
+	mix := []harness.WorkloadID{
 		{Kernel: "pr", Graph: "kron"},
 		{Kernel: "cc", Graph: "urand"},
 		{Kernel: "bfs", Graph: "kron"},
@@ -24,13 +25,13 @@ func main() {
 	}
 	fmt.Println("mix:", mix)
 
-	runMix := func(cfg graphmem.Config) []float64 {
+	runMix := func(cfg sim.Config) []float64 {
 		cfg = cfg.WithWindows(profile.MixWarmup, profile.MixMeasure)
-		ws := make([]graphmem.Workload, len(mix))
+		ws := make([]sim.Workload, len(mix))
 		for i, id := range mix {
 			ws[i] = wb.Workload(id, i)
 		}
-		return graphmem.RunMultiCore(cfg, ws).IPCs()
+		return sim.RunMultiCore(cfg, ws).IPCs()
 	}
 
 	base4 := profile.BaseConfig(4)
@@ -44,9 +45,9 @@ func main() {
 	singles := make([]float64, len(mix))
 	for i, id := range mix {
 		cfg := base4.WithWindows(profile.MixWarmup, profile.MixMeasure)
-		ws := make([]graphmem.Workload, 4)
+		ws := make([]sim.Workload, 4)
 		ws[0] = wb.Workload(id, 0)
-		singles[i] = graphmem.RunMultiCore(cfg, ws).PerCore[0].IPC()
+		singles[i] = sim.RunMultiCore(cfg, ws).PerCore[0].IPC()
 	}
 
 	var wsBase, wsSDC float64

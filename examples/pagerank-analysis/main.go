@@ -11,15 +11,15 @@ import (
 	"flag"
 	"fmt"
 
-	"graphmem"
+	"graphmem/internal/harness"
 )
 
 func main() {
 	graphName := flag.String("graph", "kron", "input graph (web|road|twitter|kron|urand|friendster)")
 	flag.Parse()
 
-	wb := graphmem.NewWorkbench(graphmem.BenchProfile())
-	id := graphmem.WorkloadID{Kernel: "pr", Graph: *graphName}
+	wb := harness.NewWorkbench(harness.Bench())
+	id := harness.WorkloadID{Kernel: "pr", Graph: *graphName}
 	base := wb.Profile.BaseConfig(1)
 
 	fmt.Printf("=== %s on the baseline hierarchy ===\n", id)

@@ -7,17 +7,17 @@ package main
 import (
 	"fmt"
 
-	"graphmem"
+	"graphmem/internal/harness"
 )
 
 func main() {
 	// A workbench owns the graphs and machine profiles. The bench
 	// profile uses a proportionally shrunk hierarchy so this finishes
 	// in seconds; use "small" or "full" for Table-I scale machines.
-	wb := graphmem.NewWorkbench(graphmem.BenchProfile())
+	wb := harness.NewWorkbench(harness.Bench())
 	wb.Progress = func(msg string) { fmt.Println("  ", msg) }
 
-	id := graphmem.WorkloadID{Kernel: "pr", Graph: "kron"}
+	id := harness.WorkloadID{Kernel: "pr", Graph: "kron"}
 	base := wb.Profile.BaseConfig(1)
 
 	fmt.Println("simulating", id, "on the baseline machine...")

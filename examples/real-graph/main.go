@@ -17,7 +17,10 @@ import (
 	"os"
 	"strings"
 
-	"graphmem"
+	"graphmem/internal/graph"
+	"graphmem/internal/kernels"
+	"graphmem/internal/mem"
+	"graphmem/internal/sim"
 )
 
 func main() {
@@ -29,6 +32,11 @@ func main() {
 	measure := flag.Int64("measure", 4_000_000, "measured instructions")
 	flag.Parse()
 
+	build, ok := kernels.Registry()[*kernel]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "real-graph: unknown kernel %q\n", *kernel)
+		os.Exit(1)
+	}
 	g, name, err := loadGraph(*edges, *gmg, *undirected)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "real-graph:", err)
@@ -40,7 +48,7 @@ func main() {
 
 	// Pick the machine scale by footprint: the paper's regime needs the
 	// per-vertex property arrays to dwarf the LLC.
-	cfg := graphmem.TableI(1)
+	cfg := sim.TableI(1)
 	propertyBytes := int64(s.Vertices) * 4
 	if propertyBytes < 4*int64(cfg.LLCPerCoreBytes) {
 		fmt.Println("graph is small relative to the Table I LLC; using the bench-scale machine")
@@ -48,11 +56,10 @@ func main() {
 	}
 	cfg = cfg.WithWindows(*warmup, *measure)
 
-	run := func(c graphmem.Config) *graphmem.Result {
-		space := graphmem.NewSpace(0)
-		inst := graphmem.NewKernel(*kernel, g, space)
-		w := graphmem.MakeWorkload(*kernel+"."+name, inst, space)
-		return graphmem.RunSingleCore(c, w)
+	run := func(c sim.Config) *sim.Result {
+		space := mem.NewSpace(0)
+		w := sim.Workload{Name: *kernel + "." + name, Inst: build(g, space), Space: space}
+		return sim.RunSingleCore(c, w)
 	}
 	fmt.Println("running baseline...")
 	base := run(cfg)
@@ -68,7 +75,7 @@ func main() {
 	fmt.Printf("speed-up %+.1f%%\n", (sdclp.IPC()/base.IPC()-1)*100)
 }
 
-func loadGraph(edges, gmg string, undirected bool) (*graphmem.Graph, string, error) {
+func loadGraph(edges, gmg string, undirected bool) (*graph.Graph, string, error) {
 	switch {
 	case edges != "":
 		f, err := os.Open(edges)
@@ -76,7 +83,7 @@ func loadGraph(edges, gmg string, undirected bool) (*graphmem.Graph, string, err
 			return nil, "", err
 		}
 		defer f.Close()
-		g, err := graphmem.ReadEdgeList(f, undirected)
+		g, err := graph.ReadEdgeList(f, undirected)
 		return g, trimName(edges), err
 	case gmg != "":
 		f, err := os.Open(gmg)
@@ -84,11 +91,11 @@ func loadGraph(edges, gmg string, undirected bool) (*graphmem.Graph, string, err
 			return nil, "", err
 		}
 		defer f.Close()
-		g, err := graphmem.ReadBinaryGraph(f)
+		g, err := graph.ReadBinary(f)
 		return g, trimName(gmg), err
 	default:
 		fmt.Println("no input given; generating a demo Kronecker graph (use -edges or -gmg for real data)")
-		return graphmem.Kron(17, 8, 1), "demo-kron17", nil
+		return graph.Kron(17, 8, 1), "demo-kron17", nil
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"os"
 
-	"graphmem"
 	"graphmem/internal/harness"
 )
 
@@ -20,10 +19,10 @@ func main() {
 	graphName := flag.String("graph", "kron", "input graph (the paper uses cc.friendster)")
 	flag.Parse()
 
-	wb := harness.NewWorkbench(graphmem.BenchProfile())
+	wb := harness.NewWorkbench(harness.Bench())
 	wb.Progress = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
 
-	id := graphmem.WorkloadID{Kernel: *kernel, Graph: *graphName}
+	id := harness.WorkloadID{Kernel: *kernel, Graph: *graphName}
 	res := wb.Fig3(id)
 	res.Table().Render(os.Stdout)
 

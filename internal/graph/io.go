@@ -14,8 +14,7 @@ import (
 // Graph I/O: the paper evaluates real graphs (Twitter, Friendster, ...)
 // that are not redistributable here, but users who have them can load
 // edge lists with ReadEdgeList and cache the built CSR with
-// WriteBinary/ReadBinary, then run any experiment on them via the
-// public API.
+// WriteBinary/ReadBinary, then simulate them (examples/real-graph).
 
 var graphMagic = [8]byte{'G', 'M', 'G', 'R', 'P', 'H', '0', '1'}
 

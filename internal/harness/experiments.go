@@ -28,6 +28,23 @@ var ExperimentIDs = []string{
 // to earlier releases.
 var OptInExperimentIDs = []string{"latency", "prefetch"}
 
+// ResolveExperiments checks a requested experiment list before anything
+// runs: ids are trimmed, a lone "all" expands to ExperimentIDs, and an
+// id that is neither there nor in OptInExperimentIDs is refused by name.
+func ResolveExperiments(ids []string) ([]string, error) {
+	if len(ids) == 1 && strings.TrimSpace(ids[0]) == "all" {
+		return ExperimentIDs, nil
+	}
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = strings.TrimSpace(id)
+		if !slices.Contains(ExperimentIDs, out[i]) && !slices.Contains(OptInExperimentIDs, out[i]) {
+			return nil, fmt.Errorf("unknown experiment %q", out[i])
+		}
+	}
+	return out, nil
+}
+
 // Experiment runs one experiment by id (a member of ExperimentIDs or
 // OptInExperimentIDs) on the workbench and returns its renderable
 // table. A nil subset means all 36 workloads (nil picks the prefetch

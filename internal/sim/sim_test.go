@@ -191,6 +191,19 @@ func TestVariantsAreComplete(t *testing.T) {
 			t.Errorf("variant %q missing", want)
 		}
 	}
+	// The sweep and ablation variants name themselves apart from the
+	// machine they derive from.
+	base := TableI(1)
+	for _, v := range []struct{ cfg, from Config }{
+		{base.WithSDCLP().WithSDCSize(16), base.WithSDCLP()},
+		{base.WithSDCLP().WithLP(64, 64, 8), base.WithSDCLP()},
+		{base.WithoutPrefetchers(), base},
+		{base.WithDirLatency(8), base},
+	} {
+		if v.cfg.Name == "" || v.cfg.Name == v.from.Name {
+			t.Errorf("variant of %q lost its name: %q", v.from.Name, v.cfg.Name)
+		}
+	}
 }
 
 func TestConfigGeometriesConstructible(t *testing.T) {

@@ -14,26 +14,27 @@ import (
 	"testing"
 	"time"
 
-	"graphmem"
+	"graphmem/internal/harness"
+	"graphmem/internal/obs"
 )
 
 func TestRunManifestAcceptance(t *testing.T) {
-	profile := graphmem.BenchProfile()
+	profile := harness.Bench()
 	profile.Warmup, profile.Measure = 1_000_000, 1_000_000
-	wb := graphmem.NewWorkbench(profile)
+	wb := harness.NewWorkbench(profile)
 	cfg := profile.BaseConfig(1).WithSDCLP().WithEpochInterval(100_000)
-	id := graphmem.WorkloadID{Kernel: "pr", Graph: "kron"}
+	id := harness.WorkloadID{Kernel: "pr", Graph: "kron"}
 
 	start := time.Now()
 	res := wb.RunSingle(cfg, id)
 
-	m := graphmem.NewManifest("gmsim")
+	m := obs.NewManifest("gmsim")
 	m.Profile = profile.Name
 	m.Workload = id.String()
 	m.Config = cfg.WithWindows(profile.Warmup, profile.Measure).ManifestInfo()
 	m.Reruns = res.Reruns
 	m.Final = res.Stats
-	m.Derived = graphmem.DeriveMetrics(&res.Stats)
+	m.Derived = obs.DeriveMetrics(&res.Stats)
 	m.Epochs = res.Epochs
 	var buf bytes.Buffer
 	if err := m.Finalize(start).WriteJSON(&buf); err != nil {
@@ -41,7 +42,7 @@ func TestRunManifestAcceptance(t *testing.T) {
 	}
 
 	// The manifest must survive a JSON round-trip intact.
-	var back graphmem.Manifest
+	var back obs.Manifest
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("manifest is not valid JSON: %v", err)
 	}
