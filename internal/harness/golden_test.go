@@ -2,9 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"graphmem/internal/sim"
 )
 
 // TestTab1GoldenBench pins the rendered Table I report for the bench
@@ -23,5 +27,66 @@ func TestTab1GoldenBench(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("tab1 bench report diverged from %s.\ngot:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
+	}
+}
+
+// namedConfigs are the names ConfigByName resolves (one spelling each),
+// in its switch order.
+var namedConfigs = []string{"baseline", "sdclp", "topt", "popt", "adaptive", "distill",
+	"l1diso", "2xllc", "expert", "victim", "rrip", "bypass"}
+
+// TestNamedConfigsGolden pins, byte for byte, the result of every
+// machine a tool can name — each ConfigByName config plus the
+// branch-miss sensitivity row — at fastBench windows: IPC, cycles, DRAM
+// reads and a digest of the whole encoded Result. The Table I, prefetch
+// and sampling goldens pin only the Baseline/SDC+LP family; this one
+// also covers the LLC policies, Distill, the victim cache, bypass,
+// adaptive τ, Expert, 2xLLC and L1D-ISO. pr.kron's short window is
+// still its sequential initialization, where most machines tie on IPC
+// (the digest still tells them apart); cc.kron gathers from its first
+// record, so there each machine's own policy shows in the headline
+// numbers. On a deliberate change, the failure prints the new file's
+// content.
+func TestNamedConfigsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("26 simulations")
+	}
+	wb := NewWorkbench(fastBench())
+	base := wb.Profile.BaseConfig(1)
+	type named struct {
+		name string
+		cfg  sim.Config
+	}
+	var cfgs []named
+	for _, n := range namedConfigs {
+		cfg, err := ConfigByName(base, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, named{n, cfg})
+	}
+	cfgs = append(cfgs, named{"bp14", base.WithBranchMissPenalty(14)})
+
+	var buf bytes.Buffer
+	for _, id := range []WorkloadID{{Kernel: "pr", Graph: "kron"}, {Kernel: "cc", Graph: "kron"}} {
+		for _, c := range cfgs {
+			res := wb.RunSingle(c.cfg, id)
+			enc, err := sim.EncodeResult(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(enc)
+			fmt.Fprintf(&buf, "%s %-9s ipc=%.6f cycles=%d dram_reads=%d result=%x\n",
+				id, c.name, res.IPC(), res.Stats.Cycles, res.Stats.DRAMReads, sum[:8])
+		}
+	}
+
+	golden := filepath.Join("testdata", "named_configs.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden: %v\ngot:\n%s", err, buf.Bytes())
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("named-config results diverged from %s.\ngot:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
 	}
 }

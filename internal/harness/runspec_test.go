@@ -31,6 +31,32 @@ func TestRunKeyCanary(t *testing.T) {
 		t.Errorf("StoreKey = %q, want the key's 32-hex-digit digest", got)
 	}
 
+	// The comparison machines whose settings live outside the SDC
+	// routing axis: the LLC policies, Distill and the branch-miss
+	// sensitivity knob. A refactor of how sim.Config spells them must
+	// leave their stores addressed as before.
+	base := sim.TableI(1).WithWindows(4_000_000, 4_000_000)
+	for _, c := range []struct {
+		cfg  sim.Config
+		want string
+	}{
+		{base.WithTOPT(), "gmresult|v1|bench|pr.kron|T-OPT|9cd2aee7fb90f5eb9275b6bbaf875615"},
+		{base.WithPOPT(), "gmresult|v1|bench|pr.kron|P-OPT|02f7b8eb3677f4c6691a250e2064c3f5"},
+		{base.WithRRIP(), "gmresult|v1|bench|pr.kron|SRRIP|76462d2d0afa1678d9ddb59d170cd3b6"},
+		{base.WithDistill(), "gmresult|v1|bench|pr.kron|Distill|b682dcef5839632d8d3695a084b24558"},
+		{base.WithBranchMissPenalty(14), "gmresult|v1|bench|pr.kron|Baseline|3bfd263b70cd537b386d74adda82abf3"},
+	} {
+		if got := NewRunSpec(c.cfg, id, "bench").Key(); got != c.want {
+			t.Errorf("%s: Key = %q, want %q", c.cfg.Name, got, c.want)
+		}
+	}
+	// The warm-up address of a sampled Distill run (Distill's ways shape
+	// the warm L2, so the pair is warm-relevant).
+	sampled := base.WithDistill().WithSampling(50_000, 2_000, 10_000).WithWarmStore(nil, "bench")
+	if got, want := sampled.WarmKey(id.String()), "5b67ece28671316323e4dbe8fca57198"; got != want {
+		t.Errorf("sampled Distill WarmKey = %q, want %q", got, want)
+	}
+
 	// Every scope axis moves the digest, and the run kinds are disjoint
 	// namespaces over one (config, workload, profile).
 	others := []RunSpec{
