@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -140,5 +141,25 @@ func TestToolRulesRefuseDroppedFlags(t *testing.T) {
 		{"-json with -cores 2", []string{"-json", "-cores", "2"}, "gmsim: -json and -fr are not supported with -cores > 1\n"},
 	} {
 		wantExit1(t, tc.name, bin, append(point, tc.args...), tc.want)
+	}
+}
+
+// TestManifestNamesTheMachine: the -json config block tells apart the
+// machines the run flags select, not only the run key — the prefetcher
+// preset, the branch-miss penalty and the LLC policy each appear.
+func TestManifestNamesTheMachine(t *testing.T) {
+	bin := buildGmsim(t)
+	out, err := exec.Command(bin, "-kernel", "pr", "-graph", "kron", "-profile", "bench",
+		"-warmup", "20000", "-measure", "20000", "-pf", "none", "-bp", "14", "-config", "topt", "-json").Output()
+	if err != nil {
+		t.Fatalf("gmsim: %v", err)
+	}
+	if !json.Valid(out) {
+		t.Fatalf("manifest is not JSON:\n%s", out)
+	}
+	for _, field := range []string{`"prefetchers": "none"`, `"branch_miss_penalty": 14`, `"llc_policy": "topt"`} {
+		if !bytes.Contains(out, []byte(field)) {
+			t.Errorf("manifest lacks %s", field)
+		}
 	}
 }

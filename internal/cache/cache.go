@@ -38,10 +38,10 @@ type Config struct {
 	MSHRs int
 	// Policy selects the replacement policy; nil means LRU.
 	Policy Policy
-	// Distill enables the Line Distillation organization: the last
-	// DistillWOCWays ways of each set form the Word-Organized Cache
-	// holding only the used words of lines evicted from the rest.
-	Distill        bool
+	// DistillWOCWays, when positive, enables the Line Distillation
+	// organization: the last DistillWOCWays ways of each set form the
+	// Word-Organized Cache holding only the used words of lines evicted
+	// from the rest. It must be below Ways; zero is a plain cache.
 	DistillWOCWays int
 }
 
@@ -114,7 +114,7 @@ func New(cfg Config) *Cache {
 	if c.policy == nil {
 		c.policy = LRU{}
 	}
-	if cfg.Distill && (cfg.DistillWOCWays <= 0 || cfg.DistillWOCWays >= cfg.Ways) {
+	if w := cfg.DistillWOCWays; w < 0 || w > 0 && w >= cfg.Ways {
 		panic(fmt.Sprintf("cache %s: bad DistillWOCWays %d for %d ways", cfg.Name, cfg.DistillWOCWays, cfg.Ways))
 	}
 	if cfg.MSHRs > 0 {
@@ -320,10 +320,7 @@ func (c *Cache) Fill(blk mem.BlockAddr, addr mem.Addr, size uint8, write, prefet
 			return Victim{}
 		}
 	}
-	lastLOC := len(set)
-	if c.cfg.Distill {
-		lastLOC = len(set) - c.cfg.DistillWOCWays
-	}
+	lastLOC := len(set) - c.cfg.DistillWOCWays
 	way := -1
 	for w := 0; w < lastLOC; w++ {
 		if !set[w].Valid {
@@ -337,7 +334,7 @@ func (c *Cache) Fill(blk mem.BlockAddr, addr mem.Addr, size uint8, write, prefet
 		ln := &set[way]
 		v = Victim{Valid: true, Blk: ln.Blk, Dirty: ln.Dirty, Used: ln.Used, Ver: ln.Ver}
 		ln.Valid = false
-		if c.cfg.Distill {
+		if c.cfg.DistillWOCWays > 0 {
 			// Line distillation: retain the victim's used words in the
 			// word-organized ways instead of discarding the whole line.
 			c.distillInsert(si, v)

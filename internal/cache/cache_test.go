@@ -206,7 +206,7 @@ func TestHitsPlusMissesEqualAccesses(t *testing.T) {
 func distillCfg() Config {
 	// 2 sets, 4 ways, last way is the WOC.
 	return Config{Name: "D", SizeBytes: 2 * 4 * mem.BlockSize, Ways: 4,
-		Latency: 1, Distill: true, DistillWOCWays: 1}
+		Latency: 1, DistillWOCWays: 1}
 }
 
 func TestDistillRetainsUsedWords(t *testing.T) {
@@ -256,13 +256,17 @@ func TestDistillDirtyWordsStayDirty(t *testing.T) {
 }
 
 func TestDistillBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for WOCWays >= Ways")
-		}
-	}()
-	New(Config{Name: "bad", SizeBytes: 8 * mem.BlockSize, Ways: 2,
-		Latency: 1, Distill: true, DistillWOCWays: 2})
+	for _, woc := range []int{2, 3, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic for DistillWOCWays %d of 2 ways", woc)
+				}
+			}()
+			New(Config{Name: "bad", SizeBytes: 8 * mem.BlockSize, Ways: 2,
+				Latency: 1, DistillWOCWays: woc})
+		}()
+	}
 }
 
 // --- T-OPT ---

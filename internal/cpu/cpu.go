@@ -302,10 +302,6 @@ func (c *Core) Access(r trace.Record) {
 	}
 }
 
-// Drain returns the cycle at which everything dispatched so far has
-// retired.
-func (c *Core) Drain() int64 { return c.lastRetire }
-
 // WarmRetire consumes one trace record during functional warming
 // (internal/sample): the retired-instruction counters advance — the
 // sampling window machinery is positioned by Instructions — but the

@@ -491,7 +491,8 @@ func TestRegistryNamesComplete(t *testing.T) {
 // --- regular suite ---
 
 func TestRegularSuiteRunsAndIsSequential(t *testing.T) {
-	for _, inst := range RegularSuite(mem.NewSpace(0)) {
+	for _, build := range RegularBuilders() {
+		inst := build(nil, mem.NewSpace(0))
 		sink := &trace.SliceSink{Limit: 50000}
 		inst.Run(trace.New(sink))
 		if len(sink.Recs) == 0 {

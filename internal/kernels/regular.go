@@ -179,19 +179,10 @@ func (s *Stencil) Run(tr *trace.Tracer) {
 	}
 }
 
-// RegularSuite builds the three regular kernels sized so their
+// RegularBuilders exposes the three regular kernels through the kernel
+// Builder interface (the graph argument is ignored) so the harness can
+// treat regular workloads uniformly. They are sized so their
 // footprints, like SPEC's, fit mostly in the LLC.
-func RegularSuite(space *mem.Space) []Instance {
-	return []Instance{
-		NewTriad(1<<15, space),
-		NewMatVec(256, 512, space),
-		NewStencil(1<<15, space),
-	}
-}
-
-// RegularBuilders exposes the regular suite through the kernel Builder
-// interface (the graph argument is ignored) so the harness can treat
-// regular workloads uniformly.
 func RegularBuilders() map[string]Builder {
 	return map[string]Builder{
 		"triad": func(_ *graph.Graph, space *mem.Space) Instance {

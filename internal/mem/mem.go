@@ -1,5 +1,5 @@
 // Package mem provides the shared memory-system plumbing used by every
-// component of the simulator: request/response types, block and page
+// component of the simulator: response types, block and page
 // arithmetic, a synthetic per-core address-space allocator and a registry
 // of named data-structure regions.
 //
@@ -53,61 +53,6 @@ type PageAddr uint64
 
 // Addr returns the byte address of the first byte of the page.
 func (p PageAddr) Addr() Addr { return Addr(p << PageBits) }
-
-// AccessType distinguishes the kinds of requests seen by the hierarchy.
-type AccessType uint8
-
-const (
-	// Load is a demand read issued by the core.
-	Load AccessType = iota
-	// Store is a demand write issued by the core (write-allocate).
-	Store
-	// Prefetch is a hardware-prefetcher read.
-	Prefetch
-	// Writeback is a dirty-eviction write toward memory.
-	Writeback
-	// Translation is a page-table-walker read.
-	Translation
-)
-
-// String implements fmt.Stringer.
-func (t AccessType) String() string {
-	switch t {
-	case Load:
-		return "load"
-	case Store:
-		return "store"
-	case Prefetch:
-		return "prefetch"
-	case Writeback:
-		return "writeback"
-	case Translation:
-		return "translation"
-	default:
-		return fmt.Sprintf("AccessType(%d)", uint8(t))
-	}
-}
-
-// IsWrite reports whether the access modifies the block.
-func (t AccessType) IsWrite() bool { return t == Store || t == Writeback }
-
-// Request is a memory request travelling through the hierarchy.
-type Request struct {
-	// Core is the issuing core's index.
-	Core int
-	// PC is the (synthetic) program counter of the instruction.
-	PC uint64
-	// Addr is the byte address accessed.
-	Addr Addr
-	// Type is the access kind.
-	Type AccessType
-	// Issue is the global CPU-cycle timestamp at which the request
-	// enters the component being asked.
-	Issue int64
-}
-
-// Block returns the block number of the request's address.
-func (r *Request) Block() BlockAddr { return r.Addr.Block() }
 
 // ServedBy identifies the hierarchy level that ultimately supplied the
 // data for a request. It is reported back up the ladder so that callers

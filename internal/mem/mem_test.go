@@ -55,27 +55,6 @@ func TestBlockPageConsistency(t *testing.T) {
 	}
 }
 
-func TestAccessTypeIsWrite(t *testing.T) {
-	if Load.IsWrite() || Prefetch.IsWrite() || Translation.IsWrite() {
-		t.Error("read access types report IsWrite")
-	}
-	if !Store.IsWrite() || !Writeback.IsWrite() {
-		t.Error("write access types do not report IsWrite")
-	}
-}
-
-func TestAccessTypeStrings(t *testing.T) {
-	want := map[AccessType]string{
-		Load: "load", Store: "store", Prefetch: "prefetch",
-		Writeback: "writeback", Translation: "translation",
-	}
-	for at, s := range want {
-		if at.String() != s {
-			t.Errorf("AccessType(%d).String() = %q, want %q", at, at.String(), s)
-		}
-	}
-}
-
 func TestServedByStrings(t *testing.T) {
 	for _, s := range []ServedBy{ServedNone, ServedSDC, ServedL1D, ServedL2, ServedLLC, ServedRemote, ServedDRAM} {
 		if s.String() == "" {

@@ -29,6 +29,12 @@ type RunConfig struct {
 	Warmup        int64  `json:"warmup_instr"`
 	Measure       int64  `json:"measure_instr"`
 	EpochInterval int64  `json:"epoch_interval"`
+	// Prefetchers is the prefetcher preset ("" is Table I's wiring),
+	// BranchMissPenalty the injected refill stall (0 is off) and
+	// LLCPolicy the LLC replacement policy (lru|srrip|topt|popt).
+	Prefetchers       string `json:"prefetchers"`
+	BranchMissPenalty int64  `json:"branch_miss_penalty"`
+	LLCPolicy         string `json:"llc_policy"`
 	// Sampling-engine schedule (internal/sample); all omitted — keeping
 	// the manifest bytes identical to today — unless sampling was on.
 	SamplePeriod int64 `json:"sample_period,omitempty"`

@@ -56,16 +56,6 @@ func (p Plan) NextStart(k int) int64 {
 	return p.Offset + int64(k)*p.Period
 }
 
-// DetailFraction returns the fraction of the window simulated in
-// detail (including the discarded warm prefixes) — the first-order
-// cost model of a sampled run.
-func (p Plan) DetailFraction() float64 {
-	if !p.Enabled() {
-		return 1
-	}
-	return float64(p.DetailWarm+p.SampleLen) / float64(p.Period)
-}
-
 // ParsePlan parses a -sample flag value "period,len,offset[,warm]"
 // (e.g. "65000,5000,13000" or "50000,5000,10000,5000"). The warm
 // component defaults to len — the validated default of the CI gate's

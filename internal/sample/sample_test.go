@@ -42,12 +42,6 @@ func TestPlanSchedule(t *testing.T) {
 	if s := p.NextStart(3); s != 160_000 {
 		t.Errorf("NextStart(3) = %d, want 160000", s)
 	}
-	if f := p.DetailFraction(); f != 0.2 {
-		t.Errorf("DetailFraction = %v, want 0.2", f)
-	}
-	if f := (Plan{}).DetailFraction(); f != 1 {
-		t.Errorf("disabled plan DetailFraction = %v, want 1", f)
-	}
 }
 
 // TestEstimateIsRatioEstimator pins the Jensen-bias fix: with two

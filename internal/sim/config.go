@@ -57,6 +57,39 @@ func (m RoutingMode) String() string {
 	}
 }
 
+// LLCPolicy selects the shared LLC's replacement policy.
+type LLCPolicy int
+
+// LLC replacement policies.
+const (
+	// LLCLRU is Table I's LRU.
+	LLCLRU LLCPolicy = iota
+	// LLCSRRIP is SRRIP (related-work comparison; the paper cites
+	// RRIP-family policies as struggling with graph workloads).
+	LLCSRRIP
+	// LLCTOPT is the transpose-driven T-OPT replacement (needs workload
+	// oracles).
+	LLCTOPT
+	// LLCPOPT is T-OPT's practical variant (P-OPT, Balaji et al.): one
+	// LLC way per set is given up to the cached re-reference matrix and
+	// the oracle's ranks are quantized to coarse epochs.
+	LLCPOPT
+)
+
+var llcPolicyNames = [...]string{"lru", "srrip", "topt", "popt"}
+
+// String implements fmt.Stringer.
+func (p LLCPolicy) String() string {
+	if p < 0 || int(p) >= len(llcPolicyNames) {
+		return fmt.Sprintf("LLCPolicy(%d)", int(p))
+	}
+	return llcPolicyNames[p]
+}
+
+// oracled reports whether the policy ranks victims by the workloads'
+// next-use oracles.
+func (p LLCPolicy) oracled() bool { return p == LLCTOPT || p == LLCPOPT }
+
 // Config is a full system configuration.
 type Config struct {
 	// Name labels the configuration in reports ("Baseline", "SDC+LP"...).
@@ -66,29 +99,15 @@ type Config struct {
 
 	CPU cpu.Config
 
-	// L1D, L2 are per-core private caches; LLC is shared and sized at
-	// LLCPerCoreBytes * Cores.
+	// L1D, L2 are per-core private caches (a positive
+	// L2.DistillWOCWays makes the L2 a Line Distillation cache); LLC is
+	// shared and sized at LLCPerCoreBytes * Cores.
 	L1D, L2         cache.Config
 	LLCPerCoreBytes int
 	LLCWays         int
 	LLCLatency      int64
 	LLCMSHRs        int
-
-	// LLCTOPT selects the transpose-driven T-OPT replacement at the
-	// LLC (needs workload oracles).
-	LLCTOPT bool
-	// LLCRRIP selects SRRIP replacement at the LLC (related-work
-	// comparison; the paper cites RRIP-family policies as struggling
-	// with graph workloads).
-	LLCRRIP bool
-	// LLCPOPT degrades T-OPT to its practical variant (P-OPT, Balaji
-	// et al.): one LLC way per set is given up to the cached
-	// re-reference matrix and the oracle's ranks are quantized to
-	// coarse epochs.
-	LLCPOPT bool
-	// L2Distill turns the L2 into a Line Distillation cache.
-	L2Distill     bool
-	L2DistillWays int
+	LLCPolicy       LLCPolicy
 
 	// Routing selects the SDC routing mode; SDC/LP/SDCDir are only
 	// used when Routing != RouteNone.
@@ -110,13 +129,6 @@ type Config struct {
 	// (cross-core LLC prefetcher) or "spp+imp". Validate rejects unknown
 	// names.
 	Prefetchers string
-
-	// BranchMissPenalty, when positive, injects pipeline-refill stalls
-	// of that many cycles on a pseudo-random ~1/32 of trace records,
-	// modeling branch mispredictions on data-dependent graph branches
-	// (sensitivity knob; see cpu.Config.BranchMissPenalty). Zero — the
-	// default, matching Table I — changes nothing.
-	BranchMissPenalty int64
 
 	// VictimEntries, when positive, attaches a fully-associative
 	// victim cache (Jouppi) of that many lines beside the L1D — the
@@ -240,8 +252,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: instruction window end overflows int64 (warmup %d, measure %d)", c.Warmup, c.Measure)
 	case !ValidPrefetchers(c.Prefetchers):
 		return fmt.Errorf("sim: unknown prefetcher preset %q (want none|nextline|spp|stride|imp|pickle|spp+imp)", c.Prefetchers)
-	case c.BranchMissPenalty < 0:
-		return fmt.Errorf("sim: branch-miss penalty %d must be >= 0", c.BranchMissPenalty)
+	case c.CPU.BranchMissPenalty < 0:
+		return fmt.Errorf("sim: branch-miss penalty %d must be >= 0", c.CPU.BranchMissPenalty)
 	case c.EpochInterval < 0:
 		return fmt.Errorf("sim: epoch interval %d must be >= 0", c.EpochInterval)
 	case c.FRInterval < 0:
@@ -403,20 +415,23 @@ func (c Config) frInterval() int64 {
 // ManifestInfo summarizes the configuration for an obs run manifest.
 func (c Config) ManifestInfo() obs.RunConfig {
 	return obs.RunConfig{
-		Name:          c.Name,
-		Cores:         c.Cores,
-		Routing:       c.Routing.String(),
-		L1DBytes:      c.L1D.SizeBytes,
-		SDCBytes:      c.SDC.SizeBytes,
-		L2Bytes:       c.L2.SizeBytes,
-		LLCBytes:      c.LLCPerCoreBytes * c.Cores,
-		Warmup:        c.Warmup,
-		Measure:       c.Measure,
-		EpochInterval: c.EpochInterval,
-		SamplePeriod:  c.Sampling.Period,
-		SampleLen:     c.Sampling.SampleLen,
-		SampleOffset:  c.Sampling.Offset,
-		SampleWarm:    c.Sampling.DetailWarm,
+		Name:              c.Name,
+		Cores:             c.Cores,
+		Routing:           c.Routing.String(),
+		L1DBytes:          c.L1D.SizeBytes,
+		SDCBytes:          c.SDC.SizeBytes,
+		L2Bytes:           c.L2.SizeBytes,
+		LLCBytes:          c.LLCPerCoreBytes * c.Cores,
+		Warmup:            c.Warmup,
+		Measure:           c.Measure,
+		EpochInterval:     c.EpochInterval,
+		Prefetchers:       c.Prefetchers,
+		BranchMissPenalty: c.CPU.BranchMissPenalty,
+		LLCPolicy:         c.LLCPolicy.String(),
+		SamplePeriod:      c.Sampling.Period,
+		SampleLen:         c.Sampling.SampleLen,
+		SampleOffset:      c.Sampling.Offset,
+		SampleWarm:        c.Sampling.DetailWarm,
 	}
 }
 
@@ -456,14 +471,14 @@ func (c Config) WithExpert() Config {
 // WithTOPT returns the T-OPT comparison configuration.
 func (c Config) WithTOPT() Config {
 	c.Name = "T-OPT"
-	c.LLCTOPT = true
+	c.LLCPolicy = LLCTOPT
 	return c
 }
 
 // WithRRIP returns the SRRIP-LLC comparison configuration.
 func (c Config) WithRRIP() Config {
 	c.Name = "SRRIP"
-	c.LLCRRIP = true
+	c.LLCPolicy = LLCSRRIP
 	return c
 }
 
@@ -474,17 +489,19 @@ func (c Config) WithRRIP() Config {
 // matrix and epoch-coarsened ranks.
 func (c Config) WithPOPT() Config {
 	c.Name = "P-OPT"
-	c.LLCTOPT = true
-	c.LLCPOPT = true
+	c.LLCPolicy = LLCPOPT
 	return c
 }
 
 // WithDistill returns the Distill Cache comparison configuration: a
-// quarter of the L2's ways become the word-organized cache.
+// quarter of the L2's ways become the word-organized cache. It panics on
+// an L2 of fewer than 4 ways, which would leave no way to distill into.
 func (c Config) WithDistill() Config {
 	c.Name = "Distill"
-	c.L2Distill = true
-	c.L2DistillWays = c.L2.Ways / 4
+	c.L2.DistillWOCWays = c.L2.Ways / 4
+	if c.L2.DistillWOCWays == 0 {
+		panic(fmt.Sprintf("sim: Distill needs an L2 of at least 4 ways, not %d", c.L2.Ways))
+	}
 	return c
 }
 
@@ -574,10 +591,10 @@ func (c Config) WithPrefetchers(preset string) Config {
 }
 
 // WithBranchMissPenalty returns a copy injecting branch-misprediction
-// stalls of the given refill depth. The Name is unchanged — the penalty
-// is a swept sensitivity axis.
+// stalls of the given refill depth (see cpu.Config.BranchMissPenalty).
+// The Name is unchanged — the penalty is a swept sensitivity axis.
 func (c Config) WithBranchMissPenalty(cycles int64) Config {
-	c.BranchMissPenalty = cycles
+	c.CPU.BranchMissPenalty = cycles
 	return c
 }
 

@@ -30,7 +30,7 @@ var WarmIrrelevant = []string{
 	"Name", "CPU.Width", "CPU.ROB", "CPU.ExecLatency", "CPU.BranchMissPenalty",
 	"L1D.Name", "L1D.Latency", "L1D.MSHRs", "L2.Name", "L2.Latency", "L2.MSHRs",
 	"LLCLatency", "LLCMSHRs", "SDC.Name", "SDC.Latency", "SDC.MSHRs",
-	"DirLatency", "BranchMissPenalty",
+	"DirLatency",
 	"DRAM.TRP", "DRAM.TRCD", "DRAM.TCAS", "DRAM.BurstCycles", "DRAM.CPUFreqMHz", "DRAM.BusFreqMHz",
 	"Measure", "EpochInterval", "FlightRecorder", "FRInterval", "CheckLevel", "BreakSDCDirInval",
 	"Sampling.Period", "Sampling.SampleLen", "Sampling.Offset", "Sampling.DetailWarm", "Sampling.Store",
@@ -100,8 +100,12 @@ func (e identity) cache(c *cache.Config) identity {
 	if c.Policy != nil {
 		policy = fmt.Sprintf("%T", c.Policy)
 	}
-	return e.str(policy).bool(c.Distill).int(int64(c.DistillWOCWays))
+	return e.str(policy).distill(c.DistillWOCWays)
 }
+
+// distill encodes a Line Distillation way count as the (enabled, ways)
+// pair the format has always carried.
+func (e identity) distill(ways int) identity { return e.bool(ways > 0).int(int64(ways)) }
 
 // identityFormat versions the encoding below; bump it when the field
 // list or its order changes.
@@ -136,22 +140,29 @@ func (c *Config) fields(e identity, scope []string) identity {
 	for _, s := range scope {
 		e = e.str(s)
 	}
+	// Format 1 was laid out when the branch-miss penalty, the L2's
+	// distillation and the LLC policy each had a top-level Config field
+	// (and the penalty a second one in CPU). Their values stay in those
+	// slots, and the CPU and L2 ones encode as zero, so no key moves.
+	l2 := c.L2
+	l2.DistillWOCWays = 0
+	p := c.LLCPolicy
 	e = e.lateStr(c.Name).int(int64(c.Cores)).
-		late(int64(c.CPU.Width)).late(int64(c.CPU.ROB)).late(c.CPU.ExecLatency).late(c.CPU.BranchMissPenalty).
-		cache(&c.L1D).cache(&c.L2).
+		late(int64(c.CPU.Width)).late(int64(c.CPU.ROB)).late(c.CPU.ExecLatency).late(0).
+		cache(&c.L1D).cache(&l2).
 		int(int64(c.LLCPerCoreBytes)).int(int64(c.LLCWays)).late(c.LLCLatency).mshrs(c.LLCMSHRs).
-		bool(c.LLCTOPT).bool(c.LLCRRIP).bool(c.LLCPOPT).bool(c.L2Distill).int(int64(c.L2DistillWays)).
+		bool(p.oracled()).bool(p == LLCSRRIP).bool(p == LLCPOPT).distill(c.L2.DistillWOCWays).
 		int(int64(c.Routing)).cache(&c.SDC).
 		int(int64(c.LP.Entries)).int(int64(c.LP.Ways)).int(int64(c.LP.Tau)).
 		int(int64(c.SDCDirEntriesPerCore)).int(int64(c.SDCDirWays)).late(c.DirLatency).
-		str(c.Prefetchers).late(c.BranchMissPenalty).int(int64(c.VictimEntries)).bool(c.LPAdaptive)
+		str(c.Prefetchers).late(c.CPU.BranchMissPenalty).int(int64(c.VictimEntries)).bool(c.LPAdaptive)
 	d := &c.DRAM
 	e = e.int(int64(d.Banks)).int(int64(d.RowBytes)).late(d.TRP).late(d.TRCD).late(d.TCAS).late(d.BurstCycles).
 		late(int64(math.Float64bits(d.CPUFreqMHz))).late(int64(math.Float64bits(d.BusFreqMHz))).
 		int(int64(c.DRAMChannels)).
 		int(c.Warmup).late(c.Measure).late(c.EpochInterval).
 		lateBool(c.FlightRecorder).late(c.FRInterval).late(int64(c.CheckLevel)).lateBool(c.BreakSDCDirInval)
-	p := &c.Sampling
-	return e.late(p.Period).late(p.SampleLen).late(p.Offset).late(p.DetailWarm).bool(p.MisWarm).
+	sp := &c.Sampling
+	return e.late(sp.Period).late(sp.SampleLen).late(sp.Offset).late(sp.DetailWarm).bool(sp.MisWarm).
 		late(c.Quantum)
 }

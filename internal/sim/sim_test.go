@@ -59,6 +59,20 @@ func TestValidateWindowEnd(t *testing.T) {
 	}
 }
 
+// TestWithDistillRefusesNarrowL2: an L2 too narrow to give up a
+// quarter of its ways would otherwise run a plain L2 under the name
+// "Distill".
+func TestWithDistillRefusesNarrowL2(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("WithDistill accepted a 2-way L2")
+		}
+	}()
+	c := TableI(1)
+	c.L2.Ways = 2
+	c.WithDistill()
+}
+
 func TestBaselineRunSanity(t *testing.T) {
 	cfg := benchCfg()
 	res := RunSingleCore(cfg, kronWorkload(t, "pr", 19))

@@ -253,20 +253,18 @@ func NewSystem(cfg Config, ws []Workload) *System {
 	}
 
 	llcCfg := cfg.llcConfig()
-	if cfg.LLCRRIP {
-		llcCfg.Policy = cache.SRRIP{}
-	}
 	mux := &oracleMux{oracles: make([]cache.NextUseOracle, cfg.Cores)}
-	if cfg.LLCTOPT {
-		var oracle cache.NextUseOracle = mux
-		if cfg.LLCPOPT {
-			// P-OPT: the re-reference matrix occupies one LLC way per
-			// set and is itself epoch-quantized.
-			llcCfg.SizeBytes = llcCfg.SizeBytes / llcCfg.Ways * (llcCfg.Ways - 1)
-			llcCfg.Ways--
-			oracle = poptOracle{inner: mux}
-		}
-		llcCfg.Policy = &cache.TOPT{Oracle: oracle}
+	switch cfg.LLCPolicy {
+	case LLCSRRIP:
+		llcCfg.Policy = cache.SRRIP{}
+	case LLCTOPT:
+		llcCfg.Policy = &cache.TOPT{Oracle: mux}
+	case LLCPOPT:
+		// The re-reference matrix occupies one LLC way per set and is
+		// itself epoch-quantized.
+		llcCfg.SizeBytes = llcCfg.SizeBytes / llcCfg.Ways * (llcCfg.Ways - 1)
+		llcCfg.Ways--
+		llcCfg.Policy = &cache.TOPT{Oracle: poptOracle{inner: mux}}
 	}
 	s.llc = cache.New(llcCfg)
 
@@ -284,8 +282,7 @@ func NewSystem(cfg Config, ws []Workload) *System {
 			c.frInterval = cfg.frInterval()
 			c.recorder = obs.NewRecorder(c.frInterval)
 		}
-		l1Cfg := cfg.L1D
-		c.l1d = cache.New(l1Cfg)
+		c.l1d = cache.New(cfg.L1D)
 		if cfg.VictimEntries > 0 {
 			c.victim = cache.New(cache.Config{
 				Name:      "VC",
@@ -294,12 +291,7 @@ func NewSystem(cfg Config, ws []Workload) *System {
 				Latency:   1,
 			})
 		}
-		l2Cfg := cfg.L2
-		if cfg.L2Distill {
-			l2Cfg.Distill = true
-			l2Cfg.DistillWOCWays = cfg.L2DistillWays
-		}
-		c.l2 = cache.New(l2Cfg)
+		c.l2 = cache.New(cfg.L2)
 		if cfg.Routing == RouteLP || cfg.Routing == RouteExpert {
 			c.sdc = cache.New(cfg.SDC)
 			c.sdcpf = prefetch.NextLine{}
@@ -361,16 +353,12 @@ func NewSystem(cfg Config, ws []Workload) *System {
 				cc.warmL2(addr.Block(), addr, 8)
 			}
 		}
-		cpuCfg := cfg.CPU
-		if cfg.BranchMissPenalty > 0 {
-			cpuCfg.BranchMissPenalty = cfg.BranchMissPenalty
-		}
-		c.cpuCore = cpu.New(cpuCfg, func(pc uint64, addr mem.Addr, size uint8, write bool, issue int64, hint mem.ValueHint) mem.Response {
+		c.cpuCore = cpu.New(cfg.CPU, func(pc uint64, addr mem.Addr, size uint8, write bool, issue int64, hint mem.ValueHint) mem.Response {
 			return cc.access(pc, addr, size, write, issue, hint)
 		})
 		if ws[i].Inst != nil {
 			c.irreg = ws[i].Inst.IrregularRegions()
-			if cfg.LLCTOPT {
+			if cfg.LLCPolicy.oracled() {
 				c.oracle = ws[i].Inst.Oracle()
 				mux.oracles[i] = c.oracle
 			}

@@ -4,9 +4,9 @@ import "math"
 
 // Interval is a point estimate with a CLT confidence interval, produced
 // by the statistical sampling engine (internal/sample): Mean is the
-// sample mean of a per-sample metric (IPC, MPKI, ...), HalfWidth the
-// half-width of the confidence interval Mean ± HalfWidth, and N the
-// number of detailed samples it was computed over.
+// ratio estimate of a rate metric over the samples (IPC, MPKI, ...),
+// HalfWidth the half-width of the confidence interval Mean ± HalfWidth,
+// and N the number of detailed samples it was computed over.
 type Interval struct {
 	Mean      float64 `json:"mean"`
 	HalfWidth float64 `json:"half_width"`
@@ -17,37 +17,6 @@ type Interval struct {
 // gives a 99% normal-approximation interval, wide enough that the CI
 // sampled-vs-full gate does not trip on per-sample variance alone.
 const IntervalZ = 2.576
-
-// NewInterval computes the CLT interval over per-sample metric values:
-// mean ± IntervalZ * s/sqrt(n), with s the sample standard deviation.
-// Fewer than two samples yield a zero half-width (no variance
-// information), matching the degenerate-but-deterministic behaviour the
-// sampler needs for very short windows.
-func NewInterval(samples []float64) Interval {
-	n := len(samples)
-	if n == 0 {
-		return Interval{}
-	}
-	var sum float64
-	for _, v := range samples {
-		sum += v
-	}
-	mean := sum / float64(n)
-	if n < 2 {
-		return Interval{Mean: mean, N: n}
-	}
-	var ss float64
-	for _, v := range samples {
-		d := v - mean
-		ss += d * d
-	}
-	sd := math.Sqrt(ss / float64(n-1))
-	return Interval{
-		Mean:      mean,
-		HalfWidth: IntervalZ * sd / math.Sqrt(float64(n)),
-		N:         n,
-	}
-}
 
 // NewRatioInterval computes the ratio-estimator interval for a metric
 // of the form sum(num)/sum(den) over per-sample numerator/denominator

@@ -5,27 +5,6 @@ import (
 	"testing"
 )
 
-func TestNewIntervalBasics(t *testing.T) {
-	if iv := NewInterval(nil); iv != (Interval{}) {
-		t.Errorf("empty input: %+v", iv)
-	}
-	if iv := NewInterval([]float64{2.5}); iv.Mean != 2.5 || iv.HalfWidth != 0 || iv.N != 1 {
-		t.Errorf("single sample: %+v", iv)
-	}
-	iv := NewInterval([]float64{1, 2, 3, 4, 5})
-	if iv.Mean != 3 || iv.N != 5 {
-		t.Errorf("mean/N wrong: %+v", iv)
-	}
-	// s = sqrt(2.5), half-width = 2.576 * s / sqrt(5).
-	want := IntervalZ * math.Sqrt(2.5) / math.Sqrt(5)
-	if math.Abs(iv.HalfWidth-want) > 1e-12 {
-		t.Errorf("half-width %v, want %v", iv.HalfWidth, want)
-	}
-	if !iv.Contains(3.5) || iv.Contains(10) {
-		t.Errorf("Contains wrong for %+v", iv)
-	}
-}
-
 func TestNewRatioInterval(t *testing.T) {
 	if iv := NewRatioInterval(nil, nil); iv != (Interval{}) {
 		t.Errorf("empty input: %+v", iv)
@@ -49,6 +28,9 @@ func TestNewRatioInterval(t *testing.T) {
 	}
 	if iv.HalfWidth <= 0 {
 		t.Error("differing samples must yield a positive half-width")
+	}
+	if !iv.Contains(0.2+iv.HalfWidth/2) || iv.Contains(0.2+2*iv.HalfWidth) {
+		t.Errorf("Contains wrong for %+v", iv)
 	}
 	// Identical samples: exact estimate, zero half-width.
 	iv = NewRatioInterval([]float64{5, 5, 5}, []float64{10, 10, 10})

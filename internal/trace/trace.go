@@ -76,7 +76,6 @@ type Tracer struct {
 	prog    ProgressSink
 	seq     int64
 	done    bool
-	paused  bool
 	pending uint16 // non-memory instructions accumulated since last record
 	sites   []string
 }
@@ -111,17 +110,10 @@ func (t *Tracer) SiteName(pc uint64) string {
 // check it in their outer loops and return early.
 func (t *Tracer) Done() bool { return t.done }
 
-// Pause suppresses record emission (used around untimed initialization
-// phases); Resume re-enables it.
-func (t *Tracer) Pause() { t.paused = true }
-
-// Resume re-enables record emission after Pause.
-func (t *Tracer) Resume() { t.paused = false }
-
 // Exec accounts n non-memory instructions; they are attached to the
 // next emitted record.
 func (t *Tracer) Exec(n int) {
-	if t.paused || t.done {
+	if t.done {
 		return
 	}
 	v := uint32(t.pending) + uint32(n)
@@ -159,7 +151,7 @@ func (t *Tracer) emit(pc uint64, addr mem.Addr, size int, write bool, dep int64)
 }
 
 func (t *Tracer) emitValue(pc uint64, addr mem.Addr, size int, write bool, dep int64, value uint64, hasValue bool) int64 {
-	if t.paused || t.done {
+	if t.done {
 		return t.seq
 	}
 	var depDist int32

@@ -49,23 +49,6 @@ func TestTracerEmitsRecords(t *testing.T) {
 	}
 }
 
-func TestTracerPauseSuppressesEmission(t *testing.T) {
-	sink := &SliceSink{}
-	tr := New(sink)
-	pc := tr.Site("s")
-	tr.Pause()
-	tr.Exec(10)
-	tr.Load(pc, 0x1000, 4, NoDep)
-	tr.Resume()
-	tr.Load(pc, 0x2000, 4, NoDep)
-	if len(sink.Recs) != 1 {
-		t.Fatalf("got %d records, want 1", len(sink.Recs))
-	}
-	if sink.Recs[0].NonMem != 0 {
-		t.Errorf("paused Exec leaked into NonMem: %d", sink.Recs[0].NonMem)
-	}
-}
-
 func TestTracerStopsWhenSinkDone(t *testing.T) {
 	sink := &SliceSink{Limit: 2}
 	tr := New(sink)
