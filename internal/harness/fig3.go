@@ -29,7 +29,6 @@ type Fig3Result struct {
 // disk, so warm sweeps skip the run entirely.
 func (wb *Workbench) Fig3(id WorkloadID) *Fig3Result {
 	s := newRunSpec(kindFig3, wb.BaseConfig(), []WorkloadID{id}, wb.Profile.Name)
-	wb.planJobs([]RunSpec{s})
 	return through(wb, s, fig3Shape, func(cfg sim.Config, ws []sim.Workload) (*Fig3Result, check.Summary) {
 		sys := sim.NewSystem(cfg, ws)
 		prof := trace.NewStrideDRAMProfiler()

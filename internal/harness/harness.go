@@ -470,11 +470,14 @@ func metricsLabel(s *RunSpec) string {
 	return s.cfg.Name + "/" + string(appendMixName(scratch[:0], s.ids))
 }
 
-// live is the one bracket around every live simulation: it claims one
+// live is the one bracket around every live simulation: it plans the
+// run with the ledger (only runs that memo and store both missed get
+// here, so the plan counts exactly the runs that simulate), claims one
 // pool slot, prepares the core slots' workloads, and reports start and
 // finish — with the checker outcome — to the ledger. The pool slot
 // comes back through a defer, so a panicking run leaks nothing.
 func live[V any](wb *Workbench, s RunSpec, sh shape[V], simulate func(sim.Config, []sim.Workload) (V, check.Summary)) V {
+	wb.Metrics.Plan(s.StoreKey(), s.point())
 	wb.acquire()
 	defer wb.release()
 	ws := make([]sim.Workload, len(s.ids))

@@ -60,28 +60,14 @@ func (wb *Workbench) mixSpec(cfg sim.Config, ids ...WorkloadID) RunSpec {
 	return newRunSpec(kindMix, cfg, ids, wb.Profile.Name)
 }
 
-// planJobs registers the runs that will actually execute with the
-// ledger: memoized, already-in-flight, and disk-store-held keys are
-// excluded (they self-report as cached on completion), and the ledger
-// plans by key, so a key planned twice — within the list, or by two
-// sweeps sharing a workbench — counts once. done/total and the ETA
-// stay consistent however much of a sweep earlier experiments (or
-// earlier processes, via the store) already computed.
-func (wb *Workbench) planJobs(specs []RunSpec) {
-	for _, s := range specs {
-		if wb.runs.has(s.key) || wb.storeEligible(s.cfg) && wb.Store.Contains(s.StoreKey()) {
-			continue
-		}
-		wb.Metrics.Plan(s.StoreKey(), s.point())
-	}
-}
-
-// runSpecs plans the specs, of any one shape, and sends each through
-// its door (Run, RunMix) across the worker pool, returning the values
-// in spec order regardless of completion order, so callers aggregate
-// exactly as the sequential schedule did.
+// runSpecs sends specs, of any one shape, each through its door (Run,
+// RunMix) across the worker pool, returning the values in spec order
+// regardless of completion order, so callers aggregate exactly as the
+// sequential schedule did. Every spec's goroutine starts at once, so
+// each run that will simulate reaches live, and with it the ledger's
+// plan, long before the first simulation ends: the progress total and
+// ETA cover the whole sweep from the first line.
 func runSpecs[V any](wb *Workbench, specs []RunSpec, run func(RunSpec) V) []V {
-	wb.planJobs(specs)
 	out := make([]V, len(specs))
 	var wg sync.WaitGroup
 	for i := range specs {

@@ -149,20 +149,28 @@ func TestParallelismExceedsJobCount(t *testing.T) {
 }
 
 // TestPlanTwiceClosesProgress: two sweeps sharing a workbench (two
-// gmserved jobs on one bench) can each plan the same keys before either
-// starts them. Each key must count once in the total, so done/total
-// closes and the ETA reaches zero.
+// gmserved jobs on one bench) run the same keys at once. Each key is
+// planned once, by the sweep that simulates it, and served once to the
+// other, so done/total closes at twice the spec count and the ETA
+// reaches zero.
 func TestPlanTwiceClosesProgress(t *testing.T) {
 	wb := NewWorkbench(fastBench())
 	specs := wb.specsFor(wb.BaseConfig(), []WorkloadID{
 		{Kernel: "triad", Graph: "reg"},
 		{Kernel: "matvec", Graph: "reg"},
 	})
-	wb.planJobs(specs)
-	wb.planJobs(specs)
-	wb.runAll(specs)
-	if done, total, eta, _ := wb.Metrics.Snapshot(); done != total || done != len(specs) || eta != 0 {
-		t.Errorf("done/total = %d/%d, eta %v; want %d/%d and 0", done, total, eta, len(specs), len(specs))
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wb.runAll(specs)
+		}()
+	}
+	wg.Wait()
+	want := 2 * len(specs)
+	if done, total, eta, _ := wb.Metrics.Snapshot(); done != want || total != want || eta != 0 {
+		t.Errorf("done/total = %d/%d, eta %v; want %d/%d and 0", done, total, eta, want, want)
 	}
 }
 

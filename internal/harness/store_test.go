@@ -92,6 +92,46 @@ func TestStoreReportsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestWarmSweepPlansNothing: a cold sweep plans exactly the runs it
+// simulates, at the live door; the same sweep on a fresh workbench over
+// the store it filled is one store hit per point, no miss, and nothing
+// planned or simulated, with the progress closing at every tier.
+func TestWarmSweepPlansNothing(t *testing.T) {
+	dir := t.TempDir()
+	ids := []WorkloadID{
+		{Kernel: "triad", Graph: "reg"},
+		{Kernel: "matvec", Graph: "reg"},
+		{Kernel: "stencil", Graph: "reg"},
+	}
+	sweep := func() (*store.Store, *obs.Metrics) {
+		st, err := OpenResultStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb := NewWorkbench(fastBench())
+		wb.Store = st
+		wb.runAll(wb.specsFor(wb.BaseConfig(), ids))
+		if done, total, _, _ := wb.Metrics.Snapshot(); done != len(ids) || total != len(ids) {
+			t.Errorf("progress closed at %d/%d, want %d/%d", done, total, len(ids), len(ids))
+		}
+		return st, wb.Metrics
+	}
+	cold, coldM := sweep()
+	if planned, finished, _, stored := coldM.Counts(); planned != int64(len(ids)) || finished != planned || stored != 0 {
+		t.Errorf("cold sweep: planned=%d finished=%d stored=%d, want %d/%d/0", planned, finished, stored, len(ids), len(ids))
+	}
+	if h, m := cold.Hits(), cold.Misses(); h != 0 || m != int64(len(ids)) {
+		t.Errorf("cold sweep: hits=%d misses=%d, want 0/%d", h, m, len(ids))
+	}
+	warm, warmM := sweep()
+	if planned, finished, cached, stored := warmM.Counts(); planned != 0 || finished != 0 || cached != 0 || stored != int64(len(ids)) {
+		t.Errorf("warm sweep: planned=%d finished=%d cached=%d stored=%d, want 0/0/0/%d", planned, finished, cached, stored, len(ids))
+	}
+	if h, m := warm.Hits(), warm.Misses(); h != int64(len(ids)) || m != 0 {
+		t.Errorf("warm sweep: hits=%d misses=%d, want %d/0", h, m, len(ids))
+	}
+}
+
 // TestStoreHealsJSONEntries: a store whose entries hold the JSON
 // payloads of the codec before the binary one — the same keys, framing
 // and StateVersion — is an ordinary miss per entry, healed by the live

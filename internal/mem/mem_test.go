@@ -104,27 +104,6 @@ func TestSpaceAllocPageAlignedAndDisjoint(t *testing.T) {
 	}
 }
 
-func TestSpaceFind(t *testing.T) {
-	s := NewSpace(2)
-	a := s.Alloc("oa", 1000, 8, ClassRegular)
-	b := s.Alloc("na", 5000, 4, ClassStreaming)
-	c := s.Alloc("prop", 400, 4, ClassIrregular)
-	for _, r := range []*Region{a, b, c} {
-		if got := s.Find(r.Base); got != r {
-			t.Errorf("Find(base of %s) = %v", r.Name, got)
-		}
-		if got := s.Find(r.Base + Addr(r.Size) - 1); got != r {
-			t.Errorf("Find(last byte of %s) = %v", r.Name, got)
-		}
-	}
-	if got := s.Find(a.Base + Addr(a.Size)); got != nil {
-		t.Errorf("Find(just past region) = %v, want nil", got)
-	}
-	if got := s.Find(0); got != nil {
-		t.Errorf("Find(0) = %v, want nil", got)
-	}
-}
-
 func TestRegionElemAddr(t *testing.T) {
 	s := NewSpace(0)
 	r := s.Alloc("prop", 4000, 4, ClassIrregular)
@@ -133,15 +112,6 @@ func TestRegionElemAddr(t *testing.T) {
 	}
 	if got := r.ElemAddr(10); got != r.Base+40 {
 		t.Errorf("ElemAddr(10) = %#x, want base+40", uint64(got))
-	}
-}
-
-func TestSpaceFootprint(t *testing.T) {
-	s := NewSpace(0)
-	s.Alloc("a", 100, 4, ClassRegular)
-	s.Alloc("b", 200, 4, ClassRegular)
-	if got := s.Footprint(); got != 300 {
-		t.Errorf("Footprint() = %d, want 300", got)
 	}
 }
 

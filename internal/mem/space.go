@@ -2,7 +2,6 @@ package mem
 
 import (
 	"fmt"
-	"sort"
 )
 
 // CoreSpaceBits is log2 of the address-space window reserved per core.
@@ -73,7 +72,6 @@ type Space struct {
 	core    int
 	next    Addr
 	regions []*Region
-	sorted  bool
 }
 
 // NewSpace creates the allocator for the given core index. Each core's
@@ -107,36 +105,8 @@ func (s *Space) Alloc(name string, size, elemSize uint64, class RegionClass) *Re
 	end = (end + PageSize - 1) &^ uint64(PageSize-1)
 	s.next = Addr(end) + PageSize
 	s.regions = append(s.regions, r)
-	s.sorted = false
 	return r
 }
 
 // Regions returns all allocated regions in allocation order.
 func (s *Space) Regions() []*Region { return s.regions }
-
-// Find returns the region containing a, or nil if a is outside every
-// allocation (e.g. the page-table region of the TLB walker).
-func (s *Space) Find(a Addr) *Region {
-	if !s.sorted {
-		sort.Slice(s.regions, func(i, j int) bool { return s.regions[i].Base < s.regions[j].Base })
-		s.sorted = true
-	}
-	i := sort.Search(len(s.regions), func(i int) bool { return s.regions[i].Base > a })
-	if i == 0 {
-		return nil
-	}
-	if r := s.regions[i-1]; r.Contains(a) {
-		return r
-	}
-	return nil
-}
-
-// Footprint returns the total number of bytes allocated (excluding guard
-// pages and alignment padding).
-func (s *Space) Footprint() uint64 {
-	var total uint64
-	for _, r := range s.regions {
-		total += r.Size
-	}
-	return total
-}

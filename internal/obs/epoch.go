@@ -32,14 +32,3 @@ type EpochSample struct {
 
 // Instructions returns the instructions retired in this epoch.
 func (e *EpochSample) Instructions() int64 { return e.EndInstr - e.StartInstr }
-
-// SumInstructions returns the total instructions covered by the series;
-// it equals the measured window when sampling was active for the whole
-// window.
-func SumInstructions(epochs []EpochSample) int64 {
-	var n int64
-	for i := range epochs {
-		n += epochs[i].Instructions()
-	}
-	return n
-}

@@ -101,9 +101,11 @@ func NewMetrics() *Metrics {
 }
 
 // Plan registers the upcoming live run with identity digest key; point
-// says whether it is a simulation point. Experiments plan before their
-// loops, with runs already memoized or stored excluded, so ETAs cover
-// the whole remaining sweep.
+// says whether it is a simulation point. The harness plans a run at its
+// live door, once the memo and the store have both missed and before it
+// waits for a pool slot; a sweep starts all its runs at once, so every
+// plan lands before the first run finishes and ETAs cover the whole
+// remaining sweep.
 func (m *Metrics) Plan(key string, point bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -23,15 +23,6 @@ func sampleSeries() []EpochSample {
 	return []EpochSample{mk(0, 1000, 500), mk(1, 1500, 500), mk(2, 2000, 250)}
 }
 
-func TestSumInstructions(t *testing.T) {
-	if got := SumInstructions(sampleSeries()); got != 1250 {
-		t.Errorf("SumInstructions = %d, want 1250", got)
-	}
-	if got := SumInstructions(nil); got != 0 {
-		t.Errorf("SumInstructions(nil) = %d", got)
-	}
-}
-
 func TestManifestRoundTrip(t *testing.T) {
 	m := NewManifest("gmsim-test")
 	m.Profile = "bench"

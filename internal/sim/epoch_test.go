@@ -19,7 +19,7 @@ func TestEpochSamplesTileMeasureWindow(t *testing.T) {
 	if len(res.Epochs) < 2 {
 		t.Fatalf("got %d epoch samples, want >= 2", len(res.Epochs))
 	}
-	if got := obs.SumInstructions(res.Epochs); got != res.Stats.Instructions {
+	if got := sumInstructions(res.Epochs); got != res.Stats.Instructions {
 		t.Errorf("epoch instructions sum %d != measured window %d", got, res.Stats.Instructions)
 	}
 	// Samples are contiguous, ordered and indexed sequentially.
@@ -81,7 +81,7 @@ func TestEpochSamplingShortTrace(t *testing.T) {
 	if res.Stats.Instructions == 0 {
 		t.Skip("kernel emitted nothing")
 	}
-	if got := obs.SumInstructions(res.Epochs); got != res.Stats.Instructions {
+	if got := sumInstructions(res.Epochs); got != res.Stats.Instructions {
 		t.Errorf("short-trace epochs sum %d != measured %d", got, res.Stats.Instructions)
 	}
 }
@@ -100,10 +100,19 @@ func TestMultiCoreEpochSeries(t *testing.T) {
 	if len(res.Epochs[0]) < 2 {
 		t.Errorf("active core has %d epochs", len(res.Epochs[0]))
 	}
-	if got := obs.SumInstructions(res.Epochs[0]); got != res.PerCore[0].Instructions {
+	if got := sumInstructions(res.Epochs[0]); got != res.PerCore[0].Instructions {
 		t.Errorf("core 0 epochs sum %d != measured %d", got, res.PerCore[0].Instructions)
 	}
 	if len(res.Epochs[1]) != 0 {
 		t.Errorf("idle core has %d epochs, want 0", len(res.Epochs[1]))
 	}
+}
+
+// sumInstructions totals the instructions an epoch series covers.
+func sumInstructions(epochs []obs.EpochSample) int64 {
+	var n int64
+	for i := range epochs {
+		n += epochs[i].Instructions()
+	}
+	return n
 }

@@ -31,6 +31,11 @@ import (
 //
 // A corrupt, truncated or stale-version file is an ordinary miss and is
 // overwritten by the next commit; the cache can never be poisoned.
+//
+// An entry's mtime is its recency: a hit rewrites it only when it is
+// more than one second old (recencyResolution), so a warm sweep pays one
+// read per hit, and the size cap and GC evict least-recently-used
+// entries at one-second resolution.
 type Store struct {
 	dir     string
 	framing Framing
@@ -52,6 +57,11 @@ type Store struct {
 	misses    int64
 	evictions int64
 }
+
+// recencyResolution is how stale an entry's mtime may get before a hit
+// refreshes it. Entries hit within one such interval of each other may
+// evict in either order.
+const recencyResolution = time.Second
 
 // Open opens (creating if needed) a store rooted at dir whose files are
 // framed with f.
@@ -79,8 +89,8 @@ func (s *Store) claimPath(key string) string { return filepath.Join(s.dir, key+"
 
 // SetMaxBytes caps the total size of stored entries; every commit that
 // pushes the store over the cap evicts least-recently-used entries
-// (file mtime order; Acquire hits refresh it) until it fits. 0 removes
-// the cap.
+// (file mtime order, which Acquire hits refresh at one-second
+// resolution) until it fits. 0 removes the cap.
 func (s *Store) SetMaxBytes(n int64) {
 	s.mu.Lock()
 	s.maxBytes = n
@@ -110,8 +120,7 @@ func (s *Store) Evictions() int64 {
 }
 
 // Contains reports whether a published entry exists for the key. It is
-// a cheap stat — no decode, no counters — for planners that want to
-// predict Acquire's outcome (e.g. progress accounting).
+// a cheap stat: no decode, no counters, no recency refresh.
 func (s *Store) Contains(key string) bool {
 	_, err := os.Stat(s.Path(key))
 	return err == nil
@@ -150,9 +159,12 @@ func (s *Store) unlockKey(key string, l *keyLock) {
 	s.mu.Unlock()
 }
 
-// read attempts to load and validate the key's file.
+// read attempts to load and validate the key's file. A usable entry
+// whose mtime is more than recencyResolution old gets a fresh one, so
+// hot entries survive the size cap; a future mtime counts as fresh.
 func (s *Store) read(key string) ([]byte, bool) {
-	data, err := os.ReadFile(s.Path(key))
+	path := s.Path(key)
+	data, mtime, err := readEntry(path)
 	if err != nil {
 		return nil, false
 	}
@@ -160,9 +172,9 @@ func (s *Store) read(key string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	// Refresh the LRU clock so hot entries survive the size cap.
-	now := time.Now()
-	_ = os.Chtimes(s.Path(key), now, now)
+	if now := time.Now(); now.Sub(mtime) > recencyResolution {
+		_ = os.Chtimes(path, now, now)
+	}
 	return p, true
 }
 
@@ -296,12 +308,13 @@ func (s *Store) put(key string, payload []byte) error {
 }
 
 // GC shrinks the store to at most maxBytes by removing
-// least-recently-used entries (file mtime order — Acquire hits refresh
-// their entry), returning how many entries were removed and how many
-// bytes were freed. It also deletes the temp files of writers killed
-// before their rename once they are older than ClaimTTL (their bytes
-// count as freed, not as entries). Claim files and foreign files are
-// left alone.
+// least-recently-used entries (file mtime order, which Acquire hits
+// refresh at one-second resolution), returning how many entries were
+// removed and how many bytes were freed. It also deletes what crashed
+// processes leave behind once it is older than ClaimTTL: the temp files
+// of writers killed before their rename, and abandoned claim files
+// (their bytes count as freed, not as entries). Foreign files are left
+// alone.
 func (s *Store) GC(maxBytes int64) (removed int, freed int64, err error) {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -315,7 +328,7 @@ func (s *Store) GC(maxBytes int64) (removed int, freed int64, err error) {
 	var files []entry
 	var total int64
 	for _, e := range ents {
-		orphan := strings.Contains(e.Name(), ".res.tmp")
+		orphan := strings.Contains(e.Name(), ".res.tmp") || filepath.Ext(e.Name()) == ".claim"
 		if e.IsDir() || !orphan && filepath.Ext(e.Name()) != ".res" {
 			continue
 		}

@@ -372,6 +372,132 @@ func TestStoreGCRemovesOrphanedTempFiles(t *testing.T) {
 	}
 }
 
+// TestStoreGCRemovesOrphanedClaims plants the claim files a process
+// that crashed between claiming and committing leaves behind: GC
+// deletes the one older than ClaimTTL, keeps the fresh one (a live
+// owner's) and every published entry.
+func TestStoreGCRemovesOrphanedClaims(t *testing.T) {
+	s := openTest(t, t.TempDir())
+	_, commit := s.Acquire("k")
+	if err := commit([]byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	old, fresh := s.claimPath("crashed"), s.claimPath("running")
+	for _, p := range []string{old, fresh} {
+		if err := os.WriteFile(p, bytes.Repeat([]byte{1}, 10), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := time.Now().Add(-2 * s.ClaimTTL)
+	if err := os.Chtimes(old, stale, stale); err != nil {
+		t.Fatal(err)
+	}
+
+	removed, freed, err := s.GC(1 << 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed != 0 || freed != 10 {
+		t.Errorf("GC removed %d entries, freed %d bytes; want 0 entries and the stale claim's 10 bytes", removed, freed)
+	}
+	if _, err := os.Stat(old); !os.IsNotExist(err) {
+		t.Errorf("orphaned claim survived GC: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("a live owner's claim was removed: %v", err)
+	}
+	if !s.Contains("k") || s.Evictions() != 0 {
+		t.Errorf("GC touched the published entry (contains %v, evictions %d)", s.Contains("k"), s.Evictions())
+	}
+}
+
+// TestStoreHitRecency pins when a hit writes its entry's mtime, the
+// LRU clock: only when it is more than a second stale. A fresher entry,
+// or one stamped in the future, keeps its mtime to the nanosecond, so
+// the hit wrote nothing.
+func TestStoreHitRecency(t *testing.T) {
+	cases := []struct {
+		name    string
+		age     time.Duration
+		refresh bool
+	}{
+		{"10s old", 10 * time.Second, true},
+		{"0.5s old", 500 * time.Millisecond, false},
+		{"1h ahead", -time.Hour, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openTest(t, t.TempDir())
+			_, commit := s.Acquire("k")
+			if err := commit([]byte("payload")); err != nil {
+				t.Fatal(err)
+			}
+			stamp := time.Now().Add(-tc.age).Truncate(time.Microsecond)
+			if err := os.Chtimes(s.Path("k"), stamp, stamp); err != nil {
+				t.Fatal(err)
+			}
+			before := time.Now()
+			if p, c := s.Acquire("k"); p == nil {
+				t.Fatal("published entry missed")
+			} else {
+				c(nil)
+			}
+			fi, err := os.Stat(s.Path("k"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch mtime := fi.ModTime(); {
+			case tc.refresh && mtime.Before(before.Add(-time.Second)):
+				t.Errorf("hit left a %v-old mtime at %v, want it refreshed", tc.age, mtime)
+			case !tc.refresh && !mtime.Equal(stamp):
+				t.Errorf("hit rewrote the mtime %v as %v, want it untouched", stamp, mtime)
+			}
+		})
+	}
+}
+
+// TestStoreDirectoryEntryMisses: a directory under an entry's name is
+// an ordinary miss, never a panic or a payload. (Empty and truncated
+// files are TestStoreRejectsDamagedFiles' cases.)
+func TestStoreDirectoryEntryMisses(t *testing.T) {
+	s := openTest(t, t.TempDir())
+	if err := os.Mkdir(s.Path("k"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	payload, commit := s.Acquire("k")
+	if payload != nil {
+		t.Errorf("directory entry surfaced a payload: %q", payload)
+	}
+	if err := commit(nil); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := s.Hits(), s.Misses(); h != 0 || m != 1 {
+		t.Errorf("hits=%d misses=%d, want 0/1", h, m)
+	}
+}
+
+// BenchmarkStoreAcquireHit is one warm point's store cost: a hit on a
+// fresh entry of a stored result's size, read, checked and released.
+func BenchmarkStoreAcquireHit(b *testing.B) {
+	s, err := Open(b.TempDir(), testFraming)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, commit := s.Acquire("k")
+	if err := commit(bytes.Repeat([]byte{7}, 2048)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		p, c := s.Acquire("k")
+		if p == nil {
+			b.Fatal("miss")
+		}
+		c(nil)
+	}
+}
+
 func TestParseSize(t *testing.T) {
 	cases := []struct {
 		in   string
