@@ -7,7 +7,6 @@
 //
 //	gmsample -write-reference            # regenerate ci/sample_reference.json
 //	gmsample                             # run the gate against the committed reference
-//	gmsample -store /path/to/store       # ... reusing warm-up checkpoints across runs
 //
 // The gate runs every cell twice — once detailed (full-fidelity
 // windows) and once sampled — and enforces, per cell:
@@ -37,7 +36,6 @@ import (
 	"graphmem/internal/sample"
 	"graphmem/internal/sim"
 	"graphmem/internal/stats"
-	"graphmem/internal/store"
 )
 
 // cell is one gate matrix point: a config variant, a workload, and the
@@ -102,7 +100,6 @@ func cellConfig(base sim.Config, name string) sim.Config {
 func main() {
 	writeRef := flag.Bool("write-reference", false, "regenerate the committed reference from full detailed runs")
 	refPath := flag.String("ref", "ci/sample_reference.json", "reference file path")
-	storeDir := flag.String("store", "", "result store directory keeping the sampled runs' warm-up checkpoints")
 	tol := flag.Float64("tol", 0.03, "max relative error of sampled estimates vs the detailed reference")
 	minVol := flag.Float64("minvol", 5.0, "min detailed-instruction volume reduction across the matrix")
 	minSpeed := flag.Float64("minspeed", 1.25, "min wall-clock speedup across the matrix (loose: see command doc)")
@@ -137,13 +134,6 @@ func main() {
 			ref.Warmup, ref.Measure, gateWarmup, gateMeasure))
 	}
 
-	var rs *store.Store
-	if *storeDir != "" {
-		if rs, err = harness.OpenResultStore(*storeDir); err != nil {
-			fatal(err)
-		}
-	}
-
 	refByKey := make(map[string]refCell, len(ref.Cells))
 	for _, rc := range ref.Cells {
 		refByKey[rc.Config+"|"+rc.Workload] = rc
@@ -171,9 +161,6 @@ func main() {
 
 		sampledCfg := base.WithSampling(c.Plan.Period, c.Plan.SampleLen, c.Plan.Offset).
 			WithSampleWarm(c.Plan.DetailWarm)
-		if rs != nil {
-			sampledCfg = sampledCfg.WithWarmStore(rs, profile.Name)
-		}
 		t0 = time.Now()
 		sampled := sim.RunSingleCore(sampledCfg, wb.Workload(id, 0))
 		tSampled := time.Since(t0).Milliseconds()
@@ -223,9 +210,6 @@ func main() {
 	speedup := float64(fullMs) / float64(max64(sampledMs, 1))
 	fmt.Printf("matrix: detailed-volume reduction %.1fx  wall-clock %dms -> %dms (%.2fx)\n",
 		volRed, fullMs, sampledMs, speedup)
-	if rs != nil {
-		fmt.Printf("checkpoint store: %d hits, %d misses\n", rs.Hits(), rs.Misses())
-	}
 	if volRed < *minVol {
 		fail("detailed-instruction volume reduction %.2fx below the %.1fx floor", volRed, *minVol)
 	}

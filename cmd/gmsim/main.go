@@ -184,13 +184,9 @@ func run() int {
 		s.DRAMReads, s.DRAMWrites,
 		100*float64(s.DRAMRowHits)/float64(1+s.DRAMRowHits+s.DRAMRowMisses))
 	if e := res.Sampling; e != nil {
-		src := "warmed in place"
-		if e.CheckpointHit {
-			src = "restored from checkpoint"
-		}
-		fmt.Printf("sampling    %d samples, %d instructions detailed (%.1f%% of the %d-instruction window), warm-up %s\n",
+		fmt.Printf("sampling    %d samples, %d instructions detailed (%.1f%% of the %d-instruction window)\n",
 			e.Samples, e.DetailedInstructions,
-			100*float64(e.DetailedInstructions)/float64(profile.Measure), profile.Measure, src)
+			100*float64(e.DetailedInstructions)/float64(profile.Measure), profile.Measure)
 		fmt.Printf("estimates   IPC %.3f ±%.3f  MPKI L1D %.1f ±%.1f  L2C %.1f ±%.1f  LLC %.1f ±%.1f (99%% CI)\n",
 			e.IPC.Mean, e.IPC.HalfWidth,
 			e.L1DemandMPKI.Mean, e.L1DemandMPKI.HalfWidth,

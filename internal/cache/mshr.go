@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"graphmem/internal/mem"
@@ -36,9 +34,8 @@ type MSHREntry struct {
 //     scanning purge recomputes it exactly, and removals may leave it
 //     stale-low, which costs one scan and never a wrong answer.
 //   - a block occupies at most one register: callers Allocate only
-//     after a Lookup that reported no outstanding miss, Complete
-//     appends only when the block is absent, and Restore refuses a
-//     state that names a block twice. find may therefore search
+//     after a Lookup that reported no outstanding miss, and Complete
+//     appends only when the block is absent. find may therefore search
 //     newest-first — the entry Complete and Lookup almost always want —
 //     and return the same index an oldest-first search would. State
 //     lets the invariant checker (internal/check) hold callers to it.
@@ -207,33 +204,7 @@ func (m *MSHR) Abandon(blk mem.BlockAddr) {
 	}
 }
 
-// State returns the register file's contents, oldest allocation first.
-// The slice is the file's own storage: read it (or marshal it) before
-// the MSHR moves again, never write it. After a pure functional warm-up
-// the file is empty — warming never allocates registers — but a warm-up
-// checkpoint carries it anyway so resume identity holds by
-// construction.
+// State returns the register file's contents, oldest allocation first,
+// for the invariant checker. The slice is the file's own storage: read
+// it before the MSHR moves again, never write it.
 func (m *MSHR) State() []MSHREntry { return m.entries }
-
-// Restore replaces the register file's contents with entries. It
-// refuses a nil state (a cache without MSHRs), more entries than
-// registers and a block named twice, leaving the file empty rather than
-// half restored.
-func (m *MSHR) Restore(entries []MSHREntry) error {
-	m.entries = m.entries[:0]
-	m.minReady = math.MinInt64 // unknown: the next purge scans
-	if entries == nil {
-		return errors.New("no MSHR state")
-	}
-	if len(entries) > m.cap {
-		return fmt.Errorf("MSHR state holds %d entries, %d registers", len(entries), m.cap)
-	}
-	for _, e := range entries {
-		if m.find(e.Blk) >= 0 {
-			m.entries = m.entries[:0]
-			return fmt.Errorf("MSHR state names block %#x twice", uint64(e.Blk))
-		}
-		m.entries = append(m.entries, e)
-	}
-	return nil
-}

@@ -266,26 +266,3 @@ func (d *SDCDir) ForEach(fn func(blk mem.BlockAddr, sharers uint64, state State)
 		}
 	}
 }
-
-// DirState is the directory's replaceable state: the LRU clock and
-// every slot.
-type DirState struct {
-	Clock   int64
-	Entries []DirEntry
-}
-
-// State returns the directory's state. Entries is the directory's own
-// slab: read it (or marshal it) before the directory moves again, never
-// write it.
-func (d *SDCDir) State() DirState { return DirState{Clock: d.clock, Entries: d.entries} }
-
-// Restore replaces the directory's state with s, refusing a state
-// captured from another geometry.
-func (d *SDCDir) Restore(s DirState) error {
-	if len(s.Entries) != len(d.entries) {
-		return fmt.Errorf("coherence: SDCDir state of %d entries for %d", len(s.Entries), len(d.entries))
-	}
-	d.clock = s.Clock
-	copy(d.entries, s.Entries)
-	return nil
-}

@@ -182,26 +182,3 @@ func (lp *LP) SAcc(pc uint64) (uint64, bool) {
 	}
 	return 0, false
 }
-
-// LPState is the predictor's replaceable state: the LRU clock and the
-// table.
-type LPState struct {
-	Clock   int64
-	Entries []LPEntry
-}
-
-// State returns the predictor's state. Entries is the predictor's own
-// slab: read it (or marshal it) before the predictor moves again, never
-// write it.
-func (lp *LP) State() LPState { return LPState{Clock: lp.clock, Entries: lp.entries} }
-
-// Restore replaces the predictor's state with s, refusing a state
-// captured from another geometry.
-func (lp *LP) Restore(s LPState) error {
-	if len(s.Entries) != len(lp.entries) {
-		return fmt.Errorf("core: LP state of %d entries for %d", len(s.Entries), len(lp.entries))
-	}
-	lp.clock = s.Clock
-	copy(lp.entries, s.Entries)
-	return nil
-}

@@ -317,21 +317,3 @@ func (c *Core) WarmRetire(r trace.Record) {
 		c.Loads++
 	}
 }
-
-// Retired is the core's warm state: the retired-instruction counters.
-// They are the only core state a functional warm-up moves: WarmRetire
-// touches no rings or clocks, so everything else is still at its reset
-// value when a warm-up checkpoint is captured.
-type Retired struct {
-	Instructions, MemOps, Loads, Stores int64
-}
-
-// State returns the retired-instruction counters.
-func (c *Core) State() Retired {
-	return Retired{Instructions: c.Instructions, MemOps: c.MemOps, Loads: c.Loads, Stores: c.Stores}
-}
-
-// Restore sets the retired-instruction counters.
-func (c *Core) Restore(r Retired) {
-	c.Instructions, c.MemOps, c.Loads, c.Stores = r.Instructions, r.MemOps, r.Loads, r.Stores
-}

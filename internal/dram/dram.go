@@ -18,11 +18,7 @@
 // identical at any weave worker count.
 package dram
 
-import (
-	"fmt"
-
-	"graphmem/internal/mem"
-)
+import "graphmem/internal/mem"
 
 // Config describes one DRAM channel's geometry and timing.
 type Config struct {
@@ -341,32 +337,4 @@ func (c *Channel) WarmTouch(blk mem.BlockAddr) {
 // WarmTouch routes blk to its channel and updates row state only.
 func (m *Memory) WarmTouch(blk mem.BlockAddr) {
 	m.channels[uint64(blk)%uint64(len(m.channels))].WarmTouch(blk)
-}
-
-// OpenRows returns every bank's open row (-1 when precharged), channel
-// by channel: the memory's warm-relevant state. Timing reservations
-// (readyAt, busFree) are deliberately left out: functional warming
-// never advances them, so after a warm-up they are exactly zero.
-func (m *Memory) OpenRows() []int64 {
-	var rows []int64
-	for _, c := range m.channels {
-		for i := range c.banks {
-			rows = append(rows, c.banks[i].openRow)
-		}
-	}
-	return rows
-}
-
-// RestoreOpenRows sets every bank's open row from rows, as OpenRows
-// returned them, refusing rows from another geometry.
-func (m *Memory) RestoreOpenRows(rows []int64) error {
-	if n := len(m.channels) * len(m.channels[0].banks); len(rows) != n {
-		return fmt.Errorf("dram: %d open rows for %d banks", len(rows), n)
-	}
-	for _, c := range m.channels {
-		for i := range c.banks {
-			c.banks[i].openRow, rows = rows[0], rows[1:]
-		}
-	}
-	return nil
 }

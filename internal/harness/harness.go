@@ -207,10 +207,6 @@ type Workbench struct {
 	// isolated runs and mixes. Stored results are byte-identical to live
 	// runs, so the tier affects wall-clock only; runs
 	// sim.Config.Cacheable rejects (checked ones) bypass it both ways.
-	// With Sampling enabled it also keeps the functional warm-ups
-	// (sim.Config.WarmKey): sampled runs of this profile sharing a
-	// workload and everything the warm-up depends on replay one warm-up
-	// and restore the rest from disk, byte-identical to re-warming.
 	// Open one with OpenResultStore; cmd/gmreport and cmd/gmsim expose
 	// it as -store, and gmserved fronts one as a service.
 	Store *store.Store
@@ -277,16 +273,14 @@ func (wb *Workbench) Workload(id WorkloadID, slot int) sim.Workload {
 }
 
 // Configure folds the profile's windows and the workbench's check level
-// and sampling plan into cfg, all as requested (a sampled config keeps
-// its warm-up in Store), and returns sim.Config.Validate's verdict on
-// the combination — what a tool checks before running a config its
-// user spelled out.
+// and sampling plan into cfg, all as requested, and returns
+// sim.Config.Validate's verdict on the combination — what a tool checks
+// before running a config its user spelled out.
 func (wb *Workbench) Configure(cfg sim.Config) (sim.Config, error) {
 	cfg = cfg.WithWindows(wb.Profile.Warmup, wb.Profile.Measure)
 	cfg.CheckLevel = wb.CheckLevel
 	if wb.Sampling.Enabled() {
 		cfg.Sampling.Plan = wb.Sampling
-		cfg = cfg.WithWarmStore(wb.Store, wb.Profile.Name)
 	}
 	return cfg, cfg.Validate()
 }
@@ -474,10 +468,18 @@ func metricsLabel(s *RunSpec) string {
 // run with the ledger (only runs that memo and store both missed get
 // here, so the plan counts exactly the runs that simulate), claims one
 // pool slot, prepares the core slots' workloads, and reports start and
-// finish — with the checker outcome — to the ledger. The pool slot
-// comes back through a defer, so a panicking run leaks nothing.
+// finish — with the checker outcome — to the ledger. The pool slot and
+// the ledger entry are closed through defers, so a panicking run leaks
+// neither.
 func live[V any](wb *Workbench, s RunSpec, sh shape[V], simulate func(sim.Config, []sim.Workload) (V, check.Summary)) V {
-	wb.Metrics.Plan(s.StoreKey(), s.point())
+	key := s.StoreKey()
+	wb.Metrics.Plan(key, s.point())
+	finished := false
+	defer func() {
+		if !finished {
+			wb.Metrics.Abort(key)
+		}
+	}()
 	wb.acquire()
 	defer wb.release()
 	ws := make([]sim.Workload, len(s.ids))
@@ -486,10 +488,11 @@ func live[V any](wb *Workbench, s RunSpec, sh shape[V], simulate func(sim.Config
 			ws[i] = wb.Workload(id, i)
 		}
 	}
-	finish := wb.Metrics.Start(wb.Progress, s.StoreKey(), progressLabel(&s), metricsLabel(&s))
+	finish := wb.Metrics.Start(wb.Progress, key, progressLabel(&s), metricsLabel(&s))
 	v, checked := simulate(s.cfg, ws)
 	detail, ipc, rec := sh.describe(v)
 	finish(detail, ipc, rec, checked)
+	finished = true
 	return v
 }
 

@@ -44,7 +44,7 @@ func RegisterRunFlags(fs *flag.FlagSet, defaultProfile string) *RunOptions {
 	fs.Int64Var(&o.Measure, "measure", 0, "override the single-core measured instructions")
 	fs.StringVar(&o.Check, "check", "off", "differential checking: off|oracle|full (exit 1 on any violation)")
 	fs.StringVar(&o.Sample, "sample", "", "run eligible single-core simulations under the statistical sampler \"period,len,offset[,warm]\" (instructions); results are CI estimates")
-	fs.StringVar(&o.Store, "store", "", "disk-backed result store directory (serves repeated runs, single- and multi-core, from disk, and with -sample keeps their functional warm-ups; output is byte-identical either way)")
+	fs.StringVar(&o.Store, "store", "", "disk-backed result store directory (serves repeated runs, single- and multi-core, from disk; output is byte-identical either way)")
 	fs.StringVar(&o.Metrics, "metrics", "", "serve live metrics (Prometheus text + expvar) on this address, e.g. :6060")
 	fs.IntVar(&o.Jobs, "j", 0, "max concurrent simulations (0 = all host cores); output is identical at any -j")
 	fs.StringVar(&o.Prefetchers, "pf", "", "prefetcher preset for the base machine: none|nextline|spp|stride|imp|pickle|spp+imp (empty = Table I default)")

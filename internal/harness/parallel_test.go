@@ -109,3 +109,36 @@ func TestSingleFlightDedup(t *testing.T) {
 			live, cached, strings.Join(lines, "\n"))
 	}
 }
+
+// TestPanickingRunClosesLedger: a run that panics — while its workload
+// is prepared, or inside the simulator — still closes its ledger entry,
+// so the progress line reaches done == total and /metrics reads no run
+// in flight, and it never counts as a finished point.
+func TestPanickingRunClosesLedger(t *testing.T) {
+	wb := NewWorkbench(fastBench())
+	triad := WorkloadID{Kernel: "triad", Graph: "reg"}
+	crash := func(cfg sim.Config, id WorkloadID) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s on %s did not panic", cfg.Name, id)
+			}
+		}()
+		wb.RunSingle(cfg, id)
+	}
+	crash(wb.BaseConfig(), WorkloadID{Kernel: "nosuchkernel", Graph: "reg"}) // in wb.Workload
+	wb.RunSingle(wb.BaseConfig(), triad)
+	crash(wb.BaseConfig().WithPrefetchers("bogus"), triad) // in sim.NewSystem
+
+	if done, total, _, _ := wb.Metrics.Snapshot(); done != total || total != 3 {
+		t.Errorf("progress reads %d/%d after two crashed runs and one good one, want 3/3", done, total)
+	}
+	if _, finished, _, _ := wb.Metrics.Counts(); finished != 1 {
+		t.Errorf("%d finished points, want the one good run", finished)
+	}
+	var prom strings.Builder
+	wb.Metrics.WritePrometheus(&prom)
+	if !strings.Contains(prom.String(), "\ngraphmem_runs_in_flight 0\n") {
+		t.Errorf("/metrics shows a crashed run in flight:\n%s", prom.String())
+	}
+}

@@ -50,13 +50,6 @@ func TestRunKeyCanary(t *testing.T) {
 			t.Errorf("%s: Key = %q, want %q", c.cfg.Name, got, c.want)
 		}
 	}
-	// The warm-up address of a sampled Distill run (Distill's ways shape
-	// the warm L2, so the pair is warm-relevant).
-	sampled := base.WithDistill().WithSampling(50_000, 2_000, 10_000).WithWarmStore(nil, "bench")
-	if got, want := sampled.WarmKey(id.String()), "5b67ece28671316323e4dbe8fca57198"; got != want {
-		t.Errorf("sampled Distill WarmKey = %q, want %q", got, want)
-	}
-
 	// Every scope axis moves the digest, and the run kinds are disjoint
 	// namespaces over one (config, workload, profile).
 	others := []RunSpec{
@@ -77,7 +70,7 @@ func TestRunKeyCanary(t *testing.T) {
 	}
 
 	// Wall-clock-only fields share the key: results are identical at any
-	// worker count, and restored warm-ups equal re-warmed ones.
+	// worker count.
 	bw := sim.TableI(4).WithSDCLP().WithBoundWeave(0, 1)
 	k1 := NewRunSpec(bw, id, "bench").Key()
 	bw.WeaveWorkers = 8
@@ -115,19 +108,13 @@ func perturb(t *testing.T, path string, v reflect.Value) {
 // TestRunSpecCoversEveryConfigField walks sim.Config recursively,
 // perturbs each leaf, and fails unless the run identity moves or the
 // field is listed in sim.WallClockOnly — so a Config field added later
-// cannot be silently left out of memo and store keys. The checkpoint
-// address (sim.Config.WarmKey) is held to sim.WarmIrrelevant the same
-// way: it is the same field walk with a second exclusion list.
+// cannot be silently left out of memo and store keys.
 func TestRunSpecCoversEveryConfigField(t *testing.T) {
 	id := WorkloadID{Kernel: "pr", Graph: "kron"}
 	base := sim.TableI(1)
 	baseKey := NewRunSpec(base, id, "bench").Key()
-	baseWarm := base.WarmKey(id.String())
-	if baseWarm == base.WarmKey("cc.kron") || len(baseWarm) != 32 {
-		t.Errorf("warm key %q: want 32 hex digits that name the workload", baseWarm)
-	}
 
-	var leaves, excluded, warmExcluded []string
+	var leaves, excluded []string
 	var walk func(path string, index []int, typ reflect.Type)
 	walk = func(path string, index []int, typ reflect.Type) {
 		if typ.Kind() == reflect.Struct {
@@ -155,15 +142,6 @@ func TestRunSpecCoversEveryConfigField(t *testing.T) {
 		case !moved:
 			t.Errorf("%s does not move the run key: append it in sim.Config.AppendIdentity or list it in sim.WallClockOnly", path)
 		}
-		moved = cfg.WarmKey(id.String()) != baseWarm
-		switch late := slices.Contains(sim.WarmIrrelevant, path); {
-		case late && moved:
-			t.Errorf("%s is listed warm-irrelevant but moves the checkpoint key", path)
-		case late:
-			warmExcluded = append(warmExcluded, path)
-		case !moved:
-			t.Errorf("%s does not move the checkpoint key: encode it in sim.Config's field walk or list it in sim.WarmIrrelevant", path)
-		}
 	}
 	walk("", nil, reflect.TypeOf(base))
 
@@ -172,9 +150,6 @@ func TestRunSpecCoversEveryConfigField(t *testing.T) {
 	}
 	if !slices.Equal(excluded, sim.WallClockOnly) {
 		t.Errorf("excluded fields found %v, sim.WallClockOnly lists %v (a stale entry?)", excluded, sim.WallClockOnly)
-	}
-	if !slices.Equal(warmExcluded, sim.WarmIrrelevant) {
-		t.Errorf("warm-excluded fields found %v, sim.WarmIrrelevant lists %v (a stale entry, or out of struct order?)", warmExcluded, sim.WarmIrrelevant)
 	}
 	for _, want := range []string{"CPU.ROB", "L1D.Policy", "LP.Tau", "DRAM.BusFreqMHz", "Sampling.Period", "Sampling.MisWarm", "FRInterval", "CheckLevel"} {
 		if !slices.Contains(leaves, want) {

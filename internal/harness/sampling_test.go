@@ -21,15 +21,12 @@ func samplingPlan() sample.Plan {
 	return sample.Plan{Period: 50_000, SampleLen: 2_000, Offset: 10_000, DetailWarm: 2_000}
 }
 
-// TestSampledSweepSharesOneWarmup pins what the warm entries of the
-// result store are for: a sweep of N configs over one workload,
-// identical in everything the warm-up depends on (here: varying only
-// the directory latency), performs exactly one functional warm-up,
-// whatever order the scheduler runs them in. The first run misses and
-// captures; the other N-1 restore. The store then holds N results and
-// one warm-up, and serves the whole sweep to a second workbench without
-// simulating or warming anything.
-func TestSampledSweepSharesOneWarmup(t *testing.T) {
+// TestSampledSweepThroughColdStore pins what the store holds for a
+// sampled sweep: one entry per result and nothing else. A sweep of N
+// configs over one workload through a cold store writes exactly N
+// entries and renders the storeless report; a second workbench over the
+// same directory is served the whole sweep without simulating.
+func TestSampledSweepThroughColdStore(t *testing.T) {
 	dir := t.TempDir()
 	id := WorkloadID{Kernel: "triad", Graph: "reg"}
 	base := fastBench().BaseConfig(1).WithSDCLP()
@@ -57,7 +54,6 @@ func TestSampledSweepSharesOneWarmup(t *testing.T) {
 
 	st := open()
 	wb, jobs, results := sweep(st)
-	hits := 0
 	for i, r := range results {
 		if r == nil || r.Sampling == nil {
 			t.Fatalf("config %d: no sampling estimate on result %v", i, r)
@@ -65,22 +61,14 @@ func TestSampledSweepSharesOneWarmup(t *testing.T) {
 		if r.Sampling.Samples == 0 {
 			t.Errorf("config %d: estimate covers zero samples", i)
 		}
-		if r.Sampling.CheckpointHit {
-			hits++
+	}
+	if entries, _, _ := st.Size(); entries != len(cfgs) || st.Misses() != int64(len(cfgs)) {
+		t.Errorf("cold store: %d entries after %d misses; want one entry per result (%d)", entries, st.Misses(), len(cfgs))
+	}
+	for _, s := range jobs {
+		if !st.Contains(s.StoreKey()) {
+			t.Errorf("no store entry under %s's result key", s.cfg.Name)
 		}
-	}
-	if hits != len(cfgs)-1 {
-		t.Errorf("%d results marked CheckpointHit; want %d (one warm-up)", hits, len(cfgs)-1)
-	}
-	warm := jobs[0].cfg.WarmKey(id.String())
-	for _, s := range jobs[1:] {
-		if k := s.cfg.WarmKey(id.String()); k != warm {
-			t.Fatalf("timing-only variants address two warm-ups: %s vs %s", warm, k)
-		}
-	}
-	if entries, _, _ := st.Size(); entries != len(cfgs)+1 || !st.Contains(warm) {
-		t.Errorf("store holds %d entries (warm-up present: %v); want %d results and one warm entry",
-			entries, st.Contains(warm), len(cfgs))
 	}
 
 	// The three runs memoized under three distinct sampled keys.
@@ -96,13 +84,13 @@ func TestSampledSweepSharesOneWarmup(t *testing.T) {
 
 	_, _, plain := sweep(nil)
 	if got, want := sampledTable(results), sampledTable(plain); got != want {
-		t.Errorf("the shared warm-up changed the report:\n%s\nstoreless:\n%s", got, want)
+		t.Errorf("the store changed the report:\n%s\nstoreless:\n%s", got, want)
 	}
 
 	again := open()
 	wb, _, served := sweep(again)
 	if _, simulated, _, _ := wb.Metrics.Counts(); simulated != 0 || again.Hits() != int64(len(cfgs)) || again.Misses() != 0 {
-		t.Errorf("second workbench: %d simulations, %d hits, %d misses; want the %d results served and no warm-up",
+		t.Errorf("second workbench: %d simulations, %d hits, %d misses; want the %d results served",
 			simulated, again.Hits(), again.Misses(), len(cfgs))
 	}
 	if got, want := sampledTable(served), sampledTable(plain); got != want {
@@ -125,64 +113,47 @@ func sampledTable(rs []*sim.Result) string {
 }
 
 // TestOneFramingVersionsEveryEntry pins the one version on disk: after
-// a sampled run the store holds its result and its warm-up, both framed
-// by sim.ResultFraming, so sim.StateVersion versions both — rewriting
-// either entry's version byte turns it into a miss.
+// a sampled run the store holds its result alone, framed by
+// sim.ResultFraming, so sim.StateVersion versions it — rewriting the
+// entry's version byte turns it into a miss that the rerun heals.
 func TestOneFramingVersionsEveryEntry(t *testing.T) {
 	dir := t.TempDir()
 	id := WorkloadID{Kernel: "triad", Graph: "reg"}
 	base := fastBench().BaseConfig(1).WithSDCLP()
-	run := func(cfg sim.Config) (*sim.Result, *store.Store, RunSpec) {
+	run := func() (*sim.Result, *store.Store, RunSpec) {
 		st, err := OpenResultStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wb := NewWorkbench(fastBench())
 		wb.Sampling, wb.Store = samplingPlan(), st
-		s := wb.Spec(cfg, id)
+		s := wb.Spec(base, id)
 		return wb.Run(s), st, s
 	}
-	_, st, s := run(base)
+	first, st, s := run()
 
 	files, err := filepath.Glob(filepath.Join(dir, "*.res"))
-	if err != nil || len(files) != 2 {
-		t.Fatalf("store files %v (%v); want one result and one warm-up", files, err)
+	if err != nil || len(files) != 1 || filepath.Base(files[0]) != filepath.Base(st.Path(s.StoreKey())) {
+		t.Fatalf("store files %v (%v); want the one result", files, err)
 	}
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sim.ResultFraming().Decode(data); err != nil {
-			t.Errorf("%s: %v", filepath.Base(f), err)
-		}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	restamp := func(key string) {
-		data, err := os.ReadFile(st.Path(key))
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[8]++ // the framing's version, little-endian
-		if err := os.WriteFile(st.Path(key), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := sim.ResultFraming().Decode(data); err != nil {
+		t.Errorf("%s: %v", filepath.Base(files[0]), err)
+	}
+	data[8]++ // the framing's version, little-endian
+	if err := os.WriteFile(files[0], data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	// A result entry of another version: the run goes live and restores
-	// its warm-up.
-	restamp(s.StoreKey())
-	res, st, _ := run(base)
-	if st.Hits() != 1 || st.Misses() != 1 || !res.Sampling.CheckpointHit {
-		t.Errorf("restamped result: %d hits, %d misses, warm-up restored %v; want the result missed and the warm-up hit",
-			st.Hits(), st.Misses(), res.Sampling.CheckpointHit)
+	res, st, _ := run()
+	if st.Hits() != 0 || st.Misses() != 1 {
+		t.Errorf("restamped result: %d hits, %d misses; want a miss", st.Hits(), st.Misses())
 	}
-	// A warm entry of another version: a timing-only variant (its own
-	// result key, the same warm key) misses both and re-warms.
-	restamp(s.cfg.WarmKey(id.String()))
-	res, st, _ = run(base.WithDirLatency(112))
-	if st.Hits() != 0 || st.Misses() != 2 || res.Sampling.CheckpointHit {
-		t.Errorf("restamped warm-up: %d hits, %d misses, warm-up restored %v; want both missed",
-			st.Hits(), st.Misses(), res.Sampling.CheckpointHit)
+	if !reflect.DeepEqual(res.Stats, first.Stats) {
+		t.Error("the rerun after a restamped entry counted differently")
 	}
 }
 
@@ -231,52 +202,4 @@ func relErr(est, ref float64) float64 {
 		d = -d
 	}
 	return d / ref
-}
-
-// TestCheckpointKeyNamesTheInput pins the warm-up address's scope: a
-// profile fixes its graphs, so two profiles with the same machine and
-// windows but different "urand" graphs must not share a warm-up through
-// one store. The second profile's run captures its own state and equals
-// a run that never saw a store.
-func TestCheckpointKeyNamesTheInput(t *testing.T) {
-	withUrand := func(name string, seed uint64) Profile {
-		p := fastBench()
-		p.Name = name
-		p.Graphs = map[string]GraphSpec{"urand": {Name: "urand", Build: func() *graph.Graph {
-			return graph.Urand(1<<14, 1<<17, seed)
-		}}}
-		return p
-	}
-	st, err := OpenResultStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := WorkloadID{Kernel: "cc", Graph: "urand"}
-	base := fastBench().BaseConfig(1).WithSDCLP()
-	run := func(p Profile, st *store.Store, cfg sim.Config) (*sim.Result, string) {
-		wb := NewWorkbench(p)
-		wb.Sampling, wb.Store = samplingPlan(), st
-		s := wb.Spec(cfg, id)
-		return wb.Run(s), s.cfg.WarmKey(id.String())
-	}
-
-	_, warmOne := run(withUrand("one", 1), st, base)
-	second, warmTwo := run(withUrand("two", 2), st, base)
-	if warmOne == warmTwo || !st.Contains(warmOne) || !st.Contains(warmTwo) {
-		t.Errorf("warm keys %s / %s (stored %v / %v); want one warm entry per profile: they hold different graphs",
-			warmOne, warmTwo, st.Contains(warmOne), st.Contains(warmTwo))
-	}
-	if second.Sampling.CheckpointHit {
-		t.Error("profile two restored profile one's warm-up")
-	}
-	if plain, _ := run(withUrand("two", 2), nil, base); !reflect.DeepEqual(second.Stats, plain.Stats) {
-		t.Errorf("profile two behind a shared store differs from a storeless run:\n got IPC %.4f\nwant IPC %.4f", second.IPC(), plain.IPC())
-	}
-	// Same profile, same store: that warm-up is shared. A timing-only
-	// variant has its own result key, so the run reaches the warm-up.
-	variant := base.WithDirLatency(112)
-	again, _ := run(withUrand("two", 2), st, variant)
-	if plain, _ := run(withUrand("two", 2), nil, variant); !again.Sampling.CheckpointHit || !reflect.DeepEqual(again.Stats, plain.Stats) {
-		t.Error("the same profile's second run did not restore its own warm-up byte for byte")
-	}
 }

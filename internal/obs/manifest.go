@@ -108,8 +108,8 @@ func CaptureRuntime() RuntimeInfo {
 
 // Manifest is the machine-readable record of one run (or one sweep):
 // what ran, on what machine configuration, every final counter, the
-// derived headline metrics, the epoch time series when sampling was on,
-// and enough provenance (tool, wall clock, runtime) to diff artifacts
+// derived headline metrics, the epoch time series when EpochInterval
+// was positive, and enough provenance (tool, wall clock, runtime) to diff artifacts
 // across commits.
 type Manifest struct {
 	SchemaVersion int       `json:"schema_version"`
@@ -128,7 +128,7 @@ type Manifest struct {
 	Final stats.CoreStats `json:"final"`
 	// Derived repeats the headline metrics computed from Final.
 	Derived Derived `json:"derived"`
-	// Epochs is the per-epoch series (omitted when sampling was off).
+	// Epochs is the per-epoch series (omitted when EpochInterval is 0).
 	Epochs []EpochSample `json:"epochs,omitempty"`
 	// Check is the differential-checker outcome (omitted when the run
 	// was unchecked).

@@ -156,6 +156,20 @@ func (m *Metrics) Start(out func(string), key, label, name string) (finish func(
 	}
 }
 
+// Abort closes the entry of a planned run that ended without a
+// result — its preparation or simulation panicked — so the progress
+// line still closes and the in-flight gauge drops it. The run counts as
+// done, never as finished: it has no point to report.
+func (m *Metrics) Abort(key string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.inflight, key)
+	if m.pending[key] {
+		delete(m.pending, key)
+		m.done++
+	}
+}
+
 // Served records the run with identity digest key as answered without
 // simulating — by the memo or another caller's fill, or fromStore by
 // the disk store — and emits its "(cached)" line to out. It leaves the

@@ -4,11 +4,8 @@
 //
 // The package is deliberately substrate-free: it knows about schedules
 // (Plan) and per-sample statistics (Estimate) — never about caches,
-// cores or disks. internal/sim owns the warm walk and the warm-up
-// checkpoints: each component states its warm state (State/Restore),
-// sim collects them into one value that the store's codec carries, and
-// the entry lives in the result store (sim.Config.WarmKey). This
-// package supplies the arithmetic around them.
+// cores or disks. internal/sim owns the warm walk; this package
+// supplies the arithmetic around it.
 package sample
 
 import (
@@ -89,7 +86,7 @@ func ParsePlan(s string) (Plan, error) {
 // Estimate is the sampled run's statistical result: per-metric point
 // estimates with CLT confidence intervals over the per-sample values,
 // plus enough bookkeeping to audit the run (sample count, detailed
-// instruction total, checkpoint outcome).
+// instruction total).
 type Estimate struct {
 	// Samples is the number of detailed samples the estimate covers
 	// (complete samples plus a possible short trailing one).
@@ -97,8 +94,10 @@ type Estimate struct {
 	// DetailedInstructions is the total instruction count simulated in
 	// detail inside the measurement window.
 	DetailedInstructions int64 `json:"detailed_instructions"`
-	// CheckpointHit marks a run that restored its warm-up state from
-	// the store instead of re-warming.
+	// CheckpointHit is retired and always false: runs warm in place.
+	// It stays so that Result's codec fingerprint, and with it every
+	// stored sampled result, is unchanged; drop it with the next
+	// StateVersion bump (ROADMAP item 2(c)).
 	CheckpointHit bool `json:"checkpoint_hit,omitempty"`
 
 	IPC          stats.Interval `json:"ipc"`

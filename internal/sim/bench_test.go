@@ -5,7 +5,6 @@ import (
 
 	"graphmem/internal/kernels"
 	"graphmem/internal/mem"
-	"graphmem/internal/store"
 	"graphmem/internal/trace"
 )
 
@@ -70,28 +69,6 @@ func BenchmarkPRKronStepSDCLP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.observe(recs[i%len(recs)])
-	}
-}
-
-// BenchmarkWarmState captures, decodes and restores the warm state of a
-// bench-scale SDC+LP machine: what a sampled run pays once for its
-// warm-up checkpoint, on a miss (capture) or a hit (decode + restore).
-func BenchmarkWarmState(b *testing.B) {
-	recs := prRecords(b, 1<<18)
-	c := steadyCtx(b, TableI(1).BenchScale().WithSDCLP())
-	for _, r := range recs[:1<<16] {
-		c.observe(r)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := new(warmState)
-		if err := store.Unmarshal(c.sys.encodeWarmState(), st); err != nil {
-			b.Fatal(err)
-		}
-		if err := c.sys.restoreWarmState(st); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"graphmem/internal/dram"
 	"graphmem/internal/obs"
 	"graphmem/internal/sample"
-	"graphmem/internal/store"
 )
 
 // RoutingMode selects how memory accesses are routed to the SDC.
@@ -205,25 +204,9 @@ type Config struct {
 
 // SamplingConfig drives the statistical sampling engine. The embedded
 // sample.Plan carries the schedule (Period, SampleLen, seedless
-// Offset); the extra fields bind the run's warm-up to a store and the
-// fault-injection hook.
+// Offset); MisWarm is the fault-injection hook.
 type SamplingConfig struct {
 	sample.Plan
-
-	// Store, when non-nil, holds warm-up checkpoints: the runner
-	// addresses it by Config.WarmKey and either restores the warm-up
-	// state from it or captures one at the warm-up end, so a sweep of
-	// configs sharing a workload performs one warm-up instead of N. It
-	// is the result store (framed by ResultFraming), whose run keys can
-	// never equal a warm key. Wall-clock only; counters are unaffected
-	// (resume is byte-identical to an uninterrupted warm-up).
-	Store *store.Store
-	// Scope names the simulated input beyond the workload's own name —
-	// the harness sets the profile, which fixes the graph generators'
-	// sizes and seeds — and enters the checkpoint address (WarmKey), so
-	// one store never serves "pr.kron" warmed on one profile's graph to
-	// a run on another's. Like Store it cannot change a result.
-	Scope string
 
 	// MisWarm is a fault-injection hook for testing the sampled-vs-full
 	// error gate: functional warming still counts instructions but skips
@@ -310,15 +293,6 @@ func (c Config) WithSampling(period, length, offset int64) Config {
 // instruction, maximizing speed at the cost of cold-structure bias).
 func (c Config) WithSampleWarm(n int64) Config {
 	c.Sampling.DetailWarm = n
-	return c
-}
-
-// WithWarmStore returns a copy keeping warm-up checkpoints in st (only
-// meaningful together with WithSampling), addressed within scope:
-// whatever beyond the workload's name identifies its input (see
-// SamplingConfig.Scope).
-func (c Config) WithWarmStore(st *store.Store, scope string) Config {
-	c.Sampling.Store, c.Sampling.Scope = st, scope
 	return c
 }
 

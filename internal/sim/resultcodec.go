@@ -16,25 +16,21 @@ import (
 )
 
 // StateVersion identifies the simulator behaviour the result store
-// caches: run results and warm-up checkpoints alike. Bump it whenever
-// any change alters simulated counters or what a stored entry means —
-// timing model fixes, replacement-policy changes, graph generator
-// tweaks, a component whose warm state now means something else — and
-// every previously stored entry becomes unreadable (ErrVersionMismatch)
-// instead of silently stale. A change to the layout of a stored result
-// or of a component's warm state (warmState, checkpoint.go) is also
-// caught by the payload codec's fingerprint, which makes the old entry
-// a miss; a change of behaviour is not, and still needs the bump. It
-// also enters every run key and warm key, so a bump re-addresses them
-// as well.
+// caches. Bump it whenever any change alters simulated counters or what
+// a stored result means — timing model fixes, replacement-policy
+// changes, graph generator tweaks — and every previously stored entry
+// becomes unreadable (ErrVersionMismatch) instead of silently stale. A
+// change to the layout of a stored result is also caught by the payload
+// codec's fingerprint, which makes the old entry a miss; a change of
+// behaviour is not, and still needs the bump. It also enters every run
+// key, so a bump re-addresses them as well.
 const StateVersion = 1
 
 // resultMagic opens every file of the result store.
 var resultMagic = [8]byte{'G', 'M', 'R', 'E', 'S', 'L', 'T', '\n'}
 
 // ResultFraming returns the framing (magic + StateVersion) binding
-// every stored file — results and warm-up checkpoints — to this
-// simulator version.
+// every stored file to this simulator version.
 func ResultFraming() store.Framing {
 	return store.Framing{Magic: resultMagic, Version: StateVersion}
 }

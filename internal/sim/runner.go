@@ -369,33 +369,13 @@ func RunSingleCore(cfg Config, w Workload) *Result {
 // RunCore0 drives workload w on core 0 until its windows fill.
 func (s *System) RunCore0(w Workload) *Result {
 	c := s.cores[0]
-	// The warm key is taken while the harness holds this run's result
-	// key in the same store, never the reverse: keys are always acquired
-	// result first, so one store shared by results and warm-ups cannot
-	// deadlock, in one process or across processes.
-	if st := s.cfg.Sampling.Store; st != nil && s.cfg.Sampling.Enabled() {
-		key := s.cfg.WarmKey(w.Name)
-		payload, done := st.Acquire(key)
-		switch {
-		case payload == nil:
-			c.ckptCommit = done
-		case c.startDrain(payload) == nil:
-			_ = done(nil)
-		default:
-			// A payload that does not decode (another type, an older
-			// layout) is a miss, as harness.through treats a result:
-			// drop it, warm in place and republish under the held key.
-			st.Reject(key)
-			c.ckptCommit = done
-		}
-	}
 	sink := &singleSink{c: c}
 	reruns := 0
 	for !c.doneMeasure {
 		tr := trace.New(sink)
-		before := c.cpuCore.Instructions + c.drainCount
+		before := c.cpuCore.Instructions
 		w.Inst.Run(tr)
-		if c.cpuCore.Instructions+c.drainCount == before {
+		if c.cpuCore.Instructions == before {
 			break // kernel emitted nothing; windows cannot fill
 		}
 		if !c.doneMeasure {
@@ -403,12 +383,6 @@ func (s *System) RunCore0(w Workload) *Result {
 		}
 	}
 	c.finish()
-	if c.ckptCommit != nil {
-		// The trace ended before the warm-up did: release the store's
-		// key lock without publishing.
-		_ = c.ckptCommit(nil)
-		c.ckptCommit = nil
-	}
 	s.CheckInvariants() // final structural sweep (no-op unless check.Full)
 	res := &Result{
 		Config:   s.cfg.Name,
@@ -425,7 +399,6 @@ func (s *System) RunCore0(w Workload) *Result {
 	}
 	if s.cfg.Sampling.Enabled() {
 		est := sample.NewEstimate(c.sampleDeltas)
-		est.CheckpointHit = c.ckptHit
 		res.Sampling = &est
 	}
 	return res

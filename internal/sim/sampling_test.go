@@ -1,14 +1,10 @@
 package sim
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
-
-	"graphmem/internal/store"
 )
 
 // sampledCfg is the schedule the sampling tests run under: the checked
@@ -40,134 +36,6 @@ func TestSamplingOffIsBitIdentical(t *testing.T) {
 	}
 	if strings.Contains(string(blob), "sample") {
 		t.Errorf("unsampled manifest config leaks sampling fields: %s", blob)
-	}
-}
-
-// TestCheckpointRoundTrip pins the warm-up checkpoint's byte-identity
-// contract: a run that restores its warm-up from the store produces
-// exactly the counters and estimate of the run that captured it — and
-// of a run that never touched a store at all.
-func TestCheckpointRoundTrip(t *testing.T) {
-	cfg := sampledCfg()
-	plain := RunSingleCore(cfg, kronWorkload(t, "pr", 19))
-
-	st, err := store.Open(t.TempDir(), ResultFraming())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored := cfg.WithWarmStore(st, "")
-	miss := RunSingleCore(stored, kronWorkload(t, "pr", 19))
-	hit := RunSingleCore(stored, kronWorkload(t, "pr", 19))
-	if m, h := st.Misses(), st.Hits(); m != 1 || h != 1 {
-		t.Fatalf("store saw %d misses / %d hits; want 1 / 1", m, h)
-	}
-	if miss.Sampling == nil || miss.Sampling.CheckpointHit {
-		t.Error("capturing run should report a checkpoint miss")
-	}
-	if hit.Sampling == nil || !hit.Sampling.CheckpointHit {
-		t.Error("restored run should report a checkpoint hit")
-	}
-
-	if !reflect.DeepEqual(plain.Stats, miss.Stats) {
-		t.Error("capturing run's counters differ from the store-free run's")
-	}
-	if !reflect.DeepEqual(miss.Stats, hit.Stats) {
-		t.Error("restored run's counters differ from the capturing run's")
-	}
-	// The estimates are identical except for the hit marker itself.
-	h := *hit.Sampling
-	h.CheckpointHit = false
-	if !reflect.DeepEqual(*miss.Sampling, h) {
-		t.Errorf("restored estimate diverged:\n miss %+v\n hit  %+v", *miss.Sampling, *hit.Sampling)
-	}
-}
-
-// TestCheckpointRejectsDamagedFiles pins the store's failure mode end
-// to end: a truncated checkpoint and a stale-version checkpoint are
-// both ordinary misses — the run silently re-warms, overwrites the bad
-// file, and still produces bit-identical counters.
-func TestCheckpointRejectsDamagedFiles(t *testing.T) {
-	cfg := sampledCfg()
-	st, err := store.Open(t.TempDir(), ResultFraming())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored := cfg.WithWarmStore(st, "")
-	first := RunSingleCore(stored, kronWorkload(t, "pr", 19))
-
-	// Find the committed file and damage it two ways.
-	entries, err := os.ReadDir(st.Dir())
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("store dir: %v entries, err %v", len(entries), err)
-	}
-	path := st.Dir() + "/" + entries[0].Name()
-	good, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for name, bad := range map[string][]byte{
-		"truncated":     good[:len(good)/2],
-		"stale-version": append(append([]byte{}, good[:8]...), append([]byte{0xFF, 0xFF, 0xFF, 0xFF}, good[12:]...)...),
-	} {
-		if err := os.WriteFile(path, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		missesBefore := st.Misses()
-		res := RunSingleCore(stored, kronWorkload(t, "pr", 19))
-		if st.Misses() != missesBefore+1 {
-			t.Errorf("%s checkpoint was not treated as a miss", name)
-		}
-		if res.Sampling.CheckpointHit {
-			t.Errorf("%s checkpoint produced a hit", name)
-		}
-		if !reflect.DeepEqual(first.Stats, res.Stats) {
-			t.Errorf("%s recovery produced different counters", name)
-		}
-	}
-	// The re-warm rewrote a good file: the next run hits again.
-	res := RunSingleCore(stored, kronWorkload(t, "pr", 19))
-	if !res.Sampling.CheckpointHit {
-		t.Error("store did not recover a usable checkpoint after damage")
-	}
-}
-
-// TestForeignWarmPayloadIsAMiss: an intact entry under a real WarmKey
-// that is not a warm state — a run result, or 12 bytes whose first 8
-// read as an instruction count just past the warm-up — is an ordinary
-// checkpoint miss. The run warms in place, counts what a store-free run
-// counts and republishes the key, so the run after it hits.
-func TestForeignWarmPayloadIsAMiss(t *testing.T) {
-	cfg := sampledCfg()
-	free := RunSingleCore(cfg, kronWorkload(t, "pr", 19))
-	result, err := EncodeResult(free)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := append(binary.LittleEndian.AppendUint64(nil, uint64(cfg.Warmup+3)), 0xde, 0xad, 0xbe, 0xef)
-	for name, payload := range map[string][]byte{"result": result, "count": count} {
-		st, err := store.Open(t.TempDir(), ResultFraming())
-		if err != nil {
-			t.Fatal(err)
-		}
-		stored := cfg.WithWarmStore(st, "")
-		_, commit := st.Acquire(stored.WarmKey(kronWorkload(t, "pr", 19).Name))
-		if err := commit(payload); err != nil {
-			t.Fatal(err)
-		}
-		hits, misses := st.Hits(), st.Misses()
-		res := RunSingleCore(stored, kronWorkload(t, "pr", 19))
-		if res.Sampling.CheckpointHit || st.Hits() != hits || st.Misses() != misses+1 {
-			t.Errorf("%s payload: hit %v, store hits %d→%d misses %d→%d; want a miss",
-				name, res.Sampling.CheckpointHit, hits, st.Hits(), misses, st.Misses())
-		}
-		if !reflect.DeepEqual(free.Stats, res.Stats) {
-			t.Errorf("%s payload: counters differ from the store-free run's", name)
-		}
-		res = RunSingleCore(stored, kronWorkload(t, "pr", 19))
-		if !res.Sampling.CheckpointHit || !reflect.DeepEqual(free.Stats, res.Stats) {
-			t.Errorf("%s payload: the republished checkpoint did not serve (hit %v)", name, res.Sampling.CheckpointHit)
-		}
 	}
 }
 

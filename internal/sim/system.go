@@ -84,10 +84,8 @@ type coreCtx struct {
 	l2      *cache.Cache
 	sdc     *cache.Cache
 	// levels lists the private caches above in walk order — L1D, victim
-	// cache, L2, SDC, absent ones left out. The warm-up checkpoint
-	// (warmState.Levels), the flight-recorder taps, the counter freeze
-	// and the invariant sweep iterate it, so its order is part of the
-	// warm-state format.
+	// cache, L2, SDC, absent ones left out. The flight-recorder taps, the
+	// counter freeze and the invariant sweep iterate it.
 	levels []level
 	lp     *corepkg.LP
 	alp    *corepkg.AdaptiveLP
@@ -161,12 +159,11 @@ type coreCtx struct {
 	// into the quantum event log instead of mutating shared state.
 	bw *bwCore
 
-	// Statistical-sampling state (warm.go / checkpoint.go). warmMode is
-	// warmOff for unsampled runs, making observe's extra cost one byte
-	// compare per record; under sampling it cycles functional-warm ↔ off
-	// at sample boundaries, or starts in warmDrain when a warm-up
-	// checkpoint was found. nextSampleStart/nextSampleEnd fold into the
-	// nextEvent boundary minimum like every other window boundary.
+	// Statistical-sampling state (warm.go). warmMode is warmOff for
+	// unsampled runs, making observe's extra cost one byte compare per
+	// record; under sampling it cycles functional-warm ↔ off at sample
+	// boundaries. nextSampleStart/nextSampleEnd fold into the nextEvent
+	// boundary minimum like every other window boundary.
 	warmMode        uint8
 	warmWalkFn      tlb.WarmWalkFunc
 	frozen          frozenCounters // component counters held across a warming period
@@ -176,15 +173,6 @@ type coreCtx struct {
 	sampleK         int
 	sampleBase      stats.CoreStats
 	sampleDeltas    []stats.CoreStats
-	// Checkpoint bookkeeping: drainTo is the instruction position the
-	// restored warm-up ended at (drainCount tracks progress toward it);
-	// ckptState holds the decoded state until the drain arrives;
-	// ckptCommit publishes a freshly captured warm-up on a store miss.
-	drainTo    int64
-	drainCount int64
-	ckptState  *warmState
-	ckptCommit func([]byte) error
-	ckptHit    bool
 }
 
 // level is one private cache with the name the invariant sweep reports
@@ -199,7 +187,6 @@ type level struct {
 const (
 	warmOff        = iota // detailed simulation (the only mode when sampling is off)
 	warmFunctional        // functional warming: tags/recency/row state, no timing, counters frozen
-	warmDrain             // checkpoint resume: count instructions only, touch nothing
 )
 
 // checkSweepEvery is the retired-instruction period of the structural
@@ -389,8 +376,7 @@ func (s *System) onSDCDirEvict(blk mem.BlockAddr, sharers uint64) {
 
 // --- walk protocols: the one definition of each sequence the routing
 // paths below (and warm.go, boundweave.go) would otherwise spell out per
-// site. The MSHR protocol is cache.MissBegin/MissEnd/PrefetchBegin; the
-// warm-state component list is warmState (checkpoint.go). See
+// site. The MSHR protocol is cache.MissBegin/MissEnd/PrefetchBegin. See
 // DESIGN.md, "Hierarchy walk". ---
 
 // Write-back times surrenderSDCs takes besides a concrete cycle.
@@ -923,7 +909,7 @@ func (c *coreCtx) sdcPrefetch(blk mem.BlockAddr, now int64) {
 	}
 	// Releases the register on the early returns — and, today's bytes,
 	// also runs after the MissEnd at the fill below, overwriting the DRAM
-	// fill time with the issue time (ROADMAP item 1: the fix goes here).
+	// fill time with the issue time (ROADMAP item 2: the fix goes here).
 	defer c.sdc.MissEnd(blk, now)
 	// Skip candidates other agents hold; a real design would take the
 	// coherent path, but dropping the prefetch is always safe.

@@ -7,7 +7,7 @@
 // recency, dirty bits, predictor and directory state evolve by one
 // definition. The counters those transitions bump are frozen across
 // each warming period (freezeCounters), which is what keeps per-sample
-// counter deltas clean and the warm-up checkpoint free of statistics.
+// counter deltas clean.
 //
 // What this file holds is only what is different about warming: which
 // levels a warm access probes (reads are served in place, nothing waits
@@ -27,20 +27,10 @@ import (
 	"graphmem/internal/trace"
 )
 
-// warmObserve consumes one record while warmMode != warmOff. In
-// warmDrain (checkpoint resume) it only counts instructions until the
-// recorded warm-up end, then restores the checkpointed state; in
-// warmFunctional it retires the record into the counters and warm-
-// touches the hierarchy, sharing observeSlow's boundary cascade with
-// the detailed path.
+// warmObserve consumes one record while warmMode != warmOff: it
+// retires the record into the counters and warm-touches the hierarchy,
+// sharing observeSlow's boundary cascade with the detailed path.
 func (c *coreCtx) warmObserve(r trace.Record) bool {
-	if c.warmMode == warmDrain {
-		c.drainCount += int64(r.NonMem) + 1
-		if c.drainCount >= c.drainTo {
-			c.resumeFromCheckpoint()
-		}
-		return true
-	}
 	c.cpuCore.WarmRetire(r)
 	if !c.sys.cfg.Sampling.MisWarm {
 		c.warmTouch(r)
@@ -216,10 +206,8 @@ type frozenCounters struct {
 // freezeCounters saves (restore=false) or writes back (restore=true)
 // every component counter the transitions above bump. enterWarm saves
 // them and leaveWarm writes them back, so a warming period moves tags
-// and recency but no statistic, and a machine restored from a
-// checkpoint — whose counters never ran — equals one that warmed in
-// place. DRAM, MSHR and prefetch counters are not listed: the warm walk
-// never reaches them.
+// and recency but no statistic. DRAM, MSHR and prefetch counters are
+// not listed: the warm walk never reaches them.
 func (c *coreCtx) freezeCounters(restore bool) {
 	f := &c.frozen
 	for i, l := range c.levels {
@@ -301,16 +289,9 @@ func (c *coreCtx) endSample() {
 	c.nextSampleStart = c.baseCounters.Instructions + c.sys.cfg.Sampling.NextStart(c.sampleK)
 }
 
-// beginMeasureSampled is beginMeasure's sampling variant: publish the
-// warm-up checkpoint if this run warmed from scratch on a store miss,
-// open the window, and arm the first sample.
+// beginMeasureSampled is beginMeasure's sampling variant: open the
+// window and arm the first sample.
 func (c *coreCtx) beginMeasureSampled() {
-	if c.ckptCommit != nil {
-		// Errors publishing a checkpoint never fail the run: the store is
-		// a wall-clock cache, not a correctness dependency.
-		_ = c.ckptCommit(c.sys.encodeWarmState())
-		c.ckptCommit = nil
-	}
 	c.baseCounters = c.snapshotCounters()
 	c.inMeasure = true
 	c.nextSampleStart = c.baseCounters.Instructions + c.sys.cfg.Sampling.NextStart(0)

@@ -6,9 +6,8 @@
 // atomic publication, and LRU size capping.
 //
 // The repository uses one store: the simulation result store, framed
-// with sim.ResultFraming. It holds both run results and the sampler's
-// warm-up checkpoints, told apart by their keys, so sim.StateVersion
-// versions every file on disk.
+// with sim.ResultFraming. It holds run results only (the Fig. 3 profile
+// among them), so sim.StateVersion versions every file on disk.
 package store
 
 import (

@@ -11,8 +11,6 @@
 package tlb
 
 import (
-	"fmt"
-
 	"graphmem/internal/mem"
 	"graphmem/internal/stats"
 )
@@ -156,27 +154,6 @@ func (h *Hierarchy) Translate(page mem.PageAddr, now int64) int64 {
 	h.STLB.Fill(page)
 	h.DTLB.Fill(page)
 	return t
-}
-
-// State is a TLB's replaceable state: the LRU clock and every slot.
-type State struct {
-	Clock   int64
-	Entries []Entry
-}
-
-// State returns the TLB's state. Entries is the TLB's own slab: read it
-// (or marshal it) before the TLB moves again, never write it.
-func (t *TLB) State() State { return State{Clock: t.clock, Entries: t.entries} }
-
-// Restore replaces the TLB's state with s, refusing a state captured
-// from another geometry.
-func (t *TLB) Restore(s State) error {
-	if len(s.Entries) != len(t.entries) {
-		return fmt.Errorf("tlb %s: state of %d entries for %d", t.cfg.Name, len(s.Entries), len(t.entries))
-	}
-	t.clock = s.Clock
-	copy(t.entries, s.Entries)
-	return nil
 }
 
 // WarmWalkFunc warm-touches the leaf PTE's block in the hierarchy
