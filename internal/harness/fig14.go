@@ -77,7 +77,7 @@ func (wb *Workbench) Fig14(mixes [][]WorkloadID) *Fig14Result {
 			specs = append(specs, wb.mixSpec(cfg, mix...))
 		}
 	}
-	rs := runSpecs(wb, specs, wb.RunMix)
+	rs := runSpecs(wb, specs, mixShape)
 
 	res := &Fig14Result{Mixes: mixes}
 	for k, cfg := range configs[1:] {

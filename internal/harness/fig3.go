@@ -29,28 +29,29 @@ type Fig3Result struct {
 // disk, so warm sweeps skip the run entirely.
 func (wb *Workbench) Fig3(id WorkloadID) *Fig3Result {
 	s := newRunSpec(kindFig3, wb.BaseConfig(), []WorkloadID{id}, wb.Profile.Name)
-	return through(wb, s, fig3Shape, func(cfg sim.Config, ws []sim.Workload) (*Fig3Result, check.Summary) {
-		sys := sim.NewSystem(cfg, ws)
+	return through(wb, &s, fig3Shape)
+}
+
+// fig3Shape profiles a run's loads and carries the profile through the
+// store in the store's payload codec, the one run results use.
+var fig3Shape = shape[*Fig3Result]{
+	simulate: func(s *RunSpec, ws []sim.Workload) (*Fig3Result, check.Summary) {
+		sys := sim.NewSystem(s.cfg, ws)
 		prof := trace.NewStrideDRAMProfiler()
 		sys.Observer = func(coreID int, pc uint64, blk mem.BlockAddr, served mem.ServedBy) {
 			prof.Observe(pc, blk, served)
 		}
 		r := sys.RunCore0(ws[0])
-		res := &Fig3Result{Workload: id}
+		res := &Fig3Result{Workload: s.ids[0]}
 		for b := 0; b < trace.StrideBuckets; b++ {
 			res.Labels = append(res.Labels, trace.BucketLabel(b))
 			res.Prob = append(res.Prob, prof.DRAMProbability(b))
 			res.Samples = append(res.Samples, prof.Samples(b))
 		}
 		return res, r.Check
-	})
-}
-
-// fig3Shape carries a profile through the store in the store's payload
-// codec, the one run results use.
-var fig3Shape = shape[*Fig3Result]{
+	},
 	encode: func(r *Fig3Result) ([]byte, error) { return store.Marshal(r) },
-	decode: func(payload []byte, s RunSpec) (*Fig3Result, bool) {
+	decode: func(payload []byte, s *RunSpec) (*Fig3Result, bool) {
 		res := new(Fig3Result)
 		err := store.Unmarshal(payload, res)
 		return res, err == nil && res.Workload == s.ids[0] && len(res.Labels) > 0

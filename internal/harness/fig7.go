@@ -23,28 +23,30 @@ type SpeedupResult struct {
 
 // runSpeedups measures the given configs against the Baseline over the
 // workloads (nil = all 36): the one speed-up loop behind Figs. 7 and
-// 10-13 and the τ sweep. The whole scheme grid is enqueued on the worker
-// pool at once and aggregated in scheme-major order, matching the
-// sequential schedule byte for byte. It also hands back the grid's raw
-// results, rs[scheme][workload], for callers that report more than IPC.
+// 10-13 and the τ sweep. The Baseline row and the whole scheme grid go
+// to the worker pool in one fan-out, so the progress total covers every
+// run from the first line, and are aggregated in scheme-major order,
+// matching the sequential schedule byte for byte. It also hands back the
+// grid's raw results, rs[scheme][workload], for callers that report more
+// than IPC.
 func (wb *Workbench) runSpeedups(configs []sim.Config, subset []WorkloadID) (*SpeedupResult, [][]*sim.Result) {
 	if subset == nil {
 		subset = AllWorkloads()
 	}
 	res := &SpeedupResult{Workloads: subset}
-	baseIPC := wb.baselineIPCs(subset)
-	var specs []RunSpec
+	specs := wb.specsFor(wb.BaseConfig(), subset)
 	for _, cfg := range configs {
 		specs = append(specs, wb.specsFor(cfg, subset)...)
 	}
 	all := wb.runAll(specs)
+	base, grid := all[:len(subset)], all[len(subset):]
 	rs := make([][]*sim.Result, len(configs))
 	for k, cfg := range configs {
-		rs[k] = all[k*len(subset) : (k+1)*len(subset)]
+		rs[k] = grid[k*len(subset) : (k+1)*len(subset)]
 		res.Schemes = append(res.Schemes, cfg.Name)
 		row := make([]float64, len(subset))
 		for i, r := range rs[k] {
-			row[i] = r.IPC() / baseIPC[i]
+			row[i] = r.IPC() / base[i].IPC()
 		}
 		res.Speedup = append(res.Speedup, row)
 		res.GeomeanPct = append(res.GeomeanPct, stats.GeoMeanSpeedup(row))

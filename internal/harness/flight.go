@@ -65,13 +65,35 @@ func (f *flight[V]) do(key string, fill func() V) (v V, shared bool) {
 	return c.v, false
 }
 
-// has reports whether key is memoized or being filled.
-func (f *flight[V]) has(key string) bool {
+// lookup reports, without blocking, key's memoized value (ok) or that a
+// fill for it is in flight (busy).
+func (f *flight[V]) lookup(key string) (v V, ok, busy bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	_, done := f.vals[key]
-	_, running := f.calls[key]
-	return done || running
+	if v, ok = f.vals[key]; ok {
+		return v, true, false
+	}
+	_, busy = f.calls[key]
+	return v, false, busy
+}
+
+// put memoizes v under key unless key is memoized already or a fill for
+// it is in flight: it never replaces a value callers may hold, nor
+// races the fill that joiners wait on.
+func (f *flight[V]) put(key string, v V) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if _, ok := f.vals[key]; ok {
+		return
+	}
+	if _, ok := f.calls[key]; ok {
+		return
+	}
+	if f.vals == nil {
+		f.vals = make(map[string]V)
+		f.calls = make(map[string]*flightCall[V])
+	}
+	f.vals[key] = v
 }
 
 // keys lists the memoized keys in sorted order.

@@ -320,36 +320,31 @@ func (wb *Workbench) RunSingle(cfg sim.Config, id WorkloadID) *sim.Result {
 
 // Run is RunSingle on a spec this workbench's Spec derived, for callers
 // that also want the run's key without deriving it twice.
-func (wb *Workbench) Run(s RunSpec) *sim.Result {
-	return through(wb, s, pointShape, func(cfg sim.Config, ws []sim.Workload) (*sim.Result, check.Summary) {
-		res := sim.RunSingleCore(cfg, ws[0])
-		return res, res.Check
-	})
-}
+func (wb *Workbench) Run(s RunSpec) *sim.Result { return through(wb, &s, pointShape) }
 
 // RunMix is Run for a multi-core spec: a mix, or an isolated run (a mix
 // whose other slots are idle).
-func (wb *Workbench) RunMix(s RunSpec) *sim.MultiResult {
-	return through(wb, s, mixShape, func(cfg sim.Config, ws []sim.Workload) (*sim.MultiResult, check.Summary) {
-		res := sim.RunMultiCore(cfg, ws)
-		return res, res.Check
-	})
-}
+func (wb *Workbench) RunMix(s RunSpec) *sim.MultiResult { return through(wb, &s, mixShape) }
 
 // shape is what the door needs to know about one kind of run's value:
-// its codec for the disk tier — decode also validates the payload
-// against the run it claims to cache, false meaning unusable
-// (undecodable or a key collision) — and how it reads on a progress
-// line and on /metrics.
+// how to simulate it on the core slots' prepared workloads, its codec
+// for the disk tier — decode also validates the payload against the run
+// it claims to cache, false meaning unusable (undecodable or a key
+// collision) — and how it reads on a progress line and on /metrics.
 type shape[V any] struct {
+	simulate func(s *RunSpec, ws []sim.Workload) (V, check.Summary)
 	encode   func(V) ([]byte, error)
-	decode   func(payload []byte, s RunSpec) (V, bool)
+	decode   func(payload []byte, s *RunSpec) (V, bool)
 	describe func(V) (detail string, ipc float64, rec *obs.RecSummary)
 }
 
 var pointShape = shape[*sim.Result]{
+	simulate: func(s *RunSpec, ws []sim.Workload) (*sim.Result, check.Summary) {
+		res := sim.RunSingleCore(s.cfg, ws[0])
+		return res, res.Check
+	},
 	encode: sim.EncodeResult,
-	decode: func(payload []byte, s RunSpec) (*sim.Result, bool) {
+	decode: func(payload []byte, s *RunSpec) (*sim.Result, bool) {
 		res, err := sim.DecodeResult(payload)
 		return res, err == nil && res.Config == s.cfg.Name && res.Workload == s.ids[0].String()
 	},
@@ -359,8 +354,12 @@ var pointShape = shape[*sim.Result]{
 }
 
 var mixShape = shape[*sim.MultiResult]{
+	simulate: func(s *RunSpec, ws []sim.Workload) (*sim.MultiResult, check.Summary) {
+		res := sim.RunMultiCore(s.cfg, ws)
+		return res, res.Check
+	},
 	encode: sim.EncodeMultiResult,
-	decode: func(payload []byte, s RunSpec) (*sim.MultiResult, bool) {
+	decode: func(payload []byte, s *RunSpec) (*sim.MultiResult, bool) {
 		res, err := sim.DecodeMultiResult(payload)
 		return res, err == nil && res.Config == s.cfg.Name && len(res.PerCore) == len(s.ids) &&
 			slices.EqualFunc(res.Names, s.ids, func(name string, id WorkloadID) bool {
@@ -377,15 +376,51 @@ var mixShape = shape[*sim.MultiResult]{
 }
 
 // through is the one door every simulation the harness launches goes
-// through, whatever its shape, in three steps: the in-memory
-// single-flight memo, the disk tier, and a live run inside the pool
-// bracket (live). A value served by the memo or by another caller's
-// fill reports as cached.
-func through[V any](wb *Workbench, s RunSpec, sh shape[V], simulate func(sim.Config, []sim.Workload) (V, check.Summary)) V {
+// through, whatever its shape: the in-memory memo, the disk tier, and a
+// live run inside the pool bracket (live). A hit on either tier resolves
+// on the caller (tryHit); everything else takes the single-flight fill.
+func through[V any](wb *Workbench, s *RunSpec, sh shape[V]) V {
+	if v, ok := tryHit(wb, s, sh); ok {
+		return v
+	}
+	return fill(wb, s, sh)
+}
+
+// tryHit answers s without blocking when a tier holds it: a memoized
+// value is a memo hit; for a store-eligible run, a published entry that
+// decodes to exactly this run is a store hit, and is memoized. It
+// reports false for a key whose fill is in flight, which the caller
+// joins through fill rather than reading the store around it, and for a
+// key neither tier holds.
+func tryHit[V any](wb *Workbench, s *RunSpec, sh shape[V]) (V, bool) {
+	memo, ok, busy := wb.runs.lookup(s.key)
+	if ok {
+		served(wb, s, sh, memo.(V), false)
+		return memo.(V), true
+	}
+	var hit V
+	if busy || !wb.storeEligible(s.cfg) || !wb.Store.Peek(s.StoreKey(), func(payload []byte) (usable bool) {
+		hit, usable = sh.decode(payload, s)
+		return usable
+	}) {
+		var zero V
+		return zero, false
+	}
+	wb.runs.put(s.key, hit)
+	served(wb, s, sh, hit, true)
+	return hit, true
+}
+
+// fill is the door past the hit path: the memo's single-flight fill,
+// which takes the store's claim and runs s live when the store holds
+// nothing usable. A value from another caller's fill reports as cached.
+func fill[V any](wb *Workbench, s *RunSpec, sh shape[V]) V {
 	v, shared := wb.runs.do(s.key, func() any {
 		// Disk tier: the store's Acquire holds the key's claim from here to
 		// commit, so concurrent processes sharing the directory serialize on
-		// the run too. A hit must decode to exactly the run we asked for;
+		// the run too. It still hits on an entry published since tryHit
+		// peeked, or one another process publishes while Acquire waits on
+		// its claim. A hit must decode to exactly the run we asked for;
 		// anything else is dropped (Reject) and the run proceeds live with
 		// the claim still held, republishing under the key — the cache can
 		// never poison a sweep.
@@ -402,14 +437,14 @@ func through[V any](wb *Workbench, s RunSpec, sh shape[V], simulate func(sim.Con
 			}()
 			if payload != nil {
 				if v, ok := sh.decode(payload, s); ok {
-					served(wb, &s, sh, v, true)
+					served(wb, s, sh, v, true)
 					return v
 				}
 				wb.Store.Reject(s.StoreKey())
 			}
 		}
 
-		v := live(wb, s, sh, simulate)
+		v := live(wb, s, sh)
 		if commit != nil {
 			// Write-through is best effort: a failed publish costs the next
 			// process a re-run, never correctness.
@@ -424,7 +459,7 @@ func through[V any](wb *Workbench, s RunSpec, sh shape[V], simulate func(sim.Con
 		return v
 	})
 	if shared {
-		served(wb, &s, sh, v.(V), false)
+		served(wb, s, sh, v.(V), false)
 	}
 	return v.(V)
 }
@@ -471,7 +506,7 @@ func metricsLabel(s *RunSpec) string {
 // finish — with the checker outcome — to the ledger. The pool slot and
 // the ledger entry are closed through defers, so a panicking run leaks
 // neither.
-func live[V any](wb *Workbench, s RunSpec, sh shape[V], simulate func(sim.Config, []sim.Workload) (V, check.Summary)) V {
+func live[V any](wb *Workbench, s *RunSpec, sh shape[V]) V {
 	key := s.StoreKey()
 	wb.Metrics.Plan(key, s.point())
 	finished := false
@@ -488,8 +523,8 @@ func live[V any](wb *Workbench, s RunSpec, sh shape[V], simulate func(sim.Config
 			ws[i] = wb.Workload(id, i)
 		}
 	}
-	finish := wb.Metrics.Start(wb.Progress, key, progressLabel(&s), metricsLabel(&s))
-	v, checked := simulate(s.cfg, ws)
+	finish := wb.Metrics.Start(wb.Progress, key, progressLabel(s), metricsLabel(s))
+	v, checked := sh.simulate(s, ws)
 	detail, ipc, rec := sh.describe(v)
 	finish(detail, ipc, rec, checked)
 	finished = true

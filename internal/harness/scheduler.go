@@ -60,21 +60,28 @@ func (wb *Workbench) mixSpec(cfg sim.Config, ids ...WorkloadID) RunSpec {
 	return newRunSpec(kindMix, cfg, ids, wb.Profile.Name)
 }
 
-// runSpecs sends specs, of any one shape, each through its door (Run,
-// RunMix) across the worker pool, returning the values in spec order
-// regardless of completion order, so callers aggregate exactly as the
-// sequential schedule did. Every spec's goroutine starts at once, so
-// each run that will simulate reaches live, and with it the ledger's
-// plan, long before the first simulation ends: the progress total and
-// ETA cover the whole sweep from the first line.
-func runSpecs[V any](wb *Workbench, specs []RunSpec, run func(RunSpec) V) []V {
+// runSpecs sends specs, all of shape sh, through the door, returning
+// the values in spec order regardless of completion order, so callers
+// aggregate exactly as the sequential schedule did. It walks the specs
+// in order on the caller, which resolves every memo and store hit
+// (tryHit), and starts a goroutine only for a run that must join a fill
+// in flight, take the store's claim or simulate (fill). Each run that
+// will simulate reaches live, and with it the ledger's plan, as the walk
+// passes it — long before the first simulation ends — so the progress
+// total and ETA cover the whole sweep from the first line, and a warm
+// sweep's progress lines come out in spec order.
+func runSpecs[V any](wb *Workbench, specs []RunSpec, sh shape[V]) []V {
 	out := make([]V, len(specs))
 	var wg sync.WaitGroup
 	for i := range specs {
+		if v, ok := tryHit(wb, &specs[i], sh); ok {
+			out[i] = v
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[i] = run(specs[i])
+			out[i] = fill(wb, &specs[i], sh)
 		}()
 	}
 	wg.Wait()
@@ -82,17 +89,4 @@ func runSpecs[V any](wb *Workbench, specs []RunSpec, run func(RunSpec) V) []V {
 }
 
 // runAll is runSpecs for single-core points.
-func (wb *Workbench) runAll(specs []RunSpec) []*sim.Result { return runSpecs(wb, specs, wb.Run) }
-
-// baselineIPCs returns the Baseline IPC of every workload in subset,
-// scheduling anything not yet memoized on the worker pool. It is the
-// shared first phase of every speed-up experiment (Figs. 7, 10-13 and
-// the τ sweep).
-func (wb *Workbench) baselineIPCs(subset []WorkloadID) []float64 {
-	rs := wb.runAll(wb.specsFor(wb.BaseConfig(), subset))
-	out := make([]float64, len(rs))
-	for i, r := range rs {
-		out[i] = r.IPC()
-	}
-	return out
-}
+func (wb *Workbench) runAll(specs []RunSpec) []*sim.Result { return runSpecs(wb, specs, pointShape) }

@@ -48,7 +48,7 @@ func TestRunSinglePanicPropagation(t *testing.T) {
 	}
 
 	// The crashed key must not linger as an in-flight call.
-	if wb.runs.has(wb.Spec(cfg, bad).Key()) {
+	if _, ok, busy := wb.runs.lookup(wb.Spec(cfg, bad).Key()); ok || busy {
 		t.Error("crashed run left its key registered")
 	}
 
@@ -211,7 +211,7 @@ func TestIsolatedRunPanicPropagation(t *testing.T) {
 			t.Errorf("call %d recovered %v; want the Workload panic value", i, p)
 		}
 	}
-	if wb.runs.has(bad.Key()) {
+	if _, ok, busy := wb.runs.lookup(bad.Key()); ok || busy {
 		t.Error("crashed isolated run left its key registered")
 	}
 	if claims, _ := filepath.Glob(filepath.Join(st.Dir(), "*.claim")); len(claims) != 0 || st.Contains(bad.StoreKey()) {
@@ -292,5 +292,46 @@ func TestFig3RunsInsideThePool(t *testing.T) {
 	}
 	if peak != 1 {
 		t.Errorf("%d simulations were in flight at once on a -j 1 workbench", peak)
+	}
+}
+
+// TestSpeedupPlansEveryRunAtOnce: a speed-up experiment sends its
+// Baseline row and its scheme grid through one fan-out, so while the
+// first graph build is still blocked every run of the figure — not just
+// the Baseline's — is already planned and the progress total covers the
+// whole figure.
+func TestSpeedupPlansEveryRunAtOnce(t *testing.T) {
+	p := fastBench()
+	g := graph.Kron(10, 4, 1)
+	release := make(chan struct{})
+	p.Graphs = map[string]GraphSpec{"kron": {Name: "kron", Build: func() *graph.Graph {
+		<-release
+		return g
+	}}}
+	wb := NewWorkbench(p)
+	wb.Parallelism = 2
+	subset := []WorkloadID{{Kernel: "pr", Graph: "kron"}, {Kernel: "cc", Graph: "kron"}}
+	const want = 2 * 4 // Baseline and three SDC sizes per workload
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		wb.Fig10(subset)
+	}()
+	deadline := time.Now().Add(time.Minute)
+	total := 0
+	for time.Now().Before(deadline) {
+		if _, total, _, _ = wb.Metrics.Snapshot(); total >= want {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(release)
+	<-done
+	if total != want {
+		t.Errorf("progress total %d while the graph build blocked, want every run of the figure (%d)", total, want)
+	}
+	if d, n, _, _ := wb.Metrics.Snapshot(); d != want || n != want {
+		t.Errorf("progress closed at %d/%d, want %d/%d", d, n, want, want)
 	}
 }

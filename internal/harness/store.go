@@ -9,9 +9,10 @@ import (
 
 // This file is the workbench's disk tier: the content-addressed result
 // store slots under the in-memory memo (lookup order: memory memo →
-// disk store → live run, walked by through in harness.go) with the
-// store's own single-flight and claim discipline layered below the
-// workbench's single-flight memo. Stored results are byte-identical to
+// disk store → live run, walked by through in harness.go). A published
+// entry is read on the caller without a lock (Store.Peek); a miss goes
+// to the workbench's single-flight memo fill, under which the store's
+// own single-flight and claim discipline serialize the producers. Stored results are byte-identical to
 // live ones — the determinism contract pinned by
 // TestStoreReportsByteIdentical — so the tier affects wall-clock only.
 

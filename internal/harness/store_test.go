@@ -450,3 +450,88 @@ func TestStoreServesOnlyTheRunAskedFor(t *testing.T) {
 		t.Errorf("repeat of the epoch run: %d hits, %d epochs; want its own entry served", st.Hits(), len(again.Epochs))
 	}
 }
+
+// TestHitPathJoinsAFillInFlight: a key whose fill is in flight is
+// joined, never read from the store around the fill, even when the
+// store holds its entry; the joiner gets the fill's value.
+func TestHitPathJoinsAFillInFlight(t *testing.T) {
+	dir := t.TempDir()
+	id := WorkloadID{Kernel: "triad", Graph: "reg"}
+	first, _, _ := storeRunOnce(t, dir, 1)
+	want := first.(*sim.Result)
+
+	st, err := OpenResultStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb := NewWorkbench(fastBench())
+	wb.Store = st
+	s := wb.Spec(wb.Profile.BaseConfig(1), id)
+	filling, release := make(chan struct{}), make(chan struct{})
+	go wb.runs.do(s.Key(), func() any {
+		close(filling)
+		<-release
+		return want
+	})
+	<-filling
+	if _, ok := tryHit(wb, &s, pointShape); ok {
+		t.Fatal("the hit path answered a key whose fill is in flight")
+	}
+	got := make(chan *sim.Result)
+	go func() { got <- wb.Run(s) }()
+	close(release)
+	if r := <-got; r != want {
+		t.Errorf("joiner got %p, want the fill's result %p", r, want)
+	}
+	if h, m := st.Hits(), st.Misses(); h != 0 || m != 0 {
+		t.Errorf("store saw hits=%d misses=%d, want no lookup at all", h, m)
+	}
+}
+
+// TestLockFreeReadKeepsSingleFlight: two workbenches share one store
+// and run the same sweep at once from an empty directory. The lock-free
+// hit path must not let both simulate a key: the live runs of the two
+// ledgers sum to the distinct keys, the store counts each key as one
+// miss, and both render the same bytes.
+func TestLockFreeReadKeepsSingleFlight(t *testing.T) {
+	st, err := OpenResultStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []WorkloadID{
+		{Kernel: "triad", Graph: "reg"},
+		{Kernel: "matvec", Graph: "reg"},
+		{Kernel: "stencil", Graph: "reg"},
+	}
+	const keys = 3 * 4 // Baseline and three SDC sizes per workload
+	p := fastBench()
+	p.Warmup, p.Measure = 100_000, 100_000
+	type outcome struct {
+		out                      string
+		finished, cached, stored int64
+	}
+	ch := make(chan outcome, 2)
+	for range 2 {
+		go func() {
+			wb := NewWorkbench(p)
+			wb.Parallelism, wb.Store = 2, st
+			var buf bytes.Buffer
+			wb.Fig10(ids).Table().Render(&buf)
+			_, finished, cached, stored := wb.Metrics.Counts()
+			ch <- outcome{buf.String(), finished, cached, stored}
+		}()
+	}
+	a, b := <-ch, <-ch
+	if a.out != b.out {
+		t.Errorf("the two workbenches rendered different bytes:\n%s\n---\n%s", a.out, b.out)
+	}
+	if live := a.finished + b.finished; live != keys {
+		t.Errorf("%d live runs across both ledgers, want one per key (%d)", live, keys)
+	}
+	if served := a.cached + a.stored + b.cached + b.stored; served != keys {
+		t.Errorf("%d runs served across both ledgers, want %d", served, keys)
+	}
+	if h, m := st.Hits(), st.Misses(); m != keys || h != keys {
+		t.Errorf("store counted hits=%d misses=%d, want %d and %d", h, m, keys, keys)
+	}
+}

@@ -103,9 +103,9 @@ func NewMetrics() *Metrics {
 // Plan registers the upcoming live run with identity digest key; point
 // says whether it is a simulation point. The harness plans a run at its
 // live door, once the memo and the store have both missed and before it
-// waits for a pool slot; a sweep starts all its runs at once, so every
-// plan lands before the first run finishes and ETAs cover the whole
-// remaining sweep.
+// waits for a pool slot; a sweep starts every run that missed both at
+// once, so every plan lands before the first run finishes and ETAs cover
+// the whole remaining sweep.
 func (m *Metrics) Plan(key string, point bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

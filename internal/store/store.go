@@ -22,6 +22,9 @@ import (
 //   - Per-key single-flight across goroutines: Acquire holds a per-key
 //     mutex from lookup to commit, so two goroutines computing the same
 //     key serialize and the second one hits the first one's file.
+//   - Lock-free reads: Peek serves a published entry without the key's
+//     lock, since publication is atomic; a reader that finds none goes
+//     on to Acquire.
 //   - Best-effort cross-process claim files: the first process to miss
 //     on a key creates <key>.claim (O_EXCL); a second process that
 //     loses the claim polls briefly for the winner's published result
@@ -97,7 +100,8 @@ func (s *Store) SetMaxBytes(n int64) {
 	s.mu.Unlock()
 }
 
-// Hits reports how many Acquire calls returned a stored payload.
+// Hits reports how many Peek and Acquire calls returned a stored
+// payload.
 func (s *Store) Hits() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -176,6 +180,23 @@ func (s *Store) read(key string) ([]byte, bool) {
 		_ = os.Chtimes(path, now, now)
 	}
 	return p, true
+}
+
+// Peek offers the key's published entry, if it has a usable one, to
+// accept without taking the key's lock: publication is an atomic
+// rename, so a reader sees a whole entry or none, and the lock only
+// serializes producers. It counts a hit when accept takes the payload,
+// and nothing otherwise: a caller that peeks and misses goes on to
+// Acquire, which counts the miss.
+func (s *Store) Peek(key string, accept func(payload []byte) bool) bool {
+	p, ok := s.read(key)
+	if !ok || !accept(p) {
+		return false
+	}
+	s.mu.Lock()
+	s.hits++
+	s.mu.Unlock()
+	return true
 }
 
 // Acquire looks the key up under its in-process single-flight lock. On

@@ -43,6 +43,40 @@ func TestStoreMissThenHit(t *testing.T) {
 	}
 }
 
+// TestStorePeek: Peek counts a hit only for a payload its accept takes,
+// never a miss, and does not wait on a key another goroutine holds.
+func TestStorePeek(t *testing.T) {
+	s := openTest(t, t.TempDir())
+	accept := func(want string) func([]byte) bool {
+		return func(p []byte) bool { return string(p) == want }
+	}
+	if s.Peek("k", accept("v")) {
+		t.Fatal("Peek hit on an empty store")
+	}
+	_, commit := s.Acquire("k")
+	if err := commit([]byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if s.Peek("k", accept("other")) {
+		t.Fatal("Peek reported a hit its accept refused")
+	}
+	if h, m := s.Hits(), s.Misses(); h != 0 || m != 1 {
+		t.Fatalf("after a refused peek: hits=%d misses=%d, want 0/1", h, m)
+	}
+	// Hold the key's lock, as a producer between Acquire and commit does:
+	// the published entry is still served.
+	_, commit = s.Acquire("k")
+	if !s.Peek("k", accept("v")) {
+		t.Fatal("Peek missed a published entry")
+	}
+	if err := commit(nil); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := s.Hits(), s.Misses(); h != 2 || m != 1 {
+		t.Fatalf("hits=%d misses=%d, want 2/1", h, m)
+	}
+}
+
 func TestStoreAbortedCommitPublishesNothing(t *testing.T) {
 	s := openTest(t, t.TempDir())
 	if payload, commit := s.Acquire("k"); payload != nil {
