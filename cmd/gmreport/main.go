@@ -38,8 +38,8 @@ func fail(err error) int {
 // run is the tool. It returns the exit status instead of calling
 // os.Exit, so the deferred profile stop runs on every path.
 func run() int {
-	exp := flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(harness.ExperimentIDs, ",")+
-		"; by name only: "+strings.Join(harness.OptInExperimentIDs, ",")+") or 'all'")
+	exp := flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(harness.ExperimentIDs(false), ",")+
+		"; by name only: "+strings.Join(harness.ExperimentIDs(true), ",")+") or 'all'")
 	kernelsFlag := flag.String("kernels", "", "restrict to these kernels (comma separated)")
 	graphsFlag := flag.String("graphs", "", "restrict to these graphs (comma separated)")
 	mixes := flag.Int("mixes", 0, "override the number of fig14 mixes")

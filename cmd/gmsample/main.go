@@ -46,6 +46,9 @@ type cell struct {
 	Config   string      `json:"config"`
 	Workload string      `json:"workload"`
 	Plan     sample.Plan `json:"plan"`
+
+	id  harness.WorkloadID // what Workload names
+	cfg sim.Config         // Config's machine at the gate windows
 }
 
 // refCell is one committed reference measurement: the detailed run's
@@ -73,9 +76,9 @@ const (
 )
 
 // matrix returns the gate's cells: {pr, bfs, cc} x {Baseline, SDC+LP}
-// on the bench-scale machine over kron, with the per-workload plans the
-// sampled-vs-full validation settled on (see EXPERIMENTS.md).
-func matrix() []cell {
+// on the bench-scale machine base over kron, with the per-workload plans
+// the sampled-vs-full validation settled on (see EXPERIMENTS.md).
+func matrix(base sim.Config) []cell {
 	planFor := map[string]sample.Plan{
 		"pr":  {Period: 65_000, SampleLen: 5_000, Offset: 13_000, DetailWarm: 5_000},
 		"cc":  {Period: 65_000, SampleLen: 5_000, Offset: 13_000, DetailWarm: 5_000},
@@ -83,18 +86,17 @@ func matrix() []cell {
 	}
 	var out []cell
 	for _, kernel := range []string{"pr", "bfs", "cc"} {
+		id := harness.WorkloadID{Kernel: kernel, Graph: "kron"}
 		for _, config := range []string{"baseline", "sdclp"} {
-			out = append(out, cell{Config: config, Workload: kernel + ".kron", Plan: planFor[kernel]})
+			cfg, err := harness.ConfigByName(base, config)
+			if err != nil {
+				fatal(err)
+			}
+			out = append(out, cell{Config: config, Workload: id.String(), Plan: planFor[kernel],
+				id: id, cfg: cfg.WithWindows(gateWarmup, gateMeasure)})
 		}
 	}
 	return out
-}
-
-func cellConfig(base sim.Config, name string) sim.Config {
-	if name == "sdclp" {
-		return base.WithSDCLP()
-	}
-	return base
 }
 
 func main() {
@@ -146,23 +148,20 @@ func main() {
 	}
 
 	var fullMs, sampledMs, fullInstr, detailedInstr int64
-	for _, c := range matrix() {
+	for _, c := range matrix(profile.BaseConfig(1)) {
 		rc, ok := refByKey[c.Config+"|"+c.Workload]
 		if !ok {
 			fail("%s/%s: no reference cell; regenerate the reference", c.Config, c.Workload)
 			continue
 		}
-		base := cellConfig(profile.BaseConfig(1), c.Config).WithWindows(gateWarmup, gateMeasure)
-		id := workloadID(c.Workload)
-
 		t0 := time.Now()
-		full := sim.RunSingleCore(base, wb.Workload(id, 0))
+		full := sim.RunSingleCore(c.cfg, wb.Workload(c.id, 0))
 		tFull := time.Since(t0).Milliseconds()
 
-		sampledCfg := base.WithSampling(c.Plan.Period, c.Plan.SampleLen, c.Plan.Offset).
+		sampledCfg := c.cfg.WithSampling(c.Plan.Period, c.Plan.SampleLen, c.Plan.Offset).
 			WithSampleWarm(c.Plan.DetailWarm)
 		t0 = time.Now()
-		sampled := sim.RunSingleCore(sampledCfg, wb.Workload(id, 0))
+		sampled := sim.RunSingleCore(sampledCfg, wb.Workload(c.id, 0))
 		tSampled := time.Since(t0).Milliseconds()
 
 		e := sampled.Sampling
@@ -206,8 +205,8 @@ func main() {
 			mpkiRef, e.L1DemandMPKI.Mean, 100*mpkiErr, e.Samples, tFull, tSampled)
 	}
 
-	volRed := float64(fullInstr) / float64(max64(detailedInstr, 1))
-	speedup := float64(fullMs) / float64(max64(sampledMs, 1))
+	volRed := float64(fullInstr) / float64(max(detailedInstr, 1))
+	speedup := float64(fullMs) / float64(max(sampledMs, 1))
 	fmt.Printf("matrix: detailed-volume reduction %.1fx  wall-clock %dms -> %dms (%.2fx)\n",
 		volRed, fullMs, sampledMs, speedup)
 	if volRed < *minVol {
@@ -235,9 +234,8 @@ func writeReference(wb *harness.Workbench, path string, tol float64) error {
 		Measure:       gateMeasure,
 		Tolerance:     tol,
 	}
-	for _, c := range matrix() {
-		base := cellConfig(profile.BaseConfig(1), c.Config).WithWindows(gateWarmup, gateMeasure)
-		full := sim.RunSingleCore(base, wb.Workload(workloadID(c.Workload), 0))
+	for _, c := range matrix(profile.BaseConfig(1)) {
+		full := sim.RunSingleCore(c.cfg, wb.Workload(c.id, 0))
 		ref.Cells = append(ref.Cells, refCell{
 			cell:         c,
 			IPC:          full.Stats.IPC(),
@@ -250,23 +248,6 @@ func writeReference(wb *harness.Workbench, path string, tol float64) error {
 		return err
 	}
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}
-
-func workloadID(s string) harness.WorkloadID {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '.' {
-			return harness.WorkloadID{Kernel: s[:i], Graph: s[i+1:]}
-		}
-	}
-	fatal(fmt.Errorf("bad workload %q", s))
-	return harness.WorkloadID{}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

@@ -181,7 +181,7 @@ func (s *server) newJob(kind string) *job {
 }
 
 // start runs fn asynchronously on b, bracketing it with job lifecycle
-// events and converting panics (unknown kernels, simulator faults) into
+// events and converting panics (simulator faults) into
 // a terminal error state instead of killing the service.
 func (s *server) start(j *job, b *bench, fn func() ([]byte, error)) {
 	go func() {
@@ -402,11 +402,10 @@ func (s *server) resolveRun(req runRequest) (*resolvedRun, error) {
 	if req.Kernel == "" || req.Graph == "" {
 		return nil, errors.New("kernel and graph are required")
 	}
-	subset, err := harness.SubsetWorkloads(req.Kernel, req.Graph)
-	if err != nil || len(subset) != 1 {
-		return nil, fmt.Errorf("unknown workload %s.%s", req.Kernel, req.Graph)
+	id, err := harness.ResolveWorkload(req.Kernel, req.Graph)
+	if err != nil {
+		return nil, err
 	}
-	id := subset[0]
 	b, err := s.bench(req.RunOptions)
 	if err != nil {
 		return nil, err

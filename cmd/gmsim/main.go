@@ -19,10 +19,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"graphmem/internal/check"
 	"graphmem/internal/harness"
+	"graphmem/internal/kernels"
 	"graphmem/internal/obs"
 	"graphmem/internal/sim"
 )
@@ -38,9 +40,13 @@ func main() { os.Exit(run()) }
 // run is the tool. It returns the exit status instead of calling
 // os.Exit, so the deferred profile stop runs on every path.
 func run() int {
-	kernel := flag.String("kernel", "pr", "kernel: bc|bfs|cc|pr|tc|sssp (or triad|matvec|stencil with -graph reg)")
-	graphName := flag.String("graph", "kron", "input graph: web|road|twitter|kron|urand|friendster|reg")
-	configName := flag.String("config", "baseline", "machine configuration")
+	var regular []string
+	for _, id := range harness.RegularWorkloads() {
+		regular = append(regular, id.Kernel)
+	}
+	kernel := flag.String("kernel", "pr", "kernel: "+strings.Join(kernels.Names(), "|")+" (or "+strings.Join(regular, "|")+" with -graph reg)")
+	graphName := flag.String("graph", "kron", "input graph: "+strings.Join(harness.GraphNames, "|")+"|reg")
+	configName := flag.String("config", "baseline", "machine configuration: "+strings.Join(harness.ConfigNames(), "|"))
 	epoch := flag.Int64("epoch", 0, "sample telemetry every N retired instructions (0 = off)")
 	frPath := flag.String("fr", "", "enable the memory-hierarchy flight recorder and write a Perfetto/Chrome trace to this path")
 	frInterval := flag.Int64("frint", 0, "flight-recorder occupancy sampling interval in retired instructions (0 = measure/256)")
@@ -77,6 +83,10 @@ func run() int {
 	case *frInterval != 0 && *frPath == "":
 		return fail("-frint needs -fr")
 	}
+	id, err := harness.ResolveWorkload(*kernel, *graphName)
+	if err != nil {
+		return fail(err)
+	}
 	wb, err := opts.NewWorkbench("gmsim")
 	if err != nil {
 		return fail(err)
@@ -99,7 +109,6 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	id := harness.WorkloadID{Kernel: *kernel, Graph: *graphName}
 	// One workload per core: the point itself, or the homogeneous mix.
 	ids := make([]harness.WorkloadID, *cores)
 	for i := range ids {

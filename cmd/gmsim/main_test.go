@@ -144,6 +144,26 @@ func TestToolRulesRefuseDroppedFlags(t *testing.T) {
 	}
 }
 
+// TestUnknownNamesExit1: every name a run flag gives resolves before the
+// first graph build, and one that names nothing exits 1 with a gmsim:
+// line, not a panic.
+func TestUnknownNamesExit1(t *testing.T) {
+	bin := buildGmsim(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-kernel", "prr"}, "gmsim: unknown workload prr.kron\n"},
+		{[]string{"-graph", "krom"}, "gmsim: unknown workload pr.krom\n"},
+		{[]string{"-kernel", "triad", "-graph", "kron"}, "gmsim: unknown workload triad.kron\n"},
+		{[]string{"-kernel", "pr", "-graph", "reg"}, "gmsim: unknown workload pr.reg\n"},
+		{[]string{"-config", "warp"}, "gmsim: unknown config \"warp\" (baseline|sdclp|topt|popt|adaptive|distill|l1diso|2xllc|expert|victim|rrip|bypass)\n"},
+		{[]string{"-pf", "warp"}, "gmsim: sim: unknown prefetcher preset \"warp\" (want none|nextline|spp|stride|imp|pickle|spp+imp)\n"},
+	} {
+		wantExit1(t, strings.Join(tc.args, " "), bin, append([]string{"-warmup", "1000", "-measure", "1000"}, tc.args...), tc.want)
+	}
+}
+
 // TestManifestNamesTheMachine: the -json config block tells apart the
 // machines the run flags select, not only the run key — the prefetcher
 // preset, the branch-miss penalty and the LLC policy each appear.

@@ -8,96 +8,101 @@ import (
 	"graphmem/internal/sim"
 )
 
-// This file is the by-name experiment front door shared by cmd/gmreport
-// and cmd/gmserved: one registry mapping experiment ids to workbench
-// methods, plus the flag-shaped helpers (workload subsets, named
-// configs) the tools used to duplicate.
+// This file is the by-name front door the tools share: one table per
+// name space — experiments, machines — that dispatch, validation, help
+// and error texts all read, plus the workload subset filter.
 
-// ExperimentIDs lists every experiment 'all' expands to, in report
-// order.
-var ExperimentIDs = []string{
-	"tab1", "tab2", "tab3", "tab4",
-	"fig2", "fig3", "fig7", "fig8", "fig9",
-	"fig10", "fig11", "fig12", "tau", "fig13", "fig14", "energy",
+// experiment is one experiment a tool can name: its id, whether 'all'
+// leaves it out (opt-in: served by name only), and how it runs on a
+// workbench over a workload subset (nil: the experiment's default set).
+type experiment struct {
+	id    string
+	optIn bool
+	run   func(wb *Workbench, subset []WorkloadID) *Table
 }
 
-// OptInExperimentIDs lists the experiments served by name only:
-// "latency" (the flight-recorder breakdown) and "prefetch" (the
-// prefetcher head-to-head) re-run workloads under non-default machine
-// settings, so 'all' excludes them to keep the default sweep identical
-// to earlier releases.
-var OptInExperimentIDs = []string{"latency", "prefetch"}
+// experiments lists every experiment in report order: 'all' expands to
+// the ones that are not opt-in. "latency" (the flight-recorder
+// breakdown) and "prefetch" (the prefetcher head-to-head) re-run
+// workloads under non-default machine settings, so 'all' excludes them
+// to keep the default sweep identical to earlier releases.
+var experiments = []experiment{
+	{"tab1", false, func(wb *Workbench, _ []WorkloadID) *Table { return wb.Tab1() }},
+	{"tab2", false, func(wb *Workbench, _ []WorkloadID) *Table { return wb.Tab2() }},
+	{"tab3", false, func(wb *Workbench, _ []WorkloadID) *Table { return wb.Tab3() }},
+	{"tab4", false, func(wb *Workbench, _ []WorkloadID) *Table { return wb.Tab4(1) }},
+	{"fig2", false, func(wb *Workbench, subset []WorkloadID) *Table { return wb.Fig2(subset).Table() }},
+	{"fig3", false, func(wb *Workbench, subset []WorkloadID) *Table {
+		id := WorkloadID{Kernel: "cc", Graph: "friendster"}
+		if subset != nil {
+			id = subset[0]
+		}
+		return wb.Fig3(id).Table()
+	}},
+	{"fig7", false, func(wb *Workbench, subset []WorkloadID) *Table { return wb.Fig7(subset).Table() }},
+	{"fig8", false, func(wb *Workbench, subset []WorkloadID) *Table { return wb.Fig89(subset).Fig8Table() }},
+	{"fig9", false, func(wb *Workbench, subset []WorkloadID) *Table { return wb.Fig89(subset).Fig9Table() }},
+	{"fig10", false, func(wb *Workbench, subset []WorkloadID) *Table { return wb.Fig10(subset).Table() }},
+	{"fig11", false, func(wb *Workbench, subset []WorkloadID) *Table { return wb.Fig11(subset).Table() }},
+	{"fig12", false, func(wb *Workbench, subset []WorkloadID) *Table { return wb.Fig12(subset).Table() }},
+	{"tau", false, func(wb *Workbench, subset []WorkloadID) *Table { return wb.Tau(subset, nil).Table() }},
+	{"fig13", false, func(wb *Workbench, subset []WorkloadID) *Table { return wb.Fig13(subset).Table() }},
+	{"fig14", false, func(wb *Workbench, subset []WorkloadID) *Table {
+		return wb.Fig14(GenerateMixes(subset, wb.Profile.Mixes, 14)).Table()
+	}},
+	{"energy", false, func(wb *Workbench, subset []WorkloadID) *Table { return wb.Energy(subset).Table() }},
+	{"latency", true, func(wb *Workbench, subset []WorkloadID) *Table { return wb.LatencyBreakdown(subset).Table() }},
+	{"prefetch", true, func(wb *Workbench, subset []WorkloadID) *Table { return wb.PrefetchHeadToHead(subset).Table() }},
+}
+
+// ExperimentIDs lists, in report order, the experiment ids 'all'
+// expands to, or with optIn set those served by name only.
+func ExperimentIDs(optIn bool) []string {
+	var ids []string
+	for _, e := range experiments {
+		if e.optIn == optIn {
+			ids = append(ids, e.id)
+		}
+	}
+	return ids
+}
+
+// findExperiment looks an experiment up by id.
+func findExperiment(id string) (experiment, error) {
+	for _, e := range experiments {
+		if e.id == id {
+			return e, nil
+		}
+	}
+	return experiment{}, fmt.Errorf("unknown experiment %q", id)
+}
 
 // ResolveExperiments checks a requested experiment list before anything
-// runs: ids are trimmed, a lone "all" expands to ExperimentIDs, and an
-// id that is neither there nor in OptInExperimentIDs is refused by name.
+// runs: ids are trimmed, a lone "all" expands to every experiment that
+// is not opt-in, and an unknown id is refused by name.
 func ResolveExperiments(ids []string) ([]string, error) {
 	if len(ids) == 1 && strings.TrimSpace(ids[0]) == "all" {
-		return ExperimentIDs, nil
+		return ExperimentIDs(false), nil
 	}
 	out := make([]string, len(ids))
 	for i, id := range ids {
 		out[i] = strings.TrimSpace(id)
-		if !slices.Contains(ExperimentIDs, out[i]) && !slices.Contains(OptInExperimentIDs, out[i]) {
-			return nil, fmt.Errorf("unknown experiment %q", out[i])
+		if _, err := findExperiment(out[i]); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// Experiment runs one experiment by id (a member of ExperimentIDs or
-// OptInExperimentIDs) on the workbench and returns its renderable
-// table. A nil subset means all 36 workloads (nil picks the prefetch
-// experiment's own default subset).
+// Experiment runs one experiment by id on the workbench and returns its
+// renderable table. A nil subset means all 36 workloads (nil picks the
+// prefetch experiment's own default subset).
 func (wb *Workbench) Experiment(id string, subset []WorkloadID) (*Table, error) {
-	switch id {
-	case "tab1":
-		return wb.Tab1(), nil
-	case "tab2":
-		return wb.Tab2(), nil
-	case "tab3":
-		return wb.Tab3(), nil
-	case "tab4":
-		return wb.Tab4(1), nil
-	case "fig2":
-		return wb.Fig2(subset).Table(), nil
-	case "fig3":
-		id := WorkloadID{Kernel: "cc", Graph: "friendster"}
-		if subset != nil {
-			id = subset[0]
-		}
-		return wb.Fig3(id).Table(), nil
-	case "fig7":
-		return wb.Fig7(subset).Table(), nil
-	case "fig8":
-		return wb.Fig89(subset).Fig8Table(), nil
-	case "fig9":
-		return wb.Fig89(subset).Fig9Table(), nil
-	case "fig10":
-		return wb.Fig10(subset).Table(), nil
-	case "fig11":
-		return wb.Fig11(subset).Table(), nil
-	case "fig12":
-		return wb.Fig12(subset).Table(), nil
-	case "tau":
-		return wb.Tau(subset, nil).Table(), nil
-	case "fig13":
-		return wb.Fig13(subset).Table(), nil
-	case "energy":
-		return wb.Energy(subset).Table(), nil
-	case "latency":
-		return wb.LatencyBreakdown(subset).Table(), nil
-	case "prefetch":
-		return wb.PrefetchHeadToHead(subset).Table(), nil
-	case "fig14":
-		var mixes [][]WorkloadID
-		if subset != nil {
-			mixes = GenerateMixes(subset, wb.Profile.Mixes, 14)
-		}
-		return wb.Fig14(mixes).Table(), nil
-	default:
-		return nil, fmt.Errorf("unknown experiment %q", id)
+	e, err := findExperiment(id)
+	if err != nil {
+		return nil, err
 	}
+	return e.run(wb, subset), nil
 }
 
 // SubsetWorkloads builds the workload filter from comma-separated
@@ -135,35 +140,50 @@ func listFilter(list string) func(string) bool {
 	return func(v string) bool { return slices.Contains(items, v) }
 }
 
-// ConfigByName derives a named machine configuration from the base
-// (the -config flag and gmserved's "config" field).
-func ConfigByName(base sim.Config, name string) (sim.Config, error) {
-	switch strings.ToLower(name) {
-	case "baseline", "":
-		return base, nil
-	case "sdclp", "sdc+lp":
-		return base.WithSDCLP(), nil
-	case "topt", "t-opt":
-		return base.WithTOPT(), nil
-	case "popt", "p-opt":
-		return base.WithPOPT(), nil
-	case "adaptive":
-		return base.WithAdaptiveLP(), nil
-	case "distill":
-		return base.WithDistill(), nil
-	case "l1diso", "l1d40kb":
-		return base.WithBigL1D(), nil
-	case "2xllc":
-		return base.With2xLLC(), nil
-	case "expert":
-		return base.WithExpert(), nil
-	case "victim":
-		return base.WithVictimCache(8), nil
-	case "rrip", "srrip":
-		return base.WithRRIP(), nil
-	case "bypass":
-		return base.WithBypassOnly(), nil
-	default:
-		return base, fmt.Errorf("unknown config %q (baseline|sdclp|topt|popt|distill|l1diso|2xllc|expert|adaptive|victim|rrip|bypass)", name)
+// machine is one machine configuration a tool can name: its canonical
+// name, the other spellings it answers to, and how it derives from the
+// base machine.
+type machine struct {
+	name    string
+	aliases []string
+	derive  func(base sim.Config) sim.Config
+}
+
+// machines lists the named configurations in the order help and error
+// texts name them.
+var machines = []machine{
+	{"baseline", []string{""}, func(base sim.Config) sim.Config { return base }},
+	{"sdclp", []string{"sdc+lp"}, sim.Config.WithSDCLP},
+	{"topt", []string{"t-opt"}, sim.Config.WithTOPT},
+	{"popt", []string{"p-opt"}, sim.Config.WithPOPT},
+	{"adaptive", nil, sim.Config.WithAdaptiveLP},
+	{"distill", nil, sim.Config.WithDistill},
+	{"l1diso", []string{"l1d40kb"}, sim.Config.WithBigL1D},
+	{"2xllc", nil, sim.Config.With2xLLC},
+	{"expert", nil, sim.Config.WithExpert},
+	{"victim", nil, func(base sim.Config) sim.Config { return base.WithVictimCache(8) }},
+	{"rrip", []string{"srrip"}, sim.Config.WithRRIP},
+	{"bypass", nil, sim.Config.WithBypassOnly},
+}
+
+// ConfigNames lists the canonical machine names in table order.
+func ConfigNames() []string {
+	names := make([]string, len(machines))
+	for i, m := range machines {
+		names[i] = m.name
 	}
+	return names
+}
+
+// ConfigByName derives a named machine configuration from the base
+// (the -config flag and gmserved's "config" field); names are
+// case-insensitive.
+func ConfigByName(base sim.Config, name string) (sim.Config, error) {
+	lower := strings.ToLower(name)
+	for _, m := range machines {
+		if m.name == lower || slices.Contains(m.aliases, lower) {
+			return m.derive(base), nil
+		}
+	}
+	return base, fmt.Errorf("unknown config %q (%s)", name, strings.Join(ConfigNames(), "|"))
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"graphmem/internal/check"
 	"graphmem/internal/sim"
 )
 
@@ -30,10 +31,24 @@ func TestTab1GoldenBench(t *testing.T) {
 	}
 }
 
-// namedConfigs are the names ConfigByName resolves (one spelling each),
-// in its switch order.
-var namedConfigs = []string{"baseline", "sdclp", "topt", "popt", "adaptive", "distill",
-	"l1diso", "2xllc", "expert", "victim", "rrip", "bypass"}
+// TestNamedMachinesCheckClean runs every machine of the name table under
+// the full differential checker on cc.kron, which gathers from its first
+// record, so the data paths each machine adds (bypass, victim, SDC,
+// Distill WOC, the LLC policies) carry checked loads: a machine added to
+// the table is covered by construction.
+func TestNamedMachinesCheckClean(t *testing.T) {
+	p := fastBench()
+	p.Warmup, p.Measure = 50_000, 150_000
+	wb := NewWorkbench(p)
+	wb.CheckLevel = check.Full
+	base := wb.Profile.BaseConfig(1)
+	for _, m := range machines {
+		c := wb.RunSingle(m.derive(base), WorkloadID{Kernel: "cc", Graph: "kron"}).Check
+		if c.LoadsChecked == 0 || c.Violations != 0 {
+			t.Errorf("%s: %d loads checked, %d violations, first: %v", m.name, c.LoadsChecked, c.Violations, c.Details[:min(1, len(c.Details))])
+		}
+	}
+}
 
 // TestNamedConfigsGolden pins, byte for byte, the result of every
 // machine a tool can name — each ConfigByName config plus the
@@ -58,7 +73,7 @@ func TestNamedConfigsGolden(t *testing.T) {
 		cfg  sim.Config
 	}
 	var cfgs []named
-	for _, n := range namedConfigs {
+	for _, n := range ConfigNames() {
 		cfg, err := ConfigByName(base, n)
 		if err != nil {
 			t.Fatal(err)

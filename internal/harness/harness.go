@@ -50,6 +50,29 @@ func AllWorkloads() []WorkloadID {
 	return out
 }
 
+// kernelBuilder is the registry Workload dispatches on: the regular
+// stand-ins run on Graph "reg", every other kernel on an input graph.
+func kernelBuilder(id WorkloadID) (kernels.Builder, bool) {
+	registry := kernels.Registry()
+	if id.Graph == "reg" {
+		registry = kernels.RegularBuilders()
+	}
+	build, ok := registry[id.Kernel]
+	return build, ok
+}
+
+// ResolveWorkload names the workload a kernel and a graph name select —
+// a graph kernel on one of GraphNames, or a regular kernel on "reg" —
+// or says that they select none. Tools resolve every name this way
+// before the first graph build.
+func ResolveWorkload(kernel, graphName string) (WorkloadID, error) {
+	id := WorkloadID{Kernel: kernel, Graph: graphName}
+	if _, ok := kernelBuilder(id); !ok || id.Graph != "reg" && !slices.Contains(GraphNames, id.Graph) {
+		return id, fmt.Errorf("unknown workload %s", id)
+	}
+	return id, nil
+}
+
 // GraphSpec builds one synthetic input graph.
 type GraphSpec struct {
 	Name  string
@@ -212,7 +235,7 @@ type Workbench struct {
 	Store *store.Store
 
 	mu     sync.Mutex    // guards sem's creation
-	sem    chan struct{} // worker pool, sized on first acquire
+	sem    chan struct{} // worker pool, sized on first use
 	graphs flight[*graph.Graph]
 	// runs memoizes every run by RunSpec key, whatever its shape: a
 	// *sim.Result, *sim.MultiResult or *Fig3Result, as the key's kind says.
@@ -225,11 +248,12 @@ func NewWorkbench(p Profile) *Workbench {
 }
 
 // WithProfile returns an empty workbench for p that shares wb's knobs,
-// store and ledger (not its memo or worker pool): how gmserved serves
-// several profiles from one set of flags with one ledger.
+// store, ledger and worker pool (not its memo): how gmserved serves
+// several profiles from one set of flags with one ledger, and at most
+// Parallelism simulations at once across all of them.
 func (wb *Workbench) WithProfile(p Profile) *Workbench {
 	return &Workbench{Profile: p, Parallelism: wb.Parallelism, Metrics: wb.Metrics,
-		CheckLevel: wb.CheckLevel, Sampling: wb.Sampling, Store: wb.Store}
+		CheckLevel: wb.CheckLevel, Sampling: wb.Sampling, Store: wb.Store, sem: wb.pool()}
 }
 
 func (wb *Workbench) log(format string, args ...any) {
@@ -255,19 +279,14 @@ func (wb *Workbench) Graph(name string) *graph.Graph {
 // window. Instances are cheap relative to simulation and are not
 // cached (kernels keep mutable state).
 func (wb *Workbench) Workload(id WorkloadID, slot int) sim.Workload {
-	if id.Graph == "reg" {
-		build, ok := kernels.RegularBuilders()[id.Kernel]
-		if !ok {
-			panic("harness: unknown regular kernel " + id.Kernel)
-		}
-		space := mem.NewSpace(slot)
-		return sim.Workload{Name: id.String(), Inst: build(nil, space), Space: space}
-	}
-	build, ok := kernels.Registry()[id.Kernel]
+	build, ok := kernelBuilder(id)
 	if !ok {
-		panic("harness: unknown kernel " + id.Kernel)
+		panic("harness: unknown workload " + id.String())
 	}
-	g := wb.Graph(id.Graph)
+	var g *graph.Graph
+	if id.Graph != "reg" {
+		g = wb.Graph(id.Graph)
+	}
 	space := mem.NewSpace(slot)
 	return sim.Workload{Name: id.String(), Inst: build(g, space), Space: space}
 }

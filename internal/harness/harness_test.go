@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -117,8 +119,9 @@ func TestTab4BudgetTotal(t *testing.T) {
 	if !strings.Contains(out, "SDCDir") || !strings.Contains(out, "Total") {
 		t.Fatalf("tab4 malformed:\n%s", out)
 	}
-	// Bench profile halves the SDC; Table IV values appear at paper
-	// scale via the small profile.
+	// BenchScale shrinks only L1D/L2/LLC, so the SDC, LP and SDCDir
+	// budget is the same at every scale; check Table IV's values at
+	// paper scale, via the small profile.
 	small := NewWorkbench(Small()).Tab4(1).String()
 	if !strings.Contains(small, "8.69") || !strings.Contains(small, "0.54") {
 		t.Errorf("tab4 at paper scale missing Table IV values:\n%s", small)
@@ -253,6 +256,31 @@ func TestTauExtremes(t *testing.T) {
 	for i, p := range res.RegularPct {
 		if p < -3 {
 			t.Errorf("tau=%d hurt regular suite: %+.1f%%", res.Taus[i], p)
+		}
+	}
+}
+
+// TestTauMaxIsBaseline is an exact law: at τ = 2^40 the LP never
+// predicts averse, so SDC+LP routes nothing to the SDC and runs as the
+// Baseline does, counter for counter. The residue is the LP and SDCDir
+// bookkeeping that still happens on every access: LPPredFriendly and
+// LPTableMisses count the predictions, SDCDirLookups the directory
+// probes; they may differ, every other field must not.
+func TestTauMaxIsBaseline(t *testing.T) {
+	wb := NewWorkbench(fastBench())
+	base := wb.Profile.BaseConfig(1)
+	lp := base.LP
+	tauMax := base.WithSDCLP().WithLP(lp.Entries, lp.Ways, 1<<40)
+	residue := []string{"LPPredFriendly", "LPTableMisses", "SDCDirLookups"}
+	for _, kernel := range []string{"pr", "cc", "bfs"} {
+		id := WorkloadID{Kernel: kernel, Graph: "kron"}
+		want := reflect.ValueOf(wb.RunSingle(base, id).Stats)
+		got := reflect.ValueOf(wb.RunSingle(tauMax, id).Stats)
+		for i := range want.NumField() {
+			name := want.Type().Field(i).Name
+			if !slices.Contains(residue, name) && !reflect.DeepEqual(want.Field(i).Interface(), got.Field(i).Interface()) {
+				t.Errorf("%s: τ=2^40 SDC+LP %s = %v, Baseline %v", id, name, got.Field(i), want.Field(i))
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"graphmem/internal/check"
 	"graphmem/internal/sample"
@@ -47,7 +48,7 @@ func RegisterRunFlags(fs *flag.FlagSet, defaultProfile string) *RunOptions {
 	fs.StringVar(&o.Store, "store", "", "disk-backed result store directory (serves repeated runs, single- and multi-core, from disk; output is byte-identical either way)")
 	fs.StringVar(&o.Metrics, "metrics", "", "serve live metrics (Prometheus text + expvar) on this address, e.g. :6060")
 	fs.IntVar(&o.Jobs, "j", 0, "max concurrent simulations (0 = all host cores); output is identical at any -j")
-	fs.StringVar(&o.Prefetchers, "pf", "", "prefetcher preset for the base machine: none|nextline|spp|stride|imp|pickle|spp+imp (empty = Table I default)")
+	fs.StringVar(&o.Prefetchers, "pf", "", "prefetcher preset for the base machine: "+strings.Join(sim.PrefetcherPresets(), "|")+" (empty = Table I default)")
 	fs.Int64Var(&o.BranchPenalty, "bp", 0, "branch-miss penalty in cycles on ~1/32 of records (0 = off, the default machine)")
 	return o
 }

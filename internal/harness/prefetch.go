@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"graphmem/internal/sim"
 )
@@ -106,7 +107,7 @@ func (r *PrefetchResult) Table() *Table {
 			fmt.Sprint(row.DRAMRd), fmt.Sprint(row.DRAMWr))
 	}
 	t.Notes = append(t.Notes,
-		"presets via Config.Prefetchers (none|nextline|spp|stride|imp|pickle|spp+imp); the Baseline default is next-line L1/SDC + SPP L2",
+		"presets via Config.Prefetchers ("+strings.Join(sim.PrefetcherPresets(), "|")+"); the Baseline default is next-line L1/SDC + SPP L2",
 		fmt.Sprintf("bp%d: Config.BranchMissPenalty sensitivity row (~1/32 of records stall %d cycles; default 0)", PrefetchBranchPenalty, PrefetchBranchPenalty),
 	)
 	return t

@@ -26,28 +26,27 @@ func (wb *Workbench) specsFor(cfg sim.Config, ids []WorkloadID) []RunSpec {
 	return specs
 }
 
-// workers resolves the worker-pool width: Parallelism if set, else all
-// host cores.
-func (wb *Workbench) workers() int {
-	if wb.Parallelism > 0 {
-		return wb.Parallelism
+// pool returns the worker pool: Parallelism slots, or one per host core
+// when it is 0. It is sized on first use — set Parallelism before
+// running experiments or deriving a WithProfile workbench, which shares
+// it.
+func (wb *Workbench) pool() chan struct{} {
+	wb.mu.Lock()
+	defer wb.mu.Unlock()
+	if wb.sem == nil {
+		n := wb.Parallelism
+		if n <= 0 {
+			n = runtime.GOMAXPROCS(0)
+		}
+		wb.sem = make(chan struct{}, n)
 	}
-	return runtime.GOMAXPROCS(0)
+	return wb.sem
 }
 
 // acquire claims one worker-pool slot; every simulation (and the graph
 // builds it triggers) runs inside a slot, bounding host CPU and the
-// peak number of concurrently live graphs. The pool is sized on first
-// use — set Parallelism before running experiments.
-func (wb *Workbench) acquire() {
-	wb.mu.Lock()
-	if wb.sem == nil {
-		wb.sem = make(chan struct{}, wb.workers())
-	}
-	sem := wb.sem
-	wb.mu.Unlock()
-	sem <- struct{}{}
-}
+// peak number of concurrently live graphs.
+func (wb *Workbench) acquire() { wb.pool() <- struct{}{} }
 
 // release returns a slot claimed by acquire.
 func (wb *Workbench) release() { <-wb.sem }

@@ -42,7 +42,7 @@ func TestRunSinglePanicPropagation(t *testing.T) {
 		if p == nil {
 			t.Fatalf("goroutine %d returned without observing the panic", i)
 		}
-		if s, ok := p.(string); !ok || s != "harness: unknown regular kernel nope" {
+		if s, ok := p.(string); !ok || s != "harness: unknown workload nope.reg" {
 			t.Errorf("goroutine %d recovered %v; want the Workload panic value", i, p)
 		}
 	}
@@ -207,7 +207,7 @@ func TestIsolatedRunPanicPropagation(t *testing.T) {
 	wg.Wait()
 	crash(2)
 	for i, p := range panics {
-		if p != "harness: unknown regular kernel nope" {
+		if p != "harness: unknown workload nope.reg" {
 			t.Errorf("call %d recovered %v; want the Workload panic value", i, p)
 		}
 	}
@@ -292,6 +292,36 @@ func TestFig3RunsInsideThePool(t *testing.T) {
 	}
 	if peak != 1 {
 		t.Errorf("%d simulations were in flight at once on a -j 1 workbench", peak)
+	}
+}
+
+// TestWithProfileSharesThePool pins that -j bounds a whole gmserved
+// service, not each of its benches: two workbenches WithProfile derives
+// from one -j 1 parent, each running a point at once, never simulate at
+// the same time.
+func TestWithProfileSharesThePool(t *testing.T) {
+	parent := NewWorkbench(fastBench())
+	parent.Parallelism = 1
+	other := fastBench()
+	other.Measure++ // another window: a bench of its own, as gmserved keys them
+	benches := []*Workbench{parent.WithProfile(fastBench()), parent.WithProfile(other)}
+	// No graph to build: both runs reach their simulation at once.
+	id := WorkloadID{Kernel: "triad", Graph: "reg"}
+	var wg sync.WaitGroup
+	for _, wb := range benches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wb.RunSingle(wb.Profile.BaseConfig(1), id)
+		}()
+	}
+	wg.Wait()
+	done, _, _, peak := parent.Metrics.Snapshot()
+	if done != 2 {
+		t.Errorf("%d runs finished, want the 2 live ones", done)
+	}
+	if peak != 1 {
+		t.Errorf("%d simulations were in flight at once across the benches of a -j 1 service", peak)
 	}
 }
 

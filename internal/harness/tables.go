@@ -32,7 +32,7 @@ func (wb *Workbench) Tab1() *Table {
 	t.AddRow("DRAM", fmt.Sprintf("DDR4, data rate %.3f GT/s, I/O bus %.1f MHz, tRP=tRCD=tCAS=%d cycles, %d channel(s)",
 		cfg.DRAM.BusFreqMHz*2/1000, cfg.DRAM.BusFreqMHz, cfg.DRAM.TCAS, cfg.DRAMChannels))
 	if wb.Profile.Name == "bench" {
-		t.Notes = append(t.Notes, "bench profile shrinks L1D/L2/LLC (and halves the SDC) to keep graph:LLC ratios representative at small graph sizes")
+		t.Notes = append(t.Notes, "bench profile shrinks L1D/L2/LLC (the SDC keeps its 8 KiB) to keep graph:LLC ratios representative at small graph sizes")
 	}
 	return t
 }

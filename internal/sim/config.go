@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"graphmem/internal/cache"
 	"graphmem/internal/check"
@@ -121,12 +123,8 @@ type Config struct {
 	DirLatency int64
 
 	// Prefetchers selects a named prefetcher preset for the competitive
-	// baseline suite: "" (the default, Table I's next-line + SPP),
-	// "none", "nextline", "spp" (the default wiring, spelled out),
-	// "stride" (PC-keyed stride detector at the L2), "imp"
-	// (indirect-memory prefetcher on the demand-load stream), "pickle"
-	// (cross-core LLC prefetcher) or "spp+imp". Validate rejects unknown
-	// names.
+	// baseline suite: "" (the default, Table I's next-line + SPP) or one
+	// of prefetchPresets. Validate rejects unknown names.
 	Prefetchers string
 
 	// VictimEntries, when positive, attaches a fully-associative
@@ -180,7 +178,7 @@ type Config struct {
 	// Sampling, when its Period is positive, selects the statistical
 	// sampling engine (internal/sample): the warm-up and the inter-sample
 	// gaps run under functional warming (tags/recency/row state updated,
-	// no timing or statistics), with short detailed samples every Period
+	// no timing), with short detailed samples every Period
 	// instructions feeding per-metric confidence intervals. Validate
 	// states what it composes with; the zero value (the default) keeps
 	// every run byte-identical to an unsampled one.
@@ -234,7 +232,7 @@ func (c Config) Validate() error {
 	case c.Measure > math.MaxInt64-recordInstructions-c.Warmup:
 		return fmt.Errorf("sim: instruction window end overflows int64 (warmup %d, measure %d)", c.Warmup, c.Measure)
 	case !ValidPrefetchers(c.Prefetchers):
-		return fmt.Errorf("sim: unknown prefetcher preset %q (want none|nextline|spp|stride|imp|pickle|spp+imp)", c.Prefetchers)
+		return fmt.Errorf("sim: unknown prefetcher preset %q (want %s)", c.Prefetchers, strings.Join(PrefetcherPresets(), "|"))
 	case c.CPU.BranchMissPenalty < 0:
 		return fmt.Errorf("sim: branch-miss penalty %d must be >= 0", c.CPU.BranchMissPenalty)
 	case c.EpochInterval < 0:
@@ -549,11 +547,7 @@ func (c Config) WithoutPrefetchers() Config {
 // ValidPrefetchers reports whether preset names a known prefetcher
 // preset ("" — the default wiring — counts).
 func ValidPrefetchers(preset string) bool {
-	switch preset {
-	case "", "none", "nextline", "spp", "stride", "imp", "pickle", "spp+imp":
-		return true
-	}
-	return false
+	return preset == "" || slices.ContainsFunc(prefetchPresets, func(p prefetchPreset) bool { return p.name == preset })
 }
 
 // WithPrefetchers returns a copy running the named prefetcher preset

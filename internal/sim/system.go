@@ -84,8 +84,8 @@ type coreCtx struct {
 	l2      *cache.Cache
 	sdc     *cache.Cache
 	// levels lists the private caches above in walk order — L1D, victim
-	// cache, L2, SDC, absent ones left out. The flight-recorder taps, the
-	// counter freeze and the invariant sweep iterate it.
+	// cache, L2, SDC, absent ones left out. The flight-recorder taps and
+	// the invariant sweep iterate it.
 	levels []level
 	lp     *corepkg.LP
 	alp    *corepkg.AdaptiveLP
@@ -166,7 +166,6 @@ type coreCtx struct {
 	// boundary minimum like every other window boundary.
 	warmMode        uint8
 	warmWalkFn      tlb.WarmWalkFunc
-	frozen          frozenCounters // component counters held across a warming period
 	nextSampleStart int64
 	nextSampleMeas  int64
 	nextSampleEnd   int64
@@ -186,7 +185,7 @@ type level struct {
 // warmMode values.
 const (
 	warmOff        = iota // detailed simulation (the only mode when sampling is off)
-	warmFunctional        // functional warming: tags/recency/row state, no timing, counters frozen
+	warmFunctional        // functional warming: tags/recency/row state, no timing
 )
 
 // checkSweepEvery is the retired-instruction period of the structural
@@ -221,6 +220,45 @@ func (m *oracleMux) Rank(blk mem.BlockAddr) uint8 {
 		return m.oracles[coreID].Rank(blk)
 	}
 	return cache.RankDefault
+}
+
+// prefetchPreset is one named prefetcher preset of the competitive
+// baseline suite (Config.Prefetchers): wire changes Table I's wiring of
+// one core, nil leaving it as it is.
+type prefetchPreset struct {
+	name string
+	wire func(s *System, c *coreCtx)
+}
+
+// prefetchPresets lists the presets in the order help and error texts
+// name them. "" (the default) is Table I's wiring and has no entry.
+var prefetchPresets = []prefetchPreset{
+	{"none", func(_ *System, c *coreCtx) {
+		c.l1pf, c.sdcpf, c.noSPP = prefetch.None{}, prefetch.None{}, true
+	}},
+	{"nextline", func(_ *System, c *coreCtx) { c.noSPP = true }},
+	{"spp", nil}, // Table I's wiring, spelled out
+	// PC-keyed stride detector at the L2.
+	{"stride", func(_ *System, c *coreCtx) { c.l2pf = prefetch.NewStride() }},
+	// Indirect-memory prefetcher on the demand-load stream.
+	{"imp", func(_ *System, c *coreCtx) { c.noSPP, c.imppf = true, prefetch.NewIMP() }},
+	// Cross-core LLC prefetcher, one per machine.
+	{"pickle", func(s *System, c *coreCtx) {
+		c.noSPP = true
+		if s.llcpf == nil {
+			s.llcpf = prefetch.NewPickle()
+		}
+	}},
+	{"spp+imp", func(_ *System, c *coreCtx) { c.imppf = prefetch.NewIMP() }},
+}
+
+// PrefetcherPresets lists the preset names in table order.
+func PrefetcherPresets() []string {
+	names := make([]string, len(prefetchPresets))
+	for i, p := range prefetchPresets {
+		names[i] = p.name
+	}
+	return names
 }
 
 // NewSystem builds a machine from cfg with one workload per core slot.
@@ -300,32 +338,14 @@ func NewSystem(cfg Config, ws []Workload) *System {
 				c.lp = corepkg.NewLP(cfg.LP)
 			}
 		}
-		// Prefetcher wiring: the default is Table I's (next-line at the
-		// L1D/SDC, SPP at the L2); cfg.Prefetchers swaps in one of the
-		// competitive baseline presets (names checked by Validate).
+		// Prefetcher wiring: Table I's (next-line at the L1D/SDC, SPP at
+		// the L2), then the preset's changes (names checked by Validate).
 		c.l1pf = prefetch.NextLine{}
 		c.l2pf = prefetch.NewSPP()
-		switch cfg.Prefetchers {
-		case "", "spp":
-			// Default Table I wiring.
-		case "none":
-			c.l1pf = prefetch.None{}
-			c.sdcpf = prefetch.None{}
-			c.noSPP = true
-		case "nextline":
-			c.noSPP = true
-		case "stride":
-			c.l2pf = prefetch.NewStride()
-		case "imp":
-			c.noSPP = true
-			c.imppf = prefetch.NewIMP()
-		case "pickle":
-			c.noSPP = true
-			if s.llcpf == nil {
-				s.llcpf = prefetch.NewPickle()
+		for _, p := range prefetchPresets {
+			if p.name == cfg.Prefetchers && p.wire != nil {
+				p.wire(s, c)
 			}
-		case "spp+imp":
-			c.imppf = prefetch.NewIMP()
 		}
 		ptBase := mem.Addr(uint64(i)<<mem.CoreSpaceBits) + ptOffset
 		cc := c

@@ -5,9 +5,9 @@
 // SDCDir.Lookup/AddSharer, LP.PredictAndUpdate, and system.go's own
 // fillL1/fillSDC/writebackToL2/writebackToLLC chain at time 0 — so tags,
 // recency, dirty bits, predictor and directory state evolve by one
-// definition. The counters those transitions bump are frozen across
-// each warming period (freezeCounters), which is what keeps per-sample
-// counter deltas clean.
+// definition. The counters those transitions bump move during warming
+// too; no sample sees it, because every sample's delta is the
+// difference of two snapshots taken in detailed mode.
 //
 // What this file holds is only what is different about warming: which
 // levels a warm access probes (reads are served in place, nothing waits
@@ -195,61 +195,14 @@ func (c *coreCtx) warmLLC(blk mem.BlockAddr, addr mem.Addr, size uint8) {
 	s.llcInstall(blk, addr, size, false, false, 0, 0)
 }
 
-// frozenCounters is freezeCounters' storage. The shared LLC and SDCDir
-// counters ride with the core: the sampler runs one-core machines only.
-type frozenCounters struct {
-	private         [4]stats.CacheStats // indexed like coreCtx.levels
-	llc, dtlb, stlb stats.CacheStats
-	lp, dir         [3]int64
-}
-
-// freezeCounters saves (restore=false) or writes back (restore=true)
-// every component counter the transitions above bump. enterWarm saves
-// them and leaveWarm writes them back, so a warming period moves tags
-// and recency but no statistic. DRAM, MSHR and prefetch counters are
-// not listed: the warm walk never reaches them.
-func (c *coreCtx) freezeCounters(restore bool) {
-	f := &c.frozen
-	for i, l := range c.levels {
-		hold(restore, &l.cache.Stats, &f.private[i])
-	}
-	hold(restore, &c.sys.llc.Stats, &f.llc)
-	hold(restore, &c.tlbs.DTLB.Stats, &f.dtlb)
-	hold(restore, &c.tlbs.STLB.Stats, &f.stlb)
-	if c.lp != nil {
-		hold(restore, &c.lp.PredAverse, &f.lp[0])
-		hold(restore, &c.lp.PredFriendly, &f.lp[1])
-		hold(restore, &c.lp.TableMisses, &f.lp[2])
-	}
-	if d := c.sys.sdcDir; d != nil {
-		hold(restore, &d.Lookups, &f.dir[0])
-		hold(restore, &d.Hits, &f.dir[1])
-		hold(restore, &d.Evictions, &f.dir[2])
-	}
-}
-
-// hold copies live into saved, or back when restore is set.
-func hold[T any](restore bool, live, saved *T) {
-	if restore {
-		*live = *saved
-	} else {
-		*saved = *live
-	}
-}
-
 // enterWarm switches the core to functional warming.
 func (c *coreCtx) enterWarm() {
 	c.warmMode = warmFunctional
 	c.sys.warming = true
-	c.freezeCounters(false)
 }
 
-// leaveWarm hands the record stream back to the detailed path (a no-op
-// for the counters unless a warming period is actually open).
+// leaveWarm hands the record stream back to the detailed path.
 func (c *coreCtx) leaveWarm() {
-	if c.warmMode == warmFunctional {
-		c.freezeCounters(true)
-	}
 	c.warmMode = warmOff
 	c.sys.warming = false
 }
@@ -302,8 +255,7 @@ func (c *coreCtx) beginMeasureSampled() {
 
 // measuredFromSamples closes the window in sampling mode: any open
 // sample contributes its (possibly short) delta, and the window total
-// is the sum over samples — warm periods spend no cycles and move no
-// counters, so the sum is exactly the detailed portion of the window.
+// is the sum over samples: exactly the detailed portion of the window.
 func (c *coreCtx) measuredFromSamples() {
 	if c.nextSampleMeas != noEpoch {
 		// The window closed inside a sample's discarded warm prefix:
