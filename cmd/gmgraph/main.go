@@ -14,8 +14,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"graphmem/internal/graph"
+	"graphmem/internal/harness"
 	"graphmem/internal/obs"
 )
 
@@ -24,7 +26,7 @@ func main() { os.Exit(run()) }
 // run is the tool. It returns the exit status instead of calling
 // os.Exit, so the deferred profile stop runs on every path.
 func run() int {
-	gen := flag.String("gen", "", "generate: web|road|twitter|kron|urand|friendster")
+	gen := flag.String("gen", "", "generate: "+strings.Join(harness.GraphNames, "|"))
 	scale := flag.Int("scale", 18, "generate: log2 of the vertex count (kron/urand) or vertex-count scale")
 	ef := flag.Int64("ef", 8, "generate: edge factor / average degree")
 	seed := flag.Uint64("seed", 42, "generate: RNG seed")
@@ -64,6 +66,8 @@ func run() int {
 	return 0
 }
 
+// generate builds one generator's graph; its cases are the Table III
+// names harness.GraphNames lists.
 func generate(kind string, scale int, ef int64, seed uint64) (*graph.Graph, error) {
 	// 2^31 vertices overflow the int32 vertex IDs.
 	if scale < 1 || scale > 30 {
@@ -88,7 +92,7 @@ func generate(kind string, scale int, ef int64, seed uint64) (*graph.Graph, erro
 		side := int32(1) << uint(scale/2)
 		return graph.RoadGrid(side, side, 255, seed), nil
 	default:
-		return nil, fmt.Errorf("unknown generator %q", kind)
+		return nil, fmt.Errorf("unknown generator %q (%s)", kind, strings.Join(harness.GraphNames, "|"))
 	}
 }
 

@@ -7,7 +7,10 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
+
+	"graphmem/internal/harness"
 )
 
 // buildGmgraph builds the tool into a temporary directory.
@@ -76,5 +79,20 @@ func TestGmgraphGenStatsRoundTrip(t *testing.T) {
 	want := fmt.Sprintf("vertices    %s\nedges       %s\n", m[1], m[2])
 	if !bytes.HasPrefix(stats, []byte(want)) {
 		t.Errorf("-stats output\n%s\nwant prefix\n%s", stats, want)
+	}
+}
+
+// TestGmgraphGeneratesEveryGraphName: every name -gen's help lists (the
+// Table III names, harness.GraphNames) has a generator, and an unknown
+// one is refused with that list.
+func TestGmgraphGeneratesEveryGraphName(t *testing.T) {
+	for _, name := range harness.GraphNames {
+		if g, err := generate(name, 8, 8, 42); err != nil || g.N == 0 {
+			t.Errorf("-gen %s -scale 8: %v", name, err)
+		}
+	}
+	want := `unknown generator "warp" (` + strings.Join(harness.GraphNames, "|") + ")"
+	if _, err := generate("warp", 8, 8, 42); err == nil || err.Error() != want {
+		t.Errorf("-gen warp: %v, want %s", err, want)
 	}
 }

@@ -45,7 +45,7 @@ func run() int {
 	mixes := flag.Int("mixes", 0, "override the number of fig14 mixes")
 	outDir := flag.String("out", "", "also write each table as <dir>/<id>.txt and .csv plus a sweep manifest.json")
 	quiet := flag.Bool("q", false, "suppress progress logging")
-	opts := harness.RegisterRunFlags(flag.CommandLine, "small")
+	opts := harness.RegisterRunFlags(flag.CommandLine, harness.Small().Name)
 	prof := obs.RegisterProfileFlags(flag.CommandLine)
 	flag.Parse()
 

@@ -107,10 +107,7 @@ func main() {
 	minSpeed := flag.Float64("minspeed", 1.25, "min wall-clock speedup across the matrix (loose: see command doc)")
 	flag.Parse()
 
-	profile, err := harness.ProfileByName("bench")
-	if err != nil {
-		fatal(err)
-	}
+	profile := harness.Bench()
 	profile.Warmup, profile.Measure = gateWarmup, gateMeasure
 	wb := harness.NewWorkbench(profile)
 	wb.Progress = func(msg string) { fmt.Fprintln(os.Stderr, msg) }

@@ -40,11 +40,7 @@ func main() { os.Exit(run()) }
 // run is the tool. It returns the exit status instead of calling
 // os.Exit, so the deferred profile stop runs on every path.
 func run() int {
-	var regular []string
-	for _, id := range harness.RegularWorkloads() {
-		regular = append(regular, id.Kernel)
-	}
-	kernel := flag.String("kernel", "pr", "kernel: "+strings.Join(kernels.Names(), "|")+" (or "+strings.Join(regular, "|")+" with -graph reg)")
+	kernel := flag.String("kernel", "pr", "kernel: "+strings.Join(kernels.Names(kernels.GAP), "|")+" (or "+strings.Join(kernels.Names(kernels.Regular), "|")+" with -graph reg)")
 	graphName := flag.String("graph", "kron", "input graph: "+strings.Join(harness.GraphNames, "|")+"|reg")
 	configName := flag.String("config", "baseline", "machine configuration: "+strings.Join(harness.ConfigNames(), "|"))
 	epoch := flag.Int64("epoch", 0, "sample telemetry every N retired instructions (0 = off)")
@@ -53,7 +49,7 @@ func run() int {
 	cores := flag.Int("cores", 1, "simulated core count; >1 replicates the workload on every core of one shared machine")
 	jsonOut := flag.Bool("json", false, "emit a structured run manifest on stdout instead of text")
 	verbose := flag.Bool("v", false, "log run progress")
-	opts := harness.RegisterRunFlags(flag.CommandLine, "bench")
+	opts := harness.RegisterRunFlags(flag.CommandLine, harness.Bench().Name)
 	prof := obs.RegisterProfileFlags(flag.CommandLine)
 	flag.Parse()
 

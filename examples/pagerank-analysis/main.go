@@ -10,16 +10,22 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
+	"strings"
 
 	"graphmem/internal/harness"
 )
 
 func main() {
-	graphName := flag.String("graph", "kron", "input graph (web|road|twitter|kron|urand|friendster)")
+	graphName := flag.String("graph", "kron", "input graph ("+strings.Join(harness.GraphNames, "|")+")")
 	flag.Parse()
 
+	id, err := harness.ResolveWorkload("pr", *graphName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pagerank-analysis:", err)
+		os.Exit(1)
+	}
 	wb := harness.NewWorkbench(harness.Bench())
-	id := harness.WorkloadID{Kernel: "pr", Graph: *graphName}
 	base := wb.Profile.BaseConfig(1)
 
 	fmt.Printf("=== %s on the baseline hierarchy ===\n", id)

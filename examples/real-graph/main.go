@@ -27,13 +27,13 @@ func main() {
 	edges := flag.String("edges", "", "edge-list text file (SNAP format)")
 	gmg := flag.String("gmg", "", ".gmg binary graph (see cmd/gmgraph)")
 	undirected := flag.Bool("undirected", true, "symmetrize the edge list")
-	kernel := flag.String("kernel", "pr", "kernel to run (bc|bfs|cc|pr|tc|sssp|spmv)")
+	kernel := flag.String("kernel", "pr", "kernel to run ("+strings.Join(kernels.Names(kernels.GAP, kernels.Bonus), "|")+")")
 	warmup := flag.Int64("warmup", 4_000_000, "warm-up instructions")
 	measure := flag.Int64("measure", 4_000_000, "measured instructions")
 	flag.Parse()
 
-	build, ok := kernels.Registry()[*kernel]
-	if !ok {
+	k, ok := kernels.Lookup(*kernel)
+	if !ok || k.Suite == kernels.Regular {
 		fmt.Fprintf(os.Stderr, "real-graph: unknown kernel %q\n", *kernel)
 		os.Exit(1)
 	}
@@ -58,7 +58,7 @@ func main() {
 
 	run := func(c sim.Config) *sim.Result {
 		space := mem.NewSpace(0)
-		w := sim.Workload{Name: *kernel + "." + name, Inst: build(g, space), Space: space}
+		w := sim.Workload{Name: *kernel + "." + name, Inst: k.Build(g, space), Space: space}
 		return sim.RunSingleCore(c, w)
 	}
 	fmt.Println("running baseline...")

@@ -10,19 +10,25 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"graphmem/internal/harness"
+	"graphmem/internal/kernels"
 )
 
 func main() {
-	kernel := flag.String("kernel", "cc", "kernel to characterize")
-	graphName := flag.String("graph", "kron", "input graph (the paper uses cc.friendster)")
+	kernel := flag.String("kernel", "cc", "kernel to characterize: "+strings.Join(kernels.Names(kernels.GAP, kernels.Bonus), "|"))
+	graphName := flag.String("graph", "kron", "input graph: "+strings.Join(harness.GraphNames, "|")+" (the paper uses cc.friendster)")
 	flag.Parse()
 
+	id, err := harness.ResolveWorkload(*kernel, *graphName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "stride-profile:", err)
+		os.Exit(1)
+	}
 	wb := harness.NewWorkbench(harness.Bench())
 	wb.Progress = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
 
-	id := harness.WorkloadID{Kernel: *kernel, Graph: *graphName}
 	res := wb.Fig3(id)
 	res.Table().Render(os.Stdout)
 

@@ -34,7 +34,10 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 
 	"graphmem/internal/mem"
 )
@@ -53,32 +56,27 @@ const (
 	Full
 )
 
+// levelNames names the levels, indexed by Level: the one list String,
+// ParseLevel and the tools' -check help read.
+var levelNames = [...]string{"off", "oracle", "full"}
+
 // String implements fmt.Stringer.
 func (l Level) String() string {
-	switch l {
-	case Off:
-		return "off"
-	case OracleOnly:
-		return "oracle"
-	case Full:
-		return "full"
-	default:
+	if l < 0 || int(l) >= len(levelNames) {
 		return fmt.Sprintf("Level(%d)", int(l))
 	}
+	return levelNames[l]
 }
 
-// ParseLevel parses "off", "oracle" or "full".
+// LevelNames lists the level names in Level order.
+func LevelNames() []string { return slices.Clone(levelNames[:]) }
+
+// ParseLevel parses a level name; "" is Off.
 func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "off", "":
-		return Off, nil
-	case "oracle":
-		return OracleOnly, nil
-	case "full":
-		return Full, nil
-	default:
-		return Off, fmt.Errorf("check: unknown level %q (off|oracle|full)", s)
+	if i := slices.Index(levelNames[:], cmp.Or(s, Off.String())); i >= 0 {
+		return Level(i), nil
 	}
+	return Off, fmt.Errorf("check: unknown level %q (%s)", s, strings.Join(levelNames[:], "|"))
 }
 
 // Violation is one detected correctness failure.

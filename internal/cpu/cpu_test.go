@@ -558,7 +558,7 @@ var prKronRecords []trace.Record
 func BenchmarkCoreAccess(b *testing.B) {
 	if prKronRecords == nil {
 		sink := &trace.SliceSink{Limit: 1 << 18}
-		kernels.Registry()["pr"](graph.Kron(16, 8, 42), mem.NewSpace(0)).Run(trace.New(sink))
+		kernels.NewPR(graph.Kron(16, 8, 42), mem.NewSpace(0)).Run(trace.New(sink))
 		prKronRecords = sink.Recs
 	}
 	recs := prKronRecords

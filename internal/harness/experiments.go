@@ -9,8 +9,9 @@ import (
 )
 
 // This file is the by-name front door the tools share: one table per
-// name space — experiments, machines — that dispatch, validation, help
-// and error texts all read, plus the workload subset filter.
+// name space — experiments, machines (profiles: harness.go) — that
+// dispatch, validation, help and error texts all read, plus the
+// workload subset filter.
 
 // experiment is one experiment a tool can name: its id, whether 'all'
 // leaves it out (opt-in: served by name only), and how it runs on a
@@ -140,18 +141,37 @@ func listFilter(list string) func(string) bool {
 	return func(v string) bool { return slices.Contains(items, v) }
 }
 
-// machine is one machine configuration a tool can name: its canonical
-// name, the other spellings it answers to, and how it derives from the
-// base machine.
-type machine struct {
+// entry is one row of a name table shaped like machines and profiles:
+// its canonical name, the other spellings it answers to, and what the
+// name selects.
+type entry[V any] struct {
 	name    string
 	aliases []string
-	derive  func(base sim.Config) sim.Config
+	v       V
+}
+
+// lookup finds the entry a name or alias selects.
+func lookup[V any](table []entry[V], name string) (entry[V], bool) {
+	for _, e := range table {
+		if e.name == name || slices.Contains(e.aliases, name) {
+			return e, true
+		}
+	}
+	return entry[V]{}, false
+}
+
+// names lists a table's canonical names in table order.
+func names[V any](table []entry[V]) []string {
+	out := make([]string, len(table))
+	for i, e := range table {
+		out[i] = e.name
+	}
+	return out
 }
 
 // machines lists the named configurations in the order help and error
-// texts name them.
-var machines = []machine{
+// texts name them; each derives its machine from the base machine.
+var machines = []entry[func(base sim.Config) sim.Config]{
 	{"baseline", []string{""}, func(base sim.Config) sim.Config { return base }},
 	{"sdclp", []string{"sdc+lp"}, sim.Config.WithSDCLP},
 	{"topt", []string{"t-opt"}, sim.Config.WithTOPT},
@@ -167,23 +187,14 @@ var machines = []machine{
 }
 
 // ConfigNames lists the canonical machine names in table order.
-func ConfigNames() []string {
-	names := make([]string, len(machines))
-	for i, m := range machines {
-		names[i] = m.name
-	}
-	return names
-}
+func ConfigNames() []string { return names(machines) }
 
 // ConfigByName derives a named machine configuration from the base
 // (the -config flag and gmserved's "config" field); names are
 // case-insensitive.
 func ConfigByName(base sim.Config, name string) (sim.Config, error) {
-	lower := strings.ToLower(name)
-	for _, m := range machines {
-		if m.name == lower || slices.Contains(m.aliases, lower) {
-			return m.derive(base), nil
-		}
+	if m, ok := lookup(machines, strings.ToLower(name)); ok {
+		return m.v(base), nil
 	}
 	return base, fmt.Errorf("unknown config %q (%s)", name, strings.Join(ConfigNames(), "|"))
 }

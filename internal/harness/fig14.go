@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"graphmem/internal/sim"
@@ -58,14 +59,7 @@ func (wb *Workbench) Fig14(mixes [][]WorkloadID) *Fig14Result {
 		mixes = GenerateMixes(nil, wb.Profile.Mixes, 14)
 	}
 	base4 := wb.Profile.BaseConfig(mixCores)
-	configs := []sim.Config{
-		base4,
-		base4.WithBigL1D(),
-		base4.WithDistill(),
-		base4.WithTOPT(),
-		base4.With2xLLC(),
-		base4.WithSDCLP(),
-	}
+	configs := slices.Concat([]sim.Config{base4}, sim.PriorSchemes(base4), []sim.Config{base4.WithSDCLP()})
 	// Per mix: mixCores isolated runs, then one mix run per config.
 	perMix := mixCores + len(configs)
 	specs := make([]RunSpec, 0, len(mixes)*perMix)

@@ -58,13 +58,7 @@ func (wb *Workbench) runSpeedups(configs []sim.Config, subset []WorkloadID) (*Sp
 // over the workloads (nil = all 36), reproducing Fig. 7.
 func (wb *Workbench) Fig7(subset []WorkloadID) *SpeedupResult {
 	base := wb.Profile.BaseConfig(1)
-	res, _ := wb.runSpeedups([]sim.Config{
-		base.WithBigL1D(),
-		base.WithDistill(),
-		base.WithTOPT(),
-		base.With2xLLC(),
-		base.WithSDCLP(),
-	}, subset)
+	res, _ := wb.runSpeedups(append(sim.PriorSchemes(base), base.WithSDCLP()), subset)
 	res.ID, res.Title = "fig7", "Single-core speed-up over Baseline (Fig. 7)"
 	return res
 }

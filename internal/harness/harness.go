@@ -40,7 +40,7 @@ func (w WorkloadID) idle() bool { return w == WorkloadID{} }
 // AllWorkloads returns the 36 combinations in kernel-major Table II/III
 // order.
 func AllWorkloads() []WorkloadID {
-	names := kernels.Names()
+	names := kernels.Names(kernels.GAP)
 	out := make([]WorkloadID, 0, len(names)*len(GraphNames))
 	for _, k := range names {
 		for _, g := range GraphNames {
@@ -50,15 +50,11 @@ func AllWorkloads() []WorkloadID {
 	return out
 }
 
-// kernelBuilder is the registry Workload dispatches on: the regular
+// kernelBuilder looks id's kernel up in the kernel table: the regular
 // stand-ins run on Graph "reg", every other kernel on an input graph.
 func kernelBuilder(id WorkloadID) (kernels.Builder, bool) {
-	registry := kernels.Registry()
-	if id.Graph == "reg" {
-		registry = kernels.RegularBuilders()
-	}
-	build, ok := registry[id.Kernel]
-	return build, ok
+	k, ok := kernels.Lookup(id.Kernel)
+	return k.Build, ok && (k.Suite == kernels.Regular) == (id.Graph == "reg")
 }
 
 // ResolveWorkload names the workload a kernel and a graph name select —
@@ -118,62 +114,71 @@ func graphSet(vBig, vRoadSide int32, degPL, degWeb int, kronScale int, kronEF in
 	}
 }
 
-// Bench returns the fast profile: 4-8x shrunk hierarchy, ~0.5M-vertex
-// graphs (property arrays ~10x the shrunk LLC), short windows. Used by
-// tests and testing.B benchmarks.
-func Bench() Profile {
-	return Profile{
-		Name:       "bench",
-		BaseConfig: func(cores int) sim.Config { return sim.TableI(cores).BenchScale() },
-		Graphs:     graphSet(450_000, 700, 6, 8, 19, 8),
-		// Warm-up covers the sequential initialization phase of the
-		// largest bench graphs (e.g. PR's contrib refresh, ~6 instr per
-		// vertex) so the measured window is the data-dependent phase
-		// the paper's SimPoints capture.
-		Warmup: 4_000_000, Measure: 4_000_000,
-		MixWarmup: 3_500_000, MixMeasure: 1_500_000,
-		Mixes: 8,
-	}
+// profiles lists the scale profiles in the order help texts name them;
+// Bench, Small and Full are its entries. An entry's func leaves Name
+// unset: named fills it from the entry.
+var profiles = []entry[func() Profile]{
+	// The fast profile: 4-8x shrunk hierarchy, ~0.5M-vertex graphs
+	// (property arrays ~10x the shrunk LLC), short windows.
+	{"bench", nil, func() Profile {
+		return Profile{
+			BaseConfig: func(cores int) sim.Config { return sim.TableI(cores).BenchScale() },
+			Graphs:     graphSet(450_000, 700, 6, 8, 19, 8),
+			// Warm-up covers the sequential initialization phase of the
+			// largest bench graphs (e.g. PR's contrib refresh, ~6 instr
+			// per vertex) so the measured window is the data-dependent
+			// phase the paper's SimPoints capture.
+			Warmup: 4_000_000, Measure: 4_000_000,
+			MixWarmup: 3_500_000, MixMeasure: 1_500_000,
+			Mixes: 8,
+		}
+	}},
+	// The default profile: the full Table I machine with ~2M-vertex
+	// graphs (property arrays ~6x the LLC).
+	{"small", []string{""}, func() Profile {
+		return Profile{
+			BaseConfig: sim.TableI,
+			Graphs:     graphSet(2_000_000, 1400, 8, 8, 21, 8),
+			Warmup:     16_000_000, Measure: 12_000_000,
+			MixWarmup: 16_000_000, MixMeasure: 4_000_000,
+			Mixes: 50,
+		}
+	}},
+	// The largest profile this substrate supports: the Table I machine
+	// with ~4M-vertex graphs (property arrays ~12x the LLC).
+	{"full", nil, func() Profile {
+		return Profile{
+			BaseConfig: sim.TableI,
+			Graphs:     graphSet(4_000_000, 2000, 8, 8, 22, 6),
+			Warmup:     30_000_000, Measure: 20_000_000,
+			MixWarmup: 30_000_000, MixMeasure: 6_000_000,
+			Mixes: 50,
+		}
+	}},
 }
 
-// Small returns the default profile: the full Table I machine with
-// ~2M-vertex graphs (property arrays ~6x the LLC).
-func Small() Profile {
-	return Profile{
-		Name:       "small",
-		BaseConfig: sim.TableI,
-		Graphs:     graphSet(2_000_000, 1400, 8, 8, 21, 8),
-		Warmup:     16_000_000, Measure: 12_000_000,
-		MixWarmup: 16_000_000, MixMeasure: 4_000_000,
-		Mixes: 50,
-	}
+// named builds a profiles entry's profile under the entry's name.
+func named(p entry[func() Profile]) Profile {
+	out := p.v()
+	out.Name = p.name
+	return out
 }
 
-// Full returns the largest profile this substrate supports: the Table I
-// machine with ~4M-vertex graphs (property arrays ~12x the LLC).
-func Full() Profile {
-	return Profile{
-		Name:       "full",
-		BaseConfig: sim.TableI,
-		Graphs:     graphSet(4_000_000, 2000, 8, 8, 22, 6),
-		Warmup:     30_000_000, Measure: 20_000_000,
-		MixWarmup: 30_000_000, MixMeasure: 6_000_000,
-		Mixes: 50,
-	}
-}
+// Bench returns the fast profile tests and testing.B benchmarks use.
+func Bench() Profile { return named(profiles[0]) }
 
-// ProfileByName resolves "bench", "small" or "full".
+// Small returns the default profile.
+func Small() Profile { return named(profiles[1]) }
+
+// Full returns the largest profile.
+func Full() Profile { return named(profiles[2]) }
+
+// ProfileByName resolves a profile's name or alias.
 func ProfileByName(name string) (Profile, error) {
-	switch name {
-	case "bench":
-		return Bench(), nil
-	case "small", "":
-		return Small(), nil
-	case "full":
-		return Full(), nil
-	default:
-		return Profile{}, fmt.Errorf("harness: unknown profile %q", name)
+	if p, ok := lookup(profiles, name); ok {
+		return named(p), nil
 	}
+	return Profile{}, fmt.Errorf("harness: unknown profile %q", name)
 }
 
 // Workbench caches graphs and simulation results for one profile so

@@ -113,6 +113,18 @@ func TestTab2MatchesTableII(t *testing.T) {
 	}
 }
 
+// TestTab2BuildsNothing: Table II is static kernel data, so rendering
+// it on a fresh workbench reads the kernel table and builds no graph.
+func TestTab2BuildsNothing(t *testing.T) {
+	wb := NewWorkbench(Bench())
+	var lines []string
+	wb.Progress = func(msg string) { lines = append(lines, msg) }
+	wb.Tab2()
+	if keys := wb.graphs.keys(); len(keys) != 0 || len(lines) != 0 {
+		t.Errorf("Tab2 built graphs %v (progress %q)", keys, lines)
+	}
+}
+
 func TestTab4BudgetTotal(t *testing.T) {
 	tbl := wbShared.Tab4(1)
 	out := tbl.String()

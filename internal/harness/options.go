@@ -40,10 +40,10 @@ type RunOptions struct {
 // NewWorkbench on the result after flag parsing.
 func RegisterRunFlags(fs *flag.FlagSet, defaultProfile string) *RunOptions {
 	o := &RunOptions{}
-	fs.StringVar(&o.Profile, "profile", defaultProfile, "scale profile: bench|small|full")
+	fs.StringVar(&o.Profile, "profile", defaultProfile, "scale profile: "+strings.Join(names(profiles), "|"))
 	fs.Int64Var(&o.Warmup, "warmup", 0, "override the single-core warm-up instructions")
 	fs.Int64Var(&o.Measure, "measure", 0, "override the single-core measured instructions")
-	fs.StringVar(&o.Check, "check", "off", "differential checking: off|oracle|full (exit 1 on any violation)")
+	fs.StringVar(&o.Check, "check", check.Off.String(), "differential checking: "+strings.Join(check.LevelNames(), "|")+" (exit 1 on any violation)")
 	fs.StringVar(&o.Sample, "sample", "", "run eligible single-core simulations under the statistical sampler \"period,len,offset[,warm]\" (instructions); results are CI estimates")
 	fs.StringVar(&o.Store, "store", "", "disk-backed result store directory (serves repeated runs, single- and multi-core, from disk; output is byte-identical either way)")
 	fs.StringVar(&o.Metrics, "metrics", "", "serve live metrics (Prometheus text + expvar) on this address, e.g. :6060")

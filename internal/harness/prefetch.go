@@ -53,22 +53,21 @@ func (wb *Workbench) PrefetchHeadToHead(subset []WorkloadID) *PrefetchResult {
 		}
 	}
 	base := wb.Profile.BaseConfig(1)
-	type entry struct {
+	type row struct {
 		label string
 		cfg   sim.Config
 	}
-	configs := []entry{
-		{"Baseline (nl+spp)", base},
-		{"no prefetch", base.WithPrefetchers("none")},
-		{"next-line only", base.WithPrefetchers("nextline")},
-		{"stride", base.WithPrefetchers("stride")},
-		{"imp", base.WithPrefetchers("imp")},
-		{"pickle", base.WithPrefetchers("pickle")},
-		{"spp+imp", base.WithPrefetchers("spp+imp")},
-		{"SDC+LP", base.WithSDCLP()},
-		{"SDC+LP spp+imp", base.WithSDCLP().WithPrefetchers("spp+imp")},
-		{fmt.Sprintf("Baseline bp%d", PrefetchBranchPenalty), base.WithBranchMissPenalty(PrefetchBranchPenalty)},
+	// The Baseline, then every preset that rewires it, in preset-table
+	// order.
+	configs := []row{{"Baseline (nl+spp)", base}}
+	for _, p := range sim.PrefetcherRows() {
+		configs = append(configs, row{p.Label, base.WithPrefetchers(p.Name)})
 	}
+	configs = append(configs,
+		row{"SDC+LP", base.WithSDCLP()},
+		row{"SDC+LP spp+imp", base.WithSDCLP().WithPrefetchers("spp+imp")},
+		row{fmt.Sprintf("Baseline bp%d", PrefetchBranchPenalty), base.WithBranchMissPenalty(PrefetchBranchPenalty)},
+	)
 	var specs []RunSpec
 	for _, e := range configs {
 		specs = append(specs, wb.specsFor(e.cfg, subset)...)

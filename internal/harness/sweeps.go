@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"graphmem/internal/kernels"
 	"graphmem/internal/sim"
 	"graphmem/internal/stats"
 )
@@ -114,11 +115,11 @@ type TauResult struct {
 // RegularWorkloads returns the ids of the regular (SPEC stand-in)
 // suite; their Graph field is the pseudo-input "reg".
 func RegularWorkloads() []WorkloadID {
-	return []WorkloadID{
-		{Kernel: "triad", Graph: "reg"},
-		{Kernel: "matvec", Graph: "reg"},
-		{Kernel: "stencil", Graph: "reg"},
+	var out []WorkloadID
+	for _, k := range kernels.Names(kernels.Regular) {
+		out = append(out, WorkloadID{Kernel: k, Graph: "reg"})
 	}
+	return out
 }
 
 // Tau sweeps τ_glob over the graph subset plus the regular suite.

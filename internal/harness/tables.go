@@ -5,7 +5,6 @@ import (
 
 	corepkg "graphmem/internal/core"
 	"graphmem/internal/kernels"
-	"graphmem/internal/mem"
 )
 
 // Tab1 renders the system configuration (Table I) of the profile's
@@ -31,25 +30,24 @@ func (wb *Workbench) Tab1() *Table {
 	t.AddRow("L2 TLB", "1536-entry, 12-way, 8-cycle latency")
 	t.AddRow("DRAM", fmt.Sprintf("DDR4, data rate %.3f GT/s, I/O bus %.1f MHz, tRP=tRCD=tCAS=%d cycles, %d channel(s)",
 		cfg.DRAM.BusFreqMHz*2/1000, cfg.DRAM.BusFreqMHz, cfg.DRAM.TCAS, cfg.DRAMChannels))
-	if wb.Profile.Name == "bench" {
+	if wb.Profile.Name == Bench().Name {
 		t.Notes = append(t.Notes, "bench profile shrinks L1D/L2/LLC (the SDC keeps its 8 KiB) to keep graph:LLC ratios representative at small graph sizes")
 	}
 	return t
 }
 
-// Tab2 renders the graph-kernel characteristics (Table II).
+// Tab2 renders the graph-kernel characteristics (Table II) from the
+// kernel table's rows: it builds no graph and no kernel instance.
 func (wb *Workbench) Tab2() *Table {
 	t := &Table{ID: "tab2", Title: "Graph kernels (Table II)",
 		Header: []string{"Kernel", "irregData ElemSz", "Execution style", "Use frontier"}}
-	g := wb.Graph("road") // cheapest input; Info() is static per kernel
-	for _, name := range kernels.Names() {
-		inst := kernels.Registry()[name](g, mem.NewSpace(0))
-		info := inst.Info()
+	for _, name := range kernels.Names(kernels.GAP) {
+		k, _ := kernels.Lookup(name)
 		frontier := "No"
-		if info.UsesFrontier {
+		if k.UsesFrontier {
 			frontier = "Yes"
 		}
-		t.AddRow(name, info.IrregElemBytes, string(info.Style), frontier)
+		t.AddRow(name, k.IrregElemBytes, string(k.Style), frontier)
 	}
 	return t
 }

@@ -46,12 +46,6 @@ func NewBC(g *graph.Graph, space *mem.Space) Instance {
 	return b
 }
 
-// Info implements Instance (Table II row for BC: 8B + 4B irregular
-// elements).
-func (b *BC) Info() Info {
-	return Info{Name: "bc", IrregElemBytes: "8B + 4B", Style: PushMostly, UsesFrontier: true}
-}
-
 // IrregularRegions implements Instance.
 func (b *BC) IrregularRegions() []*mem.Region {
 	return []*mem.Region{b.regSigma, b.regDepth, b.regDelta}

@@ -75,11 +75,6 @@ func defaultSources(g *graph.Graph, k int) []int32 {
 	return srcs
 }
 
-// Info implements Instance (Table II row for BFS).
-func (b *BFS) Info() Info {
-	return Info{Name: "bfs", IrregElemBytes: "4B", Style: PushPull, UsesFrontier: true}
-}
-
 // IrregularRegions implements Instance.
 func (b *BFS) IrregularRegions() []*mem.Region {
 	return []*mem.Region{b.regParent, b.regBitmap}

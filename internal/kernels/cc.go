@@ -33,11 +33,6 @@ func NewCC(g *graph.Graph, space *mem.Space) Instance {
 	return c
 }
 
-// Info implements Instance (Table II row for CC).
-func (c *CC) Info() Info {
-	return Info{Name: "cc", IrregElemBytes: "4B", Style: PushMostly, UsesFrontier: false}
-}
-
 // IrregularRegions implements Instance.
 func (c *CC) IrregularRegions() []*mem.Region { return []*mem.Region{c.regComp} }
 

@@ -13,6 +13,8 @@
 package kernels
 
 import (
+	"slices"
+
 	"graphmem/internal/cache"
 	"graphmem/internal/graph"
 	"graphmem/internal/mem"
@@ -43,12 +45,74 @@ type Info struct {
 	UsesFrontier bool
 }
 
+// Suite is the workload suite a kernel belongs to.
+type Suite int
+
+// Kernel suites.
+const (
+	// GAP is the paper's six Table II kernels, each run on every input
+	// graph: the 36-workload suite.
+	GAP Suite = iota
+	// Bonus is a graph kernel outside the 36-workload suite (SpMV,
+	// Section II-A).
+	Bonus
+	// Regular is the SPEC stand-ins of the τ_glob study (regular.go);
+	// their builders ignore the graph.
+	Regular
+)
+
+// Kernel is one kernel a tool can name: its Table II row (which holds
+// its name), its suite and its builder.
+type Kernel struct {
+	Info
+	Suite Suite
+	Build Builder
+}
+
+// kernelTable lists every kernel in Table II order, then the bonus and
+// the regular ones. It is the one home of the kernel names: the
+// harness's workload lists and Table II, tool help and name lookup all
+// read it. The regular kernels are sized so their footprints, like
+// SPEC's, fit mostly in the LLC.
+var kernelTable = []Kernel{
+	{Info{"bc", "8B + 4B", PushMostly, true}, GAP, NewBC},
+	{Info{"bfs", "4B", PushPull, true}, GAP, NewBFS},
+	{Info{"cc", "4B", PushMostly, false}, GAP, NewCC},
+	{Info{"pr", "4B", PullOnly, false}, GAP, NewPR},
+	{Info{"tc", "4B", PushOnly, false}, GAP, NewTC},
+	{Info{"sssp", "4B", PushOnly, true}, GAP, NewSSSP},
+	{Info{"spmv", "8B", PullOnly, false}, Bonus, NewSpMV},
+	{Info{"triad", "8B", PushOnly, false}, Regular, func(_ *graph.Graph, s *mem.Space) Instance { return NewTriad(1<<15, s) }},
+	{Info{"matvec", "8B", PushOnly, false}, Regular, func(_ *graph.Graph, s *mem.Space) Instance { return NewMatVec(256, 512, s) }},
+	{Info{"stencil", "8B", PushOnly, false}, Regular, func(_ *graph.Graph, s *mem.Space) Instance { return NewStencil(1<<15, s) }},
+}
+
+// Names lists, in table order, the names of the kernels in the given
+// suites.
+func Names(suites ...Suite) []string {
+	var names []string
+	for _, k := range kernelTable {
+		if slices.Contains(suites, k.Suite) {
+			names = append(names, k.Name)
+		}
+	}
+	return names
+}
+
+// Lookup finds a kernel by name.
+func Lookup(name string) (Kernel, bool) {
+	for _, k := range kernelTable {
+		if k.Name == name {
+			return k, true
+		}
+	}
+	return Kernel{}, false
+}
+
 // Instance is a kernel prepared on a concrete graph with its data
 // structures allocated in a core's address space, ready to run any
 // number of times.
 type Instance interface {
-	// Info returns the kernel's metadata.
-	Info() Info
 	// Run executes the kernel, emitting its trace through tr. Run may
 	// be invoked repeatedly (multi-core runs restart early finishers);
 	// each invocation recomputes from scratch.
@@ -210,20 +274,3 @@ func (o *TransposeOracle) Rank(blk mem.BlockAddr) uint8 {
 	}
 	return uint8(r)
 }
-
-// Registry returns the six GAP kernel builders keyed by name, in the
-// paper's Table II order.
-func Registry() map[string]Builder {
-	return map[string]Builder{
-		"bc":   NewBC,
-		"bfs":  NewBFS,
-		"cc":   NewCC,
-		"pr":   NewPR,
-		"tc":   NewTC,
-		"sssp": NewSSSP,
-		"spmv": NewSpMV, // bonus kernel (Section II-A), not part of the 36-workload suite
-	}
-}
-
-// Names returns kernel names in Table II order.
-func Names() []string { return []string{"bc", "bfs", "cc", "pr", "tc", "sssp"} }

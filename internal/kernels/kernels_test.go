@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"graphmem/internal/graph"
@@ -386,7 +387,8 @@ func TestBCMatchesReference(t *testing.T) {
 
 func TestKernelsStopAtTraceLimit(t *testing.T) {
 	g := testGraph(12)
-	for name, build := range Registry() {
+	for _, k := range graphKernels() {
+		name, build := k.Name, k.Build
 		inst := build(g, mem.NewSpace(0))
 		sink := &trace.CountingSink{Limit: 500}
 		tr := trace.New(sink)
@@ -399,7 +401,8 @@ func TestKernelsStopAtTraceLimit(t *testing.T) {
 
 func TestKernelsEmitDependencies(t *testing.T) {
 	g := testGraph(13)
-	for name, build := range Registry() {
+	for _, k := range graphKernels() {
+		name, build := k.Name, k.Build
 		inst := build(g, mem.NewSpace(0))
 		sink := &trace.SliceSink{Limit: 20000}
 		inst.Run(trace.New(sink))
@@ -417,7 +420,8 @@ func TestKernelsEmitDependencies(t *testing.T) {
 
 func TestKernelsTouchIrregularRegions(t *testing.T) {
 	g := testGraph(14)
-	for name, build := range Registry() {
+	for _, k := range graphKernels() {
+		name, build := k.Name, k.Build
 		inst := build(g, mem.NewSpace(0))
 		irreg := inst.IrregularRegions()
 		if len(irreg) == 0 {
@@ -442,20 +446,22 @@ func TestKernelsTouchIrregularRegions(t *testing.T) {
 }
 
 func TestKernelsInfoMatchesTableII(t *testing.T) {
-	g := testGraph(15)
-	space := mem.NewSpace(0)
-	want := map[string]Info{
-		"bc":   {Name: "bc", IrregElemBytes: "8B + 4B", Style: PushMostly, UsesFrontier: true},
-		"bfs":  {Name: "bfs", IrregElemBytes: "4B", Style: PushPull, UsesFrontier: true},
-		"cc":   {Name: "cc", IrregElemBytes: "4B", Style: PushMostly, UsesFrontier: false},
-		"pr":   {Name: "pr", IrregElemBytes: "4B", Style: PullOnly, UsesFrontier: false},
-		"tc":   {Name: "tc", IrregElemBytes: "4B", Style: PushOnly, UsesFrontier: false},
-		"sssp": {Name: "sssp", IrregElemBytes: "4B", Style: PushOnly, UsesFrontier: true},
+	want := []Info{
+		{Name: "bc", IrregElemBytes: "8B + 4B", Style: PushMostly, UsesFrontier: true},
+		{Name: "bfs", IrregElemBytes: "4B", Style: PushPull, UsesFrontier: true},
+		{Name: "cc", IrregElemBytes: "4B", Style: PushMostly, UsesFrontier: false},
+		{Name: "pr", IrregElemBytes: "4B", Style: PullOnly, UsesFrontier: false},
+		{Name: "tc", IrregElemBytes: "4B", Style: PushOnly, UsesFrontier: false},
+		{Name: "sssp", IrregElemBytes: "4B", Style: PushOnly, UsesFrontier: true},
 	}
-	for _, name := range Names() {
-		got := Registry()[name](g, space).Info()
-		if got != want[name] {
-			t.Errorf("%s Info = %+v, want %+v", name, got, want[name])
+	names := Names(GAP)
+	if len(names) != len(want) {
+		t.Fatalf("GAP suite = %v, want the %d Table II kernels", names, len(want))
+	}
+	for i, name := range names {
+		k, _ := Lookup(name)
+		if k.Info != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, k.Info, want[i])
 		}
 	}
 }
@@ -475,28 +481,51 @@ func TestKernelsRerunnable(t *testing.T) {
 }
 
 func TestRegistryNamesComplete(t *testing.T) {
-	reg := Registry()
-	for _, n := range Names() {
-		if reg[n] == nil {
-			t.Errorf("kernel %q missing from registry", n)
+	// The table carries the bonus SpMV kernel (Section II-A), which is
+	// not part of the paper's 36-workload suite, and the regular suite.
+	for _, c := range []struct {
+		suite Suite
+		want  string
+	}{
+		{GAP, "bc bfs cc pr tc sssp"},
+		{Bonus, "spmv"},
+		{Regular, "triad matvec stencil"},
+	} {
+		got := Names(c.suite)
+		if strings.Join(got, " ") != c.want {
+			t.Errorf("suite %d = %v, want %s", c.suite, got, c.want)
+		}
+		for _, name := range got {
+			if k, ok := Lookup(name); !ok || k.Name != name || k.Suite != c.suite || k.Build == nil {
+				t.Errorf("Lookup(%q) = %+v, %v", name, k.Info, ok)
+			}
 		}
 	}
-	// The registry also carries the bonus SpMV kernel (Section II-A),
-	// which is not part of the paper's 36-workload suite.
-	if len(reg) != len(Names())+1 || reg["spmv"] == nil {
-		t.Errorf("registry has %d kernels (want 6 GAP + spmv)", len(reg))
+	if _, ok := Lookup("nope"); ok {
+		t.Error("Lookup found an unknown kernel")
 	}
+}
+
+// graphKernels lists the kernels that run on an input graph.
+func graphKernels() []Kernel {
+	var out []Kernel
+	for _, name := range Names(GAP, Bonus) {
+		k, _ := Lookup(name)
+		out = append(out, k)
+	}
+	return out
 }
 
 // --- regular suite ---
 
 func TestRegularSuiteRunsAndIsSequential(t *testing.T) {
-	for _, build := range RegularBuilders() {
-		inst := build(nil, mem.NewSpace(0))
+	for _, name := range Names(Regular) {
+		k, _ := Lookup(name)
+		inst := k.Build(nil, mem.NewSpace(0))
 		sink := &trace.SliceSink{Limit: 50000}
 		inst.Run(trace.New(sink))
 		if len(sink.Recs) == 0 {
-			t.Fatalf("%s: no records", inst.Info().Name)
+			t.Fatalf("%s: no records", name)
 		}
 		// Per-PC block strides must be overwhelmingly small.
 		last := map[uint64]mem.BlockAddr{}
@@ -516,10 +545,10 @@ func TestRegularSuiteRunsAndIsSequential(t *testing.T) {
 			last[r.PC] = blk
 		}
 		if total == 0 || float64(small)/float64(total) < 0.95 {
-			t.Errorf("%s: only %d/%d small strides", inst.Info().Name, small, total)
+			t.Errorf("%s: only %d/%d small strides", name, small, total)
 		}
 		if len(inst.IrregularRegions()) != 0 {
-			t.Errorf("%s declares irregular regions", inst.Info().Name)
+			t.Errorf("%s declares irregular regions", name)
 		}
 	}
 }

@@ -58,11 +58,6 @@ func NewPR(g *graph.Graph, space *mem.Space) Instance {
 	return p
 }
 
-// Info implements Instance (Table II row for PR).
-func (p *PR) Info() Info {
-	return Info{Name: "pr", IrregElemBytes: "4B", Style: PullOnly, UsesFrontier: false}
-}
-
 // IrregularRegions implements Instance: the expert routes the
 // outgoing_contrib gathers to the SDC.
 func (p *PR) IrregularRegions() []*mem.Region { return []*mem.Region{p.regContrib} }

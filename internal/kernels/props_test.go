@@ -171,7 +171,8 @@ func TestKernelsDeterministicTraces(t *testing.T) {
 	// streams (the multi-core scheduler's restart semantics and the
 	// memoized experiment runs both rely on this).
 	g := testGraph(25)
-	for name, build := range Registry() {
+	for _, k := range graphKernels() {
+		name, build := k.Name, k.Build
 		capture := func() []trace.Record {
 			inst := build(g, mem.NewSpace(0))
 			sink := &trace.SliceSink{Limit: 5000}

@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"graphmem/internal/cache"
-	"graphmem/internal/graph"
 	"graphmem/internal/mem"
 	"graphmem/internal/trace"
 )
@@ -32,11 +31,6 @@ func NewTriad(n int64, space *mem.Space) *Triad {
 	t.regB = space.Alloc("triad.b", uint64(n)*8, 8, mem.ClassRegular)
 	t.regC = space.Alloc("triad.c", uint64(n)*8, 8, mem.ClassRegular)
 	return t
-}
-
-// Info implements Instance.
-func (t *Triad) Info() Info {
-	return Info{Name: "triad", IrregElemBytes: "8B", Style: PushOnly, UsesFrontier: false}
 }
 
 // IrregularRegions implements Instance: a triad has none.
@@ -84,11 +78,6 @@ func NewMatVec(rows, cols int64, space *mem.Space) *MatVec {
 	m.regX = space.Alloc("matvec.x", uint64(cols)*8, 8, mem.ClassRegular)
 	m.regY = space.Alloc("matvec.y", uint64(rows)*8, 8, mem.ClassRegular)
 	return m
-}
-
-// Info implements Instance.
-func (m *MatVec) Info() Info {
-	return Info{Name: "matvec", IrregElemBytes: "8B", Style: PushOnly, UsesFrontier: false}
 }
 
 // IrregularRegions implements Instance.
@@ -146,11 +135,6 @@ func NewStencil(n int64, space *mem.Space) *Stencil {
 	return s
 }
 
-// Info implements Instance.
-func (s *Stencil) Info() Info {
-	return Info{Name: "stencil", IrregElemBytes: "8B", Style: PushOnly, UsesFrontier: false}
-}
-
 // IrregularRegions implements Instance.
 func (s *Stencil) IrregularRegions() []*mem.Region { return nil }
 
@@ -176,23 +160,5 @@ func (s *Stencil) Run(tr *trace.Tracer) {
 			s.Sum += float64(i)
 			tr.Exec(4)
 		}
-	}
-}
-
-// RegularBuilders exposes the three regular kernels through the kernel
-// Builder interface (the graph argument is ignored) so the harness can
-// treat regular workloads uniformly. They are sized so their
-// footprints, like SPEC's, fit mostly in the LLC.
-func RegularBuilders() map[string]Builder {
-	return map[string]Builder{
-		"triad": func(_ *graph.Graph, space *mem.Space) Instance {
-			return NewTriad(1<<15, space)
-		},
-		"matvec": func(_ *graph.Graph, space *mem.Space) Instance {
-			return NewMatVec(256, 512, space)
-		},
-		"stencil": func(_ *graph.Graph, space *mem.Space) Instance {
-			return NewStencil(1<<15, space)
-		},
 	}
 }

@@ -45,11 +45,6 @@ func NewSpMV(g *graph.Graph, space *mem.Space) Instance {
 	return s
 }
 
-// Info implements Instance.
-func (s *SpMV) Info() Info {
-	return Info{Name: "spmv", IrregElemBytes: "8B", Style: PullOnly, UsesFrontier: false}
-}
-
 // IrregularRegions implements Instance: x is gathered through NA.
 func (s *SpMV) IrregularRegions() []*mem.Region { return []*mem.Region{s.regX} }
 

@@ -48,11 +48,6 @@ func NewSSSP(g *graph.Graph, space *mem.Space) Instance {
 	return s
 }
 
-// Info implements Instance (Table II row for SSSP).
-func (s *SSSP) Info() Info {
-	return Info{Name: "sssp", IrregElemBytes: "4B", Style: PushOnly, UsesFrontier: true}
-}
-
 // IrregularRegions implements Instance.
 func (s *SSSP) IrregularRegions() []*mem.Region { return []*mem.Region{s.regDist} }
 

@@ -32,11 +32,6 @@ func NewTC(g *graph.Graph, space *mem.Space) Instance {
 	return t
 }
 
-// Info implements Instance (Table II row for TC).
-func (t *TC) Info() Info {
-	return Info{Name: "tc", IrregElemBytes: "4B", Style: PushOnly, UsesFrontier: false}
-}
-
 // IrregularRegions implements Instance: TC's irregular structure is the
 // neighbors array itself, gathered at data-dependent offsets during
 // intersections.

@@ -19,7 +19,7 @@ func prRecords(tb testing.TB, n int64) []trace.Record {
 	}
 	g := testGraphCache(19)
 	space := mem.NewSpace(0)
-	inst := kernels.Registry()["pr"](g, space)
+	inst := kernels.NewPR(g, space)
 	sink := &trace.SliceSink{Limit: n}
 	inst.Run(trace.New(sink))
 	if int64(len(sink.Recs)) < n {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"graphmem/internal/check"
-	"graphmem/internal/kernels"
 	"graphmem/internal/mem"
 )
 
@@ -15,7 +14,7 @@ func kronWorkloadSlot(t testing.TB, kernel string, scale, slot int) Workload {
 	t.Helper()
 	g := testGraphCache(scale)
 	space := mem.NewSpace(slot)
-	inst := kernels.Registry()[kernel](g, space)
+	inst := buildKernel(kernel, g, space)
 	return Workload{Name: kernel + ".kron", Inst: inst, Space: space}
 }
 

@@ -591,18 +591,11 @@ func (c Config) BenchScale() Config {
 	return c
 }
 
-// Variants returns the seven evaluated configurations derived from c as
-// the baseline, in the paper's presentation order.
-func Variants(base Config) []Config {
-	return []Config{
-		base,
-		base.WithBigL1D(),
-		base.WithDistill(),
-		base.WithTOPT(),
-		base.With2xLLC(),
-		base.WithExpert(),
-		base.WithSDCLP(),
-	}
+// PriorSchemes returns the four prior schemes the paper compares
+// SDC+LP against, derived from base, in the paper's order: L1D-ISO,
+// Distill, T-OPT and 2xLLC.
+func PriorSchemes(base Config) []Config {
+	return []Config{base.WithBigL1D(), base.WithDistill(), base.WithTOPT(), base.With2xLLC()}
 }
 
 // sdcDirConfig materializes the coherence directory configuration.

@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"graphmem/internal/kernels"
 	"graphmem/internal/mem"
 	"graphmem/internal/obs"
 )
@@ -91,7 +90,7 @@ func TestMultiCoreEpochSeries(t *testing.T) {
 	mkW := func(slot int, kernel string) Workload {
 		g := testGraphCache(16)
 		space := mem.NewSpace(slot)
-		return Workload{Name: kernel, Inst: kernels.Registry()[kernel](g, space), Space: space}
+		return Workload{Name: kernel, Inst: buildKernel(kernel, g, space), Space: space}
 	}
 	res := RunMultiCore(cfg, []Workload{mkW(0, "pr"), {}})
 	if len(res.Epochs) != 2 {

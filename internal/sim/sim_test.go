@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"graphmem/internal/graph"
@@ -22,7 +23,7 @@ func kronWorkload(t testing.TB, kernel string, scale int) Workload {
 	t.Helper()
 	g := testGraphCache(scale)
 	space := mem.NewSpace(0)
-	inst := kernels.Registry()[kernel](g, space)
+	inst := buildKernel(kernel, g, space)
 	return Workload{Name: kernel + ".kron", Inst: inst, Space: space}
 }
 
@@ -194,8 +195,23 @@ func TestRegularWorkloadUnaffectedBySDCLP(t *testing.T) {
 	}
 }
 
+// buildKernel prepares the named kernel from the kernel table.
+func buildKernel(name string, g *graph.Graph, space *mem.Space) kernels.Instance {
+	k, ok := kernels.Lookup(name)
+	if !ok {
+		panic("sim test: unknown kernel " + name)
+	}
+	return k.Build(g, space)
+}
+
+// variants returns the seven evaluated configurations derived from
+// base, in the paper's presentation order.
+func variants(base Config) []Config {
+	return slices.Concat([]Config{base}, PriorSchemes(base), []Config{base.WithExpert(), base.WithSDCLP()})
+}
+
 func TestVariantsAreComplete(t *testing.T) {
-	vs := Variants(TableI(1))
+	vs := variants(TableI(1))
 	names := map[string]bool{}
 	for _, v := range vs {
 		names[v.Name] = true
@@ -224,7 +240,7 @@ func TestConfigGeometriesConstructible(t *testing.T) {
 	// Every variant at both scales must build a System without panics.
 	for _, cores := range []int{1, 4} {
 		for _, base := range []Config{TableI(cores), TableI(cores).BenchScale()} {
-			for _, v := range Variants(base) {
+			for _, v := range variants(base) {
 				ws := make([]Workload, cores)
 				func() {
 					defer func() {
@@ -290,7 +306,7 @@ func TestMultiCoreSharedSlowerThanAlone(t *testing.T) {
 	mkW := func(slot int, kernel string) Workload {
 		g := testGraphCache(16)
 		space := mem.NewSpace(slot)
-		return Workload{Name: kernel, Inst: kernels.Registry()[kernel](g, space), Space: space}
+		return Workload{Name: kernel, Inst: buildKernel(kernel, g, space), Space: space}
 	}
 	shared := RunMultiCore(cfg, []Workload{mkW(0, "pr"), mkW(1, "cc")})
 	if len(shared.PerCore) != 2 {

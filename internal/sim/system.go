@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 
 	"graphmem/internal/cache"
@@ -224,32 +225,35 @@ func (m *oracleMux) Rank(blk mem.BlockAddr) uint8 {
 
 // prefetchPreset is one named prefetcher preset of the competitive
 // baseline suite (Config.Prefetchers): wire changes Table I's wiring of
-// one core, nil leaving it as it is.
+// one core, nil leaving it as it is; label, when set, is the row label
+// reports show in place of the name.
 type prefetchPreset struct {
-	name string
-	wire func(s *System, c *coreCtx)
+	name  string
+	label string
+	wire  func(s *System, c *coreCtx)
 }
 
 // prefetchPresets lists the presets in the order help and error texts
-// name them. "" (the default) is Table I's wiring and has no entry.
+// name them and reports show them. "" (the default) is Table I's wiring
+// and has no entry.
 var prefetchPresets = []prefetchPreset{
-	{"none", func(_ *System, c *coreCtx) {
+	{"none", "no prefetch", func(_ *System, c *coreCtx) {
 		c.l1pf, c.sdcpf, c.noSPP = prefetch.None{}, prefetch.None{}, true
 	}},
-	{"nextline", func(_ *System, c *coreCtx) { c.noSPP = true }},
-	{"spp", nil}, // Table I's wiring, spelled out
+	{"nextline", "next-line only", func(_ *System, c *coreCtx) { c.noSPP = true }},
+	{"spp", "", nil}, // Table I's wiring, spelled out
 	// PC-keyed stride detector at the L2.
-	{"stride", func(_ *System, c *coreCtx) { c.l2pf = prefetch.NewStride() }},
+	{"stride", "", func(_ *System, c *coreCtx) { c.l2pf = prefetch.NewStride() }},
 	// Indirect-memory prefetcher on the demand-load stream.
-	{"imp", func(_ *System, c *coreCtx) { c.noSPP, c.imppf = true, prefetch.NewIMP() }},
+	{"imp", "", func(_ *System, c *coreCtx) { c.noSPP, c.imppf = true, prefetch.NewIMP() }},
 	// Cross-core LLC prefetcher, one per machine.
-	{"pickle", func(s *System, c *coreCtx) {
+	{"pickle", "", func(s *System, c *coreCtx) {
 		c.noSPP = true
 		if s.llcpf == nil {
 			s.llcpf = prefetch.NewPickle()
 		}
 	}},
-	{"spp+imp", func(_ *System, c *coreCtx) { c.imppf = prefetch.NewIMP() }},
+	{"spp+imp", "", func(_ *System, c *coreCtx) { c.imppf = prefetch.NewIMP() }},
 }
 
 // PrefetcherPresets lists the preset names in table order.
@@ -259,6 +263,22 @@ func PrefetcherPresets() []string {
 		names[i] = p.name
 	}
 	return names
+}
+
+// PrefetcherRow is a preset as a report row shows it: its name, as
+// Config.Prefetchers takes it, and the row's label.
+type PrefetcherRow struct{ Name, Label string }
+
+// PrefetcherRows lists, in table order, the presets that change Table
+// I's wiring: every preset but spp, which is the Baseline's own.
+func PrefetcherRows() []PrefetcherRow {
+	var rows []PrefetcherRow
+	for _, p := range prefetchPresets {
+		if p.wire != nil {
+			rows = append(rows, PrefetcherRow{Name: p.name, Label: cmp.Or(p.label, p.name)})
+		}
+	}
+	return rows
 }
 
 // NewSystem builds a machine from cfg with one workload per core slot.
