@@ -152,6 +152,7 @@ func run() int {
 		m := obs.NewManifest("gmsim")
 		m.Profile = profile.Name
 		m.Workload = id.String()
+		m.Graphs = wb.GraphLoads()
 		m.RunKey = spec.Key()
 		m.Config = effective.ManifestInfo()
 		m.Reruns = res.Reruns

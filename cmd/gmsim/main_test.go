@@ -11,6 +11,7 @@ import (
 
 	"graphmem/internal/check"
 	"graphmem/internal/harness"
+	"graphmem/internal/obs"
 	"graphmem/internal/sample"
 	"graphmem/internal/sim"
 )
@@ -181,5 +182,53 @@ func TestManifestNamesTheMachine(t *testing.T) {
 		if !bytes.Contains(out, []byte(field)) {
 			t.Errorf("manifest lacks %s", field)
 		}
+	}
+}
+
+// TestGraphCacheCrossesProcesses: the first gmsim builds the bench kron
+// and publishes it to the graph cache, the next reads it. Both say so on
+// -v and in the -json manifest, and their reports are byte-identical.
+func TestGraphCacheCrossesProcesses(t *testing.T) {
+	bin := buildGmsim(t)
+	cacheHome := t.TempDir()
+	run := func(extra ...string) (stdout, stderr string) {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		cmd := exec.Command(bin, append([]string{"-kernel", "pr", "-graph", "kron", "-config", "sdclp",
+			"-profile", "bench", "-warmup", "20000", "-measure", "20000"}, extra...)...)
+		cmd.Env = append(os.Environ(), "XDG_CACHE_HOME="+cacheHome)
+		cmd.Stdout, cmd.Stderr = &out, &errOut
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("gmsim %v: %v\n%s", extra, err, errOut.String())
+		}
+		return out.String(), errOut.String()
+	}
+	loads := func(manifest string) []obs.GraphLoad {
+		t.Helper()
+		var m obs.Manifest
+		if err := json.Unmarshal([]byte(manifest), &m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Graphs
+	}
+	first, firstLog := run("-json")
+	second, secondLog := run("-json")
+	text1, _ := run()
+	text2, _ := run()
+	for i, c := range []struct {
+		manifest, log, source string
+	}{{first, firstLog, "built"}, {second, secondLog, "read"}} {
+		if l := loads(c.manifest); len(l) != 1 || l[0].Name != "kron" || l[0].Source != c.source || l[0].Seconds <= 0 {
+			t.Errorf("run %d: manifest graphs %+v, want kron %s", i+1, l, c.source)
+		}
+		if c.log != "" {
+			t.Errorf("run %d: stderr %q without -v", i+1, c.log)
+		}
+	}
+	if text1 != text2 {
+		t.Errorf("reports differ between a build and a read:\n%s\n%s", text1, text2)
+	}
+	if _, log := run("-v"); !strings.Contains(log, "graph kron (bench profile) read in ") {
+		t.Errorf("-v does not report the read:\n%s", log)
 	}
 }

@@ -61,6 +61,10 @@ func (r *pcg) below(n int64) int64 {
 // Urand generates an Erdős–Rényi-style uniform random undirected graph
 // with n vertices and approximately m undirected edges (2m directed).
 func Urand(n int32, m int64, seed uint64) *Graph {
+	return cached(2*m, func() *Graph { return urand(n, m, seed) }, "urand", n, m, seed)
+}
+
+func urand(n int32, m int64, seed uint64) *Graph {
 	src, dst, buf := edgeStream(rng(seed), m, 2, func(r *pcg, src, dst []int32) (int, uint64) {
 		kept := 0
 		for range len(src) {
@@ -80,7 +84,9 @@ func Urand(n int32, m int64, seed uint64) *Graph {
 // with 2^scale vertices and approximately edgeFactor*2^scale undirected
 // edges, using the canonical initiator (0.57, 0.19, 0.19, 0.05).
 func Kron(scale int, edgeFactor int64, seed uint64) *Graph {
-	return rmat(scale, edgeFactor, 0.57, 0.19, 0.19, seed)
+	return cached(2*edgeFactor<<scale, func() *Graph {
+		return rmat(scale, edgeFactor, 0.57, 0.19, 0.19, seed)
+	}, "kron", scale, edgeFactor, seed)
 }
 
 // rmatThreshold returns T such that, for a 53-bit draw k, k < T is
@@ -125,6 +131,12 @@ func rmat(scale int, edgeFactor int64, a, b, c float64, seed uint64) *Graph {
 // destroying any ID locality (the Friendster regime); otherwise the
 // generation order itself provides mild locality (the Twitter regime).
 func PowerLaw(n int32, outDeg int, uniform float64, shuffle bool, seed uint64) *Graph {
+	return cached(2*int64(n)*int64(outDeg), func() *Graph {
+		return powerLaw(n, outDeg, uniform, shuffle, seed)
+	}, "powerlaw", n, outDeg, uniform, shuffle, seed)
+}
+
+func powerLaw(n int32, outDeg int, uniform float64, shuffle bool, seed uint64) *Graph {
 	r := rng(seed)
 	m := int64(n) * int64(outDeg)
 	// One allocation for both endpoint lists, reused for the CSR.
@@ -172,6 +184,10 @@ func PowerLaw(n int32, outDeg int, uniform float64, shuffle bool, seed uint64) *
 // stay within a host or point to nearby hosts, mimicking crawl-ordered
 // web graphs. Degrees follow a heavy tail via degree-proportional copy.
 func WebLike(n int32, avgDeg int, seed uint64) *Graph {
+	return cached(int64(n)*int64(avgDeg), func() *Graph { return webLike(n, avgDeg, seed) }, "web", n, avgDeg, seed)
+}
+
+func webLike(n int32, avgDeg int, seed uint64) *Graph {
 	r := rng(seed)
 	hostSize := int32(256)
 	m := int64(n) * int64(avgDeg)
@@ -221,6 +237,12 @@ func WebLike(n int32, avgDeg int, seed uint64) *Graph {
 // diagonal shortcuts removed/added for irregularity. Edge weights are
 // uniform in [1, maxW].
 func RoadGrid(width, height int32, maxW int32, seed uint64) *Graph {
+	return cached(4*int64(width)*int64(height), func() *Graph {
+		return roadGrid(width, height, maxW, seed)
+	}, "road", width, height, maxW, seed)
+}
+
+func roadGrid(width, height int32, maxW int32, seed uint64) *Graph {
 	r := rng(seed)
 	n := width * height
 	edges := make([]Edge, 0, int64(n)*4)

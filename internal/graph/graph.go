@@ -26,7 +26,9 @@ type Graph struct {
 
 	// mirrored marks a graph built from undirected edges (buildCSR):
 	// it is its own transpose, so TransposeCached returns it as is.
-	mirrored  bool
+	mirrored bool
+	// fromCache marks a graph read from the graph cache (cache.go).
+	fromCache bool
 	transOnce sync.Once // guards trans (see TransposeCached)
 	trans     *Graph
 }

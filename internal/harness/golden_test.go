@@ -35,23 +35,27 @@ func TestTab1GoldenBench(t *testing.T) {
 // the full differential checker on cc.kron, which gathers from its first
 // record, so the data paths each machine adds (bypass, victim, SDC,
 // Distill WOC, the LLC policies) carry checked loads: a machine added to
-// the table is covered by construction. Each run also keeps the first
-// conservation law: every load the core retires is served by exactly
-// one level, so the Served* counters sum to Loads.
+// the table is covered by construction. bfs.urand adds the arms cc.kron
+// never reaches in this window, the bypass machine's LLC hits among
+// them. Each run also keeps the first conservation law: every load the
+// core retires is served by exactly one level, so the Served* counters
+// sum to Loads.
 func TestNamedMachinesCheckClean(t *testing.T) {
 	p := fastBench()
 	p.Warmup, p.Measure = 50_000, 150_000
 	wb := NewWorkbench(p)
 	wb.CheckLevel = check.Full
 	base := wb.Profile.BaseConfig(1)
-	for _, m := range machines {
-		res := wb.RunSingle(m.v(base), WorkloadID{Kernel: "cc", Graph: "kron"})
-		c, s := res.Check, res.Stats
-		if c.LoadsChecked == 0 || c.Violations != 0 {
-			t.Errorf("%s: %d loads checked, %d violations, first: %v", m.name, c.LoadsChecked, c.Violations, c.Details[:min(1, len(c.Details))])
-		}
-		if served := s.ServedL1D + s.ServedSDC + s.ServedL2 + s.ServedLLC + s.ServedRemote + s.ServedDRAM; served != s.Loads {
-			t.Errorf("%s: loads served by a level sum to %d, want Loads = %d", m.name, served, s.Loads)
+	for _, id := range []WorkloadID{{Kernel: "cc", Graph: "kron"}, {Kernel: "bfs", Graph: "urand"}} {
+		for _, m := range machines {
+			res := wb.RunSingle(m.v(base), id)
+			c, s := res.Check, res.Stats
+			if c.LoadsChecked == 0 || c.Violations != 0 {
+				t.Errorf("%s on %s: %d loads checked, %d violations, first: %v", m.name, id, c.LoadsChecked, c.Violations, c.Details[:min(1, len(c.Details))])
+			}
+			if served := s.ServedL1D + s.ServedSDC + s.ServedL2 + s.ServedLLC + s.ServedRemote + s.ServedDRAM; served != s.Loads {
+				t.Errorf("%s on %s: loads served by a level sum to %d, want Loads = %d", m.name, id, served, s.Loads)
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"graphmem/internal/check"
 	"graphmem/internal/graph"
@@ -239,9 +240,10 @@ type Workbench struct {
 	// it as -store, and gmserved fronts one as a service.
 	Store *store.Store
 
-	mu     sync.Mutex    // guards sem's creation
+	mu     sync.Mutex    // guards sem's creation and loads
 	sem    chan struct{} // worker pool, sized on first use
 	graphs flight[*graph.Graph]
+	loads  []obs.GraphLoad // how each graph in graphs was obtained
 	// runs memoizes every run by RunSpec key, whatever its shape: a
 	// *sim.Result, *sim.MultiResult or *Fig3Result, as the key's kind says.
 	runs flight[any]
@@ -265,19 +267,38 @@ func (wb *Workbench) log(format string, args ...any) {
 	wb.Metrics.Log(wb.Progress, fmt.Sprintf(format, args...))
 }
 
-// Graph returns (building and caching on first use) the named input.
-// Builds are single-flight: concurrent requests for the same graph
-// share one build, while different graphs build in parallel.
+// Graph returns (building or reading from the graph cache on first use,
+// and memoizing) the named input. Loads are single-flight: concurrent
+// requests for the same graph share one load, while different graphs
+// load in parallel. Each load is logged and kept for GraphLoads.
 func (wb *Workbench) Graph(name string) *graph.Graph {
 	g, _ := wb.graphs.do(name, func() *graph.Graph {
 		spec, ok := wb.Profile.Graphs[name]
 		if !ok {
 			panic("harness: unknown graph " + name)
 		}
-		wb.log("building graph %s (%s profile)", name, wb.Profile.Name)
-		return spec.Build()
+		start := time.Now()
+		g := spec.Build()
+		load := obs.GraphLoad{Name: name, Source: "built", Seconds: time.Since(start).Seconds()}
+		if g.FromCache() {
+			load.Source = "read"
+		}
+		wb.mu.Lock()
+		wb.loads = append(wb.loads, load)
+		wb.mu.Unlock()
+		wb.log("graph %s (%s profile) %s in %.3f s", name, wb.Profile.Name, load.Source, load.Seconds)
+		return g
 	})
 	return g
+}
+
+// GraphLoads lists the graphs this workbench has loaded, in the order
+// their loads finished: built by their generator or read from the graph
+// cache, and in how many seconds.
+func (wb *Workbench) GraphLoads() []obs.GraphLoad {
+	wb.mu.Lock()
+	defer wb.mu.Unlock()
+	return slices.Clone(wb.loads)
 }
 
 // Workload prepares the kernel instance for id in core slot's address

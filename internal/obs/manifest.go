@@ -118,6 +118,9 @@ type Manifest struct {
 	WallClockSec  float64   `json:"wall_clock_sec"`
 	Profile       string    `json:"profile"`
 	Workload      string    `json:"workload"`
+	// Graphs says how each input graph was obtained (omitted when the
+	// run loaded none).
+	Graphs []GraphLoad `json:"graphs,omitempty"`
 	// RunKey is the run's structural identity (harness.RunSpec.Key),
 	// the key the memo, the result store and gmserved know it by.
 	RunKey string    `json:"run_key,omitempty"`
@@ -144,6 +147,14 @@ type Manifest struct {
 	// (gmreport -out); empty for single runs.
 	Experiments []string    `json:"experiments,omitempty"`
 	Runtime     RuntimeInfo `json:"runtime"`
+}
+
+// GraphLoad is how one input graph reached a run: "built" by its
+// generator or "read" from the graph cache, and the seconds that took.
+type GraphLoad struct {
+	Name    string  `json:"name"`
+	Source  string  `json:"source"`
+	Seconds float64 `json:"seconds"`
 }
 
 // NewManifest starts a manifest for the named tool, stamping schema
