@@ -4,9 +4,10 @@
 //	gmgraph -convert soc-LiveJournal.txt -undirected -out lj.gmg
 //	gmgraph -stats kron.gmg
 //
-// Binary .gmg files load an order of magnitude faster than re-running
-// the generators or parsing edge lists; graph.ReadBinary loads them
-// (examples/real-graph -gmg).
+// Binary .gmg files (internal/graph's graph file, with a CRC) load an
+// order of magnitude faster than re-running the generators or parsing
+// edge lists; graph.ReadBinary loads them (examples/real-graph -gmg).
+// -out publishes atomically, so a failed run leaves any old file whole.
 package main
 
 import (
@@ -14,11 +15,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"graphmem/internal/graph"
 	"graphmem/internal/harness"
 	"graphmem/internal/obs"
+	"graphmem/internal/store"
 )
 
 func main() { os.Exit(run()) }
@@ -100,15 +103,8 @@ func save(g *graph.Graph, path string) error {
 	if path == "" {
 		return fmt.Errorf("missing -out")
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := g.WriteBinary(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	// Whole or not at all: a failed write leaves a file at path as it was.
+	if err := store.WriteFileAtomic(filepath.Dir(path), path, g.WriteBinary); err != nil {
 		return err
 	}
 	s := g.ComputeStats()

@@ -96,3 +96,55 @@ func TestGmgraphGeneratesEveryGraphName(t *testing.T) {
 		t.Errorf("-gen warp: %v, want %s", err, want)
 	}
 }
+
+// TestGmgraphRefusesBadInput: an edge list whose vertex count would
+// overflow int32 and a .gmg of the format before the checksum each exit
+// 1 with one line naming the fault; neither tears the .gmg already at
+// -out, and a good -gen over it leaves no temp file beside it.
+func TestGmgraphRefusesBadInput(t *testing.T) {
+	bin := buildGmgraph(t)
+	dir := t.TempDir()
+	out := filepath.Join(dir, "g.gmg")
+	if err := exec.Command(bin, "-gen", "kron", "-scale", "8", "-out", out).Run(); err != nil {
+		t.Fatalf("-gen: %v", err)
+	}
+	good, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := filepath.Join(dir, "big.txt")
+	old := filepath.Join(dir, "old.gmg")
+	if err := os.WriteFile(edges, []byte("0 2147483647\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(old, append([]byte("GMGRPH01"), make([]byte, 17)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-convert", edges, "-out", out}, "gmgraph: graph: line 1: vertex id 2147483647 too large\n"},
+		{[]string{"-stats", old}, "regenerate it with gmgraph"},
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, c.args...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("%v: exit %v, stderr %q; want status 1 and %q", c.args, err, stderr.String(), c.want)
+		}
+	}
+	if now, err := os.ReadFile(out); err != nil || !bytes.Equal(now, good) {
+		t.Errorf("a refused -convert changed the file at -out (%v)", err)
+	}
+	if err := exec.Command(bin, "-gen", "urand", "-scale", "8", "-out", out).Run(); err != nil {
+		t.Fatalf("-gen over a file: %v", err)
+	}
+	if now, err := os.ReadFile(out); err != nil || bytes.Equal(now, good) {
+		t.Errorf("-gen urand over kron's file: %v, file unchanged %v", err, bytes.Equal(now, good))
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 3 {
+		t.Errorf("%d files beside the output, want 3 (no temp file)", len(ents))
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"graphmem/internal/graph"
@@ -84,7 +85,7 @@ func loadGraph(edges, gmg string, undirected bool) (*graph.Graph, string, error)
 		}
 		defer f.Close()
 		g, err := graph.ReadEdgeList(f, undirected)
-		return g, trimName(edges), err
+		return g, filepath.Base(edges), err
 	case gmg != "":
 		f, err := os.Open(gmg)
 		if err != nil {
@@ -92,14 +93,9 @@ func loadGraph(edges, gmg string, undirected bool) (*graph.Graph, string, error)
 		}
 		defer f.Close()
 		g, err := graph.ReadBinary(f)
-		return g, trimName(gmg), err
+		return g, filepath.Base(gmg), err
 	default:
 		fmt.Println("no input given; generating a demo Kronecker graph (use -edges or -gmg for real data)")
 		return graph.Kron(17, 8, 1), "demo-kron17", nil
 	}
-}
-
-func trimName(path string) string {
-	parts := strings.Split(path, "/")
-	return parts[len(parts)-1]
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"os"
 	"os/exec"
@@ -25,9 +26,6 @@ func useCache(t *testing.T) string {
 	if !strings.HasPrefix(dir, root) {
 		t.Skipf("the user cache dir %s does not follow XDG_CACHE_HOME here", dir)
 	}
-	if !littleEndian {
-		t.Skip("big-endian host: the graph cache is off")
-	}
 	from := cacheFrom
 	cacheFrom = 0
 	t.Cleanup(func() { cacheFrom = from })
@@ -45,7 +43,7 @@ func generate(build func() *Graph) *Graph {
 func entries(t *testing.T, dir string) (published, temps []string) {
 	t.Helper()
 	published, _ = filepath.Glob(filepath.Join(dir, "*"+entrySuffix))
-	temps, _ = filepath.Glob(filepath.Join(dir, tempPrefix+"*"))
+	temps, _ = filepath.Glob(filepath.Join(dir, "*"+tempMark+"*"))
 	return published, temps
 }
 
@@ -127,6 +125,50 @@ func resealed(data []byte) []byte {
 	return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.Checksum(body, castagnoli))
 }
 
+// shapeAt is where the N, M and flags of the graph file in b begin.
+func shapeAt(b []byte) int {
+	return len(fileMagic) + 4 + int(binary.LittleEndian.Uint32(b[len(fileMagic):]))
+}
+
+// fileDamage is the damage a graph file may come to, each edit of one
+// that neither ReadBinary nor the cache may accept.
+var fileDamage = map[string]func([]byte) []byte{
+	"empty":     func(b []byte) []byte { return nil },
+	"truncated": func(b []byte) []byte { return b[:len(b)-1] },
+	"half":      func(b []byte) []byte { return b[:len(b)/2] },
+	"longer":    func(b []byte) []byte { return append(b, 0) },
+	"flipped": func(b []byte) []byte {
+		b[len(b)/2] ^= 0x10
+		return b
+	},
+	"flipped-crc": func(b []byte) []byte {
+		b[len(b)-1] ^= 1
+		return b
+	},
+	"bad-magic": func(b []byte) []byte {
+		b[0] = 'X'
+		return resealed(b)
+	},
+	"unknown-flag": func(b []byte) []byte {
+		b[shapeAt(b)+shapeLen-1] |= 0x80
+		return resealed(b)
+	},
+	"huge-M": func(b []byte) []byte {
+		binary.LittleEndian.PutUint64(b[shapeAt(b)+4:], 1<<61)
+		return resealed(b)
+	},
+	// Vertex 0's last neighbour one lower: still in range and sorted, so
+	// only the checksum can tell (TestReadBinaryRefusesDamage).
+	"neighbour": func(b []byte) []byte {
+		shape := shapeAt(b)
+		oa := shape + shapeLen
+		na := oa + 8*(int(binary.LittleEndian.Uint32(b[shape:]))+1)
+		last := na + 4*(int(binary.LittleEndian.Uint64(b[oa+8:]))-1)
+		binary.LittleEndian.PutUint32(b[last:], binary.LittleEndian.Uint32(b[last:])-1)
+		return b
+	},
+}
+
 // TestCacheDamageIsAMiss: a truncated, flipped, foreign or other-version
 // entry is never read; the generator rebuilds, with the same bytes, and
 // republishes an entry the next call reads.
@@ -134,22 +176,6 @@ func TestCacheDamageIsAMiss(t *testing.T) {
 	build := func() *Graph { return RoadGrid(32, 32, 255, 6) }
 	want := fingerprint(generate(build))
 	damage := map[string]func([]byte) []byte{
-		"empty":     func(b []byte) []byte { return nil },
-		"truncated": func(b []byte) []byte { return b[:len(b)-1] },
-		"half":      func(b []byte) []byte { return b[:len(b)/2] },
-		"longer":    func(b []byte) []byte { return append(b, 0) },
-		"flipped": func(b []byte) []byte {
-			b[len(b)/2] ^= 0x10
-			return b
-		},
-		"flipped-crc": func(b []byte) []byte {
-			b[len(b)-1] ^= 1
-			return b
-		},
-		"bad-magic": func(b []byte) []byte {
-			b[0] = 'X'
-			return resealed(b)
-		},
 		"wrong-key": func(b []byte) []byte {
 			return resealed(bytes.Replace(b, []byte("road"), []byte("daor"), 1))
 		},
@@ -157,19 +183,8 @@ func TestCacheDamageIsAMiss(t *testing.T) {
 			version, next := fmt.Sprintf(" v%d ", GenVersion), fmt.Sprintf(" v%d ", GenVersion+1)
 			return resealed(bytes.Replace(b, []byte(version), []byte(next), 1))
 		},
-		"unknown-flag": func(b []byte) []byte {
-			i := bytes.Index(b, []byte("road")) + len("road")
-			i += bytes.IndexByte(b[i:], ']') + 1 + shapeLen - 1
-			b[i] |= 0x80
-			return resealed(b)
-		},
-		"huge-M": func(b []byte) []byte {
-			i := bytes.Index(b, []byte("road")) + len("road")
-			i += bytes.IndexByte(b[i:], ']') + 1 + 4
-			binary.LittleEndian.PutUint64(b[i:], 1<<61)
-			return resealed(b)
-		},
 	}
+	maps.Copy(damage, fileDamage)
 	for name, edit := range damage {
 		t.Run(name, func(t *testing.T) {
 			dir := useCache(t)
@@ -183,6 +198,28 @@ func TestCacheDamageIsAMiss(t *testing.T) {
 				t.Errorf("after the rebuild: FromCache %v, same bytes %v; want a read of the republished entry", g.FromCache(), fingerprint(g) == want)
 			}
 		})
+	}
+}
+
+// TestReadBinaryRefusesDamage: every file damage is an error from
+// ReadBinary too. The neighbour edit resealed is a valid graph, other
+// than the one written: the checksum is all that refuses it.
+func TestReadBinaryRefusesDamage(t *testing.T) {
+	g := RoadGrid(32, 32, 255, 6)
+	var buf bytes.Buffer
+	if err := g.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range fileDamage {
+		t.Run(name, func(t *testing.T) {
+			if _, err := ReadBinary(bytes.NewReader(edit(bytes.Clone(buf.Bytes())))); err == nil {
+				t.Error("damaged file accepted")
+			}
+		})
+	}
+	other, err := ReadBinary(bytes.NewReader(resealed(fileDamage["neighbour"](bytes.Clone(buf.Bytes())))))
+	if err != nil || fingerprint(other) == fingerprint(g) {
+		t.Errorf("neighbour edit resealed: %v, same graph %v; want a valid other graph", err, err == nil && fingerprint(other) == fingerprint(g))
 	}
 }
 
@@ -282,12 +319,12 @@ func TestCacheTrim(t *testing.T) {
 	}
 	now := time.Now()
 	files := map[string]time.Duration{
-		"old" + entrySuffix:     entryTTL + time.Hour,
-		"recent" + entrySuffix:  entryTTL - time.Hour,
-		tempPrefix + "old":      tempTTL + time.Minute,
-		tempPrefix + "recent":   tempTTL - time.Minute,
-		"foreign":               10 * entryTTL,
-		"foreign" + entrySuffix: 0,
+		"old" + entrySuffix:       entryTTL + time.Hour,
+		"recent" + entrySuffix:    entryTTL - time.Hour,
+		"old" + tempMark + "1":    tempTTL + time.Minute,
+		"recent" + tempMark + "2": tempTTL - time.Minute,
+		"foreign":                 10 * entryTTL,
+		"foreign" + entrySuffix:   0,
 	}
 	for name, age := range files {
 		p := filepath.Join(dir, name)
@@ -301,7 +338,7 @@ func TestCacheTrim(t *testing.T) {
 	Kron(10, 8, 2) // opens the directory: trims, then publishes
 	for name := range files {
 		_, err := os.Stat(filepath.Join(dir, name))
-		if gone, want := os.IsNotExist(err), name == "old"+entrySuffix || name == tempPrefix+"old"; gone != want {
+		if gone, want := os.IsNotExist(err), name == "old"+entrySuffix || name == "old"+tempMark+"1"; gone != want {
 			t.Errorf("%s: deleted %v, want %v", name, gone, want)
 		}
 	}

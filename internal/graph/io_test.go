@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -71,6 +73,11 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader([]byte("hello world, not a graph"))); err == nil {
 		t.Error("bad magic accepted")
 	}
+	// A file of the format before the checksum is refused with a hint.
+	old := append([]byte("GMGRPH01"), make([]byte, 17)...)
+	if _, err := ReadBinary(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "regenerate") {
+		t.Errorf("a GMGRPH01 file: %v, want an error that says to regenerate it", err)
+	}
 	// Truncated file.
 	var buf bytes.Buffer
 	g := tiny()
@@ -79,10 +86,10 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated file accepted")
 	}
-	// Corrupted adjacency (out-of-range neighbor).
+	// Corrupted adjacency (out-of-range neighbor) under a valid checksum.
 	full := append([]byte(nil), buf.Bytes()...)
-	full[len(full)-1] = 0x7f
-	if _, err := ReadBinary(bytes.NewReader(full)); err == nil {
+	binary.LittleEndian.PutUint32(full[len(full)-8:], 0x7f)
+	if _, err := ReadBinary(bytes.NewReader(resealed(full))); err == nil {
 		t.Error("corrupt adjacency accepted")
 	}
 }
@@ -134,11 +141,13 @@ func TestReadEdgeListWeightedUndirected(t *testing.T) {
 
 func TestReadEdgeListErrors(t *testing.T) {
 	cases := []string{
-		"",              // empty
-		"0\n",           // too few fields
-		"a b\n",         // non-numeric
-		"0 -1\n",        // negative id
-		"0 1 notanum\n", // bad weight
+		"",               // empty
+		"0\n",            // too few fields
+		"a b\n",          // non-numeric
+		"0 -1\n",         // negative id
+		"0 1 notanum\n",  // bad weight
+		"0 2147483647\n", // the vertex count would overflow int32
+		"2147483647 0 3\n",
 	}
 	for _, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in), false); err == nil {
@@ -148,36 +157,45 @@ func TestReadEdgeListErrors(t *testing.T) {
 }
 
 // TestReadBinaryDistrustsHeader: a header may announce any N and M;
-// with no payload behind them ReadBinary must fail cleanly instead of
-// allocating what the header asks for (M = 1<<62 used to panic in
-// makeslice, M = 1<<34 to ask the runtime for 64 GB).
+// with no arrays behind them ReadBinary must fail cleanly instead of
+// allocating what the header asks for (M = 1<<62 would panic in
+// makeslice, M = 1<<34 ask the runtime for 64 GB). A small N gets its
+// OA, so the reader reaches NA.
 func TestReadBinaryDistrustsHeader(t *testing.T) {
 	for _, c := range []struct {
 		n uint32
 		m uint64
 	}{{3, 1 << 62}, {3, 1 << 34}, {1<<31 - 1, 0}, {1 << 31, 0}, {3, 1 << 63}} {
-		hdr := binaryHeader(c.n, c.m, false)
-		if _, err := ReadBinary(bytes.NewReader(hdr)); err == nil {
-			t.Errorf("N=%d M=%d with no payload accepted", c.n, c.m)
+		if _, err := ReadBinary(bytes.NewReader(headerAndOA(c.n, c.m))); err == nil {
+			t.Errorf("N=%d M=%d with no arrays accepted", c.n, c.m)
 		}
 	}
 }
 
-func binaryHeader(n uint32, m uint64, weighted bool) []byte {
-	hdr := append([]byte(nil), graphMagic[:]...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, n)
-	hdr = binary.LittleEndian.AppendUint64(hdr, m)
-	hdr = append(hdr, 0, 0, 0, 0, 0) // bytes 20..23 are unused, 24 is the weighted flag
-	if weighted {
-		hdr[24] = 1
+// headerAndOA is a .gmg header announcing n and m, followed by an
+// all-zero OA when n is small.
+func headerAndOA(n uint32, m uint64) []byte {
+	file := binaryHeader(n, m, false)
+	if n < 1<<10 {
+		file = append(file, make([]byte, 8*(n+1))...)
 	}
-	return hdr
+	return file
+}
+
+// binaryHeader is a .gmg header (an empty key) announcing n and m.
+func binaryHeader(n uint32, m uint64, weighted bool) []byte {
+	var flags byte
+	if weighted {
+		flags = flagWeighted
+	}
+	return header("", int32(n), int64(m), flags)
 }
 
 // FuzzReadBinary: whatever the bytes, ReadBinary returns an error or a
 // graph that passes Validate and survives a write/read round trip — it
 // never panics and never allocates by the header's say-so alone.
 func FuzzReadBinary(f *testing.F) {
+	hdrLen := len(binaryHeader(0, 0, false))
 	for _, g := range []*Graph{tiny(), RoadGrid(4, 4, 9, 1)} {
 		var buf bytes.Buffer
 		if err := g.WriteBinary(&buf); err != nil {
@@ -187,30 +205,30 @@ func FuzzReadBinary(f *testing.F) {
 		f.Add(file)
 		// Truncated at, and just short of, the end of each section:
 		// magic, sizes, OA, NA, (W).
-		oaEnd := 25 + 8*(int(g.N)+1)
-		for _, cut := range []int{0, 8, 24, 25, oaEnd - 1, oaEnd, oaEnd + 4*len(g.NA) - 1, oaEnd + 4*len(g.NA), len(file) - 1} {
+		oaEnd := hdrLen + 8*(int(g.N)+1)
+		for _, cut := range []int{0, 8, hdrLen - 1, hdrLen, oaEnd - 1, oaEnd, oaEnd + 4*len(g.NA) - 1, oaEnd + 4*len(g.NA), len(file) - 1} {
 			f.Add(file[:cut])
 		}
-		// The weighted flag flipped: weights promised but absent, or
-		// present but unannounced.
+		// The weighted flag flipped under a valid checksum: weights
+		// promised but absent, or present but unannounced.
 		flipped := append([]byte(nil), file...)
-		flipped[24] ^= 1
-		f.Add(flipped)
+		flipped[hdrLen-1] ^= flagWeighted
+		f.Add(resealed(flipped))
 	}
-	f.Add(binaryHeader(3, 1<<62, false))
-	f.Add(binaryHeader(3, 1<<34, true))
-	f.Add(binaryHeader(1<<31-1, 0, false))
-	f.Add(append(binaryHeader(2, 5, false), make([]byte, 24+20)...)) // OA all zero: does not span NA
+	f.Add(headerAndOA(3, 1<<62))
+	f.Add(append(binaryHeader(3, 1<<34, true), make([]byte, 32)...))
+	f.Add(headerAndOA(1<<31-1, 0))
+	f.Add(resealed(append(binaryHeader(2, 5, false), make([]byte, 24+20+4)...))) // OA all zero: does not span NA (+4: the checksum)
 	// OA = {0, 7, 3, ...}: monotone where Validate first looks, ends on
 	// M, and walks off NA in between.
 	overshoot := binaryHeader(8, 3, false)
 	for _, off := range []uint64{0, 7, 3, 3, 3, 3, 3, 3, 3} {
 		overshoot = binary.LittleEndian.AppendUint64(overshoot, off)
 	}
-	for _, v := range []uint32{1, 2, 3} {
+	for _, v := range []uint32{1, 2, 3, 0} { // 0: room for the checksum
 		overshoot = binary.LittleEndian.AppendUint32(overshoot, v)
 	}
-	f.Add(overshoot)
+	f.Add(resealed(overshoot))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
@@ -226,6 +244,40 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if again, err := ReadBinary(&buf); err != nil || !graphsEqual(g, again) {
 			t.Fatalf("accepted graph does not survive a round trip: %v", err)
+		}
+	})
+}
+
+// FuzzReadEdgeList: whatever the text, ReadEdgeList returns an error or
+// a graph that passes Validate — it never panics.
+func FuzzReadEdgeList(f *testing.F) {
+	for _, s := range []string{
+		"0 1\n1 2\n2 0\n",
+		"# c\n% c\n0 1 5\n1 2 7\n",
+		"3 3\n0 0\n",
+		"0 2147483647\n",
+		"0 65536 1\n",
+		"0 -1\n",
+		"a b\n",
+		"",
+	} {
+		f.Add(s, false)
+		f.Add(s, true)
+	}
+	f.Fuzz(func(t *testing.T, text string, undirected bool) {
+		// A valid id allocates a vertex array in proportion to it:
+		// skip the large ones, not the out-of-range ones.
+		for _, tok := range strings.Fields(text) {
+			if id, err := strconv.ParseInt(tok, 10, 64); err == nil && id > 1<<16 && id < math.MaxInt32 {
+				t.Skip("vertex id too large to allocate for")
+			}
+		}
+		g, err := ReadEdgeList(strings.NewReader(text), undirected)
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("ReadEdgeList returned an invalid graph: %v", err)
 		}
 	})
 }

@@ -23,7 +23,7 @@ import (
 )
 
 // GraphNames lists the six inputs in Table III order.
-var GraphNames = []string{"web", "road", "twitter", "kron", "urand", "friendster"}
+var GraphNames = names(inputGraphs)
 
 // WorkloadID names one kernel x graph combination ("cc.friendster").
 type WorkloadID struct {
@@ -92,27 +92,48 @@ type Profile struct {
 	Mixes int
 }
 
-func graphSet(vBig, vRoadSide int32, degPL, degWeb int, kronScale int, kronEF int64) map[string]GraphSpec {
-	return map[string]GraphSpec{
-		"web": {Name: "web", Build: func() *graph.Graph {
-			return graph.WebLike(vBig, degWeb, 0x3EB)
-		}},
-		"road": {Name: "road", Build: func() *graph.Graph {
-			return graph.RoadGrid(vRoadSide, vRoadSide, 255, 0x70AD)
-		}},
-		"twitter": {Name: "twitter", Build: func() *graph.Graph {
-			return graph.PowerLaw(vBig, degPL, 0.15, false, 0x7517)
-		}},
-		"kron": {Name: "kron", Build: func() *graph.Graph {
-			return graph.Kron(kronScale, kronEF, 0x6501)
-		}},
-		"urand": {Name: "urand", Build: func() *graph.Graph {
-			return graph.Urand(1<<uint(kronScale), kronEF*int64(1)<<uint(kronScale)/2, 0x0a4d)
-		}},
-		"friendster": {Name: "friendster", Build: func() *graph.Graph {
-			return graph.PowerLaw(vBig+vBig/4, degPL+2, 0.05, true, 0xF12E)
-		}},
+// graphSizes are a profile's input sizes; urand takes Kron's.
+type graphSizes struct {
+	vBig, vRoadSide          int32
+	degPL, degWeb, kronScale int
+	kronEF                   int64
+}
+
+// inputGraph is a Table III input's seed and its build over a profile's sizes.
+type inputGraph struct {
+	seed  uint64
+	build func(s graphSizes, seed uint64) *graph.Graph
+}
+
+// inputGraphs lists the Table III inputs in Table III order.
+var inputGraphs = []entry[inputGraph]{
+	{"web", nil, inputGraph{0x3EB, func(s graphSizes, seed uint64) *graph.Graph {
+		return graph.WebLike(s.vBig, s.degWeb, seed)
+	}}},
+	{"road", nil, inputGraph{0x70AD, func(s graphSizes, seed uint64) *graph.Graph {
+		return graph.RoadGrid(s.vRoadSide, s.vRoadSide, 255, seed)
+	}}},
+	{"twitter", nil, inputGraph{0x7517, func(s graphSizes, seed uint64) *graph.Graph {
+		return graph.PowerLaw(s.vBig, s.degPL, 0.15, false, seed)
+	}}},
+	{"kron", nil, inputGraph{0x6501, func(s graphSizes, seed uint64) *graph.Graph {
+		return graph.Kron(s.kronScale, s.kronEF, seed)
+	}}},
+	{"urand", nil, inputGraph{0x0a4d, func(s graphSizes, seed uint64) *graph.Graph {
+		return graph.Urand(1<<uint(s.kronScale), s.kronEF*int64(1)<<uint(s.kronScale)/2, seed)
+	}}},
+	{"friendster", nil, inputGraph{0xF12E, func(s graphSizes, seed uint64) *graph.Graph {
+		return graph.PowerLaw(s.vBig+s.vBig/4, s.degPL+2, 0.05, true, seed)
+	}}},
+}
+
+// graphSet is every input graph at sizes s, keyed by name.
+func graphSet(s graphSizes) map[string]GraphSpec {
+	set := make(map[string]GraphSpec, len(inputGraphs))
+	for _, in := range inputGraphs {
+		set[in.name] = GraphSpec{Name: in.name, Build: func() *graph.Graph { return in.v.build(s, in.v.seed) }}
 	}
+	return set
 }
 
 // profiles lists the scale profiles in the order help texts name them;
@@ -124,7 +145,7 @@ var profiles = []entry[func() Profile]{
 	{"bench", nil, func() Profile {
 		return Profile{
 			BaseConfig: func(cores int) sim.Config { return sim.TableI(cores).BenchScale() },
-			Graphs:     graphSet(450_000, 700, 6, 8, 19, 8),
+			Graphs:     graphSet(graphSizes{450_000, 700, 6, 8, 19, 8}),
 			// Warm-up covers the sequential initialization phase of the
 			// largest bench graphs (e.g. PR's contrib refresh, ~6 instr
 			// per vertex) so the measured window is the data-dependent
@@ -139,7 +160,7 @@ var profiles = []entry[func() Profile]{
 	{"small", []string{""}, func() Profile {
 		return Profile{
 			BaseConfig: sim.TableI,
-			Graphs:     graphSet(2_000_000, 1400, 8, 8, 21, 8),
+			Graphs:     graphSet(graphSizes{2_000_000, 1400, 8, 8, 21, 8}),
 			Warmup:     16_000_000, Measure: 12_000_000,
 			MixWarmup: 16_000_000, MixMeasure: 4_000_000,
 			Mixes: 50,
@@ -150,7 +171,7 @@ var profiles = []entry[func() Profile]{
 	{"full", nil, func() Profile {
 		return Profile{
 			BaseConfig: sim.TableI,
-			Graphs:     graphSet(4_000_000, 2000, 8, 8, 22, 6),
+			Graphs:     graphSet(graphSizes{4_000_000, 2000, 8, 8, 22, 6}),
 			Warmup:     30_000_000, Measure: 20_000_000,
 			MixWarmup: 30_000_000, MixMeasure: 6_000_000,
 			Mixes: 50,

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -80,27 +81,29 @@ func (f Framing) Decode(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// WriteFileAtomic publishes data at path via a temporary file in dir
-// plus a rename, so a crashed or interrupted writer can never leave a
-// half-written file that a later reader would trust. dir must be on the
-// same filesystem as path (use the file's own directory).
-func WriteFileAtomic(dir, path string, data []byte) error {
+// WriteFileAtomic publishes what write writes at path, readable by all
+// (0644), via a temporary file in dir (path's name, .tmp, digits) and a
+// rename: a crashed or interrupted writer can never leave a
+// half-written file that a later reader would trust, and of several
+// writers of one path, one rename wins. dir must be on the same
+// filesystem as path (use the file's own directory).
+func WriteFileAtomic(dir, path string, write func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("store: atomic write: %w", err)
 	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("store: atomic write: %w", err)
+	err = write(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("store: atomic write: %w", err)
+	if err == nil {
+		err = os.Chmod(tmp.Name(), 0o644)
 	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
 		return fmt.Errorf("store: atomic write: %w", err)
 	}
 	return nil

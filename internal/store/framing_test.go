@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -63,11 +64,18 @@ func flipBit(data []byte, i int) []byte {
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.bin")
-	if err := WriteFileAtomic(dir, path, []byte("first")); err != nil {
-		t.Fatal(err)
+	for _, data := range []string{"first", "second"} {
+		if err := WriteFileAtomic(dir, path, writeString(data)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := WriteFileAtomic(dir, path, []byte("second")); err != nil {
-		t.Fatal(err)
+	// A writer that fails publishes nothing: the old file stays whole.
+	fail := func(w io.Writer) error {
+		w.Write([]byte("torn"))
+		return errors.New("disk full")
+	}
+	if err := WriteFileAtomic(dir, path, fail); err == nil {
+		t.Fatal("a failed write reported success")
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {
@@ -76,12 +84,24 @@ func TestWriteFileAtomic(t *testing.T) {
 	if string(got) != "second" {
 		t.Fatalf("got %q, want %q", got, "second")
 	}
-	// No abandoned temp files after successful publishes.
+	if info, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if info.Mode().Perm() != 0o644 {
+		t.Errorf("published file's mode %v, want 0644", info.Mode().Perm())
+	}
+	// No abandoned temp files after successful or failed publishes.
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ents) != 1 {
 		t.Fatalf("directory has %d entries, want just the published file", len(ents))
+	}
+}
+
+func writeString(s string) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := io.WriteString(w, s)
+		return err
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -315,7 +316,9 @@ func (s *Store) Reject(key string) {
 // put frames and atomically publishes a payload, then enforces the size
 // cap if one is set.
 func (s *Store) put(key string, payload []byte) error {
-	if err := WriteFileAtomic(s.dir, s.Path(key), s.framing.Encode(payload)); err != nil {
+	framed := s.framing.Encode(payload)
+	write := func(w io.Writer) error { _, err := w.Write(framed); return err }
+	if err := WriteFileAtomic(s.dir, s.Path(key), write); err != nil {
 		return err
 	}
 	s.mu.Lock()
