@@ -30,9 +30,12 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"graphmem/internal/store"
 )
 
 // result is one benchmark's reduced summary.
@@ -176,7 +179,10 @@ func updateBaseline(path string, results map[string]*result, order []string) err
 		r := results[name]
 		fmt.Fprintf(&b, "%s %.4g %d\n", name, r.medianNs(), r.maxAllocs())
 	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
+	return store.WriteFileAtomic(filepath.Dir(path), path, func(w io.Writer) error {
+		_, err := io.WriteString(w, b.String())
+		return err
+	})
 }
 
 // gate compares this run against the baseline, writes one report line

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,6 +26,7 @@ import (
 	"graphmem/internal/check"
 	"graphmem/internal/harness"
 	"graphmem/internal/obs"
+	"graphmem/internal/store"
 )
 
 func main() { os.Exit(run()) }
@@ -133,25 +135,14 @@ func run() int {
 	return 0
 }
 
-// writeTableFiles persists one table as <dir>/<id>.txt and .csv.
+// writeTableFiles persists one table as <dir>/<id>.txt and .csv, each
+// published atomically.
 func writeTableFiles(dir string, t *harness.Table) error {
-	txt, err := os.Create(filepath.Join(dir, t.ID+".txt"))
-	if err != nil {
+	render := func(w io.Writer) error { t.Render(w); return nil }
+	if err := store.WriteFileAtomic(dir, filepath.Join(dir, t.ID+".txt"), render); err != nil {
 		return err
 	}
-	t.Render(txt)
-	if err := txt.Close(); err != nil {
-		return err
-	}
-	csvf, err := os.Create(filepath.Join(dir, t.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	if err := t.RenderCSV(csvf); err != nil {
-		csvf.Close()
-		return err
-	}
-	return csvf.Close()
+	return store.WriteFileAtomic(dir, filepath.Join(dir, t.ID+".csv"), t.RenderCSV)
 }
 
 // writeSweepManifest records the sweep's provenance next to the tables.
@@ -160,13 +151,5 @@ func writeSweepManifest(dir string, wb *harness.Workbench, experiments []string,
 	m.Profile = wb.Profile.Name
 	m.Config = wb.BaseConfig().ManifestInfo()
 	m.Experiments = experiments
-	f, err := os.Create(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		return err
-	}
-	if err := m.Finalize(start).WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return store.WriteFileAtomic(dir, filepath.Join(dir, "manifest.json"), m.Finalize(start).WriteJSON)
 }

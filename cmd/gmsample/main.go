@@ -29,13 +29,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"time"
 
 	"graphmem/internal/harness"
 	"graphmem/internal/sample"
 	"graphmem/internal/sim"
 	"graphmem/internal/stats"
+	"graphmem/internal/store"
 )
 
 // cell is one gate matrix point: a config variant, a workload, and the
@@ -244,7 +247,10 @@ func writeReference(wb *harness.Workbench, path string, tol float64) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
+	return store.WriteFileAtomic(filepath.Dir(path), path, func(w io.Writer) error {
+		_, err := w.Write(append(blob, '\n'))
+		return err
+	})
 }
 
 func fatal(err error) {

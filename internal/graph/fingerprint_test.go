@@ -65,7 +65,7 @@ var fingerprintCases = []struct {
 	{"unitweights/web", false, func() *Graph { return AddUnitWeights(WebLike(1024, 8, 5), 8, 0x59e5) },
 		"ad51a6ded1d5273a48b0bc36db18f8b6c18a390f6fc3a2323c20b353e01f04f0"},
 	// The four generator-built inputs of the bench profile
-	// (harness.Bench: graphSet(450_000, 700, 6, 8, 19, 8)).
+	// (harness.Bench: graphSet(graphSizes{450_000, 700, 6, 8, 19, 8})).
 	{"bench/kron", true, func() *Graph { return Kron(19, 8, 0x6501) },
 		"cd5fad1a3d538930087cbac8333669a3363537c59bbb2553177b414c7d6e4a56"},
 	{"bench/urand", true, func() *Graph { return Urand(1<<19, 8<<19/2, 0x0a4d) },

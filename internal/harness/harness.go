@@ -483,10 +483,10 @@ func tryHit[V any](wb *Workbench, s *RunSpec, sh shape[V]) (V, bool) {
 func fill[V any](wb *Workbench, s *RunSpec, sh shape[V]) V {
 	v, shared := wb.runs.do(s.key, func() any {
 		// Disk tier: the store's Acquire holds the key's claim from here to
-		// commit, so concurrent processes sharing the directory serialize on
-		// the run too. It still hits on an entry published since tryHit
-		// peeked, or one another process publishes while Acquire waits on
-		// its claim. A hit must decode to exactly the run we asked for;
+		// commit, so other workbenches and processes sharing the directory
+		// serialize on the run too. It still hits on an entry published
+		// since tryHit peeked, or one another producer publishes while
+		// Acquire waits on its claim. A hit must decode to exactly the run we asked for;
 		// anything else is dropped (Reject) and the run proceeds live with
 		// the claim still held, republishing under the key — the cache can
 		// never poison a sweep.

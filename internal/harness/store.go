@@ -11,9 +11,10 @@ import (
 // store slots under the in-memory memo (lookup order: memory memo →
 // disk store → live run, walked by through in harness.go). A published
 // entry is read on the caller without a lock (Store.Peek); a miss goes
-// to the workbench's single-flight memo fill, under which the store's
-// own single-flight and claim discipline serialize the producers. Stored results are byte-identical to
-// live ones — the determinism contract pinned by
+// to the workbench's single-flight memo fill, the one in-process
+// single-flight, under which the store's claim file serializes the
+// producers of other workbenches and processes. Stored results are
+// byte-identical to live ones — the determinism contract pinned by
 // TestStoreReportsByteIdentical — so the tier affects wall-clock only.
 
 // OpenResultStore opens (creating if needed) a result store rooted at

@@ -263,6 +263,11 @@ func storeRunOnce(t *testing.T, dir string, cores int) (res any, path string, fi
 	if err != nil {
 		t.Fatal(err)
 	}
+	return storeRunOn(st, cores)
+}
+
+// storeRunOn is storeRunOnce on a store handle the caller opened.
+func storeRunOn(st *store.Store, cores int) (res any, path string, finished int64) {
 	wb := NewWorkbench(fastBench())
 	wb.Store = st
 	id := WorkloadID{Kernel: "triad", Graph: "reg"}
@@ -362,30 +367,50 @@ func TestStoreDamageFallsBackToLive(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentWorkbenches drives two workbenches (two store
-// handles over one directory, as two processes would be) at the same
-// point concurrently: the claim protocol lets exactly one simulate and
-// the other returns the published result.
+// TestStoreConcurrentWorkbenches drives two workbenches at the same
+// point concurrently, on two store handles over one directory (as two
+// processes would be) and on one shared handle (gmserved's shape): the
+// claim file, the store's one serializer across workbenches, lets
+// exactly one simulate and the other returns the published result.
 func TestStoreConcurrentWorkbenches(t *testing.T) {
-	dir := t.TempDir()
-	type outcome struct {
-		res      any
-		finished int64
-	}
-	ch := make(chan outcome, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			res, _, finished := storeRunOnce(t, dir, 1)
-			ch <- outcome{res, finished}
-		}()
-	}
-	a, b := <-ch, <-ch
-	if a.finished+b.finished != 1 {
-		t.Errorf("%d live simulations across two workbenches, want exactly 1 (claim dedup)",
-			a.finished+b.finished)
-	}
-	if !reflect.DeepEqual(a.res, b.res) {
-		t.Error("the two workbenches returned different results for one point")
+	for _, tc := range []struct {
+		name   string
+		shared bool
+	}{{"two handles", false}, {"one handle", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var handles [2]*store.Store
+			for i := range handles {
+				if i > 0 && tc.shared {
+					handles[i] = handles[0]
+					continue
+				}
+				st, err := OpenResultStore(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				handles[i] = st
+			}
+			type outcome struct {
+				res      any
+				finished int64
+			}
+			ch := make(chan outcome, 2)
+			for _, h := range handles {
+				go func() {
+					res, _, finished := storeRunOn(h, 1)
+					ch <- outcome{res, finished}
+				}()
+			}
+			a, b := <-ch, <-ch
+			if a.finished+b.finished != 1 {
+				t.Errorf("%d live simulations across two workbenches, want exactly 1 (claim dedup)",
+					a.finished+b.finished)
+			}
+			if !reflect.DeepEqual(a.res, b.res) {
+				t.Error("the two workbenches returned different results for one point")
+			}
+		})
 	}
 }
 

@@ -2,11 +2,11 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
+	"path/filepath"
 
 	"graphmem/internal/mem"
+	"graphmem/internal/store"
 )
 
 // Perfetto export: the flight recorder's occupancy timeline rendered as
@@ -137,15 +137,7 @@ func WritePerfetto(w io.Writer, runs []TraceRun) error {
 	return enc.Encode(&tf)
 }
 
-// WritePerfettoFile writes the trace to path.
+// WritePerfettoFile publishes the trace at path atomically.
 func WritePerfettoFile(path string, runs []TraceRun) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: create trace: %w", err)
-	}
-	if err := WritePerfetto(f, runs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return store.WriteFileAtomic(filepath.Dir(path), path, func(w io.Writer) error { return WritePerfetto(w, runs) })
 }

@@ -1,9 +1,9 @@
 // Package store provides the repository's on-disk persistence
 // primitives: a versioned, checksummed file framing (magic + version +
 // length + sha256 + payload), the binary payload codec stored values
-// travel in (Marshal/Unmarshal), and a content-addressed blob store
-// with per-key single-flight, best-effort cross-process claim files,
-// atomic publication, and LRU size capping.
+// travel in (Marshal/Unmarshal), and a lock-free content-addressed blob
+// store with best-effort claim files (its one serializer across store
+// handles and processes), atomic publication, and LRU size capping.
 //
 // The repository uses one store: the simulation result store, framed
 // with sim.ResultFraming. It holds run results only (the Fig. 3 profile

@@ -9,7 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -18,20 +18,21 @@ import (
 // (hashes over everything that identifies the payload), so the store
 // itself never interprets payloads beyond the framing checksum.
 //
-// Concurrency discipline:
+// A Store holds no lock; its counters are atomic. Concurrency
+// discipline:
 //
-//   - Per-key single-flight across goroutines: Acquire holds a per-key
-//     mutex from lookup to commit, so two goroutines computing the same
-//     key serialize and the second one hits the first one's file.
-//   - Lock-free reads: Peek serves a published entry without the key's
-//     lock, since publication is atomic; a reader that finds none goes
-//     on to Acquire.
-//   - Best-effort cross-process claim files: the first process to miss
-//     on a key creates <key>.claim (O_EXCL); a second process that
-//     loses the claim polls briefly for the winner's published result
-//     before falling back to computing it itself. Claims are advisory
-//     only — correctness never depends on them, because payloads are
-//     deterministic and publication is atomic (tmp + rename).
+//   - Lock-free reads: publication is an atomic rename, so a reader
+//     (Peek, or Acquire's lookup) sees a whole entry or none.
+//   - One serializer for producers, the claim file: the first Acquire to
+//     miss on a key creates <key>.claim (O_EXCL), re-reads the key, and
+//     computes only if it is still missing; an Acquire that loses the
+//     claim, on this handle, another handle or in another process, polls
+//     for the winner's published result before computing the key
+//     itself. Claims are advisory only — correctness never depends on
+//     them, because payloads are deterministic and publication is
+//     atomic (tmp + rename). In-process single-flight belongs to the
+//     caller (the harness memo); the claim is the one across handles
+//     and processes.
 //
 // A corrupt, truncated or stale-version file is an ordinary miss and is
 // overwritten by the next commit; the cache can never be poisoned.
@@ -44,22 +45,16 @@ type Store struct {
 	dir     string
 	framing Framing
 
-	// ClaimWait bounds how long a process that lost the cross-process
-	// claim race polls for the winner's result before computing the key
-	// itself. 0 disables waiting (pure duplicate-work tolerance).
-	ClaimWait time.Duration
-	// ClaimTTL is the age beyond which a claim file is considered
+	// claimWait bounds how long an Acquire that lost the claim race polls
+	// for the winner's result before computing the key itself. 0
+	// disables waiting (pure duplicate-work tolerance).
+	claimWait time.Duration
+	// claimTTL is the age beyond which a claim file is considered
 	// abandoned (crashed owner) and is removed by the next Acquire.
-	ClaimTTL time.Duration
+	claimTTL time.Duration
 
-	mu sync.Mutex
-	// keys holds the lock of every key some Acquire holds or waits for;
-	// the last of them to release a key drops its entry.
-	keys      map[string]*keyLock
-	maxBytes  int64
-	hits      int64
-	misses    int64
-	evictions int64
+	maxBytes                atomic.Int64
+	hits, misses, evictions atomic.Int64
 }
 
 // recencyResolution is how stale an entry's mtime may get before a hit
@@ -73,13 +68,7 @@ func Open(dir string, f Framing) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	return &Store{
-		dir:       dir,
-		framing:   f,
-		ClaimWait: 2 * time.Minute,
-		ClaimTTL:  10 * time.Minute,
-		keys:      make(map[string]*keyLock),
-	}, nil
+	return &Store{dir: dir, framing: f, claimWait: 2 * time.Minute, claimTTL: 10 * time.Minute}, nil
 }
 
 // Dir returns the store's root directory.
@@ -95,74 +84,18 @@ func (s *Store) claimPath(key string) string { return filepath.Join(s.dir, key+"
 // pushes the store over the cap evicts least-recently-used entries
 // (file mtime order, which Acquire hits refresh at one-second
 // resolution) until it fits. 0 removes the cap.
-func (s *Store) SetMaxBytes(n int64) {
-	s.mu.Lock()
-	s.maxBytes = n
-	s.mu.Unlock()
-}
+func (s *Store) SetMaxBytes(n int64) { s.maxBytes.Store(n) }
 
 // Hits reports how many Peek and Acquire calls returned a stored
 // payload.
-func (s *Store) Hits() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits
-}
+func (s *Store) Hits() int64 { return s.hits.Load() }
 
 // Misses reports how many Acquire calls found no usable entry.
-func (s *Store) Misses() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.misses
-}
+func (s *Store) Misses() int64 { return s.misses.Load() }
 
 // Evictions reports how many entries the size cap (or an explicit GC)
 // removed.
-func (s *Store) Evictions() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evictions
-}
-
-// Contains reports whether a published entry exists for the key. It is
-// a cheap stat: no decode, no counters, no recency refresh.
-func (s *Store) Contains(key string) bool {
-	_, err := os.Stat(s.Path(key))
-	return err == nil
-}
-
-// keyLock is one key's single-flight lock; refs counts its holder and
-// waiters, guarded by Store.mu.
-type keyLock struct {
-	sync.Mutex
-	refs int
-}
-
-// lockKey takes the key's single-flight lock, creating it if no one
-// holds or waits for it.
-func (s *Store) lockKey(key string) *keyLock {
-	s.mu.Lock()
-	l, ok := s.keys[key]
-	if !ok {
-		l = &keyLock{}
-		s.keys[key] = l
-	}
-	l.refs++
-	s.mu.Unlock()
-	l.Lock()
-	return l
-}
-
-// unlockKey releases the key's lock, dropping it from the table when no
-// one else holds or waits for it.
-func (s *Store) unlockKey(key string, l *keyLock) {
-	l.Unlock()
-	s.mu.Lock()
-	if l.refs--; l.refs == 0 {
-		delete(s.keys, key)
-	}
-	s.mu.Unlock()
-}
+func (s *Store) Evictions() int64 { return s.evictions.Load() }
 
 // read attempts to load and validate the key's file. A usable entry
 // whose mtime is more than recencyResolution old gets a fresh one, so
@@ -184,87 +117,73 @@ func (s *Store) read(key string) ([]byte, bool) {
 }
 
 // Peek offers the key's published entry, if it has a usable one, to
-// accept without taking the key's lock: publication is an atomic
-// rename, so a reader sees a whole entry or none, and the lock only
-// serializes producers. It counts a hit when accept takes the payload,
-// and nothing otherwise: a caller that peeks and misses goes on to
-// Acquire, which counts the miss.
+// accept: publication is an atomic rename, so a reader sees a whole
+// entry or none, and only producers take the claim. It counts a hit
+// when accept takes the payload, and nothing otherwise: a caller that
+// peeks and misses goes on to Acquire, which counts the miss.
 func (s *Store) Peek(key string, accept func(payload []byte) bool) bool {
 	p, ok := s.read(key)
 	if !ok || !accept(p) {
 		return false
 	}
-	s.mu.Lock()
-	s.hits++
-	s.mu.Unlock()
+	s.hits.Add(1)
 	return true
 }
 
-// Acquire looks the key up under its in-process single-flight lock. On
-// a hit it returns the decoded payload; on a miss it returns nil. In
-// both cases the caller MUST call the returned commit exactly once:
-// commit(nil) releases the key (and any claim) without publishing,
-// commit(p) frames and atomically publishes p (overwriting whatever is
-// there). The key lock is held from Acquire to commit.
+// Acquire looks the key up. On a hit it returns the decoded payload; on
+// a miss it returns nil. In both cases the caller MUST call the
+// returned commit exactly once: commit(nil) releases the key's claim,
+// if Acquire took one, without publishing; commit(p) frames and
+// atomically publishes p (overwriting whatever is there), then releases
+// the claim.
 //
-// On a miss, Acquire also races for the cross-process claim file. If
-// another process holds a fresh claim, Acquire polls up to ClaimWait
-// for that process to publish; a publication observed while polling is
-// returned as a hit. An abandoned claim (older than ClaimTTL) is
-// removed. All of this is best effort: the worst outcome of any claim
-// race is duplicated computation, never a wrong or missing result.
+// On a miss, Acquire races for the key's claim file. The winner reads
+// the key once more, since another producer may have published and
+// released its claim between the first read and the claim: such an
+// entry is a hit, and the claim is released at once. A loser polls up
+// to claimWait for the claim's holder to publish; a publication
+// observed while polling is a hit. An abandoned claim (older than
+// claimTTL) is removed. All of this is best effort: the worst outcome
+// of any claim race is duplicated computation, never a wrong or
+// missing result.
 func (s *Store) Acquire(key string) (payload []byte, commit func([]byte) error) {
-	l := s.lockKey(key)
-	if p, ok := s.read(key); ok {
-		s.mu.Lock()
-		s.hits++
-		s.mu.Unlock()
-		return p, func(p2 []byte) error {
-			defer s.unlockKey(key, l)
-			if p2 == nil {
-				return nil
-			}
-			return s.put(key, p2)
-		}
-	}
-
-	claimed := s.tryClaim(key)
-	if !claimed {
-		if p, ok := s.awaitClaimed(key); ok {
-			s.mu.Lock()
-			s.hits++
-			s.mu.Unlock()
-			return p, func(p2 []byte) error {
-				defer s.unlockKey(key, l)
-				if p2 == nil {
-					return nil
-				}
-				return s.put(key, p2)
-			}
-		}
-	}
-
-	s.mu.Lock()
-	s.misses++
-	s.mu.Unlock()
-	return nil, func(p []byte) error {
-		defer s.unlockKey(key, l)
-		if claimed {
-			defer os.Remove(s.claimPath(key))
-		}
+	publish := func(p []byte) error {
 		if p == nil {
 			return nil
 		}
 		return s.put(key, p)
 	}
+	p, ok := s.read(key)
+	claimed := !ok && s.tryClaim(key)
+	switch {
+	case claimed:
+		if p, ok = s.read(key); ok {
+			_ = os.Remove(s.claimPath(key))
+			claimed = false
+		}
+	case !ok:
+		p, ok = s.awaitClaimed(key)
+	}
+	if ok {
+		s.hits.Add(1)
+		return p, publish
+	}
+	s.misses.Add(1)
+	if !claimed {
+		return nil, publish
+	}
+	return nil, func(p []byte) error {
+		defer os.Remove(s.claimPath(key))
+		return publish(p)
+	}
 }
 
 // tryClaim attempts to create the key's claim file, reaping an
-// abandoned one first. It reports whether this process now owns the
+// abandoned one first. It reports whether the caller now owns the
 // claim.
 func (s *Store) tryClaim(key string) bool {
 	cp := s.claimPath(key)
-	if fi, err := os.Stat(cp); err == nil && s.ClaimTTL > 0 && time.Since(fi.ModTime()) > s.ClaimTTL {
+	if fi, err := os.Stat(cp); err == nil && s.claimTTL > 0 && time.Since(fi.ModTime()) > s.claimTTL {
 		_ = os.Remove(cp)
 	}
 	f, err := os.OpenFile(cp, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
@@ -276,28 +195,25 @@ func (s *Store) tryClaim(key string) bool {
 	return true
 }
 
-// awaitClaimed polls for another process's publication while its claim
-// stays fresh, up to ClaimWait.
+// awaitClaimed polls for the claim holder's publication while its claim
+// stays fresh, up to claimWait.
 func (s *Store) awaitClaimed(key string) ([]byte, bool) {
 	const pollEvery = 50 * time.Millisecond
-	deadline := time.Now().Add(s.ClaimWait)
-	for s.ClaimWait > 0 {
+	deadline := time.Now().Add(s.claimWait)
+	for s.claimWait > 0 {
 		if p, ok := s.read(key); ok {
 			return p, true
 		}
 		fi, err := os.Stat(s.claimPath(key))
 		if err != nil || time.Now().After(deadline) ||
-			(s.ClaimTTL > 0 && time.Since(fi.ModTime()) > s.ClaimTTL) {
+			(s.claimTTL > 0 && time.Since(fi.ModTime()) > s.claimTTL) {
 			break
 		}
 		time.Sleep(pollEvery)
 	}
 	// One last read: the claim may have been released after a publish
 	// between our read and stat.
-	if p, ok := s.read(key); ok {
-		return p, true
-	}
-	return nil, false
+	return s.read(key)
 }
 
 // Reject removes a published entry that an outer validation layer
@@ -307,10 +223,8 @@ func (s *Store) awaitClaimed(key string) ([]byte, bool) {
 // actually got.
 func (s *Store) Reject(key string) {
 	_ = os.Remove(s.Path(key))
-	s.mu.Lock()
-	s.hits--
-	s.misses++
-	s.mu.Unlock()
+	s.hits.Add(-1)
+	s.misses.Add(1)
 }
 
 // put frames and atomically publishes a payload, then enforces the size
@@ -321,10 +235,7 @@ func (s *Store) put(key string, payload []byte) error {
 	if err := WriteFileAtomic(s.dir, s.Path(key), write); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	limit := s.maxBytes
-	s.mu.Unlock()
-	if limit > 0 {
+	if limit := s.maxBytes.Load(); limit > 0 {
 		_, _, err := s.GC(limit)
 		return err
 	}
@@ -335,7 +246,7 @@ func (s *Store) put(key string, payload []byte) error {
 // least-recently-used entries (file mtime order, which Acquire hits
 // refresh at one-second resolution), returning how many entries were
 // removed and how many bytes were freed. It also deletes what crashed
-// processes leave behind once it is older than ClaimTTL: the temp files
+// processes leave behind once it is older than claimTTL: the temp files
 // of writers killed before their rename, and abandoned claim files
 // (their bytes count as freed, not as entries). Foreign files are left
 // alone.
@@ -362,7 +273,7 @@ func (s *Store) GC(maxBytes int64) (removed int, freed int64, err error) {
 		}
 		path := filepath.Join(s.dir, e.Name())
 		if orphan {
-			if s.ClaimTTL > 0 && time.Since(fi.ModTime()) > s.ClaimTTL && os.Remove(path) == nil {
+			if s.claimTTL > 0 && time.Since(fi.ModTime()) > s.claimTTL && os.Remove(path) == nil {
 				freed += fi.Size()
 			}
 			continue
@@ -387,11 +298,7 @@ func (s *Store) GC(maxBytes int64) (removed int, freed int64, err error) {
 		freed += f.size
 		removed++
 	}
-	if removed > 0 {
-		s.mu.Lock()
-		s.evictions += int64(removed)
-		s.mu.Unlock()
-	}
+	s.evictions.Add(int64(removed))
 	return removed, freed, nil
 }
 
