@@ -158,7 +158,8 @@ func TestUnknownNamesExit1(t *testing.T) {
 		{[]string{"-graph", "krom"}, "gmsim: unknown workload pr.krom\n"},
 		{[]string{"-kernel", "triad", "-graph", "kron"}, "gmsim: unknown workload triad.kron\n"},
 		{[]string{"-kernel", "pr", "-graph", "reg"}, "gmsim: unknown workload pr.reg\n"},
-		{[]string{"-config", "warp"}, "gmsim: unknown config \"warp\" (baseline|sdclp|topt|popt|adaptive|distill|l1diso|2xllc|expert|victim|rrip|bypass)\n"},
+		{[]string{"-config", "warp"}, "gmsim: unknown config \"warp\" (baseline|sdclp|topt|adaptive|distill|l1diso|2xllc|expert|victim|rrip|bypass)\n"},
+		{[]string{"-config", "popt"}, "gmsim: unknown config \"popt\" (baseline|sdclp|topt|adaptive|distill|l1diso|2xllc|expert|victim|rrip|bypass)\n"},
 		{[]string{"-pf", "warp"}, "gmsim: sim: unknown prefetcher preset \"warp\" (want none|nextline|spp|stride|imp|pickle|spp+imp)\n"},
 	} {
 		wantExit1(t, strings.Join(tc.args, " "), bin, append([]string{"-warmup", "1000", "-measure", "1000"}, tc.args...), tc.want)

@@ -53,8 +53,8 @@ type NextUseOracle interface {
 const RankMax uint8 = 255
 
 // RankDefault is the rank T-OPT assigns to blocks outside the graph's
-// irregular property regions, giving them middle priority as P-OPT does
-// for non-matrix data.
+// irregular property regions, giving them middle priority (Balaji et
+// al.'s practical variant treats non-matrix data the same way).
 const RankDefault uint8 = 128
 
 // TOPT is the Transpose-based Optimal Cache Replacement policy of

@@ -64,11 +64,6 @@ type Config struct {
 	Latency int64
 }
 
-// DefaultConfig returns the Table I SDCDir configuration for n cores.
-func DefaultConfig(n int) Config {
-	return Config{EntriesPerCore: 128, Ways: 8, Cores: n, Latency: 1}
-}
-
 // DirEntry is one directory slot: the block, its MESI state, the
 // sharer bit vector and the LRU stamp.
 type DirEntry struct {

@@ -9,7 +9,7 @@ import (
 )
 
 func newDir(cores int) *SDCDir {
-	return New(DefaultConfig(cores), nil)
+	return New(Config{EntriesPerCore: 128, Ways: 8, Cores: cores, Latency: 1}, nil)
 }
 
 func TestStateStrings(t *testing.T) {

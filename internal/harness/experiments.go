@@ -175,7 +175,6 @@ var machines = []entry[func(base sim.Config) sim.Config]{
 	{"baseline", []string{""}, func(base sim.Config) sim.Config { return base }},
 	{"sdclp", []string{"sdc+lp"}, sim.Config.WithSDCLP},
 	{"topt", []string{"t-opt"}, sim.Config.WithTOPT},
-	{"popt", []string{"p-opt"}, sim.Config.WithPOPT},
 	{"adaptive", nil, sim.Config.WithAdaptiveLP},
 	{"distill", nil, sim.Config.WithDistill},
 	{"l1diso", []string{"l1d40kb"}, sim.Config.WithBigL1D},

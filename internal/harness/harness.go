@@ -192,9 +192,6 @@ func Bench() Profile { return named(profiles[0]) }
 // Small returns the default profile.
 func Small() Profile { return named(profiles[1]) }
 
-// Full returns the largest profile.
-func Full() Profile { return named(profiles[2]) }
-
 // ProfileByName resolves a profile's name or alias.
 func ProfileByName(name string) (Profile, error) {
 	if p, ok := lookup(profiles, name); ok {

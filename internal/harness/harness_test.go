@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"graphmem/internal/sim"
 )
 
 // wbShared is a shared bench-profile workbench so expensive graph
@@ -86,7 +88,8 @@ func TestProfileByName(t *testing.T) {
 }
 
 func TestProfilesHaveAllGraphs(t *testing.T) {
-	for _, p := range []Profile{Bench(), Small(), Full()} {
+	for _, e := range profiles {
+		p := named(e)
 		for _, g := range GraphNames {
 			if _, ok := p.Graphs[g]; !ok {
 				t.Errorf("profile %s missing graph %s", p.Name, g)
@@ -292,6 +295,23 @@ func TestTauMaxIsBaseline(t *testing.T) {
 			name := want.Type().Field(i).Name
 			if !slices.Contains(residue, name) && !reflect.DeepEqual(want.Field(i).Interface(), got.Field(i).Interface()) {
 				t.Errorf("%s: τ=2^40 SDC+LP %s = %v, Baseline %v", id, name, got.Field(i), want.Field(i))
+			}
+		}
+	}
+}
+
+// TestOneWorkloadMixIsRunSingle: a one-workload mix on a one-core
+// machine, through the mix door, reports the single door's counters.
+func TestOneWorkloadMixIsRunSingle(t *testing.T) {
+	wb := NewWorkbench(fastBench())
+	base := wb.Profile.BaseConfig(1)
+	for _, cfg := range []sim.Config{base.WithSDCLP(), base.WithTOPT()} {
+		for _, kernel := range []string{"pr", "cc"} {
+			id := WorkloadID{Kernel: kernel, Graph: "kron"}
+			single := wb.RunSingle(cfg, id).Stats
+			mix := wb.RunMix(newRunSpec(kindMix, wb.configured(cfg), []WorkloadID{id}, wb.Profile.Name)).PerCore[0]
+			if mix != single {
+				t.Errorf("%s %s: one-workload mix %+v, RunSingle %+v", cfg.Name, id, mix, single)
 			}
 		}
 	}

@@ -31,7 +31,7 @@ type RunConfig struct {
 	EpochInterval int64  `json:"epoch_interval"`
 	// Prefetchers is the prefetcher preset ("" is Table I's wiring),
 	// BranchMissPenalty the injected refill stall (0 is off) and
-	// LLCPolicy the LLC replacement policy (lru|srrip|topt|popt).
+	// LLCPolicy the LLC replacement policy (lru|srrip|topt).
 	Prefetchers       string `json:"prefetchers"`
 	BranchMissPenalty int64  `json:"branch_miss_penalty"`
 	LLCPolicy         string `json:"llc_policy"`

@@ -71,13 +71,9 @@ const (
 	// LLCTOPT is the transpose-driven T-OPT replacement (needs workload
 	// oracles).
 	LLCTOPT
-	// LLCPOPT is T-OPT's practical variant (P-OPT, Balaji et al.): one
-	// LLC way per set is given up to the cached re-reference matrix and
-	// the oracle's ranks are quantized to coarse epochs.
-	LLCPOPT
 )
 
-var llcPolicyNames = [...]string{"lru", "srrip", "topt", "popt"}
+var llcPolicyNames = [...]string{"lru", "srrip", "topt"}
 
 // String implements fmt.Stringer.
 func (p LLCPolicy) String() string {
@@ -86,10 +82,6 @@ func (p LLCPolicy) String() string {
 	}
 	return llcPolicyNames[p]
 }
-
-// oracled reports whether the policy ranks victims by the workloads'
-// next-use oracles.
-func (p LLCPolicy) oracled() bool { return p == LLCTOPT || p == LLCPOPT }
 
 // Config is a full system configuration.
 type Config struct {
@@ -231,6 +223,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: negative instruction window (warmup %d, measure %d)", c.Warmup, c.Measure)
 	case c.Measure > math.MaxInt64-recordInstructions-c.Warmup:
 		return fmt.Errorf("sim: instruction window end overflows int64 (warmup %d, measure %d)", c.Warmup, c.Measure)
+	case c.LLCPolicy < 0 || int(c.LLCPolicy) >= len(llcPolicyNames):
+		return fmt.Errorf("sim: unknown LLC policy %d (want %s)", int(c.LLCPolicy), strings.Join(llcPolicyNames[:], "|"))
 	case !ValidPrefetchers(c.Prefetchers):
 		return fmt.Errorf("sim: unknown prefetcher preset %q (want %s)", c.Prefetchers, strings.Join(PrefetcherPresets(), "|"))
 	case c.CPU.BranchMissPenalty < 0:
@@ -451,17 +445,6 @@ func (c Config) WithTOPT() Config {
 func (c Config) WithRRIP() Config {
 	c.Name = "SRRIP"
 	c.LLCPolicy = LLCSRRIP
-	return c
-}
-
-// WithPOPT returns the P-OPT configuration: the practical
-// implementation of T-OPT (Balaji et al.), which stores a quantized
-// re-reference matrix through the LLC instead of consulting an ideal
-// oracle. Modelled as T-OPT with one LLC way sacrificed to the cached
-// matrix and epoch-coarsened ranks.
-func (c Config) WithPOPT() Config {
-	c.Name = "P-OPT"
-	c.LLCPolicy = LLCPOPT
 	return c
 }
 

@@ -70,6 +70,8 @@ func (c *Config) AppendIdentity(b []byte, scope ...string) []byte {
 	// distillation and the LLC policy each had a top-level Config field
 	// (and the penalty a second one in CPU). Their values stay in those
 	// slots, and the CPU and L2 ones encode as zero, so no key moves.
+	// The third LLC-policy slot is retired: it was true only for P-OPT,
+	// a policy since removed, and it encodes false so no other key moves.
 	l2 := c.L2
 	l2.DistillWOCWays = 0
 	p := c.LLCPolicy
@@ -77,7 +79,7 @@ func (c *Config) AppendIdentity(b []byte, scope ...string) []byte {
 		int(int64(c.CPU.Width)).int(int64(c.CPU.ROB)).int(c.CPU.ExecLatency).int(0).
 		cache(&c.L1D).cache(&l2).
 		int(int64(c.LLCPerCoreBytes)).int(int64(c.LLCWays)).int(c.LLCLatency).int(int64(c.LLCMSHRs)).
-		bool(p.oracled()).bool(p == LLCSRRIP).bool(p == LLCPOPT).distill(c.L2.DistillWOCWays).
+		bool(p == LLCTOPT).bool(p == LLCSRRIP).bool(false).distill(c.L2.DistillWOCWays).
 		int(int64(c.Routing)).cache(&c.SDC).
 		int(int64(c.LP.Entries)).int(int64(c.LP.Ways)).int(int64(c.LP.Tau)).
 		int(int64(c.SDCDirEntriesPerCore)).int(int64(c.SDCDirWays)).int(c.DirLatency).

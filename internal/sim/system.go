@@ -199,21 +199,6 @@ type oracleMux struct {
 	oracles []cache.NextUseOracle
 }
 
-// poptOracle coarsens ranks to 32 epochs, modelling P-OPT's quantized
-// re-reference matrix.
-type poptOracle struct {
-	inner cache.NextUseOracle
-}
-
-// Rank implements cache.NextUseOracle.
-func (p poptOracle) Rank(blk mem.BlockAddr) uint8 {
-	r := p.inner.Rank(blk)
-	if r == cache.RankMax {
-		return r
-	}
-	return r &^ 7
-}
-
 // Rank implements cache.NextUseOracle.
 func (m *oracleMux) Rank(blk mem.BlockAddr) uint8 {
 	coreID := int(uint64(blk) >> (mem.CoreSpaceBits - mem.BlockBits))
@@ -304,12 +289,6 @@ func NewSystem(cfg Config, ws []Workload) *System {
 		llcCfg.Policy = cache.SRRIP{}
 	case LLCTOPT:
 		llcCfg.Policy = &cache.TOPT{Oracle: mux}
-	case LLCPOPT:
-		// The re-reference matrix occupies one LLC way per set and is
-		// itself epoch-quantized.
-		llcCfg.SizeBytes = llcCfg.SizeBytes / llcCfg.Ways * (llcCfg.Ways - 1)
-		llcCfg.Ways--
-		llcCfg.Policy = &cache.TOPT{Oracle: poptOracle{inner: mux}}
 	}
 	s.llc = cache.New(llcCfg)
 
@@ -385,7 +364,7 @@ func NewSystem(cfg Config, ws []Workload) *System {
 		})
 		if ws[i].Inst != nil {
 			c.irreg = ws[i].Inst.IrregularRegions()
-			if cfg.LLCPolicy.oracled() {
+			if cfg.LLCPolicy == LLCTOPT {
 				c.oracle = ws[i].Inst.Oracle()
 				mux.oracles[i] = c.oracle
 			}
